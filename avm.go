@@ -61,6 +61,9 @@ type (
 	CostModel = avmm.CostModel
 	// Auditor checks machines against a reference image.
 	Auditor = audit.Auditor
+	// AuditRequest describes one audit for Auditor.Audit: what to check
+	// and on which engine.
+	AuditRequest = audit.AuditRequest
 	// Result is an audit outcome.
 	Result = audit.Result
 	// FaultReport pinpoints a detected fault.
@@ -255,7 +258,10 @@ func (d *Deployment) Audit(name string, reference *Image) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.AuditFull(node, uint32(target.Index()), target.Log.All(), auths), nil
+	res, _, err := a.Audit(audit.AuditRequest{
+		Node: node, NodeIdx: uint32(target.Index()), Entries: target.Log.All(), Auths: auths,
+	})
+	return res, err
 }
 
 // BuildEvidence bundles what a failed audit of name used, for transfer to

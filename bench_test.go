@@ -441,7 +441,7 @@ func BenchmarkReplay_GameSecond(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			go auditpkg.ServeEpochWorker(l)
+			go func() { _ = (&auditpkg.EpochWorker{}).Serve(l) }() // ends when l closes
 			addrs = append(addrs, l.Addr().String())
 		}
 		audit(b, func() error {

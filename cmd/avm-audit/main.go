@@ -30,13 +30,13 @@
 //
 // # Continuous auditing
 //
-// -coordinate runs the long-lived coordinator service instead of the
-// one-shot dispatcher: every node's log is audited concurrently through
-// one shared epoch queue and one multiplexed connection per worker, with
-// heartbeat liveness, pipelined jobs, retry with exponential backoff,
-// straggler hedging, and graceful degradation to local replay when the
-// fleet is empty (disable with -local-fallback=false to fail instead,
-// exit 2):
+// -dispatch and -coordinate drive the same coordinator: every node's log
+// is audited concurrently through one shared epoch queue and one
+// multiplexed connection per worker, with heartbeat liveness, pipelined
+// jobs, retry with exponential backoff and straggler hedging. They differ
+// in what an unreachable fleet means. -coordinate degrades gracefully to
+// local replay (disable with -local-fallback=false to fail instead, exit
+// 2); -dispatch A,B is shorthand for -coordinate A,B -local-fallback=false:
 //
 //	avm-audit -dir /tmp/match1 -coordinate 127.0.0.1:9100,127.0.0.1:9101
 //
@@ -245,8 +245,8 @@ func run() int {
 	window := flag.Int("window", audit.DefaultStreamWindow, "streaming mode: max decoded entries resident at once")
 	serve := flag.Bool("serve", false, "run as a replay worker instead of auditing: accept epoch jobs from a coordinator")
 	listen := flag.String("listen", "127.0.0.1:0", "worker mode: address to listen on")
-	dispatch := flag.String("dispatch", "", "comma-separated worker addresses; fan the replay stage out over them")
-	coordinate := flag.String("coordinate", "", "comma-separated worker addresses; audit every node concurrently through the long-running coordinator service")
+	dispatch := flag.String("dispatch", "", "comma-separated worker addresses; fan the replay stage out over them (shorthand for -coordinate <addrs> -local-fallback=false)")
+	coordinate := flag.String("coordinate", "", "comma-separated worker addresses; audit every node concurrently through the coordinator service")
 	spot := flag.Float64("spot", 0.1, "dispatch mode: fraction of epochs the coordinator re-replays locally to catch lying workers")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "dispatch mode: straggler deadline before an epoch is re-dispatched")
 	pipeline := flag.Int("pipeline", 0, "coordinate mode: epoch jobs kept in flight per worker connection (0 = default)")
@@ -298,6 +298,12 @@ func run() int {
 		sort.Strings(nodes)
 	}
 
+	if *dispatch != "" {
+		if *coordinate != "" {
+			return fail("-dispatch and -coordinate name the same fleet; give one of them")
+		}
+		*coordinate, *localFallback = *dispatch, false
+	}
 	if *coordinate != "" || *registerListen != "" {
 		var addrs []string
 		for _, a := range strings.Split(*coordinate, ",") {
@@ -307,14 +313,6 @@ func run() int {
 		}
 		return runCoordinated(arc, *dir, &meta, keys, nodes, addrs, *journalDir, *registerListen,
 			*pipeline, *spot, *jobTimeout, *hedgeAfter, *localFallback, *delta, *nofusion)
-	}
-
-	var backend *audit.TCPBackend
-	if *dispatch != "" {
-		backend = &audit.TCPBackend{
-			Addrs:      strings.Split(*dispatch, ","),
-			JobTimeout: *jobTimeout,
-		}
 	}
 
 	faults := 0
@@ -353,25 +351,6 @@ func run() int {
 		start := time.Now()
 		entryCount := 0
 		switch {
-		case backend != nil:
-			// Epoch jobs are derived from the archive's entry runs and
-			// snapshot segments when one is present — the offline-dispatch
-			// read path that never touches the flat files.
-			entries, materialize, deltaSrc, err := loadEntriesAndSnapshots(arc, *dir, node, compressed)
-			if err != nil {
-				return fail("%v", err)
-			}
-			entryCount = len(entries)
-			req.Engine = audit.EngineDist
-			req.Backend = backend
-			req.Entries, req.Auths = entries, auths
-			req.Options = audit.EngineOptions{
-				Materialize:         materialize,
-				DeltaSource:         deltaSrc,
-				DeltaJobs:           *delta,
-				SpotRecheckFraction: *spot,
-				SpotRecheckSeed:     meta.Seed,
-			}
 		case *stream:
 			// Streaming straight from the container — or, with an
 			// archive, epoch segments verified and decoded from disk one
@@ -410,24 +389,17 @@ func run() int {
 		if err != nil {
 			return fail("auditing %s: %v", node, err)
 		}
-		extra := ""
-		switch req.Engine {
-		case audit.EngineDist:
-			dstats := astats.Dist
-			extra = fmt.Sprintf(", %d epochs over %d workers, %d re-dispatched, %d spot-rechecked, job bytes %d full + %d delta (%d delta jobs, %d fallbacks)",
-				dstats.Epochs, len(backend.Addrs), dstats.Redispatches, dstats.SpotRechecked,
-				dstats.WireBytesFull, dstats.WireBytesDelta, dstats.DeltaJobsShipped, dstats.DeltaFallbacks)
-		case audit.EngineStream:
+		if req.Engine == audit.EngineStream {
 			entryCount = astats.Stream.Entries
 		}
 		wall := time.Since(start).Round(time.Millisecond)
 		if res.Passed {
-			fmt.Printf("%-10s PASSED in %-8v (%d entries, %d instructions replayed, %d sends matched%s)\n",
-				node, wall, entryCount, res.Replay.Instructions, res.Replay.SendsMatched, extra)
+			fmt.Printf("%-10s PASSED in %-8v (%d entries, %d instructions replayed, %d sends matched)\n",
+				node, wall, entryCount, res.Replay.Instructions, res.Replay.SendsMatched)
 		} else {
 			faults++
-			fmt.Printf("%-10s FAULT  in %-8v — %s (%s check, entry %d%s)\n",
-				node, wall, res.Fault.Detail, res.Fault.Check, res.Fault.EntrySeq, extra)
+			fmt.Printf("%-10s FAULT  in %-8v — %s (%s check, entry %d)\n",
+				node, wall, res.Fault.Detail, res.Fault.Check, res.Fault.EntrySeq)
 		}
 	}
 	if faults > 0 {
@@ -595,8 +567,8 @@ func runCoordinated(arc *archive.Archive, dir string, meta *Meta, keys *sig.KeyS
 		fs.WorkersLive, fs.WorkersRegistered, fs.EpochsDone, fs.LocalFallbackEpochs,
 		fs.Retries, fs.Hedges, fs.HeartbeatTimeouts, fs.RegistrationsAccepted, fs.RegistrationsRejected, util)
 	if journal != nil {
-		fmt.Printf("journal: %d runs resumed, %d epochs skipped as durable, %d bytes\n",
-			fs.RunsResumed, fs.EpochsSkippedDurable, fs.JournalBytes)
+		fmt.Printf("journal: %d runs resumed, %d epochs skipped as durable, %d bytes, %d write errors\n",
+			fs.RunsResumed, fs.EpochsSkippedDurable, fs.JournalBytes, fs.JournalWriteErrors)
 	}
 	if code != exitClean {
 		return code

@@ -46,8 +46,11 @@ func main() {
 
 	// Full audit, for the cost baseline.
 	start := time.Now()
-	full := a.AuditFull("db-server", 0, entries, auths)
+	full, _, err := a.Audit(audit.AuditRequest{Node: "db-server", Entries: entries, Auths: auths})
 	fullWall := time.Since(start)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !full.Passed {
 		log.Fatalf("full audit failed: %v", full.Fault)
 	}
@@ -69,12 +72,15 @@ func main() {
 	}
 	chunk := entries[startPt.EntryIndex+1 : endPt.EntryIndex+1]
 	startT := time.Now()
-	res := a.AuditChunk(audit.ChunkRequest{
+	res, _, err := a.Audit(audit.AuditRequest{Chunk: &audit.ChunkRequest{
 		Node: "db-server", NodeIdx: 0,
 		Start: restored, StartRoot: startPt.Root, PrevHash: startPt.EntryHash,
 		Entries: chunk, Auths: auths,
-	})
+	}})
 	chunkWall := time.Since(startT)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !res.Passed {
 		log.Fatalf("spot check failed: %v", res.Fault)
 	}
@@ -93,11 +99,14 @@ func main() {
 		log.Fatal(err)
 	}
 	restored2.Mem[50_000] ^= 0x01
-	bad := a.AuditChunk(audit.ChunkRequest{
+	bad, _, err := a.Audit(audit.AuditRequest{Chunk: &audit.ChunkRequest{
 		Node: "db-server", NodeIdx: 0,
 		Start: restored2, StartRoot: startPt.Root, PrevHash: startPt.EntryHash,
 		Entries: chunk, Auths: auths,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if bad.Passed {
 		log.Fatal("doctored snapshot passed!")
 	}

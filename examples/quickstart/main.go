@@ -146,7 +146,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2 := auditor.AuditFull("bob", 0, entries, auths)
+	res2, _, err := auditor.Audit(avm.AuditRequest{Node: "bob", Entries: entries, Auths: auths})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(" ", res2)
 	if res2.Passed {
 		log.Fatal("unexpected: tampered log passed audit")

@@ -96,7 +96,7 @@ func Open(dir string) (*Archive, error) {
 	// payloads), so appends never land after garbage.
 	compacted := a.marshalManifest()
 	if !bytes.Equal(compacted, raw) {
-		if err := writeFileDurable(a.manifestPath(), a.dir, compacted); err != nil {
+		if err := WriteFileDurable(a.manifestPath(), a.dir, compacted); err != nil {
 			return nil, fmt.Errorf("archive: compacting manifest: %w", err)
 		}
 	}
@@ -236,11 +236,12 @@ func fileSize(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// writeFileDurable atomically replaces path with data: write to a temp
-// file, fsync it, rename over path, fsync the directory. A plain
-// WriteFile+Rename can leave an empty or truncated file after a crash,
-// which for the manifest would silently drop every archived record.
-func writeFileDurable(path, dir string, data []byte) error {
+// WriteFileDurable atomically replaces path (a file in dir) with data:
+// write to a temp file, fsync it, rename over path, fsync the directory. A
+// plain WriteFile+Rename can leave an empty or truncated file after a
+// crash, which for the manifest would silently drop every archived record
+// and for the coordinator's epoch journal every durable verdict.
+func WriteFileDurable(path, dir string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

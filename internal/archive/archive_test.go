@@ -568,9 +568,9 @@ func TestArchiveSnapshotPayloadOversizedPage(t *testing.T) {
 	b = binary.AppendUvarint(b, 0) // page index
 	b = binary.AppendUvarint(b, uint64(vm.PageSize+1))
 	b = append(b, make([]byte, vm.PageSize+1)...)
-	b = binary.AppendUvarint(b, 0) // proof.leaves
-	b = binary.AppendUvarint(b, 0) // nIdx
-	b = binary.AppendUvarint(b, 0) // nSib
+	b = binary.AppendUvarint(b, 0)     // proof.leaves
+	b = binary.AppendUvarint(b, 0)     // nIdx
+	b = binary.AppendUvarint(b, 0)     // nSib
 	b = append(b, make([]byte, 64)...) // root + memRoot
 	if _, err := parseSnapshotPayload(b); err == nil {
 		t.Fatal("oversized page decoded without error")

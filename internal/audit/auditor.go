@@ -45,8 +45,7 @@ type Auditor struct {
 
 // auditSerial checks an entire execution from boot: log verification
 // against authenticators, syntactic check, and full replay from the
-// reference image. It backs Audit's EngineSerial and the deprecated
-// AuditFull.
+// reference image. It backs Audit's EngineSerial.
 func (a *Auditor) auditSerial(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator) *Result {
 	res := &Result{Node: node}
 
@@ -95,7 +94,7 @@ type ChunkRequest struct {
 // segment's hash chain, syntactic pass, and replay starting from the
 // snapshot. Snapshot entries inside the chunk verify intermediate and final
 // state roots, so an incorrect state transition anywhere in the chunk is
-// detected. It backs Audit's EngineChunk and the deprecated AuditChunk.
+// detected. It backs Audit's EngineChunk.
 func (a *Auditor) auditChunk(req ChunkRequest) *Result {
 	res := &Result{Node: req.Node}
 	// Authenticate the snapshot; the verification tree is kept live so

@@ -14,11 +14,15 @@ import (
 // This file is the router/backend split of the epoch replay engine. The
 // partitioning rule (slice the log at snapshot entries), the earliest-fault
 // cutoff and the deterministic merge live in the router; *where* an epoch
-// replays is an EpochBackend: the in-process worker pool (PoolBackend), a
-// simulated lossy network (NetsimBackend), or real TCP workers
-// (TCPBackend). Every backend produces verdicts byte-identical to a serial
-// replay of the same epochs, so the audit's conclusion never depends on
-// where the replay ran.
+// replays is an EpochBackend. There are two kinds. PoolBackend replays
+// in-process on a goroutine pool and has no retry, hedge or delta logic to
+// share. Every remote backend is the one dispatch core of sched.go behind a
+// transport: Coordinator.Backend() (TCP, long-running, elastic fleet),
+// TCPBackend (the same coordinator for one run over a fixed fleet) and
+// NetsimBackend (the same core on a simulated network's virtual clock).
+// Every backend produces verdicts byte-identical to a serial replay of the
+// same epochs, so the audit's conclusion never depends on where the replay
+// ran.
 
 // EpochJob is one self-contained epoch replay job: the slice of the log
 // between two snapshot entries, plus the authenticated identity of its
@@ -60,6 +64,12 @@ type Session struct {
 	RNGSeed          uint64
 	DisablePredecode bool
 	DisableFusion    bool
+
+	// deltaSrc is the router's delta source when the audit asked for
+	// DeltaJobs: remote backends then ship jobs as proof-carrying delta
+	// chains after each connection's first full-state frame. It stays on
+	// the coordinator; the wire form of a session does not carry it.
+	deltaSrc func(k uint32) (*snapshot.Delta, error)
 }
 
 // session assembles the auditor's replay session for a node.
@@ -181,7 +191,7 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 }
 
 // PoolBackend replays epochs on a bounded in-process goroutine pool — the
-// engine AuditFullParallel has always used, behind the backend seam.
+// engine the parallel audit has always used, behind the backend seam.
 type PoolBackend struct {
 	// Workers bounds concurrent epochs. <= 0 selects runtime.NumCPU().
 	Workers int

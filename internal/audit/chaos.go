@@ -12,7 +12,8 @@ import (
 // This file is the deterministic chaos-injection harness: a ChaosPlan is a
 // seeded fault schedule an EpochWorker consults before serving each
 // connection, frame and job, covering the adversarial surface the
-// coordinator must survive — workers that crash mid-epoch, hang forever,
+// dispatch core (sched.go, behind the Coordinator's TCP driver) must
+// survive — workers that crash mid-epoch, hang forever,
 // run 10x slow, lie about verdicts, flap their connections, or sit behind
 // a partition until it heals. Decisions are pure functions of (seed,
 // arrival ordinal), so a plan is reproducible for a fixed dispatch order
@@ -117,9 +118,11 @@ func (p *ChaosPlan) slowCap() time.Duration {
 
 // corrupt is the lying worker's verdict: suppress any fault and inflate
 // the stats — the most dangerous lie, because it turns a caught cheater
-// into a clean machine unless the coordinator spot-rechecks.
+// into a clean machine unless the coordinator spot-rechecks. The end state
+// the honest replay verified is kept: the lie is in the verdict, not in the
+// worker's cache.
 func (p *ChaosPlan) corrupt(r epochResult) epochResult {
-	out := epochResult{stats: r.stats}
+	out := epochResult{stats: r.stats, end: r.end}
 	out.stats.Instructions += 1_000_003
 	return out
 }
@@ -152,8 +155,8 @@ func CoordinatorKillPlans() []*ChaosPlan {
 }
 
 // ChaosFleet is a set of in-process loopback replay workers, each running
-// its own fault plan (nil = honest). Tests point a Coordinator or a
-// TCPBackend at Addrs.
+// its own fault plan (nil = honest). Tests point a Coordinator — long-
+// running, or the one-shot TCPBackend — at Addrs.
 type ChaosFleet struct {
 	Addrs     []string
 	workers   []*EpochWorker
@@ -246,7 +249,7 @@ func StartVerdictFilterProxy(workerAddr string, keep func(*wire.AuditVerdict) bo
 							}
 						}
 					}
-					if err := writeDistFrame(up, kind, body); err != nil {
+					if err := writeDistFrames(up, distFrame{kind, body}); err != nil {
 						return
 					}
 				}

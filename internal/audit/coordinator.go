@@ -3,7 +3,6 @@ package audit
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -12,36 +11,35 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sig"
-	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/wire"
 )
 
-// This file is the long-running audit coordinator service: a persistent
-// epoch-job queue fed by any number of concurrent audits, drained by an
-// elastic fleet of replay workers that may join and leave mid-audit. It
-// subsumes the one-shot TCPBackend for deployments where the auditor is a
-// service, not a command:
+// This file is the audit coordinator service — the TCP, wall-clock driver
+// of the dispatch core in sched.go: a persistent epoch-job queue fed by any
+// number of concurrent audits, drained by an elastic fleet of replay
+// workers that may join and leave mid-audit. The scheduling policy (blocks
+// and stealing, retry backoff, hedging, reaping, delta bases, starvation)
+// is the core's; what lives here is what needs sockets, goroutines and a
+// clock:
 //
 //   - one multiplexed connection per worker carries every audit session,
-//     so the reference image ships once per (worker, audit) instead of
-//     once per run×connection;
-//   - up to Pipeline jobs are in flight per connection, hiding the wire
-//     round-trip behind replay;
+//     so the reference image ships once per (worker, audit);
+//   - a sender goroutine per connection asks the core for the next
+//     shipment and writes it, up to Pipeline jobs in flight, hiding the
+//     wire round-trip behind replay; a reader goroutine feeds verdicts and
+//     need-state notices back;
 //   - liveness is a heartbeat (ping/pong) with a read deadline, so a dead
-//     worker is detected even when no job is outstanding;
-//   - a failed or timed-out epoch re-dispatches under capped exponential
-//     backoff with deterministic jitter, preferring workers that have not
-//     yet tried it (with at least one honest worker in the fleet, every
-//     epoch eventually lands on it);
-//   - a straggling epoch is hedged: re-dispatched immediately to a second
-//     worker while the original stays outstanding, first verdict wins;
+//     worker is detected even when no job is outstanding, and a dial loop
+//     per worker redials under capped backoff;
 //   - when the fleet is empty the queue degrades gracefully to local
 //     replay, so an audit never blocks on an absent fleet.
 //
 // The coordinator is an EpochBackend (Backend()), so the router's
 // earliest-fault cutoff, spot rechecks and deterministic merge apply
-// unchanged and verdicts stay byte-identical to AuditFull.
+// unchanged and verdicts stay byte-identical to the serial engine's.
+// TCPBackend is the one-shot form: a coordinator with a fixed fleet that
+// lives for one run.
 
 // CoordinatorConfig tunes a Coordinator. The zero value selects sane
 // service defaults; tests shrink every duration.
@@ -102,104 +100,47 @@ type CoordinatorConfig struct {
 	Journal *Journal
 }
 
-// taskKey identifies one dispatched epoch: (audit run, epoch index).
-type taskKey struct {
-	run   uint64
-	index int
-}
-
-// coordTask is one epoch job on the coordinator queue. All mutable fields
-// are guarded by Coordinator.mu; once done flips true nothing mutates the
-// task again, so the failure/verdict paths may read it unlocked.
-type coordTask struct {
-	run   *coordRun
-	job   *EpochJob
-	index int
-
-	encOnce sync.Once
-	enc     []byte
-
-	attempts   int
-	inflight   int
-	queued     bool
-	hedged     bool
-	done       bool
-	eligibleAt time.Time
-	enqueuedAt time.Time
-	triedOn    map[string]bool
-	wireBytes  int
-	fullBytes  int // full-state job-frame bytes, all dispatches
-	deltaBytes int // delta-encoded job-frame bytes, all dispatches
-	deltaSent  int // delta-encoded dispatches
-	deltaFalls int // full re-dispatches after a worker NeedState
-	failErr    error
-}
-
-// frame returns the cached wire encoding of the job, so a re-dispatch
-// never re-encodes.
-func (t *coordTask) frame() []byte {
-	t.encOnce.Do(func() { t.enc = jobToWire(t.job).Marshal() })
-	return t.enc
-}
-
-// coordRun is one audit's jobs on the shared queue. A task counts toward
-// settled only after its emit (if any) returned, so done closes strictly
-// after every verdict reached the router.
-type coordRun struct {
-	id       uint64
-	sess     Session
-	frame    []byte
-	skip     func(int) bool
-	emit     func(EpochVerdict)
-	deltaSrc func(k uint32) (*snapshot.Delta, error)
-	tasks    map[int]*coordTask
-	total    int
-	// key is the run's stable journal identity; journaled reports whether
-	// this run's events are being written ahead.
-	key       [32]byte
-	journaled bool
-
-	settled atomic.Int64
-	done    chan struct{}
-	err     error // guarded by Coordinator.mu
-}
-
-// finishSettle records n tasks fully finished (verdict emitted, skipped,
-// or failed) and completes the run when the last one lands.
-func (r *coordRun) finishSettle(n int64) {
-	if n > 0 && r.settled.Add(n) == int64(r.total) {
-		close(r.done)
+// withDefaults resolves every unset tunable.
+func (cfg CoordinatorConfig) withDefaults() CoordinatorConfig {
+	count := func(n *int, v int) {
+		if *n <= 0 {
+			*n = v
+		}
 	}
+	span := func(d *time.Duration, v time.Duration) {
+		if *d <= 0 {
+			*d = v
+		}
+	}
+	count(&cfg.Pipeline, 4)
+	span(&cfg.JobTimeout, 2*time.Minute)
+	if cfg.HedgeAfter == 0 {
+		cfg.HedgeAfter = cfg.JobTimeout / 4
+	}
+	count(&cfg.MaxAttempts, 8)
+	count(&cfg.ConsecutiveTimeouts, 2)
+	span(&cfg.RetryBackoff, 50*time.Millisecond)
+	span(&cfg.RetryMaxBackoff, 5*time.Second)
+	span(&cfg.HeartbeatEvery, 15*time.Second)
+	count(&cfg.HeartbeatMisses, 3)
+	span(&cfg.DialTimeout, 5*time.Second)
+	span(&cfg.RedialBackoff, 100*time.Millisecond)
+	span(&cfg.RedialMaxBackoff, 5*time.Second)
+	count(&cfg.LocalWorkers, runtime.NumCPU())
+	if cfg.Metrics == nil {
+		cfg.Metrics = &metrics.Registry{}
+	}
+	return cfg
 }
 
-// coordDispatch is one outstanding job on one worker connection.
-type coordDispatch struct {
-	task   *coordTask
-	sentAt time.Time
-}
-
-// coordWorker drives one remote worker: a persistent dial/redial loop, a
-// multiplexed connection with pipelined jobs, and heartbeat liveness.
-// Connection state is guarded by Coordinator.mu.
+// coordWorker drives one remote worker: a persistent dial/redial loop and,
+// per connection, a sender and a reader goroutine. conn is guarded by
+// Coordinator.mu; it is nil exactly when sw has no connection attached.
 type coordWorker struct {
 	c    *Coordinator
-	addr string
+	sw   *schedWorker
 	stop chan struct{}
-
-	conn        net.Conn
-	inflight    map[taskKey]*coordDispatch
-	sentRuns    map[uint64]struct{}
-	timeouts    int
-	activeSince time.Time
-	busy        time.Duration
-
-	// trackers models, per run, what snapshot state the worker behind the
-	// live connection holds for delta-encoded dispatch. Owned by the sender
-	// goroutine — never touched under the lock. needReset (guarded by
-	// Coordinator.mu) carries NeedState notices from the read loop to the
-	// sender, which invalidates the named trackers before its next ship.
-	trackers  map[uint64]*deltaTracker
-	needReset map[uint64]bool
+	conn net.Conn
 }
 
 // Coordinator is the long-running audit coordinator service. Create with
@@ -209,15 +150,10 @@ type Coordinator struct {
 	cfg CoordinatorConfig
 	reg *metrics.Registry
 
-	mu           sync.Mutex
-	wake         chan struct{}
-	queue        []*coordTask
-	runs         map[uint64]*coordRun
-	workers      map[string]*coordWorker
-	nextRun      uint64
-	retiredBusy  time.Duration
-	starvedSince time.Time
-	closed       bool
+	mu      sync.Mutex
+	sched   *scheduler
+	wake    chan struct{}
+	workers map[string]*coordWorker
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup
@@ -225,68 +161,29 @@ type Coordinator struct {
 
 // NewCoordinator starts a coordinator service with an empty fleet.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 4
-	}
-	if cfg.JobTimeout <= 0 {
-		cfg.JobTimeout = 2 * time.Minute
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = cfg.JobTimeout / 4
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 8
-	}
-	if cfg.ConsecutiveTimeouts <= 0 {
-		cfg.ConsecutiveTimeouts = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.RetryMaxBackoff <= 0 {
-		cfg.RetryMaxBackoff = 5 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 15 * time.Second
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = 100 * time.Millisecond
-	}
-	if cfg.RedialMaxBackoff <= 0 {
-		cfg.RedialMaxBackoff = 5 * time.Second
-	}
-	if cfg.LocalWorkers <= 0 {
-		cfg.LocalWorkers = runtime.NumCPU()
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = &metrics.Registry{}
-	}
+	cfg = cfg.withDefaults()
 	if cfg.Journal != nil {
-		cfg.Journal.attach(reg)
+		cfg.Journal.attach(cfg.Metrics)
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		reg:      reg,
+		reg:      cfg.Metrics,
+		sched:    newScheduler(cfg),
 		wake:     make(chan struct{}),
-		runs:     make(map[uint64]*coordRun),
 		workers:  make(map[string]*coordWorker),
 		closedCh: make(chan struct{}),
 	}
-	if !cfg.DisableLocalFallback {
-		for i := 0; i < cfg.LocalWorkers; i++ {
-			c.wg.Add(1)
-			go c.localLoop()
-		}
+	c.sched.notify = c.broadcastLocked
+	// The idle loops keep a queue moving while no connection is live: by
+	// local replay, or — with fallback off, where one loop is enough — by
+	// the starvation check that fails it.
+	if cfg.DisableLocalFallback {
+		cfg.LocalWorkers = 1
 	}
-	c.wg.Add(1)
-	go c.janitor()
+	for i := 0; i < cfg.LocalWorkers; i++ {
+		c.wg.Add(1)
+		go c.idleLoop()
+	}
 	return c
 }
 
@@ -299,15 +196,11 @@ func (c *Coordinator) Metrics() *metrics.Registry { return c.reg }
 func (c *Coordinator) AddWorker(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if _, ok := c.workers[addr]; ok || c.sched.closed {
 		return
 	}
-	if _, ok := c.workers[addr]; ok {
-		return
-	}
-	w := &coordWorker{c: c, addr: addr, stop: make(chan struct{})}
+	w := &coordWorker{c: c, sw: c.sched.addWorker(addr), stop: make(chan struct{})}
 	c.workers[addr] = w
-	c.reg.Gauge("workers_registered").Add(1)
 	c.wg.Add(1)
 	go w.loop()
 }
@@ -318,10 +211,9 @@ func (c *Coordinator) RemoveWorker(addr string) {
 	c.mu.Lock()
 	if w, ok := c.workers[addr]; ok {
 		delete(c.workers, addr)
-		c.reg.Gauge("workers_registered").Add(-1)
 		close(w.stop)
-		w.detachLocked(time.Now())
-		c.retiredBusy += w.busy
+		c.closeConnLocked(w)
+		c.sched.removeWorker(w.sw, time.Now())
 	}
 	c.mu.Unlock()
 }
@@ -344,45 +236,18 @@ func (c *Coordinator) Kill() { c.shutdown(ErrCoordinatorKilled) }
 
 func (c *Coordinator) shutdown(cause error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.sched.closed {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
 	close(c.closedCh)
-	now := time.Now()
 	for _, w := range c.workers {
 		close(w.stop)
-		w.detachLocked(now)
-		c.retiredBusy += w.busy
+		c.closeConnLocked(w)
 	}
 	c.workers = map[string]*coordWorker{}
-	type pendingRun struct {
-		run *coordRun
-		n   int64
-	}
-	var pends []pendingRun
-	for _, run := range c.runs {
-		run.err = cause
-		var n int64
-		for _, t := range run.tasks {
-			if !t.done {
-				t.done = true
-				t.queued = false
-				n++
-			}
-		}
-		if n > 0 {
-			pends = append(pends, pendingRun{run, n})
-		}
-	}
-	c.queue = nil
-	c.reg.Gauge("queue_depth").Set(0)
-	c.broadcastLocked()
+	c.sched.shutdown(cause, time.Now())
 	c.mu.Unlock()
-	for _, p := range pends {
-		p.run.finishSettle(p.n)
-	}
 	c.wg.Wait()
 }
 
@@ -393,8 +258,11 @@ func (c *Coordinator) Backend() EpochBackend { return coordinatorBackend{c: c} }
 // Audit runs one full audit through the coordinator: opts.Backend is
 // replaced, everything else in opts applies unchanged.
 func (c *Coordinator) Audit(a *Auditor, node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, error) {
-	opts.Backend = c.Backend()
-	return a.AuditFullDist(node, nodeIdx, entries, auths, opts)
+	res, stats, err := a.Audit(AuditRequest{
+		Node: node, NodeIdx: nodeIdx, Engine: EngineDist, Entries: entries, Auths: auths,
+		Options: opts.EngineOptions, Backend: c.Backend(),
+	})
+	return res, stats.Dist, err
 }
 
 // FleetStats is a point-in-time snapshot of the coordinator's operational
@@ -417,10 +285,12 @@ type FleetStats struct {
 	BusyNs int64
 	// Journal counters (zero when no journal is configured): runs that
 	// resumed from durable state, epochs whose verdicts were skipped as
-	// already durable, and the journal file size.
+	// already durable, the journal file size, and failed journal writes or
+	// fsyncs (the first one stops journaling; audits continue).
 	RunsResumed          int64
 	EpochsSkippedDurable int64
 	JournalBytes         int64
+	JournalWriteErrors   int64
 	// Registration counters (zero when no registration listener runs).
 	RegistrationsAccepted int64
 	RegistrationsRejected int64
@@ -428,21 +298,10 @@ type FleetStats struct {
 
 // Stats snapshots the coordinator's fleet state.
 func (c *Coordinator) Stats() FleetStats {
-	now := time.Now()
 	c.mu.Lock()
-	busy := c.retiredBusy
-	live := 0
-	for _, w := range c.workers {
-		busy += w.busy
-		if w.conn != nil {
-			live++
-			if len(w.inflight) > 0 {
-				busy += now.Sub(w.activeSince)
-			}
-		}
-	}
-	registered := len(c.workers)
-	depth := len(c.queue)
+	registered, live := len(c.sched.fleet), c.sched.liveConns
+	depth := c.sched.depth()
+	busy := c.sched.busyNs(time.Now())
 	c.mu.Unlock()
 	return FleetStats{
 		WorkersRegistered:   registered,
@@ -456,125 +315,70 @@ func (c *Coordinator) Stats() FleetStats {
 		Drains:              c.reg.Counter("drains").Value(),
 		LocalFallbackEpochs: c.reg.Counter("local_fallback_epochs").Value(),
 		RetriesExhausted:    c.reg.Counter("retries_exhausted").Value(),
-		BusyNs:              int64(busy),
+		BusyNs:              busy,
 
 		RunsResumed:           c.reg.Value("journal_runs_resumed"),
 		EpochsSkippedDurable:  c.reg.Value("journal_epochs_skipped"),
 		JournalBytes:          c.reg.Value("journal_bytes"),
+		JournalWriteErrors:    c.reg.Value("journal_write_errors"),
 		RegistrationsAccepted: c.reg.Value("registrations_accepted"),
 		RegistrationsRejected: c.reg.Value("registrations_rejected"),
 	}
 }
 
 // coordinatorBackend adapts the coordinator to the router's backend seam.
-type coordinatorBackend struct {
-	c        *Coordinator
-	deltaSrc func(k uint32) (*snapshot.Delta, error)
-}
+type coordinatorBackend struct{ c *Coordinator }
 
 // Remote implements EpochBackend: jobs ship whole, starts pre-verified.
 func (b coordinatorBackend) Remote() bool { return true }
 
-// withDelta implements deltaCapable: runs enqueued through the returned
-// backend ship epochs as proof-carrying delta chains per worker connection.
-func (b coordinatorBackend) withDelta(src func(k uint32) (*snapshot.Delta, error)) EpochBackend {
-	b.deltaSrc = src
-	return b
-}
-
 // Run implements EpochBackend by enqueueing the jobs and blocking until
 // every one settles.
 func (b coordinatorBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
-	return b.c.enqueueRun(sess, jobs, skip, emit, b.deltaSrc)
+	return b.c.enqueueRun(sess, jobs, skip, emit)
 }
 
-// enqueueRun puts one audit's epochs on the shared queue and waits.
-func (c *Coordinator) enqueueRun(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict), deltaSrc func(k uint32) (*snapshot.Delta, error)) error {
+// enqueueRun puts one audit's epochs into the scheduler and waits. With a
+// journal it first derives the run's stable key and pulls any durable
+// verdicts a crashed predecessor left behind; those epochs never dispatch.
+func (c *Coordinator) enqueueRun(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	sessFrame := sessionToWire(sess).Marshal()
-
-	// With a journal, derive the run's stable key and pull any durable
-	// verdicts a crashed predecessor left behind. Resumed epochs never
-	// touch the queue; their stored verdicts re-emit below.
-	j := c.cfg.Journal
-	var key [32]byte
+	run := &schedRun{sess: sess, skip: skip, emit: emit, journal: c.cfg.Journal}
 	var resumed map[int][]byte
-	if j != nil {
-		key = runKeyFor(sess, jobs)
-		resumed = j.resume(key, len(jobs))
+	if run.journal != nil {
+		run.key = runKeyFor(sess, jobs)
+		resumed = run.journal.resume(run.key, len(jobs))
 	}
 
-	now := time.Now()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errors.New("audit: coordinator is closed")
-	}
-	c.nextRun++
-	run := &coordRun{
-		id: c.nextRun, sess: sess, frame: sessFrame, skip: skip, emit: emit,
-		deltaSrc: deltaSrc,
-		tasks:    make(map[int]*coordTask, len(jobs)), total: len(jobs),
-		done:      make(chan struct{}),
-		key:       key,
-		journaled: j != nil,
-	}
-	var stored []*wire.AuditVerdict
-	for _, job := range jobs {
-		t := &coordTask{
-			run: run, job: job, index: job.Index,
-			eligibleAt: now, enqueuedAt: now, triedOn: make(map[string]bool),
-		}
-		run.tasks[job.Index] = t
-		if enc, ok := resumed[job.Index]; ok {
-			if v, perr := wire.ParseAuditVerdict(enc); perr == nil && int(v.Index) == job.Index {
-				// Durable in the journal: settle without ever dispatching.
-				t.done = true
-				stored = append(stored, v)
-				continue
-			}
-		}
-		t.queued = true
-		c.queue = append(c.queue, t)
-	}
-	c.runs[run.id] = run
-	c.reg.Gauge("queue_depth").Set(int64(len(c.queue)))
-	c.broadcastLocked()
+	stored, err := c.sched.addRun(run, jobs, resumed, time.Now())
 	c.mu.Unlock()
-
-	if j != nil {
+	if err != nil {
+		return err
+	}
+	if run.journal != nil {
 		if resumed == nil {
-			j.runEnqueued(key, string(sess.Node), len(jobs))
+			run.journal.runEnqueued(run.key, string(sess.Node), len(jobs))
 		} else {
 			c.reg.Counter("journal_runs_resumed").Inc()
 		}
 	}
-	// Re-emit stored verdicts outside the lock: they flow through the
-	// router exactly as a worker's verdict would — spot rechecks included,
-	// so a tampered journal is caught like a lying worker — and the
-	// resumed audit's Result stays byte-identical to an uninterrupted run.
-	for _, v := range stored {
-		r := verdictFromWire(v)
-		c.reg.Counter("journal_epochs_skipped").Inc()
-		run.emit(EpochVerdict{Index: int(v.Index), Stats: r.stats, Fault: r.fault, Worker: "journal"})
-		run.finishSettle(1)
-	}
+	deliverAll(stored)
 
 	<-run.done
 
 	c.mu.Lock()
-	delete(c.runs, run.id)
-	err := run.err
+	err = c.sched.removeRun(run)
 	c.mu.Unlock()
-	if err == nil && j != nil {
-		j.runCompleted(key)
+	if err == nil && run.journal != nil {
+		run.journal.runCompleted(run.key)
 	}
 	return err
 }
 
-// broadcastLocked wakes every goroutine parked on the queue.
+// broadcastLocked wakes every goroutine parked on the scheduler.
 func (c *Coordinator) broadcastLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
@@ -583,350 +387,38 @@ func (c *Coordinator) broadcastLocked() {
 func (c *Coordinator) isClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	return c.sched.closed
 }
 
-func (c *Coordinator) liveConnsLocked() int {
-	n := 0
-	for _, w := range c.workers {
-		if w.conn != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// backoffDelay is the capped exponential re-dispatch delay with
-// deterministic jitter in [1/2, 1) of the exponential step.
-func (c *Coordinator) backoffDelay(index, attempt int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < attempt && d < c.cfg.RetryMaxBackoff; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryMaxBackoff {
-		d = c.cfg.RetryMaxBackoff
-	}
-	frac := float64(splitmix64(c.cfg.BackoffSeed^uint64(index)<<20^uint64(attempt))>>11) / float64(1<<53)
-	return d/2 + time.Duration(frac*float64(d/2))
-}
-
-// requeueLocked returns a task to the queue after delay. counter names
-// the metric charged for the requeue ("" for hedges).
-func (c *Coordinator) requeueLocked(t *coordTask, delay time.Duration, counter string) {
-	if c.closed || t.done || t.queued {
-		return
-	}
-	t.queued = true
-	t.eligibleAt = time.Now().Add(delay)
-	c.queue = append(c.queue, t)
-	c.reg.Gauge("queue_depth").Set(int64(len(c.queue)))
-	if counter != "" {
-		c.reg.Counter(counter).Inc()
-	}
-	c.broadcastLocked()
-}
-
-// failTaskLocked marks a task failed; the caller must pass it to
-// failTasks once the lock is released so the error verdict emits.
-func (c *Coordinator) failTaskLocked(t *coordTask, err error, counter string) *coordTask {
-	t.done = true
-	t.queued = false
-	t.failErr = err
-	if counter != "" {
-		c.reg.Counter(counter).Inc()
-	}
-	return t
-}
-
-// failTasks emits the error verdicts for tasks failed under the lock.
-func (c *Coordinator) failTasks(tasks []*coordTask) {
-	for _, t := range tasks {
-		t.run.emit(EpochVerdict{
-			Index: t.index, Err: t.failErr,
-			Worker: "(exhausted)", Attempts: t.attempts, WireBytes: t.wireBytes,
-			WireBytesFull: t.fullBytes, WireBytesDelta: t.deltaBytes,
-			DeltaShipped: t.deltaSent, DeltaFallbacks: t.deltaFalls,
-		})
-		t.run.finishSettle(1)
+// closeConnLocked cuts w's live connection, if any; the caller tells the
+// scheduler.
+func (c *Coordinator) closeConnLocked(w *coordWorker) {
+	if w.conn != nil {
+		w.conn.Close()
+		w.conn = nil
 	}
 }
 
-func (c *Coordinator) exhaustedErr(t *coordTask) error {
-	return fmt.Errorf("audit: epoch %d exhausted %d coordinator dispatch attempts: %w",
-		t.index, c.cfg.MaxAttempts, ErrRetriesExhausted)
-}
-
-// takeLocked pops the next dispatchable task for worker w (nil for the
-// local-fallback pool, which ignores placement history). It settles
-// skippable tasks, drops exhausted ones into failed (emit after unlock),
-// and reports the earliest future eligibility when nothing is ready.
-// Placement prefers workers that have not tried the task: as long as some
-// other live worker is untried, the task waits for it, which guarantees
-// an epoch eventually reaches an honest worker in any fleet that has one.
-func (c *Coordinator) takeLocked(w *coordWorker, now time.Time) (picked *coordTask, nextAt time.Time, failed []*coordTask) {
-	out := c.queue[:0]
-	for i := 0; i < len(c.queue); i++ {
-		t := c.queue[i]
-		if t.done || !t.queued {
-			continue
-		}
-		if t.run.skip(t.index) {
-			// Past the earliest-fault cutoff: this epoch can no longer
-			// affect the merged verdict. Settle it if nothing is in
-			// flight; otherwise the outstanding dispatch resolves it.
-			t.queued = false
-			if t.inflight == 0 {
-				t.done = true
-				t.run.finishSettle(1)
-			}
-			continue
-		}
-		if t.eligibleAt.After(now) {
-			if nextAt.IsZero() || t.eligibleAt.Before(nextAt) {
-				nextAt = t.eligibleAt
-			}
-			out = append(out, t)
-			continue
-		}
-		if t.attempts >= c.cfg.MaxAttempts {
-			t.queued = false
-			if t.inflight == 0 {
-				failed = append(failed, c.failTaskLocked(t, c.exhaustedErr(t), "retries_exhausted"))
-			}
-			continue
-		}
-		if w != nil && t.triedOn[w.addr] && c.hasUntriedLiveLocked(t, w) {
-			out = append(out, t)
-			continue
-		}
-		t.queued = false
-		t.attempts++
-		if w != nil {
-			t.triedOn[w.addr] = true
-		}
-		picked = t
-		out = append(out, c.queue[i+1:]...)
-		break
+// park blocks until the scheduler is woken, d elapses or one of the stop
+// channels (nil: never) closes; it reports false for a stop.
+func park(wakeCh <-chan struct{}, d time.Duration, stop1, stop2 <-chan struct{}) bool {
+	if d < time.Millisecond {
+		d = time.Millisecond
 	}
-	c.queue = out
-	c.reg.Gauge("queue_depth").Set(int64(len(c.queue)))
-	return picked, nextAt, failed
-}
-
-// hasUntriedLiveLocked reports whether a live worker other than asking
-// has not yet tried the task.
-func (c *Coordinator) hasUntriedLiveLocked(t *coordTask, asking *coordWorker) bool {
-	for addr, w := range c.workers {
-		if w == asking || w.conn == nil {
-			continue
-		}
-		if !t.triedOn[addr] {
-			return true
-		}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-stop1:
+		return false
+	case <-stop2:
+		return false
+	case <-wakeCh:
+	case <-timer.C:
 	}
-	return false
-}
-
-// deliverRemote hands a worker's verdict to its run: first verdict wins,
-// a hedge's or straggler's duplicate only clears the dispatch slot. The
-// emit runs outside the lock — spot rechecks replay locally and must not
-// stall the fleet.
-func (c *Coordinator) deliverRemote(w *coordWorker, runID uint64, v *wire.AuditVerdict, nbytes int) {
-	now := time.Now()
-	index := int(v.Index)
-	c.mu.Lock()
-	key := taskKey{run: runID, index: index}
-	if disp, ok := w.inflight[key]; ok {
-		w.dropDispatchLocked(key, now)
-		disp.task.inflight--
-		w.timeouts = 0
-		c.broadcastLocked() // a pipeline slot freed
-	}
-	run := c.runs[runID]
-	if run == nil {
-		c.mu.Unlock()
-		return
-	}
-	t := run.tasks[index]
-	if t == nil || t.done {
-		c.mu.Unlock()
-		return
-	}
-	t.done = true
-	t.queued = false
-	t.wireBytes += nbytes
-	ev := EpochVerdict{
-		Index: index, Worker: w.addr, Attempts: t.attempts, WireBytes: t.wireBytes,
-		WireBytesFull: t.fullBytes, WireBytesDelta: t.deltaBytes,
-		DeltaShipped: t.deltaSent, DeltaFallbacks: t.deltaFalls,
-	}
-	c.reg.Counter("epochs_done").Inc()
-	c.mu.Unlock()
-	if run.journaled {
-		// Write ahead of the emit: once the router sees this verdict it may
-		// settle the audit, and a crash after that must find it durable.
-		c.cfg.Journal.verdictEmitted(run.key, index, v.Marshal())
-	}
-	r := verdictFromWire(v)
-	ev.Stats = r.stats
-	ev.Fault = r.fault
-	run.emit(ev)
-	run.finishSettle(1)
-}
-
-// deltaFallback handles a worker's need-state notice: the worker no longer
-// holds the base state a delta-encoded dispatch chained from (its cache
-// evicted it, or a restarted worker answered behind the same address). The
-// dispatch slot frees, the connection's model of that run's worker state is
-// marked for invalidation (the sender goroutine owns the tracker and resets
-// it before its next ship), and the epoch requeues with no backoff — the
-// invalidated tracker makes the re-dispatch ship the full state.
-func (c *Coordinator) deltaFallback(w *coordWorker, runID uint64, index int) {
-	now := time.Now()
-	c.mu.Lock()
-	key := taskKey{run: runID, index: index}
-	if disp, ok := w.inflight[key]; ok {
-		w.dropDispatchLocked(key, now)
-		disp.task.inflight--
-		w.timeouts = 0
-	}
-	if w.needReset == nil {
-		w.needReset = make(map[uint64]bool)
-	}
-	w.needReset[runID] = true
-	if run := c.runs[runID]; run != nil {
-		if t := run.tasks[index]; t != nil && !t.done {
-			t.deltaFalls++
-			c.reg.Counter("delta_fallbacks").Inc()
-			c.requeueLocked(t, 0, "")
-		}
-	}
-	c.broadcastLocked() // the freed pipeline slot, even when the requeue no-ops
-	c.mu.Unlock()
+	return true
 }
 
 // worker connection driving ------------------------------------------------
-
-func (w *coordWorker) stopped() bool {
-	select {
-	case <-w.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// addDispatchLocked and dropDispatchLocked maintain the busy-time
-// accounting: a connection is busy while it has at least one job in
-// flight.
-func (w *coordWorker) addDispatchLocked(key taskKey, disp *coordDispatch, now time.Time) {
-	if len(w.inflight) == 0 {
-		w.activeSince = now
-	}
-	w.inflight[key] = disp
-}
-
-func (w *coordWorker) dropDispatchLocked(key taskKey, now time.Time) {
-	delete(w.inflight, key)
-	if len(w.inflight) == 0 {
-		w.busy += now.Sub(w.activeSince)
-	}
-}
-
-// detachLocked drops the live connection: outstanding epochs requeue
-// (with backoff — this connection just failed them) and the fleet gauge
-// falls. Idempotent; safe when no connection is up.
-func (w *coordWorker) detachLocked(now time.Time) {
-	if w.conn == nil {
-		return
-	}
-	w.conn.Close()
-	w.conn = nil
-	c := w.c
-	for key, disp := range w.inflight {
-		t := disp.task
-		w.dropDispatchLocked(key, now)
-		t.inflight--
-		if !t.done {
-			c.requeueLocked(t, c.backoffDelay(t.index, t.attempts), "retries")
-		}
-	}
-	c.reg.Gauge("workers_live").Add(-1)
-	c.broadcastLocked()
-}
-
-// detachConn is detachLocked if conn is still the live connection.
-func (c *Coordinator) detachConn(w *coordWorker, conn net.Conn) {
-	c.mu.Lock()
-	if w.conn == conn {
-		w.detachLocked(time.Now())
-	}
-	c.mu.Unlock()
-}
-
-// scanLocked enforces per-dispatch deadlines on this connection: a job
-// past JobTimeout requeues (and counts toward reaping the connection as
-// hung); a job past HedgeAfter with no second copy in flight hedges. The
-// returned tasks exhausted their budget and must go to failTasks.
-func (w *coordWorker) scanLocked(now time.Time) (failed []*coordTask) {
-	c := w.c
-	for key, disp := range w.inflight {
-		t := disp.task
-		age := now.Sub(disp.sentAt)
-		switch {
-		case age >= c.cfg.JobTimeout:
-			w.dropDispatchLocked(key, now)
-			t.inflight--
-			w.timeouts++
-			if t.done {
-				continue
-			}
-			if t.attempts >= c.cfg.MaxAttempts && t.inflight == 0 && !t.queued {
-				failed = append(failed, c.failTaskLocked(t, c.exhaustedErr(t), "retries_exhausted"))
-			} else {
-				c.requeueLocked(t, 0, "retries")
-			}
-		case c.cfg.HedgeAfter > 0 && age >= c.cfg.HedgeAfter && !t.hedged &&
-			!t.done && !t.queued && t.inflight == 1 && t.attempts < c.cfg.MaxAttempts:
-			t.hedged = true
-			c.reg.Counter("hedges").Inc()
-			c.requeueLocked(t, 0, "")
-		}
-	}
-	if w.timeouts >= c.cfg.ConsecutiveTimeouts {
-		// A connection that keeps accepting jobs and never answers is
-		// hung, not slow: reap it so the redial loop replaces it.
-		w.detachLocked(now)
-	}
-	return failed
-}
-
-// senderWaitLocked is how long the sender may park: until the next
-// eligibility, ping, hedge or timeout deadline.
-func (w *coordWorker) senderWaitLocked(now, nextAt, lastPing time.Time) time.Duration {
-	c := w.c
-	wait := c.cfg.HeartbeatEvery - now.Sub(lastPing)
-	if !nextAt.IsZero() {
-		if d := nextAt.Sub(now); d < wait {
-			wait = d
-		}
-	}
-	for _, disp := range w.inflight {
-		deadline := disp.sentAt.Add(c.cfg.JobTimeout)
-		if c.cfg.HedgeAfter > 0 && !disp.task.hedged {
-			if h := disp.sentAt.Add(c.cfg.HedgeAfter); h.Before(deadline) {
-				deadline = h
-			}
-		}
-		if d := deadline.Sub(now); d < wait {
-			wait = d
-		}
-	}
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return wait
-}
 
 // loop dials the worker forever: immediately again after a connection
 // that carried traffic, under capped exponential backoff otherwise (a
@@ -936,21 +428,19 @@ func (w *coordWorker) loop() {
 	c := w.c
 	defer c.wg.Done()
 	delay := c.cfg.RedialBackoff
-	dials := 0
-	for {
-		if w.stopped() || c.isClosed() {
+	for dials := 0; ; dials++ {
+		select {
+		case <-w.stop:
 			return
+		default:
 		}
 		if dials > 0 {
 			c.reg.Counter("redials").Inc()
 		}
-		dials++
-		conn, err := net.DialTimeout("tcp", w.addr, c.cfg.DialTimeout)
-		if err == nil {
-			if w.serveConn(conn) {
-				delay = c.cfg.RedialBackoff
-				continue
-			}
+		conn, err := net.DialTimeout("tcp", w.sw.addr, c.cfg.DialTimeout)
+		if err == nil && w.serveConn(conn) {
+			delay = c.cfg.RedialBackoff
+			continue
 		}
 		select {
 		case <-w.stop:
@@ -964,26 +454,22 @@ func (w *coordWorker) loop() {
 	}
 }
 
-// serveConn drives one live connection: this goroutine is the sender
-// (jobs, session frames, pings) and deadline enforcer; a reader goroutine
-// delivers verdicts and pongs. Returns whether the connection ever
-// carried a frame back — the redial loop's backoff signal.
+// serveConn drives one live connection: this goroutine is the sender — it
+// asks the scheduler what to ship next and writes sessions, jobs and pings
+// — and a reader goroutine delivers verdicts and pongs. Returns whether the
+// connection ever carried a frame back — the redial loop's backoff signal.
 func (w *coordWorker) serveConn(conn net.Conn) bool {
 	c := w.c
 	c.mu.Lock()
-	if c.closed || w.stopped() {
+	select {
+	case <-w.stop:
 		c.mu.Unlock()
 		conn.Close()
 		return false
+	default:
 	}
 	w.conn = conn
-	w.inflight = make(map[taskKey]*coordDispatch)
-	w.sentRuns = make(map[uint64]struct{})
-	w.trackers = make(map[uint64]*deltaTracker)
-	w.needReset = nil
-	w.timeouts = 0
-	c.reg.Gauge("workers_live").Add(1)
-	c.broadcastLocked()
+	c.sched.attach(w.sw, time.Now())
 	c.mu.Unlock()
 
 	var traffic atomic.Bool
@@ -992,124 +478,70 @@ func (w *coordWorker) serveConn(conn net.Conn) bool {
 
 	var pingSeq uint64
 	lastPing := time.Now()
-send:
 	for {
 		now := time.Now()
 		c.mu.Lock()
-		if c.closed || w.stopped() || w.conn != conn {
+		if w.conn != conn { // removed, closed, or the reader hung up
 			c.mu.Unlock()
 			break
 		}
-		failed := w.scanLocked(now)
-		if w.conn != conn { // scan reaped this connection as hung
-			c.mu.Unlock()
-			c.failTasks(failed)
-			break
+		sh, wakeAt, failed := c.sched.next(w.sw, now)
+		reaped := !w.sw.live // the scan found this connection hung
+		if reaped {
+			w.conn = nil
 		}
-		var t *coordTask
-		var nextAt time.Time
-		if len(w.inflight) < c.cfg.Pipeline {
-			var more []*coordTask
-			t, nextAt, more = c.takeLocked(w, now)
-			failed = append(failed, more...)
-		}
-		var sessFrame []byte
-		var runID uint64
-		if t != nil {
-			runID = t.run.id
-			if _, ok := w.sentRuns[runID]; !ok {
-				w.sentRuns[runID] = struct{}{}
-				sessFrame = t.run.frame
-			}
-			t.inflight++
-			w.addDispatchLocked(taskKey{run: runID, index: t.index}, &coordDispatch{task: t, sentAt: now}, now)
-		}
-		var resetRuns []uint64
-		if len(w.needReset) > 0 {
-			for id := range w.needReset {
-				resetRuns = append(resetRuns, id)
-			}
-			w.needReset = nil
-		}
-		wait := w.senderWaitLocked(now, nextAt, lastPing)
 		wakeCh := c.wake
 		c.mu.Unlock()
-		c.failTasks(failed)
-		for _, id := range resetRuns {
-			w.trackers[id].invalidate()
+		deliverAll(failed)
+		if reaped {
+			break
 		}
 
-		if t != nil {
+		if sh != nil {
+			// Charge the bytes before they can be answered: on a fast link
+			// the verdict may settle the epoch before this goroutine runs
+			// again.
+			frames, n := sh.frames()
+			c.mu.Lock()
+			c.sched.shipped(sh, n)
+			c.mu.Unlock()
 			conn.SetWriteDeadline(time.Now().Add(c.cfg.JobTimeout))
-			if sessFrame != nil {
-				if writeDistFrame(conn, wire.DistFrameMuxSession, wire.AppendMuxID(runID, sessFrame)) != nil {
-					break
-				}
-			}
-			kind := wire.DistFrameMuxJob
-			var frame []byte
-			if src := t.run.deltaSrc; src != nil {
-				tr := w.trackers[runID]
-				if tr == nil {
-					tr = &deltaTracker{src: src}
-					w.trackers[runID] = tr
-				}
-				if df, derr := tr.deltaFrame(t.job); derr == nil {
-					kind, frame = wire.DistFrameMuxDeltaJob, df
-				}
-			}
-			delta := frame != nil
-			if frame == nil {
-				frame = t.frame()
-				w.trackers[runID].noteFull(t.job)
-			}
-			if writeDistFrame(conn, kind, wire.AppendMuxID(runID, frame)) != nil {
+			if writeDistFrames(conn, frames...) != nil {
 				break
 			}
-			c.mu.Lock()
-			t.wireBytes += len(frame)
-			if delta {
-				t.deltaBytes += len(frame)
-				t.deltaSent++
-			} else {
-				t.fullBytes += len(frame)
-			}
-			c.mu.Unlock()
 			continue
 		}
-
 		if now.Sub(lastPing) >= c.cfg.HeartbeatEvery {
 			pingSeq++
 			conn.SetWriteDeadline(now.Add(c.cfg.HeartbeatEvery))
-			if writeDistFrame(conn, wire.DistFramePing, binary.AppendUvarint(nil, pingSeq)) != nil {
+			if writeDistFrames(conn, distFrame{wire.DistFramePing, binary.AppendUvarint(nil, pingSeq)}) != nil {
 				break
 			}
 			lastPing = time.Now()
 			continue
 		}
-
-		timer := time.NewTimer(wait)
-		select {
-		case <-readerDone:
-			timer.Stop()
-			break send
-		case <-w.stop:
-			timer.Stop()
-			break send
-		case <-wakeCh:
-		case <-timer.C:
+		wait := c.cfg.HeartbeatEvery - now.Sub(lastPing)
+		if !wakeAt.IsZero() && wakeAt.Sub(now) < wait {
+			wait = wakeAt.Sub(now)
 		}
-		timer.Stop()
+		if !park(wakeCh, wait, readerDone, w.stop) {
+			break
+		}
 	}
-	c.detachConn(w, conn)
+	c.mu.Lock()
+	if w.conn == conn { // still attached: the scheduler requeues what was in flight
+		w.conn = nil
+		c.sched.detach(w.sw, time.Now())
+	}
+	c.mu.Unlock()
 	conn.Close()
 	<-readerDone
 	return traffic.Load()
 }
 
-// readLoop receives verdicts, pongs and drain notices. Any frame resets
-// the liveness deadline; a deadline expiry is a missed heartbeat and
-// kills the connection.
+// readLoop receives verdicts, need-state notices, pongs and drain notices.
+// Any frame resets the liveness deadline; a deadline expiry is a missed
+// heartbeat and kills the connection.
 func (w *coordWorker) readLoop(conn net.Conn, done chan struct{}, traffic *atomic.Bool) {
 	defer close(done)
 	c := w.c
@@ -1125,163 +557,84 @@ func (w *coordWorker) readLoop(conn net.Conn, done chan struct{}, traffic *atomi
 			return
 		}
 		traffic.Store(true)
-		switch kind {
-		case wire.DistFrameMuxVerdict:
-			runID, rest, err := wire.SplitMuxID(body)
-			if err != nil {
-				return
-			}
-			v, err := wire.ParseAuditVerdict(rest)
-			if err != nil {
-				return
-			}
-			c.deliverRemote(w, runID, v, len(rest))
-		case wire.DistFrameMuxNeedState:
-			runID, rest, err := wire.SplitMuxID(body)
-			if err != nil {
-				return
-			}
-			idx, err := wire.ParseNeedState(rest)
-			if err != nil {
-				return
-			}
-			c.deltaFallback(w, runID, int(idx))
-		case wire.DistFrameMuxSessionOK, wire.DistFramePong:
-			// Liveness was the point; the deadline reset above is the work.
-		case wire.DistFrameDrain:
-			// The worker is winding down: drop the connection so its
-			// outstanding epochs redistribute, and let the redial loop
-			// discover whether it comes back.
-			c.reg.Counter("drains").Inc()
-			return
-		default:
+		c.mu.Lock()
+		out, ok, err := c.sched.reply(w.sw, kind, body, time.Now())
+		c.mu.Unlock()
+		if ok {
+			out.deliver()
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// local fallback ------------------------------------------------------------
+// idle loops ----------------------------------------------------------------
 
-// localLoop replays queued epochs in-process whenever no worker
-// connection is live — the graceful-degradation path that keeps an audit
-// moving with an empty or fully-partitioned fleet.
-func (c *Coordinator) localLoop() {
+// idleLoop is what happens to the queue while no worker connection is
+// live. With local fallback on it replays queued epochs in-process — the
+// graceful-degradation path that keeps an audit moving with an empty or
+// fully-partitioned fleet; with it off it delivers the epochs the
+// scheduler fails as starved, which nothing else would ever wake to do.
+func (c *Coordinator) idleLoop() {
 	defer c.wg.Done()
 	for {
 		now := time.Now()
 		c.mu.Lock()
-		if c.closed {
+		if c.sched.closed {
 			c.mu.Unlock()
 			return
 		}
-		var t *coordTask
-		var nextAt time.Time
-		var failed []*coordTask
-		if c.liveConnsLocked() == 0 {
-			t, nextAt, failed = c.takeLocked(nil, now)
-			if t != nil {
-				t.inflight++
-			}
-		}
+		t, nextAt, failed := c.sched.takeLocal(now)
 		wakeCh := c.wake
 		c.mu.Unlock()
-		c.failTasks(failed)
+		deliverAll(failed)
 		if t == nil {
 			wait := 500 * time.Millisecond
-			if !nextAt.IsZero() {
-				if d := nextAt.Sub(now); d < wait {
-					wait = d
-				}
+			if !nextAt.IsZero() && nextAt.Sub(now) < wait {
+				wait = nextAt.Sub(now)
 			}
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-wakeCh:
-			case <-timer.C:
-			}
-			timer.Stop()
+			park(wakeCh, wait, nil, nil)
 			continue
 		}
 		r := runEpochJob(t.run.sess, t.job, nil)
-		c.reg.Counter("local_fallback_epochs").Inc()
 		c.mu.Lock()
-		t.inflight--
-		if t.done {
-			c.mu.Unlock()
-			continue
-		}
-		t.done = true
-		t.queued = false
-		ev := EpochVerdict{
-			Index: t.index, Stats: r.stats, Fault: r.fault,
-			Worker: "local-fallback", Attempts: t.attempts, WireBytes: t.wireBytes,
-			WireBytesFull: t.fullBytes, WireBytesDelta: t.deltaBytes,
-			DeltaShipped: t.deltaSent, DeltaFallbacks: t.deltaFalls,
-		}
-		c.reg.Counter("epochs_done").Inc()
+		out, ok := c.sched.localDone(t, r)
 		c.mu.Unlock()
-		if t.run.journaled {
-			c.cfg.Journal.verdictEmitted(t.run.key, t.index, verdictToWire(t.index, r).Marshal())
+		if ok {
+			out.deliver()
 		}
-		t.run.emit(ev)
-		t.run.finishSettle(1)
 	}
 }
 
-// janitor fails queued epochs that nothing can ever dispatch: local
-// fallback disabled and no live connection for a full JobTimeout. Without
-// it an audit against a dead fleet would block forever instead of
-// surfacing a transport error.
-func (c *Coordinator) janitor() {
-	defer c.wg.Done()
-	tick := c.cfg.JobTimeout / 8
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
+// one-shot backend ----------------------------------------------------------
+
+// TCPBackend replays epochs on a fixed fleet of remote workers for the
+// duration of one run: it is a Coordinator that is created, given its
+// workers, fed one run and closed. Local fallback is always off — an
+// unreachable fleet is a transport error (after JobTimeout of starvation),
+// never a silent local replay.
+type TCPBackend struct {
+	// Addrs are the worker addresses (host:port), one connection each.
+	Addrs []string
+	// Config tunes the run's coordinator; DisableLocalFallback is forced on.
+	Config CoordinatorConfig
+}
+
+// Remote implements EpochBackend: jobs ship whole.
+func (b *TCPBackend) Remote() bool { return true }
+
+// Run implements EpochBackend over the worker fleet.
+func (b *TCPBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
+	if len(b.Addrs) == 0 {
+		return errors.New("audit: TCP backend has no worker addresses")
 	}
-	if tick > time.Second {
-		tick = time.Second
+	cfg := b.Config
+	cfg.DisableLocalFallback = true
+	c := NewCoordinator(cfg)
+	defer c.Close()
+	for _, addr := range b.Addrs {
+		c.AddWorker(addr)
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.closedCh:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		var failed []*coordTask
-		if c.cfg.DisableLocalFallback && c.liveConnsLocked() == 0 {
-			if c.starvedSince.IsZero() {
-				c.starvedSince = now
-			}
-			if now.Sub(c.starvedSince) >= c.cfg.JobTimeout {
-				out := c.queue[:0]
-				for _, t := range c.queue {
-					if t.done || !t.queued {
-						continue
-					}
-					if t.inflight == 0 {
-						failed = append(failed, c.failTaskLocked(t,
-							fmt.Errorf("audit: epoch %d undispatchable: no live workers and local fallback is disabled", t.index), ""))
-						continue
-					}
-					out = append(out, t)
-				}
-				c.queue = out
-				c.reg.Gauge("queue_depth").Set(int64(len(c.queue)))
-			}
-		} else {
-			c.starvedSince = time.Time{}
-		}
-		c.mu.Unlock()
-		c.failTasks(failed)
-	}
+	return c.enqueueRun(sess, jobs, skip, emit)
 }

@@ -258,7 +258,8 @@ func startMuxHangingWorker(t *testing.T) string {
 // connection stays perfectly healthy. The job timeout must fire, the
 // epoch must re-dispatch to the honest worker, the hung connection must
 // be reaped, and nothing may leak: the goroutine count settles back once
-// the coordinator closes.
+// the coordinator closes. The one-shot row runs the same fault through
+// TCPBackend, with the hang injected by a ChaosHang plan on a real worker.
 func TestCoordinatorWorkerHang(t *testing.T) {
 	// A clean log: every epoch's verdict is needed, so an epoch swallowed
 	// by the hung worker cannot hide behind the earliest-fault cutoff.
@@ -267,126 +268,87 @@ func TestCoordinatorWorkerHang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
 
-	hangAddr := startMuxHangingWorker(t)
-	fleet, err := audit.StartChaosFleet([]*audit.ChaosPlan{nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := testCoordinator(audit.CoordinatorConfig{
-		DisableLocalFallback: true,
-		JobTimeout:           500 * time.Millisecond,
-		HedgeAfter:           -1, // no hedging: recovery must come from the timeout
-	})
-	coord.AddWorker(hangAddr)
-
-	done := make(chan struct{})
-	var res *audit.Result
-	var dstats audit.DistStats
-	var auditErr error
-	go func() {
-		defer close(done)
-		res, dstats, auditErr = s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
-	}()
-	// Let the hung worker soak up the head of the queue, then hot-join the
-	// honest worker that must take over.
-	time.Sleep(150 * time.Millisecond)
-	coord.AddWorker(fleet.Addrs[0])
-	<-done
-	if auditErr != nil {
-		t.Fatalf("audit with hanging worker: %v", auditErr)
-	}
-	compareVerdicts(t, "worker-hang", serial, res)
-	stats := coord.Stats()
-	if stats.Retries == 0 {
-		t.Errorf("hung worker triggered no job-timeout re-dispatches (stats %+v)", stats)
-	}
-	if dstats.Redispatches == 0 {
-		t.Errorf("dist stats recorded no re-dispatches (%+v)", dstats)
-	}
-
-	coord.Close()
-	fleet.Close()
-	// Goroutine-leak check: hung connections and their read/send loops
-	// must all be gone shortly after Close.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked after coordinator close: %d > baseline %d\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
+	t.Run("service", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		hangAddr := startMuxHangingWorker(t)
+		fleet, err := audit.StartChaosFleet([]*audit.ChaosPlan{nil})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
+		coord := testCoordinator(audit.CoordinatorConfig{
+			DisableLocalFallback: true,
+			JobTimeout:           500 * time.Millisecond,
+			HedgeAfter:           -1, // no hedging: recovery must come from the timeout
+		})
+		coord.AddWorker(hangAddr)
 
-// startLegacyHangingWorker hangs the PR-5 one-shot protocol: handshake,
-// then read jobs forever without answering, connection held open.
-func startLegacyHangingWorker(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
+		done := make(chan struct{})
+		var res *audit.Result
+		var dstats audit.DistStats
+		var auditErr error
+		go func() {
+			defer close(done)
+			res, dstats, auditErr = s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
+		}()
+		// Let the hung worker soak up the head of the queue, then hot-join
+		// the honest worker that must take over.
+		time.Sleep(150 * time.Millisecond)
+		coord.AddWorker(fleet.Addrs[0])
+		<-done
+		if auditErr != nil {
+			t.Fatalf("audit with hanging worker: %v", auditErr)
+		}
+		compareVerdicts(t, "worker-hang", serial, res)
+		stats := coord.Stats()
+		if stats.Retries == 0 {
+			t.Errorf("hung worker triggered no job-timeout re-dispatches (stats %+v)", stats)
+		}
+		if dstats.Redispatches == 0 {
+			t.Errorf("dist stats recorded no re-dispatches (%+v)", dstats)
+		}
+
+		coord.Close()
+		fleet.Close()
+		// Goroutine-leak check: hung connections and their read/send loops
+		// must all be gone shortly after Close.
+		deadline := time.Now().Add(5 * time.Second)
 		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
+			runtime.GC()
+			if n := runtime.NumGoroutine(); n <= baseline+3 {
+				break
+			} else if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutines leaked after coordinator close: %d > baseline %d\n%s",
+					n, baseline, buf[:runtime.Stack(buf, true)])
 			}
-			go func() {
-				defer conn.Close()
-				if _, err := readTestFrame(conn); err != nil {
-					return
-				}
-				writeTestFrame(conn, 2, nil) // DistFrameSessionOK
-				for {
-					if _, err := readTestFrame(conn); err != nil {
-						return
-					}
-				}
-			}()
+			time.Sleep(20 * time.Millisecond)
 		}
-	}()
-	return l.Addr().String()
-}
-
-// TestTCPBackendWorkerHang: the one-shot TCP backend against a hanging
-// worker — JobTimeout re-dispatches to the shared fleet and the hung
-// connection is abandoned after consecutive timeouts.
-func TestTCPBackendWorkerHang(t *testing.T) {
-	// Clean log and a two-worker fleet (saboteur + one honest): with three
-	// epochs and pull-based dispatch the hanging worker always soaks up at
-	// least one job, and no earliest-fault cutoff can skip it.
-	s := coordScenario(t, "")
-	serial, err := s.AuditNode("player1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest, err := audit.StartChaosFleet([]*audit.ChaosPlan{nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer honest.Close()
-	addrs := []string{startLegacyHangingWorker(t), honest.Addrs[0]}
-	res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-		Backend: &audit.TCPBackend{
-			Addrs: addrs, JobTimeout: 500 * time.Millisecond, MaxAttempts: 25,
-			RetryBackoff: 5 * time.Millisecond, RetryMaxBackoff: 50 * time.Millisecond,
-		},
 	})
-	if err != nil {
-		t.Fatalf("tcp audit with hanging worker: %v", err)
-	}
-	compareVerdicts(t, "tcp-worker-hang", serial, res)
-	if dstats.Redispatches == 0 {
-		t.Errorf("hanging worker caused no re-dispatches (stats %+v)", dstats)
-	}
+
+	t.Run("one-shot", func(t *testing.T) {
+		// A two-worker fleet (saboteur + one honest): the hanging worker
+		// owns half the run's block, so it always soaks up at least one
+		// job, and no earliest-fault cutoff can skip it.
+		fleet, err := audit.StartChaosFleet([]*audit.ChaosPlan{{Name: "hang", HangRate: 1}, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
+			Backend: oneShot(fleet.Addrs, audit.CoordinatorConfig{
+				JobTimeout: 500 * time.Millisecond, HedgeAfter: -1, MaxAttempts: 25,
+				RetryBackoff: 5 * time.Millisecond, RetryMaxBackoff: 50 * time.Millisecond,
+			}),
+		})
+		if err != nil {
+			t.Fatalf("one-shot audit with hanging worker: %v", err)
+		}
+		compareVerdicts(t, "one-shot-worker-hang", serial, res)
+		if dstats.Redispatches == 0 {
+			t.Errorf("hanging worker caused no re-dispatches (stats %+v)", dstats)
+		}
+	})
 }
 
 // TestCoordinatorLocalFallback: a coordinator with an empty fleet
@@ -410,8 +372,11 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 }
 
 // TestCoordinatorDeadFleetFails: with local fallback disabled and no
-// reachable worker, the audit must fail with a transport error (the
-// exit-2 path), not hang and not fabricate a verdict.
+// worker that can finish an epoch, the audit must fail with a transport
+// error (the exit-2 path), not hang and not fabricate a verdict. An
+// unreachable fleet starves out at JobTimeout; a fleet consisting only of
+// a crashing worker burns every epoch's attempts, which must surface as
+// ErrRetriesExhausted both in the audit error and in DistStats.
 func TestCoordinatorDeadFleetFails(t *testing.T) {
 	s := coordScenario(t, "")
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -420,19 +385,40 @@ func TestCoordinatorDeadFleetFails(t *testing.T) {
 	}
 	dead := l.Addr().String()
 	l.Close()
-	coord := testCoordinator(audit.CoordinatorConfig{
-		DisableLocalFallback: true,
-		JobTimeout:           300 * time.Millisecond,
+
+	t.Run("service-unreachable", func(t *testing.T) {
+		coord := testCoordinator(audit.CoordinatorConfig{
+			DisableLocalFallback: true,
+			JobTimeout:           300 * time.Millisecond,
+		})
+		defer coord.Close()
+		coord.AddWorker(dead)
+		res, _, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
+		if err == nil {
+			t.Fatalf("audit against dead fleet returned a verdict: %+v", res)
+		}
+		if res != nil {
+			t.Errorf("transport failure must not carry a Result, got %+v", res)
+		}
 	})
-	defer coord.Close()
-	coord.AddWorker(dead)
-	res, _, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
-	if err == nil {
-		t.Fatalf("audit against dead fleet returned a verdict: %+v", res)
-	}
-	if res != nil {
-		t.Errorf("transport failure must not carry a Result, got %+v", res)
-	}
+
+	t.Run("one-shot-retries-exhausted", func(t *testing.T) {
+		res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
+			Backend: oneShot([]string{startCrashingWorker(t)}, audit.CoordinatorConfig{
+				MaxAttempts: 3, JobTimeout: 5 * time.Second,
+				RetryBackoff: time.Millisecond, RetryMaxBackoff: 10 * time.Millisecond,
+			}),
+		})
+		if err == nil {
+			t.Fatalf("audit with only a crashing worker returned a verdict: %+v", res)
+		}
+		if !errors.Is(err, audit.ErrRetriesExhausted) {
+			t.Errorf("audit error does not wrap ErrRetriesExhausted: %v", err)
+		}
+		if dstats.RetriesExhausted == 0 {
+			t.Errorf("DistStats did not count exhausted epochs (%+v)", dstats)
+		}
+	})
 }
 
 // TestCoordinatorWorkerDrain: a worker draining mid-audit answers with
@@ -539,27 +525,4 @@ func TestDistLateTransportFailureIgnored(t *testing.T) {
 		t.Fatalf("late transport failure aborted the audit: %v", err)
 	}
 	compareVerdicts(t, "late-transport-failure", serial, res)
-}
-
-// TestTCPBackendRetriesExhausted: a fleet consisting only of a crashing
-// worker must fail the audit with ErrRetriesExhausted — surfaced both in
-// the audit error and in DistStats.
-func TestTCPBackendRetriesExhausted(t *testing.T) {
-	s := coordScenario(t, "")
-	crashAddr := startCrashingWorker(t)
-	res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-		Backend: &audit.TCPBackend{
-			Addrs: []string{crashAddr}, MaxAttempts: 3, JobTimeout: 5 * time.Second,
-			RetryBackoff: time.Millisecond, RetryMaxBackoff: 10 * time.Millisecond,
-		},
-	})
-	if err == nil {
-		t.Fatalf("audit with only a crashing worker returned a verdict: %+v", res)
-	}
-	if !errors.Is(err, audit.ErrRetriesExhausted) {
-		t.Errorf("audit error does not wrap ErrRetriesExhausted: %v", err)
-	}
-	if dstats.RetriesExhausted == 0 {
-		t.Errorf("DistStats did not count exhausted epochs (%+v)", dstats)
-	}
 }

@@ -3,7 +3,6 @@ package audit_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/avmm"
@@ -69,7 +68,7 @@ func TestDistDeltaJobsEquivalence(t *testing.T) {
 			}
 
 			tcp, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-				Backend:       &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
+				Backend:       oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
 				EngineOptions: deltaOn(),
 			})
 			if err != nil {
@@ -173,20 +172,21 @@ func corruptDeltaSource(target *avmm.Monitor, k uint32) func(uint32) (*snapshot.
 // fault class a corrupt full state produces, even though the underlying log
 // is honest and the serial engine passes.
 //
-// The TCPBackend is deliberately absent: its dispatcher learns each epoch's
-// verified end state from the verdict, so a contiguous single-connection run
-// ships only empty chains and the doctored step is never requested. Delta
-// steps flow on TCP only after work stealing or retries, which are timing-
-// dependent; the deterministic tamper coverage therefore lives on the
-// netsim and coordinator dispatchers, which advance their base only when
-// they ship state and so always chain through the doctored delta.
+// All three remote backends run the one scheduler, so all three are here.
+// With at least two jobs pipelined on the single connection, job k+1 ships
+// before job k's verdict can advance the base past it, so it always chains
+// exactly one step — and the doctored delta is always requested.
 func TestDistTamperedDeltaCaught(t *testing.T) {
 	s := distScenario(t, "")
 	target, auths, a, err := s.AuditInputs("player1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := a.AuditFull("player1", uint32(target.Index()), target.Log.Entries(), auths)
+	serial, _, err := a.Audit(audit.AuditRequest{
+		Node: "player1", NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !serial.Passed {
 		t.Fatalf("serial audit of the honest log failed: %v", serial.Fault)
 	}
@@ -206,6 +206,7 @@ func TestDistTamperedDeltaCaught(t *testing.T) {
 			Net:     netsim.New(netsim.Config{BaseLatencyNs: 96_000, Seed: 9}),
 			Workers: 1,
 		}},
+		{"tcp", oneShot(sharedFleet(t)[:1], audit.CoordinatorConfig{Pipeline: 2})},
 	}
 	coord := testCoordinator(audit.CoordinatorConfig{DisableLocalFallback: true})
 	defer coord.Close()
@@ -295,7 +296,7 @@ func TestAdaptiveSnapshotCadence(t *testing.T) {
 				t.Fatalf("honest adaptive-cadence log failed audit: %v", serial.Fault)
 			}
 			res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-				Backend:       &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
+				Backend:       oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
 				EngineOptions: deltaOn(),
 			})
 			if err != nil {
@@ -370,7 +371,7 @@ func TestAuditEngineEquivalenceCatalog(t *testing.T) {
 			})
 			run("engine-dist-tcp", audit.AuditRequest{
 				Engine: audit.EngineDist, Entries: entries, Options: deltaOpts,
-				Backend: &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
+				Backend: oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
 			})
 			run("engine-dist-netsim", audit.AuditRequest{
 				Engine: audit.EngineDist, Entries: entries, Options: deltaOpts,

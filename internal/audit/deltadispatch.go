@@ -1,16 +1,15 @@
 package audit
 
-// Delta-shipped job dispatch, shared by the remote backends. After the
-// first full-state job on a connection, the dispatcher tracks which
-// snapshot's state the worker holds and ships subsequent jobs as chains of
-// proof-carrying snapshot deltas (wire.AuditDeltaJob); the worker folds
-// the chain onto its cached, previously-verified state, checks every step
-// against the committed roots, and replays as if the full state had
-// arrived. A worker that no longer holds the base answers NeedState and
-// the dispatcher falls back to the full-state frame. A doctored chain —
-// a lying coordinator — fails fold verification on the worker before any
-// replay work is spent and surfaces as the same snapshot-check fault a
-// corrupt full state would.
+// Delta-shipped job dispatch. After the first full-state job of a run on
+// a connection, the scheduler tracks which snapshot's state the worker
+// holds and ships subsequent jobs as chains of proof-carrying snapshot
+// deltas (wire.AuditDeltaJob); the worker folds the chain onto its cached,
+// previously-verified state, checks every step against the committed
+// roots, and replays as if the full state had arrived. A worker that no
+// longer holds the base answers need-state and the scheduler re-ships the
+// full-state frame. A doctored chain — a lying coordinator — fails fold
+// verification on the worker before any replay work is spent and surfaces
+// as the same snapshot-check fault a corrupt full state would.
 
 import (
 	"errors"
@@ -30,59 +29,68 @@ const maxDeltaChain = 64
 // connection for delta-job reconstruction.
 const stateCacheSize = 8
 
-// errDeltaIneligible reports a job the dispatcher cannot delta-encode
-// against the tracked base; the caller ships the full frame.
-var errDeltaIneligible = errors.New("audit: job not delta-eligible")
+// deltaBaseSurvives is how many jobs of other runs a connection may carry
+// after a run's last job before that run's base must be presumed evicted:
+// every job leaves at most two states in the worker's LRU (its verified
+// start and end), and the base is one of the run's own two newest.
+const deltaBaseSurvives = (stateCacheSize - 2) / 2
 
-// deltaTracker is the dispatcher's per-connection record of the snapshot
-// state the worker is known to hold (the start state of the last job
-// shipped on the connection).
+// deltaTracker is the scheduler's record, per (connection, run), of the
+// newest snapshot state the worker is known to hold. The base moves at two
+// moments only: when a job ships (noteFull — either encoding leaves the
+// worker holding the job's start state) and when a fault-free verdict
+// comes back (noteEnd — the worker cached the verified end state).
 type deltaTracker struct {
-	src      func(k uint32) (*snapshot.Delta, error)
 	haveBase bool
 	baseSnap uint32
 	baseRoot [32]byte
+	// shippedAt is the connection's job count when this run last shipped on
+	// it — the last time the worker's LRU saw the base's neighbourhood.
+	shippedAt int
 }
 
-// deltaFrame returns the delta-encoded frame body for job, chaining from
-// the tracked base, or errDeltaIneligible / a source error when the job
-// must ship full. On success the tracked base advances to the job's start
-// snapshot. The caller is responsible for calling noteFull when it ships a
-// full-state frame instead.
-func (t *deltaTracker) deltaFrame(job *EpochJob) ([]byte, error) {
-	if t == nil || t.src == nil || job.Boot {
-		return nil, errDeltaIneligible
+// chainFrom reports the base a delta-encoded frame for job — the seq-th
+// job on the connection — would chain from, or ok false when the job must
+// ship full: boot jobs carry no state, and a base that is missing, ahead
+// of the job, more than maxDeltaChain behind it, or buried under more than
+// deltaBaseSurvives jobs of other runs cannot anchor a chain.
+func (t *deltaTracker) chainFrom(job *EpochJob, seq int) (snap uint32, root [32]byte, ok bool) {
+	if job.Boot || !t.haveBase || job.StartSnap < t.baseSnap || job.StartSnap-t.baseSnap > maxDeltaChain ||
+		seq-t.shippedAt-1 > deltaBaseSurvives {
+		return 0, root, false
 	}
-	if !t.haveBase || job.StartSnap < t.baseSnap || job.StartSnap-t.baseSnap > maxDeltaChain {
-		return nil, errDeltaIneligible
+	return t.baseSnap, t.baseRoot, true
+}
+
+// noteFull records that job shipped as the seq-th job on the connection:
+// whichever encoding carried it, the worker ends up holding its start
+// state, which becomes the new base (boot jobs leave the worker with no
+// reusable state and reset nothing).
+func (t *deltaTracker) noteFull(job *EpochJob, seq int) {
+	if job.Boot {
+		return
 	}
+	t.haveBase, t.shippedAt = true, seq
+	t.baseSnap = job.StartSnap
+	t.baseRoot = job.StartRoot
+}
+
+// deltaFrame builds the delta-encoded frame body for job, chaining from
+// the given base through src. A source error means the job ships full.
+func deltaFrame(src func(k uint32) (*snapshot.Delta, error), job *EpochJob, baseSnap uint32, baseRoot [32]byte) ([]byte, error) {
 	wj := &wire.AuditDeltaJob{
 		Index: uint64(job.Index), StartSnap: job.StartSnap, StartSeq: job.StartSeq,
-		StartRoot: job.StartRoot, BaseSnap: t.baseSnap, BaseRoot: t.baseRoot,
+		StartRoot: job.StartRoot, BaseSnap: baseSnap, BaseRoot: baseRoot,
 		Entries: job.Entries,
 	}
-	for k := t.baseSnap + 1; k <= job.StartSnap; k++ {
-		d, err := t.src(k)
+	for k := baseSnap + 1; k <= job.StartSnap; k++ {
+		d, err := src(k)
 		if err != nil {
 			return nil, fmt.Errorf("audit: delta source for snapshot %d: %w", k, err)
 		}
 		wj.Steps = append(wj.Steps, wire.DeltaStepFromDelta(d))
 	}
-	t.baseSnap = job.StartSnap
-	t.baseRoot = job.StartRoot
 	return wj.Marshal(), nil
-}
-
-// noteFull records that a full-state frame for job shipped on the
-// connection: its start state becomes the new base (boot jobs leave the
-// worker with no reusable state and reset nothing).
-func (t *deltaTracker) noteFull(job *EpochJob) {
-	if t == nil || job.Boot {
-		return
-	}
-	t.haveBase = true
-	t.baseSnap = job.StartSnap
-	t.baseRoot = job.StartRoot
 }
 
 // epochEnd extracts the terminal snapshot boundary of an epoch job: the
@@ -106,14 +114,11 @@ func epochEnd(job *EpochJob) (snap uint32, root [32]byte, ok bool) {
 
 // noteEnd advances the tracked base past a fault-free verdict: the worker
 // replayed the epoch through its terminal snapshot entry and cached the
-// verified end state (runJobMaybeChaotic), so the next contiguous job on
+// verified end state (workerConn.execute), so the next contiguous job on
 // this connection ships as an empty delta chain — no state bytes at all.
 // The base only moves forward; a late verdict for an earlier epoch cannot
 // drag it back.
 func (t *deltaTracker) noteEnd(job *EpochJob) {
-	if t == nil || t.src == nil {
-		return
-	}
 	snap, root, ok := epochEnd(job)
 	if !ok || (t.haveBase && snap < t.baseSnap) {
 		return
@@ -121,13 +126,9 @@ func (t *deltaTracker) noteEnd(job *EpochJob) {
 	t.haveBase, t.baseSnap, t.baseRoot = true, snap, root
 }
 
-// invalidate forgets the tracked base — after a NeedState, a reconnect, or
-// anything else that breaks the dispatcher's model of the worker's cache.
-func (t *deltaTracker) invalidate() {
-	if t != nil {
-		t.haveBase = false
-	}
-}
+// invalidate forgets the tracked base after a need-state: the
+// scheduler's model of the worker's cache was wrong.
+func (t *deltaTracker) invalidate() { t.haveBase = false }
 
 // stateCache is a worker's small LRU of start states keyed by their
 // committed root. States enter after their job's start verification seeded
@@ -199,7 +200,6 @@ func resolveDeltaJob(sess Session, wj *wire.AuditDeltaJob, cache *stateCache) (*
 				Detail: fmt.Sprintf("delta step %d/%d: %v", i+1, len(wj.Steps), err),
 			}, nil
 		}
-		cache.put(cur)
 	}
 	if cur.Root != wj.StartRoot {
 		return nil, &FaultReport{
@@ -207,6 +207,11 @@ func resolveDeltaJob(sess Session, wj *wire.AuditDeltaJob, cache *stateCache) (*
 			Detail: fmt.Sprintf("delta chain ends at root %x, log committed %x", cur.Root[:8], wj.StartRoot[:8]),
 		}, nil
 	}
+	// Only the chain's end enters the cache: with the end state execute adds
+	// after the replay, a job leaves at most two states behind, which is
+	// what lets the scheduler bound how long a base survives
+	// (deltaBaseSurvives).
+	cache.put(cur)
 	return &EpochJob{
 		Index: int(wj.Index), StartSnap: wj.StartSnap, StartSeq: wj.StartSeq,
 		StartRoot: wj.StartRoot, Start: cur, Entries: wj.Entries,

@@ -14,7 +14,7 @@ import (
 	"repro/internal/tevlog"
 )
 
-// This file is the distributed audit coordinator: AuditFullDist runs the
+// This file is the distributed audit router: the dist engine runs the
 // full audit pipeline with the semantic (replay) stage fanned out over an
 // EpochBackend — the in-process pool, simulated network workers, or real
 // TCP workers. Chain verification and the syntactic check stay on the
@@ -28,8 +28,8 @@ import (
 // of epochs locally and compares verdicts, so a worker that lies about an
 // outcome is caught with probability ≥ the spot fraction per lie; and
 // (c) merges verdicts under the same earliest-fault cutoff as the
-// in-process engine, so the conclusion is byte-identical to AuditFull
-// whenever workers are honest — and equal to the coordinator's own replay
+// in-process engine, so the conclusion is byte-identical to the serial
+// engine's whenever workers are honest — and equal to the coordinator's own replay
 // of every spot-rechecked epoch regardless.
 
 // DistOptions configures the distributed full audit. The shared knobs
@@ -90,7 +90,7 @@ type DistStats struct {
 // serial engine's. A non-nil error means the audit could not be completed
 // (transport failure on an epoch the verdict needs) — distinct from a
 // fault, which is a completed audit's conclusion about the machine. It
-// backs Audit's EngineDist and the deprecated AuditFullDist.
+// backs Audit's EngineDist.
 func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, error) {
 	a = a.withEngineOptions(opts.EngineOptions)
 	res := &Result{Node: node}
@@ -118,14 +118,7 @@ func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.En
 		be = &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
 	}
 	jobs := a.partition(entries, ParallelOptions{EngineOptions: EngineOptions{Materialize: opts.Materialize}})
-	replay, fault, dstats, err := a.runJobs(node, jobs, be, distConfig{
-		materialize:  opts.Materialize,
-		prepWorkers:  opts.Workers,
-		spotFraction: opts.SpotRecheckFraction,
-		spotSeed:     opts.SpotRecheckSeed,
-		deltaJobs:    opts.DeltaJobs,
-		deltaSource:  opts.DeltaSource,
-	})
+	replay, fault, dstats, err := a.runJobs(node, jobs, be, opts.EngineOptions)
 	if err != nil {
 		return nil, dstats, err
 	}
@@ -138,24 +131,6 @@ func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.En
 	return res, dstats, nil
 }
 
-// distConfig is the router's internal knob set.
-type distConfig struct {
-	materialize  func(snapIdx uint32) (*snapshot.Restored, error)
-	prepWorkers  int
-	spotFraction float64
-	spotSeed     uint64
-	deltaJobs    bool
-	deltaSource  func(k uint32) (*snapshot.Delta, error)
-}
-
-// deltaCapable is the seam through which the router hands a delta source
-// to backends that can ship delta-encoded jobs. withDelta returns a
-// backend value carrying the source; backends without the seam (the
-// in-process pool, which never ships state) ignore DeltaJobs.
-type deltaCapable interface {
-	withDelta(src func(k uint32) (*snapshot.Delta, error)) EpochBackend
-}
-
 // splitmix64 is the deterministic spot-selection hash.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -165,14 +140,14 @@ func splitmix64(x uint64) uint64 {
 }
 
 // spotSelected reports whether epoch i is re-replayed locally.
-func (c *distConfig) spotSelected(i int) bool {
-	if c.spotFraction <= 0 {
+func (o *EngineOptions) spotSelected(i int) bool {
+	if o.SpotRecheckFraction <= 0 {
 		return false
 	}
-	if c.spotFraction >= 1 {
+	if o.SpotRecheckFraction >= 1 {
 		return true
 	}
-	return float64(splitmix64(c.spotSeed^uint64(i))>>11)/float64(1<<53) < c.spotFraction
+	return float64(splitmix64(o.SpotRecheckSeed^uint64(i))>>11)/float64(1<<53) < o.SpotRecheckFraction
 }
 
 // prepareStart materializes and root-verifies a non-boot job's starting
@@ -223,14 +198,12 @@ func sameEpochResult(local epochResult, v EpochVerdict) bool {
 // The merged (stats, fault) pair is identical to a serial replay of the
 // same epochs whenever verdicts are honest; spot-rechecked epochs are
 // guaranteed it regardless.
-func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, cfg distConfig) (ReplayStats, *FaultReport, DistStats, error) {
+func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, opts EngineOptions) (ReplayStats, *FaultReport, DistStats, error) {
 	sess := a.session(node)
 	dstats := DistStats{Epochs: len(jobs)}
 
-	if cfg.deltaJobs && cfg.deltaSource != nil {
-		if dc, ok := be.(deltaCapable); ok {
-			be = dc.withDelta(cfg.deltaSource)
-		}
+	if opts.DeltaJobs {
+		sess.deltaSrc = opts.DeltaSource
 	}
 
 	var mu sync.Mutex
@@ -265,14 +238,14 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, cf
 	dispatch := jobs
 	if be.Remote() {
 		prepStart := time.Now()
-		prepWorkers := cfg.prepWorkers
+		prepWorkers := opts.Workers
 		if prepWorkers <= 0 {
 			prepWorkers = runtime.NumCPU()
 		}
 		faults := make([]*FaultReport, len(jobs))
 		runPool(len(jobs), prepWorkers, func(i int) bool {
 			if !jobs[i].Boot {
-				faults[i] = prepareStart(node, jobs[i], cfg.materialize)
+				faults[i] = prepareStart(node, jobs[i], opts.Materialize)
 			}
 			return false
 		})
@@ -316,11 +289,11 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, cf
 			mu.Unlock()
 			return
 		}
-		if cfg.spotSelected(v.Index) {
+		if opts.spotSelected(v.Index) {
 			// Re-replay locally before trusting the worker: the local
 			// verdict is authoritative, so a lie can never steer the cutoff
 			// or the merged result for a rechecked epoch.
-			local := runEpochJob(sess, jobByIndex[v.Index], cfg.materialize)
+			local := runEpochJob(sess, jobByIndex[v.Index], opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++
 			mu.Unlock()

@@ -37,11 +37,20 @@ func sharedFleet(t *testing.T) []string {
 			if err != nil {
 				t.Fatalf("fleet listener: %v", err)
 			}
-			go audit.ServeEpochWorker(l)
+			go func() { _ = (&audit.EpochWorker{}).Serve(l) }() // lives as long as the test binary
 			fleetAddrs = append(fleetAddrs, l.Addr().String())
 		}
 	})
 	return fleetAddrs
+}
+
+// oneShot is the one-shot TCP backend — a fresh coordinator per run over a
+// fixed fleet — with a test-sized job timeout.
+func oneShot(addrs []string, cfg audit.CoordinatorConfig) *audit.TCPBackend {
+	if cfg.JobTimeout == 0 {
+		cfg.JobTimeout = 30 * time.Second
+	}
+	return &audit.TCPBackend{Addrs: addrs, Config: cfg}
 }
 
 // lossyNet builds a deterministic simulated network with enough loss and
@@ -70,7 +79,7 @@ func distBothWays(t *testing.T, s *game.Scenario, node string, label string, ser
 	}
 
 	tcp, dstats, err := s.AuditNodeDist(sig.NodeID(node), audit.DistOptions{
-		Backend: &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
+		Backend: oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
 		EngineOptions: audit.EngineOptions{
 			SpotRecheckFraction: 0.3,
 			SpotRecheckSeed:     0xC0FFEE,
@@ -115,7 +124,7 @@ func TestDistWorkerCrashRetry(t *testing.T) {
 			}
 			addrs := append([]string{crashAddr}, sharedFleet(t)...)
 			res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-				Backend: &audit.TCPBackend{Addrs: addrs, JobTimeout: 30 * time.Second, MaxAttempts: 25},
+				Backend: oneShot(addrs, audit.CoordinatorConfig{MaxAttempts: 25}),
 			})
 			if err != nil {
 				t.Fatalf("dist audit with crashing worker: %v", err)
@@ -163,6 +172,40 @@ func TestDistNetsimPartitionHeals(t *testing.T) {
 	}
 	if n.NodeStats(0).FramesLost == 0 {
 		t.Error("filter dropped no coordinator frames; partition never engaged")
+	}
+}
+
+// TestDistNetsimDeterministic: the netsim backend is the production
+// scheduler on a virtual clock, single-threaded, so a run is a pure function
+// of the recording and the network's seed: two runs over equally seeded
+// lossy, jittered links must agree not just on the verdict but on every
+// dispatch decision the stats can see.
+func TestDistNetsimDeterministic(t *testing.T) {
+	s := deltaScenario(t, "aimbot")
+	serial, err := s.AuditNode("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*audit.Result, audit.DistStats) {
+		res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
+			Backend:       &audit.NetsimBackend{Net: lossyNet(4711), Workers: 3, MaxAttempts: 10},
+			EngineOptions: audit.EngineOptions{DeltaJobs: true},
+		})
+		if err != nil {
+			t.Fatalf("netsim audit: %v", err)
+		}
+		dstats.PrepWallNs, dstats.MergeWallNs = 0, 0 // wall clock, the only nondeterminism
+		return res, dstats
+	}
+	res1, stats1 := run()
+	res2, stats2 := run()
+	compareVerdicts(t, "netsim run 1", serial, res1)
+	compareVerdicts(t, "netsim run 2", serial, res2)
+	if stats1 != stats2 {
+		t.Fatalf("same seed, different dispatch:\n run 1 %+v\n run 2 %+v", stats1, stats2)
+	}
+	if stats1.Redispatches == 0 || stats1.DeltaJobsShipped == 0 {
+		t.Errorf("the lossy link exercised neither retries nor delta shipping: %+v", stats1)
 	}
 }
 
@@ -228,7 +271,8 @@ func TestDistTransportFailure(t *testing.T) {
 	dead := l.Addr().String()
 	l.Close()
 	res, _, err := s.AuditNodeDist("player1", audit.DistOptions{
-		Backend: &audit.TCPBackend{Addrs: []string{dead}, DialTimeout: 500 * time.Millisecond},
+		Backend: oneShot([]string{dead}, audit.CoordinatorConfig{
+			DialTimeout: 500 * time.Millisecond, JobTimeout: 300 * time.Millisecond}),
 	})
 	if err == nil {
 		t.Fatalf("dist audit over dead workers returned a verdict: %+v", res)
@@ -247,7 +291,7 @@ func TestDistStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-		Backend: &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
+		Backend: oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,10 +332,10 @@ func distScenario(t *testing.T, cheat string) *game.Scenario {
 	return s
 }
 
-// startCrashingWorker starts a TCP worker that completes the protocol
-// handshake, reads one job frame, and drops the connection without
-// replying — a worker crashing mid-epoch. It does the same on every
-// connection, so retries against it keep failing.
+// startCrashingWorker starts a TCP worker that acknowledges the session,
+// reads one job frame, and drops the connection without replying — a
+// worker crashing mid-epoch. It does the same on every connection, so
+// retries against it keep failing.
 func startCrashingWorker(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -307,12 +351,13 @@ func startCrashingWorker(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				// Handshake: accept the session (frame format: 4-byte BE
-				// length, kind byte, body).
-				if _, err := readTestFrame(conn); err != nil {
+				// Accept the session (frame format: 4-byte BE length, kind
+				// byte, body; a mux body opens with the session id).
+				body, err := readTestFrame(conn)
+				if err != nil || len(body) < 2 {
 					return
 				}
-				writeTestFrame(conn, 2, nil) // DistFrameSessionOK
+				writeTestFrame(conn, 7, body[1:2]) // MuxSessionOK, echo the id
 				// Read one job, then crash.
 				_, _ = readTestFrame(conn)
 			}()
@@ -355,14 +400,18 @@ func TestDistNoMaterializer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := a.AuditFull("player2", uint32(target.Index()), target.Log.Entries(), auths)
-	res, dstats, err := a.AuditFullDist("player2", uint32(target.Index()), target.Log.Entries(), auths,
-		audit.DistOptions{Backend: &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second}})
+	req := audit.AuditRequest{Node: "player2", NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths}
+	serial, _, err := a.Audit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Engine, req.Backend = audit.EngineDist, oneShot(sharedFleet(t), audit.CoordinatorConfig{})
+	res, astats, err := a.Audit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareVerdicts(t, "no-materializer dist", serial, res)
-	if dstats.Epochs != 1 {
+	if dstats := astats.Dist; dstats.Epochs != 1 {
 		t.Errorf("epochs = %d, want 1 without a materializer", dstats.Epochs)
 	}
 }
@@ -388,21 +437,25 @@ func TestDistCoordinatorVerifiesRoots(t *testing.T) {
 		}
 		return r, nil
 	}
-	serial := a.AuditFullParallel("player1", uint32(target.Index()), target.Log.Entries(), auths,
-		audit.ParallelOptions{EngineOptions: audit.EngineOptions{Workers: 4, Materialize: corrupt}})
+	req := audit.AuditRequest{
+		Node: "player1", NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths,
+		Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 4, Materialize: corrupt},
+	}
+	serial, _, err := a.Audit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if serial.Passed || serial.Fault.Check != audit.CheckSnapshot {
 		t.Fatalf("parallel engine fault = %+v, want snapshot check", serial.Fault)
 	}
-	res, dstats, err := a.AuditFullDist("player1", uint32(target.Index()), target.Log.Entries(), auths,
-		audit.DistOptions{
-			Backend:       &audit.TCPBackend{Addrs: sharedFleet(t), JobTimeout: 30 * time.Second},
-			EngineOptions: audit.EngineOptions{Materialize: corrupt},
-		})
+	req.Engine, req.Backend = audit.EngineDist, oneShot(sharedFleet(t), audit.CoordinatorConfig{})
+	req.Options = audit.EngineOptions{Materialize: corrupt}
+	res, astats, err := a.Audit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareVerdicts(t, "coordinator-root-check", serial, res)
-	if dstats.CoordinatorFaults == 0 {
+	if astats.Dist.CoordinatorFaults == 0 {
 		t.Error("corrupted start state was not caught before dispatch")
 	}
 	if !strings.Contains(res.Fault.Detail, "does not match committed root") {

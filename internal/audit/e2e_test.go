@@ -156,7 +156,9 @@ func auditOf(t *testing.T, a *audit.Auditor, mon, peer *avmm.Monitor) *audit.Res
 		t.Fatalf("head authenticator: %v", err)
 	}
 	auths = append(auths, head)
-	return a.AuditFull(mon.Node(), uint32(mon.Index()), mon.Log.All(), auths)
+	res, _ := mustAudit(t, a, audit.AuditRequest{
+		Node: mon.Node(), NodeIdx: uint32(mon.Index()), Entries: mon.Log.All(), Auths: auths})
+	return res
 }
 
 func TestHonestExecutionPassesAudit(t *testing.T) {
@@ -288,7 +290,7 @@ func TestLogTamperingIsDetected(t *testing.T) {
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
 			entries := mutate(bob.Log.All())
-			res := a.AuditFull("bob", 1, entries, auths)
+			res, _ := mustAudit(t, a, audit.AuditRequest{Node: "bob", NodeIdx: 1, Entries: entries, Auths: auths})
 			if res.Passed {
 				t.Fatalf("audit passed on log with mutation %q", name)
 			}

@@ -1,11 +1,8 @@
 package audit
 
-// The unified audit entry point. Historically each engine grew its own
-// function — AuditFull, AuditFullParallel, AuditStream, AuditFullDist,
-// AuditChunk — with a private options struct duplicating the same knobs.
-// Audit collapses them behind one request type: pick an Engine, set the
-// shared EngineOptions once, and get the same byte-identical verdict every
-// engine guarantees. The old functions remain as thin deprecated wrappers.
+// The audit entry point. Every engine sits behind one request type: pick an
+// Engine, set the shared EngineOptions once, and get the same
+// byte-identical verdict every engine guarantees.
 
 import (
 	"fmt"
@@ -170,49 +167,4 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 	default:
 		return nil, stats, fmt.Errorf("audit: unknown engine %q", engine)
 	}
-}
-
-// Deprecated wrappers ------------------------------------------------------
-//
-// The functions below predate Audit and remain for compatibility; each is
-// a thin veneer over the same implementation Audit dispatches to. New code
-// should construct an AuditRequest instead.
-
-// AuditFull checks an entire execution from boot on the serial engine.
-//
-// Deprecated: use Audit with EngineSerial.
-func (a *Auditor) AuditFull(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator) *Result {
-	return a.auditSerial(node, nodeIdx, entries, auths)
-}
-
-// AuditFullParallel checks an entire execution from boot on the
-// epoch-parallel engine.
-//
-// Deprecated: use Audit with EngineParallel.
-func (a *Auditor) AuditFullParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) *Result {
-	return a.auditParallel(node, nodeIdx, entries, auths, opts)
-}
-
-// AuditStream checks an entire execution straight from the compressed log
-// container on the streaming engine.
-//
-// Deprecated: use Audit with EngineStream.
-func (a *Auditor) AuditStream(node sig.NodeID, nodeIdx uint32, compressed []byte, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats) {
-	return a.auditStream(node, nodeIdx, compressed, auths, opts)
-}
-
-// AuditFullDist checks an entire execution with the replay stage
-// distributed over an epoch backend.
-//
-// Deprecated: use Audit with EngineDist.
-func (a *Auditor) AuditFullDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, error) {
-	return a.auditDist(node, nodeIdx, entries, auths, opts)
-}
-
-// AuditChunk spot-checks one chunk starting from an authenticated
-// snapshot.
-//
-// Deprecated: use Audit with EngineChunk.
-func (a *Auditor) AuditChunk(req ChunkRequest) *Result {
-	return a.auditChunk(req)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -58,9 +59,12 @@ type Journal struct {
 	// checked at each append. <= 0 selects 50ms.
 	SyncInterval time.Duration
 
-	mu       sync.Mutex
-	path     string
-	f        *os.File
+	mu   sync.Mutex
+	path string
+	f    *os.File
+	// failed is set by the first write or fsync error and never cleared:
+	// journaling stops, audits continue un-journaled.
+	failed   bool
 	bytes    int64
 	unsynced int
 	lastSync time.Time
@@ -90,11 +94,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	// state (the common clean-start case).
 	compacted := marshalJournalRuns(j.runs)
 	if int64(len(compacted)) != prefix || prefix != int64(len(raw)) {
-		tmp := j.path + ".tmp"
-		if err := os.WriteFile(tmp, compacted, 0o644); err != nil {
-			return nil, fmt.Errorf("audit: compacting journal: %w", err)
-		}
-		if err := os.Rename(tmp, j.path); err != nil {
+		if err := archive.WriteFileDurable(j.path, dir, compacted); err != nil {
 			return nil, fmt.Errorf("audit: compacting journal: %w", err)
 		}
 	}
@@ -234,22 +234,23 @@ func (j *Journal) attach(reg *metrics.Registry) {
 	reg.Gauge("journal_durable_verdicts").Set(durable)
 }
 
-// append writes one record, maintaining the in-memory state, and fsyncs
-// when the batch policy says so. Write errors are swallowed after marking
-// the journal broken-by-counter: the journal is a durability aid, and a
-// full disk must degrade the coordinator to unjournaled operation, not
-// fail audits that are otherwise succeeding.
+// append writes one record and fsyncs when the batch policy says so. A
+// write or fsync error is sticky: a failed or short write can leave a torn
+// frame, and appending past it would bury every later record behind
+// garbage that replay stops at, so the first failure stops journaling for
+// good. The journal is a durability aid — a full disk degrades the
+// coordinator to un-journaled operation, it does not fail audits that are
+// otherwise succeeding — and the file still reopens to exactly the records
+// written before the failure.
 func (j *Journal) append(rec *wire.JournalRecord, force bool) {
 	frame := appendJournalFrame(nil, rec.Marshal())
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.f == nil || j.failed {
 		return
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		if j.reg != nil {
-			j.reg.Counter("journal_write_errors").Inc()
-		}
+		j.failLocked()
 		return
 	}
 	j.bytes += int64(len(frame))
@@ -270,16 +271,25 @@ func (j *Journal) append(rec *wire.JournalRecord, force bool) {
 	}
 }
 
+func (j *Journal) failLocked() {
+	j.failed = true
+	if j.reg != nil {
+		j.reg.Counter("journal_write_errors").Inc()
+	}
+}
+
 func (j *Journal) syncLocked() {
-	if j.unsynced == 0 || j.f == nil {
+	if j.unsynced == 0 || j.f == nil || j.failed {
 		return
 	}
-	if err := j.f.Sync(); err == nil {
-		j.unsynced = 0
-		j.lastSync = time.Now()
-		if j.reg != nil {
-			j.reg.Counter("journal_fsyncs").Inc()
-		}
+	if err := j.f.Sync(); err != nil {
+		j.failLocked()
+		return
+	}
+	j.unsynced = 0
+	j.lastSync = time.Now()
+	if j.reg != nil {
+		j.reg.Counter("journal_fsyncs").Inc()
 	}
 }
 

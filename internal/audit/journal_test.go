@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func journalKey(b byte) [32]byte {
@@ -224,6 +226,119 @@ func TestJournalCompactionBoundsFile(t *testing.T) {
 	runs, verdicts, err := InspectJournal(dir)
 	if err != nil || runs != 1 || verdicts != 1 {
 		t.Fatalf("InspectJournal after compaction = (%d, %d, %v), want (1, 1, nil)", runs, verdicts, err)
+	}
+}
+
+// TestJournalWriteFailureIsSticky pins the failure policy: the first failed
+// write stops journaling for good. A failed or short write can leave a torn
+// frame behind; a later append, even a successful one, would land after it
+// and be invisible to replay while the coordinator believes it durable. The
+// file must reopen to exactly the records acknowledged before the failure.
+func TestJournalWriteFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := &metrics.Registry{}
+	j.attach(reg)
+	key := journalKey(8)
+	j.runEnqueued(key, "player1", 3)
+	j.verdictEmitted(key, 0, []byte("acknowledged"))
+
+	restore, err := j.SabotageWrites()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.verdictEmitted(key, 1, []byte("lost"))
+	if got := reg.Value("journal_write_errors"); got != 1 {
+		t.Fatalf("journal_write_errors = %d after a failed write, want 1", got)
+	}
+	// What a short write leaves behind: the head of a frame, no body.
+	path := filepath.Join(dir, journalFileName)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0, 0, 0, 40, 0xDE, 0xAD}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	restore()
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The disk works again; the journal must not: nothing may be appended
+	// behind the torn frame.
+	j.verdictEmitted(key, 2, []byte("buried"))
+	j.runCompleted(key)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("journal grew from %d to %d bytes after its write failure", before.Size(), after.Size())
+	}
+	if got := reg.Value("journal_write_errors"); got != 1 {
+		t.Fatalf("journal_write_errors = %d, want 1: only the first failure counts, later records are not attempted", got)
+	}
+
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got := j2.resume(key, 3)
+	if len(got) != 1 || !bytes.Equal(got[0], []byte("acknowledged")) {
+		t.Fatalf("reopened journal resumes %v, want exactly the verdict acknowledged before the failure", got)
+	}
+}
+
+// TestJournalCompactionIsAtomic: compaction replaces the journal through a
+// synced temp file and a rename, so it neither reads nor leaves a temp file
+// — not even a stale one from a crash between the two — and the journal
+// file holds exactly the pending runs' records.
+func TestJournalCompactionIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, dead := journalKey(9), journalKey(10)
+	j.runEnqueued(dead, "player1", 1)
+	j.runCompleted(dead)
+	j.runEnqueued(live, "player2", 2)
+	j.verdictEmitted(live, 1, []byte("keep"))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalFileName)
+	if err := os.WriteFile(path+".tmp", []byte("stale temp file from a crashed compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("compaction left its temp file behind (stat err = %v)", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := marshalJournalRuns(j2.runs); !bytes.Equal(raw, want) {
+		t.Fatalf("compacted journal holds %d bytes, want the %d bytes of the pending run's records", len(raw), len(want))
+	}
+	if got := j2.resume(live, 2); len(got) != 1 || !bytes.Equal(got[1], []byte("keep")) {
+		t.Fatalf("pending run lost in compaction: resume = %v", got)
 	}
 }
 

@@ -1,27 +1,40 @@
 package audit
 
 import (
-	"errors"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
 // NetsimBackend replays epochs over the simulated network substrate: the
 // coordinator is netsim node 0, workers are nodes 1..Workers, and every
-// job and verdict rides a netsim frame through the link's configured
-// latency, jitter, loss and partition filter. The simulated workers decode
-// the same wire frames a TCP worker decodes and replay in-process, so the
-// backend exercises the full codec path plus the coordinator's retry and
-// re-dispatch machinery under deterministic packet loss, reordering (via
-// jitter) and healable partitions (via netsim.Network.Filter) — scenarios
-// a loopback TCP test cannot produce on demand.
+// session, job and verdict rides a netsim datagram through the link's
+// configured latency, jitter, loss and partition filter. It is the dispatch
+// core of sched.go on netsim's virtual clock: this file makes no
+// scheduling decision of its own — it asks the scheduler what to ship,
+// turns shipments into datagrams, and feeds arrivals back — and its
+// simulated workers run the same workerConn an EpochWorker runs. So the
+// production retry, hedge, reaping, stealing and delta-shipping policy is
+// exercised under deterministic packet loss, reordering (via jitter) and
+// healable partitions (via netsim.Network.Filter) — scenarios a loopback
+// TCP test cannot produce on demand.
 //
-// The run is single-threaded virtual time: verdicts are deterministic for
-// a given netsim seed, loss rate and filter, which is what lets tests
-// assert byte-identical audit results under adversarial links.
+// A datagram carries a connection generation and one or more protocol
+// frames, framed exactly as on TCP. Netsim links lose and reorder whole
+// datagrams, which TCP never does, so a "connection" here is a generation
+// number: the scheduler reaping a connection (or a worker rejecting a frame
+// whose session datagram was lost) ends the generation, both sides drop
+// stragglers from ended generations, and the next attach starts a new one
+// with fresh worker-side state — what a redial does on TCP.
+//
+// The run is single-threaded virtual time: for a given netsim seed, loss
+// rate and filter it dispatches the same frames in the same order, which is
+// what lets tests assert byte-identical audit results under adversarial
+// links without sleeping.
 type NetsimBackend struct {
 	// Net is the simulated network. The backend owns its Deliver callback
 	// for the duration of Run and advances its virtual clock.
@@ -29,9 +42,9 @@ type NetsimBackend struct {
 	// Workers is the number of simulated worker nodes (netsim nodes
 	// 1..Workers; the coordinator is node 0). <= 0 selects 3.
 	Workers int
-	// TimeoutNs is the virtual-time deadline after which a dispatched
-	// epoch with no verdict is retransmitted (to the next worker in the
-	// rotation). <= 0 selects 10ms of virtual time.
+	// TimeoutNs is the scheduler's JobTimeout in virtual time: a dispatched
+	// epoch with no verdict after this long is re-dispatched. <= 0 selects
+	// 10ms of virtual time.
 	TimeoutNs uint64
 	// ServiceNs is the simulated per-epoch worker service time. <= 0
 	// selects 1ms of virtual time.
@@ -39,23 +52,19 @@ type NetsimBackend struct {
 	// MaxAttempts bounds dispatch attempts per epoch. <= 0 selects
 	// Workers+2.
 	MaxAttempts int
-
-	// deltaSrc, when set (via the dist router's deltaCapable seam), ships
-	// jobs as proof-carrying delta chains per simulated worker. Frames then
-	// carry a one-byte kind prefix to discriminate job encodings and
-	// need-state replies.
-	deltaSrc func(k uint32) (*snapshot.Delta, error)
 }
 
 // Remote implements EpochBackend: jobs ship whole and round-trip the wire
 // codec.
 func (b *NetsimBackend) Remote() bool { return true }
 
-// withDelta implements deltaCapable.
-func (b *NetsimBackend) withDelta(src func(k uint32) (*snapshot.Delta, error)) EpochBackend {
-	nb := *b
-	nb.deltaSrc = src
-	return &nb
+// simWorker is one simulated worker node: the scheduler's entry for it and
+// the worker side of its current connection generation (conn is nil once
+// the worker rejected a frame and hung up).
+type simWorker struct {
+	sw      *schedWorker
+	connGen uint64
+	conn    *workerConn
 }
 
 // Run implements EpochBackend on the virtual-time loop.
@@ -64,9 +73,9 @@ func (b *NetsimBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool,
 	if workers <= 0 {
 		workers = 3
 	}
-	timeout := b.TimeoutNs
+	timeout := time.Duration(b.TimeoutNs)
 	if timeout == 0 {
-		timeout = 10_000_000
+		timeout = 10 * time.Millisecond
 	}
 	service := b.ServiceNs
 	if service == 0 {
@@ -76,243 +85,137 @@ func (b *NetsimBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool,
 	if maxAttempts <= 0 {
 		maxAttempts = workers + 2
 	}
-
-	// Simulated workers decode the session exactly as a TCP worker would,
-	// so the image and configuration round-trip the codec once per run.
-	workerSess, err := sessionFromWire(mustReparseSession(sessionToWire(sess)))
-	if err != nil {
-		return fmt.Errorf("audit: netsim session round-trip: %w", err)
-	}
-
-	type flight struct {
-		deadline   uint64
-		attempts   int
-		sentTo     int
-		bytes      int
-		fullBytes  int
-		deltaBytes int
-		deltaSent  int
-		deltaFalls int
-	}
-	pos := make(map[int]int, len(jobs)) // epoch index → position
-	for p, j := range jobs {
-		pos[j.Index] = p
-	}
-	state := make([]flight, len(jobs))
-	settled := make([]bool, len(jobs))
-	remaining := len(jobs)
-
-	// With a delta source, each simulated worker gets a dispatcher-side
-	// tracker and a worker-side state cache, mirroring one TCP connection
-	// per worker.
-	delta := b.deltaSrc != nil
-	trackers := make([]*deltaTracker, workers+1)
-	caches := make([]*stateCache, workers+1)
-	for i := 1; i <= workers; i++ {
-		trackers[i] = &deltaTracker{src: b.deltaSrc}
-		caches[i] = newStateCache()
-	}
+	cfg := CoordinatorConfig{
+		JobTimeout: timeout, MaxAttempts: maxAttempts,
+		RetryBackoff: timeout / 8, RetryMaxBackoff: timeout,
+		DisableLocalFallback: true,
+	}.withDefaults()
+	s := newScheduler(cfg)
 
 	net := b.Net
-	prevDeliver, prevFilter := net.Deliver, net.Filter
-	defer func() { net.Deliver, net.Filter = prevDeliver, prevFilter }()
-	// Keep any caller-installed filter (partitions) active during the run.
-	net.Filter = prevFilter
-
-	// shipFullTo sends position p's full-state frame to worker w, advancing
-	// w's tracker. With delta enabled the frame carries a kind prefix.
-	shipFullTo := func(p, w int) {
-		payload := jobToWire(jobs[p]).Marshal()
-		if delta {
-			payload = append([]byte{byte(wire.DistFrameJob)}, payload...)
-			trackers[w].noteFull(jobs[p])
-		}
-		state[p].fullBytes += len(payload)
-		state[p].bytes += len(payload)
-		state[p].deadline = net.Now() + timeout
-		net.Send(net.Now(), 0, w, payload, len(payload)+wire.TCPIPOverhead)
+	now := func() time.Time { return time.Unix(0, int64(net.Now())) }
+	sims := make([]*simWorker, workers+1)
+	for i := 1; i <= workers; i++ {
+		sims[i] = &simWorker{sw: s.addWorker(fmt.Sprintf("sim-worker-%d", i))}
+	}
+	run := &schedRun{sess: sess, skip: skip, emit: emit}
+	if _, err := s.addRun(run, jobs, nil, now()); err != nil {
+		return err
 	}
 
-	var runErr error
+	// send puts frames of connection generation gen into one datagram;
+	// workers answer after their service time.
+	send := func(from, to int, gen uint64, frames ...distFrame) {
+		buf := bytes.NewBuffer(binary.AppendUvarint(nil, gen))
+		_ = writeDistFrames(buf, frames...) // a bytes.Buffer write cannot fail
+		at := net.Now()
+		if from != 0 {
+			at += service
+		}
+		net.Send(at, from, to, buf.Bytes(), buf.Len()+wire.TCPIPOverhead)
+	}
+
+	prevDeliver := net.Deliver
+	defer func() { net.Deliver = prevDeliver }()
 	net.Deliver = func(f netsim.Frame) {
+		gen, n := binary.Uvarint(f.Data)
+		r := bytes.NewReader(f.Data[n:])
 		if f.To == 0 {
-			// Verdict (or need-state) arriving at the coordinator.
-			data := f.Data
-			if delta {
-				if len(data) == 0 {
-					runErr = errors.New("audit: netsim empty coordinator frame")
-					return
+			// A worker's replies arriving at the coordinator — the TCP
+			// driver's read loop.
+			w := sims[f.From].sw
+			if !w.live || gen != w.gen {
+				return
+			}
+			for r.Len() > 0 {
+				kind, body, err := readDistFrame(r)
+				if err == nil {
+					var out outcome
+					var ok bool
+					if out, ok, err = s.reply(w, kind, body, now()); ok {
+						out.deliver()
+					}
 				}
-				kind := wire.DistFrameKind(data[0])
-				data = data[1:]
-				if kind == wire.DistFrameNeedState {
-					// The worker evicted the delta base: invalidate its
-					// tracker and re-ship the full state to the same worker.
-					idx, perr := wire.ParseNeedState(data)
-					if perr != nil {
-						runErr = fmt.Errorf("audit: netsim need-state decode: %w", perr)
-						return
-					}
-					p, ok := pos[int(idx)]
-					if !ok || settled[p] {
-						return
-					}
-					trackers[f.From].invalidate()
-					state[p].deltaFalls++
-					shipFullTo(p, f.From)
+				if err != nil {
+					s.detach(w, now())
 					return
 				}
 			}
-			v, perr := wire.ParseAuditVerdict(data)
-			if perr != nil {
-				runErr = fmt.Errorf("audit: netsim verdict decode: %w", perr)
-				return
-			}
-			p, ok := pos[int(v.Index)]
-			if !ok || settled[p] {
-				return // duplicate from a retransmit; first verdict won
-			}
-			settled[p] = true
-			remaining--
-			r := verdictFromWire(v)
-			emit(EpochVerdict{
-				Index: int(v.Index), Stats: r.stats, Fault: r.fault,
-				Worker:   fmt.Sprintf("sim-worker-%d", f.From),
-				Attempts: state[p].attempts, WireBytes: state[p].bytes + len(f.Data),
-				WireBytesFull: state[p].fullBytes, WireBytesDelta: state[p].deltaBytes,
-				DeltaShipped: state[p].deltaSent, DeltaFallbacks: state[p].deltaFalls,
-			})
 			return
 		}
-		// Job arriving at a simulated worker: decode, replay, reply after
-		// the service time. Replays are idempotent, so a retransmitted job
-		// just produces a duplicate verdict the coordinator drops.
-		data := f.Data
-		kind := wire.DistFrameJob
-		if delta {
-			if len(data) == 0 {
-				runErr = errors.New("audit: netsim empty worker frame")
-				return
-			}
-			kind = wire.DistFrameKind(data[0])
-			data = data[1:]
+		// The coordinator's frames arriving at a simulated worker.
+		w := sims[f.To]
+		if gen > w.connGen {
+			w.connGen, w.conn = gen, newWorkerConn()
 		}
-		var job *EpochJob
-		switch kind {
-		case wire.DistFrameJob:
-			j, perr := wire.ParseAuditJob(data)
-			if perr != nil {
-				runErr = fmt.Errorf("audit: netsim job decode: %w", perr)
-				return
-			}
-			job = jobFromWire(j)
-			if delta {
-				caches[f.To].put(job.Start)
-			}
-		case wire.DistFrameDeltaJob:
-			dj, perr := wire.ParseAuditDeltaJob(data)
-			if perr != nil {
-				runErr = fmt.Errorf("audit: netsim delta job decode: %w", perr)
-				return
-			}
-			resolved, fault, rerr := resolveDeltaJob(workerSess, dj, caches[f.To])
-			if errors.Is(rerr, errNeedState) {
-				reply := append([]byte{byte(wire.DistFrameNeedState)}, wire.MarshalNeedState(dj.Index)...)
-				net.Send(net.Now()+service, f.To, 0, reply, len(reply)+wire.TCPIPOverhead)
-				return
-			}
-			if fault != nil {
-				reply := append([]byte{byte(wire.DistFrameVerdict)},
-					verdictToWire(int(dj.Index), epochResult{fault: fault}).Marshal()...)
-				net.Send(net.Now()+service, f.To, 0, reply, len(reply)+wire.TCPIPOverhead)
-				return
-			}
-			job = resolved
-		default:
-			runErr = fmt.Errorf("audit: netsim worker got frame kind %d", kind)
+		if gen < w.connGen || w.conn == nil {
 			return
 		}
-		r := runEpochJob(workerSess, job, nil)
-		reply := verdictToWire(job.Index, r).Marshal()
-		if delta {
-			reply = append([]byte{byte(wire.DistFrameVerdict)}, reply...)
-		}
-		net.Send(net.Now()+service, f.To, 0, reply, len(reply)+wire.TCPIPOverhead)
-	}
-
-	send := func(p int) {
-		job := jobs[p]
-		state[p].attempts++
-		state[p].sentTo = 1 + (job.Index+state[p].attempts-1)%workers
-		if delta {
-			if df, derr := trackers[state[p].sentTo].deltaFrame(job); derr == nil {
-				payload := append([]byte{byte(wire.DistFrameDeltaJob)}, df...)
-				state[p].deltaBytes += len(payload)
-				state[p].deltaSent++
-				state[p].bytes += len(payload)
-				state[p].deadline = net.Now() + timeout
-				net.Send(net.Now(), 0, state[p].sentTo, payload, len(payload)+wire.TCPIPOverhead)
+		for r.Len() > 0 {
+			kind, body, err := readDistFrame(r)
+			var reply *distFrame
+			var work *muxWork
+			if err == nil {
+				reply, work, err = w.conn.accept(kind, body)
+			}
+			if err != nil {
+				w.conn = nil
+				send(f.To, 0, gen, distFrame{wire.DistFrameError, []byte(err.Error())})
 				return
 			}
+			if work != nil {
+				// Replays are idempotent, so a re-dispatched job just
+				// produces a duplicate verdict the scheduler drops.
+				vf, _ := w.conn.execute(work, replayEpoch)
+				reply = &vf
+			}
+			send(f.To, 0, gen, *reply)
 		}
-		shipFullTo(p, state[p].sentTo)
 	}
 
-	// Initial dispatch in epoch order, then advance virtual time until
-	// every epoch settles, retransmitting on deadline expiry.
-	for p := range jobs {
-		if skip(jobs[p].Index) {
-			settled[p] = true
-			remaining--
-			continue
-		}
-		send(p)
-	}
-	for remaining > 0 && runErr == nil {
-		next := uint64(1<<63 - 1)
-		if at, ok := net.NextDelivery(); ok {
-			next = at
-		}
-		for p := range jobs {
-			if !settled[p] && state[p].deadline < next {
-				next = state[p].deadline
+	for !run.finished() {
+		// Pump: let every connection ship what the scheduler releases now,
+		// re-attaching reaped ones, until a full pass changes nothing. The
+		// last pass leaves the earliest deadline any connection waits on.
+		var wakeAt time.Time
+		for progress := true; progress; {
+			progress = false
+			wakeAt = time.Time{}
+			for i, w := range sims[1:] {
+				if !w.sw.live {
+					s.attach(w.sw, now())
+					progress = true
+				}
+				for {
+					sh, at, failed := s.next(w.sw, now())
+					deliverAll(failed)
+					if sh == nil {
+						if !w.sw.live {
+							progress = true // reaped as hung: its epochs are back on the queue
+						}
+						if !at.IsZero() && (wakeAt.IsZero() || at.Before(wakeAt)) {
+							wakeAt = at
+						}
+						break
+					}
+					progress = true
+					frames, n := sh.frames()
+					s.shipped(sh, n)
+					send(0, i+1, w.sw.gen, frames...)
+				}
 			}
 		}
-		if next == uint64(1<<63-1) {
-			return fmt.Errorf("audit: netsim backend stalled with %d epochs unresolved", remaining)
+		if run.finished() {
+			break
+		}
+		next, ok := net.NextDelivery()
+		if at := uint64(wakeAt.UnixNano()); !wakeAt.IsZero() && (!ok || at < next) {
+			next, ok = at, true
+		}
+		if !ok {
+			return fmt.Errorf("audit: netsim backend stalled with %d epochs unresolved", int64(run.total)-run.settled.Load())
 		}
 		net.AdvanceTo(next)
-		for p := range jobs {
-			if settled[p] || net.Now() < state[p].deadline {
-				continue
-			}
-			if skip(jobs[p].Index) {
-				settled[p] = true
-				remaining--
-				continue
-			}
-			if state[p].attempts >= maxAttempts {
-				settled[p] = true
-				remaining--
-				emit(EpochVerdict{Index: jobs[p].Index, Attempts: state[p].attempts,
-					WireBytes: state[p].bytes, Worker: "(exhausted)",
-					Err: fmt.Errorf("audit: epoch %d lost on the simulated network after %d attempts: %w",
-						jobs[p].Index, state[p].attempts, ErrRetriesExhausted)})
-				continue
-			}
-			send(p)
-		}
 	}
-	return runErr
-}
-
-// mustReparseSession round-trips a session through its wire encoding; the
-// encoding is total, so a parse failure is a codec bug worth surfacing at
-// the call site.
-func mustReparseSession(s *wire.AuditSession) *wire.AuditSession {
-	out, err := wire.ParseAuditSession(s.Marshal())
-	if err != nil {
-		panic(fmt.Sprintf("audit: session codec round-trip failed: %v", err))
-	}
-	return out
+	return s.removeRun(run)
 }

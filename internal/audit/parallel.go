@@ -49,8 +49,7 @@ type epochResult struct {
 // verdict: the same pass/fail, and on failure the fault of the earliest
 // faulting epoch (identical check and entry seq to the serial replay's).
 // Replay stats are the deterministic sum over the epochs the serial audit
-// would have executed. It backs Audit's EngineParallel and the deprecated
-// AuditFullParallel.
+// would have executed. It backs Audit's EngineParallel.
 func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) *Result {
 	a = a.withEngineOptions(opts.EngineOptions)
 	res := &Result{Node: node}
@@ -86,12 +85,12 @@ func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlo
 // SemanticCheckParallel runs only the semantic (replay) stage of a full
 // audit on the epoch-parallel engine, returning the merged replay stats
 // and the earliest fault (nil if the execution replays cleanly). It is the
-// stage AuditFullParallel runs after log verification and the syntactic
+// stage the parallel engine runs after log verification and the syntactic
 // check; experiments time it directly against the serial replay.
 func (a *Auditor) SemanticCheckParallel(node sig.NodeID, entries []tevlog.Entry, opts ParallelOptions) (ReplayStats, *FaultReport) {
 	jobs := a.partition(entries, opts)
 	be := &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
-	stats, fault, _, err := a.runJobs(node, jobs, be, distConfig{materialize: opts.Materialize})
+	stats, fault, _, err := a.runJobs(node, jobs, be, EngineOptions{Materialize: opts.Materialize})
 	if err != nil {
 		// The in-process pool never reports transport failures; this guards
 		// a future backend misrouted through the parallel entry point.

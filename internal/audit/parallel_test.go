@@ -23,6 +23,17 @@ const (
 
 var eqWorkerCounts = []int{1, 2, 8}
 
+// mustAudit runs one audit request and fails the test when the audit
+// could not be completed (a fault is a Result, not an error).
+func mustAudit(t testing.TB, a *audit.Auditor, req audit.AuditRequest) (*audit.Result, audit.AuditStats) {
+	t.Helper()
+	res, stats, err := a.Audit(req)
+	if err != nil {
+		t.Fatalf("audit (%s engine): %v", stats.Engine, err)
+	}
+	return res, stats
+}
+
 // compareVerdicts fails the test when a result diverges from the serial
 // auditor's verdict: pass/fail, fault check and entry, and (on passing
 // runs) replay and syntactic stats must all match.

@@ -78,11 +78,11 @@ func TestPartialEvidenceReproducesFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunk := entries[start.EntryIndex+1 : end.EntryIndex+1]
-	res := a.AuditChunk(audit.ChunkRequest{
+	res, _ := mustAudit(t, a, audit.AuditRequest{Chunk: &audit.ChunkRequest{
 		Node: "db-server", NodeIdx: 0,
 		Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
 		Entries: chunk, Auths: auths,
-	})
+	}})
 	if res.Passed {
 		t.Fatal("in-memory code patch not detected by chunk audit")
 	}

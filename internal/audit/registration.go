@@ -94,7 +94,7 @@ func (c *Coordinator) handleRegistration(conn net.Conn) {
 	}
 
 	conn.SetWriteDeadline(time.Now().Add(regHandshakeTimeout))
-	if werr := writeDistFrame(conn, wire.DistFrameWelcome, welcome.Marshal()); werr != nil {
+	if werr := writeDistFrames(conn, distFrame{wire.DistFrameWelcome, welcome.Marshal()}); werr != nil {
 		c.reg.Counter("registrations_rejected").Inc()
 		return
 	}
@@ -197,7 +197,7 @@ func registerOnce(coordAddr, advertise string, stop <-chan struct{}, onState fun
 		Version: wire.RegistrationVersion, Addr: advertise, Capabilities: wire.CapDeltaJobs,
 	}
 	conn.SetWriteDeadline(time.Now().Add(regHandshakeTimeout))
-	if err := writeDistFrame(conn, wire.DistFrameHello, hello.Marshal()); err != nil {
+	if err := writeDistFrames(conn, distFrame{wire.DistFrameHello, hello.Marshal()}); err != nil {
 		return false
 	}
 	conn.SetReadDeadline(time.Now().Add(regHandshakeTimeout))

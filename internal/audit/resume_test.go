@@ -233,3 +233,50 @@ func TestCoordinatorCrashResumeCatalog(t *testing.T) {
 		})
 	}
 }
+
+// TestCoordinatorJournalWriteFailure: a journal whose disk dies mid-service
+// must not take the audits down with it. The coordinator finishes them
+// un-journaled with the serial verdict, counts the failure, and the journal
+// directory reopens to what was durable before — here nothing pending,
+// since the only run that was journaled completed.
+func TestCoordinatorJournalWriteFailure(t *testing.T) {
+	s := coordScenario(t, "aimbot")
+	serial, err := s.AuditNode("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	journal, err := audit.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	fleet, err := audit.StartChaosFleet([]*audit.ChaosPlan{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	coord := testCoordinator(audit.CoordinatorConfig{DisableLocalFallback: true, Journal: journal})
+	defer coord.Close()
+	coord.AddWorker(fleet.Addrs[0])
+
+	for round, sabotage := range []bool{false, true} {
+		if sabotage {
+			if _, err := journal.SabotageWrites(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, _, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
+		if err != nil {
+			t.Fatalf("round %d (journal sabotaged: %v): %v", round, sabotage, err)
+		}
+		compareVerdicts(t, fmt.Sprintf("journal-failure round %d", round), serial, res)
+		if got := coord.Stats().JournalWriteErrors; (got > 0) != sabotage {
+			t.Fatalf("round %d: JournalWriteErrors = %d with journal sabotaged = %v", round, got, sabotage)
+		}
+	}
+	coord.Close()
+	if runs, verdicts, err := audit.InspectJournal(dir); err != nil || runs != 0 || verdicts != 0 {
+		t.Fatalf("journal after the failure = (%d runs, %d verdicts, %v), want the durable prefix: empty", runs, verdicts, err)
+	}
+}

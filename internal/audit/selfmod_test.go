@@ -108,7 +108,18 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 		return mon.Snaps.Materialize(int(snapIdx))
 	}
 
-	serial := a.AuditFull("selfmod", 0, entries, auths)
+	// One request per engine over the same log; each audit fills in its
+	// engine and options.
+	req := func(engine audit.Engine, opts audit.EngineOptions) audit.AuditRequest {
+		r := audit.AuditRequest{Node: "selfmod", Engine: engine, Auths: auths, Options: opts}
+		if engine == audit.EngineStream {
+			r.Compressed = logcomp.CompressEntries(entries)
+		} else {
+			r.Entries = entries
+		}
+		return r
+	}
+	serial, _ := mustAudit(t, a, req(audit.EngineSerial, audit.EngineOptions{}))
 	if !serial.Passed {
 		t.Fatalf("serial audit of honest self-modifying guest failed: %v", serial.Fault)
 	}
@@ -116,16 +127,13 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 		t.Fatal("serial audit verified no snapshots")
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par := a.AuditFullParallel("selfmod", 0, entries, auths, audit.ParallelOptions{EngineOptions: audit.EngineOptions{
-			Workers: workers, Materialize: materialize,
-		}})
+		opts := audit.EngineOptions{Workers: workers, Materialize: materialize}
+		par, _ := mustAudit(t, a, req(audit.EngineParallel, opts))
 		compareVerdicts(t, "selfmod parallel", serial, par)
 
-		stream, sstats := a.AuditStream("selfmod", 0, logcomp.CompressEntries(entries), auths, audit.StreamOptions{EngineOptions: audit.EngineOptions{
-			Workers: workers, Materialize: materialize,
-		}})
+		stream, astats := mustAudit(t, a, req(audit.EngineStream, opts))
 		compareVerdicts(t, "selfmod stream", serial, stream)
-		if sstats.PeakResidentEntries > sstats.Window {
+		if sstats := astats.Stream; sstats.PeakResidentEntries > sstats.Window {
 			t.Errorf("stream audit held %d entries, window %d", sstats.PeakResidentEntries, sstats.Window)
 		}
 	}
@@ -137,11 +145,10 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 		Keys: keys, RefImage: img, RNGSeed: 5,
 		TamperEvident: true, VerifySignatures: false, DisablePredecode: true,
 	}
-	noPre := abl.AuditFull("selfmod", 0, entries, auths)
+	streamOpts := audit.EngineOptions{Workers: 2, Materialize: materialize}
+	noPre, _ := mustAudit(t, abl, req(audit.EngineSerial, audit.EngineOptions{}))
 	compareVerdicts(t, "selfmod nopredecode", serial, noPre)
-	noPreStream, _ := abl.AuditStream("selfmod", 0, logcomp.CompressEntries(entries), auths, audit.StreamOptions{EngineOptions: audit.EngineOptions{
-		Workers: 2, Materialize: materialize,
-	}})
+	noPreStream, _ := mustAudit(t, abl, req(audit.EngineStream, streamOpts))
 	compareVerdicts(t, "selfmod nopredecode stream", serial, noPreStream)
 
 	// And the fusion ablation: self-modifying stores are exactly the case
@@ -151,10 +158,8 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 		Keys: keys, RefImage: img, RNGSeed: 5,
 		TamperEvident: true, VerifySignatures: false, DisableFusion: true,
 	}
-	noFus := fusAbl.AuditFull("selfmod", 0, entries, auths)
+	noFus, _ := mustAudit(t, fusAbl, req(audit.EngineSerial, audit.EngineOptions{}))
 	compareVerdicts(t, "selfmod nofusion", serial, noFus)
-	noFusStream, _ := fusAbl.AuditStream("selfmod", 0, logcomp.CompressEntries(entries), auths, audit.StreamOptions{EngineOptions: audit.EngineOptions{
-		Workers: 2, Materialize: materialize,
-	}})
+	noFusStream, _ := mustAudit(t, fusAbl, req(audit.EngineStream, streamOpts))
 	compareVerdicts(t, "selfmod nofusion stream", serial, noFusStream)
 }

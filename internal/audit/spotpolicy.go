@@ -231,7 +231,7 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 			errs[i] = cerr
 			return true
 		}
-		results[i] = a.AuditChunk(req)
+		results[i] = a.auditChunk(req)
 		return !results[i].Passed
 	})
 	if cutoff == len(picks) {

@@ -15,10 +15,10 @@ import (
 )
 
 // This file implements the streaming audit pipeline: decode ∥ chain-verify
-// ∥ replay. The materializing auditor (AuditFull/AuditFullParallel over a
+// ∥ replay. The materializing auditor (the serial and parallel engines over a
 // decompressed slice) pays the whole decode as dead time before the first
 // instruction replays, and holds every entry of the log in memory at once.
-// AuditStream instead wires logcomp.EntryReader → tevlog.ChainVerifier +
+// The stream engine instead wires logcomp.EntryReader → tevlog.ChainVerifier +
 // SyntacticChecker → epoch replay workers as bounded-channel stages: epochs
 // are emitted at snapshot entries and handed to workers while later
 // segments of the container are still decoding, and the number of decoded
@@ -141,23 +141,18 @@ func (v *streamVerdict) record(index int, r epochResult) {
 	}
 }
 
-// auditStream checks an entire execution from boot, like auditSerial, but
-// straight from the compressed log container: entries are decoded, chain-
-// verified and replayed concurrently in bounded memory. The verdict —
-// pass/fail, fault, and stats — is identical to AuditFull's (and therefore
-// AuditFullParallel's) over the decompressed slice; a container that fails
-// to decode reports a CheckLog fault carrying the decoder's error. The
-// returned StreamStats describe the pipeline run itself.
-func (a *Auditor) auditStream(node sig.NodeID, nodeIdx uint32, compressed []byte, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats) {
-	return a.auditStreamFrom(node, nodeIdx, compressed, nil, auths, opts)
-}
-
-// auditStreamFrom is auditStream with an optional EntrySource feeding the
-// decode stage instead of an in-memory container — the archive-backed
-// path, where epoch segments are read, hash-verified and decoded from
-// disk one at a time. Source errors land in the same decode-fault slot a
-// corrupt container's do, so the merged verdict treats a tampered archive
-// exactly like a tampered log.
+// auditStreamFrom checks an entire execution from boot, like auditSerial,
+// but straight from the compressed log container: entries are decoded,
+// chain-verified and replayed concurrently in bounded memory. The verdict —
+// pass/fail, fault, and stats — is identical to the serial engine's (and
+// therefore the parallel engine's) over the decompressed slice; a container
+// that fails to decode reports a CheckLog fault carrying the decoder's
+// error. The returned StreamStats describe the pipeline run itself. A
+// non-nil source feeds the decode stage instead of the in-memory container
+// — the archive-backed path, where epoch segments are read, hash-verified
+// and decoded from disk one at a time. Source errors land in the same
+// decode-fault slot a corrupt container's do, so the merged verdict treats
+// a tampered archive exactly like a tampered log.
 func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats) {
 	a = a.withEngineOptions(opts.EngineOptions)
 	workers := opts.Workers

@@ -80,8 +80,10 @@ func TestAuditStreamNoMaterializer(t *testing.T) {
 		t.Fatal(err)
 	}
 	compressed := logcomp.CompressEntries(target.Log.Entries())
-	res, stream := a.AuditStream("player2", uint32(target.Index()), compressed, auths,
-		audit.StreamOptions{EngineOptions: audit.EngineOptions{Workers: 2, Window: 128}})
+	res, astats := mustAudit(t, a, audit.AuditRequest{
+		Node: "player2", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+		Compressed: compressed, Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
+	stream := astats.Stream
 	compareVerdicts(t, "no-materializer stream", serial, res)
 	if stream.Epochs != 1 {
 		t.Errorf("epochs = %d, want 1 without a materializer", stream.Epochs)
@@ -115,7 +117,7 @@ func TestAuditStreamCorruptedEntry(t *testing.T) {
 	if err := tevlog.Rechain(tevlog.Hash{}, decoded); err != nil {
 		t.Fatal(err)
 	}
-	mat := a.AuditFull("player1", uint32(target.Index()), decoded, auths)
+	mat, _ := mustAudit(t, a, audit.AuditRequest{Node: "player1", NodeIdx: uint32(target.Index()), Entries: decoded, Auths: auths})
 	if mat.Passed {
 		t.Fatal("materializing audit passed on a tampered log")
 	}
@@ -123,10 +125,13 @@ func TestAuditStreamCorruptedEntry(t *testing.T) {
 		t.Fatalf("materializing fault check = %s, want log", mat.Fault.Check)
 	}
 
-	res, _ := a.AuditStream("player1", uint32(target.Index()), compressed, auths, audit.StreamOptions{EngineOptions: audit.EngineOptions{
-		Workers: 4, Window: 256,
-		Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
-	}})
+	res, _ := mustAudit(t, a, audit.AuditRequest{
+		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+		Compressed: compressed, Auths: auths,
+		Options: audit.EngineOptions{
+			Workers: 4, Window: 256,
+			Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
+		}})
 	if res.Passed {
 		t.Fatal("streaming audit passed on a tampered log")
 	}
@@ -149,8 +154,9 @@ func TestAuditStreamCorruptedContainer(t *testing.T) {
 	}
 	compressed := logcomp.CompressEntries(target.Log.Entries())
 	for _, cut := range []int{len(compressed) / 3, len(compressed) - 1} {
-		res, _ := a.AuditStream("player1", uint32(target.Index()), compressed[:cut], auths,
-			audit.StreamOptions{EngineOptions: audit.EngineOptions{Workers: 2, Window: 128}})
+		res, _ := mustAudit(t, a, audit.AuditRequest{
+			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+			Compressed: compressed[:cut], Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
 		if res.Passed {
 			t.Fatalf("cut %d: truncated container passed", cut)
 		}
@@ -160,7 +166,7 @@ func TestAuditStreamCorruptedContainer(t *testing.T) {
 	}
 }
 
-// TestAuditStreamEmptyLog mirrors AuditFull on an empty segment: a
+// TestAuditStreamEmptyLog mirrors the serial engine on an empty segment: a
 // tamper-evident audit faults on the empty chain.
 func TestAuditStreamEmptyLog(t *testing.T) {
 	s := streamScenario(t)
@@ -168,9 +174,10 @@ func TestAuditStreamEmptyLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := a.AuditFull("player1", 1, nil, auths)
-	res, _ := a.AuditStream("player1", 1, logcomp.CompressEntries(nil), auths,
-		audit.StreamOptions{EngineOptions: audit.EngineOptions{Workers: 2}})
+	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: "player1", NodeIdx: 1, Auths: auths})
+	res, _ := mustAudit(t, a, audit.AuditRequest{
+		Node: "player1", NodeIdx: 1, Engine: audit.EngineStream,
+		Compressed: logcomp.CompressEntries(nil), Auths: auths, Options: audit.EngineOptions{Workers: 2}})
 	if res.Passed != serial.Passed {
 		t.Fatalf("empty log: stream passed=%v, serial passed=%v", res.Passed, serial.Passed)
 	}

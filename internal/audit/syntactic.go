@@ -54,16 +54,19 @@ type SyntacticChecker struct {
 	started  bool
 	firstSeq uint64
 
-	// recvIndex records every RECV entry's position; recvPayload holds its
-	// parsed content only until the matching injection event consumes it.
-	recvIndex   map[uint64]int
+	// recvPayload holds every RECV entry's parsed content until the
+	// matching injection event consumes it; what is left at Finish are the
+	// uninjected messages.
 	recvPayload map[uint64]*wire.RecvContent
 	injected    map[uint64]bool
 	sendAcked   map[uint64]bool
 	sendSeqs    []uint64
 
 	lastEventICount uint64
-	lastInjectIndex int
+	// lastInjectedRecv is the highest sequence number among this segment's
+	// RECV entries that were injected (zero: none yet; sequence numbers
+	// start at 1).
+	lastInjectedRecv uint64
 
 	fault   *FaultReport
 	pending []pendingFault
@@ -73,11 +76,9 @@ type SyntacticChecker struct {
 func NewSyntacticChecker(node sig.NodeID, opts SyntacticOptions) *SyntacticChecker {
 	return &SyntacticChecker{
 		node: node, opts: opts,
-		recvIndex:       make(map[uint64]int),
-		recvPayload:     make(map[uint64]*wire.RecvContent),
-		injected:        make(map[uint64]bool),
-		sendAcked:       make(map[uint64]bool),
-		lastInjectIndex: -1,
+		recvPayload: make(map[uint64]*wire.RecvContent),
+		injected:    make(map[uint64]bool),
+		sendAcked:   make(map[uint64]bool),
 	}
 }
 
@@ -135,7 +136,6 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 		}
 		c.stats.Recvs++
 		c.recvPayload[e.Seq] = rc
-		c.recvIndex[e.Seq] = i
 		if c.opts.VerifySignatures {
 			// Recompute the sender's chain hash for SEND(m) and verify
 			// the sender's authenticator signature over it, proving the
@@ -205,26 +205,28 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 			c.stats.Events++
 		}
 		if ev.Kind == wire.EventInjectPacket {
-			c.lastInjectIndex = i
+			// An injection of a message received before this segment
+			// (RecvSeq < firstSeq) says nothing about the RECVs in it.
 			if ev.RecvSeq >= c.firstSeq {
-				// Checked before the recvIndex lookup: injection prunes the
-				// index, so a re-injection must still resolve to "twice".
+				// Checked before the payload lookup: injection prunes it, so
+				// a re-injection must still resolve to "twice".
 				if c.injected[ev.RecvSeq] {
 					c.fail(e.Seq, "message injected into the AVM twice")
 					return
 				}
-				if _, ok := c.recvIndex[ev.RecvSeq]; ok {
-					rc := c.recvPayload[ev.RecvSeq]
+				if rc, ok := c.recvPayload[ev.RecvSeq]; ok {
 					if !bytes.Equal(rc.Payload, ev.Payload) || rc.SrcIdx != ev.SrcIdx {
 						c.fail(e.Seq, "injected payload differs from the received message (altered in the monitor?)")
 						return
 					}
 					c.injected[ev.RecvSeq] = true
-					// The payload and position are no longer needed: only
-					// uninjected RECVs matter to Finish, and the injected
-					// set alone guards against double injection.
+					if ev.RecvSeq > c.lastInjectedRecv {
+						c.lastInjectedRecv = ev.RecvSeq
+					}
+					// The payload is no longer needed: only uninjected RECVs
+					// matter to Finish, and the injected set alone guards
+					// against double injection.
 					delete(c.recvPayload, ev.RecvSeq)
-					delete(c.recvIndex, ev.RecvSeq)
 				} else if c.seen(ev.RecvSeq, i) {
 					c.fail(e.Seq, "packet injection references a non-RECV entry (forged injection?)")
 					return
@@ -259,19 +261,27 @@ func (c *SyntacticChecker) Finish() (SyntacticStats, *FaultReport) {
 		return c.stats, c.fault
 	}
 	// Every received message must have entered the AVM (§4.4: dropping a
-	// message between receipt and injection is a fault). Messages still in
-	// the daemon's injection pipeline at the end of the segment are
-	// tolerated: a RECV may be uninjected only if NO later injection exists
-	// — injecting a later message while dropping an earlier one is a fault.
-	for seq := range c.recvIndex {
-		if !c.injected[seq] {
-			if c.recvIndex[seq] < c.lastInjectIndex {
-				return c.stats, &FaultReport{
-					Node: c.node, Check: CheckSyntactic, EntrySeq: seq,
-					Detail: "received message was never injected into the AVM (dropped in the monitor?)",
-				}
+	// message between receipt and injection is a fault). The monitor injects
+	// in arrival order, so messages still in its injection pipeline at the
+	// end of the segment are the newest ones and are tolerated: an
+	// uninjected RECV is a fault only if a message received after it was
+	// injected — injecting a later message while dropping an earlier one.
+	// The lowest such sequence number is reported, so the verdict does not
+	// depend on map order.
+	dropped, found := uint64(0), false
+	for seq := range c.recvPayload {
+		if seq < c.lastInjectedRecv {
+			if !found || seq < dropped {
+				dropped, found = seq, true
 			}
+		} else {
 			c.stats.InFlightRecvs++
+		}
+	}
+	if found {
+		return c.stats, &FaultReport{
+			Node: c.node, Check: CheckSyntactic, EntrySeq: dropped,
+			Detail: "received message was never injected into the AVM (dropped in the monitor?)",
 		}
 	}
 	for _, seq := range c.sendSeqs {

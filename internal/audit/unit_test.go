@@ -332,20 +332,59 @@ func TestSyntacticDetectsAlteredInjection(t *testing.T) {
 	}
 }
 
+// TestSyntacticDetectsDroppedInjection: an uninjected RECV is a fault
+// exactly when a message received after it was injected. The monitor
+// injects in arrival order, so the honest shapes — a segment or spot-check
+// chunk ending with the newest messages still in the injection pipeline —
+// must pass, and a fault must name the lowest dropped sequence number,
+// whatever order the checker's maps iterate in.
 func TestSyntacticDetectsDroppedInjection(t *testing.T) {
-	rc := &wire.RecvContent{MsgID: 1, SrcNode: "peer", SrcIdx: 1, Payload: []byte("m1")}
-	rc2 := &wire.RecvContent{MsgID: 2, SrcNode: "peer", SrcIdx: 1, Payload: []byte("m2")}
-	log := synthLog(
-		tevlog.Entry{Type: tevlog.TypeRecv, Content: rc.Marshal()},
-		tevlog.Entry{Type: tevlog.TypeRecv, Content: rc2.Marshal()},
+	recv := func(id uint64) tevlog.Entry {
+		rc := &wire.RecvContent{MsgID: id, SrcNode: "peer", SrcIdx: 1, Payload: []byte{byte(id)}}
+		return tevlog.Entry{Type: tevlog.TypeRecv, Content: rc.Marshal()}
+	}
+	inject := func(recvSeq uint64) tevlog.Entry {
+		return eventEntry(&wire.EventContent{
+			Kind: wire.EventInjectPacket, RecvSeq: recvSeq, SrcIdx: 1, Payload: []byte{byte(recvSeq)},
+		})
+	}
+	for _, tc := range []struct {
+		name     string
+		log      []tevlog.Entry
+		faultSeq uint64 // 0: must pass
+		inFlight int
+	}{
 		// Only the second message is injected: the first was dropped.
-		eventEntry(&wire.EventContent{
-			Kind: wire.EventInjectPacket, RecvSeq: 2, SrcIdx: 1, Payload: []byte("m2"),
-		}),
-	)
-	_, fr := SyntacticCheck("m", log, SyntacticOptions{Keys: sig.NewKeyStore()})
-	if fr == nil || !strings.Contains(fr.Detail, "never injected") {
-		t.Fatalf("fault = %v", fr)
+		{"dropped", synthLog(recv(1), recv(2), inject(2)), 1, 0},
+		// Both arrived, the first was injected, the log ends: the second is
+		// next in the monitor's FIFO, not dropped.
+		{"honest pipeline tail", synthLog(recv(1), recv(2), inject(1)), 0, 1},
+		// A chunk that opens after RECV 1: its only injection is of that
+		// older, pre-chunk message and says nothing about RECV 2.
+		{"honest chunk boundary", synthLog(recv(1), recv(2), inject(1))[1:], 0, 1},
+		// Three dropped behind one injection: the lowest is reported.
+		{"lowest dropped first", synthLog(recv(1), recv(2), recv(3), recv(4), inject(4)), 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				stats, fr := SyntacticCheck("m", tc.log, SyntacticOptions{Keys: sig.NewKeyStore()})
+				if tc.faultSeq == 0 {
+					if fr != nil {
+						t.Fatalf("honest log faulted: %v", fr)
+					}
+					if stats.InFlightRecvs != tc.inFlight {
+						t.Fatalf("InFlightRecvs = %d, want %d", stats.InFlightRecvs, tc.inFlight)
+					}
+					continue
+				}
+				if fr == nil || !strings.Contains(fr.Detail, "never injected") {
+					t.Fatalf("fault = %v", fr)
+				}
+				if fr.EntrySeq != tc.faultSeq {
+					t.Fatalf("round %d: fault names entry %d, want the lowest dropped message %d", round, fr.EntrySeq, tc.faultSeq)
+				}
+			}
+		})
 	}
 }
 

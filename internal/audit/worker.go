@@ -1,0 +1,452 @@
+package audit
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// This file is the worker side of the dispatch protocol
+// (docs/DISPATCH_PROTOCOL.md): length-prefixed frames between an audit
+// coordinator and scenario-agnostic replay workers. One connection carries
+// many audit sessions: the coordinator registers a session per audit (the
+// reference configuration — image, node, RNG seed), then pipelines epoch
+// jobs tagged with their session and reads verdicts tagged the same way,
+// so a straggler's late verdict never desynchronizes the stream. What a
+// worker does with a frame is written once, in workerConn, and driven by
+// EpochWorker over TCP and by NetsimBackend's simulated workers.
+
+// frame i/o -----------------------------------------------------------------
+
+// distFrame is one protocol frame in memory.
+type distFrame struct {
+	kind wire.DistFrameKind
+	body []byte
+}
+
+// writeDistFrames writes length-prefixed protocol frames, stopping at the
+// first error.
+func writeDistFrames(w io.Writer, frames ...distFrame) error {
+	for _, f := range frames {
+		var hdr [5]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(f.body)))
+		hdr[4] = byte(f.kind)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		if _, err := w.Write(f.body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readDistFrame reads one length-prefixed protocol frame.
+func readDistFrame(r io.Reader) (wire.DistFrameKind, []byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n == 0 {
+		return 0, nil, errors.New("audit: empty protocol frame")
+	}
+	if n > wire.MaxDistFrame {
+		return 0, nil, wire.ErrFrameTooLarge
+	}
+	// The header is four bytes anyone can send: allocate for the bytes that
+	// actually arrive, not for the size it claims.
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return 0, nil, err
+	}
+	body := buf.Bytes()
+	return wire.DistFrameKind(body[0]), body[1:], nil
+}
+
+// connection state ----------------------------------------------------------
+
+// muxWork is one accepted job awaiting execution. Exactly one of job /
+// deltaJob is set; delta jobs resolve in execute, which owns the
+// connection's state cache.
+type muxWork struct {
+	sessID   uint64
+	sess     Session
+	job      *EpochJob
+	deltaJob *wire.AuditDeltaJob
+}
+
+// workerConn is the worker side of one coordinator connection, free of
+// sockets, goroutines and clocks: the sessions registered on it and the
+// verified states it has cached for delta-job reconstruction. accept
+// touches only the sessions and execute only the cache, so a driver may
+// run them on two goroutines (EpochWorker's read loop and executor) or on
+// one (the simulated worker).
+type workerConn struct {
+	sessions map[uint64]Session
+	cache    *stateCache
+}
+
+func newWorkerConn() *workerConn {
+	return &workerConn{sessions: make(map[uint64]Session), cache: newStateCache()}
+}
+
+// accept handles one frame from the coordinator: a session registration or
+// ping is answered directly (reply), a job frame decodes into work for
+// execute. An error is a protocol violation — malformed bodies, a job for
+// an unregistered session, a kind a worker never receives, or a frame of
+// the retired one-shot session protocol — and ends the connection.
+func (c *workerConn) accept(kind wire.DistFrameKind, body []byte) (reply *distFrame, work *muxWork, err error) {
+	switch kind {
+	case wire.DistFrameMuxSession:
+		id, rest, err := wire.SplitMuxID(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		ws, err := wire.ParseAuditSession(rest)
+		if err != nil {
+			return nil, nil, err
+		}
+		sess, err := sessionFromWire(ws)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.sessions[id] = sess
+		return &distFrame{wire.DistFrameMuxSessionOK, wire.AppendMuxID(id, nil)}, nil, nil
+	case wire.DistFrameMuxJob, wire.DistFrameMuxDeltaJob:
+		id, rest, err := wire.SplitMuxID(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		sess, ok := c.sessions[id]
+		if !ok {
+			return nil, nil, fmt.Errorf("audit: mux job for unregistered session %d", id)
+		}
+		wk := &muxWork{sessID: id, sess: sess}
+		if kind == wire.DistFrameMuxDeltaJob {
+			if wk.deltaJob, err = wire.ParseAuditDeltaJob(rest); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			wj, err := wire.ParseAuditJob(rest)
+			if err != nil {
+				return nil, nil, err
+			}
+			wk.job = jobFromWire(wj)
+		}
+		return nil, wk, nil
+	case wire.DistFramePing:
+		return &distFrame{wire.DistFramePong, body}, nil, nil
+	}
+	if kind.Retired() {
+		return nil, nil, fmt.Errorf("audit: frame kind %d belongs to the retired one-shot session protocol; this worker speaks the multiplexed protocol only", kind)
+	}
+	return nil, nil, fmt.Errorf("audit: worker got unexpected frame kind %d", kind)
+}
+
+// replayEpoch replays one epoch job on the worker, capturing the verified
+// end state for the connection's cache — the replay hook execute runs when
+// no chaos plan interferes.
+func replayEpoch(sess Session, job *EpochJob) (epochResult, bool) {
+	return runEpochJobEx(sess, job, nil, true), true
+}
+
+// execute resolves and replays one accepted job and returns the frame to
+// send back: the verdict, or a need-state when a delta job's base is not
+// cached (the coordinator re-ships the full state). A delta chain that
+// fails fold verification is answered with the snapshot-check fault before
+// any replay work: the coordinator (or whoever doctored the chain) is
+// caught with the same fault a corrupt full state yields. replay runs the
+// epoch and may decline to answer at all (a chaos plan's hang or crash).
+func (c *workerConn) execute(wk *muxWork, replay func(Session, *EpochJob) (epochResult, bool)) (distFrame, bool) {
+	job := wk.job
+	if wk.deltaJob != nil {
+		index := wk.deltaJob.Index
+		resolved, fault, err := resolveDeltaJob(wk.sess, wk.deltaJob, c.cache)
+		switch {
+		case errors.Is(err, errNeedState):
+			return distFrame{wire.DistFrameMuxNeedState, wire.AppendMuxID(wk.sessID, wire.MarshalNeedState(index))}, true
+		case fault != nil:
+			v := verdictToWire(int(index), epochResult{fault: fault}).Marshal()
+			return distFrame{wire.DistFrameMuxVerdict, wire.AppendMuxID(wk.sessID, v)}, true
+		}
+		job = resolved
+	} else {
+		// Remember the shipped start state so later jobs can arrive as delta
+		// chains against it. Unverified entry is safe: every use re-verifies
+		// against a committed root (resolveDeltaJob checks the fold result,
+		// runEpochJob seed-verifies before replay).
+		c.cache.put(job.Start)
+	}
+	r, ok := replay(wk.sess, job)
+	if !ok {
+		return distFrame{}, false
+	}
+	// Cache the verified end state (nil for faulted or tail epochs): the
+	// next contiguous job on this connection can then arrive as an empty
+	// delta chain, shipping no state at all.
+	c.cache.put(r.end)
+	return distFrame{wire.DistFrameMuxVerdict, wire.AppendMuxID(wk.sessID, verdictToWire(job.Index, r).Marshal())}, true
+}
+
+// TCP worker ----------------------------------------------------------------
+
+// EpochWorker is a scenario-agnostic replay worker. It holds no trust:
+// everything a replay needs arrives in session and job frames, and the
+// coordinator verifies what comes back (root checks before dispatch, spot
+// re-replays after). One connection carries many audit sessions; pipelined
+// jobs replay in arrival order on a per-connection executor, and pings are
+// answered from the read loop even while a replay runs.
+//
+// Jobs within a connection replay one at a time, so a deployment's
+// parallelism is its worker count; pipelining exists to hide the wire
+// round-trip, not to multiply CPU.
+type EpochWorker struct {
+	// Chaos, when non-nil, perturbs this worker per a deterministic fault
+	// plan — the fault-injection harness. Nil means honest.
+	Chaos *ChaosPlan
+	// IdleTimeout reaps connections with no traffic (a coordinator that
+	// died without closing). <= 0 selects 5m; heartbeats keep healthy
+	// connections far below it.
+	IdleTimeout time.Duration
+
+	mu        sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[net.Conn]struct{}
+	draining  bool
+
+	inflight sync.WaitGroup // accepted jobs not yet answered
+	connSeq  atomic.Int64
+	jobSeq   atomic.Int64
+}
+
+// Serve accepts coordinator connections until the listener closes. It
+// returns nil when the worker was drained, the accept error otherwise.
+func (w *EpochWorker) Serve(l net.Listener) error {
+	w.mu.Lock()
+	if w.listeners == nil {
+		w.listeners = make(map[net.Listener]struct{})
+		w.conns = make(map[net.Conn]struct{})
+	}
+	draining := w.draining
+	w.listeners[l] = struct{}{}
+	w.mu.Unlock()
+	if draining {
+		l.Close()
+		return nil
+	}
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			w.mu.Lock()
+			delete(w.listeners, l)
+			draining := w.draining
+			w.mu.Unlock()
+			if draining {
+				return nil
+			}
+			return err
+		}
+		if w.Chaos != nil && !w.Chaos.admitConn(int(w.connSeq.Add(1))) {
+			// Partition plan: the link to this worker is down; refuse the
+			// connection outright and let the coordinator's redial backoff
+			// knock until the partition heals.
+			conn.Close()
+			continue
+		}
+		w.mu.Lock()
+		if w.draining {
+			w.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		w.conns[conn] = struct{}{}
+		w.mu.Unlock()
+		go func() {
+			defer func() {
+				w.mu.Lock()
+				delete(w.conns, conn)
+				w.mu.Unlock()
+				conn.Close()
+			}()
+			if err := w.serveConn(conn); err != nil && !errors.Is(err, io.EOF) {
+				// Report protocol errors while the connection still works; a
+				// broken pipe just ends the session — the coordinator's
+				// retry owns recovery.
+				_ = writeDistFrames(conn, distFrame{wire.DistFrameError, []byte(err.Error())})
+			}
+		}()
+	}
+}
+
+// Drain gracefully winds the worker down: stop accepting connections,
+// refuse new jobs (each refusal is answered with DistFrameDrain so the
+// coordinator re-dispatches immediately instead of waiting out a timeout),
+// and wait up to timeout for in-flight epochs to finish before closing the
+// remaining connections.
+func (w *EpochWorker) Drain(timeout time.Duration) {
+	w.mu.Lock()
+	w.draining = true
+	for l := range w.listeners {
+		l.Close()
+	}
+	w.mu.Unlock()
+
+	done := make(chan struct{})
+	go func() {
+		w.inflight.Wait()
+		close(done)
+	}()
+	if timeout <= 0 {
+		timeout = 30 * time.Second
+	}
+	select {
+	case <-done:
+	case <-time.After(timeout):
+	}
+
+	w.mu.Lock()
+	for c := range w.conns {
+		c.Close()
+	}
+	w.mu.Unlock()
+}
+
+// admit counts one more accepted job in, unless the worker is draining.
+// Counting under the lock Drain takes orders every Add before Drain's Wait.
+func (w *EpochWorker) admit() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.draining {
+		w.inflight.Add(1)
+	}
+	return !w.draining
+}
+
+// serveConn runs one coordinator connection: this goroutine is the read
+// loop (it answers pings immediately, even mid-replay — liveness probes
+// measure the worker, not the current epoch), and a per-connection
+// executor goroutine replays accepted jobs in arrival order.
+func (w *EpochWorker) serveConn(conn net.Conn) error {
+	var wmu sync.Mutex
+	write := func(f distFrame) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		conn.SetWriteDeadline(time.Now().Add(time.Minute))
+		return writeDistFrames(conn, f)
+	}
+
+	wc := newWorkerConn()
+	connDead := make(chan struct{})
+	// The coordinator keeps at most its Pipeline jobs outstanding, so the
+	// buffer only has to keep the read loop answering pings while the
+	// executor replays; 64 is far above any configured pipeline.
+	jobs := make(chan *muxWork, 64)
+	var execWG sync.WaitGroup
+	execWG.Add(1)
+	go func() {
+		defer execWG.Done()
+		replay := func(sess Session, job *EpochJob) (epochResult, bool) {
+			return w.replayMaybeChaotic(sess, job, conn, connDead)
+		}
+		for wk := range jobs {
+			select {
+			case <-connDead:
+				// The connection died with this job still queued; it will
+				// never be answered, so release it instead of replaying.
+			default:
+				if f, ok := wc.execute(wk, replay); ok {
+					_ = write(f)
+				}
+			}
+			w.inflight.Done()
+		}
+	}()
+	defer func() {
+		close(connDead)
+		close(jobs)
+		execWG.Wait()
+	}()
+
+	idle := w.IdleTimeout
+	if idle <= 0 {
+		idle = 5 * time.Minute
+	}
+	for frameSeq := 0; ; frameSeq++ {
+		conn.SetReadDeadline(time.Now().Add(idle))
+		kind, body, err := readDistFrame(conn)
+		if err != nil {
+			return err
+		}
+		if w.Chaos != nil && frameSeq > 0 && !w.Chaos.admitFrame(frameSeq) {
+			// Connection-flap plan: the link drops mid-conversation.
+			return nil
+		}
+		reply, work, err := wc.accept(kind, body)
+		if err != nil {
+			return err
+		}
+		switch {
+		case work != nil && !w.admit():
+			reply = &distFrame{kind: wire.DistFrameDrain}
+		case work != nil:
+			jobs <- work
+		}
+		if reply != nil {
+			if err := write(*reply); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// replayMaybeChaotic replays one job, letting the worker's chaos plan
+// decide its fate first. It reports false when no reply must be sent (a
+// crashed or hanging worker never answers). connDead is the connection's
+// teardown signal.
+func (w *EpochWorker) replayMaybeChaotic(sess Session, job *EpochJob, conn net.Conn, connDead <-chan struct{}) (epochResult, bool) {
+	seq := w.jobSeq.Add(1)
+	action := ChaosNone
+	if w.Chaos != nil {
+		action = w.Chaos.jobAction(seq)
+	}
+	switch action {
+	case ChaosCrash:
+		// Die mid-epoch: close the connection without a verdict.
+		conn.Close()
+		return epochResult{}, false
+	case ChaosHang:
+		// Accept the job and never reply; hold the slot until the
+		// connection dies so the goroutine cannot leak past the test.
+		<-connDead
+		return epochResult{}, false
+	}
+	start := time.Now()
+	r, _ := replayEpoch(sess, job)
+	if action == ChaosSlow {
+		// A 10x-slower worker: the replay took 1x, so sleep out the other
+		// 9x (capped) unless the connection dies first.
+		delay := 9 * time.Since(start)
+		if max := w.Chaos.slowCap(); delay > max {
+			delay = max
+		}
+		select {
+		case <-time.After(delay):
+		case <-connDead:
+			return epochResult{}, false
+		}
+	}
+	if action == ChaosLie {
+		r = w.Chaos.corrupt(r)
+	}
+	return r, true
+}

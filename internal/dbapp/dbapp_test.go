@@ -29,7 +29,10 @@ func TestWorkloadRunsAndAuditsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Auditor().AuditFull("db-server", 0, s.Server.Log.All(), auths)
+	res, _, err := s.Auditor().Audit(audit.AuditRequest{Node: "db-server", Entries: s.Server.Log.All(), Auths: auths})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Passed {
 		t.Fatalf("honest db server failed audit: %v", res.Fault)
 	}
@@ -72,11 +75,14 @@ func TestSpotCheckChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunk := entries[start.EntryIndex+1 : end.EntryIndex+1]
-		res := a.AuditChunk(audit.ChunkRequest{
+		res, _, err := a.Audit(audit.AuditRequest{Chunk: &audit.ChunkRequest{
 			Node: "db-server", NodeIdx: 0,
 			Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
 			Entries: chunk, Auths: auths,
-		})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !res.Passed {
 			t.Fatalf("chunk %d failed: %v", i, res.Fault)
 		}
@@ -115,11 +121,14 @@ func TestSpotCheckCatchesTamperedState(t *testing.T) {
 	// The machine hands the auditor a snapshot with one flipped byte (e.g.
 	// a doctored row). Verification against the committed root must fail.
 	restored.Mem[40960] ^= 0xFF
-	res := s.Auditor().AuditChunk(audit.ChunkRequest{
+	res, _, err := s.Auditor().Audit(audit.AuditRequest{Chunk: &audit.ChunkRequest{
 		Node: "db-server", NodeIdx: 0,
 		Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
 		Entries: entries[start.EntryIndex+1 : end.EntryIndex+1], Auths: auths,
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Passed {
 		t.Fatal("tampered snapshot passed spot check")
 	}

@@ -324,8 +324,11 @@ func RunFig9(scale Scale) (*Fig9Result, error) {
 
 	var full *audit.Result
 	res.FullAuditWall = stopwatch(func() {
-		full = a.AuditFull("db-server", 0, entries, auths)
+		full, _, err = a.Audit(audit.AuditRequest{Node: "db-server", Entries: entries, Auths: auths})
 	})
+	if err != nil {
+		return nil, err
+	}
 	if !full.Passed {
 		return nil, fmt.Errorf("fig9: full audit failed: %v", full.Fault)
 	}
@@ -353,12 +356,15 @@ func RunFig9(scale Scale) (*Fig9Result, error) {
 			chunk := entries[start.EntryIndex+1 : end.EntryIndex+1]
 			var cres *audit.Result
 			wall += stopwatch(func() {
-				cres = a.AuditChunk(audit.ChunkRequest{
+				cres, _, err = a.Audit(audit.AuditRequest{Chunk: &audit.ChunkRequest{
 					Node: "db-server", NodeIdx: 0,
 					Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
 					Entries: chunk, Auths: auths,
-				})
+				}})
 			})
+			if err != nil {
+				return nil, err
+			}
 			if !cres.Passed {
 				allPassed = false
 			}

@@ -291,8 +291,12 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	ablAuditor.DisablePredecode = true
 	var noPre *audit.Result
 	noPreWall := stopwatch(func() {
-		noPre = ablAuditor.AuditFull(target.Node(), uint32(target1.Index()), target1.Log.Entries(), auths1)
+		noPre, _, err = ablAuditor.Audit(audit.AuditRequest{
+			Node: target.Node(), NodeIdx: uint32(target1.Index()), Entries: target1.Log.Entries(), Auths: auths1})
 	})
+	if err != nil {
+		return nil, err
+	}
 	res.NoPredecodeWallNs = noPreWall.Nanoseconds()
 	res.PredecodeVerdictMatch = noPre.Passed == serial.Passed && noPre.Replay == serial.Replay
 	if serialWall > 0 {
@@ -307,8 +311,12 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	fusAuditor.DisableFusion = true
 	var noFus *audit.Result
 	noFusWall := stopwatch(func() {
-		noFus = fusAuditor.AuditFull(target.Node(), uint32(targetF.Index()), targetF.Log.Entries(), authsF)
+		noFus, _, err = fusAuditor.Audit(audit.AuditRequest{
+			Node: target.Node(), NodeIdx: uint32(targetF.Index()), Entries: targetF.Log.Entries(), Auths: authsF})
 	})
+	if err != nil {
+		return nil, err
+	}
 	res.NoFusionWallNs = noFusWall.Nanoseconds()
 	res.FusionVerdictMatch = noFus.Passed == serial.Passed && noFus.Replay == serial.Replay
 	// The gated speedup compares bare semantic replays of the same log —
@@ -380,8 +388,10 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 			err = rerr
 			return
 		}
-		matRes = auditor.AuditFullParallel(target.Node(), uint32(target2.Index()), decoded, auths,
-			audit.ParallelOptions{EngineOptions: audit.EngineOptions{Workers: res.StreamWorkers, Materialize: materialize}})
+		matRes, _, err = auditor.Audit(audit.AuditRequest{
+			Node: target.Node(), NodeIdx: uint32(target2.Index()), Engine: audit.EngineParallel,
+			Entries: decoded, Auths: auths,
+			Options: audit.EngineOptions{Workers: res.StreamWorkers, Materialize: materialize}})
 	})
 	if err != nil {
 		return nil, err
@@ -390,9 +400,16 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	var streamRes *audit.Result
 	var streamStats audit.StreamStats
 	streamWall := stopwatch(func() {
-		streamRes, streamStats = auditor.AuditStream(target.Node(), uint32(target2.Index()), compressed, auths,
-			audit.StreamOptions{EngineOptions: audit.EngineOptions{Workers: res.StreamWorkers, Window: res.StreamWindow, Materialize: materialize}})
+		var astats audit.AuditStats
+		streamRes, astats, err = auditor.Audit(audit.AuditRequest{
+			Node: target.Node(), NodeIdx: uint32(target2.Index()), Engine: audit.EngineStream,
+			Compressed: compressed, Auths: auths,
+			Options: audit.EngineOptions{Workers: res.StreamWorkers, Window: res.StreamWindow, Materialize: materialize}})
+		streamStats = astats.Stream
 	})
+	if err != nil {
+		return nil, err
+	}
 	res.StreamWallNs = streamWall.Nanoseconds()
 	if streamWall > 0 {
 		res.StreamSpeedup = float64(matWall) / float64(streamWall)
@@ -493,7 +510,7 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 		}
 		listeners = append(listeners, l)
 		addrs = append(addrs, l.Addr().String())
-		go audit.ServeEpochWorker(l)
+		go func() { _ = (&audit.EpochWorker{}).Serve(l) }() // returns when the deferred Close below ends Accept
 	}
 	defer func() {
 		for _, l := range listeners {
@@ -507,21 +524,32 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	entries3 := target3.Log.Entries()
 	var localRes *audit.Result
 	localWall := stopwatch(func() {
-		localRes = distAuditor.AuditFullParallel(target.Node(), uint32(target3.Index()), entries3, auths3,
-			audit.ParallelOptions{EngineOptions: audit.EngineOptions{Workers: res.DistWorkers, Materialize: materialize}})
+		localRes, _, err = distAuditor.Audit(audit.AuditRequest{
+			Node: target.Node(), NodeIdx: uint32(target3.Index()), Engine: audit.EngineParallel,
+			Entries: entries3, Auths: auths3,
+			Options: audit.EngineOptions{Workers: res.DistWorkers, Materialize: materialize}})
 	})
+	if err != nil {
+		return nil, err
+	}
 	res.DistLocalWallNs = localWall.Nanoseconds()
+	// distAudit runs one audit of node's log through the one-shot TCP
+	// backend over the loopback fleet, one job in flight per connection —
+	// what these rows have always measured: on loopback there is no
+	// round-trip to hide, and an unpipelined connection ships the cheapest
+	// delta chains (the verdict advances the base before the next ship).
+	distAudit := func(a *audit.Auditor, node sig.NodeID, idx int, entries []tevlog.Entry, auths []tevlog.Authenticator, opts audit.EngineOptions) (*audit.Result, audit.DistStats, error) {
+		r, astats, aerr := a.Audit(audit.AuditRequest{
+			Node: node, NodeIdx: uint32(idx), Engine: audit.EngineDist, Entries: entries, Auths: auths,
+			Options: opts, Backend: &audit.TCPBackend{Addrs: addrs, Config: audit.CoordinatorConfig{Pipeline: 1}},
+		})
+		return r, astats.Dist, aerr
+	}
 	var distRes *audit.Result
 	var dstats audit.DistStats
 	distWall := stopwatch(func() {
-		distRes, dstats, err = distAuditor.AuditFullDist(target.Node(), uint32(target3.Index()), entries3, auths3,
-			audit.DistOptions{
-				Backend: &audit.TCPBackend{Addrs: addrs, JobTimeout: 2 * time.Minute},
-				EngineOptions: audit.EngineOptions{
-					Materialize: materialize,
-					Workers:     res.DistWorkers,
-				},
-			})
+		distRes, dstats, err = distAudit(distAuditor, target.Node(), target3.Index(), entries3, auths3,
+			audit.EngineOptions{Materialize: materialize, Workers: res.DistWorkers})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("auditbench: distributed audit: %w", err)
@@ -741,11 +769,7 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	}
 	var fullRes *audit.Result
 	var fullStats audit.DistStats
-	if fullRes, fullStats, err = deltaAuditor.AuditFullDist(dNode, uint32(dTarget.Index()), dEntries, dAuths,
-		audit.DistOptions{
-			Backend:       &audit.TCPBackend{Addrs: addrs, JobTimeout: 2 * time.Minute},
-			EngineOptions: dOpts,
-		}); err != nil {
+	if fullRes, fullStats, err = distAudit(deltaAuditor, dNode, dTarget.Index(), dEntries, dAuths, dOpts); err != nil {
 		return nil, fmt.Errorf("auditbench: full-state dist audit: %w", err)
 	}
 	if !fullRes.Passed {
@@ -755,11 +779,7 @@ func RunAuditBenchWith(scale Scale, opts AuditBenchOptions) (*AuditBenchResult, 
 	var deltaRes *audit.Result
 	var deltaStats audit.DistStats
 	deltaWall := stopwatch(func() {
-		deltaRes, deltaStats, err = deltaAuditor.AuditFullDist(dNode, uint32(dTarget.Index()), dEntries, dAuths,
-			audit.DistOptions{
-				Backend:       &audit.TCPBackend{Addrs: addrs, JobTimeout: 2 * time.Minute},
-				EngineOptions: dOpts,
-			})
+		deltaRes, deltaStats, err = distAudit(deltaAuditor, dNode, dTarget.Index(), dEntries, dAuths, dOpts)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("auditbench: delta dist audit: %w", err)

@@ -83,7 +83,10 @@ func TestVMwareRecModeIsReplayable(t *testing.T) {
 		Keys: s.Keys, RefImage: s.RefImgs["player1"], RNGSeed: s.RNGSeedOf(1),
 		TamperEvident: false, VerifySignatures: false,
 	}
-	res2 := a.AuditFull("player1", 1, entries, nil)
+	res2, _, err := a.Audit(audit.AuditRequest{Node: "player1", NodeIdx: 1, Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The mutation may or may not cause a replay divergence, but no LOG
 	// check can fire — that is exactly why AVMs add the hash chain.
 	if res2.Fault != nil && res2.Fault.Check == audit.CheckLog {

@@ -255,7 +255,10 @@ func (s *Scenario) AuditNode(node sig.NodeID) (*audit.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.AuditFull(node, uint32(target.Index()), target.Log.Entries(), auths), nil
+	res, _, err := a.Audit(audit.AuditRequest{
+		Node: node, NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths,
+	})
+	return res, err
 }
 
 // AuditNodeParallel is AuditNode on the epoch-parallel engine: the node's

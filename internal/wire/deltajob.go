@@ -21,19 +21,19 @@ import (
 
 // Delta-dispatch protocol frames, extending the DistFrame* set.
 const (
-	// DistFrameDeltaJob carries one delta-shipped epoch job on a legacy
-	// (single-audit) connection.
+	// DistFrameDeltaJob (13) was the delta-shipped job of the retired
+	// one-shot session protocol. Reserved.
 	DistFrameDeltaJob DistFrameKind = DistFrameDrain + 1 + iota
 	// DistFrameMuxDeltaJob carries one delta-shipped epoch job on a
 	// multiplexed connection: uvarint session id, then the AuditDeltaJob
 	// body.
 	DistFrameMuxDeltaJob
-	// DistFrameNeedState reports that the worker does not hold the delta
-	// job's base state: uvarint job index. The coordinator re-ships the
-	// epoch as a full-state job.
+	// DistFrameNeedState (15) was the need-state reply of the retired
+	// one-shot session protocol. Reserved.
 	DistFrameNeedState
-	// DistFrameMuxNeedState is DistFrameNeedState on a multiplexed
-	// connection: uvarint session id, then uvarint job index.
+	// DistFrameMuxNeedState reports that the worker does not hold a delta
+	// job's base state: uvarint session id, then uvarint job index. The
+	// coordinator re-ships the epoch as a full-state job.
 	DistFrameMuxNeedState
 )
 

@@ -1,10 +1,10 @@
 package wire
 
 // This file defines the wire formats of the distributed audit fan-out: the
-// session frame a coordinator sends a replay worker once per connection
-// (the reference configuration — image, node, RNG seed), the epoch job
-// frames that follow (verified start root, materialized start state, entry
-// run), and the verdict frames a worker sends back. Workers are completely
+// session frame a coordinator sends a replay worker once per audit and
+// connection (the reference configuration — image, node, RNG seed), the
+// epoch job frames that follow (verified start root, materialized start
+// state, entry run), and the verdict frames a worker sends back. Workers are completely
 // scenario-agnostic: everything a replay needs travels in these frames, so
 // `avm-audit -serve` holds no recording, no keys and no guest sources.
 //
@@ -26,22 +26,27 @@ import (
 // byte of the frame body.
 type DistFrameKind uint8
 
-// Distributed-audit protocol frames.
+// Distributed-audit protocol frames. The numbers are wire format: kinds are
+// only ever added, and a retired kind keeps its number reserved so an old
+// peer's frame is rejected by name instead of being mistaken for a new one
+// (docs/DISPATCH_PROTOCOL.md lists every kind with its body).
 const (
-	// DistFrameSession opens a connection: the coordinator ships the
-	// reference configuration the worker replays under.
+	// DistFrameSession (1) is reserved: it opened a connection of the
+	// retired one-shot session protocol (one audit per connection,
+	// synchronous jobs). A worker answers every retired kind with
+	// DistFrameError.
 	DistFrameSession DistFrameKind = 1 + iota
-	// DistFrameSessionOK acknowledges a session (empty body).
+	// DistFrameSessionOK (2) is reserved: the retired session acknowledgement.
 	DistFrameSessionOK
-	// DistFrameJob carries one epoch replay job.
+	// DistFrameJob (3) is reserved: the retired synchronous job.
 	DistFrameJob
-	// DistFrameVerdict carries one epoch's replay outcome.
+	// DistFrameVerdict (4) is reserved: the retired synchronous verdict.
 	DistFrameVerdict
-	// DistFrameError carries a worker-side protocol error (string body).
+	// DistFrameError carries a worker-side protocol error (string body);
+	// the worker closes the connection after sending it.
 	DistFrameError
 
-	// The frames below extend the protocol for the long-running coordinator
-	// service: one connection multiplexes many audit sessions (each log being
+	// One connection multiplexes many audit sessions (each log being
 	// audited registers a session once; its reference image ships once per
 	// worker), carries pipelined jobs tagged with their session, and stays
 	// under heartbeat surveillance. A worker that is draining refuses new
@@ -69,6 +74,17 @@ const (
 	// no further jobs will be accepted on this connection.
 	DistFrameDrain
 )
+
+// Retired reports whether k is a reserved number of the retired one-shot
+// session protocol, which no peer sends any more.
+func (k DistFrameKind) Retired() bool {
+	switch k {
+	case DistFrameSession, DistFrameSessionOK, DistFrameJob, DistFrameVerdict,
+		DistFrameDeltaJob, DistFrameNeedState:
+		return true
+	}
+	return false
+}
 
 // AppendMuxID prefixes a multiplexed frame body with its session id.
 func AppendMuxID(id uint64, body []byte) []byte {

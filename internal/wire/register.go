@@ -33,7 +33,7 @@ const RegistrationVersion = 1
 // Worker capability bits carried in RegistrationHello.Capabilities.
 const (
 	// CapDeltaJobs: the worker understands delta-shipped epoch jobs
-	// (DistFrameMuxDeltaJob / DistFrameNeedState).
+	// (DistFrameMuxDeltaJob / DistFrameMuxNeedState).
 	CapDeltaJobs uint64 = 1 << iota
 )
 

@@ -96,16 +96,7 @@ func FuzzParseRegistrationHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, err := ParseRegistrationHello(b)
-		if err != nil {
-			return
-		}
-		// The reader accepts non-minimal uvarint encodings, so re-marshal
-		// canonicalizes; require semantic re-parse equality instead.
-		got, err := ParseRegistrationHello(h.Marshal())
-		if err != nil || !reflect.DeepEqual(h, got) {
-			t.Fatalf("hello re-parse differs: %+v vs %+v (err %v)", h, got, err)
-		}
+		fuzzRoundTrip(t, b, ParseRegistrationHello, (*RegistrationHello).Marshal)
 	})
 }
 
@@ -114,15 +105,6 @@ func FuzzParseRegistrationWelcome(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := ParseRegistrationWelcome(b)
-		if err != nil {
-			return
-		}
-		// Accepted is carried as a uvarint where any nonzero means true, so
-		// re-marshal canonicalizes; compare semantic equality instead.
-		got, err := ParseRegistrationWelcome(m.Marshal())
-		if err != nil || !reflect.DeepEqual(m, got) {
-			t.Fatalf("welcome re-parse differs: %+v vs %+v (err %v)", m, got, err)
-		}
+		fuzzRoundTrip(t, b, ParseRegistrationWelcome, (*RegistrationWelcome).Marshal)
 	})
 }

@@ -1,10 +1,13 @@
 // Command dist_smoke is the CI gate for the distributed audit fan-out: it
 // starts real `avm-audit -serve` worker processes on loopback, dispatches
-// the full 26-cheat catalog (plus a clean match) through the TCP backend,
-// and fails unless every distributed Result is byte-identical to the
-// serial engine's. It then exercises the avm-run → avm-audit -dispatch
-// offline workflow end to end and asserts the documented exit codes
-// (0 clean, 1 fault detected, 2 audit/transport failure).
+// the full 26-cheat catalog (plus a clean match) through the one-shot
+// coordinator (audit.TCPBackend: a fresh coordinator per audit, fixed
+// fleet, no local fallback), and fails unless every distributed Result is
+// byte-identical to the serial engine's. It then exercises the avm-run →
+// avm-audit -dispatch offline workflow end to end — -dispatch is the
+// one-shot spelling of -coordinate -local-fallback=false — and asserts the
+// documented exit codes (0 clean, 1 fault detected, 2 audit/transport
+// failure).
 //
 // The chaos phase re-runs the catalog through the long-running
 // coordinator service while the fleet churns: one worker process is
@@ -316,7 +319,8 @@ func main() {
 	}
 	fmt.Printf("dist_smoke: %d workers on %s\n", *workers, strings.Join(addrs, ", "))
 
-	// Phase 1: the cheat catalog, serial vs TCP-dispatched, byte-identical.
+	// Phase 1: the cheat catalog, serial vs dispatched through the one-shot
+	// coordinator, byte-identical.
 	catalog := game.Catalog()
 	if *cheats != "all" {
 		catalog = catalog[:0]
@@ -330,7 +334,7 @@ func main() {
 		}
 	}
 	tcpOpts := audit.DistOptions{
-		Backend:       &audit.TCPBackend{Addrs: addrs, JobTimeout: 60 * time.Second},
+		Backend:       &audit.TCPBackend{Addrs: addrs, Config: audit.CoordinatorConfig{JobTimeout: 60 * time.Second}},
 		EngineOptions: audit.EngineOptions{SpotRecheckFraction: 0.25},
 	}
 	start := time.Now()
