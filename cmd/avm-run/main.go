@@ -59,6 +59,7 @@ func main() {
 	}
 
 	var monitors []*avmm.Monitor
+	var world *avmm.World
 	var collect func(node string) []tevlog.Authenticator
 
 	switch *scenario {
@@ -82,6 +83,7 @@ func main() {
 		}
 		fmt.Printf("recording %d virtual seconds of fragfest (3 players + server) ...\n", *seconds)
 		s.Run(*seconds * 1_000_000_000)
+		world = s.World
 		monitors = append(monitors, s.Server)
 		monitors = append(monitors, s.Players...)
 		for _, m := range monitors {
@@ -104,6 +106,7 @@ func main() {
 		}
 		fmt.Printf("recording %d virtual seconds of minisql ...\n", *seconds)
 		s.Run(*seconds * 1_000_000_000)
+		world = s.World
 		monitors = []*avmm.Monitor{s.Server, s.Client}
 		meta.RNGSeeds["db-server"] = *seed + 500
 		meta.RNGSeeds["db-client"] = *seed + 501
@@ -205,5 +208,13 @@ func main() {
 	if err := os.WriteFile(filepath.Join(*out, "meta.json"), metaBytes, 0o644); err != nil {
 		log.Fatal(err)
 	}
+	// Where the recording waited for its logging daemon. These scenarios
+	// sign with paper-sized digests, which cost less than a handoff, so the
+	// daemon signs them on request and nothing ever waits; with real keys
+	// and more than one P the last three numbers say how much of the
+	// signing the simulation could not hide.
+	ds := world.DaemonStats()
+	fmt.Printf("  daemon     %8d signatures, %d deliveries waited for one (%.1f ms in all), at most %d in flight\n",
+		ds.Signatures, ds.Waits, float64(ds.WaitNs)/1e6, ds.MaxInFlight)
 	fmt.Printf("wrote %s; audit with: avm-audit -dir %s -node <name>\n", *out, *out)
 }

@@ -102,22 +102,20 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// buildPair wires a sender and sink world in the given mode.
-func buildPair(t *testing.T, mode Mode, msgs int, netCfg netsim.Config) (*World, *Monitor, *Monitor) {
+// buildWorld boots one monitor per image, named "a", "b", "c", … in network
+// order, each signing with signer(node).
+func buildWorld(t *testing.T, mode Mode, netCfg netsim.Config, retransmitNs uint64,
+	signer func(sig.NodeID) sig.Signer, imgs ...*vm.Image) *World {
 	t.Helper()
-	senderImg, sinkImg := pingPongImages(t, msgs)
 	net := netsim.New(netCfg)
 	keys := sig.NewKeyStore()
 	w := NewWorld(net, keys)
-	mk := func(id sig.NodeID, idx int, img *vm.Image) *Monitor {
-		var signer sig.Signer = sig.NullSigner{Node: id}
-		if mode.Signs() {
-			signer = sig.SizedSigner{Node: id, Size: 96}
-		}
+	for idx, img := range imgs {
+		id := sig.NodeID(string(rune('a' + idx)))
 		mon, err := NewMonitor(Config{
 			Node: id, Index: idx, Mode: mode, Cost: DefaultCostModel(),
-			Signer: signer, Keys: keys, Image: img, Net: net, RNGSeed: 4,
-			RetransmitNs: 50_000_000,
+			Signer: signer(id), Keys: keys, Image: img, Net: net, RNGSeed: pairRNGSeed,
+			RetransmitNs: retransmitNs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,11 +123,29 @@ func buildPair(t *testing.T, mode Mode, msgs int, netCfg netsim.Config) (*World,
 		if err := w.Add(mon); err != nil {
 			t.Fatal(err)
 		}
-		return mon
 	}
-	a := mk("a", 0, senderImg)
-	b := mk("b", 1, sinkImg)
-	return w, a, b
+	return w
+}
+
+// pairRNGSeed is the device seed every test monitor boots with.
+const pairRNGSeed = 4
+
+// cheapSigner is what tests that are not about cryptography sign with.
+func cheapSigner(mode Mode) func(sig.NodeID) sig.Signer {
+	return func(id sig.NodeID) sig.Signer {
+		if mode.Signs() {
+			return sig.SizedSigner{Node: id, Size: 96}
+		}
+		return sig.NullSigner{Node: id}
+	}
+}
+
+// buildPair wires a sender and sink world in the given mode.
+func buildPair(t *testing.T, mode Mode, msgs int, netCfg netsim.Config) (*World, *Monitor, *Monitor) {
+	t.Helper()
+	senderImg, sinkImg := pingPongImages(t, msgs)
+	w := buildWorld(t, mode, netCfg, 50_000_000, cheapSigner(mode), senderImg, sinkImg)
+	return w, w.Monitors[0], w.Monitors[1]
 }
 
 func TestBareModeDoesNotLog(t *testing.T) {

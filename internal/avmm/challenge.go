@@ -56,19 +56,15 @@ func (mon *Monitor) handleChallenge(fromIdx int, f *wire.Frame) {
 		Kind: wire.FrameChallengeResp, FromNode: string(mon.cfg.Node),
 		Payload: f.Payload,
 	}
-	if mon.Log.Len() > 0 {
-		head, err := mon.Log.LastAuthenticator()
-		if err == nil {
-			resp.AuthSeq = head.Seq
-			resp.AuthHash = head.Hash
-			resp.AuthSig = head.Sig
-			if mon.cfg.Mode.Signs() {
-				mon.daemonCharge(mon.cfg.Cost.SignNs)
-			}
-		}
+	if mon.Log.Len() == 0 {
+		// Nothing to commit to yet: an unsigned response proves liveness.
+		mon.send(mon.cfg.Net.Now(), fromIdx, sentFrame{raw: resp.Marshal()})
+		return
 	}
-	raw := resp.Marshal()
-	mon.cfg.Net.Send(mon.cfg.Net.Now(), mon.cfg.Index, fromIdx, raw, len(raw)+wire.TCPIPOverhead)
+	if mon.cfg.Mode.Signs() {
+		mon.daemonCharge(mon.cfg.Cost.SignNs)
+	}
+	mon.send(mon.cfg.Net.Now(), fromIdx, mon.commitFrame(resp, uint64(mon.Log.Len())))
 }
 
 // handleChallengeResp lifts the suspension if the response carries a valid

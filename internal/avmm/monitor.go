@@ -88,11 +88,18 @@ type Config struct {
 	SlowdownPerInstrNs uint64
 }
 
+// sentFrame is a marshaled frame the monitor may send again, with the handle
+// on its signature: every send passes both to the network, which waits for
+// the signature before anyone reads the bytes.
+type sentFrame struct {
+	raw   []byte
+	ready *sig.Pending
+}
+
 type pendingMsg struct {
 	msgID      uint64
 	dest       int
-	frameBytes []byte
-	wireBytes  int
+	frame      sentFrame
 	lastSentNs uint64
 	attempts   int
 }
@@ -105,9 +112,13 @@ type Monitor struct {
 	Log     *tevlog.Log
 	Snaps   *snapshot.Store
 
+	// daemon signs this machine's authenticators off the simulation thread;
+	// a world's monitors share the world's.
+	daemon *daemon
+
 	outbox    map[uint64]*pendingMsg
-	seenAcks  map[string][]byte // node/msgID → marshaled ack frame, for duplicate data frames
-	recvSeen  map[string]bool   // node/msgID → already received
+	seenAcks  map[string]sentFrame // node/msgID → our ack, for duplicate data frames
+	recvSeen  map[string]bool      // node/msgID → already received
 	PeerAuths map[sig.NodeID][]tevlog.Authenticator
 	snapAuths []tevlog.Authenticator
 
@@ -141,6 +152,9 @@ type Monitor struct {
 	// DaemonBusyNs is work done by the logging daemon on its own
 	// hyperthread (§6.1: hashing, signing, verification, pipes): it does
 	// not slow the AVM, but it delays packets and occupies HT0 (Fig. 6).
+	// It is the virtual-time model of the daemon, charged the same whether
+	// or not the host had a core to run the real signature on; what the
+	// host did is in World.DaemonStats.
 	DaemonBusyNs uint64
 }
 
@@ -161,8 +175,9 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 	}
 	mon := &Monitor{
 		cfg:       cfg,
+		daemon:    newDaemon(),
 		outbox:    make(map[uint64]*pendingMsg),
-		seenAcks:  make(map[string][]byte),
+		seenAcks:  make(map[string]sentFrame),
 		recvSeen:  make(map[string]bool),
 		PeerAuths: make(map[sig.NodeID][]tevlog.Authenticator),
 	}
@@ -357,6 +372,27 @@ func (mon *Monitor) guestSend(dest uint32, payload []byte) {
 	}
 }
 
+// commitFrame makes f carry this machine's commitment to log entry seq and
+// marshals it. The (seq, hash) pair is fixed here, synchronously; the
+// signature over it is the daemon's job, requested now and written into the
+// marshaled frame's AuthSig slot whenever it is done. The frame's bytes
+// other than the slot are final on return.
+func (mon *Monitor) commitFrame(f *wire.Frame, seq uint64) sentFrame {
+	auth, body, err := mon.Log.Commitment(seq)
+	if err != nil {
+		panic(fmt.Sprintf("avmm: commitment to a logged entry: %v", err)) // cannot happen
+	}
+	f.AuthSeq, f.AuthHash = auth.Seq, auth.Hash
+	raw, slot := f.MarshalSigSlot(mon.cfg.Signer.SigLen())
+	return sentFrame{raw: raw, ready: mon.daemon.sign(mon.cfg.Signer, body, slot)}
+}
+
+// send puts a frame on the network, together with the handle the network
+// waits on before the frame's bytes are read.
+func (mon *Monitor) send(atNs uint64, dest int, f sentFrame) {
+	mon.cfg.Net.SendPending(atNs, mon.cfg.Index, dest, f.raw, len(f.raw)+wire.TCPIPOverhead, f.ready)
+}
+
 // sendAccountable logs SEND(m), attaches an authenticator, and transmits
 // the signed frame, retaining it for retransmission until acknowledged
 // (§4.3).
@@ -364,36 +400,30 @@ func (mon *Monitor) sendAccountable(dest uint32, payload []byte) {
 	prev := mon.Log.LastHash()
 	content := (&wire.SendContent{MsgID: mon.Log.NextSeq(), Dest: dest, Payload: payload}).Marshal()
 	e := mon.append(tevlog.TypeSend, content, ClassTamper)
-	auth, err := mon.Log.Authenticator(e.Seq)
-	if err != nil {
-		panic(fmt.Sprintf("avmm: authenticator for fresh entry: %v", err)) // cannot happen
-	}
-	// Signing and the pipe to the daemon happen off the guest's core; they
-	// delay the packet, not the AVM.
+	// Signing and the pipe to the daemon happen off the guest's core — in
+	// the model, which charges the daemon and delays the packet, not the
+	// AVM, and on the host, where the simulation carries on while a daemon
+	// worker signs.
 	procNs := mon.cfg.Cost.DaemonNs
 	if mon.cfg.Mode.Signs() {
 		procNs += mon.cfg.Cost.SignNs
 	}
 	mon.daemonCharge(procNs)
 
-	f := &wire.Frame{
+	frame := mon.commitFrame(&wire.Frame{
 		Kind: wire.FrameData, FromNode: string(mon.cfg.Node), MsgID: e.Seq,
-		Payload: payload, AuthSeq: auth.Seq, AuthHash: auth.Hash,
-		PrevHash: prev, AuthSig: auth.Sig,
-	}
-	raw := f.Marshal()
-	wireBytes := len(raw) + wire.TCPIPOverhead
+		Payload: payload, PrevHash: prev,
+	}, e.Seq)
 	sentAt := mon.Machine.VTimeNs() + procNs
 	mon.outbox[e.Seq] = &pendingMsg{
-		msgID: e.Seq, dest: int(dest), frameBytes: raw,
-		wireBytes: wireBytes, lastSentNs: sentAt, attempts: 1,
+		msgID: e.Seq, dest: int(dest), frame: frame, lastSentNs: sentAt, attempts: 1,
 	}
 	if mon.suspended[int(dest)] {
 		// Held in the outbox; the retransmission path delivers it once the
 		// peer answers its challenge.
 		return
 	}
-	mon.cfg.Net.Send(sentAt, mon.cfg.Index, int(dest), raw, wireBytes)
+	mon.send(sentAt, int(dest), frame)
 }
 
 // --- receiving ---
@@ -443,7 +473,7 @@ func (mon *Monitor) handleAccountable(nf netsim.Frame) {
 	case wire.FrameData:
 		mon.handleData(nf, f)
 	case wire.FrameAck:
-		mon.handleAck(f)
+		mon.handleAck(nf.From, f)
 	default:
 		mon.BadFrames++
 	}
@@ -472,9 +502,8 @@ func (mon *Monitor) handleData(nf netsim.Frame, f *wire.Frame) {
 	key := f.FromNode + "/" + fmt.Sprint(f.MsgID)
 	if mon.recvSeen[key] {
 		// Duplicate (our ack was lost): resend the saved ack, do not re-log.
-		if ackRaw := mon.seenAcks[key]; ackRaw != nil {
-			mon.cfg.Net.Send(mon.Machine.VTimeNs(), mon.cfg.Index, nf.From,
-				ackRaw, len(ackRaw)+wire.TCPIPOverhead)
+		if ack, ok := mon.seenAcks[key]; ok {
+			mon.send(mon.Machine.VTimeNs(), nf.From, ack)
 		}
 		return
 	}
@@ -490,24 +519,17 @@ func (mon *Monitor) handleData(nf netsim.Frame, f *wire.Frame) {
 	e := mon.append(tevlog.TypeRecv, recvContent, ClassTamper)
 
 	// Acknowledge: our authenticator for the RECV entry proves we logged it.
-	ackAuth, err := mon.Log.Authenticator(e.Seq)
-	if err != nil {
-		panic(fmt.Sprintf("avmm: authenticator for fresh entry: %v", err)) // cannot happen
-	}
 	ackSignNs := uint64(0)
 	if mon.cfg.Mode.Signs() {
 		ackSignNs = mon.cfg.Cost.SignNs
 	}
 	mon.daemonCharge(ackSignNs)
-	ack := &wire.Frame{
-		Kind: wire.FrameAck, FromNode: string(mon.cfg.Node), MsgID: f.MsgID,
-		AuthSeq: ackAuth.Seq, AuthHash: ackAuth.Hash, PrevHash: prev, AuthSig: ackAuth.Sig,
-	}
-	ackRaw := ack.Marshal()
-	mon.seenAcks[key] = ackRaw
+	ack := mon.commitFrame(&wire.Frame{
+		Kind: wire.FrameAck, FromNode: string(mon.cfg.Node), MsgID: f.MsgID, PrevHash: prev,
+	}, e.Seq)
+	mon.seenAcks[key] = ack
 	now := mon.cfg.Net.Now()
-	mon.cfg.Net.Send(now+procNs+ackSignNs, mon.cfg.Index, nf.From,
-		ackRaw, len(ackRaw)+wire.TCPIPOverhead)
+	mon.send(now+procNs+ackSignNs, nf.From, ack)
 
 	// Finally, inject the payload into the AVM once the daemon-side
 	// processing delay has elapsed, cross-referenced to the RECV entry so
@@ -531,10 +553,19 @@ func (mon *Monitor) injectPacket(srcIdx uint32, payload []byte, recvSeq uint64) 
 	mon.Machine.RaiseIRQ(vm.IRQNet)
 }
 
-func (mon *Monitor) handleAck(f *wire.Frame) {
+// handleAck retires the message an acknowledgment is for. Only the node the
+// message went to can acknowledge it: from is the network's word on where
+// the frame came from, so no other node — however validly it signs its own
+// authenticators — can stop the retransmission of a message it never
+// received.
+func (mon *Monitor) handleAck(from int, f *wire.Frame) {
 	p := mon.outbox[f.MsgID]
 	if p == nil {
 		return // duplicate or stale ack
+	}
+	if from != p.dest {
+		mon.BadFrames++
+		return
 	}
 	if mon.cfg.Mode.Signs() {
 		mon.daemonCharge(mon.cfg.Cost.VerifyNs)
@@ -635,7 +666,7 @@ func (mon *Monitor) Tick(nowNs uint64) {
 				p.lastSentNs = nowNs
 				p.attempts++
 				mon.Retransmits++
-				mon.cfg.Net.Send(nowNs, mon.cfg.Index, p.dest, p.frameBytes, p.wireBytes)
+				mon.send(nowNs, p.dest, p.frame)
 			}
 		}
 	}

@@ -25,6 +25,13 @@ func (f DriverFunc) Tick(w *World, nowNs uint64) { f(w, nowNs) }
 // World co-schedules a set of monitored machines and the network in
 // deterministic virtual-time slices, standing in for the paper's testbed of
 // physical machines on a switch.
+//
+// One goroutine — whichever calls Run — simulates every machine and the
+// network. The only work that leaves it is the signing of authenticators,
+// which the world's logging daemon does on up to GOMAXPROCS other
+// goroutines while the simulation carries on; a frame's signature is
+// waited for when the frame is due at its destination, so what is recorded
+// does not depend on whether, or how fast, that happened.
 type World struct {
 	Net      *netsim.Network
 	Keys     *sig.KeyStore
@@ -33,11 +40,12 @@ type World struct {
 	// SliceNs is the co-scheduling quantum (default 1 ms).
 	SliceNs uint64
 	nowNs   uint64
+	daemon  *daemon
 }
 
 // NewWorld creates a world over the given network.
 func NewWorld(net *netsim.Network, keys *sig.KeyStore) *World {
-	w := &World{Net: net, Keys: keys, SliceNs: 1_000_000}
+	w := &World{Net: net, Keys: keys, SliceNs: 1_000_000, daemon: newDaemon()}
 	net.Deliver = w.route
 	return w
 }
@@ -51,6 +59,7 @@ func (w *World) Add(mon *Monitor) error {
 		return fmt.Errorf("avmm: monitor %q has index %d, expected %d", mon.Node(), mon.Index(), len(w.Monitors))
 	}
 	w.Monitors = append(w.Monitors, mon)
+	mon.daemon = w.daemon
 	if v := mon.cfg.Signer.Public(); w.Keys != nil {
 		w.Keys.Add(v)
 	}
@@ -67,9 +76,16 @@ func (w *World) route(f netsim.Frame) {
 	w.Monitors[f.To].HandleIncoming(f)
 }
 
+// DaemonStats reports how the recording so far used the logging daemon.
+func (w *World) DaemonStats() DaemonStats { return w.daemon.stats }
+
 // Run advances the world until virtual time untilNs, scheduling every
-// machine, delivering frames, and running housekeeping each slice.
+// machine, delivering frames, and running housekeeping each slice. Before
+// it returns it waits for the signatures still being computed for frames
+// in flight, so once Run is back no goroutine of the daemon exists and
+// everything the monitors hold is final.
 func (w *World) Run(untilNs uint64) {
+	defer w.daemon.drain()
 	for w.nowNs < untilNs {
 		end := w.nowNs + w.SliceNs
 		if end > untilNs {

@@ -206,8 +206,17 @@ type Scenario struct {
 	imgs   map[sig.NodeID]*vm.Image
 }
 
-// NewScenario compiles the guests and boots the two machines.
+// NewScenario generates the two machines' keys, compiles the guests and
+// boots them.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
+	return newScenario(cfg, nil)
+}
+
+// newScenario is NewScenario with the signers of db-server and db-client
+// supplied; nil makes them from cfg. A test that records one world twice
+// and compares bytes passes both builds the same keys, because a fresh RSA
+// key differs from one generation to the next whatever the seed.
+func newScenario(cfg ScenarioConfig, signers map[sig.NodeID]sig.Signer) (*Scenario, error) {
 	if cfg.KeySeed == "" {
 		cfg.KeySeed = "minisql"
 	}
@@ -226,18 +235,12 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		imgs: map[sig.NodeID]*vm.Image{"db-server": serverImg, "db-client": clientImg},
 	}
 	s.World = avmm.NewWorld(s.Net, s.Keys)
-	signer := func(id sig.NodeID) sig.Signer {
-		if cfg.Mode.Signs() {
-			if cfg.FakeSignatures {
-				return sig.SizedSigner{Node: id, Size: sig.PaperSigBytes}
-			}
-			return sig.MustGenerateRSA(id, sig.DefaultKeyBits, cfg.KeySeed)
-		}
-		return sig.NullSigner{Node: id}
+	if signers == nil {
+		signers = avmm.NodeSigners(cfg.Mode, cfg.FakeSignatures, cfg.KeySeed, "db-server", "db-client")
 	}
 	s.Server, err = avmm.NewMonitor(avmm.Config{
 		Node: "db-server", Index: 0, Mode: cfg.Mode, Cost: cfg.Cost,
-		Signer: signer("db-server"), Keys: s.Keys, Image: serverImg, Net: s.Net,
+		Signer: signers["db-server"], Keys: s.Keys, Image: serverImg, Net: s.Net,
 		RNGSeed: cfg.Seed + 500, SnapshotEveryNs: cfg.SnapshotEveryNs,
 	})
 	if err != nil {
@@ -245,7 +248,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	}
 	s.Client, err = avmm.NewMonitor(avmm.Config{
 		Node: "db-client", Index: 1, Mode: cfg.Mode, Cost: cfg.Cost,
-		Signer: signer("db-client"), Keys: s.Keys, Image: clientImg, Net: s.Net,
+		Signer: signers["db-client"], Keys: s.Keys, Image: clientImg, Net: s.Net,
 		RNGSeed: cfg.Seed + 501,
 	})
 	if err != nil {

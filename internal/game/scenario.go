@@ -84,9 +84,17 @@ type Scenario struct {
 	bots    []*botDriver
 }
 
-// NewScenario builds the world: compiles images, boots monitors, wires
-// bots.
+// NewScenario builds the world: generates the nodes' keys, compiles
+// images, boots monitors, wires bots.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
+	return newScenario(cfg, nil)
+}
+
+// newScenario is NewScenario with the nodes' signers supplied; nil makes
+// them from cfg. Fresh RSA keys differ from one generation to the next
+// whatever the seed, so a test that records one world twice and compares
+// bytes passes both builds the same signers.
+func newScenario(cfg ScenarioConfig, signers map[sig.NodeID]sig.Signer) (*Scenario, error) {
 	if cfg.Players == 0 {
 		cfg.Players = 3
 	}
@@ -109,15 +117,12 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		RefImgs: make(map[sig.NodeID]*vm.Image),
 	}
 	s.World = avmm.NewWorld(s.Net, s.Keys)
-
-	signer := func(id sig.NodeID) sig.Signer {
-		if cfg.Mode.Signs() {
-			if cfg.FakeSignatures {
-				return sig.SizedSigner{Node: id, Size: sig.PaperSigBytes}
-			}
-			return sig.MustGenerateRSA(id, sig.DefaultKeyBits, cfg.KeySeed)
+	if signers == nil {
+		nodes := []sig.NodeID{"server"}
+		for i := 1; i <= cfg.Players; i++ {
+			nodes = append(nodes, playerNode(i))
 		}
-		return sig.NullSigner{Node: id}
+		signers = avmm.NodeSigners(cfg.Mode, cfg.FakeSignatures, cfg.KeySeed, nodes...)
 	}
 
 	serverImg, err := BuildServer()
@@ -127,7 +132,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	s.RefImgs["server"] = serverImg
 	s.Server, err = avmm.NewMonitor(avmm.Config{
 		Node: "server", Index: 0, Mode: cfg.Mode, Cost: cfg.Cost,
-		Signer: signer("server"), Keys: s.Keys, Image: serverImg, Net: s.Net,
+		Signer: signers["server"], Keys: s.Keys, Image: serverImg, Net: s.Net,
 		RNGSeed: cfg.Seed + 100, NsPerInstr: GameNsPerInstr,
 		SnapshotEveryNs: cfg.SnapshotEveryNs, ClockDelayOpt: cfg.ClockDelayOpt,
 		SnapshotMaxDirtyBytes: cfg.SnapshotMaxDirtyBytes, SnapshotMaxInstr: cfg.SnapshotMaxInstr,
@@ -140,7 +145,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	}
 
 	for i := 1; i <= cfg.Players; i++ {
-		node := sig.NodeID(fmt.Sprintf("player%d", i))
+		node := playerNode(i)
 		opts := BuildOptions{RenderWork: cfg.RenderWork, FrameCap: cfg.FrameCap}
 		refImg, err := BuildClient(i, opts)
 		if err != nil {
@@ -157,7 +162,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		}
 		mon, err := avmm.NewMonitor(avmm.Config{
 			Node: node, Index: i, Mode: cfg.Mode, Cost: cfg.Cost,
-			Signer: signer(node), Keys: s.Keys, Image: runImg, Net: s.Net,
+			Signer: signers[node], Keys: s.Keys, Image: runImg, Net: s.Net,
 			RNGSeed: cfg.Seed + 100 + uint64(i), NsPerInstr: GameNsPerInstr,
 			SnapshotEveryNs: cfg.SnapshotEveryNs, ClockDelayOpt: cfg.ClockDelayOpt,
 			SnapshotMaxDirtyBytes: cfg.SnapshotMaxDirtyBytes, SnapshotMaxInstr: cfg.SnapshotMaxInstr,
@@ -185,6 +190,9 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	}
 	return s, nil
 }
+
+// playerNode names player i's machine (1-based).
+func playerNode(i int) sig.NodeID { return sig.NodeID(fmt.Sprintf("player%d", i)) }
 
 // Run advances the match to the given virtual time.
 func (s *Scenario) Run(untilNs uint64) { s.World.Run(untilNs) }

@@ -20,10 +20,17 @@ type Frame struct {
 	WireBytes int
 }
 
+// Waiter is the completion handle of a frame sent before all of its bytes
+// were final (SendPending): Wait returns once they are.
+type Waiter interface {
+	Wait()
+}
+
 type event struct {
 	at    uint64 // delivery time, virtual ns
 	seq   uint64 // tiebreaker for determinism
 	frame Frame
+	ready Waiter // nil: the frame was complete when it was sent
 }
 
 type eventQueue []event
@@ -118,6 +125,17 @@ func (n *Network) NodeStats(node int) *Stats {
 // Send enqueues a frame from the sender at virtual time sentAt. wireBytes
 // is the IP-level frame size for accounting; if 0, len(data) is used.
 func (n *Network) Send(sentAt uint64, from, to int, data []byte, wireBytes int) {
+	n.SendPending(sentAt, from, to, data, wireBytes, nil)
+}
+
+// SendPending is Send for a frame whose length is final but some of whose
+// bytes another goroutine is still writing (a signature being computed off
+// the simulation thread). Everything that depends on the send — accounting,
+// loss, latency, ordering — is decided now, from the length alone; the
+// bytes are first looked at when the frame is due, and AdvanceTo calls
+// ready.Wait before it hands them to Filter or Deliver. A frame that is
+// lost is never waited for.
+func (n *Network) SendPending(sentAt uint64, from, to int, data []byte, wireBytes int, ready Waiter) {
 	if wireBytes == 0 {
 		wireBytes = len(data)
 	}
@@ -138,15 +156,21 @@ func (n *Network) Send(sentAt uint64, from, to int, data []byte, wireBytes int) 
 	n.seq++
 	heap.Push(&n.queue, event{at: sentAt + delay, seq: n.seq, frame: Frame{
 		From: from, To: to, Data: data, WireBytes: wireBytes,
-	}})
+	}, ready: ready})
 }
 
 // AdvanceTo moves the virtual clock to t, delivering every frame due at or
-// before t in deterministic order.
+// before t in deterministic order. A frame sent with SendPending is waited
+// for when its turn comes, so neither Filter nor Deliver ever sees bytes
+// that are still being written, and what they see does not depend on how
+// long the writer took.
 func (n *Network) AdvanceTo(t uint64) {
 	for len(n.queue) > 0 && n.queue[0].at <= t {
 		e := heap.Pop(&n.queue).(event)
 		n.now = e.at
+		if e.ready != nil {
+			e.ready.Wait()
+		}
 		if n.Filter != nil && !n.Filter(e.frame) {
 			n.NodeStats(e.frame.From).FramesLost++
 			continue

@@ -189,3 +189,53 @@ func TestPropertyAllFramesDeliveredInTimeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// finishOnWait stands for a frame whose last bytes arrive while the network
+// waits for it: Wait writes them.
+type finishOnWait struct {
+	data  []byte
+	waits int
+}
+
+func (f *finishOnWait) Wait() {
+	f.waits++
+	copy(f.data, "done")
+}
+
+func TestSendPendingIsWaitedForBeforeFilterAndDeliver(t *testing.T) {
+	n := New(Config{BaseLatencyNs: 100})
+	got := collect(n)
+	n.Filter = func(f Frame) bool {
+		if string(f.Data) != "done" {
+			t.Errorf("filter saw %q", f.Data)
+		}
+		return true
+	}
+	w := &finishOnWait{data: []byte("....")}
+	n.SendPending(0, 0, 1, w.data, 0, w)
+	if w.waits != 0 {
+		t.Fatal("sending waited for the frame")
+	}
+	n.AdvanceTo(99)
+	if w.waits != 0 {
+		t.Fatal("waited before the frame was due")
+	}
+	n.AdvanceTo(100)
+	if w.waits != 1 || len(*got) != 1 || string((*got)[0].Data) != "done" {
+		t.Fatalf("waits %d, delivered %v", w.waits, *got)
+	}
+	if st := n.NodeStats(0); st.FramesSent != 1 || st.BytesSent != 4 {
+		t.Fatalf("accounting %+v: a pending frame is counted when it is sent, by its length", *st)
+	}
+}
+
+func TestLostPendingFrameIsNeverWaitedFor(t *testing.T) {
+	n := New(Config{BaseLatencyNs: 100, LossRate: 0x10000})
+	got := collect(n)
+	w := &finishOnWait{data: []byte("....")}
+	n.SendPending(0, 0, 1, w.data, 0, w)
+	n.AdvanceTo(1000)
+	if w.waits != 0 || len(*got) != 0 || n.NodeStats(0).FramesLost != 1 {
+		t.Fatalf("waits %d, delivered %d, stats %+v", w.waits, len(*got), *n.NodeStats(0))
+	}
+}

@@ -133,6 +133,30 @@ func MustGenerateRSA(id NodeID, bits int, seed string) *RSASigner {
 	return s
 }
 
+// MustGenerateRSAAll is MustGenerateRSA for every id at once, one goroutine
+// per key: each key draws from its own seeded stream, so the keys are
+// independent and generating three takes as long as generating the slowest.
+// The result is in the order of ids.
+func MustGenerateRSAAll(ids []NodeID, bits int, seed string) []*RSASigner {
+	out := make([]*RSASigner, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id NodeID) {
+			defer wg.Done()
+			out[i], errs[i] = GenerateRSA(id, bits, seed)
+		}(i, id)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
 // ID returns the principal this signer signs for.
 func (s *RSASigner) ID() NodeID { return s.id }
 

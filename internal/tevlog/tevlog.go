@@ -273,18 +273,27 @@ func (l *Log) Entry(seq uint64) (Entry, error) {
 	return l.entries[seq-1], nil
 }
 
+// Commitment issues the commitment a_i for entry seq without signing it:
+// the authenticator with Sig left nil, and the byte string a signature over
+// it must cover. The (s_i, h_i) pair is fixed from here on; a caller that
+// signs elsewhere (the AVMM's logging daemon) puts the signature wherever
+// the authenticator travels.
+func (l *Log) Commitment(seq uint64) (Authenticator, []byte, error) {
+	e, err := l.Entry(seq)
+	if err != nil {
+		return Authenticator{}, nil, err
+	}
+	return Authenticator{Node: l.node, Seq: e.Seq, Hash: e.Hash}, authBody(e.Seq, e.Hash), nil
+}
+
 // Authenticator produces the signed commitment a_i for entry seq.
 func (l *Log) Authenticator(seq uint64) (Authenticator, error) {
-	e, err := l.Entry(seq)
+	a, body, err := l.Commitment(seq)
 	if err != nil {
 		return Authenticator{}, err
 	}
-	return Authenticator{
-		Node: l.node,
-		Seq:  e.Seq,
-		Hash: e.Hash,
-		Sig:  l.signer.Sign(authBody(e.Seq, e.Hash)),
-	}, nil
+	a.Sig = l.signer.Sign(body)
+	return a, nil
 }
 
 // LastAuthenticator signs the current head of the log.

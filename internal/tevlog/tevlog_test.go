@@ -2,6 +2,7 @@ package tevlog
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +300,30 @@ func TestEntryTypeStrings(t *testing.T) {
 		if typ.String() != want {
 			t.Errorf("%d.String() = %q, want %q", typ, typ.String(), want)
 		}
+	}
+}
+
+func TestCommitmentIsTheAuthenticatorLessItsSignature(t *testing.T) {
+	signer := sig.SizedSigner{Node: "n", Size: 96}
+	l := New(signer)
+	l.Append(TypeSend, []byte("one"))
+	l.Append(TypeRecv, []byte("two"))
+	c, body, err := l.Commitment(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Sig != nil {
+		t.Fatal("a commitment arrived signed")
+	}
+	a, err := l.Authenticator(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Sig = signer.Sign(body)
+	if !reflect.DeepEqual(a, c) {
+		t.Fatalf("signing the commitment's body gives %+v, Authenticator gives %+v", c, a)
+	}
+	if _, _, err := l.Commitment(3); err == nil {
+		t.Fatal("commitment to an entry that does not exist")
 	}
 }

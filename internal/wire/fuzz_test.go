@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -40,6 +41,75 @@ func fuzzSeeds(f *testing.F, valid ...[]byte) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
+}
+
+// The frame one monitor accepts from another: any machine on the simulated
+// network, faulty ones included, chooses these bytes.
+
+func FuzzParseFrame(f *testing.F) {
+	data := &Frame{
+		Kind: FrameData, FromNode: "player1", MsgID: 41, Payload: []byte("move north"),
+		AuthSeq: 41, AuthHash: [32]byte{1, 2, 3}, PrevHash: [32]byte{4, 5}, AuthSig: bytes.Repeat([]byte{0xA5}, 128),
+	}
+	ack := &Frame{Kind: FrameAck, FromNode: "server", MsgID: 41, AuthSeq: 977, AuthSig: []byte{7}, BodySig: []byte("body")}
+	slotted, _ := data.MarshalSigSlot(128)
+	fuzzSeeds(f, data.Marshal(), ack.Marshal(), slotted, (&Frame{Kind: FrameChallenge, Payload: []byte("why")}).Marshal())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzRoundTrip(t, b, ParseFrame, (*Frame).Marshal)
+		if fr, err := ParseFrame(b); err == nil {
+			requireSlotFills(t, fr, fr.AuthSig)
+		}
+	})
+}
+
+// requireSlotFills checks the property the recording monitor's deferred
+// signing rests on: marshaling f with a zeroed signature slot and then
+// copying signature into the slot gives the bytes Marshal gives with
+// signature as AuthSig, and touches nothing else.
+func requireSlotFills(t *testing.T, f *Frame, signature []byte) {
+	t.Helper()
+	withSig := *f
+	withSig.AuthSig = signature
+	want := withSig.Marshal()
+	raw, slot := f.MarshalSigSlot(len(signature))
+	if len(raw) != len(want) || len(slot) != len(signature) {
+		t.Fatalf("slot frame is %d bytes with a %d-byte slot; want %d and %d", len(raw), len(slot), len(want), len(signature))
+	}
+	if !bytes.Equal(slot, make([]byte, len(slot))) {
+		t.Fatalf("slot is not zeroed: %x", slot)
+	}
+	if cap(slot) != len(slot) {
+		t.Fatalf("slot has capacity %d past its %d bytes: an append would write into the frame", cap(slot), len(slot))
+	}
+	copy(slot, signature)
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("filled slot frame differs from Marshal:\n got %x\nwant %x", raw, want)
+	}
+}
+
+func TestMarshalSigSlotFillsToMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	blob := func(max int) []byte {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return b
+	}
+	for i := 0; i < 2000; i++ {
+		f := &Frame{
+			Kind: FrameKind(1 + rng.Intn(4)), FromNode: string(blob(20)), MsgID: rng.Uint64() >> uint(rng.Intn(64)),
+			Payload: blob(300), AuthSeq: rng.Uint64() >> uint(rng.Intn(64)), BodySig: blob(140),
+			AuthSig: blob(8), // ignored by MarshalSigSlot
+		}
+		rng.Read(f.AuthHash[:])
+		rng.Read(f.PrevHash[:])
+		// Signature lengths on both sides of the one- and two-byte length
+		// prefixes, and the empty signature of the null signer.
+		for _, n := range []int{0, 1, 96, 127, 128, 129, 256} {
+			signature := make([]byte, n)
+			rng.Read(signature)
+			requireSlotFills(t, f, signature)
+		}
+	}
 }
 
 // The frames a worker accepts from the network: a session, then jobs.

@@ -355,8 +355,9 @@ type Frame struct {
 	BodySig []byte
 }
 
-// Marshal serializes the frame.
-func (f *Frame) Marshal() []byte {
+// marshal serializes the frame with authSig as its AuthSig field and reports
+// the offset of that field's bytes (past their length prefix).
+func (f *Frame) marshal(authSig []byte) ([]byte, int) {
 	w := &writer{}
 	w.uvarint(uint64(f.Kind))
 	w.str(f.FromNode)
@@ -365,9 +366,29 @@ func (f *Frame) Marshal() []byte {
 	w.uvarint(f.AuthSeq)
 	w.hash(f.AuthHash)
 	w.hash(f.PrevHash)
-	w.bytes(f.AuthSig)
+	w.uvarint(uint64(len(authSig)))
+	sigOff := len(w.b)
+	w.b = append(w.b, authSig...)
 	w.bytes(f.BodySig)
-	return w.b
+	return w.b, sigOff
+}
+
+// Marshal serializes the frame.
+func (f *Frame) Marshal() []byte {
+	raw, _ := f.marshal(f.AuthSig)
+	return raw
+}
+
+// MarshalSigSlot serializes the frame with sigLen zero bytes where AuthSig
+// goes (f.AuthSig is ignored) and returns, besides the frame, the slot: the
+// sub-slice of the frame those bytes occupy. Copying a sigLen-byte
+// signature into the slot yields exactly the bytes Marshal produces with
+// that signature as AuthSig, so a sender can fix a frame's size, position
+// and every other byte before the signature has been computed. Until it
+// has, the frame parses but its authenticator does not verify.
+func (f *Frame) MarshalSigSlot(sigLen int) (raw, slot []byte) {
+	raw, off := f.marshal(make([]byte, sigLen))
+	return raw, raw[off : off+sigLen : off+sigLen]
 }
 
 // ParseFrame decodes a frame.
