@@ -4,10 +4,11 @@
 // tile file per node; segments — an epoch's log-entry run (a logcomp
 // container) or one snapshot increment — are appended to the node's tile
 // and indexed by a manifest record carrying the segment's SHA-256, so
-// every byte read back is verified before it reaches a replay. Appends
-// are crash-safe in the coordinator journal's mold: fsync-batched, with a
-// truncation-tolerant open that cuts a torn tail back to the last valid
-// record. Per node, the sequence of epoch payload hashes forms a Merkle
+// every byte read back is verified before it reaches a replay. The
+// manifest is a wal.Log and the tiles are its payload files, so appends are
+// crash-safe by internal/wal's rules: fsync-batched, payload durable before
+// the record that indexes it, and an open that cuts a torn tail back to the
+// last valid record. Per node, the sequence of epoch payload hashes forms a Merkle
 // log; LogRoot/ProveEpoch serve inclusion proofs for "this epoch run is
 // in this archived log".
 //
@@ -18,17 +19,15 @@
 package archive
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/logcomp"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -45,102 +44,54 @@ type nodeState struct {
 // others read; all methods are safe for concurrent use. The zero value is
 // not usable — call Open.
 type Archive struct {
-	// SyncEvery fsyncs after this many appended segments. <= 0 selects 16.
-	SyncEvery int
-	// SyncInterval fsyncs when this long has passed since the last fsync,
-	// checked at each append. <= 0 selects 50ms.
-	SyncInterval time.Duration
-
-	mu            sync.Mutex
-	dir           string
-	manifest      *os.File // append handle, nil until first append
-	nodes         map[string]*nodeState
-	order         []string            // node names in manifest order
-	writers       map[string]*os.File // tile append handles
-	readers       map[string]*os.File // tile read handles
-	dirty         map[string]bool     // tiles with unsynced writes
-	unsynced      int
-	lastSync      time.Time
-	manifestBytes int64
-	// broken is the first tile/manifest write or sync failure. A failed
-	// write can leave the O_APPEND offset ahead of the indexed tail, so
-	// further appends would commit records whose extents no longer match
-	// the physical payload; every subsequent append returns this sticky
-	// error instead. Reads stay available — archived extents are intact.
-	broken error
+	mu      sync.Mutex
+	dir     string
+	fsys    wal.FS
+	log     *wal.Log // the manifest
+	nodes   map[string]*nodeState
+	order   []string                // node names in manifest order
+	tiles   map[string]*wal.Payload // tile append handles
+	readers map[string]*os.File     // tile read handles
 }
 
 // Open opens (creating if needed) the archive in dir, replays the
 // manifest up to its valid prefix, drops records whose payload extent a
-// crash left torn, truncates tile files back to their last indexed byte,
-// and compacts the manifest when the valid prefix differs from the file.
-func Open(dir string) (*Archive, error) {
+// crash left torn, and compacts the manifest when the valid prefix differs
+// from the file. Payload bytes a crash left beyond a tile's last indexed
+// extent are cut off by the first append to that tile, not here: an archive
+// that is only read is not written to.
+func Open(dir string) (*Archive, error) { return open(wal.OS, dir) }
+
+func open(fsys wal.FS, dir string) (*Archive, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: dir: %w", err)
 	}
 	a := &Archive{
 		dir:     dir,
+		fsys:    fsys,
 		nodes:   make(map[string]*nodeState),
-		writers: make(map[string]*os.File),
+		tiles:   make(map[string]*wal.Payload),
 		readers: make(map[string]*os.File),
-		dirty:   make(map[string]bool),
 	}
-	raw, err := os.ReadFile(a.manifestPath())
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("archive: reading manifest: %w", err)
+	// The valid prefix ends at the first torn or corrupt frame (wal's
+	// rule), at the first record that fails semantic validation (wrong
+	// order, unknown node, unknown kind), or at the first record whose
+	// extent exceeds its tile file — the record was durable before its
+	// payload, which only a crash produces, and later records were appended
+	// later still. The compact image is the surviving records.
+	tileSize := make(map[string]int64)
+	log, err := wal.Open(fsys, a.manifestPath(), MaxRecordSize,
+		func(body []byte) bool { return a.applyRecord(body, tileSize) }, a.marshalManifest)
+	if err != nil {
+		return nil, fmt.Errorf("archive: manifest: %w", err)
 	}
-	a.replayManifest(raw)
-
-	// Compact: rewrite the surviving records atomically when the file
-	// holds anything else (a torn tail, or records dropped for torn
-	// payloads), so appends never land after garbage.
-	compacted := a.marshalManifest()
-	if !bytes.Equal(compacted, raw) {
-		if err := WriteFileDurable(a.manifestPath(), a.dir, compacted); err != nil {
-			return nil, fmt.Errorf("archive: compacting manifest: %w", err)
-		}
-	}
-	a.manifestBytes = int64(len(compacted))
-	a.lastSync = time.Now()
-
-	// Drop orphan payload bytes a crash left beyond the last indexed
-	// extent, so future appends start exactly at the tail the manifest
-	// describes.
-	for _, ns := range a.nodes {
-		p := a.tilePath(ns.name)
-		if fi, err := os.Stat(p); err == nil && fi.Size() > ns.tail {
-			if err := os.Truncate(p, ns.tail); err != nil {
-				return nil, fmt.Errorf("archive: truncating %s tile: %w", ns.name, err)
-			}
-		}
-	}
+	a.log = log
 	return a, nil
 }
 
 func (a *Archive) manifestPath() string { return filepath.Join(a.dir, ManifestName) }
 
 func (a *Archive) tilePath(node string) string { return filepath.Join(a.dir, node+TileSuffix) }
-
-// replayManifest folds the manifest's valid prefix into node state. The
-// prefix ends at the first torn or corrupt frame, at the first record
-// that fails semantic validation (wrong order, unknown node, unknown
-// kind), or at the first record whose extent exceeds its tile file — the
-// record was durable before its payload, which only a crash produces, and
-// later records were appended later still.
-func (a *Archive) replayManifest(raw []byte) {
-	tileSize := make(map[string]int64)
-	b := raw
-	for {
-		body, rest, ok := nextFrame(b)
-		if !ok {
-			return
-		}
-		if !a.applyRecord(body, tileSize) {
-			return
-		}
-		b = rest
-	}
-}
 
 // applyRecord folds one manifest record body; false ends the prefix.
 func (a *Archive) applyRecord(body []byte, tileSize map[string]int64) bool {
@@ -156,8 +107,8 @@ func (a *Archive) applyRecord(body []byte, tileSize map[string]int64) bool {
 			return false
 		}
 		a.addNode(node, memSize)
-		if sz, err := fileSize(a.tilePath(node)); err == nil {
-			tileSize[node] = sz
+		if fi, err := os.Stat(a.tilePath(node)); err == nil {
+			tileSize[node] = fi.Size()
 		}
 		return true
 	case RecordEpoch:
@@ -203,17 +154,17 @@ func (a *Archive) marshalManifest() []byte {
 	var out []byte
 	for _, name := range a.order {
 		ns := a.nodes[name]
-		out = appendFrame(out, marshalNodeRecord(ns.name, ns.memSize))
+		out = wal.AppendFrame(out, marshalNodeRecord(ns.name, ns.memSize))
 		// Interleave in tile order so extent contiguity (off == tail)
 		// revalidates on the next open.
 		ei, si := 0, 0
 		for ei < len(ns.epochs) || si < len(ns.snaps) {
 			switch {
 			case si >= len(ns.snaps), ei < len(ns.epochs) && ns.epochs[ei].Off < ns.snaps[si].Off:
-				out = appendFrame(out, marshalEpochRecord(ns.name, ei, &ns.epochs[ei]))
+				out = wal.AppendFrame(out, marshalEpochRecord(ns.name, ei, &ns.epochs[ei]))
 				ei++
 			default:
-				out = appendFrame(out, marshalSnapRecord(ns.name, si, &ns.snaps[si]))
+				out = wal.AppendFrame(out, marshalSnapRecord(ns.name, si, &ns.snaps[si]))
 				si++
 			}
 		}
@@ -226,50 +177,6 @@ func (a *Archive) addNode(node string, memSize int) *nodeState {
 	a.nodes[node] = ns
 	a.order = append(a.order, node)
 	return ns
-}
-
-func fileSize(path string) (int64, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-// WriteFileDurable atomically replaces path (a file in dir) with data:
-// write to a temp file, fsync it, rename over path, fsync the directory. A
-// plain WriteFile+Rename can leave an empty or truncated file after a
-// crash, which for the manifest would silently drop every archived record
-// and for the coordinator's epoch journal every durable verdict.
-func WriteFileDurable(path, dir string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Nodes returns the archived node names in first-appended order.
@@ -305,9 +212,6 @@ func (a *Archive) node(name string) (*nodeState, error) {
 func (a *Archive) BeginNode(node string, memSize int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.usableLocked(); err != nil {
-		return err
-	}
 	if node == "" || len(node) > 255 {
 		return fmt.Errorf("archive: invalid node name %q", node)
 	}
@@ -317,7 +221,7 @@ func (a *Archive) BeginNode(node string, memSize int) error {
 		}
 		return nil
 	}
-	if err := a.appendRecord(marshalNodeRecord(node, memSize), nil); err != nil {
+	if err := a.log.Append(marshalNodeRecord(node, memSize)); err != nil {
 		return err
 	}
 	a.addNode(node, memSize)
@@ -352,9 +256,6 @@ func (a *Archive) AppendEpoch(node string, meta EpochMeta, entries []tevlog.Entr
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.usableLocked(); err != nil {
-		return err
-	}
 	ns, err := a.node(node)
 	if err != nil {
 		return err
@@ -374,10 +275,7 @@ func (a *Archive) AppendEpoch(node string, meta EpochMeta, entries []tevlog.Entr
 		Len:      int64(len(payload)),
 		Hash:     payloadHash(payload),
 	}
-	if err := a.appendSegment(ns, payload); err != nil {
-		return err
-	}
-	if err := a.appendRecord(marshalEpochRecord(node, len(ns.epochs), &rec), ns); err != nil {
+	if err := a.appendSegment(ns, payload, marshalEpochRecord(node, len(ns.epochs), &rec)); err != nil {
 		return err
 	}
 	ns.epochs = append(ns.epochs, rec)
@@ -390,9 +288,6 @@ func (a *Archive) AppendEpoch(node string, meta EpochMeta, entries []tevlog.Entr
 func (a *Archive) AppendSnapshot(node string, s *snapshot.Snapshot) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.usableLocked(); err != nil {
-		return err
-	}
 	ns, err := a.node(node)
 	if err != nil {
 		return err
@@ -405,10 +300,7 @@ func (a *Archive) AppendSnapshot(node string, s *snapshot.Snapshot) error {
 		Root: s.Root, MemRoot: s.MemRoot, ICount: s.ICount,
 		Off: ns.tail, Len: int64(len(payload)), Hash: payloadHash(payload),
 	}
-	if err := a.appendSegment(ns, payload); err != nil {
-		return err
-	}
-	if err := a.appendRecord(marshalSnapRecord(node, len(ns.snaps), &rec), ns); err != nil {
+	if err := a.appendSegment(ns, payload, marshalSnapRecord(node, len(ns.snaps), &rec)); err != nil {
 		return err
 	}
 	ns.snaps = append(ns.snaps, rec)
@@ -416,127 +308,54 @@ func (a *Archive) AppendSnapshot(node string, s *snapshot.Snapshot) error {
 	return nil
 }
 
-// appendSegment writes payload at the node's tile tail. Callers hold mu.
-func (a *Archive) appendSegment(ns *nodeState, payload []byte) error {
-	w := a.writers[ns.name]
-	if w == nil {
-		f, err := os.OpenFile(a.tilePath(ns.name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("archive: opening %s tile: %w", ns.name, err)
+// appendSegment writes payload at the node's tile tail and then the
+// manifest record that indexes it. The log's fsync pass makes them durable
+// in that order, and its first failed write makes every later append
+// return the same error: the O_APPEND offset may then be ahead of the
+// indexed tail, so a further record's extent would not match its payload.
+// Reads stay available — archived extents are intact. Callers hold mu.
+func (a *Archive) appendSegment(ns *nodeState, payload, record []byte) error {
+	t := a.tiles[ns.name]
+	if t == nil {
+		// First append to this tile by this process. A crash can leave
+		// payload bytes no surviving record indexes — past the indexed tail,
+		// or a whole tile whose node record was lost — and O_APPEND would
+		// put the new payload behind them, off the extent its record names.
+		path := a.tilePath(ns.name)
+		if fi, err := os.Stat(path); err == nil && fi.Size() > ns.tail {
+			if err := a.fsys.Truncate(path, ns.tail); err != nil {
+				return fmt.Errorf("archive: truncating %s tile: %w", ns.name, err)
+			}
 		}
-		a.writers[ns.name] = f
-		w = f
-	}
-	if _, err := w.Write(payload); err != nil {
-		return a.poisonLocked(fmt.Errorf("archive: writing %s tile: %w", ns.name, err))
-	}
-	a.dirty[ns.name] = true
-	return nil
-}
-
-// poisonLocked records the archive's first write failure and marks it
-// unusable for appends (see the broken field). Callers hold mu.
-func (a *Archive) poisonLocked(err error) error {
-	if a.broken == nil {
-		a.broken = err
-	}
-	return err
-}
-
-// usableLocked rejects appends after a write failure. Callers hold mu.
-func (a *Archive) usableLocked() error {
-	if a.broken != nil {
-		return fmt.Errorf("archive: unusable after earlier write failure: %w", a.broken)
-	}
-	return nil
-}
-
-// appendRecord frames and appends one manifest record, then applies the
-// batched fsync policy: the record's tile (payload first, then manifest)
-// is made durable every SyncEvery segments or SyncInterval. Callers hold
-// mu. ns is the tile the record indexes, nil for node records.
-func (a *Archive) appendRecord(body []byte, ns *nodeState) error {
-	if a.manifest == nil {
-		f, err := os.OpenFile(a.manifestPath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("archive: opening manifest: %w", err)
+		var err error
+		if t, err = a.log.Payload(ns.name + TileSuffix); err != nil {
+			return err
 		}
-		a.manifest = f
+		a.tiles[ns.name] = t
 	}
-	frame := appendFrame(nil, body)
-	if _, err := a.manifest.Write(frame); err != nil {
-		return a.poisonLocked(fmt.Errorf("archive: writing manifest: %w", err))
+	if err := t.Write(payload); err != nil {
+		return err
 	}
-	a.manifestBytes += int64(len(frame))
-	a.unsynced++
-	every := a.SyncEvery
-	if every <= 0 {
-		every = 16
-	}
-	interval := a.SyncInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	if a.unsynced >= every || time.Since(a.lastSync) >= interval {
-		return a.syncLocked()
-	}
-	return nil
-}
-
-// syncLocked makes every appended segment durable: dirty tiles first —
-// a manifest record must never be durable before the payload it indexes —
-// then the manifest. Callers hold mu.
-func (a *Archive) syncLocked() error {
-	names := make([]string, 0, len(a.dirty))
-	for name := range a.dirty {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := a.writers[name].Sync(); err != nil {
-			return a.poisonLocked(fmt.Errorf("archive: syncing %s tile: %w", name, err))
-		}
-		delete(a.dirty, name)
-	}
-	if a.manifest != nil {
-		if err := a.manifest.Sync(); err != nil {
-			return a.poisonLocked(fmt.Errorf("archive: syncing manifest: %w", err))
-		}
-	}
-	a.unsynced = 0
-	a.lastSync = time.Now()
-	return nil
+	return a.log.Append(record)
 }
 
 // Sync forces every appended segment durable immediately.
 func (a *Archive) Sync() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.syncLocked()
+	return a.log.Sync()
 }
 
 // Close syncs and releases every file handle. The archive is unusable
-// afterwards.
+// for appends afterwards.
 func (a *Archive) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	err := a.syncLocked()
-	for _, f := range a.writers {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := a.log.Close()
 	for _, f := range a.readers {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		f.Close() // read-only handle; nothing to lose
 	}
-	if a.manifest != nil {
-		if cerr := a.manifest.Close(); err == nil {
-			err = cerr
-		}
-	}
-	a.writers, a.readers, a.manifest = map[string]*os.File{}, map[string]*os.File{}, nil
+	a.tiles, a.readers = map[string]*wal.Payload{}, map[string]*os.File{}
 	return err
 }
 
@@ -544,7 +363,7 @@ func (a *Archive) Close() error {
 func (a *Archive) Bytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	total := a.manifestBytes
+	total := a.log.Size()
 	for _, ns := range a.nodes {
 		total += ns.tail
 	}
@@ -557,6 +376,9 @@ func (a *Archive) Bytes() int64 {
 // so dispatch jobs and stream epochs align with archived segments.
 // Entries must carry chain hashes (a recorder's live log does). sf may be
 // nil for a snapshot-free recording, which archives as one boot epoch.
+// Increments and epochs the archive already holds for node are skipped, so
+// calling it again after a crash cut the archive back to a prefix appends
+// exactly what is missing.
 func (a *Archive) WriteRecording(node string, entries []tevlog.Entry, sf *snapshot.StoreFile) error {
 	memSize := 0
 	if sf != nil {
@@ -565,19 +387,17 @@ func (a *Archive) WriteRecording(node string, entries []tevlog.Entry, sf *snapsh
 	if err := a.BeginNode(node, memSize); err != nil {
 		return err
 	}
+	haveSnaps, _ := a.Snapshots(node)
+	haveEpochs, _ := a.Epochs(node)
 	if sf != nil {
-		for _, s := range sf.Snaps {
+		for _, s := range sf.Snaps[min(haveSnaps, len(sf.Snaps)):] {
 			if err := a.AppendSnapshot(node, s); err != nil {
 				return err
 			}
 		}
 	}
-	if len(entries) == 0 {
-		return a.Sync()
-	}
-	var meta EpochMeta
-	meta.Boot = true
-	start := 0
+	meta := EpochMeta{Boot: true}
+	start, k := 0, 0
 	for i := range entries {
 		e := &entries[i]
 		if e.Type != tevlog.TypeSnapshot {
@@ -589,16 +409,18 @@ func (a *Archive) WriteRecording(node string, entries []tevlog.Entry, sf *snapsh
 		}
 		meta.Closed = true
 		meta.EndSnap, meta.EndRoot, meta.EndICount = ev.SnapIdx, ev.Root, ev.Landmark.ICount
-		if err := a.AppendEpoch(node, meta, entries[start:i+1]); err != nil {
-			return err
+		if k >= haveEpochs {
+			if err := a.AppendEpoch(node, meta, entries[start:i+1]); err != nil {
+				return err
+			}
 		}
+		k++
 		start = i + 1
 		meta = EpochMeta{
 			StartSnap: ev.SnapIdx, StartSeq: e.Seq, StartRoot: ev.Root,
 		}
 	}
-	if start < len(entries) {
-		meta.Closed = false
+	if start < len(entries) && k >= haveEpochs {
 		if err := a.AppendEpoch(node, meta, entries[start:]); err != nil {
 			return err
 		}

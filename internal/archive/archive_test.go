@@ -2,16 +2,19 @@ package archive
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/sig"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/vm"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 	"repro/internal/wire"
 )
 
@@ -290,8 +293,8 @@ func TestArchiveTornManifestTail(t *testing.T) {
 
 // TestArchiveTornTilePayload pins the other crash shape: the manifest
 // record made it to disk but its payload did not. The record (and
-// everything after it) is dropped and the tile truncated back to the last
-// indexed byte.
+// everything after it) is dropped, and the first append cuts the tile back
+// to the last indexed byte before it writes.
 func TestArchiveTornTilePayload(t *testing.T) {
 	rec := makeRecording(t)
 	dir, a := writeArchive(t, rec)
@@ -323,14 +326,6 @@ func TestArchiveTornTilePayload(t *testing.T) {
 	if !sameEntries(got, rec.entries[:11]) {
 		t.Fatal("surviving prefix differs from the first two epochs")
 	}
-	fi, err = os.Stat(tile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != fileTail(t, a2, rec.node) {
-		t.Fatalf("tile is %d bytes, want truncation to the last indexed byte %d",
-			fi.Size(), fileTail(t, a2, rec.node))
-	}
 	src, err := a2.IncrementSource(rec.node)
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +334,71 @@ func TestArchiveTornTilePayload(t *testing.T) {
 		if _, err := src.Increment(k); err != nil {
 			t.Fatalf("snapshot %d unreadable after truncation recovery: %v", k, err)
 		}
+	}
+	// Re-archiving the lost tail lands exactly at the indexed tail: the
+	// torn payload's remains are gone from under it.
+	if err := a2.AppendEpoch(rec.node, EpochMeta{StartSnap: 1, StartSeq: 11}, rec.entries[11:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err = os.Stat(tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != fileTail(t, a2, rec.node) {
+		t.Fatalf("tile is %d bytes, want truncation to the last indexed byte %d",
+			fi.Size(), fileTail(t, a2, rec.node))
+	}
+	if got, err = a2.ReadLog(rec.node); err != nil || !sameEntries(got, rec.entries) {
+		t.Fatalf("log after the recovered append differs from the original (%v)", err)
+	}
+}
+
+// TestArchiveOrphanTileOfLostNode: a crash can keep a tile's payload bytes
+// while losing every manifest record, the node's own included (the
+// manifest is fsynced after the tiles). The tile then belongs to a node the
+// archive does not know; archiving that node again must not append behind
+// the stale bytes. Found by the crash enumeration in crash_test.go.
+func TestArchiveOrphanTileOfLostNode(t *testing.T) {
+	rec := makeRecording(t)
+	dir, a := writeArchive(t, rec)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, ManifestName), 0); err != nil {
+		t.Fatal(err)
+	}
+	tile := filepath.Join(dir, rec.node+TileSuffix)
+	if err := os.Truncate(tile, 100); err != nil {
+		t.Fatal(err)
+	}
+
+	a2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a2.Nodes()) != 0 {
+		t.Fatalf("nodes with an empty manifest: %v", a2.Nodes())
+	}
+	sf := rec.store.File()
+	if err := a2.WriteRecording(rec.node, rec.entries, &sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a3.Close()
+	if got, err := a3.ReadLog(rec.node); err != nil || !sameEntries(got, rec.entries) {
+		t.Fatalf("log archived over an orphan tile does not read back: %v", err)
+	}
+	if fi, err := os.Stat(tile); err != nil || fi.Size() != fileTail(t, a3, rec.node) {
+		t.Fatalf("tile still carries the orphan bytes: %v", err)
 	}
 }
 
@@ -437,11 +497,8 @@ func TestArchiveManifestCorruptionEndsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First frame is the node record; corrupt the second frame's body.
-	first, _, ok := nextFrame(raw)
-	if !ok {
-		t.Fatal("manifest does not start with a valid frame")
-	}
-	raw[FrameHeaderSize+len(first)+FrameHeaderSize] ^= 0xFF
+	first := int(binary.BigEndian.Uint32(raw))
+	raw[FrameHeaderSize+first+FrameHeaderSize] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +650,7 @@ func TestArchiveManifestHugeExtentRejected(t *testing.T) {
 	// off = the replayed tail (so the contiguity check passes) and
 	// off+len ≥ 2^63, wrapping negative under a sum-based bound.
 	hostile := snapRec{Off: tail, Len: int64(uint64(1)<<63 - uint64(tail))}
-	frame := appendFrame(nil, marshalSnapRecord(rec.node, nSnaps, &hostile))
+	frame := wal.AppendFrame(nil, marshalSnapRecord(rec.node, nSnaps, &hostile))
 	path := filepath.Join(dir, ManifestName)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -620,13 +677,19 @@ func TestArchiveManifestHugeExtentRejected(t *testing.T) {
 }
 
 // TestArchiveWriteFailurePoisonsAppends pins the sticky-failure contract:
-// after a failed tile write the archive refuses further appends (the
-// O_APPEND offset may no longer match the indexed tail) while reads of
-// already-indexed segments keep working.
+// after a failed tile write (a short one: the disk filled up mid-payload)
+// the archive refuses further appends with that same error — the O_APPEND
+// offset no longer matches the indexed tail — and touches the disk no more,
+// even though it would work again; reads of already-indexed segments keep
+// working, and the directory reopens to the acknowledged prefix.
 func TestArchiveWriteFailurePoisonsAppends(t *testing.T) {
 	rec := makeRecording(t)
 	dir := t.TempDir()
-	a, err := Open(dir)
+	fsys, err := waltest.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := open(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,19 +705,23 @@ func TestArchiveWriteFailurePoisonsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sabotage the tile writer so the next append's write fails.
-	a.mu.Lock()
-	a.writers[rec.node].Close()
-	a.mu.Unlock()
-	if err := a.AppendSnapshot(rec.node, sf.Snaps[1]); err == nil {
-		t.Fatal("append over a closed tile handle succeeded")
+	// The next operation is the tile write of the second increment.
+	fsys.FailAt(fsys.Ops()+1, syscall.ENOSPC)
+	if err := a.AppendSnapshot(rec.node, sf.Snaps[1]); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("append over a full disk = %v, want ENOSPC", err)
 	}
-	err = a.AppendSnapshot(rec.node, sf.Snaps[1])
-	if err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("append after a write failure = %v, want sticky unusable error", err)
+	ops := fsys.Ops()
+	if err := a.AppendSnapshot(rec.node, sf.Snaps[1]); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("append after a write failure = %v, want the sticky ENOSPC", err)
 	}
-	if err := a.BeginNode("other", 0); err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("BeginNode after a write failure = %v, want sticky unusable error", err)
+	if err := a.BeginNode("other", 0); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("BeginNode after a write failure = %v, want the sticky ENOSPC", err)
+	}
+	if err := a.Sync(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Sync after a write failure = %v, want the sticky ENOSPC", err)
+	}
+	if fsys.Ops() != ops {
+		t.Fatalf("%d filesystem operations after the failure, want none", fsys.Ops()-ops)
 	}
 	// Already-indexed segments stay readable.
 	src, err := a.IncrementSource(rec.node)
@@ -663,6 +730,34 @@ func TestArchiveWriteFailurePoisonsAppends(t *testing.T) {
 	}
 	if _, err := src.Increment(0); err != nil {
 		t.Fatalf("indexed snapshot unreadable after poisoning: %v", err)
+	}
+
+	// The half-written payload is an orphan past the indexed tail: a fresh
+	// open finds the one acknowledged increment, and appending the second
+	// one again first cuts the orphan off.
+	a2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Close()
+	if n, _ := a2.Snapshots(rec.node); n != 1 {
+		t.Fatalf("reopened archive holds %d snapshots, want the 1 acknowledged", n)
+	}
+	if err := a2.AppendSnapshot(rec.node, sf.Snaps[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, rec.node+TileSuffix)); err != nil || fi.Size() != fileTail(t, a2, rec.node) {
+		t.Fatalf("tile is not exactly the indexed %d bytes after the recovered append: %v", fileTail(t, a2, rec.node), err)
+	}
+	src, err = a2.IncrementSource(rec.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Increment(1); err != nil {
+		t.Fatalf("re-appended snapshot unreadable: %v", err)
 	}
 }
 

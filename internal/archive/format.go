@@ -10,13 +10,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/merkle"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/vm"
+	"repro/internal/wal"
 )
 
 const (
@@ -29,8 +29,8 @@ const (
 
 	// FrameHeaderSize is the fixed prefix of every manifest record:
 	// uint32 BE body length followed by uint32 BE CRC-32 (IEEE) of the
-	// body — the same framing as the coordinator's epoch journal.
-	FrameHeaderSize = 8
+	// body — internal/wal's framing, which the manifest is written in.
+	FrameHeaderSize = wal.FrameHeaderSize
 	// MaxRecordSize bounds a manifest record body; a larger length field
 	// is treated as a torn tail, never allocated.
 	MaxRecordSize = 1 << 20
@@ -151,35 +151,6 @@ func (r *recReader) done() bool { return !r.err && len(r.b) == 0 }
 func appendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-// appendFrame wraps body in the manifest frame: length, CRC-32, body.
-func appendFrame(dst, body []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
-}
-
-// nextFrame decodes one frame from the front of b, returning the body and
-// the remainder. ok is false on a torn or corrupt frame — a short header,
-// an oversized length, a short body, or a checksum mismatch — all of which
-// end the manifest's valid prefix.
-func nextFrame(b []byte) (body, rest []byte, ok bool) {
-	if len(b) < FrameHeaderSize {
-		return nil, nil, false
-	}
-	n := binary.BigEndian.Uint32(b[0:4])
-	sum := binary.BigEndian.Uint32(b[4:8])
-	if n > MaxRecordSize || int(n) > len(b)-FrameHeaderSize {
-		return nil, nil, false
-	}
-	body = b[FrameHeaderSize : FrameHeaderSize+int(n)]
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, nil, false
-	}
-	return body, b[FrameHeaderSize+int(n):], true
 }
 
 func marshalNodeRecord(node string, memSize int) []byte {

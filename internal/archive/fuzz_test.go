@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/snapshot"
 	"repro/internal/vm"
+	"repro/internal/wal"
 )
 
 // FuzzManifestReplay feeds arbitrary bytes to the archive as a MANIFEST
@@ -44,7 +45,7 @@ func FuzzManifestReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(appendFrame(nil, marshalNodeRecord("x", 4096)))
+	f.Add(wal.AppendFrame(nil, marshalNodeRecord("x", 4096)))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

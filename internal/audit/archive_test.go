@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -376,4 +377,76 @@ func TestArchiveSpotCheckSource(t *testing.T) {
 	if _, err := a.SpotCheckParallel(diskC, policy, 2); err == nil {
 		t.Fatal("spot check over a corrupt archive succeeded")
 	}
+}
+
+// TestArchiveGoldenFormat pins the archive's on-disk format across the
+// move to internal/wal. testdata/golden_archive was written by the commit
+// before it (cbc8a72): coordScenario's player1, archived by WriteRecording.
+// The golden directory must open to the same nodes, log root and audit
+// verdict as an archive of the same recording written now, and the two
+// must be the same bytes.
+func TestArchiveGoldenFormat(t *testing.T) {
+	s := coordScenario(t, "")
+	serial, err := s.AuditNode("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshDir, fresh := writeNodeArchive(t, s, "player1")
+
+	goldenDir := t.TempDir() // Open may write (compaction); keep testdata pristine
+	for _, name := range []string{archive.ManifestName, "player1" + archive.TileSuffix} {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden_archive", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(goldenDir, name), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The tile's epoch payloads are compress/flate output; should a Go
+		// release change the compressor, this comparison (and only this one)
+		// has to be re-based on a golden directory written by that release.
+		if got, _ := os.ReadFile(filepath.Join(freshDir, name)); !bytes.Equal(got, want) {
+			t.Errorf("%s: the same recording archives to %d bytes that differ from the golden %d", name, len(got), len(want))
+		}
+	}
+	golden, err := archive.Open(goldenDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer golden.Close()
+	if got := golden.Nodes(); len(got) != 1 || got[0] != "player1" {
+		t.Fatalf("golden archive holds nodes %v, want [player1]", got)
+	}
+	goldenRoot, err := golden.LogRoot("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshRoot, _ := fresh.LogRoot("player1"); goldenRoot != freshRoot {
+		t.Fatalf("golden log root %x, fresh archive's %x", goldenRoot, freshRoot)
+	}
+	for _, name := range []string{archive.ManifestName, "player1" + archive.TileSuffix} {
+		before, _ := os.ReadFile(filepath.Join("testdata", "golden_archive", name))
+		if after, _ := os.ReadFile(filepath.Join(goldenDir, name)); !bytes.Equal(after, before) {
+			t.Fatalf("opening the golden archive rewrote %s", name)
+		}
+	}
+
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialize, _ := archiveClosures(t, golden, "player1")
+	src, err := golden.EntrySource("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := a.Audit(audit.AuditRequest{
+		Node: "player1", NodeIdx: uint32(target.Index()),
+		Engine: audit.EngineStream, Source: src, Auths: auths,
+		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareVerdicts(t, "golden archive stream", serial, res)
 }

@@ -43,30 +43,33 @@ type Auditor struct {
 	DisableFusion bool
 }
 
+// verifyAndCheck is the part of an audit every materialized-log engine
+// runs before it replays anything (§4.5): verify the entries' hash chain
+// from prev against the authenticators, then check the log syntactically.
+// It fills res.Syntactic, and on a fault res.Fault, returning false.
+func (a *Auditor) verifyAndCheck(res *Result, nodeIdx uint32, prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, strictAcks bool) bool {
+	if a.TamperEvident {
+		if err := tevlog.VerifySegment(prev, entries, auths, a.Keys); err != nil {
+			res.Fault = &FaultReport{Node: res.Node, Check: CheckLog, Detail: err.Error()}
+			return false
+		}
+	}
+	res.Syntactic, res.Fault = SyntacticCheck(res.Node, entries, SyntacticOptions{
+		NodeIdx: nodeIdx, Keys: a.Keys,
+		VerifySignatures: a.TamperEvident && a.VerifySignatures,
+		StrictAcks:       strictAcks,
+	})
+	return res.Fault == nil
+}
+
 // auditSerial checks an entire execution from boot: log verification
 // against authenticators, syntactic check, and full replay from the
 // reference image. It backs Audit's EngineSerial.
 func (a *Auditor) auditSerial(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator) *Result {
 	res := &Result{Node: node}
-
-	if a.TamperEvident {
-		if err := tevlog.VerifySegment(tevlog.Hash{}, entries, auths, a.Keys); err != nil {
-			res.Fault = &FaultReport{Node: node, Check: CheckLog, Detail: err.Error()}
-			return res
-		}
-	}
-
-	stats, fr := SyntacticCheck(node, entries, SyntacticOptions{
-		NodeIdx: nodeIdx, Keys: a.Keys,
-		VerifySignatures: a.TamperEvident && a.VerifySignatures,
-		StrictAcks:       a.StrictAcks,
-	})
-	res.Syntactic = stats
-	if fr != nil {
-		res.Fault = fr
+	if !a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks) {
 		return res
 	}
-
 	return a.replayFull(res, node, entries)
 }
 
@@ -104,19 +107,7 @@ func (a *Auditor) auditChunk(req ChunkRequest) *Result {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSnapshot, Detail: err.Error()}
 		return res
 	}
-	if a.TamperEvident {
-		if err := tevlog.VerifySegment(req.PrevHash, req.Entries, req.Auths, a.Keys); err != nil {
-			res.Fault = &FaultReport{Node: req.Node, Check: CheckLog, Detail: err.Error()}
-			return res
-		}
-	}
-	stats, fr := SyntacticCheck(req.Node, req.Entries, SyntacticOptions{
-		NodeIdx: req.NodeIdx, Keys: a.Keys,
-		VerifySignatures: a.TamperEvident && a.VerifySignatures,
-	})
-	res.Syntactic = stats
-	if fr != nil {
-		res.Fault = fr
+	if !a.verifyAndCheck(res, req.NodeIdx, req.PrevHash, req.Entries, req.Auths, false) {
 		return res
 	}
 	rp, err := NewReplayFromSnapshot(req.Node, req.Start, a.RNGSeed)

@@ -94,22 +94,7 @@ type DistStats struct {
 func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, error) {
 	a = a.withEngineOptions(opts.EngineOptions)
 	res := &Result{Node: node}
-
-	if a.TamperEvident {
-		if err := tevlog.VerifySegment(tevlog.Hash{}, entries, auths, a.Keys); err != nil {
-			res.Fault = &FaultReport{Node: node, Check: CheckLog, Detail: err.Error()}
-			return res, DistStats{}, nil
-		}
-	}
-
-	stats, fr := SyntacticCheck(node, entries, SyntacticOptions{
-		NodeIdx: nodeIdx, Keys: a.Keys,
-		VerifySignatures: a.TamperEvident && a.VerifySignatures,
-		StrictAcks:       a.StrictAcks,
-	})
-	res.Syntactic = stats
-	if fr != nil {
-		res.Fault = fr
+	if !a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks) {
 		return res, DistStats{}, nil
 	}
 
@@ -289,10 +274,12 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 			mu.Unlock()
 			return
 		}
-		if opts.spotSelected(v.Index) {
+		if be.Remote() && opts.spotSelected(v.Index) {
 			// Re-replay locally before trusting the worker: the local
 			// verdict is authoritative, so a lie can never steer the cutoff
-			// or the merged result for a rechecked epoch.
+			// or the merged result for a rechecked epoch. Remote backends
+			// only — the in-process pool is this process, and rechecking it
+			// would replay the epoch twice for nothing.
 			local := runEpochJob(sess, jobByIndex[v.Index], opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++

@@ -1,18 +1,19 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/archive"
 	"repro/internal/metrics"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -20,17 +21,11 @@ import (
 // durability behind `avm-audit -coordinate -journal <dir>`. The journal
 // records three events — a run entering the queue, an epoch verdict
 // reaching the router, a run settling cleanly — each as a wire.JournalRecord
-// framed on disk as
-//
-//	uint32 BE body length | uint32 BE CRC-32 (IEEE) of body | body
-//
-// appended to a single file (epochs.wal) and fsynced in batches. Replay is
-// truncation-tolerant: a short header, short body or checksum mismatch ends
-// the valid prefix (a torn tail from the crash being recovered from), and
-// opening for writing truncates the file back to that prefix so new records
-// never land after garbage. Recovery never trusts the journal for audit
-// *inputs* — a restarted coordinator reconstructs its runs from the same
-// recording (snapshots + log) it always reads, derives the same epoch
+// in one wal.Log (epochs.wal). Framing, fsync batching, torn-tail recovery,
+// compaction at open and what a failed write means are internal/wal's; this
+// file owns what the records mean. Recovery never trusts the journal for
+// audit *inputs* — a restarted coordinator reconstructs its runs from the
+// same recording (snapshots + log) it always reads, derives the same epoch
 // partition, and therefore the same run key; the journal only tells it
 // which of those epochs already have durable verdicts, which are re-emitted
 // as stored instead of re-dispatched. Stored verdicts still flow through
@@ -48,155 +43,107 @@ type journalRun struct {
 	completed bool
 }
 
+// journalRuns is the journal's state: every run key it has seen enqueued.
+type journalRuns map[[32]byte]*journalRun
+
 // Journal is an append-only, fsync-batched write-ahead journal of epoch
 // verdicts, keyed by deterministic run keys. Open with OpenJournal, hand
 // it to a Coordinator via CoordinatorConfig.Journal, Close after the
 // coordinator. All methods are safe for concurrent use.
 type Journal struct {
-	// SyncEvery fsyncs after this many appended records. <= 0 selects 16.
-	SyncEvery int
-	// SyncInterval fsyncs when this long has passed since the last fsync,
-	// checked at each append. <= 0 selects 50ms.
-	SyncInterval time.Duration
-
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	// failed is set by the first write or fsync error and never cleared:
-	// journaling stops, audits continue un-journaled.
-	failed   bool
-	bytes    int64
-	unsynced int
-	lastSync time.Time
-	runs     map[[32]byte]*journalRun
-	reg      *metrics.Registry // set by the adopting coordinator; may be nil
+	mu  sync.Mutex
+	log *wal.Log // nil once closed
+	// failed is set by the log's first write or fsync error, which is
+	// sticky there: journaling has stopped, audits continue un-journaled.
+	failed bool
+	syncs  int64 // log.Syncs() as last published
+	runs   journalRuns
+	reg    *metrics.Registry // set by the adopting coordinator; may be nil
 }
 
 // OpenJournal opens (creating if needed) the journal in dir, replays the
 // existing log up to its valid prefix, and compacts completed runs away.
 // The returned journal holds every pending run's durable verdicts, ready
 // for the coordinator's resume path.
-func OpenJournal(dir string) (*Journal, error) {
+func OpenJournal(dir string) (*Journal, error) { return openJournal(wal.OS, dir) }
+
+func openJournal(fsys wal.FS, dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("audit: journal dir: %w", err)
 	}
-	j := &Journal{path: filepath.Join(dir, journalFileName)}
-	raw, err := os.ReadFile(j.path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("audit: reading journal: %w", err)
-	}
-	var prefix int64
-	j.runs, prefix = replayJournal(raw)
-
-	// Compact: rewrite only the live runs' records, atomically, so the file
-	// stays bounded by pending work and a torn tail never precedes new
-	// appends. Skipped when the valid prefix is already exactly the live
-	// state (the common clean-start case).
-	compacted := marshalJournalRuns(j.runs)
-	if int64(len(compacted)) != prefix || prefix != int64(len(raw)) {
-		if err := archive.WriteFileDurable(j.path, dir, compacted); err != nil {
-			return nil, fmt.Errorf("audit: compacting journal: %w", err)
-		}
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	j := &Journal{runs: journalRuns{}}
+	// The compact image holds only the pending runs' records, so the file
+	// stays bounded by pending work.
+	log, err := wal.Open(fsys, filepath.Join(dir, journalFileName), wire.MaxDistFrame, j.runs.apply,
+		func() []byte { return marshalJournalRuns(j.runs.pending()) })
 	if err != nil {
-		return nil, fmt.Errorf("audit: opening journal: %w", err)
+		return nil, fmt.Errorf("audit: journal: %w", err)
 	}
-	j.f = f
-	j.bytes = int64(len(compacted))
-	j.lastSync = time.Now()
+	j.log = log
 	return j, nil
 }
 
-// replayJournal decodes records from the front of raw, stopping at the
-// first torn or corrupt record, and folds them into per-run state. It
-// returns the state and the byte length of the valid prefix.
-func replayJournal(raw []byte) (map[[32]byte]*journalRun, int64) {
-	runs := make(map[[32]byte]*journalRun)
-	var off int64
-	b := raw
-	for {
-		body, rest, ok := nextJournalFrame(b)
-		if !ok {
-			break
-		}
-		rec, err := wire.ParseJournalRecord(body)
-		if err != nil {
-			// The frame checksummed clean but does not decode: treat it as
-			// the end of the usable prefix rather than skipping — records
-			// after a malformed one have no trustworthy interpretation.
-			break
-		}
-		switch rec.Kind {
-		case wire.JournalRunEnqueued:
-			// A re-enqueue of a completed key starts the run over.
-			runs[rec.RunKey] = &journalRun{
-				node: rec.Node, epochs: int(rec.Epochs),
-				verdicts: make(map[int][]byte),
-			}
-		case wire.JournalVerdictEmitted:
-			if run := runs[rec.RunKey]; run != nil && !run.completed {
-				run.verdicts[int(rec.Index)] = rec.Verdict
-			}
-		case wire.JournalRunCompleted:
-			if run := runs[rec.RunKey]; run != nil {
-				run.completed = true
-			}
-		}
-		off += int64(len(b) - len(rest))
-		b = rest
+// apply folds one journal record into the state; false ends the valid
+// prefix. A frame that checksums clean but does not decode, or decodes to
+// something no writer could have meant — a verdict for a run that was never
+// enqueued or for an epoch the run does not have, an epoch count no log
+// reaches (2^31 and up, which would not survive the trip through int) —
+// ends it rather than being skipped: records after it have no trustworthy
+// interpretation.
+func (runs journalRuns) apply(body []byte) bool {
+	rec, err := wire.ParseJournalRecord(body)
+	if err != nil {
+		return false
 	}
-	// Completed runs are tombstones; drop them so resume never sees them
-	// and compaction writes only pending work.
+	run := runs[rec.RunKey]
+	switch rec.Kind {
+	case wire.JournalRunEnqueued:
+		if rec.Epochs > math.MaxInt32 {
+			return false
+		}
+		// A re-enqueue of a completed key starts the run over.
+		runs[rec.RunKey] = &journalRun{
+			node: rec.Node, epochs: int(rec.Epochs),
+			verdicts: make(map[int][]byte),
+		}
+	case wire.JournalVerdictEmitted:
+		if run == nil || rec.Index >= uint64(run.epochs) {
+			return false
+		}
+		if !run.completed {
+			run.verdicts[int(rec.Index)] = rec.Verdict
+		}
+	case wire.JournalRunCompleted:
+		if run != nil {
+			run.completed = true
+		}
+	}
+	return true
+}
+
+// pending drops completed runs — tombstones — so resume never sees them
+// and compaction writes only pending work.
+func (runs journalRuns) pending() journalRuns {
 	for key, run := range runs {
 		if run.completed {
 			delete(runs, key)
 		}
 	}
-	return runs, off
-}
-
-// nextJournalFrame splits one length+checksum framed record off b.
-func nextJournalFrame(b []byte) (body, rest []byte, ok bool) {
-	if len(b) < 8 {
-		return nil, nil, false
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n == 0 || n > wire.MaxDistFrame || uint64(len(b)-8) < uint64(n) {
-		return nil, nil, false
-	}
-	sum := binary.BigEndian.Uint32(b[4:])
-	body = b[8 : 8+n]
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, nil, false
-	}
-	return body, b[8+n:], true
-}
-
-// appendJournalFrame frames one record body for disk.
-func appendJournalFrame(dst, body []byte) []byte {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	return append(append(dst, hdr[:]...), body...)
+	return runs
 }
 
 // marshalJournalRuns renders the live runs as a fresh journal image, in a
 // deterministic order (keyed bytes) so compaction is reproducible.
-func marshalJournalRuns(runs map[[32]byte]*journalRun) []byte {
+func marshalJournalRuns(runs journalRuns) []byte {
 	keys := make([][32]byte, 0, len(runs))
 	for key := range runs {
 		keys = append(keys, key)
 	}
-	for i := 1; i < len(keys); i++ { // insertion sort; journals hold few runs
-		for k := i; k > 0 && string(keys[k][:]) < string(keys[k-1][:]); k-- {
-			keys[k], keys[k-1] = keys[k-1], keys[k]
-		}
-	}
+	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a][:], keys[b][:]) < 0 })
 	var out []byte
 	for _, key := range keys {
 		run := runs[key]
-		out = appendJournalFrame(out, (&wire.JournalRecord{
+		out = wal.AppendFrame(out, (&wire.JournalRecord{
 			Kind: wire.JournalRunEnqueued, RunKey: key,
 			Node: run.node, Epochs: uint64(run.epochs),
 		}).Marshal())
@@ -204,13 +151,9 @@ func marshalJournalRuns(runs map[[32]byte]*journalRun) []byte {
 		for idx := range run.verdicts {
 			idxs = append(idxs, idx)
 		}
-		for i := 1; i < len(idxs); i++ {
-			for k := i; k > 0 && idxs[k] < idxs[k-1]; k-- {
-				idxs[k], idxs[k-1] = idxs[k-1], idxs[k]
-			}
-		}
+		sort.Ints(idxs)
 		for _, idx := range idxs {
-			out = appendJournalFrame(out, (&wire.JournalRecord{
+			out = wal.AppendFrame(out, (&wire.JournalRecord{
 				Kind: wire.JournalVerdictEmitted, RunKey: key,
 				Index: uint64(idx), Verdict: run.verdicts[idx],
 			}).Marshal())
@@ -225,7 +168,7 @@ func (j *Journal) attach(reg *metrics.Registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.reg = reg
-	reg.Gauge("journal_bytes").Set(j.bytes)
+	reg.Gauge("journal_bytes").Set(j.log.Size())
 	var durable int64
 	for _, run := range j.runs {
 		durable += int64(len(run.verdicts))
@@ -234,62 +177,33 @@ func (j *Journal) attach(reg *metrics.Registry) {
 	reg.Gauge("journal_durable_verdicts").Set(durable)
 }
 
-// append writes one record and fsyncs when the batch policy says so. A
-// write or fsync error is sticky: a failed or short write can leave a torn
-// frame, and appending past it would bury every later record behind
-// garbage that replay stops at, so the first failure stops journaling for
-// good. The journal is a durability aid — a full disk degrades the
+// append writes one record; force adds an fsync pass to the log's own
+// group commit. The journal is a durability aid: the log's first failure
+// (sticky there — see internal/wal) is counted once and degrades the
 // coordinator to un-journaled operation, it does not fail audits that are
-// otherwise succeeding — and the file still reopens to exactly the records
-// written before the failure.
+// otherwise succeeding, and the file still reopens to exactly the records
+// acknowledged before the failure.
 func (j *Journal) append(rec *wire.JournalRecord, force bool) {
-	frame := appendJournalFrame(nil, rec.Marshal())
+	body := rec.Marshal()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil || j.failed {
+	if j.log == nil || j.failed {
 		return
 	}
-	if _, err := j.f.Write(frame); err != nil {
-		j.failLocked()
-		return
+	err := j.log.Append(body)
+	if err == nil && force {
+		err = j.log.Sync()
 	}
-	j.bytes += int64(len(frame))
-	j.unsynced++
 	if j.reg != nil {
-		j.reg.Gauge("journal_bytes").Set(j.bytes)
+		j.reg.Gauge("journal_bytes").Set(j.log.Size())
+		j.reg.Counter("journal_fsyncs").Add(j.log.Syncs() - j.syncs)
+		j.syncs = j.log.Syncs()
 	}
-	syncEvery := j.SyncEvery
-	if syncEvery <= 0 {
-		syncEvery = 16
-	}
-	syncInterval := j.SyncInterval
-	if syncInterval <= 0 {
-		syncInterval = 50 * time.Millisecond
-	}
-	if force || j.unsynced >= syncEvery || time.Since(j.lastSync) >= syncInterval {
-		j.syncLocked()
-	}
-}
-
-func (j *Journal) failLocked() {
-	j.failed = true
-	if j.reg != nil {
-		j.reg.Counter("journal_write_errors").Inc()
-	}
-}
-
-func (j *Journal) syncLocked() {
-	if j.unsynced == 0 || j.f == nil || j.failed {
-		return
-	}
-	if err := j.f.Sync(); err != nil {
-		j.failLocked()
-		return
-	}
-	j.unsynced = 0
-	j.lastSync = time.Now()
-	if j.reg != nil {
-		j.reg.Counter("journal_fsyncs").Inc()
+	if err != nil {
+		j.failed = true
+		if j.reg != nil {
+			j.reg.Counter("journal_write_errors").Inc()
+		}
 	}
 }
 
@@ -344,16 +258,16 @@ func (j *Journal) resume(key [32]byte, epochs int) map[int][]byte {
 	return out
 }
 
-// Close flushes and closes the journal file.
+// Close flushes and closes the journal file. It returns the error that
+// stopped journaling, if one did.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	j.syncLocked()
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 
@@ -364,14 +278,12 @@ func (j *Journal) Close() error {
 // the valid prefix.
 func InspectJournal(dir string) (runs, verdicts int, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, journalFileName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return 0, 0, err
 	}
-	state, _ := replayJournal(raw)
-	for _, run := range state {
+	state := journalRuns{}
+	wal.Replay(raw, wire.MaxDistFrame, state.apply)
+	for _, run := range state.pending() {
 		verdicts += len(run.verdicts)
 	}
 	return len(state), verdicts, nil

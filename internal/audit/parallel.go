@@ -45,40 +45,19 @@ type epochResult struct {
 // auditParallel checks an entire execution from boot like auditSerial —
 // log verification, syntactic check, semantic replay — but partitions the
 // replay at snapshot boundaries and runs the epochs concurrently on a
-// bounded worker pool. The merged Result carries the serial audit's
-// verdict: the same pass/fail, and on failure the fault of the earliest
-// faulting epoch (identical check and entry seq to the serial replay's).
-// Replay stats are the deterministic sum over the epochs the serial audit
-// would have executed. It backs Audit's EngineParallel.
+// bounded worker pool: it is the dist engine with no backend, which is the
+// in-process pool. The merged Result carries the serial audit's verdict:
+// the same pass/fail, and on failure the fault of the earliest faulting
+// epoch (identical check and entry seq to the serial replay's). Replay
+// stats are the deterministic sum over the epochs the serial audit would
+// have executed. It backs Audit's EngineParallel.
 func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) *Result {
-	a = a.withEngineOptions(opts.EngineOptions)
-	res := &Result{Node: node}
-
-	if a.TamperEvident {
-		if err := tevlog.VerifySegment(tevlog.Hash{}, entries, auths, a.Keys); err != nil {
-			res.Fault = &FaultReport{Node: node, Check: CheckLog, Detail: err.Error()}
-			return res
-		}
+	res, _, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts.EngineOptions})
+	if err != nil {
+		// The in-process pool never reports transport failures; this guards
+		// a backend change that lets one through.
+		return &Result{Node: node, Fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}
 	}
-
-	stats, fr := SyntacticCheck(node, entries, SyntacticOptions{
-		NodeIdx: nodeIdx, Keys: a.Keys,
-		VerifySignatures: a.TamperEvident && a.VerifySignatures,
-		StrictAcks:       a.StrictAcks,
-	})
-	res.Syntactic = stats
-	if fr != nil {
-		res.Fault = fr
-		return res
-	}
-
-	replay, fault := a.SemanticCheckParallel(node, entries, opts)
-	res.Replay = replay
-	if fault != nil {
-		res.Fault = fault
-		return res
-	}
-	res.Passed = true
 	return res
 }
 

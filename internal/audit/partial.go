@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/snapshot"
-	"repro/internal/tevlog"
 )
 
 // This file implements partial-state auditing (§4.4) and evidence
@@ -60,19 +59,7 @@ func (a *Auditor) auditPartialChunk(ev *Evidence) (*Result, error) {
 	if err := ev.Partial.Verify(ev.StartRoot); err != nil {
 		return nil, fmt.Errorf("audit: partial state does not authenticate: %w", err)
 	}
-	if a.TamperEvident {
-		if err := tevlog.VerifySegment(ev.PrevHash, ev.Entries, ev.Auths, a.Keys); err != nil {
-			res.Fault = &FaultReport{Node: ev.Accused, Check: CheckLog, Detail: err.Error()}
-			return res, nil
-		}
-	}
-	stats, fr := SyntacticCheck(ev.Accused, ev.Entries, SyntacticOptions{
-		NodeIdx: ev.AccusedIdx, Keys: a.Keys,
-		VerifySignatures: a.TamperEvident && a.VerifySignatures,
-	})
-	res.Syntactic = stats
-	if fr != nil {
-		res.Fault = fr
+	if !a.verifyAndCheck(res, ev.AccusedIdx, ev.PrevHash, ev.Entries, ev.Auths, false) {
 		return res, nil
 	}
 	rp, err := NewReplayFromSnapshot(ev.Accused, ev.Partial.Materialize(), ev.RNGSeed)

@@ -3,11 +3,16 @@ package audit_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/avmm"
 	"repro/internal/game"
+	"repro/internal/wal/waltest"
 	"repro/internal/wire"
 )
 
@@ -246,7 +251,11 @@ func TestCoordinatorJournalWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	journal, err := audit.OpenJournal(dir)
+	fsys, err := waltest.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := audit.OpenJournalFS(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +271,7 @@ func TestCoordinatorJournalWriteFailure(t *testing.T) {
 
 	for round, sabotage := range []bool{false, true} {
 		if sabotage {
-			if _, err := journal.SabotageWrites(); err != nil {
-				t.Fatal(err)
-			}
+			fsys.FailAt(fsys.Ops()+1, syscall.ENOSPC)
 		}
 		res, _, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
 		if err != nil {
@@ -279,4 +286,132 @@ func TestCoordinatorJournalWriteFailure(t *testing.T) {
 	if runs, verdicts, err := audit.InspectJournal(dir); err != nil || runs != 0 || verdicts != 0 {
 		t.Fatalf("journal after the failure = (%d runs, %d verdicts, %v), want the durable prefix: empty", runs, verdicts, err)
 	}
+}
+
+// TestCoordinatorResumesFromEveryCrashPoint is the in-process version of
+// what Kill's comment leaves to dist-smoke — a crash that loses the
+// journal's unsynced batch — taken at every filesystem operation instead of
+// one hand-picked moment. A journaled audit of a 20-epoch recording runs
+// to completion over the fault filesystem, which records what a power loss
+// after each of the journal's writes, fsyncs and the directory fsync would
+// leave (only the synced bytes and entries; everything written; the synced
+// bytes plus a torn part of the rest). Every image is reopened by the
+// production code, and a fresh coordinator over each distinct recovered
+// journal must resume to the serial engine's Result, skip exactly the
+// epochs whose verdicts survived, and never hand one of them to a worker.
+func TestCoordinatorResumesFromEveryCrashPoint(t *testing.T) {
+	s, err := game.NewScenario(game.ScenarioConfig{
+		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
+		Seed: 2718, SnapshotEveryNs: 100_000_000, FakeSignatures: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(4_000_000_000)
+	serial, err := s.AuditNode("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !serial.Passed {
+		t.Fatalf("the clean recording faults: %v", serial.Fault)
+	}
+	fleet, err := audit.StartChaosFleet([]*audit.ChaosPlan{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	// auditOver runs the audit through a new coordinator journaling into j.
+	auditOver := func(j *audit.Journal) (*audit.Result, audit.DistStats, audit.FleetStats) {
+		coord := testCoordinator(audit.CoordinatorConfig{
+			DisableLocalFallback: true, Journal: j, HedgeAfter: -1, JobTimeout: 20 * time.Second,
+		})
+		defer coord.Close()
+		coord.AddWorker(fleet.Addrs[0])
+		res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, dstats, coord.Stats()
+	}
+
+	dir := t.TempDir()
+	fsys, err := waltest.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.Capture()
+	journal, err := audit.OpenJournalFS(fsys, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, dstats, _ := auditOver(journal)
+	compareVerdicts(t, "uninterrupted", serial, res)
+	completedAt := fsys.Ops() // the run's tombstone is forced durable before Audit returns
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[waltest.Kind]int{}
+	for _, op := range fsys.Log() {
+		kinds[op.Kind]++
+	}
+	crashes := fsys.Crashes()
+	t.Logf("%d epochs; %d filesystem operations %v, %d distinct crash images", dstats.Epochs, fsys.Ops(), kinds, len(crashes))
+	// One record per run start, verdict and completion — enough of them to
+	// fill a group commit; every operation is a crash point by construction.
+	if dstats.Epochs <= 16 || kinds[waltest.OpWrite] != dstats.Epochs+2 || kinds[waltest.OpSync] < 2 || kinds[waltest.OpSyncDir] != 1 {
+		t.Fatalf("operation mix %v does not match %d epochs", kinds, dstats.Epochs)
+	}
+
+	seen := map[string]bool{}
+	for _, c := range crashes {
+		cdir := t.TempDir()
+		if err := c.Materialize(cdir); err != nil {
+			t.Fatal(err)
+		}
+		runs, verdicts, err := audit.InspectJournal(cdir)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if c.After >= completedAt && runs != 0 {
+			t.Fatalf("%s: the run had completed, the journal reopens to %d pending runs", c, runs)
+		}
+		j, err := audit.OpenJournal(cdir)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		// What the coordinator does is a function of the recovered journal,
+		// which open has just rewritten as its compact image.
+		state, err := os.ReadFile(filepath.Join(cdir, "epochs.wal"))
+		if err != nil && (runs > 0 || !os.IsNotExist(err)) {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if seen[string(state)] {
+			j.Close()
+			continue
+		}
+		seen[string(state)] = true
+		served := fleet.JobsServed()
+		res, dstats, st := auditOver(j)
+		served = fleet.JobsServed() - served
+		compareVerdicts(t, c.String(), serial, res)
+		if *res != *serial {
+			t.Errorf("%s: resumed Result %+v, serial %+v", c, res, serial)
+		}
+		if st.RunsResumed != int64(runs) || st.EpochsSkippedDurable != int64(verdicts) {
+			t.Errorf("%s: resumed %d runs and skipped %d epochs; the recovered journal holds %d runs, %d verdicts",
+				c, st.RunsResumed, st.EpochsSkippedDurable, runs, verdicts)
+		}
+		// Every epoch without a surviving verdict needs a job; one job more
+		// and a surviving verdict's epoch went to a worker again.
+		if served != int64(dstats.Epochs-verdicts) {
+			t.Errorf("%s: the fleet served %d jobs for %d epochs with %d verdicts durable", c, served, dstats.Epochs, verdicts)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if runs, verdicts, err := audit.InspectJournal(cdir); err != nil || runs != 0 || verdicts != 0 {
+			t.Errorf("%s: journal after the resumed run = (%d, %d, %v), want empty", c, runs, verdicts, err)
+		}
+	}
+	t.Logf("%d distinct recovered journals resumed", len(seen))
 }
