@@ -45,32 +45,49 @@ type Auditor struct {
 
 // verifyAndCheck is the part of an audit every materialized-log engine
 // runs before it replays anything (§4.5): verify the entries' hash chain
-// from prev against the authenticators, then check the log syntactically.
-// It fills res.Syntactic, and on a fault res.Fault, returning false.
-func (a *Auditor) verifyAndCheck(res *Result, nodeIdx uint32, prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, strictAcks bool) bool {
+// from prev against the authenticators, then check the log syntactically —
+// what tevlog.VerifySegment and then SyntacticCheck do, on one signature
+// stage. It fills res.Syntactic, and on a fault res.Fault, returning false;
+// the stats say how the stage ran.
+func (a *Auditor) verifyAndCheck(res *Result, nodeIdx uint32, prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, strictAcks bool) (tevlog.SigStats, bool) {
+	sigs := tevlog.NewSigStage(a.Keys)
+	defer sigs.Close()
 	if a.TamperEvident {
-		if err := tevlog.VerifySegment(prev, entries, auths, a.Keys); err != nil {
+		if err := verifySegment(prev, entries, auths, sigs); err != nil {
 			res.Fault = &FaultReport{Node: res.Node, Check: CheckLog, Detail: err.Error()}
-			return false
+			return sigs.Stats(), false
 		}
 	}
-	res.Syntactic, res.Fault = SyntacticCheck(res.Node, entries, SyntacticOptions{
+	res.Syntactic, res.Fault = syntacticCheck(res.Node, entries, SyntacticOptions{
 		NodeIdx: nodeIdx, Keys: a.Keys,
 		VerifySignatures: a.TamperEvident && a.VerifySignatures,
 		StrictAcks:       strictAcks,
-	})
-	return res.Fault == nil
+	}, sigs)
+	return sigs.Stats(), res.Fault == nil
+}
+
+// verifySegment is tevlog.VerifySegment on a stage the caller made and
+// closes.
+func verifySegment(prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, sigs *tevlog.SigStage) error {
+	v := tevlog.NewChainVerifier(prev, auths, sigs)
+	for i := range entries {
+		if err := v.Add(&entries[i]); err != nil {
+			return err
+		}
+	}
+	return v.Finish()
 }
 
 // auditSerial checks an entire execution from boot: log verification
 // against authenticators, syntactic check, and full replay from the
 // reference image. It backs Audit's EngineSerial.
-func (a *Auditor) auditSerial(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator) *Result {
+func (a *Auditor) auditSerial(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator) (*Result, tevlog.SigStats) {
 	res := &Result{Node: node}
-	if !a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks) {
-		return res
+	sigs, ok := a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks)
+	if !ok {
+		return res, sigs
 	}
-	return a.replayFull(res, node, entries)
+	return a.replayFull(res, node, entries), sigs
 }
 
 // ChunkRequest describes a spot-check of k consecutive segments starting at
@@ -98,22 +115,23 @@ type ChunkRequest struct {
 // snapshot. Snapshot entries inside the chunk verify intermediate and final
 // state roots, so an incorrect state transition anywhere in the chunk is
 // detected. It backs Audit's EngineChunk.
-func (a *Auditor) auditChunk(req ChunkRequest) *Result {
+func (a *Auditor) auditChunk(req ChunkRequest) (*Result, tevlog.SigStats) {
 	res := &Result{Node: req.Node}
 	// Authenticate the snapshot; the verification tree is kept live so
 	// snapshot entries inside the chunk verify incrementally.
 	lh := &snapshot.LiveStateHasher{}
 	if err := lh.SeedVerify(req.Start, req.StartRoot); err != nil {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSnapshot, Detail: err.Error()}
-		return res
+		return res, tevlog.SigStats{}
 	}
-	if !a.verifyAndCheck(res, req.NodeIdx, req.PrevHash, req.Entries, req.Auths, false) {
-		return res
+	sigs, ok := a.verifyAndCheck(res, req.NodeIdx, req.PrevHash, req.Entries, req.Auths, false)
+	if !ok {
+		return res, sigs
 	}
 	rp, err := NewReplayFromSnapshot(req.Node, req.Start, a.RNGSeed)
 	if err != nil {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSemantic, Detail: err.Error()}
-		return res
+		return res, sigs
 	}
 	rp.AdoptStateHasher(lh)
 	rp.Machine().DisablePredecode = a.DisablePredecode
@@ -124,10 +142,10 @@ func (a *Auditor) auditChunk(req ChunkRequest) *Result {
 	res.Replay = rp.Stats
 	if f := rp.Fault(); f != nil {
 		res.Fault = f
-		return res
+		return res, sigs
 	}
 	res.Passed = true
-	return res
+	return res, sigs
 }
 
 // SnapshotPoints scans a log for snapshot entries, returning for each its

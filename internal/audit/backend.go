@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/sig"
 	"repro/internal/snapshot"
@@ -193,7 +192,7 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 // PoolBackend replays epochs on a bounded in-process goroutine pool — the
 // engine the parallel audit has always used, behind the backend seam.
 type PoolBackend struct {
-	// Workers bounds concurrent epochs. <= 0 selects runtime.NumCPU().
+	// Workers bounds concurrent epochs. <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Materialize supplies starting states for lazy (Start == nil) jobs.
 	Materialize func(snapIdx uint32) (*snapshot.Restored, error)
@@ -206,10 +205,7 @@ func (b *PoolBackend) Remote() bool { return false }
 // dispatched in order, skipped jobs are dropped, and every job below the
 // final cutoff is guaranteed a verdict.
 func (b *PoolBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := workersOrDefault(b.Workers)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

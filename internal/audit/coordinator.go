@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +86,7 @@ type CoordinatorConfig struct {
 	// starvation instead (surfacing as an audit error, exit 2).
 	DisableLocalFallback bool
 	// LocalWorkers bounds concurrent local-fallback replays. <= 0 selects
-	// runtime.NumCPU().
+	// runtime.GOMAXPROCS(0).
 	LocalWorkers int
 	// Metrics receives the coordinator's operational counters and gauges.
 	// Nil allocates a private registry, readable via Metrics().
@@ -126,7 +125,7 @@ func (cfg CoordinatorConfig) withDefaults() CoordinatorConfig {
 	span(&cfg.DialTimeout, 5*time.Second)
 	span(&cfg.RedialBackoff, 100*time.Millisecond)
 	span(&cfg.RedialMaxBackoff, 5*time.Second)
-	count(&cfg.LocalWorkers, runtime.NumCPU())
+	cfg.LocalWorkers = workersOrDefault(cfg.LocalWorkers)
 	if cfg.Metrics == nil {
 		cfg.Metrics = &metrics.Registry{}
 	}

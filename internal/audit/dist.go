@@ -3,7 +3,6 @@ package audit
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,11 +90,12 @@ type DistStats struct {
 // (transport failure on an epoch the verdict needs) — distinct from a
 // fault, which is a completed audit's conclusion about the machine. It
 // backs Audit's EngineDist.
-func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, error) {
+func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, tevlog.SigStats, error) {
 	a = a.withEngineOptions(opts.EngineOptions)
 	res := &Result{Node: node}
-	if !a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks) {
-		return res, DistStats{}, nil
+	sigs, ok := a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks)
+	if !ok {
+		return res, DistStats{}, sigs, nil
 	}
 
 	be := opts.Backend
@@ -105,15 +105,15 @@ func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.En
 	jobs := a.partition(entries, ParallelOptions{EngineOptions: EngineOptions{Materialize: opts.Materialize}})
 	replay, fault, dstats, err := a.runJobs(node, jobs, be, opts.EngineOptions)
 	if err != nil {
-		return nil, dstats, err
+		return nil, dstats, sigs, err
 	}
 	res.Replay = replay
 	if fault != nil {
 		res.Fault = fault
-		return res, dstats, nil
+		return res, dstats, sigs, nil
 	}
 	res.Passed = true
-	return res, dstats, nil
+	return res, dstats, sigs, nil
 }
 
 // splitmix64 is the deterministic spot-selection hash.
@@ -223,12 +223,8 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	dispatch := jobs
 	if be.Remote() {
 		prepStart := time.Now()
-		prepWorkers := opts.Workers
-		if prepWorkers <= 0 {
-			prepWorkers = runtime.NumCPU()
-		}
 		faults := make([]*FaultReport, len(jobs))
-		runPool(len(jobs), prepWorkers, func(i int) bool {
+		runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) bool {
 			if !jobs[i].Boot {
 				faults[i] = prepareStart(node, jobs[i], opts.Materialize)
 			}

@@ -6,6 +6,7 @@ package audit
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/logcomp"
 	"repro/internal/sig"
@@ -36,11 +37,12 @@ const (
 )
 
 // EngineOptions are the knobs shared by every audit engine. The zero value
-// is always valid: serial fallbacks, NumCPU workers, default window, no
+// is always valid: serial fallbacks, one worker per P, default window, no
 // spot rechecks, full-state job shipping.
 type EngineOptions struct {
 	// Workers bounds replay (and remote-prep) concurrency. <= 0 selects
-	// runtime.NumCPU(); 1 forces the serial path on the parallel engine.
+	// runtime.GOMAXPROCS(0); 1 forces the serial path on the parallel
+	// engine.
 	Workers int
 	// Window caps resident decoded entries on the stream engine. <= 0
 	// selects DefaultStreamWindow.
@@ -77,6 +79,18 @@ type EngineOptions struct {
 	DeltaSource func(k uint32) (*snapshot.Delta, error)
 }
 
+// workersOrDefault resolves a worker-count knob: n if it is set, else one
+// per P. GOMAXPROCS, not NumCPU, so that a process held to fewer Ps than
+// the machine has cores (a CPU quota, the one-P CI leg) does not start
+// goroutines that can only take turns — the same sizing tevlog's signature
+// stage, merkle and the recorder's logging daemon use.
+func workersOrDefault(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // AuditRequest describes one audit: what to check and how to run it.
 type AuditRequest struct {
 	// Node is the audited machine; NodeIdx its index in the scenario's
@@ -111,11 +125,14 @@ type AuditRequest struct {
 
 // AuditStats reports how the selected engine ran. Engine is always set;
 // the engine-specific struct of the engine that ran is filled, the others
-// are zero.
+// are zero. Sigs is filled by every engine: how the audit's one
+// signature-verification stage ran (what avmm.DaemonStats is to a
+// recording).
 type AuditStats struct {
 	Engine Engine
 	Stream StreamStats
 	Dist   DistStats
+	Sigs   tevlog.SigStats
 }
 
 // withEngineOptions returns the auditor honoring opts' auditor-level
@@ -146,25 +163,24 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 		}
 	}
 	stats := AuditStats{Engine: engine}
+	var res *Result
+	var err error
 	switch engine {
 	case EngineSerial:
-		return a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths), stats, nil
+		res, stats.Sigs = a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths)
 	case EngineParallel:
-		return a.auditParallel(req.Node, req.NodeIdx, req.Entries, req.Auths, ParallelOptions{EngineOptions: req.Options}), stats, nil
+		res, stats.Sigs = a.auditParallel(req.Node, req.NodeIdx, req.Entries, req.Auths, ParallelOptions{EngineOptions: req.Options})
 	case EngineStream:
-		res, sstats := a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, StreamOptions{EngineOptions: req.Options})
-		stats.Stream = sstats
-		return res, stats, nil
+		res, stats.Stream, stats.Sigs = a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, StreamOptions{EngineOptions: req.Options})
 	case EngineDist:
-		res, dstats, err := a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options, Backend: req.Backend})
-		stats.Dist = dstats
-		return res, stats, err
+		res, stats.Dist, stats.Sigs, err = a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options, Backend: req.Backend})
 	case EngineChunk:
 		if req.Chunk == nil {
 			return nil, stats, fmt.Errorf("audit: chunk engine requires a ChunkRequest")
 		}
-		return a.auditChunk(*req.Chunk), stats, nil
+		res, stats.Sigs = a.auditChunk(*req.Chunk)
 	default:
 		return nil, stats, fmt.Errorf("audit: unknown engine %q", engine)
 	}
+	return res, stats, err
 }

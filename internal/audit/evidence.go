@@ -88,13 +88,13 @@ func VerifyEvidence(ev *Evidence, cfg VerifierConfig) (*Result, error) {
 			return nil, err
 		}
 	case ev.Start != nil:
-		res = a.auditChunk(ChunkRequest{
+		res, _ = a.auditChunk(ChunkRequest{
 			Node: ev.Accused, NodeIdx: ev.AccusedIdx,
 			Start: ev.Start, StartRoot: ev.StartRoot, PrevHash: ev.PrevHash,
 			Entries: ev.Entries, Auths: ev.Auths,
 		})
 	default:
-		res = a.auditSerial(ev.Accused, ev.AccusedIdx, ev.Entries, ev.Auths)
+		res, _ = a.auditSerial(ev.Accused, ev.AccusedIdx, ev.Entries, ev.Auths)
 	}
 	if res.Passed {
 		return res, errors.New("audit: evidence does not demonstrate a fault; execution is consistent with the reference image")

@@ -51,14 +51,14 @@ type epochResult struct {
 // epoch (identical check and entry seq to the serial replay's). Replay
 // stats are the deterministic sum over the epochs the serial audit would
 // have executed. It backs Audit's EngineParallel.
-func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) *Result {
-	res, _, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts.EngineOptions})
+func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) (*Result, tevlog.SigStats) {
+	res, _, sigs, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts.EngineOptions})
 	if err != nil {
 		// The in-process pool never reports transport failures; this guards
 		// a backend change that lets one through.
-		return &Result{Node: node, Fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}
+		return &Result{Node: node, Fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}, sigs
 	}
-	return res
+	return res, sigs
 }
 
 // SemanticCheckParallel runs only the semantic (replay) stage of a full

@@ -59,7 +59,7 @@ func (a *Auditor) auditPartialChunk(ev *Evidence) (*Result, error) {
 	if err := ev.Partial.Verify(ev.StartRoot); err != nil {
 		return nil, fmt.Errorf("audit: partial state does not authenticate: %w", err)
 	}
-	if !a.verifyAndCheck(res, ev.AccusedIdx, ev.PrevHash, ev.Entries, ev.Auths, false) {
+	if _, ok := a.verifyAndCheck(res, ev.AccusedIdx, ev.PrevHash, ev.Entries, ev.Auths, false); !ok {
 		return res, nil
 	}
 	rp, err := NewReplayFromSnapshot(ev.Accused, ev.Partial.Materialize(), ev.RNGSeed)

@@ -2,92 +2,24 @@ package audit
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 
 	"repro/internal/sig"
 	"repro/internal/tevlog"
 	"repro/internal/wire"
 )
 
-// SyntacticOptions configures the syntactic check.
-type SyntacticOptions struct {
-	// NodeIdx is the audited machine's network index (needed to reconstruct
-	// senders' SEND contents for signature verification).
-	NodeIdx uint32
-	// Keys verifies peers' signatures embedded in RECV and ACK entries.
-	Keys *sig.KeyStore
-	// VerifySignatures enables cryptographic checks (off for the
-	// avmm-nosig configuration).
-	VerifySignatures bool
-	// StrictAcks faults any SEND without a matching ACK. Only meaningful
-	// for quiesced logs (offline audits after all traffic drained);
-	// otherwise in-flight tail messages would false-positive.
-	StrictAcks bool
-}
+// This file pins the reference the signature stage is held to: the
+// syntactic checker and the segment verifier as they were before signatures
+// moved off the checking thread (commit 165760a), verifying every signature
+// on the spot, one after another, and stopping at the first bad one. It is a
+// copy, not a caller, of the production code, so that a change to the
+// production checker cannot move the oracle with it. Only the names differ.
 
-// pendingFault is a deferred fault candidate: an entry referenced a
-// sequence number beyond everything seen so far, which is a fault only if
-// the segment turns out to reach that far (the batch pass decides with
-// len(entries) in hand; a streaming pass must wait for Finish). The stats
-// snapshot freezes what the batch pass would have returned had it stopped
-// here.
-type pendingFault struct {
-	seq    uint64 // faulting entry's sequence number
-	refSeq uint64 // referenced sequence number; materializes if inside the segment
-	detail string
-	stats  SyntacticStats
-}
-
-// sigRing bounds the signatures a checker has submitted and not yet read
-// back: a few milliseconds of verification, and a constant, so a checker's
-// memory does not grow with the log. The stage hands signatures out in
-// batches of 32, so the ring keeps at most 8 batches in flight and a
-// checker alone cannot occupy more than 8 helpers (the chain verifier's
-// authenticators are not bounded by it). Both sizes were tuned at two Ps,
-// where 8 is ample; nothing above that was measured.
-const sigRing = 256
-
-// sigJob is one RECV or ACK signature in flight on the stage, with what the
-// serial pass would have returned had it stopped at this entry: the fault
-// to report if the signature turns out bad, the stats before the signature
-// counted, and how many forward-reference candidates had been recorded.
-type sigJob struct {
-	ticket  tevlog.SigTicket
-	seq     uint64
-	detail  string
-	stats   SyntacticStats
-	pending int
-}
-
-// SyntacticChecker is the streaming form of SyntacticCheck: it consumes a
-// log segment one entry at a time and reports the same verdict — fault,
-// stats, and entry — as the batch pass, which wraps it. Payload bytes — the
-// bulk of a log's weight — are dropped as soon as their injection is
-// cross-checked, so they track the monitor's in-flight injection pipeline
-// rather than the log length. A few words of bookkeeping per SEND (ack
-// matching) and per injected RECV (double-injection detection) do persist
-// for the whole segment, exactly as in the batch pass.
-//
-// Add does not verify signatures. It submits each RECV's sender signature
-// and each ACK's peer signature to a tevlog.SigStage and carries on parsing;
-// results are read back oldest first — when sigRing of them are in flight,
-// and in Finish — so the first bad signature in entry order is the one
-// found. Reading it rewinds the verdict to that entry: its fault replaces
-// any structural fault the checker ran into further on while the signature
-// was in flight, the stats are the ones recorded with it, and
-// forward-reference candidates recorded after it are forgotten. That is
-// exactly what a pass verifying each signature before looking at the next
-// entry reports. A structural fault stops the checker submitting, so every
-// signature still in flight then belongs to an earlier entry and outranks
-// it the same way.
-type SyntacticChecker struct {
+type serialChecker struct {
 	node sig.NodeID
 	opts SyntacticOptions
-	sigs *tevlog.SigStage
-
-	// ring holds the signatures in flight, oldest at head; allocated with
-	// the first one.
-	ring    []sigJob
-	head, n int
 
 	stats    SyntacticStats
 	count    int
@@ -112,13 +44,9 @@ type SyntacticChecker struct {
 	pending []pendingFault
 }
 
-// NewSyntacticChecker starts a streaming syntactic pass over node's log.
-// Signatures are verified on sigs, which the checker may share with the
-// audit's chain verifier and which the caller closes; it is not used, and
-// may be nil, unless opts.VerifySignatures is set.
-func NewSyntacticChecker(node sig.NodeID, opts SyntacticOptions, sigs *tevlog.SigStage) *SyntacticChecker {
-	return &SyntacticChecker{
-		node: node, opts: opts, sigs: sigs,
+func newSerialChecker(node sig.NodeID, opts SyntacticOptions) *serialChecker {
+	return &serialChecker{
+		node: node, opts: opts,
 		recvPayload: make(map[uint64]*wire.RecvContent),
 		injected:    make(map[uint64]bool),
 		sendAcked:   make(map[uint64]bool),
@@ -127,62 +55,27 @@ func NewSyntacticChecker(node sig.NodeID, opts SyntacticOptions, sigs *tevlog.Si
 
 // fail records the first immediate fault; subsequent entries only count
 // toward the segment length (the batch pass would never have seen them).
-func (c *SyntacticChecker) fail(seq uint64, detail string) {
+func (c *serialChecker) fail(seq uint64, detail string) {
 	c.fault = &FaultReport{Node: c.node, Check: CheckSyntactic, Detail: detail, EntrySeq: seq}
 }
 
 // deferRef records a forward-reference fault candidate for Finish.
-func (c *SyntacticChecker) deferRef(seq, refSeq uint64, detail string) {
+func (c *serialChecker) deferRef(seq, refSeq uint64, detail string) {
 	c.pending = append(c.pending, pendingFault{
 		seq: seq, refSeq: refSeq, detail: detail, stats: c.stats,
 	})
-}
-
-// verify submits the signature of the entry being added — the last thing
-// Add does with an entry — which counts as verified until it is read back
-// bad. Making room in the ring may read back a bad signature of an earlier
-// entry instead, and then this one no longer matters.
-func (c *SyntacticChecker) verify(seq uint64, a tevlog.Authenticator, detail string) {
-	if c.ring == nil {
-		c.ring = make([]sigJob, sigRing)
-	}
-	if c.n == sigRing && !c.reap() {
-		return
-	}
-	c.ring[(c.head+c.n)%sigRing] = sigJob{
-		ticket: c.sigs.Submit(a), seq: seq, detail: detail,
-		stats: c.stats, pending: len(c.pending),
-	}
-	c.n++
-	c.stats.SigsVerified++
-}
-
-// reap reads back the oldest signature in flight. A bad one becomes the
-// verdict as of its entry, and everything submitted after it is dropped.
-func (c *SyntacticChecker) reap() bool {
-	j := &c.ring[c.head]
-	c.head = (c.head + 1) % sigRing
-	c.n--
-	if c.sigs.Valid(j.ticket) {
-		return true
-	}
-	c.fail(j.seq, j.detail)
-	c.stats = j.stats
-	c.pending = c.pending[:j.pending]
-	c.n = 0
-	return false
 }
 
 // seen reports whether sequence number s falls inside the segment prefix
 // processed so far (the batch pass's inSegment bound, evaluated over i+1
 // entries). Like the batch pass it assumes the consecutive numbering the
 // chain verifier enforces.
-func (c *SyntacticChecker) seen(s uint64, i int) bool {
+func (c *serialChecker) seen(s uint64, i int) bool {
 	return s >= c.firstSeq && s < c.firstSeq+uint64(i+1)
 }
 
 // Add consumes the next entry of the segment.
-func (c *SyntacticChecker) Add(e *tevlog.Entry) {
+func (c *serialChecker) Add(e *tevlog.Entry) {
 	i := c.count
 	c.count++
 	if !c.started {
@@ -215,9 +108,9 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 		c.stats.Recvs++
 		c.recvPayload[e.Seq] = rc
 		if c.opts.VerifySignatures {
-			// Recompute the sender's chain hash for SEND(m) and have the
-			// sender's authenticator signature over it verified, proving
-			// the message is genuine (§4.3: forged incoming messages are
+			// Recompute the sender's chain hash for SEND(m) and verify
+			// the sender's authenticator signature over it, proving the
+			// message is genuine (§4.3: forged incoming messages are
 			// detectable because senders sign their messages).
 			sendContent := (&wire.SendContent{
 				MsgID: rc.MsgID, Dest: c.opts.NodeIdx, Payload: rc.Payload,
@@ -227,7 +120,11 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 			a := tevlog.Authenticator{
 				Node: sig.NodeID(rc.SrcNode), Seq: rc.SenderSeq, Hash: h, Sig: rc.SenderSig,
 			}
-			c.verify(e.Seq, a, "RECV entry carries an invalid sender signature (forged message?)")
+			if !a.Verify(c.opts.Keys) {
+				c.fail(e.Seq, "RECV entry carries an invalid sender signature (forged message?)")
+				return
+			}
+			c.stats.SigsVerified++
 		}
 	case tevlog.TypeAck:
 		ac, err := wire.ParseAck(e.Content)
@@ -250,7 +147,11 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 			a := tevlog.Authenticator{
 				Node: sig.NodeID(ac.PeerNode), Seq: ac.PeerSeq, Hash: ac.PeerHash, Sig: ac.PeerSig,
 			}
-			c.verify(e.Seq, a, "ACK entry carries an invalid peer signature")
+			if !a.Verify(c.opts.Keys) {
+				c.fail(e.Seq, "ACK entry carries an invalid peer signature")
+				return
+			}
+			c.stats.SigsVerified++
 		}
 	case tevlog.TypeNondet:
 		if _, err := wire.ParseNondet(e.Content); err != nil {
@@ -314,14 +215,11 @@ func (c *SyntacticChecker) Add(e *tevlog.Entry) {
 
 // Finish completes the pass and returns the verdict the batch pass would
 // have produced over the same entries.
-func (c *SyntacticChecker) Finish() (SyntacticStats, *FaultReport) {
-	for c.n > 0 && c.reap() {
-	}
+func (c *serialChecker) Finish() (SyntacticStats, *FaultReport) {
 	// A deferred forward reference materializes if the segment reached the
 	// referenced sequence number. Candidates precede any immediate fault in
-	// entry order (Add stops recording once a fault is set, and a bad
-	// signature forgets the ones after it), so the first materialized
-	// candidate is the verdict the batch pass reports.
+	// entry order (Add stops recording once a fault is set), so the first
+	// materialized candidate is the verdict the batch pass reports.
 	for _, p := range c.pending {
 		if p.refSeq < c.firstSeq+uint64(c.count) {
 			stats := p.stats
@@ -371,24 +269,64 @@ func (c *SyntacticChecker) Finish() (SyntacticStats, *FaultReport) {
 	return c.stats, nil
 }
 
-// SyntacticCheck performs the §4.5 well-formedness pass over a log segment:
-// every entry parses, signatures in messages and acknowledgments verify,
-// each message was acknowledged, and the message stream is consistent with
-// the injection stream entering the AVM (the §4.4 cross-reference that
-// catches packets dropped or altered between receipt and injection). It is
-// a thin wrapper over SyntacticChecker, which performs the same pass one
-// entry at a time, on a signature stage of its own.
-func SyntacticCheck(node sig.NodeID, entries []tevlog.Entry, opts SyntacticOptions) (SyntacticStats, *FaultReport) {
-	sigs := tevlog.NewSigStage(opts.Keys)
-	defer sigs.Close()
-	return syntacticCheck(node, entries, opts, sigs)
-}
-
-// syntacticCheck is SyntacticCheck on a stage the caller made and closes.
-func syntacticCheck(node sig.NodeID, entries []tevlog.Entry, opts SyntacticOptions, sigs *tevlog.SigStage) (SyntacticStats, *FaultReport) {
-	c := NewSyntacticChecker(node, opts, sigs)
+// serialSyntacticCheck is the reference SyntacticCheck.
+func serialSyntacticCheck(node sig.NodeID, entries []tevlog.Entry, opts SyntacticOptions) (SyntacticStats, *FaultReport) {
+	c := newSerialChecker(node, opts)
 	for i := range entries {
 		c.Add(&entries[i])
 	}
 	return c.Finish()
+}
+
+// serialVerifySegment is the reference tevlog.VerifySegment: rechain a copy
+// of the segment, then walk the authenticators in the order supplied,
+// verifying each in-range signature on the spot.
+func serialVerifySegment(prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, ks *sig.KeyStore) error {
+	if len(entries) == 0 {
+		return errors.New("tevlog: empty segment")
+	}
+	seg := append([]tevlog.Entry(nil), entries...)
+	if err := tevlog.Rechain(prev, seg); err != nil {
+		return err
+	}
+	lo, hi := seg[0].Seq, seg[len(seg)-1].Seq
+	covered := false
+	for _, a := range auths {
+		if a.Seq < lo || a.Seq > hi {
+			continue
+		}
+		if !a.Verify(ks) {
+			return tevlog.ErrBadSignature
+		}
+		if got := seg[a.Seq-lo].Hash; got != a.Hash {
+			return fmt.Errorf("%w: entry %d has chain hash %x, authenticator commits to %x",
+				tevlog.ErrAuthenticatorMismatch, a.Seq, got[:8], a.Hash[:8])
+		}
+		if a.Seq == hi {
+			covered = true
+		}
+	}
+	if !covered {
+		return fmt.Errorf("%w: no authenticator covers segment end %d", tevlog.ErrAuthenticatorMismatch, hi)
+	}
+	return nil
+}
+
+// serialVerifyAndCheck is what every engine's verdict must equal when the
+// log does not get as far as replay: the reference chain verification, then
+// the reference syntactic check. The bool reports whether either faulted.
+func serialVerifyAndCheck(a *Auditor, node sig.NodeID, nodeIdx uint32, prev tevlog.Hash, entries []tevlog.Entry, auths []tevlog.Authenticator, strictAcks bool) (Result, bool) {
+	res := Result{Node: node}
+	if a.TamperEvident {
+		if err := serialVerifySegment(prev, entries, auths, a.Keys); err != nil {
+			res.Fault = &FaultReport{Node: node, Check: CheckLog, Detail: err.Error()}
+			return res, true
+		}
+	}
+	res.Syntactic, res.Fault = serialSyntacticCheck(node, entries, SyntacticOptions{
+		NodeIdx: nodeIdx, Keys: a.Keys,
+		VerifySignatures: a.TamperEvident && a.VerifySignatures,
+		StrictAcks:       strictAcks,
+	})
+	return res, res.Fault != nil
 }

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/sig"
@@ -194,7 +193,7 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 }
 
 // SpotCheckParallel is SpotCheck with the selected chunks audited
-// concurrently on up to workers goroutines (<= 0 selects runtime.NumCPU()).
+// concurrently on up to workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)).
 // Chunks are independent — each starts from its own verified snapshot — so
 // the outcome is deterministic and identical to the serial pass: the first
 // fault in policy order is reported, and SegmentsChecked counts the chunks
@@ -217,9 +216,7 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 			picks = append(picks, idx)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = workersOrDefault(workers)
 	if workers > len(picks) {
 		workers = len(picks)
 	}
@@ -231,7 +228,7 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 			errs[i] = cerr
 			return true
 		}
-		results[i] = a.auditChunk(req)
+		results[i], _ = a.auditChunk(req)
 		return !results[i].Passed
 	})
 	if cutoff == len(picks) {

@@ -3,7 +3,6 @@ package audit
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,23 +13,36 @@ import (
 	"repro/internal/wire"
 )
 
-// This file implements the streaming audit pipeline: decode ∥ chain-verify
-// ∥ replay. The materializing auditor (the serial and parallel engines over a
-// decompressed slice) pays the whole decode as dead time before the first
-// instruction replays, and holds every entry of the log in memory at once.
-// The stream engine instead wires logcomp.EntryReader → tevlog.ChainVerifier +
-// SyntacticChecker → epoch replay workers as bounded-channel stages: epochs
-// are emitted at snapshot entries and handed to workers while later
-// segments of the container are still decoding, and the number of decoded
-// entries resident across the whole pipeline is capped by a configurable
-// window rather than the log length.
+// This file implements the streaming audit pipeline: decode ∥ chain hash +
+// syntactic check ∥ signature verification ∥ replay. The materializing
+// auditor (the serial and parallel engines over a decompressed slice) pays
+// the whole decode as dead time before the first instruction replays, and
+// holds every entry of the log in memory at once. The stream engine instead
+// wires logcomp.EntryReader → tevlog.ChainVerifier + SyntacticChecker →
+// epoch replay workers as bounded-channel stages: epochs are emitted at
+// snapshot entries and handed to workers while later segments of the
+// container are still decoding, and the number of decoded entries resident
+// across the whole pipeline is capped by a configurable window rather than
+// the log length.
+//
+// The router goroutine hashes the chain and parses entries but verifies no
+// signature. The chain verifier and the syntactic checker share one
+// tevlog.SigStage: each submits an authenticator — a collected one as the
+// stream passes its sequence number, a RECV's or an ACK's as the entry is
+// parsed — and moves on, the stage's helpers verify in batches beside
+// decode, checking and replay, and each submitter reads its own results
+// back in the order it submitted them. The checker holds a constant number
+// of results in flight and the verifier one per authenticator, so memory
+// stays bounded by the window and the authenticator set.
 //
 // The verdict is identical to the materializing auditor's. Stage faults
 // are merged with the serial pipeline's precedence — decode, then chain
 // (over the whole log), then syntactic, then the earliest faulting epoch's
 // replay fault — and each stage runs to completion before a lower-
 // precedence fault is allowed to win, exactly as if the stages had run one
-// after another over a materialized slice.
+// after another over a materialized slice. Within a stage the first bad
+// signature in entry order wins, as if each had been verified before the
+// next entry was looked at (see ChainVerifier and SyntacticChecker).
 
 // DefaultStreamWindow bounds resident decoded entries when StreamOptions
 // leaves Window zero.
@@ -120,6 +132,7 @@ type streamVerdict struct {
 	chainErr  error
 	synStats  SyntacticStats
 	synFault  *FaultReport
+	sigStats  tevlog.SigStats
 
 	mu      sync.Mutex
 	results map[int]epochResult
@@ -152,13 +165,11 @@ func (v *streamVerdict) record(index int, r epochResult) {
 // — the archive-backed path, where epoch segments are read, hash-verified
 // and decoded from disk one at a time. Source errors land in the same
 // decode-fault slot a corrupt container's do, so the merged verdict treats
-// a tampered archive exactly like a tampered log.
-func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats) {
+// a tampered archive exactly like a tampered log. The SigStats say how the
+// signature stage ran.
+func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats, tevlog.SigStats) {
 	a = a.withEngineOptions(opts.EngineOptions)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := workersOrDefault(opts.Workers)
 	window := opts.Window
 	if window <= 0 {
 		window = DefaultStreamWindow
@@ -240,28 +251,30 @@ func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []
 	stream.PeakResidentEntries = win.peak
 	win.mu.Unlock()
 
-	return a.mergeStream(node, verdict, epochs), stream
+	return a.mergeStream(node, verdict, epochs), stream, verdict.sigStats
 }
 
 // routeStream consumes decoded entries, feeds the chain verifier and the
 // syntactic checker, and slices the stream into epochs at snapshot entries
 // (mirroring the epoch-parallel engine's partition rules). It returns the
-// number of epochs emitted. A chain fault ends chain verification,
-// syntactic checking and routing — in the batch pipeline neither the
-// syntactic check nor replay would have run at all — but the stream is
-// still drained to the end, because a decode error anywhere outranks the
-// chain fault (the batch pipeline fails in DecompressEntries before
-// verifying anything).
+// number of epochs emitted. Both submit their signatures to one stage (see
+// the file comment). A chain fault ends chain verification, syntactic
+// checking and routing — in the batch pipeline neither the syntactic check
+// nor replay would have run at all — but the stream is still drained to the
+// end, because a decode error anywhere outranks the chain fault (the batch
+// pipeline fails in DecompressEntries before verifying anything).
 func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts StreamOptions, win *entryWindow, epochQueue chan<- *streamEpoch, verdict *streamVerdict) int {
+	sigs := tevlog.NewSigStage(a.Keys)
+	defer sigs.Close()
 	var chain *tevlog.ChainVerifier
 	if a.TamperEvident {
-		chain = tevlog.NewChainVerifier(tevlog.Hash{}, auths, a.Keys)
+		chain = tevlog.NewChainVerifier(tevlog.Hash{}, auths, sigs)
 	}
 	syn := NewSyntacticChecker(node, SyntacticOptions{
 		NodeIdx: nodeIdx, Keys: a.Keys,
 		VerifySignatures: a.TamperEvident && a.VerifySignatures,
 		StrictAcks:       a.StrictAcks,
-	})
+	}, sigs)
 
 	var current *streamEpoch
 	// next describes the epoch the next routed entry belongs to; epochs are
@@ -316,10 +329,15 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		}
 	}
 
+	// A decode or chain fault owns the verdict: reading back the signatures
+	// still in flight could not change it.
 	if verdict.decodeErr == nil && verdict.chainErr == nil && chain != nil {
 		verdict.chainErr = chain.Finish()
 	}
-	verdict.synStats, verdict.synFault = syn.Finish()
+	if verdict.decodeErr == nil && verdict.chainErr == nil {
+		verdict.synStats, verdict.synFault = syn.Finish()
+	}
+	verdict.sigStats = sigs.Stats()
 
 	if epochs == 0 && verdict.decodeErr == nil && verdict.chainErr == nil {
 		// Empty log: still run the boot replay, as the batch auditor does.

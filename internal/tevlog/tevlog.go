@@ -17,9 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sig"
 )
@@ -376,22 +373,31 @@ func Rechain(prev Hash, entries []Entry) error {
 // segment ends. It never owns the entry slice, so a multi-hour log verifies
 // in memory proportional to the authenticator set, not the log.
 //
+// Signatures are not verified here but on a SigStage: Add submits each
+// authenticator as the stream passes its sequence number — so only
+// authenticators inside the segment are ever verified, and their signatures
+// are being checked while the rest of the segment is still arriving — and
+// Finish reads the results.
+//
 // Error semantics are identical to VerifySegment's: chain breaks surface
 // immediately from Add (the first break in entry order, exactly the error a
-// batch pass reports), while authenticator checks — which depend on the
-// segment's final sequence number — are deferred to Finish and evaluated in
-// the order the authenticators were supplied, preserving the batch
+// batch pass reports; nothing is submitted after one), while authenticator
+// checks — which depend on the segment's final sequence number — are
+// deferred to Finish and evaluated in the order the authenticators were
+// supplied, whatever order the stage verified them in, preserving the batch
 // verifier's error precedence (a chain break anywhere outranks a bad
 // signature anywhere).
 type ChainVerifier struct {
-	ks    *sig.KeyStore
+	sigs  *SigStage
 	auths []Authenticator
 	// bySeq indexes auths by sequence number so each entry touches only its
 	// own authenticators.
 	bySeq map[uint64][]int
 	// authHash records the recomputed chain hash at each authenticator's
-	// sequence number, filled as the stream passes it.
+	// sequence number, and tickets its signature's place on the stage, both
+	// filled as the stream passes it.
 	authHash []Hash
+	tickets  []SigTicket
 	c        chainer
 	prev     Hash
 	started  bool
@@ -401,13 +407,15 @@ type ChainVerifier struct {
 
 // NewChainVerifier starts verifying a segment whose predecessor has chain
 // hash prev (the zero hash for a log audited from boot). Signatures are
-// checked against ks.
-func NewChainVerifier(prev Hash, auths []Authenticator, ks *sig.KeyStore) *ChainVerifier {
+// checked on sigs, which the verifier may share with other submitters (an
+// audit's syntactic checker) and which the caller closes.
+func NewChainVerifier(prev Hash, auths []Authenticator, sigs *SigStage) *ChainVerifier {
 	v := &ChainVerifier{
-		ks:       ks,
+		sigs:     sigs,
 		auths:    auths,
 		bySeq:    make(map[uint64][]int),
 		authHash: make([]Hash, len(auths)),
+		tickets:  make([]SigTicket, len(auths)),
 		prev:     prev,
 	}
 	for i := range auths {
@@ -436,6 +444,7 @@ func (v *ChainVerifier) Add(e *Entry) error {
 	v.last = e.Seq
 	for _, i := range v.bySeq[e.Seq] {
 		v.authHash[i] = v.prev
+		v.tickets[i] = v.sigs.Submit(v.auths[i])
 	}
 	return nil
 }
@@ -447,8 +456,7 @@ func (v *ChainVerifier) Last() Hash { return v.prev }
 // Finish completes verification: every authenticator inside the segment
 // must carry a valid signature and match the recomputed chain, and at least
 // one must cover the final entry — otherwise the tail of the segment is
-// uncommitted and truncating it would go unnoticed. Signatures are checked
-// concurrently when several authenticators fall inside the segment.
+// uncommitted and truncating it would go unnoticed.
 func (v *ChainVerifier) Finish() error {
 	if v.err != nil {
 		return v.err
@@ -457,15 +465,13 @@ func (v *ChainVerifier) Finish() error {
 		return errors.New("tevlog: empty segment")
 	}
 	lo, hi := v.lo, v.last
-	inRange := func(a *Authenticator) bool { return a.Seq >= lo && a.Seq <= hi }
-	sigOK := verifyAuthsParallel(v.auths, inRange, v.ks)
 	covered := false
 	for i := range v.auths {
 		a := &v.auths[i]
-		if !inRange(a) {
+		if a.Seq < lo || a.Seq > hi {
 			continue
 		}
-		if !sigOK[i] {
+		if !v.sigs.Valid(v.tickets[i]) {
 			return ErrBadSignature
 		}
 		if got := v.authHash[i]; got != a.Hash {
@@ -488,68 +494,20 @@ func (v *ChainVerifier) Finish() error {
 // Every authenticator whose sequence number falls inside the segment must
 // match the recomputed chain; at least one must cover the segment's last
 // entry, otherwise the tail of the segment is uncommitted and skipping it
-// would go unnoticed. Signatures are checked against ks, concurrently when
-// several authenticators fall inside the segment; the segment itself is
-// never modified. It is a thin wrapper over ChainVerifier, which performs
-// the same checks one entry at a time.
+// would go unnoticed. Signatures are checked against ks, on a SigStage while
+// the chain is still being recomputed; the segment itself is never
+// modified. It is a thin wrapper over ChainVerifier, which performs the same
+// checks one entry at a time.
 func VerifySegment(prev Hash, entries []Entry, auths []Authenticator, ks *sig.KeyStore) error {
-	v := NewChainVerifier(prev, auths, ks)
+	sigs := NewSigStage(ks)
+	defer sigs.Close()
+	v := NewChainVerifier(prev, auths, sigs)
 	for i := range entries {
 		if err := v.Add(&entries[i]); err != nil {
 			return err
 		}
 	}
 	return v.Finish()
-}
-
-// verifyAuthsParallel checks the signatures of every selected authenticator
-// on a bounded worker pool and reports per-index validity. The outcome is
-// position-indexed, so callers scanning the results in order observe the
-// exact error precedence of a serial pass regardless of scheduling.
-func verifyAuthsParallel(auths []Authenticator, selected func(*Authenticator) bool, ks *sig.KeyStore) []bool {
-	ok := make([]bool, len(auths))
-	n := 0
-	for i := range auths {
-		if selected(&auths[i]) {
-			n++
-		}
-	}
-	// Capped like merkle.DefaultWorkers so segment verifications nested
-	// inside an already-parallel audit don't oversubscribe the scheduler.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range auths {
-			if selected(&auths[i]) {
-				ok[i] = auths[i].Verify(ks)
-			}
-		}
-		return ok
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(auths) {
-					return
-				}
-				if selected(&auths[i]) {
-					ok[i] = auths[i].Verify(ks)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ok
 }
 
 // MarshalSegment serializes a segment for transfer or storage.

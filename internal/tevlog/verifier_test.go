@@ -17,7 +17,7 @@ func TestChainVerifierMatchesRechain(t *testing.T) {
 	if err := Rechain(Hash{}, rechained); err != nil {
 		t.Fatal(err)
 	}
-	v := NewChainVerifier(Hash{}, nil, testKeys(s))
+	v := NewChainVerifier(Hash{}, nil, NewSigStage(testKeys(s)))
 	for i := range entries {
 		if err := v.Add(&entries[i]); err != nil {
 			t.Fatalf("entry %d: %v", i, err)
@@ -63,7 +63,7 @@ func TestChainVerifierEquivalence(t *testing.T) {
 		}
 		batchErr := VerifySegment(Hash{}, seg, auths, ks)
 
-		v := NewChainVerifier(Hash{}, auths, ks)
+		v := NewChainVerifier(Hash{}, auths, NewSigStage(ks))
 		var streamErr error
 		for i := range seg {
 			if streamErr = v.Add(&seg[i]); streamErr != nil {
@@ -89,7 +89,7 @@ func TestChainVerifierEquivalence(t *testing.T) {
 
 func TestChainVerifierEmptySegment(t *testing.T) {
 	s := testSigner(t, "a")
-	v := NewChainVerifier(Hash{}, nil, testKeys(s))
+	v := NewChainVerifier(Hash{}, nil, NewSigStage(testKeys(s)))
 	if err := v.Finish(); err == nil {
 		t.Fatal("empty segment accepted")
 	}
@@ -99,7 +99,7 @@ func TestChainVerifierStickyError(t *testing.T) {
 	s := testSigner(t, "a")
 	l := buildLog(s, 5)
 	entries := l.All()
-	v := NewChainVerifier(Hash{}, nil, testKeys(s))
+	v := NewChainVerifier(Hash{}, nil, NewSigStage(testKeys(s)))
 	if err := v.Add(&entries[0]); err != nil {
 		t.Fatal(err)
 	}
