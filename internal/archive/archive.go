@@ -52,6 +52,12 @@ type Archive struct {
 	order   []string                // node names in manifest order
 	tiles   map[string]*wal.Payload // tile append handles
 	readers map[string]*os.File     // tile read handles
+
+	// readAheads counts the increment reads running on goroutines of their
+	// own (read.go). Close refuses new ones and waits for these before it
+	// closes the files they read.
+	readAheads sync.WaitGroup
+	closed     bool
 }
 
 // Open opens (creating if needed) the archive in dir, replays the
@@ -346,9 +352,27 @@ func (a *Archive) Sync() error {
 	return a.log.Sync()
 }
 
-// Close syncs and releases every file handle. The archive is unusable
-// for appends afterwards.
+// beginReadAhead reserves a place for one read on a goroutine of its own;
+// false means the archive is closing and the read must not start. The
+// goroutine calls readAheads.Done when it has finished.
+func (a *Archive) beginReadAhead() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return false
+	}
+	a.readAheads.Add(1)
+	return true
+}
+
+// Close syncs and releases every file handle, after the reads still
+// running ahead of a fold have finished. The archive is unusable for
+// appends afterwards.
 func (a *Archive) Close() error {
+	a.mu.Lock()
+	a.closed = true
+	a.mu.Unlock()
+	a.readAheads.Wait()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	err := a.log.Close()

@@ -291,6 +291,12 @@ func marshalSnapshotPayload(s *snapshot.Snapshot) []byte {
 // parseSnapshotPayload decodes a snapshot-increment payload. Arbitrary
 // bytes must error, never panic: every count is bounds-checked against the
 // remaining payload before allocation, and trailing bytes are rejected.
+//
+// The returned snapshot owns b: its memory pages are windows of b, not
+// copies (a 16 MiB first capture is 4096 pages), each with its capacity cut
+// to its length so that an append by a consumer reallocates instead of
+// running into the next page. The caller must not write to b or hand it to
+// anyone else afterwards. Everything else in the snapshot is copied out.
 func parseSnapshotPayload(b []byte) (*snapshot.Snapshot, error) {
 	r := &recReader{b: b}
 	if v := r.byte(); v != SnapshotPayloadVersion {
@@ -325,7 +331,7 @@ func parseSnapshotPayload(b []byte) (*snapshot.Snapshot, error) {
 			return nil, fmt.Errorf("archive: snapshot payload pages malformed")
 		}
 		lastPage = p
-		s.MemPages[p] = append([]byte(nil), r.bytes(int(n))...)
+		s.MemPages[p] = r.bytes(int(n))[:n:n]
 	}
 	s.Proof.Leaves = int(r.uvarint())
 	nIdx := r.uvarint()

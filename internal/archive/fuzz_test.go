@@ -76,7 +76,12 @@ func FuzzManifestReplay(f *testing.F) {
 // FuzzSnapshotPayload feeds arbitrary bytes to the snapshot-increment
 // decoder. It must error or decode, never panic; and whatever decodes must
 // re-encode to a payload that decodes to the same value (no divergence
-// between what was verified and what replay consumes).
+// between what was verified and what replay consumes). A decoded snapshot's
+// pages are windows of the payload it was decoded from, so two more things
+// must hold: every page's capacity is its length (an append by a consumer
+// reallocates rather than writing over the page behind it), and the
+// snapshot looks at no bytes but its own payload's — the decode of a copy
+// is unmoved by what happens to the original afterwards.
 func FuzzSnapshotPayload(f *testing.F) {
 	m := vm.NewMachine(4*vm.PageSize, nil)
 	st := snapshot.NewStore(len(m.Mem))
@@ -97,15 +102,39 @@ func FuzzSnapshotPayload(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := parseSnapshotPayload(data)
+		// The decoder owns what it is given and the fuzzer owns data, so
+		// every decode here gets a copy of its own.
+		owned := bytes.Clone(data)
+		s, err := parseSnapshotPayload(owned)
 		if err != nil {
 			return
 		}
-		again, err := parseSnapshotPayload(marshalSnapshotPayload(s))
+		for p, page := range s.MemPages {
+			if cap(page) != len(page) {
+				t.Fatalf("page %d has length %d and capacity %d", p, len(page), cap(page))
+			}
+		}
+		fromCopy, err := parseSnapshotPayload(bytes.Clone(data))
+		if err != nil {
+			t.Fatalf("a copy of a payload that decodes does not: %v", err)
+		}
+		if !reflect.DeepEqual(s, fromCopy) {
+			t.Fatal("the decode of a copy differs from the decode of the original")
+		}
+		// Overwrite the buffer the first decode owns. That snapshot is now
+		// garbage, by the ownership rule; the second must not have moved.
+		encoded := marshalSnapshotPayload(fromCopy)
+		for i := range owned {
+			owned[i] = ^owned[i]
+		}
+		if !bytes.Equal(encoded, marshalSnapshotPayload(fromCopy)) {
+			t.Fatal("the decode of a copy changed when the original was overwritten")
+		}
+		again, err := parseSnapshotPayload(encoded)
 		if err != nil {
 			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(s, again) {
+		if !reflect.DeepEqual(fromCopy, again) {
 			t.Fatal("decode ∘ encode diverges from the first decode")
 		}
 	})

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync"
 
 	"repro/internal/logcomp"
 	"repro/internal/merkle"
@@ -93,7 +95,10 @@ func (a *Archive) EpochInfo(node string, k int) (EpochInfo, error) {
 	return infoOf(k, &ns.epochs[k]), nil
 }
 
-// readExtent reads and hash-verifies one segment payload.
+// readExtent reads and hash-verifies one segment payload. The buffer is
+// allocated here for this one read and nothing else keeps it: the caller
+// owns the returned bytes outright and may hand them on as they are, which
+// is what lets a decoded snapshot's pages be windows of it.
 func (a *Archive) readExtent(node string, off, length int64, want [32]byte, what string) ([]byte, error) {
 	a.mu.Lock()
 	r := a.readers[node]
@@ -370,17 +375,45 @@ func (a *Archive) ReadWindow(node string, from, k int) ([]tevlog.Entry, error) {
 	return out, nil
 }
 
+// readAheadMin is the payload length from which an increment is worth
+// reading on another goroutine. A read is a ReadAt and a SHA-256 of the
+// payload, well under a millisecond per MiB, and handing it to a goroutine
+// and collecting it costs some microseconds: at 1 MiB the hand-off is below
+// a percent of what it overlaps; at the 10–100 KiB increments of a guest
+// with a few hundred KiB of memory it would be most of it.
+const readAheadMin = 1 << 20
+
 // incrementSource adapts a node's archived snapshot segments to
 // snapshot.IncrementSource. Decoded increments are memoized — audit
 // materializations revisit the same early increments once per epoch, and
-// a re-read from disk would re-pay hashing and decode every time.
+// a re-read from disk would re-pay hashing and decode every time — and an
+// increment is read once however many folds ask for it at the same time.
+//
+// It reads ahead. A fold walks newest-first, so a request for increment k
+// is followed by one for k-1 unless every page is already resolved: when
+// both payloads are at least readAheadMin long and the process has a second
+// P, k-1 is read, hash-verified and decoded on another goroutine while the
+// caller does the same to k, and the fold's next request collects it. What
+// a read-ahead finds is reported only to a caller that asks for that
+// increment: a failed one nobody waited for is forgotten, and the request
+// that comes later reads again and reports what it sees.
 type incrementSource struct {
 	a    *Archive
 	node string
-	n    int
 	mem  int
+	recs []snapRec // the manifest's records at open; records are never rewritten
 
-	memo []*snapshot.Snapshot // index → decoded increment, nil until read
+	mu    sync.Mutex
+	reads []*incRead // index → the read of that increment, nil until one starts
+}
+
+// incRead is one read of one increment: in flight until done is closed,
+// the memo entry afterwards. A failed read is taken out of the table before
+// done is closed, so an error reaches those already waiting and nobody else.
+type incRead struct {
+	done chan struct{}
+	snap *snapshot.Snapshot
+	err  error
 }
 
 // IncrementSource returns the node's archived snapshot increments as a
@@ -388,7 +421,8 @@ type incrementSource struct {
 // increment read is verified against the manifest (payload hash, index
 // and committed roots) before it participates in a fold; a corrupt
 // increment errors, which audits report as a CheckSnapshot fault exactly
-// like a tampered snapshot store.
+// like a tampered snapshot store. The source is safe for concurrent use
+// and must not be used after the archive is closed.
 func (a *Archive) IncrementSource(node string) (snapshot.IncrementSource, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -397,8 +431,9 @@ func (a *Archive) IncrementSource(node string) (snapshot.IncrementSource, error)
 		return nil, err
 	}
 	return &incrementSource{
-		a: a, node: node, n: len(ns.snaps), mem: ns.memSize,
-		memo: make([]*snapshot.Snapshot, len(ns.snaps)),
+		a: a, node: node, mem: ns.memSize,
+		recs:  append([]snapRec(nil), ns.snaps...),
+		reads: make([]*incRead, len(ns.snaps)),
 	}, nil
 }
 
@@ -406,35 +441,64 @@ func (a *Archive) IncrementSource(node string) (snapshot.IncrementSource, error)
 func (s *incrementSource) MemSize() int { return s.mem }
 
 // Count implements snapshot.IncrementSource.
-func (s *incrementSource) Count() int { return s.n }
+func (s *incrementSource) Count() int { return len(s.recs) }
 
 // Increment implements snapshot.IncrementSource.
 func (s *incrementSource) Increment(k int) (*snapshot.Snapshot, error) {
-	if k < 0 || k >= s.n {
-		return nil, fmt.Errorf("archive: %s snapshot %d out of range [0,%d)", s.node, k, s.n)
+	if k < 0 || k >= len(s.recs) {
+		return nil, fmt.Errorf("archive: %s snapshot %d out of range [0,%d)", s.node, k, len(s.recs))
 	}
-	s.a.mu.Lock()
-	rec := s.a.nodes[s.node].snaps[k]
-	memod := s.memo[k]
-	s.a.mu.Unlock()
-	if memod != nil {
-		return memod, nil
+	s.mu.Lock()
+	r, mine := s.reads[k], false
+	if r == nil {
+		r, mine = s.begin(k), true
 	}
+	var ahead *incRead
+	if k > 0 && s.reads[k-1] == nil && s.recs[k].Len >= readAheadMin && s.recs[k-1].Len >= readAheadMin &&
+		runtime.GOMAXPROCS(0) > 1 && s.a.beginReadAhead() {
+		ahead = s.begin(k - 1)
+	}
+	s.mu.Unlock()
+	if ahead != nil {
+		go func() {
+			defer s.a.readAheads.Done()
+			s.read(k-1, ahead)
+		}()
+	}
+	if mine {
+		s.read(k, r)
+	} else {
+		<-r.done
+	}
+	return r.snap, r.err
+}
+
+// begin enters a read of increment k in the table. Callers hold mu.
+func (s *incrementSource) begin(k int) *incRead {
+	r := &incRead{done: make(chan struct{})}
+	s.reads[k] = r
+	return r
+}
+
+// read performs r, the read of increment k that begin entered: the extent
+// against the manifest's hash, the decode, and the decoded index and roots
+// against the manifest's record.
+func (s *incrementSource) read(k int, r *incRead) {
+	rec := &s.recs[k]
 	payload, err := s.a.readExtent(s.node, rec.Off, rec.Len, rec.Hash, fmt.Sprintf("snapshot %d", k))
+	if err == nil {
+		r.snap, err = parseSnapshotPayload(payload)
+	}
+	if err == nil && (r.snap.Index != k || r.snap.Root != rec.Root || r.snap.MemRoot != rec.MemRoot) {
+		err = fmt.Errorf("archive: %s snapshot %d payload disagrees with manifest (corrupt or tampered segment)", s.node, k)
+	}
 	if err != nil {
-		return nil, err
+		r.snap, r.err = nil, err
+		s.mu.Lock()
+		s.reads[k] = nil
+		s.mu.Unlock()
 	}
-	snap, err := parseSnapshotPayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Index != k || snap.Root != rec.Root || snap.MemRoot != rec.MemRoot {
-		return nil, fmt.Errorf("archive: %s snapshot %d payload disagrees with manifest (corrupt or tampered segment)", s.node, k)
-	}
-	s.a.mu.Lock()
-	s.memo[k] = snap
-	s.a.mu.Unlock()
-	return snap, nil
+	close(r.done)
 }
 
 // LogRoot returns the Merkle root over the node's epoch segment hashes —

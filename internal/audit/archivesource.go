@@ -31,11 +31,11 @@ type ArchiveSource struct {
 	incs   snapshot.IncrementSource
 	iniErr error
 
-	// states memoizes materialized starting states per snapshot index,
-	// mirroring MonitorSource: overlapping policies and repeated passes
-	// share one fold. A Restored is never mutated by audits.
-	mu     sync.Mutex
-	states map[int]*snapshot.Restored
+	// states memoizes materialized starting states per snapshot index, as
+	// MonitorSource does: overlapping policies, repeated passes and
+	// concurrent first requests share one fold. A Restored is never mutated
+	// by audits.
+	states flight[*snapshot.Restored]
 }
 
 // init resolves the archive metadata once: snapshot points from the
@@ -67,28 +67,6 @@ func (s *ArchiveSource) Segments() ([]SnapshotPoint, error) {
 	return s.points, nil
 }
 
-// materialize returns the memoized state at snapshot index k, folding it
-// from archived increments on first use.
-func (s *ArchiveSource) materialize(k int) (*snapshot.Restored, error) {
-	s.mu.Lock()
-	st, ok := s.states[k]
-	s.mu.Unlock()
-	if ok {
-		return st, nil
-	}
-	st, err := snapshot.MaterializeFrom(s.incs, k)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.states == nil {
-		s.states = make(map[int]*snapshot.Restored)
-	}
-	s.states[k] = st
-	s.mu.Unlock()
-	return st, nil
-}
-
 // Chunk implements SegmentSource: the window's entries stream from disk
 // (chain-verified against the archived linkage) and the starting state is
 // folded from archived increments. The chunk engine then verifies that
@@ -103,7 +81,8 @@ func (s *ArchiveSource) Chunk(from, k int) (ChunkRequest, error) {
 	if err != nil {
 		return ChunkRequest{}, err
 	}
-	restored, err := s.materialize(int(start.SnapIdx))
+	at := int(start.SnapIdx)
+	restored, err := s.states.do(at, func() (*snapshot.Restored, error) { return snapshot.MaterializeFrom(s.incs, at) })
 	if err != nil {
 		return ChunkRequest{}, err
 	}

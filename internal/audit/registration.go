@@ -93,12 +93,17 @@ func (c *Coordinator) handleRegistration(conn net.Conn) {
 		welcome.Accepted = true
 	}
 
-	conn.SetWriteDeadline(time.Now().Add(regHandshakeTimeout))
-	if werr := writeDistFrames(conn, distFrame{wire.DistFrameWelcome, welcome.Marshal()}); werr != nil {
+	// A refusal is counted before it is written: whoever has read it finds
+	// it in the coordinator's stats.
+	if !welcome.Accepted {
 		c.reg.Counter("registrations_rejected").Inc()
+	}
+	conn.SetWriteDeadline(time.Now().Add(regHandshakeTimeout))
+	werr := writeDistFrames(conn, distFrame{wire.DistFrameWelcome, welcome.Marshal()})
+	if !welcome.Accepted {
 		return
 	}
-	if !welcome.Accepted {
+	if werr != nil {
 		c.reg.Counter("registrations_rejected").Inc()
 		return
 	}

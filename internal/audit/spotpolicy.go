@@ -1,7 +1,9 @@
 package audit
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sig"
 	"repro/internal/snapshot"
@@ -40,37 +42,11 @@ type MonitorSource struct {
 	// states memoizes Materialize per snapshot index. Folding a full state
 	// out of the increment chain costs O(state) per call, and chunks that
 	// share a starting snapshot — overlapping policies, repeated passes over
-	// the same source, serial-then-parallel sweeps — would otherwise each
-	// pay it from scratch. Audits never mutate a Restored (replicas copy the
-	// memory at boot), so sharing one per index is safe under concurrent
-	// Chunk calls.
-	mu     sync.Mutex
-	states map[int]*snapshot.Restored
-}
-
-// materialize returns the memoized state for snapshot index k, folding it
-// on first use.
-func (m *MonitorSource) materialize(k int) (*snapshot.Restored, error) {
-	m.mu.Lock()
-	st, ok := m.states[k]
-	m.mu.Unlock()
-	if ok {
-		return st, nil
-	}
-	// Fold outside the lock: concurrent first requests for distinct indices
-	// must not serialize. A duplicated fold for the same index only wastes
-	// work; both results are identical.
-	st, err := m.Materialize(k)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if m.states == nil {
-		m.states = make(map[int]*snapshot.Restored)
-	}
-	m.states[k] = st
-	m.mu.Unlock()
-	return st, nil
+	// the same source, serial-then-parallel sweeps, two workers' first
+	// requests — would otherwise each pay it from scratch. Audits never
+	// mutate a Restored (replicas copy the memory at boot), so sharing one
+	// per index is safe under concurrent Chunk calls.
+	states flight[*snapshot.Restored]
 }
 
 // Segments implements SegmentSource.
@@ -93,7 +69,8 @@ func (m *MonitorSource) Chunk(from, k int) (ChunkRequest, error) {
 	}
 	start := pts[from]
 	end := pts[from+k]
-	restored, err := m.materialize(int(start.SnapIdx))
+	at := int(start.SnapIdx)
+	restored, err := m.states.do(at, func() (*snapshot.Restored, error) { return m.Materialize(at) })
 	if err != nil {
 		return ChunkRequest{}, err
 	}
@@ -197,9 +174,19 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // Chunks are independent — each starts from its own verified snapshot — so
 // the outcome is deterministic and identical to the serial pass: the first
 // fault in policy order is reported, and SegmentsChecked counts the chunks
-// the serial pass would have inspected before stopping there. The segment
-// source must tolerate concurrent Chunk calls (MonitorSource does: audits
-// run against a quiesced log and snapshot store).
+// the serial pass would have inspected before stopping there; a Chunk error
+// is returned if the serial pass would have reached it.
+//
+// Assembling a chunk — reading its window, folding and hash-verifying its
+// start state — is a stage of its own: while the workers audit, one more
+// goroutine assembles the picks that follow, in pick order, so that a
+// worker finds its next chunk ready. No pick more than workers past the
+// last one of the audited-and-passed prefix is assembled, which bounds the
+// chunks assembled and not yet audited, and the work done past a fault, to
+// workers+1. With one P there is nobody to hand anything to: no goroutine
+// is started and chunks are assembled and audited in turn. The segment
+// source must tolerate concurrent Chunk calls (MonitorSource and
+// ArchiveSource do: audits run against a quiesced log and snapshot store).
 func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, workers int) (*SpotCheckOutcome, error) {
 	pts, err := src.Segments()
 	if err != nil {
@@ -220,26 +207,160 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 	if workers > len(picks) {
 		workers = len(picks)
 	}
-	results := make([]*Result, len(picks))
-	errs := make([]error, len(picks))
-	cutoff := runPool(len(picks), workers, func(i int) bool {
-		req, cerr := src.Chunk(picks[i], 1)
-		if cerr != nil {
-			errs[i] = cerr
-			return true
+	st := &spotStage{
+		a: a, src: src, picks: picks, workers: workers,
+		passed: make([]bool, len(picks)), cutoff: len(picks),
+	}
+	st.cond.L = &st.mu
+	var wg sync.WaitGroup
+	if runtime.GOMAXPROCS(0) > 1 {
+		start := func(fn func()) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn()
+			}()
 		}
-		results[i], _ = a.auditChunk(req)
-		return !results[i].Passed
-	})
-	if cutoff == len(picks) {
+		if workers < len(picks) {
+			start(st.assembleAhead)
+		}
+		for w := 1; w < workers; w++ {
+			start(st.work)
+		}
+	}
+	st.work()
+	wg.Wait()
+	if st.cutoff == len(picks) {
 		out.SegmentsChecked = len(picks)
 		return out, nil
 	}
-	if errs[cutoff] != nil {
-		return nil, errs[cutoff]
+	if st.err != nil {
+		return nil, st.err
 	}
-	out.SegmentsChecked = cutoff + 1
+	out.SegmentsChecked = st.cutoff + 1
 	out.FaultFound = true
-	out.FirstFault = results[cutoff].Fault
+	out.FirstFault = st.fault
 	return out, nil
+}
+
+// spotStage is the state of one SpotCheckParallel: who audits which pick,
+// which chunks are assembled, and where the pass stops. Picks are named by
+// their position in picks throughout.
+type spotStage struct {
+	a       *Auditor
+	src     SegmentSource
+	picks   []int
+	workers int
+
+	// chunks holds every pick's one assembly, whoever asked for it first:
+	// the goroutine running ahead, or the worker that got there before it.
+	chunks flight[*assembledChunk]
+	// next is the next pick no worker has taken.
+	next atomic.Int64
+
+	mu   sync.Mutex
+	cond sync.Cond
+	// passed[i] is set when pick i was audited without a fault; committed is
+	// the length of the all-passed prefix.
+	passed    []bool
+	committed int
+	// cutoff is the lowest pick that faulted or could not be assembled
+	// (len(picks): none so far), fault or err what it reported. Picks above
+	// it are no longer started; picks below it all run to completion, since
+	// one of them may yet lower it.
+	cutoff int
+	fault  *FaultReport
+	err    error
+}
+
+// assembledChunk is what SegmentSource.Chunk returned for one pick.
+type assembledChunk struct {
+	req ChunkRequest
+	err error
+}
+
+// chunk assembles pick i, or waits for whoever already is. The source's
+// error is part of the memoized value: a flight forgets a failure, and the
+// pass must report what the source said the one time it was asked.
+func (st *spotStage) chunk(i int) *assembledChunk {
+	c, _ := st.chunks.do(i, func() (*assembledChunk, error) {
+		req, err := st.src.Chunk(st.picks[i], 1)
+		return &assembledChunk{req: req, err: err}, nil
+	})
+	return c
+}
+
+// admit waits until pick i is at most ahead picks past the passed prefix
+// and reports whether it is still wanted: false once a lower pick has
+// stopped the pass.
+func (st *spotStage) admit(i, ahead int) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i <= st.cutoff && i > st.committed+ahead {
+		st.cond.Wait()
+	}
+	return i <= st.cutoff
+}
+
+// pass records that pick i was audited without a fault.
+func (st *spotStage) pass(i int) {
+	st.mu.Lock()
+	st.passed[i] = true
+	for st.committed < len(st.passed) && st.passed[st.committed] {
+		st.committed++
+	}
+	st.mu.Unlock()
+	st.cond.Broadcast()
+}
+
+// stop records that pick i faulted or could not be assembled.
+func (st *spotStage) stop(i int, fault *FaultReport, err error) {
+	st.mu.Lock()
+	if i < st.cutoff {
+		st.cutoff, st.fault, st.err = i, fault, err
+	}
+	st.mu.Unlock()
+	st.cond.Broadcast()
+}
+
+// work audits picks, taking the next untaken one each time, until none is
+// left or wanted. The workers of a pass hold picks committed .. committed +
+// workers - 1 at most.
+func (st *spotStage) work() {
+	for {
+		i := int(st.next.Add(1)) - 1
+		if i >= len(st.picks) || !st.admit(i, st.workers-1) {
+			return
+		}
+		c := st.chunk(i)
+		if c.err != nil {
+			st.stop(i, nil, c.err)
+			return
+		}
+		res, _ := st.a.auditChunk(c.req)
+		// This worker was the request's only reader: let go of the decoded
+		// window (the source keeps the start state, not the pass).
+		c.req = ChunkRequest{}
+		if !res.Passed {
+			st.stop(i, res.Fault, nil)
+			return
+		}
+		st.pass(i)
+	}
+}
+
+// assembleAhead assembles every pick in pick order, at most one past what
+// the workers can hold, and stops at the first that cannot be assembled: the
+// serial pass would not look beyond it either. A pick a worker is already
+// assembling is waited for, not assembled again and not overtaken, so with
+// one worker Chunk is never called twice at once — this goroutine assembles
+// pick i+1 while the worker audits pick i, and a source that was written for
+// the serial pass sees calls that follow one another as they always did.
+func (st *spotStage) assembleAhead() {
+	for j := 0; j < len(st.picks) && st.admit(j, st.workers); j++ {
+		if c := st.chunk(j); c.err != nil {
+			st.stop(j, nil, c.err)
+			return
+		}
+	}
 }

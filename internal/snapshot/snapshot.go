@@ -216,7 +216,11 @@ func (st *Store) Increment(k int) (*Snapshot, error) { return st.Snapshot(k) }
 // from the most recent capture that holds it, and the walk stops as soon
 // as every page is resolved — so materializing late snapshots (which
 // parallel audits do once per epoch) costs the distinct pages, not the
-// sum of all increment sizes.
+// sum of all increment sizes. The order of the requests is part of the
+// contract: a source may take Increment(i) as notice that Increment(i-1)
+// comes next and start reading it (the archive's does). Every page and blob
+// the state holds is a copy, so a source may hand out increments whose
+// pages are windows of its read buffers.
 func MaterializeFrom(src IncrementSource, k int) (*Restored, error) {
 	if k < 0 || k >= src.Count() {
 		return nil, fmt.Errorf("snapshot: index %d out of range [0,%d)", k, src.Count())
