@@ -1,16 +1,14 @@
 // Command avm-bench regenerates every table and figure of the paper's
 // evaluation (§6) on the simulation substrate and prints them in the
-// paper's layout. See EXPERIMENTS.md for the paper-vs-measured record.
+// paper's layout. The implementation's own speed is measured by bench/
+// (see BENCHMARK.json and README's "Benchmarks"), not here.
 //
 //	avm-bench                             # run everything at quick scale
 //	avm-bench -run fig7                   # one experiment
 //	avm-bench -full                       # longer runs, smoother numbers
-//	avm-bench -run audit -json BENCH_audit.json
-//	                                      # audit-engine throughput + JSON record
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -35,10 +33,8 @@ type tabler struct{ s string }
 func (t tabler) String() string { return t.s }
 
 func main() {
-	runFlag := flag.String("run", "all", "experiment to run: all, table1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, sec65, sec66, sec67, ablations, audit")
+	runFlag := flag.String("run", "all", "experiment to run: all, table1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, sec65, sec66, sec67, ablations")
 	full := flag.Bool("full", false, "use the longer full-scale runs")
-	jsonPath := flag.String("json", "", "write the audit experiment's metrics as JSON to this path (e.g. BENCH_audit.json)")
-	nofusion := flag.Bool("nofusion", false, "audit experiment: disable superinstruction fusion in every replay (ablation A/B; verdicts are unaffected)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	flag.Parse()
@@ -152,23 +148,6 @@ func main() {
 			r, err := experiments.RunSec67(sc)
 			if err != nil {
 				return nil, err
-			}
-			return tabler{r.Table().String()}, nil
-		}},
-		{"audit", "audit-engine throughput: serial vs parallel replay, merkle, verify", func(sc experiments.Scale) (fmt.Stringer, error) {
-			r, err := experiments.RunAuditBenchWith(sc, experiments.AuditBenchOptions{DisableFusion: *nofusion})
-			if err != nil {
-				return nil, err
-			}
-			if *jsonPath != "" {
-				blob, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("(wrote %s)\n", *jsonPath)
 			}
 			return tabler{r.Table().String()}, nil
 		}},

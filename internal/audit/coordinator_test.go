@@ -403,8 +403,9 @@ func TestCoordinatorDeadFleetFails(t *testing.T) {
 	})
 
 	t.Run("one-shot-retries-exhausted", func(t *testing.T) {
+		crashAddr, _ := startCrashingWorker(t)
 		res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-			Backend: oneShot([]string{startCrashingWorker(t)}, audit.CoordinatorConfig{
+			Backend: oneShot([]string{crashAddr}, audit.CoordinatorConfig{
 				MaxAttempts: 3, JobTimeout: 5 * time.Second,
 				RetryBackoff: time.Millisecond, RetryMaxBackoff: 10 * time.Millisecond,
 			}),

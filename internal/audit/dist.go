@@ -102,7 +102,7 @@ func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.En
 	if be == nil {
 		be = &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
 	}
-	jobs := a.partition(entries, ParallelOptions{EngineOptions: EngineOptions{Materialize: opts.Materialize}})
+	jobs := a.partition(entries, opts.EngineOptions)
 	replay, fault, dstats, err := a.runJobs(node, jobs, be, opts.EngineOptions)
 	if err != nil {
 		return nil, dstats, sigs, err

@@ -105,13 +105,14 @@ func distBothWays(t *testing.T, s *game.Scenario, node string, label string, ser
 	compareVerdicts(t, label+": dist netsim", serial, sim)
 }
 
-// TestDistWorkerCrashRetry: one of three workers crashes mid-epoch — it
-// completes the session handshake, reads a job, and dies without
-// answering. The coordinator must re-dispatch the orphaned epoch to a
-// surviving worker and deliver a merged verdict identical to the serial
-// engine's, for a clean log and for a cheater.
+// TestDistWorkerCrashRetry: a worker crashes mid-epoch — it completes the
+// session handshake, reads a job, and dies without answering. The
+// coordinator must re-dispatch the orphaned epoch to a surviving worker and
+// deliver a merged verdict identical to the serial engine's, for a clean
+// log and for a cheater. The three honest workers join only once the
+// crashing one has been handed a job: with four epochs and all four workers
+// there from the start, whether it ever gets one is a race.
 func TestDistWorkerCrashRetry(t *testing.T) {
-	crashAddr := startCrashingWorker(t)
 	for _, tc := range []struct {
 		name  string
 		cheat string
@@ -122,10 +123,25 @@ func TestDistWorkerCrashRetry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			addrs := append([]string{crashAddr}, sharedFleet(t)...)
-			res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{
-				Backend: oneShot(addrs, audit.CoordinatorConfig{MaxAttempts: 25}),
+			coord := audit.NewCoordinator(audit.CoordinatorConfig{
+				JobTimeout: 30 * time.Second, MaxAttempts: 25, DisableLocalFallback: true,
 			})
+			defer coord.Close()
+			crashAddr, handedJob := startCrashingWorker(t)
+			coord.AddWorker(crashAddr)
+			honest := sharedFleet(t)
+			done := make(chan struct{})
+			defer close(done)
+			go func() {
+				select {
+				case <-handedJob:
+					for _, addr := range honest {
+						coord.AddWorker(addr)
+					}
+				case <-done:
+				}
+			}()
+			res, dstats, err := s.AuditNodeDist("player1", audit.DistOptions{Backend: coord.Backend()})
 			if err != nil {
 				t.Fatalf("dist audit with crashing worker: %v", err)
 			}
@@ -335,14 +351,17 @@ func distScenario(t *testing.T, cheat string) *game.Scenario {
 // startCrashingWorker starts a TCP worker that acknowledges the session,
 // reads one job frame, and drops the connection without replying — a
 // worker crashing mid-epoch. It does the same on every connection, so
-// retries against it keep failing.
-func startCrashingWorker(t *testing.T) string {
+// retries against it keep failing. The channel closes when the first job
+// has been read.
+func startCrashingWorker(t *testing.T) (addr string, handedJob <-chan struct{}) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	handed := make(chan struct{})
+	var once sync.Once
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -359,11 +378,13 @@ func startCrashingWorker(t *testing.T) string {
 				}
 				writeTestFrame(conn, 7, body[1:2]) // MuxSessionOK, echo the id
 				// Read one job, then crash.
-				_, _ = readTestFrame(conn)
+				if _, err := readTestFrame(conn); err == nil {
+					once.Do(func() { close(handed) })
+				}
 			}()
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), handed
 }
 
 // readTestFrame / writeTestFrame speak the coordinator↔worker framing for

@@ -169,9 +169,9 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 	case EngineSerial:
 		res, stats.Sigs = a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths)
 	case EngineParallel:
-		res, stats.Sigs = a.auditParallel(req.Node, req.NodeIdx, req.Entries, req.Auths, ParallelOptions{EngineOptions: req.Options})
+		res, stats.Sigs = a.auditParallel(req.Node, req.NodeIdx, req.Entries, req.Auths, req.Options)
 	case EngineStream:
-		res, stats.Stream, stats.Sigs = a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, StreamOptions{EngineOptions: req.Options})
+		res, stats.Stream, stats.Sigs = a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, req.Options)
 	case EngineDist:
 		res, stats.Dist, stats.Sigs, err = a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options, Backend: req.Backend})
 	case EngineChunk:

@@ -26,13 +26,6 @@ import (
 // reports that epoch's fault — the same check, entry, and landmark the
 // serial replay reports.
 
-// ParallelOptions configures the epoch-parallel full audit. All knobs live
-// in the embedded EngineOptions (Workers and Materialize are the ones this
-// engine reads).
-type ParallelOptions struct {
-	EngineOptions
-}
-
 // epochResult carries one epoch's outcome back to the merge step.
 type epochResult struct {
 	stats ReplayStats
@@ -51,8 +44,8 @@ type epochResult struct {
 // epoch (identical check and entry seq to the serial replay's). Replay
 // stats are the deterministic sum over the epochs the serial audit would
 // have executed. It backs Audit's EngineParallel.
-func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts ParallelOptions) (*Result, tevlog.SigStats) {
-	res, _, sigs, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts.EngineOptions})
+func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions) (*Result, tevlog.SigStats) {
+	res, _, sigs, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts})
 	if err != nil {
 		// The in-process pool never reports transport failures; this guards
 		// a backend change that lets one through.
@@ -66,7 +59,7 @@ func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlo
 // and the earliest fault (nil if the execution replays cleanly). It is the
 // stage the parallel engine runs after log verification and the syntactic
 // check; experiments time it directly against the serial replay.
-func (a *Auditor) SemanticCheckParallel(node sig.NodeID, entries []tevlog.Entry, opts ParallelOptions) (ReplayStats, *FaultReport) {
+func (a *Auditor) SemanticCheckParallel(node sig.NodeID, entries []tevlog.Entry, opts EngineOptions) (ReplayStats, *FaultReport) {
 	jobs := a.partition(entries, opts)
 	be := &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
 	stats, fault, _, err := a.runJobs(node, jobs, be, EngineOptions{Materialize: opts.Materialize})
@@ -82,7 +75,7 @@ func (a *Auditor) SemanticCheckParallel(node sig.NodeID, entries []tevlog.Entry,
 // a single boot epoch (the serial layout) when the log has no snapshots,
 // the snapshot scan fails (replay will fault on the malformed entry), or no
 // Materialize source is available.
-func (a *Auditor) partition(entries []tevlog.Entry, opts ParallelOptions) []*EpochJob {
+func (a *Auditor) partition(entries []tevlog.Entry, opts EngineOptions) []*EpochJob {
 	whole := []*EpochJob{{Boot: true, Entries: entries}}
 	if opts.Materialize == nil || len(entries) == 0 {
 		return whole

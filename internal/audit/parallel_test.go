@@ -21,7 +21,7 @@ const (
 	eqSnapNs  = 2_000_000_000
 )
 
-var eqWorkerCounts = []int{1, 2, 8}
+var eqWorkerCounts = []int{1, 2, 4, 8}
 
 // mustAudit runs one audit request and fails the test when the audit
 // could not be completed (a fault is a Result, not an error).
@@ -112,6 +112,68 @@ func TestParallelAuditEquivalenceClean(t *testing.T) {
 		if res.Replay.SnapshotsVerified == 0 {
 			t.Fatalf("clean run of %s verified no snapshots; epochs were not exercised", node)
 		}
+	}
+}
+
+// TestGameReplayInterpreterAblations pins, on the honest game recording,
+// what the interpreter's two fast paths may and may not change. Neither may
+// change a verdict: the audit with fusion off and the audit on the Step
+// path conclude what the fused sprint concludes. And fusion must engage:
+// replaying the recording retires fewer than 0.9 dispatches per
+// instruction — each fused pair saves one dispatch and each quad one more —
+// and not one fused op with fusion off. The counts are exact for a seed.
+func TestGameReplayInterpreterAblations(t *testing.T) {
+	s, err := game.NewScenario(game.ScenarioConfig{
+		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
+		Seed: 7, SnapshotEveryNs: eqSnapNs, FakeSignatures: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(eqMatchNs)
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths}
+	serial, _ := mustAudit(t, a, req)
+	if !serial.Passed {
+		t.Fatalf("honest recording faulted: %v", serial.Fault)
+	}
+	for label, opts := range map[string]audit.EngineOptions{
+		"nofusion": {DisableFusion: true}, "nopredecode": {DisablePredecode: true},
+	} {
+		req.Options = opts
+		got, _ := mustAudit(t, a, req)
+		compareVerdicts(t, label, serial, got)
+	}
+
+	replay := func(disableFusion bool) *vm.Machine {
+		rp, err := audit.NewReplayFromImage(target.Node(), a.RefImage, a.RNGSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Machine().DisableFusion = disableFusion
+		rp.Feed(target.Log.Entries())
+		rp.Close()
+		rp.Run()
+		if f := rp.Fault(); f != nil {
+			t.Fatalf("replay (fusion off: %v) faulted: %v", disableFusion, f)
+		}
+		return rp.Machine()
+	}
+	fused, plain := replay(false), replay(true)
+	if plain.FusedPairs != 0 || plain.FusedQuads != 0 {
+		t.Errorf("fusion off retired %d fused pairs and %d quads", plain.FusedPairs, plain.FusedQuads)
+	}
+	if fused.ICount == 0 || fused.ICount != plain.ICount {
+		t.Fatalf("fused replay retired %d instructions, fusion-off replay %d", fused.ICount, plain.ICount)
+	}
+	dispatches := fused.ICount - fused.FusedPairs - fused.FusedQuads
+	t.Logf("%d instructions in %d dispatches (%.3f per instruction), %d quads",
+		fused.ICount, dispatches, float64(dispatches)/float64(fused.ICount), fused.FusedQuads)
+	if 10*dispatches >= 9*fused.ICount {
+		t.Errorf("%d dispatches for %d instructions: at least 0.9 per instruction, fusion is not engaging", dispatches, fused.ICount)
 	}
 }
 

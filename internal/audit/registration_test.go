@@ -180,6 +180,17 @@ func TestRegistrationBadAddrRejected(t *testing.T) {
 	}
 }
 
+// heldListener is a registration listener whose Close ends the accept loop
+// serving it — a pending Accept wakes on the expired deadline — and keeps
+// the socket bound and listening. A coordinator that dies closes its
+// listener; a successor that re-listened on the address would race that
+// close, and every other process asking the kernel for a free port, for a
+// port nobody holds. Here the port is never released: the successor serves
+// the same socket.
+type heldListener struct{ *net.TCPListener }
+
+func (h heldListener) Close() error { return h.SetDeadline(time.Now()) }
+
 // TestWorkerReregistersAfterCoordinatorRestart: the self-assembly loop.
 // A worker registered with one coordinator must notice its death (the
 // registration connection drops) and re-announce itself to the successor
@@ -195,28 +206,33 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regAddr := l.Addr().String()
+	defer l.Close()
+	sock := l.(*net.TCPListener)
 
 	coord1 := testCoordinator(audit.CoordinatorConfig{})
-	go func() { _ = coord1.ServeRegistrations(l) }()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = coord1.ServeRegistrations(heldListener{sock})
+	}()
 
 	stop := make(chan struct{})
 	defer close(stop)
-	go audit.RegisterWorker(regAddr, fleet.Addrs[0], stop, nil)
+	go audit.RegisterWorker(l.Addr().String(), fleet.Addrs[0], stop, nil)
 	waitForWorkers(t, coord1, 1)
 
-	// The coordinator dies; its registration listener goes with it.
+	// The coordinator dies; its accept loop ends with it.
 	coord1.Kill()
+	<-served
 
 	// A successor takes over the same registration address. The worker's
 	// redial loop must find it without being told anything.
-	l2, err := net.Listen("tcp", regAddr)
-	if err != nil {
+	if err := sock.SetDeadline(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	coord2 := testCoordinator(audit.CoordinatorConfig{})
 	defer coord2.Close()
-	go func() { _ = coord2.ServeRegistrations(l2) }()
+	go func() { _ = coord2.ServeRegistrations(sock) }()
 	waitForWorkers(t, coord2, 1)
 	if got := coord2.Stats().RegistrationsAccepted; got != 1 {
 		t.Errorf("successor accepted %d registrations, want 1", got)

@@ -44,20 +44,13 @@ import (
 // signature in entry order wins, as if each had been verified before the
 // next entry was looked at (see ChainVerifier and SyntacticChecker).
 
-// DefaultStreamWindow bounds resident decoded entries when StreamOptions
+// DefaultStreamWindow bounds resident decoded entries when EngineOptions
 // leaves Window zero.
 const DefaultStreamWindow = 4096
 
 // streamBatch is how many entries a replay worker feeds per Run call when
 // its epoch channel has a backlog.
 const streamBatch = 64
-
-// StreamOptions configures the streaming full audit. All knobs live in the
-// embedded EngineOptions (Workers, Window and Materialize are the ones
-// this engine reads).
-type StreamOptions struct {
-	EngineOptions
-}
 
 // StreamStats reports how the pipeline ran.
 type StreamStats struct {
@@ -167,8 +160,8 @@ func (v *streamVerdict) record(index int, r epochResult) {
 // decode-fault slot a corrupt container's do, so the merged verdict treats
 // a tampered archive exactly like a tampered log. The SigStats say how the
 // signature stage ran.
-func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts StreamOptions) (*Result, StreamStats, tevlog.SigStats) {
-	a = a.withEngineOptions(opts.EngineOptions)
+func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions) (*Result, StreamStats, tevlog.SigStats) {
+	a = a.withEngineOptions(opts)
 	workers := workersOrDefault(opts.Workers)
 	window := opts.Window
 	if window <= 0 {
@@ -263,7 +256,7 @@ func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []
 // nor replay would have run at all — but the stream is still drained to the
 // end, because a decode error anywhere outranks the chain fault (the batch
 // pipeline fails in DecompressEntries before verifying anything).
-func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts StreamOptions, win *entryWindow, epochQueue chan<- *streamEpoch, verdict *streamVerdict) int {
+func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions, win *entryWindow, epochQueue chan<- *streamEpoch, verdict *streamVerdict) int {
 	sigs := tevlog.NewSigStage(a.Keys)
 	defer sigs.Close()
 	var chain *tevlog.ChainVerifier
@@ -366,7 +359,7 @@ func drainEpoch(ep *streamEpoch, win *entryWindow) {
 // batches, returning window slots as entries are consumed. Faults and stats
 // are identical to a one-shot replay of the same slice — the replay stops
 // at deterministic points regardless of batching.
-func (a *Auditor) runStreamEpoch(node sig.NodeID, ep *streamEpoch, opts StreamOptions, win *entryWindow) epochResult {
+func (a *Auditor) runStreamEpoch(node sig.NodeID, ep *streamEpoch, opts EngineOptions, win *entryWindow) epochResult {
 	var rp *Replay
 	var err error
 	if ep.boot {

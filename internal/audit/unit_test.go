@@ -473,7 +473,7 @@ func TestPartitionEpochCosts(t *testing.T) {
 		nondetEntry(vm.PortClockLo, 3),
 		nondetEntry(vm.PortClockLo, 4),
 	)
-	jobs := a.partition(log, ParallelOptions{EngineOptions: EngineOptions{Materialize: stubMaterialize}})
+	jobs := a.partition(log, EngineOptions{Materialize: stubMaterialize})
 	if len(jobs) != 3 {
 		t.Fatalf("jobs = %d, want 3", len(jobs))
 	}

@@ -117,14 +117,14 @@ func RunSec66(scale Scale) (*Sec66Result, error) {
 	// start states from the machine's snapshot store. Report the fan-out
 	// actually used: the engine caps workers at the epoch count, which is
 	// bounded by the number of snapshots in the log.
-	res.ParallelWorkers = runtime.NumCPU()
+	res.ParallelWorkers = runtime.GOMAXPROCS(0)
 	if res.ParallelWorkers > res.Snapshots && res.Snapshots > 0 {
 		res.ParallelWorkers = res.Snapshots
 	}
-	popts := audit.ParallelOptions{EngineOptions: audit.EngineOptions{
+	popts := audit.EngineOptions{
 		Workers:     res.ParallelWorkers,
 		Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
-	}}
+	}
 	var pfault *audit.FaultReport
 	res.SemanticParallel = stopwatch(func() {
 		_, pfault = a.SemanticCheckParallel(target.Node(), decompressed, popts)

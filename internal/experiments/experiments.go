@@ -3,8 +3,7 @@
 // the simulation substrate and returns the same rows/series the paper
 // reports. Absolute numbers are not expected to match the authors' testbed
 // (our machines are simulated); the shape — who wins, by what rough factor,
-// where crossovers fall — is the reproduction target. EXPERIMENTS.md
-// records paper-vs-measured for every driver.
+// where crossovers fall — is the reproduction target.
 package experiments
 
 import (

@@ -262,31 +262,3 @@ func TestSec66Pipeline(t *testing.T) {
 		t.Log("note: semantic check faster than syntactic; tiny log")
 	}
 }
-
-func TestAuditBenchShape(t *testing.T) {
-	res, err := RunAuditBench(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table().String())
-	if len(res.Workers) != len(auditWorkerCounts) {
-		t.Fatalf("got %d ablation rows, want %d", len(res.Workers), len(auditWorkerCounts))
-	}
-	for _, row := range res.Workers {
-		if !row.VerdictMatch {
-			t.Errorf("parallel audit at %d workers diverged from the serial verdict", row.Workers)
-		}
-		if row.WallNs <= 0 {
-			t.Errorf("no wall time recorded at %d workers", row.Workers)
-		}
-	}
-	if res.SpotSegments < 3 {
-		t.Errorf("only %d spot-check segments; increase duration", res.SpotSegments)
-	}
-	if res.MerkleSerialGBps <= 0 || res.MerkleParallelGBps <= 0 {
-		t.Error("merkle throughput not measured")
-	}
-	if res.VerifyOpsPerSec <= 0 {
-		t.Error("rsa verify rate not measured")
-	}
-}

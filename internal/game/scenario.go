@@ -66,10 +66,6 @@ type ScenarioConfig struct {
 	// OnAfterBuild, if set, runs after the scenario is assembled and before
 	// the first slice — the hook experiments use to attach extra drivers.
 	OnAfterBuild func(*Scenario) error
-	// AuditDisableFusion disables superinstruction fusion in every auditor
-	// this scenario assembles — the interpreter ablation, plumbed from
-	// avm-bench's -nofusion flag. Verdicts are unaffected.
-	AuditDisableFusion bool
 }
 
 // Scenario is a running fragfest match.
@@ -251,7 +247,6 @@ func (s *Scenario) auditorFor(node sig.NodeID) (*avmm.Monitor, []tevlog.Authenti
 	a := &audit.Auditor{
 		Keys: s.Keys, RefImage: s.RefImgs[node], RNGSeed: s.RNGSeedOf(target.Index()),
 		TamperEvident: s.Cfg.Mode.TamperEvident(), VerifySignatures: s.Cfg.Mode.Signs(),
-		DisableFusion: s.Cfg.AuditDisableFusion,
 	}
 	return target, auths, a, nil
 }
