@@ -33,8 +33,10 @@ type ArchiveSource struct {
 
 	// states memoizes materialized starting states per snapshot index, as
 	// MonitorSource does: overlapping policies, repeated passes and
-	// concurrent first requests share one fold. A Restored is never mutated
-	// by audits.
+	// concurrent first requests share one fold. A spot check asks for one
+	// state per worker and rolls from there (RollSource), so that is what
+	// the memo then holds; every Chunk call still fills it. A Restored is
+	// never mutated by audits.
 	states flight[*snapshot.Restored]
 }
 
@@ -59,6 +61,16 @@ func (s *ArchiveSource) init() error {
 	return s.iniErr
 }
 
+// pointsFor returns the snapshot points once checkSegments has passed the
+// request for segments [from, from+k).
+func (s *ArchiveSource) pointsFor(from, k, minK int) ([]SnapshotPoint, error) {
+	err := s.init()
+	if err == nil {
+		err = checkSegments(from, k, minK, len(s.points))
+	}
+	return s.points, err
+}
+
 // Segments implements SegmentSource.
 func (s *ArchiveSource) Segments() ([]SnapshotPoint, error) {
 	if err := s.init(); err != nil {
@@ -73,23 +85,61 @@ func (s *ArchiveSource) Segments() ([]SnapshotPoint, error) {
 // state against the root committed in the log before replaying, so a
 // tampered archive faults exactly where a tampered download would.
 func (s *ArchiveSource) Chunk(from, k int) (ChunkRequest, error) {
-	if err := s.init(); err != nil {
+	req, err := s.Window(from, k)
+	if err != nil {
 		return ChunkRequest{}, err
 	}
-	start := s.points[from]
+	if req.Start, err = s.StartState(from); err != nil {
+		return ChunkRequest{}, err
+	}
+	return req, nil
+}
+
+// CanRoll implements RollSource: an archive always holds the increments.
+func (s *ArchiveSource) CanRoll() bool { return true }
+
+// Window implements RollSource: the chain-verified window and nothing of
+// the state.
+func (s *ArchiveSource) Window(from, k int) (ChunkRequest, error) {
+	pts, err := s.pointsFor(from, k, 1)
+	if err != nil {
+		return ChunkRequest{}, err
+	}
 	entries, err := s.Arc.ReadWindow(string(s.Node), from, k)
 	if err != nil {
 		return ChunkRequest{}, err
 	}
-	at := int(start.SnapIdx)
-	restored, err := s.states.do(at, func() (*snapshot.Restored, error) { return snapshot.MaterializeFrom(s.incs, at) })
-	if err != nil {
-		return ChunkRequest{}, err
-	}
+	start := pts[from]
 	return ChunkRequest{
 		Node: s.Node, NodeIdx: s.NodeIdx,
-		Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
+		StartRoot: start.Root, PrevHash: start.EntryHash,
 		Entries: entries,
 		Auths:   s.Auths,
 	}, nil
+}
+
+// StartState implements RollSource: the state at point from, folded out of
+// the increments from that snapshot down to the newest capture of every
+// page — to increment 0, a full capture, unless later ones cover it.
+func (s *ArchiveSource) StartState(from int) (*snapshot.Restored, error) {
+	pts, err := s.pointsFor(from, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	at := int(pts[from].SnapIdx)
+	return s.states.do(at, func() (*snapshot.Restored, error) { return snapshot.MaterializeFrom(s.incs, at) })
+}
+
+// IncrementRange implements RollSource: the increments between two points,
+// each read once and verified against the manifest like any other, and no
+// increment at or below the first point. (The archive's source takes a
+// request for increment k as notice that k-1 comes next; when both are large
+// it may read the increment at the first point ahead on its own goroutine.
+// Nothing here asks for it or sees what that read found.)
+func (s *ArchiveSource) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
+	pts, err := s.pointsFor(after, upTo-after, 0)
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.IncrementRange(s.incs, int(pts[after].SnapIdx), int(pts[upTo].SnapIdx))
 }

@@ -116,24 +116,50 @@ type ChunkRequest struct {
 // state roots, so an incorrect state transition anywhere in the chunk is
 // detected. It backs Audit's EngineChunk.
 func (a *Auditor) auditChunk(req ChunkRequest) (*Result, tevlog.SigStats) {
+	res, sigs, _ := a.auditChunkOn(nil, req, nil)
+	return res, sigs
+}
+
+// auditChunkOn is the chunk audit on a replica the caller may already hold.
+// With rp nil it is the audit from scratch: req.Start is hash-verified
+// against req.StartRoot and a new replica is made from it. Otherwise rp rests
+// at a verified snapshot at or before the chunk's first, req.Start is not
+// looked at, and rp is rolled forward by incs, the increments in between
+// (Replay.Advance), and re-armed. The checks, their order, the Result and
+// every fault's text are the same either way. A replica that passed rests at
+// the chunk's closing snapshot and is returned for the caller's next chunk;
+// after a fault there is none.
+func (a *Auditor) auditChunkOn(rp *Replay, req ChunkRequest, incs []*snapshot.Snapshot) (*Result, tevlog.SigStats, *Replay) {
 	res := &Result{Node: req.Node}
 	// Authenticate the snapshot; the verification tree is kept live so
 	// snapshot entries inside the chunk verify incrementally.
-	lh := &snapshot.LiveStateHasher{}
-	if err := lh.SeedVerify(req.Start, req.StartRoot); err != nil {
+	var lh *snapshot.LiveStateHasher
+	var err error
+	if rp == nil {
+		lh = &snapshot.LiveStateHasher{}
+		err = lh.SeedVerify(req.Start, req.StartRoot)
+	} else {
+		err = rp.Advance(incs, req.StartRoot)
+	}
+	if err != nil {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSnapshot, Detail: err.Error()}
-		return res, tevlog.SigStats{}
+		return res, tevlog.SigStats{}, nil
 	}
 	sigs, ok := a.verifyAndCheck(res, req.NodeIdx, req.PrevHash, req.Entries, req.Auths, false)
 	if !ok {
-		return res, sigs
+		return res, sigs, nil
 	}
-	rp, err := NewReplayFromSnapshot(req.Node, req.Start, a.RNGSeed)
+	if rp == nil {
+		if rp, err = NewReplayFromSnapshot(req.Node, req.Start, a.RNGSeed); err == nil {
+			rp.AdoptStateHasher(lh)
+		}
+	} else {
+		err = rp.Restart()
+	}
 	if err != nil {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSemantic, Detail: err.Error()}
-		return res, sigs
+		return res, sigs, nil
 	}
-	rp.AdoptStateHasher(lh)
 	rp.Machine().DisablePredecode = a.DisablePredecode
 	rp.Machine().DisableFusion = a.DisableFusion
 	rp.Feed(req.Entries)
@@ -142,10 +168,10 @@ func (a *Auditor) auditChunk(req ChunkRequest) (*Result, tevlog.SigStats) {
 	res.Replay = rp.Stats
 	if f := rp.Fault(); f != nil {
 		res.Fault = f
-		return res, sigs
+		return res, sigs, nil
 	}
 	res.Passed = true
-	return res, sigs
+	return res, sigs, rp
 }
 
 // SnapshotPoints scans a log for snapshot entries, returning for each its

@@ -17,13 +17,21 @@ import (
 // patch.
 func corruptServerMidRun(t *testing.T) (*dbapp.Scenario, []audit.SnapshotPoint) {
 	t.Helper()
+	// Patched past snapshot 1, before snapshot 2; run through snapshots 2 and 3.
+	return corruptServerAt(t, 5_000_000_000, 7_500_000_000, 20_000_000_000)
+}
+
+// corruptServerAt is corruptServerMidRun with the snapshot period, the time
+// of the patch and the length of the run chosen by the caller.
+func corruptServerAt(t *testing.T, snapEveryNs, patchAtNs, untilNs uint64) (*dbapp.Scenario, []audit.SnapshotPoint) {
+	t.Helper()
 	s, err := dbapp.NewScenario(dbapp.ScenarioConfig{
-		Mode: avmm.ModeAVMMNoSig, Seed: 31, SnapshotEveryNs: 5_000_000_000,
+		Mode: avmm.ModeAVMMNoSig, Seed: 31, SnapshotEveryNs: snapEveryNs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(7_500_000_000) // past snapshot 1, before snapshot 2
+	s.Run(patchAtNs)
 
 	// Find the MOVI loading the reply tag 'R' in the server's code and flip
 	// it to 'X': every subsequent reply differs from what the reference
@@ -47,7 +55,7 @@ func corruptServerMidRun(t *testing.T) (*dbapp.Scenario, []audit.SnapshotPoint) 
 	if !patched {
 		t.Fatal("could not locate the reply-tag instruction to patch")
 	}
-	s.Run(20_000_000_000) // through snapshots 2 and 3
+	s.Run(untilNs)
 
 	entries := s.Server.Log.All()
 	points, err := audit.FindSnapshots(entries)

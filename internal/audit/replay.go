@@ -85,6 +85,11 @@ type Replay struct {
 	// boundPos/bound cache the next async event's position and landmark.
 	boundPos int
 	bound    uint64
+
+	// next is the increment an Advance moved the memory to, whose registers
+	// and device state Restart restores; nil when the Advance was over no
+	// increment and the replica's own are already the snapshot's.
+	next *snapshot.Snapshot
 }
 
 // NewReplayFromImage starts a replay of a full execution from boot.
@@ -167,6 +172,21 @@ func (r *Replay) stateRoot() ([32]byte, error) {
 	return root, nil
 }
 
+// restingAt reports the snapshot the replica rests at: the replay finished
+// fault-free and its final entry was a snapshot whose root verified against
+// the replica, so memory, registers, device state and the live tree are
+// exactly that snapshot's and no instruction has run since. Every interior
+// epoch job and every passed spot-check chunk ends this way.
+func (r *Replay) restingAt() (uint32, bool) {
+	if !r.endRootValid || r.fault != nil || len(r.entries) == 0 {
+		return 0, false
+	}
+	if last := &r.entries[len(r.entries)-1]; last.Type != tevlog.TypeSnapshot || last.Seq != r.endSeq {
+		return 0, false
+	}
+	return r.endSnap, true
+}
+
 // EndState materializes the replica's state at the epoch's terminal
 // snapshot entry: memory, registers and device state exactly as verified
 // against the committed root. It returns nil unless the replay finished
@@ -175,10 +195,7 @@ func (r *Replay) stateRoot() ([32]byte, error) {
 // committing their end state. Remote workers cache it so the next
 // contiguous epoch job on the connection needs no shipped state at all.
 func (r *Replay) EndState() *snapshot.Restored {
-	if !r.endRootValid || r.fault != nil || len(r.entries) == 0 {
-		return nil
-	}
-	if last := &r.entries[len(r.entries)-1]; last.Type != tevlog.TypeSnapshot || last.Seq != r.endSeq {
+	if _, ok := r.restingAt(); !ok {
 		return nil
 	}
 	return &snapshot.Restored{
@@ -189,6 +206,91 @@ func (r *Replay) EndState() *snapshot.Restored {
 		AuthDevice: r.devs.AuthSnapshot(),
 		Root:       r.endRoot,
 	}
+}
+
+// zeroPage is what the tail of a short increment page reads as.
+var zeroPage [vm.PageSize]byte
+
+// Advance rolls a replica that rests at a verified snapshot a forward to a
+// later snapshot b, instead of a new replica being made from b's full state:
+// incs are the increments (a, b], oldest first (snapshot.IncrementRange).
+// Their pages are written over the replica's own memory through
+// Machine.WriteBytes, so the dirty generations and the predecode stamps move
+// as for any host write, exactly the written pages are folded into the live
+// tree the replica already holds, and the resulting digest — over that tree
+// and increment b's register and device blobs — is compared with wantRoot,
+// the root the log committed at b. A mismatch is SeedVerify's error, and the
+// replica is spent. With no increments (a == b) nothing is written and the
+// state the replay itself verified at a is compared with wantRoot.
+//
+// Soundness is that comparison: the digest covers every page, so a replica
+// that passes holds bit for bit the state MaterializeFrom(b) would have
+// folded and SeedVerify passed, whatever was read to get there. What differs
+// is which bytes were looked at: an increment at or below a is not read, so
+// damage to one that a fold from scratch would have reported goes unseen by
+// this pick — as it does by every audit that does not start below it.
+//
+// Advance leaves the registers, the devices and the fed log alone; Restart
+// completes the move once the caller has checked what it checks between
+// verifying a start state and booting from it.
+func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
+	if _, ok := r.restingAt(); !ok || !r.done {
+		return fmt.Errorf("audit: replica does not rest at a verified snapshot")
+	}
+	m := r.mach
+	for _, inc := range incs {
+		for p, page := range inc.MemPages {
+			if p < 0 || p >= m.NumPages() {
+				continue // as MaterializeFrom: not a page of this machine
+			}
+			if len(page) > vm.PageSize {
+				page = page[:vm.PageSize]
+			}
+			// A short page stands for its bytes and a zero tail, which is
+			// what a fold into fresh memory makes of it.
+			addr := uint32(p * vm.PageSize)
+			if err := m.WriteBytes(addr, page); err != nil {
+				return err
+			}
+			if err := m.WriteBytes(addr+uint32(len(page)), zeroPage[len(page):]); err != nil {
+				return err
+			}
+		}
+	}
+	machine, dev := m.CaptureStateRegisters(), r.devs.AuthSnapshot()
+	r.next = nil
+	if len(incs) > 0 {
+		r.next = incs[len(incs)-1]
+		machine, dev = r.next.Machine, r.next.AuthDevice
+	}
+	err := r.live.FoldVerify(m.Mem, m.DirtyPagesSince(r.verifyFloor), machine, dev, wantRoot)
+	r.verifyFloor = m.DirtyEpoch()
+	return err
+}
+
+// Restart completes an Advance: it restores the registers and the device
+// state of the snapshot advanced to and re-arms the replay as a replica made
+// by NewReplayFromSnapshot from that snapshot is armed — no entries, cursor
+// at zero, empty out-queue, an open feed, fresh statistics and instruction
+// budget — keeping the machine, its predecode cache and the live tree. Its
+// errors are NewReplayFromSnapshot's.
+func (r *Replay) Restart() error {
+	m, devs := r.mach, r.devs
+	if r.next != nil {
+		if err := devs.RestoreSnapshot(r.next.Device); err != nil {
+			return fmt.Errorf("audit: restoring device state: %w", err)
+		}
+		if err := m.RestoreRegisters(r.next.Machine); err != nil {
+			return fmt.Errorf("audit: restoring registers: %w", err)
+		}
+	}
+	// Host-side leftovers of the previous run, none of them machine state.
+	m.StopReq = false
+	devs.Console.Reset()
+	devs.Debug = nil
+	*r = Replay{node: r.node, devs: devs, live: r.live, verifyFloor: r.verifyFloor}
+	r.attach(m)
+	return nil
 }
 
 // Feed appends log entries to be replayed and refreshes the instruction

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,44 @@ type SegmentSource interface {
 	Chunk(from, k int) (ChunkRequest, error)
 }
 
+// RollSource is a SegmentSource that hands out the parts of a chunk one by
+// one, which is what lets a spot check keep a replica between picks: a
+// worker whose replica rests at snapshot point a audits a pick that starts
+// at point b >= a from the pick's window and the increments (a, b], and asks
+// for a full start state only for its first pick or one that starts before
+// a. Chunk(from, k) is Window(from, k) with StartState(from) as its Start.
+//
+// The pass asks ahead of the audit for what it expects a worker to need and
+// the worker asks again for what it does need, so StartState and
+// IncrementRange should remember what they read (MonitorSource and
+// ArchiveSource do). Like Chunk, all three must tolerate concurrent calls,
+// and all three answer a request outside the snapshot points with the error
+// Chunk answers it with.
+type RollSource interface {
+	SegmentSource
+	// CanRoll reports whether IncrementRange has increments to hand out; a
+	// source that says no is audited through Chunk alone.
+	CanRoll() bool
+	// Window is Chunk without the start state: Start is nil.
+	Window(from, k int) (ChunkRequest, error)
+	// StartState returns the full machine state at snapshot point from.
+	StartState(from int) (*snapshot.Restored, error)
+	// IncrementRange returns the snapshot increments after point after, up
+	// to and including point upTo, oldest first; none when the two are equal.
+	IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error)
+}
+
+// checkSegments is what every source method says about a request for
+// segments [from, from+k) of a log with the given number of snapshot points:
+// an error unless from is a point, k is at least minK and point from+k
+// exists.
+func checkSegments(from, k, minK, points int) error {
+	if from < 0 || k < minK || from > points-1 || k > points-1-from {
+		return fmt.Errorf("audit: segments [%d,%d+%d) outside the %d snapshot points of the log", from, from, k, points)
+	}
+	return nil
+}
+
 // MonitorSource adapts the common case: an auditor talking to a machine
 // that exposes its log, snapshots and collected authenticators.
 type MonitorSource struct {
@@ -34,8 +73,14 @@ type MonitorSource struct {
 	NodeIdx uint32
 	Entries []tevlog.Entry
 	Auths   []tevlog.Authenticator
-	// Materialize returns the machine state at snapshot index k.
+	// Materialize returns the machine state at snapshot index k. It may be
+	// nil when Increments is set: states are then folded from the increments.
 	Materialize func(k int) (*snapshot.Restored, error)
+	// Increments, when set, hands out the machine's snapshot increments one
+	// at a time, and a spot check then rolls its replicas forward between
+	// picks (RollSource) instead of asking Materialize for every pick's
+	// state.
+	Increments snapshot.IncrementSource
 
 	points []SnapshotPoint
 
@@ -43,9 +88,11 @@ type MonitorSource struct {
 	// out of the increment chain costs O(state) per call, and chunks that
 	// share a starting snapshot — overlapping policies, repeated passes over
 	// the same source, serial-then-parallel sweeps, two workers' first
-	// requests — would otherwise each pay it from scratch. Audits never
+	// picks — would otherwise each pay it from scratch. A spot check over
+	// Increments asks for one state per worker and rolls from there, so the
+	// memo then holds those; every Chunk call still fills it. Audits never
 	// mutate a Restored (replicas copy the memory at boot), so sharing one
-	// per index is safe under concurrent Chunk calls.
+	// per index is safe under concurrent calls.
 	states flight[*snapshot.Restored]
 }
 
@@ -63,23 +110,69 @@ func (m *MonitorSource) Segments() ([]SnapshotPoint, error) {
 
 // Chunk implements SegmentSource.
 func (m *MonitorSource) Chunk(from, k int) (ChunkRequest, error) {
+	req, err := m.Window(from, k)
+	if err != nil {
+		return ChunkRequest{}, err
+	}
+	if req.Start, err = m.StartState(from); err != nil {
+		return ChunkRequest{}, err
+	}
+	return req, nil
+}
+
+// CanRoll implements RollSource.
+func (m *MonitorSource) CanRoll() bool { return m.Increments != nil }
+
+// pointsFor returns the snapshot points once checkSegments has passed the
+// request for segments [from, from+k).
+func (m *MonitorSource) pointsFor(from, k, minK int) ([]SnapshotPoint, error) {
 	pts, err := m.Segments()
+	if err == nil {
+		err = checkSegments(from, k, minK, len(pts))
+	}
+	return pts, err
+}
+
+// Window implements RollSource.
+func (m *MonitorSource) Window(from, k int) (ChunkRequest, error) {
+	pts, err := m.pointsFor(from, k, 1)
 	if err != nil {
 		return ChunkRequest{}, err
 	}
-	start := pts[from]
-	end := pts[from+k]
-	at := int(start.SnapIdx)
-	restored, err := m.states.do(at, func() (*snapshot.Restored, error) { return m.Materialize(at) })
-	if err != nil {
-		return ChunkRequest{}, err
-	}
+	start, end := pts[from], pts[from+k]
 	return ChunkRequest{
 		Node: m.Node, NodeIdx: m.NodeIdx,
-		Start: restored, StartRoot: start.Root, PrevHash: start.EntryHash,
+		StartRoot: start.Root, PrevHash: start.EntryHash,
 		Entries: m.Entries[start.EntryIndex+1 : end.EntryIndex+1],
 		Auths:   m.Auths,
 	}, nil
+}
+
+// StartState implements RollSource.
+func (m *MonitorSource) StartState(from int) (*snapshot.Restored, error) {
+	pts, err := m.pointsFor(from, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	at := int(pts[from].SnapIdx)
+	return m.states.do(at, func() (*snapshot.Restored, error) {
+		if m.Materialize == nil && m.Increments != nil {
+			return snapshot.MaterializeFrom(m.Increments, at)
+		}
+		return m.Materialize(at)
+	})
+}
+
+// IncrementRange implements RollSource.
+func (m *MonitorSource) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
+	pts, err := m.pointsFor(after, upTo-after, 0)
+	if err == nil && m.Increments == nil {
+		err = fmt.Errorf("audit: %s: no increment source", m.Node)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.IncrementRange(m.Increments, int(pts[after].SnapIdx), int(pts[upTo].SnapIdx))
 }
 
 // SpotPolicy selects which segments to inspect out of n available.
@@ -171,23 +264,54 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 
 // SpotCheckParallel is SpotCheck with the selected chunks audited
 // concurrently on up to workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)).
-// Chunks are independent — each starts from its own verified snapshot — so
-// the outcome is deterministic and identical to the serial pass: the first
-// fault in policy order is reported, and SegmentsChecked counts the chunks
-// the serial pass would have inspected before stopping there; a Chunk error
-// is returned if the serial pass would have reached it.
+// Every chunk starts from a snapshot verified against the root the log
+// committed there and is checked for itself, so the outcome is deterministic
+// and identical to the serial pass: the first fault in policy order is
+// reported, and SegmentsChecked counts the chunks the serial pass would have
+// inspected before stopping there; a source error is returned if the serial
+// pass would have reached it.
 //
-// Assembling a chunk — reading its window, folding and hash-verifying its
-// start state — is a stage of its own: while the workers audit, one more
-// goroutine assembles the picks that follow, in pick order, so that a
-// worker finds its next chunk ready. No pick more than workers past the
-// last one of the audited-and-passed prefix is assembled, which bounds the
-// chunks assembled and not yet audited, and the work done past a fault, to
-// workers+1. With one P there is nobody to hand anything to: no goroutine
-// is started and chunks are assembled and audited in turn. The segment
-// source must tolerate concurrent Chunk calls (MonitorSource and
+// What differs between picks is how a worker comes by that verified start.
+// Its first pick, a pick that starts before the snapshot its replica rests
+// at, and every pick of a source that is no RollSource (or cannot roll) is
+// audited from scratch: the source folds the full start state, every page of
+// it is hashed, and a new replica is made from it. After that the worker
+// holds a replica resting at the closing snapshot a of the pick it just
+// passed — a state the replay itself verified against the committed root —
+// and for a pick starting at b >= a it reads the increments (a, b], writes
+// their pages over the replica, folds exactly those pages into the tree it
+// holds and compares the digest with the root committed at b
+// (Replay.Advance): the cost of what the guest wrote in between, not of its
+// memory, and with b == a (adjacent picks, full coverage) nothing is read at
+// all. The digest covers every page, so a rolled start that passes is bit
+// for bit the folded one and the verdict, the Result and every fault text
+// are the from-scratch audit's. What changes is which bytes are looked at: a
+// rolled pick does not read the increments at or below a, so damage there is
+// reported by the picks that start below it — the first pick of each worker
+// folds down to increment 0 — and not by this one.
+//
+// Assembling a pick — reading its window and whatever its start needs — is
+// a stage of its own: while the workers audit, one more goroutine assembles
+// the picks that follow, in pick order, so that a worker finds its next
+// window decoded and its increments (or, for the first pick of each worker,
+// its folded state) read and verified. It cannot know which worker will take
+// a pick: it reads ahead for the one that rests at the end of the pick
+// workers before, which is exact with one worker, and a worker that rests
+// elsewhere asks the source itself for the increments after its own
+// position, never applying an older page over a newer one. No pick more than
+// workers past the last one of the audited-and-passed prefix is assembled,
+// which bounds the picks assembled and not yet audited, and the work done
+// past a fault, to workers+1. With one P there is nobody to hand anything to:
+// no goroutine is started and picks are assembled and audited in turn. The
+// segment source must tolerate concurrent calls (MonitorSource and
 // ArchiveSource do: audits run against a quiesced log and snapshot store).
 func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, workers int) (*SpotCheckOutcome, error) {
+	return a.spotCheck(src, policy, workers, nil)
+}
+
+// spotCheck is SpotCheckParallel; observe, if set, is told the Result of
+// every pick a worker audits (tests compare them with a from-scratch pass).
+func (a *Auditor) spotCheck(src SegmentSource, policy SpotPolicy, workers int, observe func(i int, res *Result)) (*SpotCheckOutcome, error) {
 	pts, err := src.Segments()
 	if err != nil {
 		return nil, err
@@ -208,8 +332,11 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 		workers = len(picks)
 	}
 	st := &spotStage{
-		a: a, src: src, picks: picks, workers: workers,
+		a: a, src: src, pts: pts, picks: picks, workers: workers, observe: observe,
 		passed: make([]bool, len(picks)), cutoff: len(picks),
+	}
+	if roll, ok := src.(RollSource); ok && roll.CanRoll() {
+		st.roll = roll
 	}
 	st.cond.L = &st.mu
 	var wg sync.WaitGroup
@@ -247,10 +374,15 @@ func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, worker
 // which chunks are assembled, and where the pass stops. Picks are named by
 // their position in picks throughout.
 type spotStage struct {
-	a       *Auditor
-	src     SegmentSource
+	a   *Auditor
+	src SegmentSource
+	// roll is src when it hands out increments: workers then keep their
+	// replicas between picks, and a pick's assembly is its window alone.
+	roll    RollSource
+	pts     []SnapshotPoint
 	picks   []int
 	workers int
+	observe func(i int, res *Result)
 
 	// chunks holds every pick's one assembly, whoever asked for it first:
 	// the goroutine running ahead, or the worker that got there before it.
@@ -273,7 +405,8 @@ type spotStage struct {
 	err    error
 }
 
-// assembledChunk is what SegmentSource.Chunk returned for one pick.
+// assembledChunk is what the source returned for one pick: its Chunk, or
+// from a source that rolls its Window.
 type assembledChunk struct {
 	req ChunkRequest
 	err error
@@ -284,7 +417,11 @@ type assembledChunk struct {
 // pass must report what the source said the one time it was asked.
 func (st *spotStage) chunk(i int) *assembledChunk {
 	c, _ := st.chunks.do(i, func() (*assembledChunk, error) {
-		req, err := st.src.Chunk(st.picks[i], 1)
+		assemble := st.src.Chunk
+		if st.roll != nil {
+			assemble = st.roll.Window
+		}
+		req, err := assemble(st.picks[i], 1)
 		return &assembledChunk{req: req, err: err}, nil
 	})
 	return c
@@ -325,8 +462,12 @@ func (st *spotStage) stop(i int, fault *FaultReport, err error) {
 
 // work audits picks, taking the next untaken one each time, until none is
 // left or wanted. The workers of a pass hold picks committed .. committed +
-// workers - 1 at most.
+// workers - 1 at most. Over a source that rolls, the worker keeps the
+// replica of the pick it last passed and moves it to the next pick's start
+// when that lies at or after the point it rests at.
 func (st *spotStage) work() {
+	var rp *Replay // resting at snapshot point at
+	var at int
 	for {
 		i := int(st.next.Add(1)) - 1
 		if i >= len(st.picks) || !st.admit(i, st.workers-1) {
@@ -337,13 +478,39 @@ func (st *spotStage) work() {
 			st.stop(i, nil, c.err)
 			return
 		}
-		res, _ := st.a.auditChunk(c.req)
+		req, pick := c.req, st.picks[i]
 		// This worker was the request's only reader: let go of the decoded
-		// window (the source keeps the start state, not the pass).
+		// window (the source keeps the states and increments, not the pass).
 		c.req = ChunkRequest{}
+		var incs []*snapshot.Snapshot
+		if st.roll != nil {
+			var err error
+			if rp != nil && at <= pick {
+				incs, err = st.roll.IncrementRange(at, pick)
+			} else {
+				rp = nil
+				req.Start, err = st.roll.StartState(pick)
+			}
+			if err != nil {
+				st.stop(i, nil, err)
+				return
+			}
+		}
+		res, _, held := st.a.auditChunkOn(rp, req, incs)
+		if st.observe != nil {
+			st.observe(i, res)
+		}
 		if !res.Passed {
 			st.stop(i, res.Fault, nil)
 			return
+		}
+		rp = nil
+		if st.roll != nil {
+			// The window the source cut ends at point pick+1; keep the
+			// replica only if that is the snapshot it verified last.
+			if snap, ok := held.restingAt(); ok && snap == st.pts[pick+1].SnapIdx {
+				rp, at = held, pick+1
+			}
 		}
 		st.pass(i)
 	}
@@ -355,12 +522,36 @@ func (st *spotStage) work() {
 // assembling is waited for, not assembled again and not overtaken, so with
 // one worker Chunk is never called twice at once — this goroutine assembles
 // pick i+1 while the worker audits pick i, and a source that was written for
-// the serial pass sees calls that follow one another as they always did.
+// the serial pass sees calls that follow one another as they always did. (A
+// RollSource is asked for a pick's parts by this goroutine and by the worker
+// both, and has said it tolerates that.)
 func (st *spotStage) assembleAhead() {
 	for j := 0; j < len(st.picks) && st.admit(j, st.workers); j++ {
 		if c := st.chunk(j); c.err != nil {
 			st.stop(j, nil, c.err)
 			return
 		}
+		if st.roll != nil && st.readAhead(j) != nil {
+			// The worker that takes pick j asks again and reports what it is
+			// told; past an unreadable state there is nothing to prepare.
+			return
+		}
 	}
+}
+
+// readAhead has the source read, verify and remember what the worker that
+// takes pick j will ask it for, so that no state is folded that nobody
+// boots from: the increments since the end of the pick workers before it if
+// that worker is expected to hold a replica resting at or before pick j's
+// start, the full start state otherwise.
+func (st *spotStage) readAhead(j int) error {
+	pick := st.picks[j]
+	if j >= st.workers {
+		if at := st.picks[j-st.workers] + 1; at <= pick {
+			_, err := st.roll.IncrementRange(at, pick)
+			return err
+		}
+	}
+	_, err := st.roll.StartState(pick)
+	return err
 }

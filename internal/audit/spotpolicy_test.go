@@ -204,42 +204,11 @@ func TestSpotCheckMemoizesMaterialization(t *testing.T) {
 
 // serialSpotCheck pins the spot check as it was before chunks were
 // assembled ahead of the audit (commit 8fa6660): assemble a chunk, audit
-// it, stop at the first source error or fault. It is a copy, not a caller,
-// of the production loop, so a change there cannot move the oracle.
+// it, stop at the first source error or fault. It is scratchSpotCheck, the
+// one copy of that loop, without the per-pick Results.
 func serialSpotCheck(a *audit.Auditor, src audit.SegmentSource, policy audit.SpotPolicy) (*audit.SpotCheckOutcome, error) {
-	pts, err := src.Segments()
-	if err != nil {
-		return nil, err
-	}
-	nSegments := len(pts) - 1
-	if nSegments < 0 {
-		nSegments = 0
-	}
-	out := &audit.SpotCheckOutcome{SegmentsTotal: nSegments}
-	var picks []int
-	for _, idx := range policy.Pick(nSegments) {
-		if idx >= 0 && idx < nSegments {
-			picks = append(picks, idx)
-		}
-	}
-	for i, pick := range picks {
-		req, err := src.Chunk(pick, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := a.Audit(audit.AuditRequest{Node: req.Node, NodeIdx: req.NodeIdx, Engine: audit.EngineChunk, Chunk: &req})
-		if err != nil {
-			return nil, err
-		}
-		if !res.Passed {
-			out.SegmentsChecked = i + 1
-			out.FaultFound = true
-			out.FirstFault = res.Fault
-			return out, nil
-		}
-	}
-	out.SegmentsChecked = len(picks)
-	return out, nil
+	out, _, err := scratchSpotCheck(a, src, policy)
+	return out, err
 }
 
 // probeSource is a SegmentSource that counts, and can spoil, the chunks of

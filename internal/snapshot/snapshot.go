@@ -257,6 +257,30 @@ func MaterializeFrom(src IncrementSource, k int) (*Restored, error) {
 	}, nil
 }
 
+// IncrementRange returns increments a+1 … b of src, oldest first: written
+// over the state at snapshot a in that order, page by page, they give the
+// state at snapshot b, whose registers and device state are increment b's.
+// It is what a holder of the state at a reads instead of MaterializeFrom(b):
+// the increments in between and nothing at or below a. a == b is the empty
+// range and asks the source for nothing. The requests are made newest first,
+// the order MaterializeFrom's contract lets a source read ahead in. The
+// pages are the source's own (possibly windows of its read buffers): a
+// caller copies what it keeps.
+func IncrementRange(src IncrementSource, a, b int) ([]*Snapshot, error) {
+	if a < 0 || b < a || b >= src.Count() {
+		return nil, fmt.Errorf("snapshot: increment range (%d,%d] outside [0,%d)", a, b, src.Count())
+	}
+	out := make([]*Snapshot, b-a)
+	for i := b; i > a; i-- {
+		inc, err := src.Increment(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i-a-1] = inc
+	}
+	return out, nil
+}
+
 // Materialize reconstructs the complete state at snapshot k — the
 // newest-first early-exit fold of MaterializeFrom over this store.
 func (st *Store) Materialize(k int) (*Restored, error) {
@@ -392,4 +416,17 @@ func (lh *LiveStateHasher) Fold(mem []byte, dirty []int, machineBlob, devBlob []
 		return [32]byte{}, err
 	}
 	return CombineRoot(lh.tree.Root(), machineBlob, devBlob), nil
+}
+
+// FoldVerify is SeedVerify for a holder of a seeded tree: it folds the
+// dirty pages of mem and checks the resulting digest against the root the
+// log committed to, with SeedVerify's error on a mismatch. The digest covers
+// every page, so a state that passes here is the state SeedVerify would have
+// passed, at the cost of the pages that changed.
+func (lh *LiveStateHasher) FoldVerify(mem []byte, dirty []int, machineBlob, devBlob []byte, wantRoot [32]byte) error {
+	got, err := lh.Fold(mem, dirty, machineBlob, devBlob)
+	if err != nil {
+		return err
+	}
+	return checkRoot(got, wantRoot)
 }

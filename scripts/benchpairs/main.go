@@ -4,6 +4,7 @@
 // the parent's by more than its bound.
 //
 //	go run ./scripts/benchpairs -parent ../parent -change . -pairs 3
+//	go run ./scripts/benchpairs -parent ../parent -workload kvstate
 //
 // Metric names, directions, bounds, workloads, the command and the run
 // length all come from the change's BENCHMARK.json. A pair runs one workload
@@ -13,7 +14,11 @@
 // a median worse by more than the bound fails only when the difference is
 // resolved (wider than the parent's inter-quartile range, or every change
 // run worse than every parent run) and is otherwise printed as unresolved;
-// a run whose result line says "correct": false always fails.
+// a run whose result line says "correct": false always fails; under the table
+// every run's value is listed, by side, in pair order. -workload
+// (repeatable, or names separated by commas) restricts the pairs to some of
+// the workloads BENCHMARK.json declares — a ten-pair claim on one workload is
+// a quarter of the machine time of one on all four; CI runs them all.
 //
 // Exit status: 0 no regression, 1 a regression or an incorrect run, 2 the
 // benchmark could not be run or read.
@@ -43,12 +48,15 @@ type metricSpec struct {
 
 // benchmarkFile is the part of BENCHMARK.json the gate reads.
 type benchmarkFile struct {
-	Command    []string `json:"command"`
-	RunSeconds float64  `json:"run_seconds"`
-	Workloads  []struct {
-		Name string `json:"name"`
-	} `json:"workloads"`
-	EndToEnd []metricSpec `json:"end_to_end"`
+	Command    []string       `json:"command"`
+	RunSeconds float64        `json:"run_seconds"`
+	Workloads  []workloadSpec `json:"workloads"`
+	EndToEnd   []metricSpec   `json:"end_to_end"`
+}
+
+// workloadSpec is one workloads entry of BENCHMARK.json.
+type workloadSpec struct {
+	Name string `json:"name"`
 }
 
 // result is the result line bench/README.md documents: the last line of a
@@ -83,6 +91,7 @@ type row struct {
 	worseBy  float64 // share of the parent's median; negative is better
 	won      int     // pairs in which the change read better; a tie counts for neither
 	verdict  string
+	runs     [2][]float64 // every run's value, by side, in pair order
 }
 
 const (
@@ -124,7 +133,7 @@ func judge(m metricSpec, parent, change []float64) row {
 	ps, cs := worseSorted(parent), worseSorted(change)
 	pm, cm := quantile(ps, 0.5), quantile(cs, 0.5)
 	r := row{metric: m, parent: sign * pm, change: sign * cm,
-		iqr: quantile(ps, 0.75) - quantile(ps, 0.25), verdict: verdictOK}
+		iqr: quantile(ps, 0.75) - quantile(ps, 0.25), verdict: verdictOK, runs: [2][]float64{parent, change}}
 	for i := range parent {
 		if sign*change[i] < sign*parent[i] {
 			r.won++
@@ -200,10 +209,42 @@ func runOnce(bf benchmarkFile, dir, workload string) (result, error) {
 	return r, nil
 }
 
+// selectWorkloads keeps the workloads of bf that names lists, in
+// BENCHMARK.json's order; no name keeps them all. Each element of names may
+// itself be several names separated by commas. A name BENCHMARK.json does
+// not declare is an error.
+func selectWorkloads(bf benchmarkFile, names []string) (benchmarkFile, error) {
+	want := make(map[string]bool)
+	for _, arg := range names {
+		for _, name := range strings.Split(arg, ",") {
+			if !slices.Contains(bf.Workloads, workloadSpec{name}) {
+				return bf, fmt.Errorf("-workload %q: BENCHMARK.json declares no such workload", name)
+			}
+			want[name] = true
+		}
+	}
+	if len(want) == 0 {
+		return bf, nil
+	}
+	all := bf.Workloads
+	bf.Workloads = nil
+	for _, w := range all {
+		if want[w.Name] {
+			bf.Workloads = append(bf.Workloads, w)
+		}
+	}
+	return bf, nil
+}
+
 func main() {
 	parentDir := flag.String("parent", "", "checkout of the parent commit")
 	changeDir := flag.String("change", ".", "checkout of the change; its BENCHMARK.json is the one read")
 	pairs := flag.Int("pairs", 10, "pairs of runs per workload")
+	var only []string
+	flag.Func("workload", "run only this workload (repeatable, or comma-separated; default all)", func(v string) error {
+		only = append(only, v)
+		return nil
+	})
 	flag.Parse()
 	if *parentDir == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
@@ -223,6 +264,11 @@ func main() {
 	}
 	if len(bf.Command) == 0 || len(bf.Workloads) == 0 || len(bf.EndToEnd) == 0 {
 		fail(fmt.Errorf("BENCHMARK.json names no command, no workload or no end-to-end metric"))
+	}
+	if bf, err = selectWorkloads(bf, only); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	dirs := [2]string{*parentDir, *changeDir}
@@ -252,6 +298,17 @@ func main() {
 	for _, r := range rows {
 		fmt.Printf("%-8s %-22s %13.6g %13.6g %8.2f%% %6.1f%% %13.6g %4d/%-2d  %s\n",
 			r.workload, r.metric.Name, r.parent, r.change, 100*r.worseBy, 100*r.metric.Bound, r.iqr, r.won, *pairs, r.verdict)
+	}
+	// Every run made, so that a claim can be reported with the runs behind it.
+	fmt.Println("runs, in pair order:")
+	for _, r := range rows {
+		for k, side := range sideNames {
+			fmt.Printf("%-8s %-22s %-6s", r.workload, r.metric.Name, side)
+			for _, v := range r.runs[k] {
+				fmt.Printf(" %.9g", v)
+			}
+			fmt.Println()
+		}
 	}
 	if len(bad) > 0 {
 		fmt.Printf("benchpairs: FAIL: %s\n", strings.Join(bad, "; "))

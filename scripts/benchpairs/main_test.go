@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,10 +77,7 @@ func TestVerdictRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bf := benchmarkFile{EndToEnd: []metricSpec{tc.metric}}
-			bf.Workloads = append(bf.Workloads, struct {
-				Name string `json:"name"`
-			}{"game"})
+			bf := benchmarkFile{EndToEnd: []metricSpec{tc.metric}, Workloads: []workloadSpec{{"game"}}}
 			runs := func(s side) map[string][]result {
 				var rs []result
 				for i, v := range s.values {
@@ -116,6 +114,49 @@ func TestVerdictRule(t *testing.T) {
 				t.Errorf("failures %v do not name %s", bad, tc.metric.Name)
 			}
 		})
+	}
+}
+
+// -workload keeps the named workloads in BENCHMARK.json's order, whatever
+// order and however often they were named, keeps all of them when none is
+// named, and refuses a name BENCHMARK.json does not declare.
+func TestSelectWorkloads(t *testing.T) {
+	bf := benchmarkFile{Workloads: []workloadSpec{{"game"}, {"minisql"}, {"kvstate"}, {"fleet"}}}
+	cases := []struct {
+		args    []string
+		want    []string
+		isError bool
+	}{
+		{args: nil, want: []string{"game", "minisql", "kvstate", "fleet"}},
+		{args: []string{"kvstate"}, want: []string{"kvstate"}},
+		{args: []string{"fleet", "game"}, want: []string{"game", "fleet"}},
+		{args: []string{"kvstate,game", "kvstate"}, want: []string{"game", "kvstate"}},
+		{args: []string{"kvstore"}, isError: true},
+		{args: []string{"game,"}, isError: true},
+		{args: []string{""}, isError: true},
+	}
+	for _, tc := range cases {
+		got, err := selectWorkloads(bf, tc.args)
+		if tc.isError {
+			if err == nil {
+				t.Errorf("-workload %q: no error, workloads %v", tc.args, got.Workloads)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-workload %q: %v", tc.args, err)
+			continue
+		}
+		var names []string
+		for _, w := range got.Workloads {
+			names = append(names, w.Name)
+		}
+		if !slices.Equal(names, tc.want) {
+			t.Errorf("-workload %q: workloads %v, want %v", tc.args, names, tc.want)
+		}
+	}
+	if len(bf.Workloads) != 4 {
+		t.Errorf("selectWorkloads changed the file it was given: %v", bf.Workloads)
 	}
 }
 
