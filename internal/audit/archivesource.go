@@ -33,10 +33,10 @@ type ArchiveSource struct {
 
 	// states memoizes materialized starting states per snapshot index, as
 	// MonitorSource does: overlapping policies, repeated passes and
-	// concurrent first requests share one fold. A spot check asks for one
-	// state per worker and rolls from there (RollSource), so that is what
-	// the memo then holds; every Chunk call still fills it. A Restored is
-	// never mutated by audits.
+	// concurrent first requests share one fold. A spot check asks for no
+	// state: each worker boots its first replica from the increments and
+	// rolls from there (RollSource). Every Chunk call fills the memo. A
+	// Restored is never mutated by audits.
 	states flight[*snapshot.Restored]
 }
 
@@ -118,9 +118,20 @@ func (s *ArchiveSource) Window(from, k int) (ChunkRequest, error) {
 	}, nil
 }
 
-// StartState implements RollSource: the state at point from, folded out of
-// the increments from that snapshot down to the newest capture of every
-// page — to increment 0, a full capture, unless later ones cover it.
+// ReplicaStart implements RollSource: the archive's increments and the
+// snapshot at point from, which the boot folds into its replica itself.
+func (s *ArchiveSource) ReplicaStart(from int) (ReplicaStart, error) {
+	pts, err := s.pointsFor(from, 0, 0)
+	if err != nil {
+		return ReplicaStart{}, err
+	}
+	return ReplicaStart{Incs: s.incs, Index: int(pts[from].SnapIdx)}, nil
+}
+
+// StartState returns the state at point from, the Start of Chunk(from, k),
+// folded out of the increments from that snapshot down to the newest
+// capture of every page — to increment 0, a full capture, unless later ones
+// cover it.
 func (s *ArchiveSource) StartState(from int) (*snapshot.Restored, error) {
 	pts, err := s.pointsFor(from, 0, 0)
 	if err != nil {

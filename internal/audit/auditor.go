@@ -116,47 +116,32 @@ type ChunkRequest struct {
 // state roots, so an incorrect state transition anywhere in the chunk is
 // detected. It backs Audit's EngineChunk.
 func (a *Auditor) auditChunk(req ChunkRequest) (*Result, tevlog.SigStats) {
-	res, sigs, _ := a.auditChunkOn(nil, req, nil)
+	// Authenticate the snapshot; the verification tree is kept live so
+	// snapshot entries inside the chunk verify incrementally.
+	rp, err := bootReplay(req.Node, ReplicaStart{State: req.Start}, req.StartRoot, a.RNGSeed)
+	res, sigs, _ := a.auditChunkOn(rp, err, req)
 	return res, sigs
 }
 
-// auditChunkOn is the chunk audit on a replica the caller may already hold.
-// With rp nil it is the audit from scratch: req.Start is hash-verified
-// against req.StartRoot and a new replica is made from it. Otherwise rp rests
-// at a verified snapshot at or before the chunk's first, req.Start is not
-// looked at, and rp is rolled forward by incs, the increments in between
-// (Replay.Advance), and re-armed. The checks, their order, the Result and
-// every fault's text are the same either way. A replica that passed rests at
-// the chunk's closing snapshot and is returned for the caller's next chunk;
-// after a fault there is none.
-func (a *Auditor) auditChunkOn(rp *Replay, req ChunkRequest, incs []*snapshot.Snapshot) (*Result, tevlog.SigStats, *Replay) {
+// auditChunkOn is the chunk audit once the replica is at the chunk's first
+// snapshot: rp was booted there (bootReplay) or rolled there from a snapshot
+// it rested at (Replay.Advance), either way checked against req.StartRoot,
+// and startErr is that check's failure, the chunk's CheckSnapshot fault. The
+// replica is re-armed (Restart) once the log has been checked, so the checks,
+// their order, the Result and every fault's text do not depend on how it
+// was come by. A replica that passed rests at the chunk's closing snapshot
+// and is returned for the caller's next chunk; after a fault there is none.
+func (a *Auditor) auditChunkOn(rp *Replay, startErr error, req ChunkRequest) (*Result, tevlog.SigStats, *Replay) {
 	res := &Result{Node: req.Node}
-	// Authenticate the snapshot; the verification tree is kept live so
-	// snapshot entries inside the chunk verify incrementally.
-	var lh *snapshot.LiveStateHasher
-	var err error
-	if rp == nil {
-		lh = &snapshot.LiveStateHasher{}
-		err = lh.SeedVerify(req.Start, req.StartRoot)
-	} else {
-		err = rp.Advance(incs, req.StartRoot)
-	}
-	if err != nil {
-		res.Fault = &FaultReport{Node: req.Node, Check: CheckSnapshot, Detail: err.Error()}
+	if startErr != nil {
+		res.Fault = &FaultReport{Node: req.Node, Check: CheckSnapshot, Detail: startErr.Error()}
 		return res, tevlog.SigStats{}, nil
 	}
 	sigs, ok := a.verifyAndCheck(res, req.NodeIdx, req.PrevHash, req.Entries, req.Auths, false)
 	if !ok {
 		return res, sigs, nil
 	}
-	if rp == nil {
-		if rp, err = NewReplayFromSnapshot(req.Node, req.Start, a.RNGSeed); err == nil {
-			rp.AdoptStateHasher(lh)
-		}
-	} else {
-		err = rp.Restart()
-	}
-	if err != nil {
+	if err := rp.Restart(); err != nil {
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSemantic, Detail: err.Error()}
 		return res, sigs, nil
 	}

@@ -165,17 +165,10 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 				}}
 			}
 		}
-		lh := &snapshot.LiveStateHasher{}
-		if verr := lh.SeedVerify(restored, job.StartRoot); verr != nil {
-			return epochResult{fault: &FaultReport{
-				Node: sess.Node, Check: CheckSnapshot, EntrySeq: job.StartSeq, Detail: verr.Error(),
-			}}
+		var fault *FaultReport
+		if rp, fault = startEpoch(sess.Node, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
+			return epochResult{fault: fault}
 		}
-		rp, err = NewReplayFromSnapshot(sess.Node, restored, sess.RNGSeed)
-		if err != nil {
-			return epochResult{fault: &FaultReport{Node: sess.Node, Check: CheckSemantic, Detail: err.Error()}}
-		}
-		rp.AdoptStateHasher(lh)
 	}
 	rp.Machine().DisablePredecode = sess.DisablePredecode
 	rp.Machine().DisableFusion = sess.DisableFusion
@@ -187,6 +180,23 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 		res.end = rp.EndState()
 	}
 	return res
+}
+
+// startEpoch makes the replica an epoch starts from: restored, the state at
+// the epoch's opening snapshot, is booted into it and verified against root,
+// the root the log committed there (bootReplay), and its registers and
+// devices are restored (Restart). It returns the fault every epoch engine
+// reports otherwise: a state that does not hash to root is CheckSnapshot at
+// the snapshot entry seq, one the replica cannot take CheckSemantic.
+func startEpoch(node sig.NodeID, restored *snapshot.Restored, root [32]byte, seq uint64, rngSeed uint64) (*Replay, *FaultReport) {
+	rp, err := bootReplay(node, ReplicaStart{State: restored}, root, rngSeed)
+	if err != nil {
+		return nil, &FaultReport{Node: node, Check: CheckSnapshot, EntrySeq: seq, Detail: err.Error()}
+	}
+	if err := rp.Restart(); err != nil {
+		return nil, &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}
+	}
+	return rp, nil
 }
 
 // PoolBackend replays epochs on a bounded in-process goroutine pool — the

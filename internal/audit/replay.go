@@ -59,11 +59,11 @@ type Replay struct {
 	// live is the incremental state tree behind snapshot-root verification:
 	// seeded once from the replica's starting state, then folded forward by
 	// only the pages dirtied between snapshot entries (§4.4's
-	// O(dirty · log n) commitment, applied by the auditor). The epoch
-	// engines seed it while verifying the materialized starting snapshot
-	// (AdoptStateHasher); otherwise it is seeded lazily at the first
-	// snapshot entry, which for a boot replay costs exactly the full rehash
-	// the first verification always paid.
+	// O(dirty · log n) commitment, applied by the auditor). A replica made
+	// at a snapshot is handed it seeded, by the pass that verified the
+	// starting state (bootReplay, AdoptStateHasher); otherwise it is seeded
+	// lazily at the first snapshot entry, which for a boot replay costs
+	// exactly the full rehash the first verification always paid.
 	live *snapshot.LiveStateHasher
 	// verifyFloor is the dirty-generation floor of the live tree: pages the
 	// replica wrote after it must be folded before the next root compare.
@@ -86,8 +86,9 @@ type Replay struct {
 	boundPos int
 	bound    uint64
 
-	// next is the increment an Advance moved the memory to, whose registers
-	// and device state Restart restores; nil when the Advance was over no
+	// next is the increment an Advance moved the memory to (for a replica
+	// bootReplay made, the snapshot it booted at), whose registers and
+	// device state Restart restores; nil when the Advance was over no
 	// increment and the replica's own are already the snapshot's.
 	next *snapshot.Snapshot
 }
@@ -119,6 +120,66 @@ func NewReplayFromSnapshot(node sig.NodeID, restored *snapshot.Restored, rngSeed
 		return nil, fmt.Errorf("audit: restoring registers: %w", err)
 	}
 	r.attach(m)
+	return r, nil
+}
+
+// ReplicaStart is the state a replica is booted at, as a source hands it
+// over: the increments it is the fold of — the state at snapshot Index of
+// Incs — or, from a source that materializes states some other way, the
+// full State.
+type ReplicaStart struct {
+	Incs  snapshot.IncrementSource
+	Index int
+	State *snapshot.Restored
+}
+
+// sourceError is a boot's report that the source could not hand over the
+// state (an increment could not be read), as opposed to a verdict on the
+// state it handed over; the spot check returns it like every source error.
+type sourceError struct{ error }
+
+// bootReplay makes a replica at a snapshot in one pass over the snapshot's
+// state and verifies it against wantRoot, the root the log committed there.
+// The state goes straight into the new machine's memory — folded from
+// start.Incs newest increment first (LiveStateHasher.SeedFold) or copied
+// from start.State (SeedCopy) — and each page's leaf is hashed as soon as
+// the page is final; the tree's interior is folded once and the digest
+// compared with wantRoot. Every page is copied once and hashed once, where
+// MaterializeFrom, SeedVerify and NewReplayFromSnapshot copy it twice. A
+// mismatch is SeedVerify's error; a source that cannot hand over the state
+// is a sourceError.
+//
+// The replica is left as Advance leaves one, memory and tree verified and
+// the registers and device state still the snapshot's to restore: Restart
+// restores them, with NewReplayFromSnapshot's errors, and arms the replay,
+// which is then the one NewReplayFromSnapshot and AdoptStateHasher make.
+func bootReplay(node sig.NodeID, start ReplicaStart, wantRoot [32]byte, rngSeed uint64) (*Replay, error) {
+	lh := &snapshot.LiveStateHasher{}
+	var m *vm.Machine
+	var next *snapshot.Snapshot
+	switch st := start.State; {
+	case st != nil:
+		m = vm.NewMachine(len(st.Mem), nil)
+		lh.SeedCopy(st, m.Mem)
+		next = &snapshot.Snapshot{Machine: st.Machine, Device: st.Device, AuthDevice: st.AuthDevice}
+	case start.Incs != nil:
+		size := start.Incs.MemSize()
+		m = vm.NewMachine(size, nil)
+		inc, err := lh.SeedFold(start.Incs, start.Index, m.Mem[:size])
+		if err != nil {
+			return nil, sourceError{err}
+		}
+		next = inc
+	default:
+		return nil, fmt.Errorf("audit: no start state")
+	}
+	if err := lh.Verify(next.Machine, next.AuthDevice, wantRoot); err != nil {
+		return nil, err
+	}
+	m.MarkAllDirty() // as NewReplayFromSnapshot's host write of the memory does
+	r := &Replay{node: node, devs: vm.NewDeviceSet(rngSeed), next: next}
+	r.attach(m)
+	r.AdoptStateHasher(lh)
 	return r, nil
 }
 
@@ -221,7 +282,9 @@ var zeroPage [vm.PageSize]byte
 // and increment b's register and device blobs — is compared with wantRoot,
 // the root the log committed at b. A mismatch is SeedVerify's error, and the
 // replica is spent. With no increments (a == b) nothing is written and the
-// state the replay itself verified at a is compared with wantRoot.
+// state the replay itself verified at a is compared with wantRoot. An
+// increment with a page longer than a page is snapshot.CheckIncrement's
+// error, before anything is written.
 //
 // Soundness is that comparison: the digest covers every page, so a replica
 // that passes holds bit for bit the state MaterializeFrom(b) would have
@@ -237,14 +300,16 @@ func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
 	if _, ok := r.restingAt(); !ok || !r.done {
 		return fmt.Errorf("audit: replica does not rest at a verified snapshot")
 	}
+	for _, inc := range incs {
+		if err := snapshot.CheckIncrement(inc.Index, inc); err != nil {
+			return err
+		}
+	}
 	m := r.mach
 	for _, inc := range incs {
 		for p, page := range inc.MemPages {
 			if p < 0 || p >= m.NumPages() {
-				continue // as MaterializeFrom: not a page of this machine
-			}
-			if len(page) > vm.PageSize {
-				page = page[:vm.PageSize]
+				continue // as a fold: not a page of this machine
 			}
 			// A short page stands for its bytes and a zero tail, which is
 			// what a fold into fresh memory makes of it.
@@ -268,12 +333,12 @@ func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
 	return err
 }
 
-// Restart completes an Advance: it restores the registers and the device
-// state of the snapshot advanced to and re-arms the replay as a replica made
-// by NewReplayFromSnapshot from that snapshot is armed — no entries, cursor
-// at zero, empty out-queue, an open feed, fresh statistics and instruction
-// budget — keeping the machine, its predecode cache and the live tree. Its
-// errors are NewReplayFromSnapshot's.
+// Restart completes an Advance or a bootReplay: it restores the registers
+// and the device state of the snapshot moved to and arms the replay as a
+// replica made by NewReplayFromSnapshot from that snapshot is armed — no
+// entries, cursor at zero, empty out-queue, an open feed, fresh statistics
+// and instruction budget — keeping the machine, its predecode cache and the
+// live tree. Its errors are NewReplayFromSnapshot's.
 func (r *Replay) Restart() error {
 	m, devs := r.mach, r.devs
 	if r.next != nil {

@@ -2,9 +2,15 @@ package audit
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
@@ -55,21 +61,23 @@ func (r *advanceRNG) bytes(n int) []byte {
 	return b
 }
 
-// advanceChain makes a chain of 2 to 5 increments: increment 0 captures
-// every page, the others an arbitrary page set each — pages captured again
-// and again, pages never captured again, full pages, pages shorter than
-// vm.PageSize (down to none at all), and page indices that are not pages of
-// the machine, which a fold skips. Every increment carries registers and
-// device state of its own. (No page is longer than a page: MaterializeFrom
-// would copy the excess over the next page in map order, and there is no one
-// state to compare with.)
-func advanceChain(seed uint64) sliceIncrements {
+// advanceChain makes a chain of 2 to 5 increments over advancePages pages:
+// increment 0 captures every page, the others an arbitrary page set each —
+// pages captured again and again, pages never captured again, full pages,
+// pages shorter than vm.PageSize (down to none at all), and page indices that
+// are not pages of the machine, which a fold skips. Every increment carries
+// registers and device state of its own. (No page is longer than a page:
+// every fold refuses such an increment, and checkBoot builds that case.)
+func advanceChain(seed uint64) sliceIncrements { return chainOver(seed, advancePages) }
+
+// chainOver is advanceChain over an image of the given number of pages.
+func chainOver(seed uint64, pages int) sliceIncrements {
 	rng := advanceRNG(seed | 1)
 	n := 2 + int(rng.next()%4)
 	chain := make(sliceIncrements, n)
 	for k := range chain {
 		inc := &snapshot.Snapshot{Index: k, MemPages: make(map[int][]byte)}
-		for p := 0; p < advancePages; p++ {
+		for p := 0; p < pages; p++ {
 			if k > 0 && rng.next()%3 == 0 {
 				continue
 			}
@@ -80,7 +88,7 @@ func advanceChain(seed uint64) sliceIncrements {
 			inc.MemPages[p] = rng.bytes(size)
 		}
 		if rng.next()%4 == 0 {
-			inc.MemPages[advancePages+int(rng.next()%50)] = rng.bytes(vm.PageSize)
+			inc.MemPages[pages+int(rng.next()%50)] = rng.bytes(vm.PageSize)
 			inc.MemPages[-1-int(rng.next()%50)] = rng.bytes(16)
 		}
 		st := vm.State{
@@ -147,11 +155,12 @@ func restAt(t *testing.T, rp *Replay, snapIdx int, root [32]byte) {
 func sameReplica(t *testing.T, label string, rolled, scratch *Replay, root [32]byte) {
 	t.Helper()
 	if !bytes.Equal(rolled.mach.Mem, scratch.mach.Mem) {
-		for p := 0; p < advancePages; p++ {
+		for p := 0; p < rolled.mach.NumPages(); p++ {
 			if !bytes.Equal(rolled.mach.Page(p), scratch.mach.Page(p)) {
 				t.Fatalf("%s: page %d of the rolled replica differs from the folded state", label, p)
 			}
 		}
+		t.Fatalf("%s: the rolled replica's memory differs from the folded state", label)
 	}
 	if !bytes.Equal(rolled.mach.CaptureStateRegisters(), scratch.mach.CaptureStateRegisters()) {
 		t.Fatalf("%s: registers differ", label)
@@ -354,4 +363,145 @@ func TestSpotReplayAdvanceShortPage(t *testing.T) {
 	if err := fresh.Advance(incs, root); err == nil {
 		t.Fatal("a replica that verified no snapshot was advanced")
 	}
+}
+
+// The boot a replica's first pick gets (bootReplay) against the same calls:
+// folded from the increments or copied from a full state, it must make the
+// replica MaterializeFrom + SeedVerify + NewReplayFromSnapshot +
+// AdoptStateHasher make, refuse a wrong root with SeedVerify's error, and
+// report a source that cannot hand over the state as the source's error.
+
+// bootPages is the larger image the boot is checked over: enough pages that
+// the increment completing a fold is copied and hashed on four goroutines.
+const bootPages = 4*32 + 3
+
+// wideIncrements is a chain over an image of pages pages.
+type wideIncrements struct {
+	sliceIncrements
+	pages int
+}
+
+func (w wideIncrements) MemSize() int { return w.pages * vm.PageSize }
+
+// failingIncrements hands out the increments of the source under it, except
+// that asking for increment bad is an error.
+type failingIncrements struct {
+	snapshot.IncrementSource
+	bad int
+}
+
+func (f failingIncrements) Increment(k int) (*snapshot.Snapshot, error) {
+	if k == f.bad {
+		return nil, fmt.Errorf("increment %d is unreadable", k)
+	}
+	return f.IncrementSource.Increment(k)
+}
+
+// sameSourceError fails the test unless the boot reported what the fold from
+// scratch reported: nothing, or the same text as a source error.
+func sameSourceError(t *testing.T, label string, got, want error) {
+	t.Helper()
+	var source sourceError
+	switch {
+	case want == nil && got != nil:
+		t.Fatalf("%s: the boot fails (%v) where the fold from scratch does not", label, got)
+	case want != nil && (got == nil || !errors.As(got, &source) || got.Error() != want.Error()):
+		t.Fatalf("%s: error %v (%T), the fold from scratch returns %v", label, got, got, want)
+	}
+}
+
+// checkBoot is the boot's property for one chain seed, at every snapshot of
+// the chain, over advancePages and over bootPages pages.
+func checkBoot(t *testing.T, seed uint64) {
+	for _, pages := range []int{advancePages, bootPages} {
+		chain := wideIncrements{chainOver(seed, pages), pages}
+		rng := advanceRNG(seed ^ 0x5851F42D4C957F2D | 1)
+		for k := range chain.sliceIncrements {
+			label := fmt.Sprintf("seed %d, %d pages, %d increments, boot at %d", seed, pages, len(chain.sliceIncrements), k)
+			scratch, root := scratchReplica(t, chain, k)
+			st, err := snapshot.MaterializeFrom(chain, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrong := root
+			wrong[int(rng.next()%32)] ^= 1 << (rng.next() % 8)
+			wantWrong := (&snapshot.LiveStateHasher{}).SeedVerify(st, wrong)
+			for _, start := range []ReplicaStart{{Incs: chain, Index: k}, {State: st}} {
+				how := label + ", folded"
+				if start.State != nil {
+					how = label + ", copied"
+				}
+				rp, err := bootReplay("n", start, root, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", how, err)
+				}
+				if err := rp.Restart(); err != nil {
+					t.Fatalf("%s: %v", how, err)
+				}
+				sameReplica(t, how, rp, scratch, root)
+
+				// A root the log did not commit is SeedVerify's error, and a
+				// verdict on the state, not a source error.
+				var source sourceError
+				if _, err := bootReplay("n", start, wrong, 1); err == nil || errors.As(err, &source) || err.Error() != wantWrong.Error() {
+					t.Fatalf("%s: wrong root: error %v, SeedVerify's is %v", how, err, wantWrong)
+				}
+			}
+
+			// An increment the source cannot hand over, wherever the fold from
+			// scratch meets it — or does not, when newer ones cover every page.
+			failing := failingIncrements{chain, int(rng.next() % uint64(k+1))}
+			_, want := snapshot.MaterializeFrom(failing, k)
+			_, err = bootReplay("n", ReplicaStart{Incs: failing, Index: k}, root, 1)
+			sameSourceError(t, fmt.Sprintf("%s, increment %d unreadable", label, failing.bad), err, want)
+
+			// A page longer than a page in the newest increment, which every
+			// fold reads: CheckIncrement's error, naming the increment and page.
+			long := wideIncrements{slices.Clone(chain.sliceIncrements), pages}
+			cut := *chain.sliceIncrements[k]
+			cut.MemPages = maps.Clone(cut.MemPages)
+			p := int(rng.next() % uint64(pages))
+			cut.MemPages[p] = rng.bytes(vm.PageSize + 1 + int(rng.next()%8))
+			long.sliceIncrements[k] = &cut
+			_, want = snapshot.MaterializeFrom(long, k)
+			if want == nil || !strings.Contains(want.Error(), fmt.Sprintf("increment %d page %d ", k, p)) {
+				t.Fatalf("%s: an over-long page %d: MaterializeFrom returns %v", label, p, want)
+			}
+			_, err = bootReplay("n", ReplicaStart{Incs: long, Index: k}, root, 1)
+			sameSourceError(t, fmt.Sprintf("%s, page %d over-long", label, p), err, want)
+		}
+	}
+}
+
+// TestSpotReplicaBootProperty runs the boot's property over fifty chains at
+// 1 and 4 Ps; no goroutine of the boot outlives it.
+func TestSpotReplicaBootProperty(t *testing.T) {
+	n := uint64(50)
+	if testing.Short() {
+		n = 10
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			before := runtime.NumGoroutine()
+			for seed := uint64(1); seed <= n; seed++ {
+				checkBoot(t, seed*0x9E3779B97F4A7C15)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("P%d: %d goroutines after the boots, %d before", procs, after, before)
+			}
+		}()
+	}
+}
+
+// FuzzReplicaBoot lets the fuzzer choose the chain the boot is checked on.
+func FuzzReplicaBoot(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 0xDEADBEEF, 1 << 63} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { checkBoot(t, seed) })
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -31,16 +32,17 @@ type SegmentSource interface {
 // RollSource is a SegmentSource that hands out the parts of a chunk one by
 // one, which is what lets a spot check keep a replica between picks: a
 // worker whose replica rests at snapshot point a audits a pick that starts
-// at point b >= a from the pick's window and the increments (a, b], and asks
-// for a full start state only for its first pick or one that starts before
-// a. Chunk(from, k) is Window(from, k) with StartState(from) as its Start.
+// at point b >= a from the pick's window and the increments (a, b], and
+// boots a new replica (ReplicaStart) only for its first pick or one that
+// starts before a. Chunk(from, k) is Window(from, k) with the state at point
+// from as its Start.
 //
 // The pass asks ahead of the audit for what it expects a worker to need and
-// the worker asks again for what it does need, so StartState and
-// IncrementRange should remember what they read (MonitorSource and
-// ArchiveSource do). Like Chunk, all three must tolerate concurrent calls,
-// and all three answer a request outside the snapshot points with the error
-// Chunk answers it with.
+// the worker asks again for what it does need, so what ReplicaStart and
+// IncrementRange read should be remembered (MonitorSource and ArchiveSource
+// do, and the archive's increment source does). Like Chunk, all three must
+// tolerate concurrent calls, and all three answer a request outside the
+// snapshot points with the error Chunk answers it with.
 type RollSource interface {
 	SegmentSource
 	// CanRoll reports whether IncrementRange has increments to hand out; a
@@ -48,8 +50,12 @@ type RollSource interface {
 	CanRoll() bool
 	// Window is Chunk without the start state: Start is nil.
 	Window(from, k int) (ChunkRequest, error)
-	// StartState returns the full machine state at snapshot point from.
-	StartState(from int) (*snapshot.Restored, error)
+	// ReplicaStart returns the state at snapshot point from as a replica
+	// is booted from it: where the state is a fold of the source's
+	// increments, the increments and the snapshot index, read and folded
+	// by the boot itself straight into the replica's memory; otherwise the
+	// full state.
+	ReplicaStart(from int) (ReplicaStart, error)
 	// IncrementRange returns the snapshot increments after point after, up
 	// to and including point upTo, oldest first; none when the two are equal.
 	IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error)
@@ -89,8 +95,9 @@ type MonitorSource struct {
 	// share a starting snapshot — overlapping policies, repeated passes over
 	// the same source, serial-then-parallel sweeps, two workers' first
 	// picks — would otherwise each pay it from scratch. A spot check over
-	// Increments asks for one state per worker and rolls from there, so the
-	// memo then holds those; every Chunk call still fills it. Audits never
+	// Increments alone folds no state here: each worker boots its first
+	// replica from the increments and rolls from there. Every Chunk call,
+	// and ReplicaStart with Materialize set, fills the memo. Audits never
 	// mutate a Restored (replicas copy the memory at boot), so sharing one
 	// per index is safe under concurrent calls.
 	states flight[*snapshot.Restored]
@@ -148,7 +155,22 @@ func (m *MonitorSource) Window(from, k int) (ChunkRequest, error) {
 	}, nil
 }
 
-// StartState implements RollSource.
+// ReplicaStart implements RollSource: the increments when Materialize is
+// nil, the memoized state Materialize returns otherwise.
+func (m *MonitorSource) ReplicaStart(from int) (ReplicaStart, error) {
+	if m.Materialize == nil && m.Increments != nil {
+		pts, err := m.pointsFor(from, 0, 0)
+		if err != nil {
+			return ReplicaStart{}, err
+		}
+		return ReplicaStart{Incs: m.Increments, Index: int(pts[from].SnapIdx)}, nil
+	}
+	st, err := m.StartState(from)
+	return ReplicaStart{State: st}, err
+}
+
+// StartState returns the full machine state at snapshot point from, the
+// Start of Chunk(from, k).
 func (m *MonitorSource) StartState(from int) (*snapshot.Restored, error) {
 	pts, err := m.pointsFor(from, 0, 0)
 	if err != nil {
@@ -274,10 +296,15 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // What differs between picks is how a worker comes by that verified start.
 // Its first pick, a pick that starts before the snapshot its replica rests
 // at, and every pick of a source that is no RollSource (or cannot roll) is
-// audited from scratch: the source folds the full start state, every page of
-// it is hashed, and a new replica is made from it. After that the worker
-// holds a replica resting at the closing snapshot a of the pick it just
-// passed — a state the replay itself verified against the committed root —
+// audited from scratch, on a new replica booted in one pass over the start
+// state (bootReplay): where the state is a fold of the source's increments,
+// they are read newest first and folded straight into the replica's memory,
+// each page copied once and its leaf hashed as soon as no older increment
+// can overwrite it, and the tree's interior is folded once at the end; a
+// full state a source materialized is copied and hashed the same way. After
+// that the worker holds a replica resting at the closing snapshot a of the
+// pick it just passed — a state the replay itself verified against the
+// committed root —
 // and for a pick starting at b >= a it reads the increments (a, b], writes
 // their pages over the replica, folds exactly those pages into the tree it
 // holds and compares the digest with the root committed at b
@@ -293,10 +320,14 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // Assembling a pick — reading its window and whatever its start needs — is
 // a stage of its own: while the workers audit, one more goroutine assembles
 // the picks that follow, in pick order, so that a worker finds its next
-// window decoded and its increments (or, for the first pick of each worker,
-// its folded state) read and verified. It cannot know which worker will take
-// a pick: it reads ahead for the one that rests at the end of the pick
-// workers before, which is exact with one worker, and a worker that rests
+// window decoded and its increments read and verified. For the first pick of
+// each worker it reads increment 0, the full capture and the largest read of
+// any fold that reaches it, before the window, while the worker reads the
+// newer increments and folds them into its replica (or, from a source that
+// materializes states, it has the state materialized); it folds no state
+// itself. It cannot know which worker will take a pick: it reads ahead for
+// the one that rests at the end of the pick workers before, which is exact
+// with one worker, and a worker that rests
 // elsewhere asks the source itself for the increments after its own
 // position, never applying an older page over a newer one. No pick more than
 // workers past the last one of the audited-and-passed prefix is assembled,
@@ -482,21 +513,14 @@ func (st *spotStage) work() {
 		// This worker was the request's only reader: let go of the decoded
 		// window (the source keeps the states and increments, not the pass).
 		c.req = ChunkRequest{}
-		var incs []*snapshot.Snapshot
-		if st.roll != nil {
-			var err error
-			if rp != nil && at <= pick {
-				incs, err = st.roll.IncrementRange(at, pick)
-			} else {
-				rp = nil
-				req.Start, err = st.roll.StartState(pick)
-			}
-			if err != nil {
-				st.stop(i, nil, err)
-				return
-			}
+		var err error
+		rp, err = st.startOn(rp, at, pick, &req)
+		var source sourceError
+		if errors.As(err, &source) {
+			st.stop(i, nil, source.error)
+			return
 		}
-		res, _, held := st.a.auditChunkOn(rp, req, incs)
+		res, _, held := st.a.auditChunkOn(rp, err, req)
 		if st.observe != nil {
 			st.observe(i, res)
 		}
@@ -516,6 +540,30 @@ func (st *spotStage) work() {
 	}
 }
 
+// startOn brings a replica to the start of pick, the pick req was cut for,
+// and checks it against req.StartRoot: rp, resting at point at, is rolled
+// there by the increments in between when it can be (Replay.Advance);
+// otherwise a new replica is booted from the source's start state. A failed
+// check is the returned error, and so is a source that could not hand over
+// what the move needs, as a sourceError.
+func (st *spotStage) startOn(rp *Replay, at, pick int, req *ChunkRequest) (*Replay, error) {
+	start := ReplicaStart{State: req.Start}
+	if st.roll != nil {
+		if rp != nil && at <= pick {
+			incs, err := st.roll.IncrementRange(at, pick)
+			if err != nil {
+				return nil, sourceError{err}
+			}
+			return rp, rp.Advance(incs, req.StartRoot)
+		}
+		var err error
+		if start, err = st.roll.ReplicaStart(pick); err != nil {
+			return nil, sourceError{err}
+		}
+	}
+	return bootReplay(req.Node, start, req.StartRoot, st.a.RNGSeed)
+}
+
 // assembleAhead assembles every pick in pick order, at most one past what
 // the workers can hold, and stops at the first that cannot be assembled: the
 // serial pass would not look beyond it either. A pick a worker is already
@@ -527,13 +575,15 @@ func (st *spotStage) work() {
 // both, and has said it tolerates that.)
 func (st *spotStage) assembleAhead() {
 	for j := 0; j < len(st.picks) && st.admit(j, st.workers); j++ {
-		if c := st.chunk(j); c.err != nil {
-			st.stop(j, nil, c.err)
-			return
-		}
+		// The start first: a worker's first pick waits on the read of
+		// increment 0 longest, and needs its window only after its boot.
 		if st.roll != nil && st.readAhead(j) != nil {
 			// The worker that takes pick j asks again and reports what it is
 			// told; past an unreadable state there is nothing to prepare.
+			return
+		}
+		if c := st.chunk(j); c.err != nil {
+			st.stop(j, nil, c.err)
 			return
 		}
 	}
@@ -543,7 +593,17 @@ func (st *spotStage) assembleAhead() {
 // takes pick j will ask it for, so that no state is folded that nobody
 // boots from: the increments since the end of the pick workers before it if
 // that worker is expected to hold a replica resting at or before pick j's
-// start, the full start state otherwise.
+// start; otherwise, for a boot from increments, increment 0, which the
+// worker's fold reaches last, and for a source that materializes states, the
+// state.
+//
+// Increment 0 is read without knowing whether the fold will reach it: that
+// takes reading the newer increments first, and then its read would no
+// longer overlap theirs. When the newer increments cover every page, the
+// read is wasted and the source keeps what it read, as the archive keeps an
+// increment it read ahead for a fold that stopped above it. Its error is
+// not the pass's either: the worker's fold asks again if it needs the
+// increment and reports what it is told, so the assembly goes on.
 func (st *spotStage) readAhead(j int) error {
 	pick := st.picks[j]
 	if j >= st.workers {
@@ -552,6 +612,9 @@ func (st *spotStage) readAhead(j int) error {
 			return err
 		}
 	}
-	_, err := st.roll.StartState(pick)
+	start, err := st.roll.ReplicaStart(pick)
+	if err == nil && start.Incs != nil {
+		_, _ = start.Incs.Increment(0)
+	}
 	return err
 }

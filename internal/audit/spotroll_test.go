@@ -98,7 +98,7 @@ type rollProbe struct {
 
 	mu         sync.Mutex
 	windows    []int    // Window calls, in call order
-	states     []int    // StartState calls
+	states     []int    // ReplicaStart calls
 	ranges     [][2]int // IncrementRange calls
 	chunks     int      // Chunk calls: a pass that rolls makes none
 	goroutines int
@@ -128,9 +128,9 @@ func (p *rollProbe) Window(from, k int) (audit.ChunkRequest, error) {
 	return req, err
 }
 
-func (p *rollProbe) StartState(from int) (*snapshot.Restored, error) {
+func (p *rollProbe) ReplicaStart(from int) (audit.ReplicaStart, error) {
 	p.note(func() { p.states = append(p.states, from) })
-	return p.RollSource.StartState(from)
+	return p.RollSource.ReplicaStart(from)
 }
 
 func (p *rollProbe) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
@@ -641,6 +641,79 @@ func TestSpotRollCorruptIncrements(t *testing.T) {
 	}
 }
 
+// coveringIncrements hands out the increments of the source under it, except
+// that increment full captures every page of the state at full, as a full
+// capture taken there would.
+type coveringIncrements struct {
+	snapshot.IncrementSource
+	full int
+}
+
+func (c coveringIncrements) Increment(k int) (*snapshot.Snapshot, error) {
+	inc, err := c.IncrementSource.Increment(k)
+	if err != nil || k != c.full {
+		return inc, err
+	}
+	st, err := snapshot.MaterializeFrom(c.IncrementSource, k)
+	if err != nil {
+		return nil, err
+	}
+	whole := *inc
+	whole.MemPages = make(map[int][]byte)
+	for p := 0; (p+1)*vm.PageSize <= len(st.Mem); p++ {
+		whole.MemPages[p] = st.Mem[p*vm.PageSize : (p+1)*vm.PageSize]
+	}
+	return &whole, nil
+}
+
+// TestSpotRollFirstPickCoveredAboveIncrement0: when a newer increment
+// covers every page, a first pick's boot never folds increment 0, and
+// neither does the from-scratch pass. An increment 0 that fails verification
+// is then no error of the pass, although with a second P the assembler asks
+// for it ahead of the fold; with one P nothing asks for it at all.
+func TestSpotRollFirstPickCoveredAboveIncrement0(t *testing.T) {
+	rec := dbappRecording(t)
+	pts, err := rec.monitor().Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pick 1 boots at a snapshot whose increment covers every page; pick 5
+	// rolls there (one worker) or boots a second replica above it (two).
+	policy := fixedPicks{1, 5}
+	full := int(pts[1].SnapIdx)
+	if full == 0 {
+		t.Fatal("pick 1 starts at snapshot 0: the case needs a newer one")
+	}
+	mk := func() (audit.RollSource, *countingIncrements) {
+		incs := &countingIncrements{IncrementSource: spoiltIncrements{
+			IncrementSource: coveringIncrements{IncrementSource: rec.snaps, full: full},
+			bad:             map[int]bool{0: true},
+		}}
+		src := rec.monitor()
+		src.Materialize = nil
+		src.Increments = incs
+		return src, incs
+	}
+	oracle, _ := mk()
+	want, wantRes, wantErr := scratchSpotCheck(rec.a, chunkOnly{oracle}, policy)
+	if wantErr != nil || want.FaultFound || want.SegmentsChecked != 2 {
+		t.Fatalf("the from-scratch pass: %+v, %v", want, wantErr)
+	}
+	for _, procs := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			atProcs(procs, func() {
+				label := fmt.Sprintf("P%d/workers%d", procs, workers)
+				src, incs := mk()
+				got, gotRes, gotErr := rec.a.SpotCheckResults(src, policy, workers)
+				sameSpotCheck(t, label, got, gotRes, gotErr, want, wantRes, wantErr)
+				if procs == 1 && incs.asked[0] != 0 {
+					t.Fatalf("%s: increment 0 asked for %d times, no fold reaches it", label, incs.asked[0])
+				}
+			})
+		}
+	}
+}
+
 // TestSpotRollShortPages: an increment source that hands out pages without
 // their trailing zero bytes — a page shorter than vm.PageSize stands for its
 // bytes and a zero tail — gives the rolled pass the states it gives the
@@ -853,9 +926,15 @@ func TestSpotSourceRangeErrors(t *testing.T) {
 				}
 			}
 		}
+		states := src.(interface {
+			StartState(from int) (*snapshot.Restored, error)
+		})
 		for _, from := range []int{-1, n, 99} {
-			if _, err := src.StartState(from); err == nil || err.Error() != text(from, 0) {
+			if _, err := states.StartState(from); err == nil || err.Error() != text(from, 0) {
 				t.Errorf("%s: StartState(%d): error %v, want %q", name, from, err, text(from, 0))
+			}
+			if _, err := src.ReplicaStart(from); err == nil || err.Error() != text(from, 0) {
+				t.Errorf("%s: ReplicaStart(%d): error %v, want %q", name, from, err, text(from, 0))
 			}
 		}
 		for _, tc := range []struct{ after, upTo int }{{-1, 2}, {3, 2}, {0, n}, {n, n}, {2, 99}} {
@@ -870,8 +949,11 @@ func TestSpotSourceRangeErrors(t *testing.T) {
 		if req, err := src.Chunk(0, n-1); err != nil || len(req.Entries) == 0 {
 			t.Errorf("%s: Chunk of every segment: %v", name, err)
 		}
-		if st, err := src.StartState(n - 1); err != nil || st == nil {
+		if st, err := states.StartState(n - 1); err != nil || st == nil {
 			t.Errorf("%s: StartState of the last point: %v", name, err)
+		}
+		if st, err := src.ReplicaStart(n - 1); err != nil || (st.State == nil && st.Incs == nil) {
+			t.Errorf("%s: ReplicaStart of the last point: %+v, %v", name, st, err)
 		}
 		if incs, err := src.IncrementRange(2, 2); err != nil || len(incs) != 0 {
 			t.Errorf("%s: IncrementRange over nothing: %d increments, %v", name, len(incs), err)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/logcomp"
 	"repro/internal/sig"
-	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/wire"
 )
@@ -381,19 +380,11 @@ func (a *Auditor) runStreamEpoch(node sig.NodeID, ep *streamEpoch, opts EngineOp
 		// log committed at this epoch's starting snapshot before replaying.
 		// The verification tree becomes the replay's live tree, so snapshot
 		// entries inside the epoch verify incrementally.
-		lh := &snapshot.LiveStateHasher{}
-		if verr := lh.SeedVerify(restored, ep.startRoot); verr != nil {
+		var fault *FaultReport
+		if rp, fault = startEpoch(node, restored, ep.startRoot, ep.startSeq, a.RNGSeed); fault != nil {
 			drainEpoch(ep, win)
-			return epochResult{fault: &FaultReport{
-				Node: node, Check: CheckSnapshot, EntrySeq: ep.startSeq, Detail: verr.Error(),
-			}}
+			return epochResult{fault: fault}
 		}
-		rp, err = NewReplayFromSnapshot(node, restored, a.RNGSeed)
-		if err != nil {
-			drainEpoch(ep, win)
-			return epochResult{fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}
-		}
-		rp.AdoptStateHasher(lh)
 	}
 	rp.Machine().DisablePredecode = a.DisablePredecode
 	rp.Machine().DisableFusion = a.DisableFusion

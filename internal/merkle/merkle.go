@@ -169,9 +169,46 @@ func (t *Tree) Fill(data func(i int) []byte, workers int) {
 		}
 		wg.Wait()
 	}
+	t.FoldInterior()
+}
+
+// FoldInterior recomputes every interior node from the leaves, bottom up.
+// It is the second half of Fill, for a caller that set the leaves itself
+// (SetLeaf) as their contents arrived.
+func (t *Tree) FoldInterior() {
 	t.hs.init()
 	for i := t.base - 1; i >= 1; i-- {
 		t.hs.inner(&t.nodes[2*i], &t.nodes[2*i+1], &t.nodes[i])
+	}
+}
+
+// leafHashers lends SetLeaf a digest per call, so calls on other goroutines
+// neither share one nor allocate one per leaf.
+var leafHashers = sync.Pool{New: func() any { return new(hasher) }}
+
+// SetLeaf sets leaf i to the hash of data and leaves the interior alone:
+// the root is stale until FoldInterior. Calls for distinct leaves may run
+// concurrently with each other (not with any other method). i must be in
+// [0, Leaves()).
+func (t *Tree) SetLeaf(i int, data []byte) {
+	if i < 0 || i >= t.leaves {
+		panic(fmt.Sprintf("merkle: leaf index %d out of range [0,%d)", i, t.leaves))
+	}
+	s := leafHashers.Get().(*hasher)
+	s.leaf(i, data, &t.nodes[t.base+i])
+	leafHashers.Put(s)
+}
+
+// Reshape makes the tree one over nLeaves leaves, reusing node storage when
+// the shape is unchanged, with the padding leaves hashed and nothing else:
+// the caller fills the addressable leaves (Fill, or SetLeaf then
+// FoldInterior). A zero-value Tree is a valid receiver.
+func (t *Tree) Reshape(nLeaves int) {
+	if nLeaves < 1 {
+		nLeaves = 1
+	}
+	if t.nodes == nil || t.leaves != nLeaves {
+		*t = *newShell(nLeaves)
 	}
 }
 
@@ -181,12 +218,7 @@ func (t *Tree) Fill(data func(i int) []byte, workers int) {
 // replay's live state hasher) can be pointed at a new epoch's materialized
 // state in a single call. A zero-value Tree is a valid receiver.
 func (t *Tree) SeedFrom(nLeaves int, data func(i int) []byte, workers int) {
-	if nLeaves < 1 {
-		nLeaves = 1
-	}
-	if t.nodes == nil || t.leaves != nLeaves {
-		*t = *newShell(nLeaves)
-	}
+	t.Reshape(nLeaves)
 	t.Fill(data, workers)
 }
 

@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -253,4 +254,44 @@ func TestNonPowerOfTwoLeafCounts(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
+}
+
+// TestSetLeafThenFoldInterior: leaves set one by one, in any order and on
+// several goroutines at once, then one interior fold, give the root a Fill
+// over the same leaves gives — on a fresh tree, and on one reshaped from
+// another leaf count and back, whose padding leaves must still be empty.
+func TestSetLeafThenFoldInterior(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 5, 8, 100, 1000} {
+		leaves := make([][]byte, n)
+		for i := range leaves {
+			leaves[i] = make([]byte, rng.Intn(64))
+			rng.Read(leaves[i])
+		}
+		var tr Tree
+		tr.Reshape(n + 3)
+		tr.Reshape(n)
+		order := rng.Perm(n)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(part []int) {
+				defer wg.Done()
+				for _, i := range part {
+					tr.SetLeaf(i, leaves[i])
+				}
+			}(order[g*n/4 : (g+1)*n/4])
+		}
+		wg.Wait()
+		tr.FoldInterior()
+		if tr.Root() != RootOf(leaves) {
+			t.Fatalf("n=%d: SetLeaf + FoldInterior root disagrees with RootOf", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetLeaf past the addressable leaves did not panic")
+		}
+	}()
+	New(5).SetLeaf(5, nil)
 }

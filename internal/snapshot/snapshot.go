@@ -9,6 +9,7 @@ package snapshot
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"repro/internal/merkle"
 	"repro/internal/vm"
@@ -212,41 +213,14 @@ func (st *Store) MemSize() int { return st.memSize }
 func (st *Store) Increment(k int) (*Snapshot, error) { return st.Snapshot(k) }
 
 // MaterializeFrom reconstructs the complete state at snapshot k from any
-// increment source. Increments are folded newest-first, each page taken
-// from the most recent capture that holds it, and the walk stops as soon
-// as every page is resolved — so materializing late snapshots (which
-// parallel audits do once per epoch) costs the distinct pages, not the
-// sum of all increment sizes. The order of the requests is part of the
-// contract: a source may take Increment(i) as notice that Increment(i-1)
-// comes next and start reading it (the archive's does). Every page and blob
-// the state holds is a copy, so a source may hand out increments whose
-// pages are windows of its read buffers.
+// increment source: FoldInto a new image. Every page and blob the state
+// holds is a copy, so a source may hand out increments whose pages are
+// windows of its read buffers.
 func MaterializeFrom(src IncrementSource, k int) (*Restored, error) {
-	if k < 0 || k >= src.Count() {
-		return nil, fmt.Errorf("snapshot: index %d out of range [0,%d)", k, src.Count())
-	}
-	memSize := src.MemSize()
-	pageCount := memSize / vm.PageSize
-	mem := make([]byte, memSize)
-	written := make([]bool, pageCount)
-	remaining := pageCount
-	var s *Snapshot
-	for i := k; i >= 0 && (remaining > 0 || s == nil); i-- {
-		inc, err := src.Increment(i)
-		if err != nil {
-			return nil, err
-		}
-		if s == nil {
-			s = inc
-		}
-		for p, page := range inc.MemPages {
-			if p < 0 || p >= pageCount || written[p] {
-				continue
-			}
-			copy(mem[p*vm.PageSize:], page)
-			written[p] = true
-			remaining--
-		}
+	mem := make([]byte, src.MemSize())
+	s, err := FoldInto(src, k, mem, nil, 1)
+	if err != nil {
+		return nil, err
 	}
 	return &Restored{
 		Index: k, Mem: mem,
@@ -257,15 +231,134 @@ func MaterializeFrom(src IncrementSource, k int) (*Restored, error) {
 	}, nil
 }
 
+// CheckIncrement is the rule every fold applies to increment k before it
+// writes any of its pages: a page longer than vm.PageSize is an error that
+// names the increment and the page. (A shorter page stands for its bytes and
+// a zero tail; an index that is no page of the image is skipped.)
+func CheckIncrement(k int, inc *Snapshot) error {
+	for p, page := range inc.MemPages {
+		if len(page) > vm.PageSize {
+			return fmt.Errorf("snapshot: increment %d page %d is %d bytes, page size is %d", k, p, len(page), vm.PageSize)
+		}
+	}
+	return nil
+}
+
+// FoldInto writes the state at snapshot k of src into mem, which must be
+// zeroed and src.MemSize() bytes long (a tail short of a page is not
+// written), and returns increment k, whose register and device blobs are the
+// state's. Increments are read newest first and each page is copied once,
+// from the newest capture of it at or below k, so a page is final the
+// moment it is written: final(p), if set, is called then. Pages no
+// increment captures stay zero and are final when the walk ends. The walk
+// stops as soon as every page is written, so folding a late snapshot costs
+// its distinct pages, not the sum of all increment sizes.
+//
+// The order of the requests is part of the contract: a source may take
+// Increment(i) as notice that Increment(i-1) comes next and start reading it
+// (the archive's does). The increment that completes the fold — the full
+// capture, for a fold that reaches increment 0 — usually holds most of the
+// pages, and its pages are copied on up to workers goroutines (<= 0 selects
+// merkle.DefaultWorkers()); the newer ones, behind which a source may still
+// be reading, on the caller's. So final may be called for distinct pages at
+// once, never twice for one.
+func FoldInto(src IncrementSource, k int, mem []byte, final func(p int), workers int) (*Snapshot, error) {
+	if k < 0 || k >= src.Count() {
+		return nil, fmt.Errorf("snapshot: index %d out of range [0,%d)", k, src.Count())
+	}
+	pageCount := len(mem) / vm.PageSize
+	written := make([]bool, pageCount)
+	remaining := pageCount
+	var s *Snapshot
+	var batch []pageCopy
+	for i := k; i >= 0 && (remaining > 0 || s == nil); i-- {
+		inc, err := src.Increment(i)
+		if err != nil {
+			return nil, err
+		}
+		if err := CheckIncrement(i, inc); err != nil {
+			return nil, err
+		}
+		if s == nil {
+			s = inc
+		}
+		batch = batch[:0]
+		for p, page := range inc.MemPages {
+			if p >= 0 && p < pageCount && !written[p] {
+				written[p] = true
+				batch = append(batch, pageCopy{p, page})
+			}
+		}
+		remaining -= len(batch)
+		w := 1
+		if remaining == 0 || i == 0 {
+			w = workers
+		}
+		eachPage(len(batch), w, func(j int) {
+			c := batch[j]
+			copy(mem[c.p*vm.PageSize:], c.page)
+			if final != nil {
+				final(c.p)
+			}
+		})
+	}
+	if final != nil && remaining > 0 {
+		for p, ok := range written {
+			if !ok {
+				final(p)
+			}
+		}
+	}
+	return s, nil
+}
+
+// pageCopy is one page a fold copies: its index and the captured bytes.
+type pageCopy struct {
+	p    int
+	page []byte
+}
+
+// minPagesPerWorker is the fewest pages a fold hands a goroutine of its
+// own: below it the spawn costs more than copying and hashing the pages.
+const minPagesPerWorker = 32
+
+// eachPage calls fn(0) … fn(n-1) on up to workers goroutines (<= 0 selects
+// merkle.DefaultWorkers()), each call once, and returns when all are done.
+func eachPage(n, workers int, fn func(j int)) {
+	if workers <= 0 {
+		workers = merkle.DefaultWorkers()
+	}
+	workers = min(workers, n/minPagesPerWorker)
+	if workers <= 1 {
+		for j := 0; j < n; j++ {
+			fn(j)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := lo; j < hi; j++ {
+				fn(j)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // IncrementRange returns increments a+1 … b of src, oldest first: written
 // over the state at snapshot a in that order, page by page, they give the
 // state at snapshot b, whose registers and device state are increment b's.
 // It is what a holder of the state at a reads instead of MaterializeFrom(b):
 // the increments in between and nothing at or below a. a == b is the empty
 // range and asks the source for nothing. The requests are made newest first,
-// the order MaterializeFrom's contract lets a source read ahead in. The
-// pages are the source's own (possibly windows of its read buffers): a
-// caller copies what it keeps.
+// the order FoldInto's contract lets a source read ahead in, and each
+// increment is held to CheckIncrement. The pages are the source's own
+// (possibly windows of its read buffers): a caller copies what it keeps.
 func IncrementRange(src IncrementSource, a, b int) ([]*Snapshot, error) {
 	if a < 0 || b < a || b >= src.Count() {
 		return nil, fmt.Errorf("snapshot: increment range (%d,%d] outside [0,%d)", a, b, src.Count())
@@ -273,6 +366,9 @@ func IncrementRange(src IncrementSource, a, b int) ([]*Snapshot, error) {
 	out := make([]*Snapshot, b-a)
 	for i := b; i > a; i-- {
 		inc, err := src.Increment(i)
+		if err == nil {
+			err = CheckIncrement(i, inc)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -403,6 +499,49 @@ func (lh *LiveStateHasher) Seed(mem []byte, machineBlob, devBlob []byte) [32]byt
 // entry.
 func (lh *LiveStateHasher) SeedVerify(r *Restored, wantRoot [32]byte) error {
 	return checkRoot(lh.Seed(r.Mem, r.Machine, r.AuthDevice), wantRoot)
+}
+
+// SeedFold is FoldInto and Seed in one pass over the pages: it folds the
+// state at snapshot k of src into mem and hashes each page's leaf as soon as
+// the page is final, on the goroutine that wrote it, then folds the tree's
+// interior once. It returns increment k; Verify with its blobs is then
+// SeedVerify of the state. An error is FoldInto's, and leaves the hasher
+// unseeded.
+func (lh *LiveStateHasher) SeedFold(src IncrementSource, k int, mem []byte) (*Snapshot, error) {
+	lh.seeded = false
+	lh.tree.Reshape(statePages(len(mem)))
+	s, err := FoldInto(src, k, mem, func(p int) { lh.tree.SetLeaf(p, statePage(mem, p)) }, lh.Workers)
+	if err != nil {
+		return nil, err
+	}
+	for p := len(mem) / vm.PageSize; p < lh.tree.Leaves(); p++ {
+		lh.tree.SetLeaf(p, statePage(mem, p)) // a tail short of a page, which no fold writes
+	}
+	lh.tree.FoldInterior()
+	lh.memLen = len(mem)
+	lh.seeded = true
+	return s, nil
+}
+
+// SeedCopy is Seed over r's memory that copies the memory into mem, which
+// must be at least as long, in the same pass: each page is copied and hashed
+// on the same goroutine, on up to Workers of them. Verify with r's blobs is
+// then SeedVerify(r).
+func (lh *LiveStateHasher) SeedCopy(r *Restored, mem []byte) {
+	lh.tree.SeedFrom(statePages(len(r.Mem)), func(p int) []byte {
+		page := statePage(r.Mem, p)
+		copy(mem[p*vm.PageSize:], page)
+		return page
+	}, lh.Workers)
+	lh.memLen = len(r.Mem)
+	lh.seeded = true
+}
+
+// Verify checks the digest of the seeded tree and the given register and
+// device blobs against the root the log committed to, with SeedVerify's
+// error on a mismatch.
+func (lh *LiveStateHasher) Verify(machineBlob, devBlob []byte, wantRoot [32]byte) error {
+	return checkRoot(CombineRoot(lh.tree.Root(), machineBlob, devBlob), wantRoot)
 }
 
 // Fold rehashes only the given dirty pages of mem and returns the new
