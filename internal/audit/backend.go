@@ -124,37 +124,32 @@ type EpochBackend interface {
 	Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error
 }
 
-// runEpochJob replays one epoch. Boot jobs replay from the session's
-// reference image; other jobs replay from their materialized start state —
-// taken from the job, or from the materialize source when the job travels
-// lazily — which is verified against the committed root before the first
-// instruction executes (the state is untrusted, §4.5). The verification
-// tree becomes the replay's live tree, so snapshot entries inside the
-// epoch verify incrementally.
-func runEpochJob(sess Session, job *EpochJob, materialize func(snapIdx uint32) (*snapshot.Restored, error)) epochResult {
-	return runEpochJobEx(sess, job, materialize, false)
-}
-
-// runEpochJobEx is runEpochJob with optional end-state capture: remote
-// workers ask for the verified end-of-epoch state (a memory copy per
-// epoch) to seed their connection cache; in-process engines, which never
-// ship state, do not.
-func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32) (*snapshot.Restored, error), captureEnd bool) epochResult {
+// runEpochJob replays one epoch and returns its outcome and the replica it
+// ran on (nil when the epoch could not start). Boot jobs replay from the
+// session's reference image. Other jobs replay on held, a replica rolled to
+// the job's opening snapshot, when there is one, and otherwise on a replica
+// booted from the materialized start state — taken from the job, or from
+// the materialize source when the job travels lazily; either way the state
+// is verified against the committed root before the first instruction
+// executes (startEpoch; the state is untrusted, §4.5). The verification
+// tree becomes the replay's live tree, so snapshot entries inside the epoch
+// verify incrementally.
+func runEpochJob(sess Session, job *EpochJob, held *Replay, materialize func(snapIdx uint32) (*snapshot.Restored, error)) (epochResult, *Replay) {
 	var rp *Replay
 	var err error
 	if job.Boot {
 		rp, err = NewReplayFromImage(sess.Node, sess.RefImage, sess.RNGSeed)
 		if err != nil {
-			return epochResult{fault: &FaultReport{Node: sess.Node, Check: CheckSemantic, Detail: err.Error()}}
+			return epochResult{fault: &FaultReport{Node: sess.Node, Check: CheckSemantic, Detail: err.Error()}}, nil
 		}
 	} else {
 		restored := job.Start
-		if restored == nil {
+		if restored == nil && held == nil {
 			if materialize == nil {
 				return epochResult{fault: &FaultReport{
 					Node: sess.Node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
 					Detail: fmt.Sprintf("materializing snapshot %d: no snapshot source", job.StartSnap),
-				}}
+				}}, nil
 			}
 			var merr error
 			restored, merr = materialize(job.StartSnap)
@@ -162,12 +157,12 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 				return epochResult{fault: &FaultReport{
 					Node: sess.Node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
 					Detail: fmt.Sprintf("materializing snapshot %d: %v", job.StartSnap, merr),
-				}}
+				}}, nil
 			}
 		}
 		var fault *FaultReport
-		if rp, fault = startEpoch(sess.Node, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
-			return epochResult{fault: fault}
+		if rp, fault = startEpoch(sess.Node, held, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
+			return epochResult{fault: fault}, nil
 		}
 	}
 	rp.Machine().DisablePredecode = sess.DisablePredecode
@@ -175,21 +170,18 @@ func runEpochJobEx(sess Session, job *EpochJob, materialize func(snapIdx uint32)
 	rp.Feed(job.Entries)
 	rp.Close()
 	rp.Run()
-	res := epochResult{stats: rp.Stats, fault: rp.Fault()}
-	if captureEnd {
-		res.end = rp.EndState()
-	}
-	return res
+	return epochResult{stats: rp.Stats, fault: rp.Fault()}, rp
 }
 
-// startEpoch makes the replica an epoch starts from: restored, the state at
-// the epoch's opening snapshot, is booted into it and verified against root,
-// the root the log committed there (bootReplay), and its registers and
-// devices are restored (Restart). It returns the fault every epoch engine
-// reports otherwise: a state that does not hash to root is CheckSnapshot at
-// the snapshot entry seq, one the replica cannot take CheckSemantic.
-func startEpoch(node sig.NodeID, restored *snapshot.Restored, root [32]byte, seq uint64, rngSeed uint64) (*Replay, *FaultReport) {
-	rp, err := bootReplay(node, ReplicaStart{State: restored}, root, rngSeed)
+// startEpoch makes the replica an epoch starts from (startReplica): held,
+// if not nil, already at the epoch's opening snapshot, or a new one booted
+// from restored, the state there; either way checked against root, the
+// root the log committed there, with its registers and devices restored
+// (Restart). It returns the fault every epoch engine reports otherwise: a
+// state that does not hash to root is CheckSnapshot at the snapshot entry
+// seq, one the replica cannot take CheckSemantic.
+func startEpoch(node sig.NodeID, held *Replay, restored *snapshot.Restored, root [32]byte, seq uint64, rngSeed uint64) (*Replay, *FaultReport) {
+	rp, err := startReplica(node, held, nil, ReplicaStart{State: restored}, root, rngSeed)
 	if err != nil {
 		return nil, &FaultReport{Node: node, Check: CheckSnapshot, EntrySeq: seq, Detail: err.Error()}
 	}
@@ -220,7 +212,7 @@ func (b *PoolBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, e
 		workers = len(jobs)
 	}
 	runPool(len(jobs), workers, func(i int) bool {
-		r := runEpochJob(sess, jobs[i], b.Materialize)
+		r, _ := runEpochJob(sess, jobs[i], nil, b.Materialize)
 		emit(EpochVerdict{Index: i, Stats: r.stats, Fault: r.fault, Attempts: 1})
 		return r.fault != nil
 	})

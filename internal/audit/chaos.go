@@ -118,11 +118,11 @@ func (p *ChaosPlan) slowCap() time.Duration {
 
 // corrupt is the lying worker's verdict: suppress any fault and inflate
 // the stats — the most dangerous lie, because it turns a caught cheater
-// into a clean machine unless the coordinator spot-rechecks. The end state
-// the honest replay verified is kept: the lie is in the verdict, not in the
-// worker's cache.
+// into a clean machine unless the coordinator spot-rechecks. The replica
+// the honest replay left is kept: the lie is in the verdict, not in the
+// worker's state.
 func (p *ChaosPlan) corrupt(r epochResult) epochResult {
-	out := epochResult{stats: r.stats, end: r.end}
+	out := epochResult{stats: r.stats}
 	out.stats.Instructions += 1_000_003
 	return out
 }

@@ -596,7 +596,7 @@ func (c *Coordinator) idleLoop() {
 			park(wakeCh, wait, nil, nil)
 			continue
 		}
-		r := runEpochJob(t.run.sess, t.job, nil)
+		r, _ := runEpochJob(t.run.sess, t.job, nil, nil)
 		c.mu.Lock()
 		out, ok := c.sched.localDone(t, r)
 		c.mu.Unlock()

@@ -97,9 +97,9 @@ func TestDistDeltaJobsEquivalence(t *testing.T) {
 				}
 				// Which connection an idle worker steals from depends on the
 				// scheduler's timing here, and each stolen epoch ships a
-				// chain one step longer (5.9x in most runs, 4.2x with one
-				// steal), so this leg asserts the direction; the quiet
-				// netsim leg below is deterministic and asserts the factor.
+				// chain one step longer (10x in each of 8 runs on 2 cores),
+				// so this leg asserts the direction; the quiet netsim leg
+				// below is deterministic and asserts the factor.
 				if avgFull, avgDelta := meanJobBytes(dstats); avgDelta >= avgFull {
 					t.Errorf("tcp: average delta job (%d B) is not smaller than average full job (%d B)",
 						avgDelta, avgFull)
@@ -136,7 +136,7 @@ func TestDistDeltaJobsEquivalence(t *testing.T) {
 					t.Errorf("quiet netsim: no jobs shipped delta-encoded (stats %+v)", qstats)
 				}
 				// The increments must pay for themselves: a delta job is at
-				// least 4x smaller than a full-state job (5.9x at this scale).
+				// least 4x smaller than a full-state job (10x at this scale).
 				// Losing this means deltas started shipping whole states.
 				if avgFull, avgDelta := meanJobBytes(qstats); 4*avgDelta > avgFull {
 					t.Errorf("quiet netsim: average delta job %d B, average full job %d B: less than 4x smaller",
@@ -187,16 +187,18 @@ func corruptDeltaSource(target *avmm.Monitor, k uint32) func(uint32) (*snapshot.
 }
 
 // TestDistTamperedDeltaCaught: the coordinator ships a doctored delta (page
-// data that no longer matches the fold proof). A single-worker fleet makes
-// the chain deterministic: the worker must reject the chain at fold-verify
-// time — before replay — and the audit must surface the same snapshot-check
-// fault class a corrupt full state produces, even though the underlying log
-// is honest and the serial engine passes.
+// data that no longer matches the state the log committed). The worker
+// must reject the chain when it writes it over its replica — before replay
+// — and the audit must surface the same snapshot-check fault class a
+// corrupt full state produces, even though the underlying log is honest and
+// the serial engine passes.
 //
 // All three remote backends run the one scheduler, so all three are here.
-// With at least two jobs pipelined on the single connection, job k+1 ships
-// before job k's verdict can advance the base past it, so it always chains
-// exactly one step — and the doctored delta is always requested.
+// A connection's next job chains from where its last job of the run ends,
+// so the single worker's jobs chain only across a gap: each backend is
+// handed every epoch but the one that starts at snapshot 1, and the job
+// after it — shipped right behind the boot epoch, which ends at snapshot 1
+// — always chains across the doctored step 2.
 func TestDistTamperedDeltaCaught(t *testing.T) {
 	s := distScenario(t, "")
 	target, auths, a, err := s.AuditInputs("player1")
@@ -218,16 +220,17 @@ func TestDistTamperedDeltaCaught(t *testing.T) {
 		return target.Snaps.Materialize(int(snapIdx))
 	}
 	corrupt := corruptDeltaSource(target, 2)
+	gap := func(b audit.EpochBackend) audit.EpochBackend { return withoutEpochAt{b, 1} }
 
 	backends := []struct {
 		name    string
 		backend audit.EpochBackend
 	}{
-		{"netsim", &audit.NetsimBackend{
+		{"netsim", gap(&audit.NetsimBackend{
 			Net:     netsim.New(netsim.Config{BaseLatencyNs: 96_000, Seed: 9}),
 			Workers: 1,
-		}},
-		{"tcp", oneShot(sharedFleet(t)[:1], audit.CoordinatorConfig{Pipeline: 2})},
+		})},
+		{"tcp", gap(oneShot(sharedFleet(t)[:1], audit.CoordinatorConfig{Pipeline: 2}))},
 	}
 	coord := testCoordinator(audit.CoordinatorConfig{DisableLocalFallback: true})
 	defer coord.Close()
@@ -235,7 +238,7 @@ func TestDistTamperedDeltaCaught(t *testing.T) {
 	backends = append(backends, struct {
 		name    string
 		backend audit.EpochBackend
-	}{"coordinator", coord.Backend()})
+	}{"coordinator", gap(coord.Backend())})
 
 	for _, b := range backends {
 		res, astats, err := a.Audit(audit.AuditRequest{
@@ -263,6 +266,27 @@ func TestDistTamperedDeltaCaught(t *testing.T) {
 			t.Errorf("%s: the doctored delta was never shipped (stats %+v)", b.name, dstats)
 		}
 	}
+}
+
+// withoutEpochAt is a backend that never ships the epoch starting at
+// snapshot snap: it answers that epoch itself, with a pass, and hands every
+// other job to the backend it wraps, whose workers then see the run with a
+// gap in it.
+type withoutEpochAt struct {
+	audit.EpochBackend
+	snap uint32
+}
+
+func (b withoutEpochAt) Run(sess audit.Session, jobs []*audit.EpochJob, skip func(int) bool, emit func(audit.EpochVerdict)) error {
+	rest := make([]*audit.EpochJob, 0, len(jobs))
+	for _, j := range jobs {
+		if !j.Boot && j.StartSnap == b.snap {
+			emit(audit.EpochVerdict{Index: j.Index, Attempts: 1})
+			continue
+		}
+		rest = append(rest, j)
+	}
+	return b.EpochBackend.Run(sess, rest, skip, emit)
 }
 
 // TestAdaptiveSnapshotCadence: the recorder's dirty-volume and

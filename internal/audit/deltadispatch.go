@@ -1,18 +1,21 @@
 package audit
 
-// Delta-shipped job dispatch. After the first full-state job of a run on
-// a connection, the scheduler tracks which snapshot's state the worker
-// holds and ships subsequent jobs as chains of proof-carrying snapshot
-// deltas (wire.AuditDeltaJob); the worker folds the chain onto its cached,
-// previously-verified state, checks every step against the committed
-// roots, and replays as if the full state had arrived. A worker that no
-// longer holds the base answers need-state and the scheduler re-ships the
-// full-state frame. A doctored chain — a lying coordinator — fails fold
-// verification on the worker before any replay work is spent and surfaces
-// as the same snapshot-check fault a corrupt full state would.
+// Delta-shipped job dispatch. A worker connection keeps, per run, the
+// replica its last job of that run ended on when the replay itself verified
+// it at the epoch's closing snapshot (workerConn). The scheduler tracks that
+// snapshot and ships the run's next job on the connection as a chain of
+// snapshot deltas from it (wire.AuditDeltaJob): empty for the next epoch in
+// line, the increments in between for a later one. The worker writes the
+// chain's pages over its replica, checking each step against the root the
+// step claims and the chain's end against the root the log committed
+// (rollDelta), and replays on that replica as if the full state had
+// arrived. A worker that does not hold the base answers need-state and the
+// scheduler re-ships the full-state frame. A doctored chain — a lying
+// coordinator — fails a root check on the worker before any replay work is
+// spent and surfaces as the same snapshot-check fault a corrupt full state
+// would.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/snapshot"
@@ -25,27 +28,29 @@ import (
 // size anyway, and a lost worker should not trigger unbounded rebuilds).
 const maxDeltaChain = 64
 
-// stateCacheSize bounds the verified start states a worker retains per
-// connection for delta-job reconstruction.
-const stateCacheSize = 8
+// heldReplicas bounds the replicas a worker connection keeps between jobs,
+// one per run, the least recently used evicted first. Each is a copy of the
+// guest's memory.
+const heldReplicas = 4
 
 // deltaBaseSurvives is how many jobs of other runs a connection may carry
-// after a run's last job before that run's base must be presumed evicted:
-// every job leaves at most two states in the worker's LRU (its verified
-// start and end), and the base is one of the run's own two newest.
-const deltaBaseSurvives = (stateCacheSize - 2) / 2
+// after a run's last job before that run's replica must be presumed
+// evicted: each job leaves at most one replica, its own run's, so the
+// run's stays among the heldReplicas most recently used for heldReplicas-1
+// of them.
+const deltaBaseSurvives = heldReplicas - 1
 
 // deltaTracker is the scheduler's record, per (connection, run), of the
-// newest snapshot state the worker is known to hold. The base moves at two
-// moments only: when a job ships (noteFull — either encoding leaves the
-// worker holding the job's start state) and when a fault-free verdict
-// comes back (noteEnd — the worker cached the verified end state).
+// snapshot the worker's replica of the run rests at. A connection replays a
+// run's jobs in arrival order, so the base is set when a job ships, to the
+// snapshot the job ends at (epochEnd): unless the epoch faults, that is
+// where the worker's replica will rest when the next job arrives.
 type deltaTracker struct {
 	haveBase bool
 	baseSnap uint32
 	baseRoot [32]byte
 	// shippedAt is the connection's job count when this run last shipped on
-	// it — the last time the worker's LRU saw the base's neighbourhood.
+	// it — the last time the worker used the run's replica.
 	shippedAt int
 }
 
@@ -62,17 +67,13 @@ func (t *deltaTracker) chainFrom(job *EpochJob, seq int) (snap uint32, root [32]
 	return t.baseSnap, t.baseRoot, true
 }
 
-// noteFull records that job shipped as the seq-th job on the connection:
-// whichever encoding carried it, the worker ends up holding its start
-// state, which becomes the new base (boot jobs leave the worker with no
-// reusable state and reset nothing).
-func (t *deltaTracker) noteFull(job *EpochJob, seq int) {
-	if job.Boot {
-		return
-	}
-	t.haveBase, t.shippedAt = true, seq
-	t.baseSnap = job.StartSnap
-	t.baseRoot = job.StartRoot
+// noteShipped records that job shipped as the seq-th job on the connection:
+// whichever encoding carried it, the worker's replica of the run will rest
+// at the job's closing snapshot, the new base. A tail epoch ends at no
+// snapshot and leaves no replica.
+func (t *deltaTracker) noteShipped(job *EpochJob, seq int) {
+	t.baseSnap, t.baseRoot, t.haveBase = epochEnd(job)
+	t.shippedAt = seq
 }
 
 // deltaFrame builds the delta-encoded frame body for job, chaining from
@@ -112,108 +113,39 @@ func epochEnd(job *EpochJob) (snap uint32, root [32]byte, ok bool) {
 	return ev.SnapIdx, ev.Root, true
 }
 
-// noteEnd advances the tracked base past a fault-free verdict: the worker
-// replayed the epoch through its terminal snapshot entry and cached the
-// verified end state (workerConn.execute), so the next contiguous job on
-// this connection ships as an empty delta chain — no state bytes at all.
-// The base only moves forward; a late verdict for an earlier epoch cannot
-// drag it back.
-func (t *deltaTracker) noteEnd(job *EpochJob) {
-	snap, root, ok := epochEnd(job)
-	if !ok || (t.haveBase && snap < t.baseSnap) {
-		return
-	}
-	t.haveBase, t.baseSnap, t.baseRoot = true, snap, root
-}
-
 // invalidate forgets the tracked base after a need-state: the
-// scheduler's model of the worker's cache was wrong.
+// scheduler's model of the worker's replica was wrong.
 func (t *deltaTracker) invalidate() { t.haveBase = false }
 
-// stateCache is a worker's small LRU of start states keyed by their
-// committed root. States enter after their job's start verification seeded
-// them; lookups refresh recency. It is confined to one connection-serving
-// goroutine, so no locking.
-type stateCache struct {
-	order [][32]byte
-	m     map[[32]byte]*snapshot.Restored
-}
-
-func newStateCache() *stateCache {
-	return &stateCache{m: make(map[[32]byte]*snapshot.Restored, stateCacheSize)}
-}
-
-func (c *stateCache) touch(root [32]byte) {
-	for i, r := range c.order {
-		if r == root {
-			copy(c.order[i:], c.order[i+1:])
-			c.order[len(c.order)-1] = root
-			return
-		}
+// rollDelta moves held, the session's replica resting at the job's base
+// snapshot, through the job's delta chain: each step's pages and blobs are
+// written over it with Replay.Advance and the state compared with the root
+// the step claims, and the root the chain ends at is compared with the one
+// the log committed at the job's start. A base root other than the one the
+// replica verified at that snapshot, a step that fails its check and a
+// chain that ends elsewhere are the snapshot-check fault a corrupt full
+// state gets, raised before any replay work; the replica is spent then.
+func rollDelta(sess Session, held *Replay, wj *wire.AuditDeltaJob) *FaultReport {
+	fault := func(format string, args ...any) *FaultReport {
+		return &FaultReport{Node: sess.Node, Check: CheckSnapshot, EntrySeq: wj.StartSeq, Detail: fmt.Sprintf(format, args...)}
 	}
-	c.order = append(c.order, root)
-}
-
-func (c *stateCache) get(root [32]byte) (*snapshot.Restored, bool) {
-	s, ok := c.m[root]
-	if ok {
-		c.touch(root)
-	}
-	return s, ok
-}
-
-func (c *stateCache) put(s *snapshot.Restored) {
-	if s == nil {
-		return
-	}
-	if _, ok := c.m[s.Root]; !ok && len(c.order) >= stateCacheSize {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-	}
-	c.m[s.Root] = s
-	c.touch(s.Root)
-}
-
-// resolveDeltaJob reconstructs a delta job's start state from the
-// connection's cache: fold every step with proof verification, check the
-// final root against the job's committed start root, and cache the result
-// for future chains. A missing base returns errNeedState (the worker asks
-// for a full re-ship); a chain that fails verification returns the
-// snapshot-check fault the verdict carries — the lying coordinator is
-// caught here, before replay.
-var errNeedState = errors.New("audit: delta base state not cached")
-
-func resolveDeltaJob(sess Session, wj *wire.AuditDeltaJob, cache *stateCache) (*EpochJob, *FaultReport, error) {
-	cur, ok := cache.get(wj.BaseRoot)
-	if !ok {
-		return nil, nil, errNeedState
+	root := held.endRoot
+	if root != wj.BaseRoot {
+		return fault("delta base root %x, the replica verified %x at snapshot %d", wj.BaseRoot[:8], root[:8], wj.BaseSnap)
 	}
 	for i := range wj.Steps {
-		d, err := wj.Steps[i].Delta()
+		step := &wj.Steps[i]
+		inc, err := step.Increment()
 		if err == nil {
-			cur, err = snapshot.ApplyDelta(cur, d)
+			err = held.Advance([]*snapshot.Snapshot{inc}, step.ToRoot)
 		}
 		if err != nil {
-			return nil, &FaultReport{
-				Node: sess.Node, Check: CheckSnapshot, EntrySeq: wj.StartSeq,
-				Detail: fmt.Sprintf("delta step %d/%d: %v", i+1, len(wj.Steps), err),
-			}, nil
+			return fault("delta step %d/%d: %v", i+1, len(wj.Steps), err)
 		}
+		root = step.ToRoot
 	}
-	if cur.Root != wj.StartRoot {
-		return nil, &FaultReport{
-			Node: sess.Node, Check: CheckSnapshot, EntrySeq: wj.StartSeq,
-			Detail: fmt.Sprintf("delta chain ends at root %x, log committed %x", cur.Root[:8], wj.StartRoot[:8]),
-		}, nil
+	if root != wj.StartRoot {
+		return fault("delta chain ends at root %x, log committed %x", root[:8], wj.StartRoot[:8])
 	}
-	// Only the chain's end enters the cache: with the end state execute adds
-	// after the replay, a job leaves at most two states behind, which is
-	// what lets the scheduler bound how long a base survives
-	// (deltaBaseSurvives).
-	cache.put(cur)
-	return &EpochJob{
-		Index: int(wj.Index), StartSnap: wj.StartSnap, StartSeq: wj.StartSeq,
-		StartRoot: wj.StartRoot, Start: cur, Entries: wj.Entries,
-	}, nil, nil
+	return nil
 }

@@ -276,7 +276,7 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 			// or the merged result for a rechecked epoch. Remote backends
 			// only — the in-process pool is this process, and rechecking it
 			// would replay the epoch twice for nothing.
-			local := runEpochJob(sess, jobByIndex[v.Index], opts.Materialize)
+			local, _ := runEpochJob(sess, jobByIndex[v.Index], nil, opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++
 			mu.Unlock()

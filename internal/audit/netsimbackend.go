@@ -166,7 +166,7 @@ func (b *NetsimBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool,
 			if work != nil {
 				// Replays are idempotent, so a re-dispatched job just
 				// produces a duplicate verdict the scheduler drops.
-				vf, _ := w.conn.execute(work, replayEpoch)
+				vf, _ := w.conn.execute(work, replayHonestly)
 				reply = &vf
 			}
 			send(f.To, 0, gen, *reply)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sig"
-	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 )
 
@@ -30,9 +29,6 @@ import (
 type epochResult struct {
 	stats ReplayStats
 	fault *FaultReport
-	// end is the verified end-of-epoch state, captured only when a remote
-	// worker asked for it (runEpochJobEx) to seed its connection cache.
-	end *snapshot.Restored
 }
 
 // auditParallel checks an entire execution from boot like auditSerial —
@@ -114,7 +110,7 @@ func (a *Auditor) partition(entries []tevlog.Entry, opts EngineOptions) []*Epoch
 // replayFull is the shared serial semantic check: one replay of the whole
 // log from the reference image, i.e. a single boot epoch.
 func (a *Auditor) replayFull(res *Result, node sig.NodeID, entries []tevlog.Entry) *Result {
-	r := runEpochJob(a.session(node), &EpochJob{Boot: true, Entries: entries}, nil)
+	r, _ := runEpochJob(a.session(node), &EpochJob{Boot: true, Entries: entries}, nil, nil)
 	res.Replay = r.stats
 	if r.fault != nil {
 		res.Fault = r.fault

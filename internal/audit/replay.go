@@ -70,8 +70,8 @@ type Replay struct {
 	verifyFloor uint64
 
 	// endSnap/endRoot/endSeq record the most recent snapshot entry whose
-	// root verified against the replica; EndState uses them to materialize
-	// the epoch's verified end state for a remote worker's connection cache.
+	// root verified against the replica: where it rests (restingAt), and with
+	// which root, when it rests at one.
 	endSnap      uint32
 	endRoot      [32]byte
 	endSeq       uint64
@@ -86,10 +86,10 @@ type Replay struct {
 	boundPos int
 	bound    uint64
 
-	// next is the increment an Advance moved the memory to (for a replica
-	// bootReplay made, the snapshot it booted at), whose registers and
-	// device state Restart restores; nil when the Advance was over no
-	// increment and the replica's own are already the snapshot's.
+	// next is the increment the last Advance over increments moved the
+	// memory to (for a replica bootReplay made, the snapshot it booted at),
+	// whose registers and device state Restart restores; nil when none did
+	// since the last Restart and the replica's own are the snapshot's.
 	next *snapshot.Snapshot
 }
 
@@ -183,6 +183,21 @@ func bootReplay(node sig.NodeID, start ReplicaStart, wantRoot [32]byte, rngSeed 
 	return r, nil
 }
 
+// startReplica is how every engine comes by the replica a chunk or an epoch
+// starts from, checked against wantRoot, the root the log committed at its
+// opening snapshot. held, a replica that rests at a verified snapshot at or
+// before that one, is rolled there by incs, the increments in between
+// (Replay.Advance); with none held, a new replica is booted from start
+// (bootReplay). The replica is left for Restart. A failed check is the
+// error, and the replica is spent; a source that could not hand over the
+// boot's state is a sourceError.
+func startReplica(node sig.NodeID, held *Replay, incs []*snapshot.Snapshot, start ReplicaStart, wantRoot [32]byte, rngSeed uint64) (*Replay, error) {
+	if held != nil {
+		return held, held.Advance(incs, wantRoot)
+	}
+	return bootReplay(node, start, wantRoot, rngSeed)
+}
+
 func (r *Replay) attach(m *vm.Machine) {
 	r.mach = m
 	m.Bus = r
@@ -237,36 +252,16 @@ func (r *Replay) stateRoot() ([32]byte, error) {
 // fault-free and its final entry was a snapshot whose root verified against
 // the replica, so memory, registers, device state and the live tree are
 // exactly that snapshot's and no instruction has run since. Every interior
-// epoch job and every passed spot-check chunk ends this way.
+// epoch job and every passed spot-check chunk ends this way. A nil replica
+// rests nowhere.
 func (r *Replay) restingAt() (uint32, bool) {
-	if !r.endRootValid || r.fault != nil || len(r.entries) == 0 {
+	if r == nil || !r.endRootValid || r.fault != nil || len(r.entries) == 0 {
 		return 0, false
 	}
 	if last := &r.entries[len(r.entries)-1]; last.Type != tevlog.TypeSnapshot || last.Seq != r.endSeq {
 		return 0, false
 	}
 	return r.endSnap, true
-}
-
-// EndState materializes the replica's state at the epoch's terminal
-// snapshot entry: memory, registers and device state exactly as verified
-// against the committed root. It returns nil unless the replay finished
-// fault-free and its final entry was a snapshot whose root verified — the
-// shape of every interior epoch job, whose slices end at the snapshot
-// committing their end state. Remote workers cache it so the next
-// contiguous epoch job on the connection needs no shipped state at all.
-func (r *Replay) EndState() *snapshot.Restored {
-	if _, ok := r.restingAt(); !ok {
-		return nil
-	}
-	return &snapshot.Restored{
-		Index:      int(r.endSnap),
-		Mem:        append([]byte(nil), r.mach.Mem...),
-		Machine:    r.mach.CaptureStateRegisters(),
-		Device:     r.devs.Snapshot(),
-		AuthDevice: r.devs.AuthSnapshot(),
-		Root:       r.endRoot,
-	}
 }
 
 // zeroPage is what the tail of a short increment page reads as.
@@ -295,7 +290,10 @@ var zeroPage [vm.PageSize]byte
 //
 // Advance leaves the registers, the devices and the fed log alone; Restart
 // completes the move once the caller has checked what it checks between
-// verifying a start state and booting from it.
+// verifying a start state and booting from it. Until then the replica still
+// rests where it did, so Advances compose: a second one continues from the
+// snapshot the first moved to, and one over no increments compares the
+// state the first verified, its blobs included, with wantRoot.
 func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
 	if _, ok := r.restingAt(); !ok || !r.done {
 		return fmt.Errorf("audit: replica does not rest at a verified snapshot")
@@ -322,10 +320,11 @@ func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
 			}
 		}
 	}
-	machine, dev := m.CaptureStateRegisters(), r.devs.AuthSnapshot()
-	r.next = nil
 	if len(incs) > 0 {
 		r.next = incs[len(incs)-1]
+	}
+	machine, dev := m.CaptureStateRegisters(), r.devs.AuthSnapshot()
+	if r.next != nil {
 		machine, dev = r.next.Machine, r.next.AuthDevice
 	}
 	err := r.live.FoldVerify(m.Mem, m.DirtyPagesSince(r.verifyFloor), machine, dev, wantRoot)

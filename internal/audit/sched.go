@@ -20,15 +20,15 @@ import (
 // the TCP driver's mutex on the wall clock (Coordinator) and
 // single-threaded on netsim's virtual clock (NetsimBackend). The policy,
 // spelled out in docs/DISPATCH_PROTOCOL.md: contiguous cost-weighted blocks
-// per worker with back-half stealing, so delta chains stay one step long;
+// per worker with back-half stealing, so delta chains stay empty or short;
 // one FIFO queue, served first, for retries, hedges, need-state re-ships
 // and departed workers' blocks, preferring workers that have not tried the
 // epoch; capped exponential backoff with deterministic jitter after a
 // connection failure; one hedge at HedgeAfter; an immediate re-dispatch at
 // JobTimeout, with ConsecutiveTimeouts of those reaping the connection;
 // starvation failure at JobTimeout when nothing is live and local fallback
-// is off; and a delta base per (connection, run) that advances at ship and
-// at a fault-free verdict and is reset by a need-state.
+// is off; and a delta base per (connection, run), set at ship to where the
+// job ends and reset by a need-state.
 
 // ErrRetriesExhausted reports an epoch that burned through its dispatch
 // retry budget without a verdict. It surfaces in DistStats.RetriesExhausted
@@ -197,7 +197,7 @@ type schedDispatch struct {
 
 // schedWorker is the scheduler's view of one worker: whether a connection
 // is attached and, per connection, what is in flight on it, which runs'
-// sessions it has seen and what snapshot state it holds per run.
+// sessions it has seen and where its replica of each run rests.
 type schedWorker struct {
 	addr string
 	live bool
@@ -463,9 +463,14 @@ func (s *scheduler) addRun(run *schedRun, jobs []*EpochJob, resumed map[int][]by
 	return stored, nil
 }
 
-// removeRun forgets a finished run and returns its error.
+// removeRun forgets a finished run, on every connection too, and returns
+// its error.
 func (s *scheduler) removeRun(run *schedRun) error {
 	delete(s.runs, run.id)
+	for _, w := range s.fleet {
+		delete(w.sentRuns, run.id)
+		delete(w.trackers, run.id)
+	}
 	s.order = slices.DeleteFunc(s.order, func(r *schedRun) bool { return r == run })
 	return run.err
 }
@@ -718,8 +723,9 @@ func (s *scheduler) scan(w *schedWorker, now time.Time) (failed []outcome) {
 
 // ship records t as in flight on w and plans its encoding: delta-chained
 // from the connection's tracked base when the run has a delta source and
-// the base can anchor the chain, full otherwise. Either way the worker
-// will hold the job's start state, so the base advances here.
+// the base can anchor the chain, full otherwise. Either way the worker's
+// replica of the run will rest where the job ends, so the base advances
+// here.
 func (s *scheduler) ship(w *schedWorker, t *schedTask, now time.Time) *shipment {
 	run := t.run
 	t.inflight++
@@ -737,7 +743,7 @@ func (s *scheduler) ship(w *schedWorker, t *schedTask, now time.Time) *shipment 
 			w.trackers[run.id] = tr
 		}
 		sh.baseSnap, sh.baseRoot, sh.delta = tr.chainFrom(t.job, w.shipped)
-		tr.noteFull(t.job, w.shipped)
+		tr.noteShipped(t.job, w.shipped)
 	}
 	return sh
 }
@@ -818,11 +824,6 @@ func (s *scheduler) verdict(w *schedWorker, runID uint64, v *wire.AuditVerdict, 
 	t := s.answered(w, runID, int(v.Index), now)
 	if t == nil {
 		return outcome{}, false
-	}
-	if tr := w.trackers[runID]; tr != nil && !v.HasFault {
-		// The worker replayed through the epoch's terminal snapshot and
-		// cached the verified end state.
-		tr.noteEnd(t.job)
 	}
 	if !t.done {
 		t.acct.WireBytes += nbytes

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/snapshot"
+	"repro/internal/tevlog"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -55,7 +56,8 @@ func schedWorkers(s *scheduler, live map[string]bool, addrs ...string) []*schedW
 }
 
 // schedTestRun adds a run of n unit-cost, non-boot epochs (epoch i starts
-// at snapshot i+1) and records what the scheduler emits for it.
+// at snapshot i+1 and ends at snapshot i+2) and records what the scheduler
+// emits for it.
 type schedTestRun struct {
 	*schedRun
 	emitted []EpochVerdict
@@ -74,12 +76,19 @@ func addTestRun(t *testing.T, s *scheduler, n int, delta bool) *schedTestRun {
 	}
 	jobs := make([]*EpochJob, n)
 	for i := range jobs {
-		jobs[i] = &EpochJob{Index: i, Cost: 100, StartSnap: uint32(i + 1)}
+		jobs[i] = &EpochJob{Index: i, Cost: 100, StartSnap: uint32(i + 1), Entries: []tevlog.Entry{closingEntry(uint32(i + 2))}}
 	}
 	if _, err := s.addRun(r.schedRun, jobs, nil, schedEpoch); err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// closingEntry is the snapshot entry an epoch slice ends with, committing
+// snapshot snap.
+func closingEntry(snap uint32) tevlog.Entry {
+	ev := &wire.EventContent{Kind: wire.EventSnapshot, SnapIdx: snap, Root: [32]byte{byte(snap)}}
+	return tevlog.Entry{Type: tevlog.TypeSnapshot, Content: ev.Marshal()}
 }
 
 // shipAll drains next for w at now and returns the epoch indices shipped.
@@ -457,9 +466,10 @@ func TestSchedStarvation(t *testing.T) {
 	}
 }
 
-// TestSchedNeedStateReshipsFull: a need-state invalidates the connection's
-// delta base and the epoch goes out again at once, full — and the base is
-// re-established by that full ship, so the next epoch chains again.
+// TestSchedNeedStateReshipsFull: the base is where the last job shipped on
+// the connection ends; a need-state invalidates it and the epoch goes out
+// again at once, full — and the base is re-established by that full ship,
+// so the next epoch chains again.
 func TestSchedNeedStateReshipsFull(t *testing.T) {
 	s := testScheduler(CoordinatorConfig{Pipeline: 2})
 	ws := schedWorkers(s, map[string]bool{"w1": true}, "w1")
@@ -470,8 +480,8 @@ func TestSchedNeedStateReshipsFull(t *testing.T) {
 	if first.delta || first.session == nil {
 		t.Fatalf("first job of a run on a connection must ship the session and the full state: %+v", first)
 	}
-	if !second.delta || second.baseSnap != 1 || second.session != nil {
-		t.Fatalf("second job must chain one step from snapshot 1 with no session: %+v", second)
+	if !second.delta || second.baseSnap != 2 || second.session != nil {
+		t.Fatalf("second job must chain from snapshot 2, where the first ends, with no session: %+v", second)
 	}
 
 	at := schedEpoch.Add(time.Millisecond)
@@ -489,14 +499,14 @@ func TestSchedNeedStateReshipsFull(t *testing.T) {
 	if got := s.reg.Counter("retries").Value(); got != 0 {
 		t.Fatalf("retries = %d: a need-state is not a failure", got)
 	}
-	// Answer both; the full re-ship re-established the base at snapshot 2.
+	// Answer both; the full re-ship re-established the base at snapshot 3.
 	for _, idx := range []uint64{0, 1} {
 		out, _ := s.verdict(ws[0], run.id, &wire.AuditVerdict{Index: idx}, 8, at)
 		out.deliver()
 	}
 	third, _, _ := s.next(ws[0], at)
-	if third == nil || !third.delta || third.baseSnap != 2 {
-		t.Fatalf("third job must chain from snapshot 2 again: %+v", third)
+	if third == nil || !third.delta || third.baseSnap != 3 {
+		t.Fatalf("third job must chain from snapshot 3 again: %+v", third)
 	}
 	if v := run.emitted[1]; v.Index != 1 || v.DeltaFallbacks != 1 || v.Attempts != 2 {
 		t.Fatalf("epoch 1 emitted %+v, want one delta fallback and two attempts", v)
@@ -530,36 +540,62 @@ func TestSchedResumedEpochsNeverDispatch(t *testing.T) {
 }
 
 // TestDeltaBaseSurvivalBound pins the scheduler's model of the worker's
-// cache to the cache: a run's base survives deltaBaseSurvives jobs of other
-// runs on the connection (two cached states each), the tracker still
-// chains across exactly that many, and ships full beyond.
+// replicas to the worker: a run's replica survives deltaBaseSurvives jobs of
+// other runs on the connection (each keeps one replica, its own run's), the
+// tracker still chains across exactly that many, and ships full beyond.
 func TestDeltaBaseSurvivalBound(t *testing.T) {
-	state := func(tag byte) *snapshot.Restored { return &snapshot.Restored{Root: [32]byte{tag}} }
-	cache := newStateCache()
-	for i := 0; i < stateCacheSize; i++ { // a connection busy with one run: full of its states
-		cache.put(state(byte(i)))
+	wc := newWorkerConn()
+	held := func(id uint64) bool {
+		return slices.ContainsFunc(wc.held, func(h heldReplica) bool { return h.sessID == id })
 	}
-	base := byte(stateCacheSize - 1) // the newest: the run's last verified end state
-	for other := 1; other <= deltaBaseSurvives; other++ {
-		cache.put(state(byte(100 + 2*other)))
-		cache.put(state(byte(101 + 2*other)))
+	keep := func(id uint64) { wc.keep(id, Session{RefImage: &vm.Image{}}, &Replay{}) }
+	keep(1) // the run's last job
+	for other := uint64(2); other <= 1+deltaBaseSurvives; other++ {
+		keep(other)
 	}
-	if _, ok := cache.m[[32]byte{base}]; !ok {
-		t.Fatalf("base evicted after only %d jobs of other runs", deltaBaseSurvives)
+	if !held(1) {
+		t.Fatalf("replica evicted after only %d jobs of other runs", deltaBaseSurvives)
 	}
-	cache.put(state(200))
-	cache.put(state(201))
-	if _, ok := cache.m[[32]byte{base}]; ok {
-		t.Fatalf("base survived %d jobs of other runs: the bound is loose, not wrong — tighten it", deltaBaseSurvives+1)
+	keep(100)
+	if held(1) {
+		t.Fatalf("replica survived %d jobs of other runs: the bound is loose, not wrong — tighten it", deltaBaseSurvives+1)
 	}
 
 	tr := &deltaTracker{}
-	tr.noteFull(&EpochJob{StartSnap: 1}, 10)
+	tr.noteShipped(&EpochJob{StartSnap: 1, Entries: []tevlog.Entry{closingEntry(2)}}, 10)
 	next := &EpochJob{StartSnap: 2}
 	if _, _, ok := tr.chainFrom(next, 10+1+deltaBaseSurvives); !ok {
 		t.Fatalf("tracker gave up the base after %d jobs of other runs", deltaBaseSurvives)
 	}
 	if _, _, ok := tr.chainFrom(next, 10+2+deltaBaseSurvives); ok {
-		t.Fatalf("tracker still chains after %d jobs of other runs; the worker has evicted the base", deltaBaseSurvives+1)
+		t.Fatalf("tracker still chains after %d jobs of other runs; the worker has evicted the replica", deltaBaseSurvives+1)
+	}
+}
+
+// TestSchedForgetsFinishedRuns: a connection carries one run after another
+// for as long as the coordinator lives, so what the scheduler keeps per run
+// and connection — the session sent, the delta base — goes with the run.
+func TestSchedForgetsFinishedRuns(t *testing.T) {
+	s := testScheduler(CoordinatorConfig{Pipeline: 2})
+	ws := schedWorkers(s, map[string]bool{"w1": true}, "w1")
+	for n := 0; n < 5; n++ {
+		run := addTestRun(t, s, 3, true)
+		for !run.finished() {
+			sh, _, failed := s.next(ws[0], schedEpoch)
+			deliverAll(failed)
+			if sh == nil {
+				t.Fatalf("run %d stalled with %d of %d epochs settled", n, run.settled.Load(), run.total)
+			}
+			if out, ok := s.verdict(ws[0], run.id, &wire.AuditVerdict{Index: uint64(sh.task.job.Index)}, 8, schedEpoch); ok {
+				out.deliver()
+			}
+		}
+		if err := s.removeRun(run.schedRun); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ws[0].sentRuns) != 0 || len(ws[0].trackers) != 0 {
+		t.Fatalf("after 5 finished runs the connection still holds %d sent sessions and %d delta trackers",
+			len(ws[0].sentRuns), len(ws[0].trackers))
 	}
 }

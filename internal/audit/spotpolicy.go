@@ -548,20 +548,20 @@ func (st *spotStage) work() {
 // what the move needs, as a sourceError.
 func (st *spotStage) startOn(rp *Replay, at, pick int, req *ChunkRequest) (*Replay, error) {
 	start := ReplicaStart{State: req.Start}
+	var incs []*snapshot.Snapshot
 	if st.roll != nil {
-		if rp != nil && at <= pick {
-			incs, err := st.roll.IncrementRange(at, pick)
-			if err != nil {
-				return nil, sourceError{err}
-			}
-			return rp, rp.Advance(incs, req.StartRoot)
-		}
 		var err error
-		if start, err = st.roll.ReplicaStart(pick); err != nil {
+		if rp != nil && at <= pick {
+			incs, err = st.roll.IncrementRange(at, pick)
+		} else {
+			rp = nil
+			start, err = st.roll.ReplicaStart(pick)
+		}
+		if err != nil {
 			return nil, sourceError{err}
 		}
 	}
-	return bootReplay(req.Node, start, req.StartRoot, st.a.RNGSeed)
+	return startReplica(req.Node, rp, incs, start, req.StartRoot, st.a.RNGSeed)
 }
 
 // assembleAhead assembles every pick in pick order, at most one past what

@@ -381,7 +381,7 @@ func (a *Auditor) runStreamEpoch(node sig.NodeID, ep *streamEpoch, opts EngineOp
 		// The verification tree becomes the replay's live tree, so snapshot
 		// entries inside the epoch verify incrementally.
 		var fault *FaultReport
-		if rp, fault = startEpoch(node, restored, ep.startRoot, ep.startSeq, a.RNGSeed); fault != nil {
+		if rp, fault = startEpoch(node, nil, restored, ep.startRoot, ep.startSeq, a.RNGSeed); fault != nil {
 			drainEpoch(ep, win)
 			return epochResult{fault: fault}
 		}

@@ -498,8 +498,8 @@ func costJobs(costs ...uint64) []*EpochJob {
 }
 
 // checkContiguousCover fails unless the blocks are in-order contiguous
-// runs that together cover every job exactly once — the invariant the
-// delta-chain connection cache depends on.
+// runs that together cover every job exactly once — the invariant that keeps
+// a connection's delta chains empty.
 func checkContiguousCover(t *testing.T, blocks [][]int, n int) {
 	t.Helper()
 	next := 0

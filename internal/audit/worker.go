@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -76,8 +78,8 @@ func readDistFrame(r io.Reader) (wire.DistFrameKind, []byte, error) {
 // connection state ----------------------------------------------------------
 
 // muxWork is one accepted job awaiting execution. Exactly one of job /
-// deltaJob is set; delta jobs resolve in execute, which owns the
-// connection's state cache.
+// deltaJob is set; delta jobs are rolled in execute, which owns the
+// connection's replicas.
 type muxWork struct {
 	sessID   uint64
 	sess     Session
@@ -87,17 +89,53 @@ type muxWork struct {
 
 // workerConn is the worker side of one coordinator connection, free of
 // sockets, goroutines and clocks: the sessions registered on it and the
-// verified states it has cached for delta-job reconstruction. accept
-// touches only the sessions and execute only the cache, so a driver may
-// run them on two goroutines (EpochWorker's read loop and executor) or on
-// one (the simulated worker).
+// replicas it keeps between the jobs of their runs. accept touches only the
+// sessions and execute only the replicas, so a driver may run them on two
+// goroutines (EpochWorker's read loop and executor) or on one (the
+// simulated worker).
 type workerConn struct {
 	sessions map[uint64]Session
-	cache    *stateCache
+	// held are the replicas kept for the sessions' next jobs, least
+	// recently used first, at most heldReplicas of them.
+	held []heldReplica
+}
+
+// heldReplica is the replica a session's last job ended on, resting at the
+// epoch's closing snapshot as the replay verified it. img is the reference
+// image of the registration it was made under: a session id registered
+// again does not inherit it.
+type heldReplica struct {
+	sessID uint64
+	img    *vm.Image
+	rp     *Replay
 }
 
 func newWorkerConn() *workerConn {
-	return &workerConn{sessions: make(map[uint64]Session), cache: newStateCache()}
+	return &workerConn{sessions: make(map[uint64]Session)}
+}
+
+// take removes the replica held for session id and returns it, or nil when
+// none is held for sess's registration.
+func (c *workerConn) take(id uint64, sess Session) *Replay {
+	for i, h := range c.held {
+		if h.sessID == id {
+			c.held = slices.Delete(c.held, i, i+1)
+			if h.img == sess.RefImage {
+				return h.rp
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// keep holds rp for session id's next job, evicting the least recently used
+// replica when heldReplicas are already held.
+func (c *workerConn) keep(id uint64, sess Session, rp *Replay) {
+	if len(c.held) == heldReplicas {
+		c.held = slices.Delete(c.held, 0, 1)
+	}
+	c.held = append(c.held, heldReplica{sessID: id, img: sess.RefImage, rp: rp})
 }
 
 // accept handles one frame from the coordinator: a session registration or
@@ -153,48 +191,49 @@ func (c *workerConn) accept(kind wire.DistFrameKind, body []byte) (reply *distFr
 	return nil, nil, fmt.Errorf("audit: worker got unexpected frame kind %d", kind)
 }
 
-// replayEpoch replays one epoch job on the worker, capturing the verified
-// end state for the connection's cache — the replay hook execute runs when
-// no chaos plan interferes.
-func replayEpoch(sess Session, job *EpochJob) (epochResult, bool) {
-	return runEpochJobEx(sess, job, nil, true), true
-}
+// replayHonestly is the replay hook of a worker no chaos plan perturbs.
+func replayHonestly(run func() epochResult) (epochResult, bool) { return run(), true }
 
-// execute resolves and replays one accepted job and returns the frame to
-// send back: the verdict, or a need-state when a delta job's base is not
-// cached (the coordinator re-ships the full state). A delta chain that
-// fails fold verification is answered with the snapshot-check fault before
-// any replay work: the coordinator (or whoever doctored the chain) is
-// caught with the same fault a corrupt full state yields. replay runs the
-// epoch and may decline to answer at all (a chaos plan's hang or crash).
-func (c *workerConn) execute(wk *muxWork, replay func(Session, *EpochJob) (epochResult, bool)) (distFrame, bool) {
-	job := wk.job
-	if wk.deltaJob != nil {
-		index := wk.deltaJob.Index
-		resolved, fault, err := resolveDeltaJob(wk.sess, wk.deltaJob, c.cache)
-		switch {
-		case errors.Is(err, errNeedState):
-			return distFrame{wire.DistFrameMuxNeedState, wire.AppendMuxID(wk.sessID, wire.MarshalNeedState(index))}, true
-		case fault != nil:
-			v := verdictToWire(int(index), epochResult{fault: fault}).Marshal()
+// execute replays one accepted job and returns the frame to send back: the
+// verdict, or a need-state when a delta job's base is not where the replica
+// the connection holds for the session rests (the coordinator re-ships the
+// full state). A delta chain that fails its root checks is answered with
+// the snapshot-check fault before any replay work (rollDelta): the
+// coordinator (or whoever doctored the chain) is caught with the same fault
+// a corrupt full state yields. A full job boots a replica of its own. The
+// replica the job ends on is kept for the session's next job if it rests at
+// a verified snapshot; a faulted or tail epoch leaves none. replay runs the
+// epoch, run, and may decline to answer at all (a chaos plan's hang or
+// crash).
+func (c *workerConn) execute(wk *muxWork, replay func(run func() epochResult) (epochResult, bool)) (distFrame, bool) {
+	job, held := wk.job, c.take(wk.sessID, wk.sess)
+	if dj := wk.deltaJob; dj != nil {
+		if at, ok := held.restingAt(); !ok || at != dj.BaseSnap {
+			return distFrame{wire.DistFrameMuxNeedState, wire.AppendMuxID(wk.sessID, wire.MarshalNeedState(dj.Index))}, true
+		}
+		if fault := rollDelta(wk.sess, held, dj); fault != nil {
+			v := verdictToWire(int(dj.Index), epochResult{fault: fault}).Marshal()
 			return distFrame{wire.DistFrameMuxVerdict, wire.AppendMuxID(wk.sessID, v)}, true
 		}
-		job = resolved
+		job = &EpochJob{
+			Index: int(dj.Index), StartSnap: dj.StartSnap, StartSeq: dj.StartSeq,
+			StartRoot: dj.StartRoot, Entries: dj.Entries,
+		}
 	} else {
-		// Remember the shipped start state so later jobs can arrive as delta
-		// chains against it. Unverified entry is safe: every use re-verifies
-		// against a committed root (resolveDeltaJob checks the fold result,
-		// runEpochJob seed-verifies before replay).
-		c.cache.put(job.Start)
+		held = nil
 	}
-	r, ok := replay(wk.sess, job)
+	var rp *Replay
+	r, ok := replay(func() epochResult {
+		var res epochResult
+		res, rp = runEpochJob(wk.sess, job, held, nil)
+		return res
+	})
 	if !ok {
 		return distFrame{}, false
 	}
-	// Cache the verified end state (nil for faulted or tail epochs): the
-	// next contiguous job on this connection can then arrive as an empty
-	// delta chain, shipping no state at all.
-	c.cache.put(r.end)
+	if _, resting := rp.restingAt(); resting {
+		c.keep(wk.sessID, wk.sess, rp)
+	}
 	return distFrame{wire.DistFrameMuxVerdict, wire.AppendMuxID(wk.sessID, verdictToWire(job.Index, r).Marshal())}, true
 }
 
@@ -355,8 +394,8 @@ func (w *EpochWorker) serveConn(conn net.Conn) error {
 	execWG.Add(1)
 	go func() {
 		defer execWG.Done()
-		replay := func(sess Session, job *EpochJob) (epochResult, bool) {
-			return w.replayMaybeChaotic(sess, job, conn, connDead)
+		replay := func(run func() epochResult) (epochResult, bool) {
+			return w.replayMaybeChaotic(run, conn, connDead)
 		}
 		for wk := range jobs {
 			select {
@@ -409,11 +448,11 @@ func (w *EpochWorker) serveConn(conn net.Conn) error {
 	}
 }
 
-// replayMaybeChaotic replays one job, letting the worker's chaos plan
+// replayMaybeChaotic replays one job, run, letting the worker's chaos plan
 // decide its fate first. It reports false when no reply must be sent (a
 // crashed or hanging worker never answers). connDead is the connection's
 // teardown signal.
-func (w *EpochWorker) replayMaybeChaotic(sess Session, job *EpochJob, conn net.Conn, connDead <-chan struct{}) (epochResult, bool) {
+func (w *EpochWorker) replayMaybeChaotic(run func() epochResult, conn net.Conn, connDead <-chan struct{}) (epochResult, bool) {
 	seq := w.jobSeq.Add(1)
 	action := ChaosNone
 	if w.Chaos != nil {
@@ -431,7 +470,7 @@ func (w *EpochWorker) replayMaybeChaotic(sess Session, job *EpochJob, conn net.C
 		return epochResult{}, false
 	}
 	start := time.Now()
-	r, _ := replayEpoch(sess, job)
+	r := run()
 	if action == ChaosSlow {
 		// A 10x-slower worker: the replay took 1x, so sleep out the other
 		// 9x (capped) unless the connection dies first.

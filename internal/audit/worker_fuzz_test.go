@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -15,8 +16,12 @@ import (
 // Whatever arrives, the handler answers with a reply or ends the connection
 // with an error; it never panics, and it never answers — verdict or
 // need-state — for a session that was not registered on the connection.
-// The replay itself is stubbed: the property is about frames, and fold
-// verification of delta chains, which is frame handling, still runs.
+// Every input starts on a connection that holds a replica for session 7,
+// resting at snapshot 1 (heldBase), so delta jobs chain on it: a delta job
+// rolled on that replica passes only if its chain leads from the replica's
+// state to the state its StartRoot commits. The replay itself is stubbed:
+// the property is about frames, and rolling a delta chain, which is frame
+// handling, still runs.
 func FuzzWorkerConn(f *testing.F) {
 	frames := func(fs ...distFrame) []byte {
 		var buf bytes.Buffer
@@ -24,8 +29,8 @@ func FuzzWorkerConn(f *testing.F) {
 		return buf.Bytes()
 	}
 	img := &vm.Image{Name: "fuzz", Code: []byte{0, 0, 0, 0}, TextSize: 4, MemSize: 1 << 12}
-	session := distFrame{wire.DistFrameMuxSession,
-		wire.AppendMuxID(7, wire.SessionFromImage("node", img, 1, false, false).Marshal())}
+	sessionFrame := wire.SessionFromImage("node", img, 1, false, false).Marshal()
+	session := distFrame{wire.DistFrameMuxSession, wire.AppendMuxID(7, sessionFrame)}
 	boot := jobToWire(&EpochJob{Index: 0, Boot: true}).Marshal()
 	full := jobToWire(&EpochJob{Index: 1, StartSnap: 1, Start: &snapshot.Restored{Index: 1, Mem: make([]byte, 1<<12)}}).Marshal()
 	delta := (&wire.AuditDeltaJob{Index: 2, StartSnap: 2, BaseSnap: 1}).Marshal()
@@ -38,11 +43,27 @@ func FuzzWorkerConn(f *testing.F) {
 	f.Add(frames(session, distFrame{wire.DistFrameMuxJob, wire.AppendMuxID(8, boot)})) // wrong session
 	f.Add(frames(distFrame{wire.DistFrameSession, nil}))                               // retired protocol
 	f.Add([]byte{0, 0, 0, 0})
+	// Chains on the held replica: honest, empty, and with a doctored page.
+	base := newHeldBase()
+	deltaJob := func(dj *wire.AuditDeltaJob) []byte {
+		return frames(distFrame{wire.DistFrameMuxDeltaJob, wire.AppendMuxID(7, dj.Marshal())})
+	}
+	f.Add(deltaJob(base.chain(false)))
+	f.Add(deltaJob(&wire.AuditDeltaJob{Index: 3, StartSnap: 1, StartRoot: base.root, BaseSnap: 1, BaseRoot: base.root}))
+	f.Add(deltaJob(base.chain(true)))
+	wrongEnd := base.chain(false)
+	wrongEnd.StartRoot[0] ^= 0xFF
+	f.Add(deltaJob(wrongEnd))
+	f.Add(append(deltaJob(base.chain(false)), deltaJob(base.chain(false))...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		wc := newWorkerConn()
-		registered := make(map[uint64]bool)
-		stub := func(Session, *EpochJob) (epochResult, bool) { return epochResult{}, true }
+		if _, _, err := wc.accept(wire.DistFrameMuxSession, wire.AppendMuxID(7, sessionFrame)); err != nil {
+			t.Fatal(err)
+		}
+		registered := map[uint64]bool{7: true}
+		wc.keep(7, wc.sessions[7], base.replica(t, wc.sessions[7]))
+		stub := func(func() epochResult) (epochResult, bool) { return epochResult{}, true }
 		for r := bytes.NewReader(b); r.Len() > 0; {
 			kind, body, err := readDistFrame(r)
 			if err != nil {
@@ -66,9 +87,18 @@ func FuzzWorkerConn(f *testing.F) {
 				if !registered[work.sessID] {
 					t.Fatalf("job accepted for unregistered session %d", work.sessID)
 				}
+				onBase := work.deltaJob != nil && slices.ContainsFunc(wc.held, func(h heldReplica) bool {
+					return h.sessID == work.sessID && h.img == work.sess.RefImage
+				})
 				out, ok := wc.execute(work, stub)
 				if !ok {
 					t.Fatal("execute declined to answer under an always-answering replay")
+				}
+				if onBase && out.kind == wire.DistFrameMuxVerdict {
+					_, v, _ := wire.SplitMuxID(out.body)
+					if verdict, err := wire.ParseAuditVerdict(v); err == nil && !verdict.HasFault && !base.leadsTo(work.deltaJob) {
+						t.Fatalf("a chain that does not lead from the held state to StartRoot passed: %+v", work.deltaJob)
+					}
 				}
 				reply = &out
 			}
@@ -83,6 +113,83 @@ func FuzzWorkerConn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// heldBase is the state the fuzzed connection's held replica rests at:
+// snapshot 1 of a two-page guest.
+type heldBase struct {
+	st   *snapshot.Restored
+	root [32]byte
+}
+
+func newHeldBase() *heldBase {
+	devs := vm.NewDeviceSet(1)
+	st := &snapshot.Restored{
+		Index: 1, Mem: bytes.Repeat([]byte{0x5A}, 2*vm.PageSize),
+		Machine: (&vm.State{PC: vm.CodeBase, ICount: 100}).MarshalRegisters(),
+		Device:  devs.Snapshot(), AuthDevice: devs.AuthSnapshot(),
+	}
+	return &heldBase{st: st, root: snapshot.RootOfState(st.Mem, st.Machine, st.AuthDevice)}
+}
+
+// replica boots a replica at the base for sess and runs it to rest there.
+func (b *heldBase) replica(t *testing.T, sess Session) *Replay {
+	rp, fault := startEpoch(sess.Node, nil, b.st, b.root, 0, sess.RNGSeed)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	restAt(t, rp, 1, b.root)
+	return rp
+}
+
+// chain is a two-step delta job from the base — a full page, then a short
+// one with new registers — with a page of the first step flipped if doctor.
+func (b *heldBase) chain(doctor bool) *wire.AuditDeltaJob {
+	dj := &wire.AuditDeltaJob{Index: 2, StartSnap: 3, BaseSnap: 1, BaseRoot: b.root}
+	mem := bytes.Clone(b.st.Mem)
+	for k, page := range [][]byte{bytes.Repeat([]byte{0xA5}, vm.PageSize), {1, 2, 3}} {
+		p := uint32(k)
+		copy(mem[int(p)*vm.PageSize:], append(bytes.Clone(page), make([]byte, vm.PageSize-len(page))...))
+		machine := (&vm.State{PC: vm.CodeBase, ICount: uint64(200 + k)}).MarshalRegisters()
+		step := wire.DeltaStep{
+			FromIndex: uint32(1 + k), ToRoot: snapshot.RootOfState(mem, machine, b.st.AuthDevice),
+			PageIndices: []uint32{p}, PageData: [][]byte{bytes.Clone(page)}, OldHashes: make([][32]byte, 1),
+			Machine: machine, Device: b.st.Device, AuthDevice: b.st.AuthDevice,
+		}
+		dj.Steps = append(dj.Steps, step)
+		dj.StartRoot = step.ToRoot
+	}
+	if doctor {
+		dj.Steps[0].PageData[0][7] ^= 0xFF
+	}
+	return dj
+}
+
+// leadsTo reports whether dj, chained from the base, leads to the state its
+// StartRoot commits, computed from scratch: each step's pages written over
+// the base state, a short page's tail zeroed, pages past the guest skipped,
+// and the last step's blobs.
+func (b *heldBase) leadsTo(dj *wire.AuditDeltaJob) bool {
+	if dj.BaseSnap != 1 || dj.BaseRoot != b.root {
+		return false
+	}
+	mem := bytes.Clone(b.st.Mem)
+	machine, dev := b.st.Machine, b.st.AuthDevice
+	for _, step := range dj.Steps {
+		if len(step.PageData) != len(step.PageIndices) {
+			return false
+		}
+		for k, p := range step.PageIndices {
+			if int(p) >= len(mem)/vm.PageSize {
+				continue
+			}
+			page := mem[int(p)*vm.PageSize : (int(p)+1)*vm.PageSize]
+			clear(page)
+			copy(page, step.PageData[k])
+		}
+		machine, dev = step.Machine, step.AuthDevice
+	}
+	return snapshot.RootOfState(mem, machine, dev) == dj.StartRoot
 }
 
 // TestReadDistFrameAllocatesWhatArrives: a frame header is four bytes any

@@ -194,10 +194,9 @@ func VerifyDelta(base *Restored, d *Delta) error {
 }
 
 // ApplyDelta verifies d against base and returns the materialized state at
-// snapshot d.FromIndex+1. base is not mutated — a worker's state cache
-// keeps it for later jobs. The returned state's Root equals d.ToRoot,
-// which the caller must still compare against the log-committed root for
-// the epoch it starts.
+// snapshot d.FromIndex+1. base is not mutated, so the caller may keep it.
+// The returned state's Root equals d.ToRoot, which the caller must still
+// compare against the log-committed root for the epoch it starts.
 func ApplyDelta(base *Restored, d *Delta) (*Restored, error) {
 	if err := VerifyDelta(base, d); err != nil {
 		return nil, err

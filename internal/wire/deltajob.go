@@ -3,12 +3,12 @@ package wire
 // Delta-shipped epoch jobs. After the first full-state job on a
 // connection, subsequent jobs for the same audit can ship as a chain of
 // proof-carrying snapshot deltas relative to a state the worker already
-// verified and cached: each step carries the epoch's dirty pages plus the
+// verified and holds: each step carries the epoch's dirty pages plus the
 // Merkle fold proof connecting the previous memory root to the next one,
-// so a stateless worker reconstructs and verifies its start state in
-// O(dirty · log n) wire bytes instead of O(state). A worker that lost the
-// base (cache eviction, reconnect) answers with a NeedState frame and the
-// coordinator falls back to the full-state AuditJob frame.
+// so the worker reaches its start state in O(dirty) wire bytes instead of
+// O(state). A worker that no longer holds the base (eviction, reconnect, a
+// faulted epoch) answers with a NeedState frame and the coordinator falls
+// back to the full-state AuditJob frame.
 
 import (
 	"encoding/binary"
@@ -127,20 +127,37 @@ func (s *DeltaStep) Delta() (*snapshot.Delta, error) {
 	return d, nil
 }
 
+// Increment is the snapshot increment the step ships, as a worker writes it
+// over the state it holds: the destination snapshot's dirty pages and
+// blobs. The fold proof is left out.
+func (s *DeltaStep) Increment() (*snapshot.Snapshot, error) {
+	if len(s.PageData) != len(s.PageIndices) {
+		return nil, fmt.Errorf("wire: delta step carries %d pages, %d datas", len(s.PageIndices), len(s.PageData))
+	}
+	inc := &snapshot.Snapshot{
+		Index: int(s.FromIndex) + 1, Root: s.ToRoot, MemPages: make(map[int][]byte, len(s.PageIndices)),
+		Machine: s.Machine, Device: s.Device, AuthDevice: s.AuthDevice,
+	}
+	for i, p := range s.PageIndices {
+		inc.MemPages[int(p)] = s.PageData[i]
+	}
+	return inc, nil
+}
+
 // AuditDeltaJob is a delta-shipped epoch job: everything AuditJob carries
-// except the materialized start state, which the worker reconstructs by
-// folding Steps (covering snapshots BaseSnap+1 … StartSnap, in order) onto
-// its cached, previously-verified state at BaseSnap with root BaseRoot.
-// The final folded root must equal StartRoot — the root the audited log
-// committed — so a coordinator that ships a doctored chain is caught
-// before any replay work is spent.
+// except the materialized start state, which the worker reaches by writing
+// Steps (covering snapshots BaseSnap+1 … StartSnap, in order) over the
+// replica it holds, verified at BaseSnap with root BaseRoot, checking each
+// step's ToRoot as it goes. The chain must end at StartRoot — the root the
+// audited log committed — so a coordinator that ships a doctored chain is
+// caught before any replay work is spent.
 type AuditDeltaJob struct {
 	Index     uint64
 	StartSnap uint32
 	StartSeq  uint64
 	StartRoot [32]byte
 
-	// BaseSnap/BaseRoot identify the cached state the chain starts from.
+	// BaseSnap/BaseRoot identify the held state the chain starts from.
 	BaseSnap uint32
 	BaseRoot [32]byte
 
