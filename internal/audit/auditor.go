@@ -145,8 +145,7 @@ func (a *Auditor) auditChunkOn(rp *Replay, startErr error, req ChunkRequest) (*R
 		res.Fault = &FaultReport{Node: req.Node, Check: CheckSemantic, Detail: err.Error()}
 		return res, sigs, nil
 	}
-	rp.Machine().DisablePredecode = a.DisablePredecode
-	rp.Machine().DisableFusion = a.DisableFusion
+	a.session(req.Node).arm(rp)
 	rp.Feed(req.Entries)
 	rp.Close()
 	rp.Run()

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sig"
@@ -125,52 +126,78 @@ type EpochBackend interface {
 }
 
 // runEpochJob replays one epoch and returns its outcome and the replica it
-// ran on (nil when the epoch could not start). Boot jobs replay from the
-// session's reference image. Other jobs replay on held, a replica rolled to
-// the job's opening snapshot, when there is one, and otherwise on a replica
-// booted from the materialized start state — taken from the job, or from
-// the materialize source when the job travels lazily; either way the state
-// is verified against the committed root before the first instruction
-// executes (startEpoch; the state is untrusted, §4.5). The verification
-// tree becomes the replay's live tree, so snapshot entries inside the epoch
-// verify incrementally.
+// ran on (nil when the epoch could not start): openEpoch, then the job's
+// entries fed, closed and run.
 func runEpochJob(sess Session, job *EpochJob, held *Replay, materialize func(snapIdx uint32) (*snapshot.Restored, error)) (epochResult, *Replay) {
-	var rp *Replay
-	var err error
-	if job.Boot {
-		rp, err = NewReplayFromImage(sess.Node, sess.RefImage, sess.RNGSeed)
-		if err != nil {
-			return epochResult{fault: &FaultReport{Node: sess.Node, Check: CheckSemantic, Detail: err.Error()}}, nil
-		}
-	} else {
-		restored := job.Start
-		if restored == nil && held == nil {
-			if materialize == nil {
-				return epochResult{fault: &FaultReport{
-					Node: sess.Node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
-					Detail: fmt.Sprintf("materializing snapshot %d: no snapshot source", job.StartSnap),
-				}}, nil
-			}
-			var merr error
-			restored, merr = materialize(job.StartSnap)
-			if merr != nil {
-				return epochResult{fault: &FaultReport{
-					Node: sess.Node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
-					Detail: fmt.Sprintf("materializing snapshot %d: %v", job.StartSnap, merr),
-				}}, nil
-			}
-		}
-		var fault *FaultReport
-		if rp, fault = startEpoch(sess.Node, held, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
-			return epochResult{fault: fault}, nil
-		}
+	rp, fault := openEpoch(sess, job, held, materialize)
+	if fault != nil {
+		return epochResult{fault: fault}, nil
 	}
-	rp.Machine().DisablePredecode = sess.DisablePredecode
-	rp.Machine().DisableFusion = sess.DisableFusion
 	rp.Feed(job.Entries)
 	rp.Close()
 	rp.Run()
 	return epochResult{stats: rp.Stats, fault: rp.Fault()}, rp
+}
+
+// openEpoch is how every epoch engine opens an epoch: it makes the replica
+// the job's entries replay on, armed with the session's ablations, or
+// returns the fault that is the epoch's verdict. Boot jobs replay from the
+// session's reference image. Other jobs replay on held, a replica rolled to
+// the job's opening snapshot, when there is one, and otherwise on a replica
+// booted from the start state — taken from the job, or from materialize
+// when the job travels lazily (materializeStart); either way the state is
+// verified against the committed root before the first instruction
+// executes (startEpoch; the state is untrusted, §4.5). The verification
+// tree becomes the replay's live tree, so snapshot entries inside the epoch
+// verify incrementally.
+func openEpoch(sess Session, job *EpochJob, held *Replay, materialize func(snapIdx uint32) (*snapshot.Restored, error)) (*Replay, *FaultReport) {
+	var rp *Replay
+	if job.Boot {
+		var err error
+		if rp, err = NewReplayFromImage(sess.Node, sess.RefImage, sess.RNGSeed); err != nil {
+			return nil, &FaultReport{Node: sess.Node, Check: CheckSemantic, Detail: err.Error()}
+		}
+	} else {
+		restored := job.Start
+		if restored == nil && held == nil {
+			var fault *FaultReport
+			if restored, fault = materializeStart(sess.Node, job, materialize); fault != nil {
+				return nil, fault
+			}
+		}
+		var fault *FaultReport
+		if rp, fault = startEpoch(sess.Node, held, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
+			return nil, fault
+		}
+	}
+	sess.arm(rp)
+	return rp, nil
+}
+
+// materializeStart fetches a non-boot job's untrusted start state from
+// materialize. A missing source or a failed fetch is the epoch's
+// CheckSnapshot fault at the snapshot entry's seq, the same on every
+// engine.
+func materializeStart(node sig.NodeID, job *EpochJob, materialize func(snapIdx uint32) (*snapshot.Restored, error)) (*snapshot.Restored, *FaultReport) {
+	var restored *snapshot.Restored
+	err := errors.New("no snapshot source")
+	if materialize != nil {
+		restored, err = materialize(job.StartSnap)
+	}
+	if err != nil {
+		return nil, &FaultReport{
+			Node: node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
+			Detail: fmt.Sprintf("materializing snapshot %d: %v", job.StartSnap, err),
+		}
+	}
+	return restored, nil
+}
+
+// arm sets the session's interpreter ablations on a replica before it
+// replays.
+func (s Session) arm(rp *Replay) {
+	rp.Machine().DisablePredecode = s.DisablePredecode
+	rp.Machine().DisableFusion = s.DisableFusion
 }
 
 // startEpoch makes the replica an epoch starts from (startReplica): held,
@@ -203,18 +230,18 @@ type PoolBackend struct {
 // Remote implements EpochBackend: pool jobs stay in-process and lazy.
 func (b *PoolBackend) Remote() bool { return false }
 
-// Run implements EpochBackend with the runPool index hand-out: indices are
-// dispatched in order, skipped jobs are dropped, and every job below the
-// final cutoff is guaranteed a verdict.
+// Run implements EpochBackend with the runPool index hand-out: jobs are
+// started in order, and a job the router's skip rules out when its turn
+// comes is dropped. Every job below the final cutoff gets a verdict, since
+// skip only rules out jobs above a fault.
 func (b *PoolBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
-	workers := workersOrDefault(b.Workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	runPool(len(jobs), workers, func(i int) bool {
-		r, _ := runEpochJob(sess, jobs[i], nil, b.Materialize)
-		emit(EpochVerdict{Index: i, Stats: r.stats, Fault: r.fault, Attempts: 1})
-		return r.fault != nil
+	runPool(len(jobs), workersOrDefault(b.Workers), func(i int) {
+		job := jobs[i]
+		if skip(job.Index) {
+			return
+		}
+		r, _ := runEpochJob(sess, job, nil, b.Materialize)
+		emit(EpochVerdict{Index: job.Index, Stats: r.stats, Fault: r.fault, Attempts: 1})
 	})
 	return nil
 }

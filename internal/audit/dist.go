@@ -3,7 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +91,6 @@ type DistStats struct {
 // fault, which is a completed audit's conclusion about the machine. It
 // backs Audit's EngineDist.
 func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, tevlog.SigStats, error) {
-	a = a.withEngineOptions(opts.EngineOptions)
 	res := &Result{Node: node}
 	sigs, ok := a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks)
 	if !ok {
@@ -140,18 +139,9 @@ func (o *EngineOptions) spotSelected(i int) bool {
 // verdict — byte-identical to the fault the in-process engine reports —
 // and the job never ships.
 func prepareStart(node sig.NodeID, job *EpochJob, materialize func(snapIdx uint32) (*snapshot.Restored, error)) *FaultReport {
-	if materialize == nil {
-		return &FaultReport{
-			Node: node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
-			Detail: fmt.Sprintf("materializing snapshot %d: no snapshot source", job.StartSnap),
-		}
-	}
-	restored, merr := materialize(job.StartSnap)
-	if merr != nil {
-		return &FaultReport{
-			Node: node, Check: CheckSnapshot, EntrySeq: job.StartSeq,
-			Detail: fmt.Sprintf("materializing snapshot %d: %v", job.StartSnap, merr),
-		}
+	restored, fault := materializeStart(node, job, materialize)
+	if fault != nil {
+		return fault
 	}
 	lh := &snapshot.LiveStateHasher{}
 	if verr := lh.SeedVerify(restored, job.StartRoot); verr != nil {
@@ -178,11 +168,89 @@ func sameEpochResult(local epochResult, v EpochVerdict) bool {
 	return *local.fault == *v.Fault
 }
 
+// epochMerge is the earliest-fault merge every epoch engine shares. Epochs
+// report in any order and from any goroutine; the verdict is the serial
+// replay's: the fault of the lowest faulting epoch, with the replay stats
+// summed over that epoch and every one below it (or over all epochs on a
+// pass). The cutoff is the lowest faulting epoch recorded so far; an epoch
+// above it can no longer change the verdict (skip).
+type epochMerge struct {
+	mu      sync.Mutex
+	results map[int]epochResult
+	errs    map[int]error
+	cutoff  atomic.Int64
+}
+
+func newEpochMerge() *epochMerge {
+	m := &epochMerge{results: make(map[int]epochResult), errs: make(map[int]error)}
+	m.cutoff.Store(math.MaxInt64)
+	return m
+}
+
+// record stores epoch i's outcome. The first outcome recorded for an epoch
+// wins (a hedged or re-dispatched epoch may report twice); a fault lowers
+// the cutoff to i.
+func (m *epochMerge) record(i int, r epochResult) {
+	m.mu.Lock()
+	_, dup := m.results[i]
+	if !dup {
+		m.results[i] = r
+		delete(m.errs, i)
+	}
+	m.mu.Unlock()
+	if dup || r.fault == nil {
+		return
+	}
+	for {
+		cur := m.cutoff.Load()
+		if int64(i) >= cur || m.cutoff.CompareAndSwap(cur, int64(i)) {
+			return
+		}
+	}
+}
+
+// fail notes that epoch i could not be replayed anywhere (a transport
+// failure). It is kept only while the epoch has no outcome.
+func (m *epochMerge) fail(i int, err error) {
+	m.mu.Lock()
+	if _, done := m.results[i]; !done {
+		m.errs[i] = err
+	}
+	m.mu.Unlock()
+}
+
+// skip reports that epoch i is above the cutoff: its outcome cannot change
+// the verdict.
+func (m *epochMerge) skip(i int) bool { return int64(i) > m.cutoff.Load() }
+
+// verdict merges epochs 0..n-1 once every report is in. The verdict needs
+// every epoch up to the cutoff (all of them on a pass); if one of those has
+// no outcome, missing is the first such epoch and err the transport failure
+// noted for it, if any, and the stats and fault are zero. Otherwise missing
+// is -1.
+func (m *epochMerge) verdict(n int) (stats ReplayStats, fault *FaultReport, missing int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	last := n - 1
+	if c := m.cutoff.Load(); c < int64(n) {
+		last = int(c)
+		fault = m.results[last].fault
+	}
+	for i := 0; i <= last; i++ {
+		r, ok := m.results[i]
+		if !ok {
+			return ReplayStats{}, nil, i, m.errs[i]
+		}
+		addStats(&stats, r.stats)
+	}
+	return stats, fault, -1, nil
+}
+
 // runJobs dispatches epoch jobs to a backend and merges verdicts under the
-// earliest-fault cutoff — the deterministic heart of every audit engine.
-// The merged (stats, fault) pair is identical to a serial replay of the
-// same epochs whenever verdicts are honest; spot-rechecked epochs are
-// guaranteed it regardless.
+// earliest-fault cutoff (epochMerge) — the deterministic heart of every
+// audit engine. The merged (stats, fault) pair is identical to a serial
+// replay of the same epochs whenever verdicts are honest; spot-rechecked
+// epochs are guaranteed it regardless.
 func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, opts EngineOptions) (ReplayStats, *FaultReport, DistStats, error) {
 	sess := a.session(node)
 	dstats := DistStats{Epochs: len(jobs)}
@@ -191,32 +259,7 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 		sess.deltaSrc = opts.DeltaSource
 	}
 
-	var mu sync.Mutex
-	results := make(map[int]epochResult, len(jobs))
-	errs := make(map[int]error)
-	var cutoff atomic.Int64
-	cutoff.Store(int64(1) << 62)
-
-	lower := func(i int) {
-		for {
-			cur := cutoff.Load()
-			if int64(i) >= cur || cutoff.CompareAndSwap(cur, int64(i)) {
-				break
-			}
-		}
-	}
-	record := func(i int, r epochResult) {
-		mu.Lock()
-		_, dup := results[i]
-		if !dup {
-			results[i] = r
-			delete(errs, i)
-		}
-		mu.Unlock()
-		if !dup && r.fault != nil {
-			lower(i)
-		}
-	}
+	merge := newEpochMerge()
 
 	// Remote backends get self-contained jobs: materialize and root-verify
 	// every start on the coordinator, concurrently. Failures are verdicts.
@@ -224,17 +267,16 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	if be.Remote() {
 		prepStart := time.Now()
 		faults := make([]*FaultReport, len(jobs))
-		runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) bool {
+		runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) {
 			if !jobs[i].Boot {
 				faults[i] = prepareStart(node, jobs[i], opts.Materialize)
 			}
-			return false
 		})
 		dispatch = dispatch[:0:0]
 		for i, job := range jobs {
 			if faults[i] != nil {
 				dstats.CoordinatorFaults++
-				record(i, epochResult{fault: faults[i]})
+				merge.record(i, epochResult{fault: faults[i]})
 				continue
 			}
 			dispatch = append(dispatch, job)
@@ -247,7 +289,7 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	for _, j := range jobs {
 		jobByIndex[j.Index] = j
 	}
-	skip := func(i int) bool { return int64(i) > cutoff.Load() }
+	var mu sync.Mutex // guards dstats while the backend runs
 	emit := func(v EpochVerdict) {
 		mu.Lock()
 		dstats.WireBytes += v.WireBytes
@@ -258,16 +300,12 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 		if v.Attempts > 1 {
 			dstats.Redispatches += v.Attempts - 1
 		}
+		if v.Err != nil && errors.Is(v.Err, ErrRetriesExhausted) {
+			dstats.RetriesExhausted++
+		}
 		mu.Unlock()
 		if v.Err != nil {
-			mu.Lock()
-			if errors.Is(v.Err, ErrRetriesExhausted) {
-				dstats.RetriesExhausted++
-			}
-			if _, done := results[v.Index]; !done {
-				errs[v.Index] = v.Err
-			}
-			mu.Unlock()
+			merge.fail(v.Index, v.Err)
 			return
 		}
 		if be.Remote() && opts.spotSelected(v.Index) {
@@ -279,72 +317,40 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 			local, _ := runEpochJob(sess, jobByIndex[v.Index], nil, opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++
-			mu.Unlock()
 			if !sameEpochResult(local, v) {
-				mu.Lock()
 				dstats.SpotMismatches++
-				mu.Unlock()
 			}
-			record(v.Index, local)
+			mu.Unlock()
+			merge.record(v.Index, local)
 			return
 		}
-		record(v.Index, epochResult{stats: v.Stats, fault: v.Fault})
+		merge.record(v.Index, epochResult{stats: v.Stats, fault: v.Fault})
 	}
 
 	// A backend Run error is not immediately fatal: transport failures that
 	// only touched epochs past the earliest-fault cutoff cannot change the
-	// verdict, so the error is held until the merge below decides whether a
+	// verdict, so the error is held until the merge decides whether a
 	// needed epoch actually went missing.
 	var backendErr error
 	if len(dispatch) > 0 {
-		if err := be.Run(sess, dispatch, skip, emit); err != nil {
+		if err := be.Run(sess, dispatch, merge.skip, emit); err != nil {
 			backendErr = fmt.Errorf("audit: epoch backend: %w", err)
 		}
 	}
 
 	mergeStart := time.Now()
-
-	// The verdict needs every epoch up to the earliest fault (or all of
-	// them on a pass). A transport-failed epoch inside that range means the
-	// audit is incomplete — an error, never a silent verdict.
-	needed := len(jobs) - 1
-	if c := int(cutoff.Load()); c < len(jobs) {
-		needed = c
-	}
-	var missing []int
-	for i := 0; i <= needed; i++ {
-		if _, ok := results[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Ints(missing)
-		first := missing[0]
-		dstats.MergeWallNs = time.Since(mergeStart).Nanoseconds()
-		if err := errs[first]; err != nil {
-			return ReplayStats{}, nil, dstats, fmt.Errorf("audit: epoch %d undecided after transport failure: %w", first, err)
-		}
-		if backendErr != nil {
-			return ReplayStats{}, nil, dstats, backendErr
-		}
-		return ReplayStats{}, nil, dstats, fmt.Errorf("audit: backend returned no verdict for epoch %d", first)
-	}
-
-	var merged ReplayStats
-	var fault *FaultReport
-	if c := int(cutoff.Load()); c < len(jobs) {
-		// Earliest faulting epoch: epochs below it all ran and passed, so
-		// this is the fault the serial replay reports. Its stats sum covers
-		// exactly the work the serial replay performed before stopping.
-		for i := 0; i <= c; i++ {
-			addStats(&merged, results[i].stats)
-		}
-		fault = results[c].fault
-	} else {
-		for i := 0; i < len(jobs); i++ {
-			addStats(&merged, results[i].stats)
-		}
-	}
+	// A transport-failed epoch the verdict needs means the audit is
+	// incomplete — an error, never a silent verdict.
+	merged, fault, missing, err := merge.verdict(len(jobs))
 	dstats.MergeWallNs = time.Since(mergeStart).Nanoseconds()
-	return merged, fault, dstats, nil
+	switch {
+	case missing < 0:
+		return merged, fault, dstats, nil
+	case err != nil:
+		return ReplayStats{}, nil, dstats, fmt.Errorf("audit: epoch %d undecided after transport failure: %w", missing, err)
+	case backendErr != nil:
+		return ReplayStats{}, nil, dstats, backendErr
+	default:
+		return ReplayStats{}, nil, dstats, fmt.Errorf("audit: backend returned no verdict for epoch %d", missing)
+	}
 }

@@ -16,14 +16,17 @@ import (
 
 // Engine selects the replay engine an Audit request runs on. Every engine
 // produces byte-identical verdicts; they differ in memory footprint,
-// parallelism and where the replay work happens.
+// parallelism and where the replay work happens. The epoch engines
+// (parallel, stream, dist) open every epoch's replica through openEpoch
+// and merge epoch outcomes under one earliest-fault rule (epochMerge).
 type Engine string
 
 const (
 	// EngineSerial is the single-replica from-boot replay.
 	EngineSerial Engine = "serial"
 	// EngineParallel partitions the log at snapshot boundaries and replays
-	// epochs concurrently in-process.
+	// epochs concurrently in-process. It is EngineDist on the in-process
+	// pool (Backend is ignored), one code path under two names.
 	EngineParallel Engine = "parallel"
 	// EngineStream decodes, chain-verifies and replays straight from the
 	// compressed log container in bounded memory (set Compressed).
@@ -54,13 +57,6 @@ type EngineOptions struct {
 	SpotRecheckFraction float64
 	// SpotRecheckSeed drives the deterministic spot selection.
 	SpotRecheckSeed uint64
-	// DisablePredecode forces every replica this audit boots onto the
-	// careful Step path instead of the predecoded sprint loop — the
-	// predecode ablation. ORed with Auditor.DisablePredecode.
-	DisablePredecode bool
-	// DisableFusion keeps the sprint loop but skips the superinstruction
-	// fusion pass — the fusion ablation. ORed with Auditor.DisableFusion.
-	DisableFusion bool
 	// DeltaJobs ships dispatched epoch jobs as proof-carrying dirty-page
 	// deltas where possible: after the first full state per connection,
 	// each job carries only the epoch increments plus Merkle fold proofs,
@@ -125,27 +121,15 @@ type AuditRequest struct {
 
 // AuditStats reports how the selected engine ran. Engine is always set;
 // the engine-specific struct of the engine that ran is filled, the others
-// are zero. Sigs is filled by every engine: how the audit's one
-// signature-verification stage ran (what avmm.DaemonStats is to a
-// recording).
+// are zero: Stream for EngineStream, Dist for EngineDist and for
+// EngineParallel (the dist engine on the in-process pool). Sigs is filled
+// by every engine: how the audit's one signature-verification stage ran
+// (what avmm.DaemonStats is to a recording).
 type AuditStats struct {
 	Engine Engine
 	Stream StreamStats
 	Dist   DistStats
 	Sigs   tevlog.SigStats
-}
-
-// withEngineOptions returns the auditor honoring opts' auditor-level
-// overrides — currently the predecode and fusion ablations, which OR with
-// the auditor's own flags. The receiver is never mutated.
-func (a *Auditor) withEngineOptions(opts EngineOptions) *Auditor {
-	if (opts.DisablePredecode && !a.DisablePredecode) || (opts.DisableFusion && !a.DisableFusion) {
-		ab := *a
-		ab.DisablePredecode = ab.DisablePredecode || opts.DisablePredecode
-		ab.DisableFusion = ab.DisableFusion || opts.DisableFusion
-		return &ab
-	}
-	return a
 }
 
 // Audit runs one audit as described by req. The verdict in Result is
@@ -169,7 +153,7 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 	case EngineSerial:
 		res, stats.Sigs = a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths)
 	case EngineParallel:
-		res, stats.Sigs = a.auditParallel(req.Node, req.NodeIdx, req.Entries, req.Auths, req.Options)
+		res, stats.Dist, stats.Sigs, err = a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options})
 	case EngineStream:
 		res, stats.Stream, stats.Sigs = a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, req.Options)
 	case EngineDist:

@@ -24,30 +24,14 @@ import (
 // diverged anywhere, the earliest affected epoch faults, and the engine
 // reports that epoch's fault — the same check, entry, and landmark the
 // serial replay reports.
+//
+// The engine is the dist router (auditDist, runJobs) on the in-process
+// PoolBackend; this file holds the partition rule and the pool.
 
 // epochResult carries one epoch's outcome back to the merge step.
 type epochResult struct {
 	stats ReplayStats
 	fault *FaultReport
-}
-
-// auditParallel checks an entire execution from boot like auditSerial —
-// log verification, syntactic check, semantic replay — but partitions the
-// replay at snapshot boundaries and runs the epochs concurrently on a
-// bounded worker pool: it is the dist engine with no backend, which is the
-// in-process pool. The merged Result carries the serial audit's verdict:
-// the same pass/fail, and on failure the fault of the earliest faulting
-// epoch (identical check and entry seq to the serial replay's). Replay
-// stats are the deterministic sum over the epochs the serial audit would
-// have executed. It backs Audit's EngineParallel.
-func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions) (*Result, tevlog.SigStats) {
-	res, _, sigs, err := a.auditDist(node, nodeIdx, entries, auths, DistOptions{EngineOptions: opts})
-	if err != nil {
-		// The in-process pool never reports transport failures; this guards
-		// a backend change that lets one through.
-		return &Result{Node: node, Fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}, sigs
-	}
-	return res, sigs
 }
 
 // SemanticCheckParallel runs only the semantic (replay) stage of a full
@@ -58,7 +42,7 @@ func (a *Auditor) auditParallel(node sig.NodeID, nodeIdx uint32, entries []tevlo
 func (a *Auditor) SemanticCheckParallel(node sig.NodeID, entries []tevlog.Entry, opts EngineOptions) (ReplayStats, *FaultReport) {
 	jobs := a.partition(entries, opts)
 	be := &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
-	stats, fault, _, err := a.runJobs(node, jobs, be, EngineOptions{Materialize: opts.Materialize})
+	stats, fault, _, err := a.runJobs(node, jobs, be, opts)
 	if err != nil {
 		// The in-process pool never reports transport failures; this guards
 		// a future backend misrouted through the parallel entry point.
@@ -129,40 +113,24 @@ func addStats(dst *ReplayStats, s ReplayStats) {
 	dst.SnapshotsVerified += s.SnapshotsVerified
 }
 
-// runPool runs jobs 0..n-1 on up to workers goroutines, handing out
-// indices in order. A job returning true requests a cutoff at its index:
-// jobs with higher indices not yet started are skipped (their work cannot
-// affect the merged verdict), while every job below the final cutoff is
-// guaranteed to have run to completion. Returns the lowest cutoff index,
-// or n if no job requested one.
-func runPool(n, workers int, fn func(i int) bool) int {
-	var cutoff atomic.Int64
-	cutoff.Store(int64(n))
+// runPool runs fn(0..n-1) on up to workers goroutines, handing out
+// indices in order, and returns when every call has. A caller that may
+// drop work past the earliest fault asks its epochMerge (skip) when an
+// index comes up.
+func runPool(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				if i > cutoff.Load() {
-					continue
-				}
-				if fn(int(i)) {
-					for {
-						cur := cutoff.Load()
-						if i >= cur || cutoff.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return int(cutoff.Load())
 }

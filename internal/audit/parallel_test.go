@@ -2,13 +2,18 @@ package audit_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/avmm"
 	"repro/internal/game"
+	"repro/internal/logcomp"
 	"repro/internal/sig"
+	"repro/internal/snapshot"
 	"repro/internal/vm"
 )
 
@@ -118,7 +123,8 @@ func TestParallelAuditEquivalenceClean(t *testing.T) {
 // TestGameReplayInterpreterAblations pins, on the honest game recording,
 // what the interpreter's two fast paths may and may not change. Neither may
 // change a verdict: the audit with fusion off and the audit on the Step
-// path conclude what the fused sprint concludes. And fusion must engage:
+// path conclude what the fused sprint concludes, on the serial, parallel,
+// stream and dist (simulated network) engines. And fusion must engage:
 // replaying the recording retires fewer than 0.9 dispatches per
 // instruction — each fused pair saves one dispatch and each quad one more —
 // and not one fused op with fusion off. The counts are exact for a seed.
@@ -135,17 +141,42 @@ func TestGameReplayInterpreterAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths}
-	serial, _ := mustAudit(t, a, req)
+	entries := target.Log.Entries()
+	materialize := func(k uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(k)) }
+	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: entries, Auths: auths})
 	if !serial.Passed {
 		t.Fatalf("honest recording faulted: %v", serial.Fault)
 	}
-	for label, opts := range map[string]audit.EngineOptions{
-		"nofusion": {DisableFusion: true}, "nopredecode": {DisablePredecode: true},
+	// The ablations are Auditor fields; every epoch engine must carry them
+	// to the replicas it opens — the dist engine's remote workers through
+	// the wire session.
+	compressed := logcomp.CompressEntries(entries)
+	for label, ablate := range map[string]func(*audit.Auditor){
+		"nofusion":    func(ab *audit.Auditor) { ab.DisableFusion = true },
+		"nopredecode": func(ab *audit.Auditor) { ab.DisablePredecode = true },
 	} {
-		req.Options = opts
-		got, _ := mustAudit(t, a, req)
-		compareVerdicts(t, label, serial, got)
+		ab := *a
+		ablate(&ab)
+		for _, leg := range []struct {
+			name string
+			req  audit.AuditRequest
+		}{
+			{"serial", audit.AuditRequest{Entries: entries}},
+			{"parallel", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+				Options: audit.EngineOptions{Workers: 4, Materialize: materialize}}},
+			{"stream/1", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+				Options: audit.EngineOptions{Workers: 1, Materialize: materialize}}},
+			{"stream/4", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+				Options: audit.EngineOptions{Workers: 4, Materialize: materialize}}},
+			{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
+				Backend: &audit.NetsimBackend{Net: lossyNet(91), Workers: 3, MaxAttempts: 10},
+				Options: audit.EngineOptions{Materialize: materialize}}},
+		} {
+			req := leg.req
+			req.Node, req.NodeIdx, req.Auths = target.Node(), uint32(target.Index()), auths
+			got, _ := mustAudit(t, &ab, req)
+			compareVerdicts(t, label+"/"+leg.name, serial, got)
+		}
 	}
 
 	replay := func(disableFusion bool) *vm.Machine {
@@ -295,5 +326,109 @@ func TestParallelAuditEquivalenceCheats(t *testing.T) {
 				t.Errorf("honest player failed audit during %q match: %v", cheat.Name, honest.Fault)
 			}
 		})
+	}
+}
+
+// TestMaterializeFaultEveryEngine: a start state the snapshot source cannot
+// hand over is the epoch's verdict, and every epoch engine reaches the same
+// one — the in-process pool (parallel and dist), the stream engine with a
+// small window, and a simulated network's coordinator, which materializes
+// before dispatch. The fault is snapshot k's CheckSnapshot at the snapshot
+// entry's seq, whether k alone fails or k and k+2 do, and the Results are
+// equal to the byte. At one worker the pool and the stream engine open
+// epochs in order and stop at the fault: they ask for no snapshot past k.
+func TestMaterializeFaultEveryEngine(t *testing.T) {
+	s, err := game.NewScenario(game.ScenarioConfig{
+		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
+		Seed: 7, SnapshotEveryNs: eqSnapNs, FakeSignatures: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * eqMatchNs)
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := target.Log.Entries()
+	points, err := audit.FindSnapshots(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) < 4 {
+		t.Fatalf("%d snapshots: need 4 to fail k and k+2 with an epoch in between", len(points))
+	}
+	const k = 1
+	kAt := -1 // position of snapshot k among the log's snapshot entries
+	for i, p := range points {
+		if p.SnapIdx == k {
+			kAt = i
+		}
+	}
+	if kAt < 0 {
+		t.Fatalf("no snapshot %d in the log", k)
+	}
+	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: entries, Auths: auths})
+	compressed := logcomp.CompressEntries(entries)
+
+	for _, failing := range [][]uint32{{k}, {k, k + 2}} {
+		var calls atomic.Int64
+		materialize := func(idx uint32) (*snapshot.Restored, error) {
+			calls.Add(1)
+			if slices.Contains(failing, idx) {
+				return nil, fmt.Errorf("snapshot %d is not in the store", idx)
+			}
+			return target.Snaps.Materialize(int(idx))
+		}
+		legs := []struct {
+			name string
+			req  audit.AuditRequest
+			// inOrder: one worker opening epochs in index order, so the
+			// fault stops every later Materialize call.
+			inOrder bool
+		}{
+			{"parallel/1", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+				Options: audit.EngineOptions{Workers: 1}}, true},
+			{"parallel/4", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+				Options: audit.EngineOptions{Workers: 4}}, false},
+			{"stream/1", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+				Options: audit.EngineOptions{Workers: 1, Window: 16}}, true},
+			{"stream/4", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+				Options: audit.EngineOptions{Workers: 4, Window: 16}}, false},
+			{"dist/pool", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
+				Options: audit.EngineOptions{Workers: 1}}, true},
+			{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
+				Backend: &audit.NetsimBackend{Net: lossyNet(13), Workers: 3, MaxAttempts: 10}}, false},
+		}
+		var first *audit.Result
+		for _, leg := range legs {
+			label := fmt.Sprintf("snapshots %v fail: %s", failing, leg.name)
+			req := leg.req
+			req.Node, req.NodeIdx, req.Auths = target.Node(), uint32(target.Index()), auths
+			req.Options.Materialize = materialize
+			calls.Store(0)
+			res, _ := mustAudit(t, a, req)
+			if first == nil {
+				first = res
+				f := res.Fault
+				switch {
+				case res.Passed || f == nil:
+					t.Fatalf("%s: passed with an unmaterializable start", label)
+				case f.Check != audit.CheckSnapshot || f.EntrySeq != points[kAt].Seq:
+					t.Errorf("%s: fault (%s, seq %d), want (%s, seq %d)", label, f.Check, f.EntrySeq, audit.CheckSnapshot, points[kAt].Seq)
+				case !strings.HasPrefix(f.Detail, fmt.Sprintf("materializing snapshot %d: ", k)):
+					t.Errorf("%s: fault detail %q names another snapshot", label, f.Detail)
+				}
+				if res.Syntactic != serial.Syntactic {
+					t.Errorf("%s: syntactic stats %+v, serial %+v", label, res.Syntactic, serial.Syntactic)
+				}
+			} else if !reflect.DeepEqual(res, first) {
+				t.Errorf("%s: Result %+v (fault %+v), %s's %+v (fault %+v)", label, res, res.Fault, legs[0].name, first, first.Fault)
+			}
+			// Epochs 1..kAt+1 start at snapshot entries 0..kAt.
+			if n := calls.Load(); leg.inOrder && n != int64(kAt+1) {
+				t.Errorf("%s: %d Materialize calls, want %d: an epoch past the fault was opened", label, n, kAt+1)
+			}
+		}
 	}
 }

@@ -1,13 +1,13 @@
 package audit
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/logcomp"
 	"repro/internal/sig"
+	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/wire"
 )
@@ -106,16 +106,11 @@ func (w *entryWindow) release(n int) {
 	w.cond.Broadcast()
 }
 
-// streamEpoch is one independently replayable log slice in flight.
+// streamEpoch is one independently replayable log slice in flight: the
+// epoch's job, whose entries arrive on ch instead of in job.Entries.
 type streamEpoch struct {
-	index int
-	boot  bool
-	// startSnap/startRoot/startSeq authenticate the starting state of a
-	// non-boot epoch, as in the epoch-parallel engine.
-	startSnap uint32
-	startRoot [32]byte
-	startSeq  uint64
-	ch        chan tevlog.Entry
+	job EpochJob
+	ch  chan tevlog.Entry
 }
 
 // streamVerdict accumulates per-stage outcomes for the merge step.
@@ -125,25 +120,7 @@ type streamVerdict struct {
 	synStats  SyntacticStats
 	synFault  *FaultReport
 	sigStats  tevlog.SigStats
-
-	mu      sync.Mutex
-	results map[int]epochResult
-	cutoff  atomic.Int64
-}
-
-// record stores one epoch's outcome, lowering the cutoff on fault.
-func (v *streamVerdict) record(index int, r epochResult) {
-	v.mu.Lock()
-	v.results[index] = r
-	v.mu.Unlock()
-	if r.fault != nil {
-		for {
-			cur := v.cutoff.Load()
-			if int64(index) >= cur || v.cutoff.CompareAndSwap(cur, int64(index)) {
-				break
-			}
-		}
-	}
+	merge     *epochMerge
 }
 
 // auditStreamFrom checks an entire execution from boot, like auditSerial,
@@ -160,7 +137,6 @@ func (v *streamVerdict) record(index int, r epochResult) {
 // a tampered archive exactly like a tampered log. The SigStats say how the
 // signature stage ran.
 func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions) (*Result, StreamStats, tevlog.SigStats) {
-	a = a.withEngineOptions(opts)
 	workers := workersOrDefault(opts.Workers)
 	window := opts.Window
 	if window <= 0 {
@@ -175,8 +151,7 @@ func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []
 		chanCap = 128
 	}
 
-	verdict := &streamVerdict{results: make(map[int]epochResult)}
-	verdict.cutoff.Store(int64(1) << 62)
+	verdict := &streamVerdict{merge: newEpochMerge()}
 
 	// Stage 1: decode. Entries acquire a window slot before they exist.
 	decoded := make(chan tevlog.Entry, chanCap)
@@ -212,19 +187,20 @@ func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []
 
 	// Stage 3: replay workers, pulling epochs as the router emits them.
 	epochQueue := make(chan *streamEpoch, workers)
+	sess := a.session(node)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ep := range epochQueue {
-				if int64(ep.index) > verdict.cutoff.Load() {
+				if verdict.merge.skip(ep.job.Index) {
 					// A lower epoch already faulted; this epoch cannot
-					// affect the verdict (same cutoff rule as runPool).
+					// affect the verdict.
 					drainEpoch(ep, win)
 					continue
 				}
-				verdict.record(ep.index, a.runStreamEpoch(node, ep, opts, win))
+				verdict.merge.record(ep.job.Index, runStreamEpoch(sess, ep, opts.Materialize, win))
 			}
 		}()
 	}
@@ -272,17 +248,18 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 	// next describes the epoch the next routed entry belongs to; epochs are
 	// created lazily so a log ending exactly at a snapshot emits no empty
 	// trailing epoch (the parallel engine's partition does the same).
-	next := streamEpoch{boot: true}
+	next := EpochJob{Boot: true}
 	epochs := 0
+	newEpoch := func(capacity int) {
+		current = &streamEpoch{job: next, ch: make(chan tevlog.Entry, capacity)}
+		current.job.Index = epochs
+		epochs++
+		epochQueue <- current
+	}
 
 	emit := func(e tevlog.Entry) {
 		if current == nil {
-			ep := next
-			ep.index = epochs
-			ep.ch = make(chan tevlog.Entry, streamBatch)
-			epochs++
-			current = &ep
-			epochQueue <- current
+			newEpoch(streamBatch)
 		}
 		current.ch <- e
 	}
@@ -313,7 +290,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 				// derives its root; the next epoch starts from its state.
 				close(current.ch)
 				current = nil
-				next = streamEpoch{startSnap: ev.SnapIdx, startRoot: ev.Root, startSeq: e.Seq}
+				next = EpochJob{StartSnap: ev.SnapIdx, StartRoot: ev.Root, StartSeq: e.Seq}
 			}
 			// An unparseable snapshot entry splits nothing: replay will
 			// fault on it inside the current epoch, matching the parallel
@@ -333,12 +310,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 
 	if epochs == 0 && verdict.decodeErr == nil && verdict.chainErr == nil {
 		// Empty log: still run the boot replay, as the batch auditor does.
-		emitEmpty := next
-		emitEmpty.index = 0
-		emitEmpty.ch = make(chan tevlog.Entry)
-		epochs++
-		current = &emitEmpty
-		epochQueue <- current
+		newEpoch(0)
 	}
 	if current != nil {
 		close(current.ch)
@@ -353,41 +325,17 @@ func drainEpoch(ep *streamEpoch, win *entryWindow) {
 	}
 }
 
-// runStreamEpoch is runEpoch's streaming twin: it verifies and restores the
-// epoch's starting state, then feeds the replica from the epoch channel in
-// batches, returning window slots as entries are consumed. Faults and stats
-// are identical to a one-shot replay of the same slice — the replay stops
-// at deterministic points regardless of batching.
-func (a *Auditor) runStreamEpoch(node sig.NodeID, ep *streamEpoch, opts EngineOptions, win *entryWindow) epochResult {
-	var rp *Replay
-	var err error
-	if ep.boot {
-		rp, err = NewReplayFromImage(node, a.RefImage, a.RNGSeed)
-		if err != nil {
-			drainEpoch(ep, win)
-			return epochResult{fault: &FaultReport{Node: node, Check: CheckSemantic, Detail: err.Error()}}
-		}
-	} else {
-		restored, merr := opts.Materialize(ep.startSnap)
-		if merr != nil {
-			drainEpoch(ep, win)
-			return epochResult{fault: &FaultReport{
-				Node: node, Check: CheckSnapshot, EntrySeq: ep.startSeq,
-				Detail: fmt.Sprintf("materializing snapshot %d: %v", ep.startSnap, merr),
-			}}
-		}
-		// The machine's state is untrusted: verify it against the root the
-		// log committed at this epoch's starting snapshot before replaying.
-		// The verification tree becomes the replay's live tree, so snapshot
-		// entries inside the epoch verify incrementally.
-		var fault *FaultReport
-		if rp, fault = startEpoch(node, nil, restored, ep.startRoot, ep.startSeq, a.RNGSeed); fault != nil {
-			drainEpoch(ep, win)
-			return epochResult{fault: fault}
-		}
+// runStreamEpoch is runEpochJob's streaming twin: it opens the epoch
+// (openEpoch), then feeds the replica from the epoch channel in batches,
+// returning window slots as entries are consumed. Faults and stats are
+// identical to a one-shot replay of the same slice — the replay stops at
+// deterministic points regardless of batching.
+func runStreamEpoch(sess Session, ep *streamEpoch, materialize func(snapIdx uint32) (*snapshot.Restored, error), win *entryWindow) epochResult {
+	rp, fault := openEpoch(sess, &ep.job, nil, materialize)
+	if fault != nil {
+		drainEpoch(ep, win)
+		return epochResult{fault: fault}
 	}
-	rp.Machine().DisablePredecode = a.DisablePredecode
-	rp.Machine().DisableFusion = a.DisableFusion
 
 	batch := make([]tevlog.Entry, 0, streamBatch)
 	fed, released := 0, 0
@@ -473,23 +421,9 @@ func (a *Auditor) mergeStream(node sig.NodeID, verdict *streamVerdict, epochs in
 		res.Fault = verdict.synFault
 		return res
 	}
-	var merged ReplayStats
-	cutoff := int(verdict.cutoff.Load())
-	if cutoff < epochs {
-		// Epochs below the cutoff all ran and passed; this fault is the one
-		// the serial replay reports, and the summed stats cover exactly the
-		// work the serial replay performed before stopping.
-		for i := 0; i <= cutoff; i++ {
-			addStats(&merged, verdict.results[i].stats)
-		}
-		res.Replay = merged
-		res.Fault = verdict.results[cutoff].fault
-		return res
-	}
-	for i := 0; i < epochs; i++ {
-		addStats(&merged, verdict.results[i].stats)
-	}
-	res.Replay = merged
-	res.Passed = true
+	// Every epoch at or below the cutoff ran (only epochs above it are
+	// skipped), so none is missing.
+	res.Replay, res.Fault, _, _ = verdict.merge.verdict(epochs)
+	res.Passed = res.Fault == nil
 	return res
 }
