@@ -290,7 +290,9 @@ func (a *Archive) AppendEpoch(node string, meta EpochMeta, entries []tevlog.Entr
 }
 
 // AppendSnapshot archives one snapshot increment as the node's next
-// snapshot segment. Increments must arrive in index order.
+// snapshot segment, a version-2 payload bound by its leaf digest.
+// Increments must arrive in index order, and every page must be a page
+// index (>= 0) with at most vm.PageSize bytes, which every capture is.
 func (a *Archive) AppendSnapshot(node string, s *snapshot.Snapshot) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -301,10 +303,13 @@ func (a *Archive) AppendSnapshot(node string, s *snapshot.Snapshot) error {
 	if s.Index != len(ns.snaps) {
 		return fmt.Errorf("archive: snapshot %d for %q out of order (want %d)", s.Index, node, len(ns.snaps))
 	}
-	payload := marshalSnapshotPayload(s)
+	payload, digest, err := sealSnapshotPayload(s)
+	if err != nil {
+		return fmt.Errorf("archive: snapshot %d for %q: %w", s.Index, node, err)
+	}
 	rec := snapRec{
 		Root: s.Root, MemRoot: s.MemRoot, ICount: s.ICount,
-		Off: ns.tail, Len: int64(len(payload)), Hash: payloadHash(payload),
+		Off: ns.tail, Len: int64(len(payload)), Hash: digest,
 	}
 	if err := a.appendSegment(ns, payload, marshalSnapRecord(node, len(ns.snaps), &rec)); err != nil {
 		return err

@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -402,8 +404,33 @@ func TestArchiveOrphanTileOfLostNode(t *testing.T) {
 	}
 }
 
-// TestArchiveCorruptSegmentDetected flips single payload bytes: every read
-// path must surface a precise error, never decoded garbage.
+// snapshotSpots are the places in a version-2 snapshot payload the tamper
+// table flips a bit at, by name: one byte of each part of the layout.
+func snapshotSpots(t *testing.T, payload []byte) map[string]int {
+	t.Helper()
+	sc, err := scanSnapshotPayload(payload)
+	if err != nil || len(sc.pages) == 0 || len(sc.blobs[0]) == 0 {
+		t.Fatalf("payload does not scan to pages and registers: %v", err)
+	}
+	last := sc.pages[len(sc.pages)-1]
+	lenAt := last.off - len(binary.AppendUvarint(nil, uint64(last.n)))
+	return map[string]int{
+		"a page byte":       last.off + last.n/2,
+		"a page length":     lenAt,
+		"a page index":      lenAt - len(binary.AppendUvarint(nil, uint64(last.p))),
+		"the register blob": cap(payload) - cap(sc.blobs[0]), // the blob is a window of the payload
+		"the proof":         len(payload) - len(sc.rest.b),
+		"the version byte":  0,
+		"a trailing byte":   len(payload) - 1,
+	}
+}
+
+// TestArchiveCorruptSegmentDetected flips single payload bits: every read
+// path must surface a precise error, never decoded garbage. In a snapshot
+// increment, whatever part of the layout the bit is in, the error is the
+// one a version-1 payload gives, a payload hash mismatch — also when the
+// damage makes the payload unscannable, or turns the version byte from 2
+// to 1 — and a payload verifies under the digest of its own version only.
 func TestArchiveCorruptSegmentDetected(t *testing.T) {
 	rec := makeRecording(t)
 	dir, a := writeArchive(t, rec)
@@ -411,6 +438,11 @@ func TestArchiveCorruptSegmentDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch2, err := a.EpochInfo(rec.node, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := append([]snapRec(nil), a.nodes[rec.node].snaps...)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,32 +452,67 @@ func TestArchiveCorruptSegmentDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[0] ^= 0xFF // inside snapshot 0's payload (snapshots precede epochs)
-	if err := os.WriteFile(tile, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := a2.IncrementSource(rec.node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Increment(0); err == nil {
-		t.Fatal("corrupt snapshot increment read back without error")
-	}
-	if _, err := snapshot.MaterializeFrom(src, 2); err == nil {
-		t.Fatal("materialization over a corrupt increment succeeded")
-	}
-	a2.Close()
+	for k, sr := range snaps {
+		payload := raw[sr.Off : sr.Off+sr.Len]
+		for what, at := range snapshotSpots(t, payload) {
+			label := fmt.Sprintf("snapshot %d, %s", k, what)
+			flip := byte(0x01)
+			if what == "the version byte" {
+				flip = SnapshotPayloadVersion ^ snapshotPayloadV1
+			}
+			payload[at] ^= flip
+			if err := os.WriteFile(tile, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			payload[at] ^= flip // restored in memory; the file keeps the damage
+			a2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := a2.IncrementSource(rec.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("archive: %s snapshot %d payload hash mismatch (corrupt or tampered segment)", rec.node, k)
+			if _, err := src.Increment(k); err == nil || err.Error() != want {
+				t.Fatalf("%s: read error %v, want %q", label, err, want)
+			}
+			if _, err := snapshot.MaterializeFrom(src, len(snaps)-1); err == nil || err.Error() != want {
+				t.Fatalf("%s: materialization error %v, want %q", label, err, want)
+			}
+			a2.Close()
+		}
 
-	raw[0] ^= 0xFF // restore
-	// Epoch 2's payload ends the tile; epoch 1's sits just before it.
-	epoch2, err := a2.EpochInfo(rec.node, 2)
-	if err != nil {
-		t.Fatal(err)
+		// Across versions: the same layout under the other version's byte
+		// and digest never verifies.
+		v2 := bytes.Clone(payload)
+		v1 := bytes.Clone(payload)
+		v1[0] = snapshotPayloadV1
+		if s, ok, err := openSnapshotPayload(bytes.Clone(v2), sr.Hash); !ok || err != nil || s.Index != k {
+			t.Fatalf("snapshot %d: the archived payload does not verify: %v, %v", k, ok, err)
+		}
+		sc, err := scanSnapshotPayload(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			b    []byte
+			want [32]byte
+		}{
+			"v1 payload, v2 digest":              {v1, sr.Hash},
+			"v1 payload, v2 digest of its bytes": {v1, snapshotDigest(v1, sc.pages, pageLeaves(v1, sc.pages))},
+			"v2 payload, v1 digest of v1 bytes":  {v2, payloadHash(v1)},
+			"v2 payload, v1 digest of its bytes": {v2, payloadHash(v2)},
+		} {
+			if _, ok, _ := openSnapshotPayload(bytes.Clone(c.b), c.want); ok {
+				t.Fatalf("snapshot %d: %s verifies", k, name)
+			}
+		}
+		if _, ok, err := openSnapshotPayload(bytes.Clone(v1), payloadHash(v1)); !ok || err != nil {
+			t.Fatalf("snapshot %d: a v1 payload does not verify under its own digest: %v, %v", k, ok, err)
+		}
 	}
+	// Epoch 2's payload ends the tile; epoch 1's sits just before it.
 	raw[int64(len(raw))-epoch2.Bytes-epoch1.Bytes] ^= 0xFF
 	if err := os.WriteFile(tile, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -770,8 +837,11 @@ func TestArchiveFormatConstants(t *testing.T) {
 	if FrameHeaderSize != 8 || MaxRecordSize != 1<<20 {
 		t.Fatal("manifest framing drifted from docs/ARCHIVE_FORMAT.md")
 	}
-	if SnapshotPayloadVersion != 1 {
+	if SnapshotPayloadVersion != 2 || snapshotPayloadV1 != 1 {
 		t.Fatal("snapshot payload version drifted from docs/ARCHIVE_FORMAT.md")
+	}
+	if SnapshotDigestTag != "avm-archive snapshot digest v2" || len(SnapshotDigestTag) != 30 {
+		t.Fatal("snapshot digest tag drifted from docs/ARCHIVE_FORMAT.md")
 	}
 	if RecordNode != 1 || RecordEpoch != 2 || RecordSnapshot != 3 {
 		t.Fatal("manifest record kinds drifted from docs/ARCHIVE_FORMAT.md")

@@ -281,13 +281,19 @@ func referenceArchive(t *testing.T, nodes []*crashNode) map[string][]byte {
 	}
 	arc := reopenArchive(t, "reference", dir)
 	defer arc.Close()
+	image := fsys.Image(waltest.Everything)
 	for _, n := range nodes {
+		// A tile starts with increment 0: what is enumerated is the writing
+		// of version-2 payloads.
+		if tile := image[n.name+archive.TileSuffix]; len(tile) == 0 || tile[0] != archive.SnapshotPayloadVersion {
+			t.Fatalf("%s: the reference tile does not start with a version-%d snapshot payload", n.name, archive.SnapshotPayloadVersion)
+		}
 		got, want := n.streamVerdict(t, "reference", arc), n.serialVerdict(t, len(n.bounds))
 		if !want.Passed || !sameVerdict(got, want) {
 			t.Fatalf("%s: the uninterrupted archive audits to %+v (fault %+v), want the clean %+v", n.name, got, got.Fault, want)
 		}
 	}
-	return fsys.Image(waltest.Everything)
+	return image
 }
 
 // ackedBy is how many nodes are durably complete once ops operations of a

@@ -36,8 +36,18 @@ const (
 	MaxRecordSize = 1 << 20
 
 	// SnapshotPayloadVersion is the leading version byte of every
-	// snapshot-increment payload.
-	SnapshotPayloadVersion = 1
+	// snapshot-increment payload this package writes. A payload of version
+	// 1, which earlier writers wrote in the same layout, is still read.
+	SnapshotPayloadVersion = 2
+	// SnapshotDigestTag opens the byte stream a version-2 payload's digest
+	// is taken over (snapshotDigest). A version-1 digest is SHA-256 of the
+	// payload, whose first byte is 1, so no stream of one kind is a stream
+	// of the other.
+	SnapshotDigestTag = "avm-archive snapshot digest v2"
+
+	// snapshotPayloadV1 is the version byte of the payloads earlier writers
+	// wrote, whose digest is SHA-256 of the payload.
+	snapshotPayloadV1 = 1
 )
 
 // Manifest record kinds. A record's body starts with one of these bytes.
@@ -288,9 +298,74 @@ func marshalSnapshotPayload(s *snapshot.Snapshot) []byte {
 	return b
 }
 
-// parseSnapshotPayload decodes a snapshot-increment payload. Arbitrary
-// bytes must error, never panic: every count is bounds-checked against the
-// remaining payload before allocation, and trailing bytes are rejected.
+// payloadScan is what a scan of a snapshot payload finds before anything
+// is copied out of it or hashed: the version, the header, the register and
+// device blobs as windows of the payload, where each captured page lies,
+// and a reader positioned at the proof.
+type payloadScan struct {
+	version byte
+	header  snapshot.Snapshot // Index, Landmark, ICount and IncrementBytes
+	blobs   [3][]byte         // machine, device, authenticated device
+	pages   []pageSpan
+	rest    *recReader
+}
+
+// pageSpan is one captured page: its index p and its n bytes at off in the
+// payload.
+type pageSpan struct{ p, off, n int }
+
+// scanSnapshotPayload finds the parts of a snapshot payload of either
+// version. Arbitrary bytes must error, never panic: every count is checked
+// against the bytes left before anything is allocated for it.
+func scanSnapshotPayload(b []byte) (*payloadScan, error) {
+	r := &recReader{b: b}
+	sc := &payloadScan{rest: r}
+	if sc.version = r.byte(); sc.version != SnapshotPayloadVersion && sc.version != snapshotPayloadV1 {
+		return nil, fmt.Errorf("archive: snapshot payload version %d (want %d)", sc.version, SnapshotPayloadVersion)
+	}
+	sc.header.Index = int(r.uvarint())
+	sc.header.Landmark = vm.Landmark{
+		ICount:   r.uvarint(),
+		Branches: r.uvarint(),
+		PC:       uint32(r.uvarint()),
+	}
+	sc.header.ICount = r.uvarint()
+	sc.header.IncrementBytes = int(r.uvarint())
+	for i := range sc.blobs {
+		n := r.uvarint()
+		if n > uint64(len(r.b)) {
+			return nil, fmt.Errorf("archive: snapshot payload truncated")
+		}
+		sc.blobs[i] = r.bytes(int(n))
+	}
+	nPages := r.uvarint()
+	if nPages > maxSnapshotPages {
+		return nil, fmt.Errorf("archive: snapshot payload declares %d pages", nPages)
+	}
+	// A page takes at least two bytes (its index and its length), so the
+	// bytes left bound what a hostile count can make this allocate.
+	sc.pages = make([]pageSpan, 0, min(nPages, uint64(len(r.b)/2)))
+	lastPage := -1
+	for i := uint64(0); i < nPages && !r.err; i++ {
+		p := int(r.uvarint())
+		n := r.uvarint()
+		if r.err || p <= lastPage || n > uint64(vm.PageSize) || n > uint64(len(r.b)) {
+			return nil, fmt.Errorf("archive: snapshot payload pages malformed")
+		}
+		lastPage = p
+		sc.pages = append(sc.pages, pageSpan{p, len(b) - len(r.b), int(n)})
+		r.bytes(int(n))
+	}
+	if r.err {
+		return nil, fmt.Errorf("archive: snapshot payload truncated")
+	}
+	return sc, nil
+}
+
+// parseSnapshotPayload decodes a snapshot-increment payload of either
+// version. Arbitrary bytes must error, never panic: every count is
+// bounds-checked against the remaining payload before allocation, and
+// trailing bytes are rejected.
 //
 // The returned snapshot owns b: its memory pages are windows of b, not
 // copies (a 16 MiB first capture is 4096 pages), each with its capacity cut
@@ -298,41 +373,30 @@ func marshalSnapshotPayload(s *snapshot.Snapshot) []byte {
 // running into the next page. The caller must not write to b or hand it to
 // anyone else afterwards. Everything else in the snapshot is copied out.
 func parseSnapshotPayload(b []byte) (*snapshot.Snapshot, error) {
-	r := &recReader{b: b}
-	if v := r.byte(); v != SnapshotPayloadVersion {
-		return nil, fmt.Errorf("archive: snapshot payload version %d (want %d)", v, SnapshotPayloadVersion)
+	sc, err := scanSnapshotPayload(b)
+	if err != nil {
+		return nil, err
 	}
-	s := &snapshot.Snapshot{}
-	s.Index = int(r.uvarint())
-	s.Landmark = vm.Landmark{
-		ICount:   r.uvarint(),
-		Branches: r.uvarint(),
-		PC:       uint32(r.uvarint()),
+	return sc.decode(b)
+}
+
+// decode builds the snapshot the scanned payload b encodes, with
+// parseSnapshotPayload's errors and its ownership of b.
+func (sc *payloadScan) decode(b []byte) (*snapshot.Snapshot, error) {
+	s := &snapshot.Snapshot{
+		Index: sc.header.Index, Landmark: sc.header.Landmark,
+		ICount: sc.header.ICount, IncrementBytes: sc.header.IncrementBytes,
+		Machine:    append([]byte(nil), sc.blobs[0]...),
+		Device:     append([]byte(nil), sc.blobs[1]...),
+		AuthDevice: append([]byte(nil), sc.blobs[2]...),
 	}
-	s.ICount = r.uvarint()
-	s.IncrementBytes = int(r.uvarint())
-	for _, dst := range []*[]byte{&s.Machine, &s.Device, &s.AuthDevice} {
-		n := r.uvarint()
-		if n > uint64(len(r.b)) {
-			return nil, fmt.Errorf("archive: snapshot payload truncated")
+	if len(sc.pages) > 0 {
+		s.MemPages = make(map[int][]byte, len(sc.pages))
+		for _, pg := range sc.pages {
+			s.MemPages[pg.p] = b[pg.off : pg.off+pg.n : pg.off+pg.n]
 		}
-		*dst = append([]byte(nil), r.bytes(int(n))...)
 	}
-	nPages := r.uvarint()
-	if nPages > maxSnapshotPages {
-		return nil, fmt.Errorf("archive: snapshot payload declares %d pages", nPages)
-	}
-	s.MemPages = make(map[int][]byte, nPages)
-	lastPage := -1
-	for i := uint64(0); i < nPages && !r.err; i++ {
-		p := int(r.uvarint())
-		n := r.uvarint()
-		if p <= lastPage || n > uint64(vm.PageSize) || n > uint64(len(r.b)) {
-			return nil, fmt.Errorf("archive: snapshot payload pages malformed")
-		}
-		lastPage = p
-		s.MemPages[p] = r.bytes(int(n))[:n:n]
-	}
+	r := sc.rest
 	s.Proof.Leaves = int(r.uvarint())
 	nIdx := r.uvarint()
 	if nIdx > uint64(len(r.b)) {
@@ -369,9 +433,6 @@ func parseSnapshotPayload(b []byte) (*snapshot.Snapshot, error) {
 		// proof-free snapshots regardless of empty-vs-nil slices.
 		s.Proof = merkle.BatchProof{}
 	}
-	if len(s.MemPages) == 0 {
-		s.MemPages = nil
-	}
 	if nIdx == 0 {
 		s.Proof.Indices, s.Proof.Old = nil, nil
 	}
@@ -381,5 +442,88 @@ func parseSnapshotPayload(b []byte) (*snapshot.Snapshot, error) {
 	return s, nil
 }
 
-// payloadHash is the digest the manifest binds every segment to.
+// pageLeaves returns merkle.HashLeaf(p, page) for every scanned page of b,
+// in scan order. From a payload of readAheadMin bytes on, the pages are
+// hashed on up to merkle.DefaultWorkers() goroutines.
+func pageLeaves(b []byte, pages []pageSpan) []merkle.Hash {
+	workers := 1
+	if len(b) >= readAheadMin {
+		workers = merkle.DefaultWorkers()
+	}
+	leaves := make([]merkle.Hash, len(pages))
+	merkle.HashLeaves(leaves, func(j int) (int, []byte) {
+		pg := pages[j]
+		return pg.p, b[pg.off : pg.off+pg.n]
+	}, workers)
+	return leaves
+}
+
+// snapshotDigest is the digest the manifest binds a version-2 snapshot
+// payload b to: SHA-256 over SnapshotDigestTag followed by b with the bytes
+// of each scanned page replaced by that page's leaf (leaves, in scan order).
+// Everything else — the version byte, the header, the blobs, each page's
+// index and length, the proof and the roots — is hashed as it lies.
+func snapshotDigest(b []byte, pages []pageSpan, leaves []merkle.Hash) [32]byte {
+	h := sha256.New()
+	h.Write([]byte(SnapshotDigestTag))
+	at := 0
+	for j, pg := range pages {
+		h.Write(b[at:pg.off])
+		h.Write(leaves[j][:])
+		at = pg.off + pg.n
+	}
+	h.Write(b[at:])
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// sealSnapshotPayload is the writer's half of openSnapshotPayload: the
+// version-2 payload of s and its digest, from leaves it hashes itself.
+func sealSnapshotPayload(s *snapshot.Snapshot) ([]byte, [32]byte, error) {
+	b := marshalSnapshotPayload(s)
+	sc, err := scanSnapshotPayload(b)
+	if err != nil {
+		return nil, [32]byte{}, err
+	}
+	return b, snapshotDigest(b, sc.pages, pageLeaves(b, sc.pages)), nil
+}
+
+// openSnapshotPayload checks the snapshot payload b against want, the
+// digest its manifest record holds, and decodes it only once it matches:
+// nothing of a payload is used before then. ok is false for a payload that
+// does not match, whatever the way — a version-1 payload whose SHA-256
+// differs; a version-2 payload that does not scan, or whose digest differs;
+// any other version byte. A version-2 snapshot comes back carrying the leaves
+// the check computed (Snapshot.AttachLeaves). The snapshot owns b, as
+// parseSnapshotPayload's does.
+func openSnapshotPayload(b []byte, want [32]byte) (s *snapshot.Snapshot, ok bool, err error) {
+	if len(b) > 0 && b[0] == snapshotPayloadV1 {
+		if payloadHash(b) != want {
+			return nil, false, nil
+		}
+		s, err = parseSnapshotPayload(b)
+		return s, true, err
+	}
+	sc, err := scanSnapshotPayload(b)
+	if err != nil || sc.version != SnapshotPayloadVersion {
+		return nil, false, nil
+	}
+	leaves := pageLeaves(b, sc.pages)
+	if snapshotDigest(b, sc.pages, leaves) != want {
+		return nil, false, nil
+	}
+	if s, err = sc.decode(b); err != nil {
+		return nil, true, err
+	}
+	pages := make([]int, len(sc.pages))
+	for j, pg := range sc.pages {
+		pages[j] = pg.p
+	}
+	s.AttachLeaves(pages, leaves)
+	return s, true, nil
+}
+
+// payloadHash is the digest the manifest binds an epoch segment, and a
+// version-1 snapshot segment, to.
 func payloadHash(b []byte) [32]byte { return sha256.Sum256(b) }

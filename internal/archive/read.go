@@ -1,5 +1,6 @@
-// The archive's verified read path. Every segment read re-hashes the
-// payload against the manifest's SHA-256 before decoding; entry reads
+// The archive's verified read path. Every segment read checks the payload
+// against the manifest's digest before decoding (an epoch segment's SHA-256,
+// a snapshot increment's leaf digest, format.go); entry reads
 // additionally re-derive the chain linkage against the archived per-epoch
 // end hashes, and snapshot reads cross-check the decoded roots against
 // the manifest record. Corruption therefore surfaces as a precise
@@ -95,11 +96,12 @@ func (a *Archive) EpochInfo(node string, k int) (EpochInfo, error) {
 	return infoOf(k, &ns.epochs[k]), nil
 }
 
-// readExtent reads and hash-verifies one segment payload. The buffer is
-// allocated here for this one read and nothing else keeps it: the caller
-// owns the returned bytes outright and may hand them on as they are, which
-// is what lets a decoded snapshot's pages be windows of it.
-func (a *Archive) readExtent(node string, off, length int64, want [32]byte, what string) ([]byte, error) {
+// readExtent reads one segment payload, which the caller checks against
+// the manifest's digest before using any of it. The buffer is allocated
+// here for this one read and nothing else keeps it: the caller owns the
+// returned bytes outright and may hand them on as they are, which is what
+// lets a decoded snapshot's pages be windows of it.
+func (a *Archive) readExtent(node string, off, length int64, what string) ([]byte, error) {
 	a.mu.Lock()
 	r := a.readers[node]
 	if r == nil {
@@ -116,10 +118,13 @@ func (a *Archive) readExtent(node string, off, length int64, want [32]byte, what
 	if _, err := r.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("archive: reading %s %s: %w", node, what, err)
 	}
-	if payloadHash(buf) != want {
-		return nil, fmt.Errorf("archive: %s %s payload hash mismatch (corrupt or tampered segment)", node, what)
-	}
 	return buf, nil
+}
+
+// errMismatch is the error of a segment whose payload does not match the
+// digest its manifest record holds, whichever kind of segment and digest.
+func errMismatch(node, what string) error {
+	return fmt.Errorf("archive: %s %s payload hash mismatch (corrupt or tampered segment)", node, what)
 }
 
 // epochPayload reads, verifies and returns epoch k's record and payload.
@@ -136,9 +141,13 @@ func (a *Archive) epochPayload(node string, k int) (epochRec, []byte, error) {
 	}
 	rec := ns.epochs[k]
 	a.mu.Unlock()
-	payload, err := a.readExtent(node, rec.Off, rec.Len, rec.Hash, fmt.Sprintf("epoch %d", k))
+	what := fmt.Sprintf("epoch %d", k)
+	payload, err := a.readExtent(node, rec.Off, rec.Len, what)
 	if err != nil {
 		return epochRec{}, nil, err
+	}
+	if payloadHash(payload) != rec.Hash {
+		return epochRec{}, nil, errMismatch(node, what)
 	}
 	return rec, payload, nil
 }
@@ -376,11 +385,12 @@ func (a *Archive) ReadWindow(node string, from, k int) ([]tevlog.Entry, error) {
 }
 
 // readAheadMin is the payload length from which an increment is worth
-// reading on another goroutine. A read is a ReadAt and a SHA-256 of the
-// payload, well under a millisecond per MiB, and handing it to a goroutine
-// and collecting it costs some microseconds: at 1 MiB the hand-off is below
-// a percent of what it overlaps; at the 10–100 KiB increments of a guest
-// with a few hundred KiB of memory it would be most of it.
+// reading on another goroutine, and its pages' leaves worth hashing on
+// several (pageLeaves). A read is a ReadAt and a SHA-256 of the payload, well
+// under a millisecond per MiB, and handing it to a goroutine and collecting
+// it costs some microseconds: at 1 MiB the hand-off is below a percent of
+// what it overlaps; at the 10–100 KiB increments of a guest with a few
+// hundred KiB of memory it would be most of it.
 const readAheadMin = 1 << 20
 
 // incrementSource adapts a node's archived snapshot segments to
@@ -418,8 +428,10 @@ type incRead struct {
 
 // IncrementSource returns the node's archived snapshot increments as a
 // snapshot.IncrementSource: the archive-backed materializer. Every
-// increment read is verified against the manifest (payload hash, index
-// and committed roots) before it participates in a fold; a corrupt
+// increment read is verified against the manifest (payload digest, index
+// and committed roots) before it participates in a fold, and a version-2
+// increment carries the Merkle leaves of its pages that the check computed,
+// which spare a fold's tree from hashing those pages again; a corrupt
 // increment errors, which audits report as a CheckSnapshot fault exactly
 // like a tampered snapshot store. The source is safe for concurrent use
 // and must not be used after the archive is closed.
@@ -481,13 +493,17 @@ func (s *incrementSource) begin(k int) *incRead {
 }
 
 // read performs r, the read of increment k that begin entered: the extent
-// against the manifest's hash, the decode, and the decoded index and roots
+// against the manifest's digest, the decode, and the decoded index and roots
 // against the manifest's record.
 func (s *incrementSource) read(k int, r *incRead) {
 	rec := &s.recs[k]
-	payload, err := s.a.readExtent(s.node, rec.Off, rec.Len, rec.Hash, fmt.Sprintf("snapshot %d", k))
+	what := fmt.Sprintf("snapshot %d", k)
+	payload, err := s.a.readExtent(s.node, rec.Off, rec.Len, what)
 	if err == nil {
-		r.snap, err = parseSnapshotPayload(payload)
+		var ok bool
+		if r.snap, ok, err = openSnapshotPayload(payload, rec.Hash); !ok {
+			err = errMismatch(s.node, what)
+		}
 	}
 	if err == nil && (r.snap.Index != k || r.snap.Root != rec.Root || r.snap.MemRoot != rec.MemRoot) {
 		err = fmt.Errorf("archive: %s snapshot %d payload disagrees with manifest (corrupt or tampered segment)", s.node, k)

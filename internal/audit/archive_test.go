@@ -2,14 +2,17 @@ package audit_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
 	"repro/internal/audit"
 	"repro/internal/avmm"
 	"repro/internal/game"
+	"repro/internal/netsim"
 	"repro/internal/sig"
 	"repro/internal/snapshot"
 )
@@ -182,6 +185,56 @@ func TestArchiveAuditEquivalenceCheats(t *testing.T) {
 	}
 }
 
+// increment0Spots walks the snapshot payload a tile starts with (the layout
+// of docs/ARCHIVE_FORMAT.md §4.2) and returns one offset in each part of it,
+// by name: the bytes a tamper table flips a bit of.
+func increment0Spots(t *testing.T, tile []byte) map[string]int {
+	t.Helper()
+	at := 1 // past the version byte
+	uv := func() int {
+		v, n := binary.Uvarint(tile[at:])
+		if n <= 0 {
+			t.Fatalf("tile does not start with a snapshot payload: bad varint at %d", at)
+		}
+		at += n
+		return int(v)
+	}
+	for range 6 { // index, landmark (3), icount, incrementBytes
+		uv()
+	}
+	regs := 0
+	for i := range 3 { // machine, device, authenticated device
+		n := uv()
+		if i == 0 {
+			regs = at
+		}
+		at += n
+	}
+	var index, length, page int
+	for range uv() {
+		index = at
+		uv()
+		length = at
+		n := uv()
+		page = at + n/2
+		at += n
+	}
+	proof := at
+	uv() // proof.leaves
+	nIdx := uv()
+	for range nIdx {
+		uv()
+	}
+	at += 32 * nIdx
+	at += 32 * uv() // siblings
+	at += 64        // root, memRoot
+	return map[string]int{
+		"a page byte": page, "a page length": length, "a page index": index,
+		"the register blob": regs, "the proof": proof,
+		"the version byte": 0, "a trailing byte": at - 1,
+	}
+}
+
 // TestArchiveCorruptionSurfacesAsFault: flipping archived bytes must
 // surface as the tampered-input fault class — CheckLog for an entry
 // segment, CheckSnapshot for a snapshot increment — never as a pass or a
@@ -197,6 +250,10 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 	s.Run(2 * eqMatchNs)
 	node := "player1"
 	dir, arc := writeNodeArchive(t, s, node)
+	entries, err := arc.ReadLog(node)
+	if err != nil {
+		t.Fatal(err)
+	}
 	arc.Close()
 	target, auths, a, err := s.AuditInputs(sig.NodeID(node))
 	if err != nil {
@@ -210,45 +267,68 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Snapshot increments precede epoch segments in the tile: byte 0 sits
-	// inside snapshot 0. Materialization must fail, and a stream audit
-	// forced through it must report a snapshot fault.
-	corrupt := append([]byte(nil), raw...)
-	corrupt[0] ^= 0xFF
-	if err := os.WriteFile(tile, corrupt, 0o644); err != nil {
-		t.Fatal(err)
+	// Snapshot increments precede epoch segments in the tile: increment 0
+	// is its first payload. A bit flipped in any part of increment 0's
+	// layout — the version byte turned from 2 to 1 included — is the
+	// version-1 read error, a payload hash mismatch. The stream engine and
+	// the dist engine over a NetsimBackend, whose starts are materialized
+	// through it, report a CheckSnapshot fault; the spot check returns the
+	// error of the source that could not hand over a start state.
+	want := "archive: " + node + " snapshot 0 payload hash mismatch (corrupt or tampered segment)"
+	for what, at := range increment0Spots(t, raw) {
+		corrupt := append([]byte(nil), raw...)
+		flip := byte(0x01)
+		if what == "the version byte" {
+			flip = archive.SnapshotPayloadVersion ^ 1
+		}
+		corrupt[at] ^= flip
+		if err := os.WriteFile(tile, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		arc2, err := archive.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		materialize, _ := archiveClosures(t, arc2, node)
+		if _, err := materialize(0); err == nil || err.Error() != want {
+			t.Fatalf("%s: materializing snapshot 0: %v, want %q", what, err, want)
+		}
+		src, err := arc2.EntrySource(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, _, err := a.Audit(audit.AuditRequest{
+			Node: sig.NodeID(node), NodeIdx: nodeIdx,
+			Engine: audit.EngineStream, Source: src, Auths: auths,
+			Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, _, err := a.Audit(audit.AuditRequest{
+			Node: sig.NodeID(node), NodeIdx: nodeIdx,
+			Engine: audit.EngineDist, Entries: entries, Auths: auths,
+			Backend: &audit.NetsimBackend{Net: netsim.New(netsim.Config{BaseLatencyNs: 96_000, Seed: 5}), Workers: 2, MaxAttempts: 10},
+			Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for engine, res := range map[string]*audit.Result{"stream": stream, "dist over netsim": dist} {
+			if res.Passed || res.Fault.Check != audit.CheckSnapshot || !strings.Contains(res.Fault.Detail, "payload hash mismatch") {
+				t.Fatalf("%s: %s audit over a corrupt snapshot increment: passed %v, fault %+v; want a %s fault", what, engine, res.Passed, res.Fault, audit.CheckSnapshot)
+			}
+		}
+		disk := &audit.ArchiveSource{Arc: arc2, Node: sig.NodeID(node), NodeIdx: nodeIdx, Auths: auths}
+		if _, err := a.SpotCheckParallel(disk, audit.RecentFirst{K: 1 << 30}, 2); err == nil || err.Error() != want {
+			t.Fatalf("%s: spot check over a corrupt snapshot increment: %v, want %q", what, err, want)
+		}
+		arc2.Close()
 	}
-	arc2, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	materialize, _ := archiveClosures(t, arc2, node)
-	if _, err := materialize(0); err == nil {
-		t.Fatal("materializing over a corrupt increment succeeded")
-	}
-	src, err := arc2.EntrySource(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := a.Audit(audit.AuditRequest{
-		Node: sig.NodeID(node), NodeIdx: nodeIdx,
-		Engine: audit.EngineStream, Source: src, Auths: auths,
-		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed {
-		t.Fatal("audit over a corrupt snapshot increment passed")
-	}
-	if res.Fault.Check != audit.CheckSnapshot {
-		t.Fatalf("fault check = %v, want %v (detail: %s)", res.Fault.Check, audit.CheckSnapshot, res.Fault.Detail)
-	}
-	arc2.Close()
 
 	// The last tile byte sits inside the final epoch's entry segment: the
 	// stream source errors there and the verdict is a log fault.
-	corrupt = append([]byte(nil), raw...)
+	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)-1] ^= 0xFF
 	if err := os.WriteFile(tile, corrupt, 0o644); err != nil {
 		t.Fatal(err)
@@ -261,12 +341,12 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 	if _, err := arc3.ReadLog(node); err == nil {
 		t.Fatal("ReadLog over a corrupt epoch segment succeeded")
 	}
-	materialize, _ = archiveClosures(t, arc3, node)
-	src, err = arc3.EntrySource(node)
+	materialize, _ := archiveClosures(t, arc3, node)
+	src, err := arc3.EntrySource(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = a.Audit(audit.AuditRequest{
+	res, _, err := a.Audit(audit.AuditRequest{
 		Node: sig.NodeID(node), NodeIdx: nodeIdx,
 		Engine: audit.EngineStream, Source: src, Auths: auths,
 		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
@@ -379,12 +459,15 @@ func TestArchiveSpotCheckSource(t *testing.T) {
 	}
 }
 
-// TestArchiveGoldenFormat pins the archive's on-disk format across the
-// move to internal/wal. testdata/golden_archive was written by the commit
-// before it (cbc8a72): coordScenario's player1, archived by WriteRecording.
-// The golden directory must open to the same nodes, log root and audit
-// verdict as an archive of the same recording written now, and the two
-// must be the same bytes.
+// TestArchiveGoldenFormat pins the archive's on-disk format. Both golden
+// directories hold coordScenario's player1, archived by WriteRecording:
+// testdata/golden_archive was written with snapshot payload version 1 (by
+// cbc8a72, before the move to internal/wal) and testdata/golden_archive_v2
+// with version 2, the version every writer writes now. An archive of the
+// same recording written now must be the v2 golden's bytes; the v1 golden
+// stays readable — the same tile but for each increment's version byte,
+// the same log root, the serial verdict through the stream engine, and
+// every snapshot's committed root from a replica's boot.
 func TestArchiveGoldenFormat(t *testing.T) {
 	s := coordScenario(t, "")
 	serial, err := s.AuditNode("player1")
@@ -392,61 +475,110 @@ func TestArchiveGoldenFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshDir, fresh := writeNodeArchive(t, s, "player1")
-
-	goldenDir := t.TempDir() // Open may write (compaction); keep testdata pristine
-	for _, name := range []string{archive.ManifestName, "player1" + archive.TileSuffix} {
-		want, err := os.ReadFile(filepath.Join("testdata", "golden_archive", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(goldenDir, name), want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The tile's epoch payloads are compress/flate output; should a Go
-		// release change the compressor, this comparison (and only this one)
-		// has to be re-based on a golden directory written by that release.
-		if got, _ := os.ReadFile(filepath.Join(freshDir, name)); !bytes.Equal(got, want) {
-			t.Errorf("%s: the same recording archives to %d bytes that differ from the golden %d", name, len(got), len(want))
-		}
-	}
-	golden, err := archive.Open(goldenDir)
+	freshRoot, err := fresh.LogRoot("player1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer golden.Close()
-	if got := golden.Nodes(); len(got) != 1 || got[0] != "player1" {
-		t.Fatalf("golden archive holds nodes %v, want [player1]", got)
-	}
-	goldenRoot, err := golden.LogRoot("player1")
+	increments, err := fresh.Snapshots("player1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freshRoot, _ := fresh.LogRoot("player1"); goldenRoot != freshRoot {
-		t.Fatalf("golden log root %x, fresh archive's %x", goldenRoot, freshRoot)
-	}
-	for _, name := range []string{archive.ManifestName, "player1" + archive.TileSuffix} {
-		before, _ := os.ReadFile(filepath.Join("testdata", "golden_archive", name))
-		if after, _ := os.ReadFile(filepath.Join(goldenDir, name)); !bytes.Equal(after, before) {
-			t.Fatalf("opening the golden archive rewrote %s", name)
-		}
-	}
-
 	target, auths, a, err := s.AuditInputs("player1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialize, _ := archiveClosures(t, golden, "player1")
-	src, err := golden.EntrySource("player1")
-	if err != nil {
-		t.Fatal(err)
+	tileName := "player1" + archive.TileSuffix
+
+	for _, g := range []struct {
+		dir     string
+		version byte
+	}{{"golden_archive", 1}, {"golden_archive_v2", archive.SnapshotPayloadVersion}} {
+		goldenDir := t.TempDir() // Open may write (compaction); keep testdata pristine
+		for _, name := range []string{archive.ManifestName, tileName} {
+			want, err := os.ReadFile(filepath.Join("testdata", g.dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(goldenDir, name), want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := os.ReadFile(filepath.Join(freshDir, name))
+			switch {
+			// The tile's epoch payloads are compress/flate output; should a
+			// Go release change the compressor, these comparisons (and only
+			// these) have to be re-based on golden directories written by
+			// that release.
+			case g.version == archive.SnapshotPayloadVersion && !bytes.Equal(got, want):
+				t.Errorf("%s/%s: the same recording archives to %d bytes that differ from the golden %d", g.dir, name, len(got), len(want))
+			case g.version != archive.SnapshotPayloadVersion && name == tileName:
+				// Version 1 differs from version 2 in each increment's
+				// version byte and nowhere else in the tile.
+				diff := 0
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						diff++
+						if want[i] != g.version || got[i] != archive.SnapshotPayloadVersion {
+							t.Errorf("%s: tile byte %d is %#x, fresh %#x; only version bytes may differ", g.dir, i, want[i], got[i])
+						}
+					}
+				}
+				if len(got) != len(want) || diff != increments {
+					t.Errorf("%s: tile of %d bytes differs from the fresh %d in %d bytes, want the %d version bytes", g.dir, len(want), len(got), diff, increments)
+				}
+			}
+		}
+		golden, err := archive.Open(goldenDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer golden.Close()
+		if got := golden.Nodes(); len(got) != 1 || got[0] != "player1" {
+			t.Fatalf("%s holds nodes %v, want [player1]", g.dir, got)
+		}
+		goldenRoot, err := golden.LogRoot("player1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if goldenRoot != freshRoot {
+			t.Fatalf("%s: log root %x, fresh archive's %x", g.dir, goldenRoot, freshRoot)
+		}
+		for _, name := range []string{archive.ManifestName, tileName} {
+			before, _ := os.ReadFile(filepath.Join("testdata", g.dir, name))
+			if after, _ := os.ReadFile(filepath.Join(goldenDir, name)); !bytes.Equal(after, before) {
+				t.Fatalf("opening %s rewrote %s", g.dir, name)
+			}
+		}
+
+		materialize, _ := archiveClosures(t, golden, "player1")
+		src, err := golden.EntrySource("player1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := a.Audit(audit.AuditRequest{
+			Node: "player1", NodeIdx: uint32(target.Index()),
+			Engine: audit.EngineStream, Source: src, Auths: auths,
+			Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareVerdicts(t, g.dir+" stream", serial, res)
+
+		// A replica's boot folds and hashes in one pass, on the leaves the
+		// read computed for version 2 and on its own hashes for version 1.
+		incs, err := golden.IncrementSource("player1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < increments; k++ {
+			var lh snapshot.LiveStateHasher
+			inc, err := lh.SeedFold(incs, k, make([]byte, incs.MemSize()))
+			if err == nil {
+				err = lh.Verify(inc.Machine, inc.AuthDevice, inc.Root)
+			}
+			if err != nil {
+				t.Fatalf("%s: booting at snapshot %d: %v", g.dir, k, err)
+			}
+		}
 	}
-	res, _, err := a.Audit(audit.AuditRequest{
-		Node: "player1", NodeIdx: uint32(target.Index()),
-		Engine: audit.EngineStream, Source: src, Auths: auths,
-		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareVerdicts(t, "golden archive stream", serial, res)
 }

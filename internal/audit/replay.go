@@ -143,8 +143,10 @@ type sourceError struct{ error }
 // The state goes straight into the new machine's memory — folded from
 // start.Incs newest increment first (LiveStateHasher.SeedFold) or copied
 // from start.State (SeedCopy) — and each page's leaf is hashed as soon as
-// the page is final; the tree's interior is folded once and the digest
-// compared with wantRoot. Every page is copied once and hashed once, where
+// the page is final, or taken from the increment that wrote the page when
+// that increment carries it (one the archive read, which hashed the page to
+// check it); the tree's interior is folded once and the digest compared
+// with wantRoot. Every page is copied once and hashed once, where
 // MaterializeFrom, SeedVerify and NewReplayFromSnapshot copy it twice. A
 // mismatch is SeedVerify's error; a source that cannot hand over the state
 // is a sourceError.
@@ -275,11 +277,14 @@ var zeroPage [vm.PageSize]byte
 // as for any host write, exactly the written pages are folded into the live
 // tree the replica already holds, and the resulting digest — over that tree
 // and increment b's register and device blobs — is compared with wantRoot,
-// the root the log committed at b. A mismatch is SeedVerify's error, and the
-// replica is spent. With no increments (a == b) nothing is written and the
-// state the replay itself verified at a is compared with wantRoot. An
-// increment with a page longer than a page is snapshot.CheckIncrement's
-// error, before anything is written.
+// the root the log committed at b. A written page whose newest capture in
+// incs carries its Merkle leaf (an increment the archive read, which hashed
+// the page to check it) enters the tree as that leaf; every other page is
+// hashed from the replica's memory (LiveStateHasher.FoldVerify). A mismatch
+// is SeedVerify's error, and the replica is spent. With no increments
+// (a == b) nothing is written and the state the replay itself verified at a
+// is compared with wantRoot. An increment with a page longer than a page is
+// snapshot.CheckIncrement's error, before anything is written.
 //
 // Soundness is that comparison: the digest covers every page, so a replica
 // that passes holds bit for bit the state MaterializeFrom(b) would have
@@ -327,7 +332,7 @@ func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
 	if r.next != nil {
 		machine, dev = r.next.Machine, r.next.AuthDevice
 	}
-	err := r.live.FoldVerify(m.Mem, m.DirtyPagesSince(r.verifyFloor), machine, dev, wantRoot)
+	err := r.live.FoldVerify(m.Mem, m.DirtyPagesSince(r.verifyFloor), incs, machine, dev, wantRoot)
 	r.verifyFloor = m.DirtyEpoch()
 	return err
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 	"repro/internal/vm"
@@ -191,13 +192,66 @@ func sameReplica(t *testing.T, label string, rolled, scratch *Replay, root [32]b
 	}
 }
 
-// checkAdvance is the property, for one chain and every a <= b in it.
+// archivedChain writes chain to an archive in a temporary directory, as a
+// node of pages pages, and returns the archive's increment source over it:
+// the same increments, less the page indices below zero (no archive holds
+// one, and every fold and roll skips them), each carrying the Merkle leaves
+// of its full pages that the archive's read computed.
+func archivedChain(t *testing.T, chain sliceIncrements, pages int) snapshot.IncrementSource {
+	t.Helper()
+	arc, err := archive.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { arc.Close() })
+	if err := arc.BeginNode("n", pages*vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for _, inc := range chain {
+		kept := *inc
+		kept.MemPages = maps.Clone(inc.MemPages)
+		maps.DeleteFunc(kept.MemPages, func(p int, _ []byte) bool { return p < 0 })
+		if err := arc.AppendSnapshot("n", &kept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := arc.IncrementSource("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Increment 0 captures every page whole: without leaves on it, the
+	// archive's half of a property shows nothing.
+	if inc, err := src.Increment(0); err != nil || len(inc.MemPages) < pages || reflect.ValueOf(inc).Elem().FieldByName("leaves").Len() < pages {
+		t.Fatalf("increment 0 read back from the archive carries no leaves for its %d pages (%v)", pages, err)
+	}
+	return src
+}
+
+// checkAdvance is the property, for one chain and every a <= b in it: over
+// the increments as they were made, which carry no leaves, and over the same
+// increments read back from an archive, which do.
 func checkAdvance(t *testing.T, seed uint64) {
 	chain := advanceChain(seed)
+	src := archivedChain(t, chain, advancePages)
+	archived := make(sliceIncrements, len(chain))
+	for k := range archived {
+		inc, err := src.Increment(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived[k] = inc
+	}
+	checkAdvanceOver(t, seed, "", chain, chain)
+	checkAdvanceOver(t, seed, ", archived", chain, archived)
+}
+
+// checkAdvanceOver is checkAdvance over the increments of chain as a source
+// hands them out (over).
+func checkAdvanceOver(t *testing.T, seed uint64, how string, chain, over sliceIncrements) {
 	rng := advanceRNG(seed ^ 0x9E3779B97F4A7C15 | 1)
 	for a := 0; a < len(chain); a++ {
 		for b := a; b < len(chain); b++ {
-			label := fmt.Sprintf("seed %d, %d increments, roll %d to %d", seed, len(chain), a, b)
+			label := fmt.Sprintf("seed %d%s, %d increments, roll %d to %d", seed, how, len(chain), a, b)
 			scratch, rootB := scratchReplica(t, chain, b)
 			roll := func(src sliceIncrements, want [32]byte) (*Replay, error) {
 				rp, rootA := scratchReplica(t, chain, a)
@@ -211,7 +265,7 @@ func checkAdvance(t *testing.T, seed uint64) {
 				}
 				return rp, rp.Advance(incs, want)
 			}
-			rolled, err := roll(chain, rootB)
+			rolled, err := roll(over, rootB)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -223,7 +277,7 @@ func checkAdvance(t *testing.T, seed uint64) {
 			// A root the log did not commit is SeedVerify's error.
 			wrong := rootB
 			wrong[int(rng.next()%32)] ^= 1 << (rng.next() % 8)
-			_, err = roll(chain, wrong)
+			_, err = roll(over, wrong)
 			st, _ := snapshot.MaterializeFrom(chain, b)
 			if want := (&snapshot.LiveStateHasher{}).SeedVerify(st, wrong); err == nil || err.Error() != want.Error() {
 				t.Fatalf("%s: wrong root: error %v, SeedVerify's is %v", label, err, want)
@@ -235,21 +289,21 @@ func checkAdvance(t *testing.T, seed uint64) {
 			// One flipped byte in what the roll applies: a page that is the
 			// newest capture of its page in (a, b], or the register or
 			// authenticated device blob of increment b. Never a pass.
-			tampered := make(sliceIncrements, len(chain))
-			copy(tampered, chain)
+			tampered := make(sliceIncrements, len(over))
+			copy(tampered, over)
 			k := a + 1 + int(rng.next()%uint64(b-a))
 			var candidates []int
-			for p, page := range chain[k].MemPages {
+			for p, page := range over[k].MemPages {
 				newest := p >= 0 && p < advancePages && len(page) > 0
 				for j := k + 1; j <= b && newest; j++ {
-					_, again := chain[j].MemPages[p]
+					_, again := over[j].MemPages[p]
 					newest = !again
 				}
 				if newest {
 					candidates = append(candidates, p)
 				}
 			}
-			cut := *chain[k]
+			cut := *over[k]
 			what := ""
 			switch pick := rng.next() % 3; {
 			case pick == 0 && len(candidates) > 0:
@@ -258,8 +312,8 @@ func checkAdvance(t *testing.T, seed uint64) {
 				for _, c := range candidates {
 					p = min(p, c)
 				}
-				cut.MemPages = make(map[int][]byte, len(chain[k].MemPages))
-				for q, page := range chain[k].MemPages {
+				cut.MemPages = make(map[int][]byte, len(over[k].MemPages))
+				for q, page := range over[k].MemPages {
 					cut.MemPages[q] = page
 				}
 				page := bytes.Clone(cut.MemPages[p])
@@ -268,13 +322,13 @@ func checkAdvance(t *testing.T, seed uint64) {
 				what = fmt.Sprintf("page %d of increment %d", p, k)
 			case pick == 1:
 				k = b
-				cut = *chain[b]
+				cut = *over[b]
 				cut.Machine = bytes.Clone(cut.Machine)
 				cut.Machine[int(rng.next()%uint64(len(cut.Machine)))] ^= 1 << (rng.next() % 8)
 				what = "the register blob"
 			default:
 				k = b
-				cut = *chain[b]
+				cut = *over[b]
 				cut.AuthDevice = bytes.Clone(cut.AuthDevice)
 				cut.AuthDevice[int(rng.next()%uint64(len(cut.AuthDevice)))] ^= 1 << (rng.next() % 8)
 				what = "the authenticated device blob"
@@ -415,6 +469,7 @@ func sameSourceError(t *testing.T, label string, got, want error) {
 func checkBoot(t *testing.T, seed uint64) {
 	for _, pages := range []int{advancePages, bootPages} {
 		chain := wideIncrements{chainOver(seed, pages), pages}
+		archived := archivedChain(t, chain.sliceIncrements, pages)
 		rng := advanceRNG(seed ^ 0x5851F42D4C957F2D | 1)
 		for k := range chain.sliceIncrements {
 			label := fmt.Sprintf("seed %d, %d pages, %d increments, boot at %d", seed, pages, len(chain.sliceIncrements), k)
@@ -426,11 +481,12 @@ func checkBoot(t *testing.T, seed uint64) {
 			wrong := root
 			wrong[int(rng.next()%32)] ^= 1 << (rng.next() % 8)
 			wantWrong := (&snapshot.LiveStateHasher{}).SeedVerify(st, wrong)
-			for _, start := range []ReplicaStart{{Incs: chain, Index: k}, {State: st}} {
-				how := label + ", folded"
-				if start.State != nil {
-					how = label + ", copied"
-				}
+			for how, start := range map[string]ReplicaStart{
+				", folded":           {Incs: chain, Index: k},
+				", copied":           {State: st},
+				", folded, archived": {Incs: archived, Index: k},
+			} {
+				how := label + how
 				rp, err := bootReplay("n", start, root, 1)
 				if err != nil {
 					t.Fatalf("%s: %v", how, err)
@@ -454,6 +510,9 @@ func checkBoot(t *testing.T, seed uint64) {
 			_, want := snapshot.MaterializeFrom(failing, k)
 			_, err = bootReplay("n", ReplicaStart{Incs: failing, Index: k}, root, 1)
 			sameSourceError(t, fmt.Sprintf("%s, increment %d unreadable", label, failing.bad), err, want)
+			failing.IncrementSource = archived
+			_, err = bootReplay("n", ReplicaStart{Incs: failing, Index: k}, root, 1)
+			sameSourceError(t, fmt.Sprintf("%s, archived, increment %d unreadable", label, failing.bad), err, want)
 
 			// A page longer than a page in the newest increment, which every
 			// fold reads: CheckIncrement's error, naming the increment and page.

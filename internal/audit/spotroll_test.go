@@ -3,6 +3,7 @@ package audit_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -637,6 +638,40 @@ func TestSpotRollCorruptIncrements(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSpotRollTamperedStorePage: an in-memory Store's increments carry no
+// Merkle leaves, so a boot's fold and a roll hash every page they write
+// from the replica's memory, and a page changed in the Store after Take is
+// a CheckSnapshot fault — on the first pick, whose boot folds it, and on a
+// roll, which writes it. Picks 1 and 5 as in TestSpotRollCorruptIncrements:
+// pick 1 boots at snapshot 1 (increments 1, 0) and rests at 2; with one
+// worker, pick 5 is rolled over increments 3, 4, 5.
+func TestSpotRollTamperedStorePage(t *testing.T) {
+	rec := dbappRecording(t)
+	for _, tc := range []struct {
+		name        string
+		k, picksRun int
+	}{{"the first pick's boot", 1, 1}, {"a roll", 5, 2}} {
+		snap, err := rec.snaps.Snapshot(tc.k)
+		if err != nil || len(snap.MemPages) == 0 {
+			t.Fatalf("%s: increment %d captures no page to tamper with (%v)", tc.name, tc.k, err)
+		}
+		page := snap.MemPages[slices.Min(slices.Collect(maps.Keys(snap.MemPages)))]
+		for _, procs := range []int{1, 4} {
+			atProcs(procs, func() {
+				src := rec.monitor()
+				src.Materialize = nil
+				page[0] ^= 0x01
+				out, err := rec.a.SpotCheckParallel(src, fixedPicks{1, 5}, 1)
+				page[0] ^= 0x01
+				if err != nil || !out.FaultFound || out.SegmentsChecked != tc.picksRun || out.FirstFault.Check != audit.CheckSnapshot {
+					t.Fatalf("%s/P%d: a page of increment %d changed after Take: %+v, %v; want a %s fault on pick %d",
+						tc.name, procs, tc.k, out, err, audit.CheckSnapshot, tc.picksRun)
+				}
+			})
 		}
 	}
 }

@@ -138,38 +138,41 @@ func DefaultWorkers() int {
 // The interior fold is serial: it is ~1.5% of the hashed bytes when leaves
 // are 4 KiB pages.
 func (t *Tree) Fill(data func(i int) []byte, workers int) {
+	HashLeaves(t.nodes[t.base:t.base+t.leaves], func(i int) (int, []byte) { return i, data(i) }, workers)
+	t.FoldInterior()
+}
+
+// HashLeaves sets out[j] to HashLeaf(leaf(j)) for every j, where leaf(j)
+// returns the index and the contents of the j-th leaf: the leaf hashing of
+// Fill, for a caller that keeps the hashes itself. It runs on up to workers
+// goroutines (<= 0 selects DefaultWorkers()), each with a digest of its own,
+// and returns when every hash is set.
+func HashLeaves(out []Hash, leaf func(j int) (index int, data []byte), workers int) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > t.leaves {
-		workers = t.leaves
+	workers = min(workers, len(out))
+	hash := func(lo, hi int) {
+		var s hasher
+		for j := lo; j < hi; j++ {
+			i, data := leaf(j)
+			s.leaf(i, data, &out[j])
+		}
 	}
-	leaves := t.nodes[t.base : t.base+t.leaves]
 	if workers <= 1 {
-		t.hs.init()
-		for i := range leaves {
-			t.hs.leaf(i, data(i), &leaves[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (t.leaves + workers - 1) / workers
-		for lo := 0; lo < t.leaves; lo += chunk {
-			hi := lo + chunk
-			if hi > t.leaves {
-				hi = t.leaves
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				var s hasher
-				for i := lo; i < hi; i++ {
-					s.leaf(i, data(i), &leaves[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+		hash(0, len(out))
+		return
 	}
-	t.FoldInterior()
+	var wg sync.WaitGroup
+	chunk := (len(out) + workers - 1) / workers
+	for lo := 0; lo < len(out); lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			hash(lo, hi)
+		}(lo, min(lo+chunk, len(out)))
+	}
+	wg.Wait()
 }
 
 // FoldInterior recomputes every interior node from the leaves, bottom up.
@@ -197,6 +200,15 @@ func (t *Tree) SetLeaf(i int, data []byte) {
 	s := leafHashers.Get().(*hasher)
 	s.leaf(i, data, &t.nodes[t.base+i])
 	leafHashers.Put(s)
+}
+
+// SetLeafHash sets leaf i to h, a hash the caller already holds for the
+// leaf's contents (HashLeaf(i, data)), and otherwise behaves as SetLeaf.
+func (t *Tree) SetLeafHash(i int, h Hash) {
+	if i < 0 || i >= t.leaves {
+		panic(fmt.Sprintf("merkle: leaf index %d out of range [0,%d)", i, t.leaves))
+	}
+	t.nodes[t.base+i] = h
 }
 
 // Reshape makes the tree one over nLeaves leaves, reusing node storage when
@@ -266,6 +278,14 @@ const batchLeavesPerWorker = 32
 // unsorted and may repeat; an out-of-range index fails the whole batch
 // before any leaf is written.
 func (t *Tree) UpdateBatch(indices []int, data func(i int) []byte, workers int) error {
+	return t.UpdateBatchKnown(indices, data, nil, workers)
+}
+
+// UpdateBatchKnown is UpdateBatch for a caller that already holds some of
+// the new leaf hashes: where known(i) reports a hash, that hash is leaf i and
+// data(i) is not called. known may be nil, and is called on the leaf pass's
+// goroutines.
+func (t *Tree) UpdateBatchKnown(indices []int, data func(i int) []byte, known func(i int) (Hash, bool), workers int) error {
 	if len(indices) == 0 {
 		return nil
 	}
@@ -296,10 +316,18 @@ func (t *Tree) UpdateBatch(indices []int, data func(i int) []byte, workers int) 
 	if max := len(cur) / batchLeavesPerWorker; workers > max {
 		workers = max
 	}
+	leaf := func(s *hasher, idx int) {
+		if known != nil {
+			if h, ok := known(idx); ok {
+				t.nodes[t.base+idx] = h
+				return
+			}
+		}
+		s.leaf(idx, data(idx), &t.nodes[t.base+idx])
+	}
 	if workers <= 1 {
-		t.hs.init()
 		for _, idx := range cur {
-			t.hs.leaf(idx, data(idx), &t.nodes[t.base+idx])
+			leaf(&t.hs, idx)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -314,7 +342,7 @@ func (t *Tree) UpdateBatch(indices []int, data func(i int) []byte, workers int) 
 				defer wg.Done()
 				var s hasher
 				for _, idx := range part {
-					s.leaf(idx, data(idx), &t.nodes[t.base+idx])
+					leaf(&s, idx)
 				}
 			}(cur[lo:hi])
 		}

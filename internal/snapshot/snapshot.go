@@ -9,6 +9,7 @@ package snapshot
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/merkle"
@@ -53,6 +54,55 @@ type Snapshot struct {
 	// MemRoot to this snapshot's MemRoot. A zero Proof (Leaves == 0) means
 	// the snapshot predates proof capture; Delta rebuilds it on demand.
 	Proof merkle.BatchProof
+
+	// leafPages and leaves are the Merkle leaves of full pages of MemPages
+	// that the increment's source computed from the bytes it hands out
+	// (AttachLeaves): leaves[j] is page leafPages[j]'s, and leafPages
+	// ascends. Nil for an increment from anywhere but the archive.
+	// Unexported, so neither gob nor the wire codec carries them.
+	leafPages []int
+	leaves    []pageLeaf
+}
+
+// pageLeaf is the Merkle leaf of a page, computed from the capture whose
+// first byte is at.
+type pageLeaf struct {
+	at *byte
+	h  merkle.Hash
+}
+
+// AttachLeaves records hashes[j] as merkle.HashLeaf(pages[j], page) for the
+// captured pages named by pages, which ascend; only full pages keep theirs.
+// A leaf stands in for hashing its page wherever a fold lands the page in
+// memory (FoldInto's final hook, LiveStateHasher.FoldVerify), and only
+// while MemPages[p] is still the capture it was computed from: a copy of the
+// snapshot that swaps a page out loses that page's leaf.
+//
+// The caller must have computed the leaves from the very bytes MemPages
+// holds and must own those bytes, so that nothing writes them afterwards.
+// The archive's verified read is that caller, and the only one.
+func (s *Snapshot) AttachLeaves(pages []int, hashes []merkle.Hash) {
+	s.leafPages = make([]int, 0, len(pages))
+	s.leaves = make([]pageLeaf, 0, len(pages))
+	for j, p := range pages {
+		if page := s.MemPages[p]; len(page) == vm.PageSize {
+			s.leafPages = append(s.leafPages, p)
+			s.leaves = append(s.leaves, pageLeaf{&page[0], hashes[j]})
+		}
+	}
+}
+
+// leaf returns the leaf attached for page p if page, p's capture, is the
+// full page it was computed from, and nil otherwise.
+func (s *Snapshot) leaf(p int, page []byte) *merkle.Hash {
+	if len(s.leafPages) == 0 || len(page) != vm.PageSize {
+		return nil
+	}
+	j, ok := slices.BinarySearch(s.leafPages, p)
+	if !ok || s.leaves[j].at != &page[0] {
+		return nil
+	}
+	return &s.leaves[j].h
 }
 
 // Restored is a materialized full state at some snapshot.
@@ -249,10 +299,12 @@ func CheckIncrement(k int, inc *Snapshot) error {
 // written), and returns increment k, whose register and device blobs are the
 // state's. Increments are read newest first and each page is copied once,
 // from the newest capture of it at or below k, so a page is final the
-// moment it is written: final(p), if set, is called then. Pages no
-// increment captures stay zero and are final when the walk ends. The walk
-// stops as soon as every page is written, so folding a late snapshot costs
-// its distinct pages, not the sum of all increment sizes.
+// moment it is written: final(p, leaf), if set, is called then, with the
+// page's Merkle leaf when the increment that wrote it carries one
+// (AttachLeaves) and nil otherwise. Pages no increment captures stay zero
+// and are final, with no leaf, when the walk ends. The walk stops as soon as
+// every page is written, so folding a late snapshot costs its distinct
+// pages, not the sum of all increment sizes.
 //
 // The order of the requests is part of the contract: a source may take
 // Increment(i) as notice that Increment(i-1) comes next and start reading it
@@ -262,7 +314,7 @@ func CheckIncrement(k int, inc *Snapshot) error {
 // merkle.DefaultWorkers()); the newer ones, behind which a source may still
 // be reading, on the caller's. So final may be called for distinct pages at
 // once, never twice for one.
-func FoldInto(src IncrementSource, k int, mem []byte, final func(p int), workers int) (*Snapshot, error) {
+func FoldInto(src IncrementSource, k int, mem []byte, final func(p int, leaf *merkle.Hash), workers int) (*Snapshot, error) {
 	if k < 0 || k >= src.Count() {
 		return nil, fmt.Errorf("snapshot: index %d out of range [0,%d)", k, src.Count())
 	}
@@ -286,7 +338,11 @@ func FoldInto(src IncrementSource, k int, mem []byte, final func(p int), workers
 		for p, page := range inc.MemPages {
 			if p >= 0 && p < pageCount && !written[p] {
 				written[p] = true
-				batch = append(batch, pageCopy{p, page})
+				c := pageCopy{p: p, page: page}
+				if final != nil {
+					c.leaf = inc.leaf(p, page)
+				}
+				batch = append(batch, c)
 			}
 		}
 		remaining -= len(batch)
@@ -298,24 +354,26 @@ func FoldInto(src IncrementSource, k int, mem []byte, final func(p int), workers
 			c := batch[j]
 			copy(mem[c.p*vm.PageSize:], c.page)
 			if final != nil {
-				final(c.p)
+				final(c.p, c.leaf)
 			}
 		})
 	}
 	if final != nil && remaining > 0 {
 		for p, ok := range written {
 			if !ok {
-				final(p)
+				final(p, nil)
 			}
 		}
 	}
 	return s, nil
 }
 
-// pageCopy is one page a fold copies: its index and the captured bytes.
+// pageCopy is one page a fold copies: its index, the captured bytes and
+// the leaf its increment carries for them, if any.
 type pageCopy struct {
 	p    int
 	page []byte
+	leaf *merkle.Hash
 }
 
 // minPagesPerWorker is the fewest pages a fold hands a goroutine of its
@@ -504,13 +562,20 @@ func (lh *LiveStateHasher) SeedVerify(r *Restored, wantRoot [32]byte) error {
 // SeedFold is FoldInto and Seed in one pass over the pages: it folds the
 // state at snapshot k of src into mem and hashes each page's leaf as soon as
 // the page is final, on the goroutine that wrote it, then folds the tree's
-// interior once. It returns increment k; Verify with its blobs is then
-// SeedVerify of the state. An error is FoldInto's, and leaves the hasher
+// interior once. A page whose increment carries its leaf is not hashed: the
+// leaf is taken as it is. It returns increment k; Verify with its blobs is
+// then SeedVerify of the state. An error is FoldInto's, and leaves the hasher
 // unseeded.
 func (lh *LiveStateHasher) SeedFold(src IncrementSource, k int, mem []byte) (*Snapshot, error) {
 	lh.seeded = false
 	lh.tree.Reshape(statePages(len(mem)))
-	s, err := FoldInto(src, k, mem, func(p int) { lh.tree.SetLeaf(p, statePage(mem, p)) }, lh.Workers)
+	s, err := FoldInto(src, k, mem, func(p int, leaf *merkle.Hash) {
+		if leaf != nil {
+			lh.tree.SetLeafHash(p, *leaf)
+		} else {
+			lh.tree.SetLeaf(p, statePage(mem, p))
+		}
+	}, lh.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -548,10 +613,16 @@ func (lh *LiveStateHasher) Verify(machineBlob, devBlob []byte, wantRoot [32]byte
 // authenticated digest. An unseeded hasher — or one seeded over a
 // different-sized image — falls back to a full Seed.
 func (lh *LiveStateHasher) Fold(mem []byte, dirty []int, machineBlob, devBlob []byte) ([32]byte, error) {
+	return lh.fold(mem, dirty, nil, machineBlob, devBlob)
+}
+
+// fold is Fold where known(p), if set, may report page p's leaf in place
+// of its being hashed from mem.
+func (lh *LiveStateHasher) fold(mem []byte, dirty []int, known func(p int) (merkle.Hash, bool), machineBlob, devBlob []byte) ([32]byte, error) {
 	if !lh.seeded || lh.memLen != len(mem) {
 		return lh.Seed(mem, machineBlob, devBlob), nil
 	}
-	if err := lh.tree.UpdateBatch(dirty, func(p int) []byte { return statePage(mem, p) }, lh.Workers); err != nil {
+	if err := lh.tree.UpdateBatchKnown(dirty, func(p int) []byte { return statePage(mem, p) }, known, lh.Workers); err != nil {
 		return [32]byte{}, err
 	}
 	return CombineRoot(lh.tree.Root(), machineBlob, devBlob), nil
@@ -562,8 +633,28 @@ func (lh *LiveStateHasher) Fold(mem []byte, dirty []int, machineBlob, devBlob []
 // log committed to, with SeedVerify's error on a mismatch. The digest covers
 // every page, so a state that passes here is the state SeedVerify would have
 // passed, at the cost of the pages that changed.
-func (lh *LiveStateHasher) FoldVerify(mem []byte, dirty []int, machineBlob, devBlob []byte, wantRoot [32]byte) error {
-	got, err := lh.Fold(mem, dirty, machineBlob, devBlob)
+//
+// incs are the increments the holder has just written over mem, oldest
+// first, each captured page whole (a short one with a zero tail), or none:
+// a dirty page that the newest of incs capturing it carries a leaf for
+// (AttachLeaves) takes that leaf instead of being rehashed from mem. A leaf
+// stands only for a page that lies wholly inside mem.
+func (lh *LiveStateHasher) FoldVerify(mem []byte, dirty []int, incs []*Snapshot, machineBlob, devBlob []byte, wantRoot [32]byte) error {
+	known := func(p int) (merkle.Hash, bool) {
+		if (p+1)*vm.PageSize > len(mem) {
+			return merkle.Hash{}, false
+		}
+		for i := len(incs) - 1; i >= 0; i-- {
+			if page, ok := incs[i].MemPages[p]; ok {
+				if l := incs[i].leaf(p, page); l != nil {
+					return *l, true
+				}
+				return merkle.Hash{}, false
+			}
+		}
+		return merkle.Hash{}, false
+	}
+	got, err := lh.fold(mem, dirty, known, machineBlob, devBlob)
 	if err != nil {
 		return err
 	}
