@@ -401,7 +401,7 @@ func (a *Archive) Bytes() int64 {
 
 // WriteRecording archives one node's complete recording: every snapshot
 // increment from sf, then the log partitioned into epoch segments at its
-// snapshot entries — the same partition rule every audit engine derives,
+// snapshot entries — the same cut every audit engine's router makes,
 // so dispatch jobs and stream epochs align with archived segments.
 // Entries must carry chain hashes (a recorder's live log does). sf may be
 // nil for a snapshot-free recording, which archives as one boot epoch.

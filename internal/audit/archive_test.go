@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,6 +182,104 @@ func TestArchiveAuditEquivalenceCheats(t *testing.T) {
 				t.Errorf("honest player failed audit during %q match: %v", cheat.Name, honest.Fault)
 			}
 			auditViaArchive(t, s, "player2", "honest/"+cheat.Name, honest)
+		})
+	}
+}
+
+// TestArchiveDistSource: the dist engine reads an archive's EntrySource as
+// the stream engine does, cutting the stream into the jobs it ships to a
+// (simulated) fleet. A clean recording and a cheat reach the serial
+// verdict; a byte flipped in an archived entry segment is the CheckLog
+// fault the stream engine reports over that source, text and all.
+func TestArchiveDistSource(t *testing.T) {
+	aimbot, err := game.CatalogByName("aimbot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cheat *game.Cheat
+	}{{"clean", nil}, {"aimbot", aimbot}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := game.ScenarioConfig{
+				Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
+				Seed: 7, SnapshotEveryNs: eqSnapNs, FakeSignatures: true,
+			}
+			if tc.cheat != nil {
+				cfg.CheatPlayer, cfg.Cheat = 1, tc.cheat
+			}
+			s, err := game.NewScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(2 * eqMatchNs)
+			node := "player1"
+			serial, err := s.AuditNode(sig.NodeID(node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Passed != (tc.cheat == nil) {
+				t.Fatalf("serial audit: passed %v, fault %v", serial.Passed, serial.Fault)
+			}
+			target, auths, a, err := s.AuditInputs(sig.NodeID(node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(arc *archive.Archive, engine audit.Engine) (*audit.Result, audit.AuditStats) {
+				t.Helper()
+				src, err := arc.EntrySource(node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				materialize, _ := archiveClosures(t, arc, node)
+				req := audit.AuditRequest{
+					Node: sig.NodeID(node), NodeIdx: uint32(target.Index()),
+					Engine: engine, Source: src, Auths: auths,
+					Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
+				}
+				if engine == audit.EngineDist {
+					req.Backend = reliableNetsim()
+				}
+				res, stats, err := a.Audit(req)
+				if err != nil {
+					t.Fatalf("%s over the archive: %v", engine, err)
+				}
+				return res, stats
+			}
+
+			dir, arc := writeNodeArchive(t, s, node)
+			dist, stats := run(arc, audit.EngineDist)
+			if !reflect.DeepEqual(dist, serial) {
+				t.Fatalf("dist over the archive: %+v (fault %v), serial %+v (fault %v)", dist, dist.Fault, serial, serial.Fault)
+			}
+			if stats.Dist.Epochs < 2 || stats.Dist.Dispatched == 0 {
+				t.Fatalf("dist over the archive shipped %d of %d epochs", stats.Dist.Dispatched, stats.Dist.Epochs)
+			}
+			arc.Close()
+
+			// The last tile byte sits inside the final epoch's entry segment.
+			tile := filepath.Join(dir, node+archive.TileSuffix)
+			raw, err := os.ReadFile(tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-1] ^= 0xFF
+			if err := os.WriteFile(tile, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupt, err := archive.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer corrupt.Close()
+			stream, _ := run(corrupt, audit.EngineStream)
+			dist, _ = run(corrupt, audit.EngineDist)
+			if stream.Passed || stream.Fault.Check != audit.CheckLog {
+				t.Fatalf("stream over a corrupt entry segment: passed %v, fault %+v; want a %s fault", stream.Passed, stream.Fault, audit.CheckLog)
+			}
+			if !reflect.DeepEqual(dist, stream) {
+				t.Fatalf("dist over a corrupt entry segment: fault %+v, stream %+v", dist.Fault, stream.Fault)
+			}
 		})
 	}
 }

@@ -11,23 +11,22 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the router/backend split of the epoch replay engine. The
-// partitioning rule (slice the log at snapshot entries), the earliest-fault
-// cutoff and the deterministic merge live in the router; *where* an epoch
-// replays is an EpochBackend. There are two kinds. PoolBackend replays
-// in-process on a goroutine pool and has no retry, hedge or delta logic to
-// share. Every remote backend is the one dispatch core of sched.go behind a
-// transport: Coordinator.Backend() (TCP, long-running, elastic fleet),
-// TCPBackend (the same coordinator for one run over a fixed fleet) and
-// NetsimBackend (the same core on a simulated network's virtual clock).
-// Every backend produces verdicts byte-identical to a serial replay of the
-// same epochs, so the audit's conclusion never depends on where the replay
-// ran.
+// This file is the seam between the epoch pipeline and the places an
+// epoch replays. The router (routeStream) cuts the log into EpochJobs; the
+// earliest-fault cutoff and the deterministic merge are epochMerge's. An
+// epoch replays in-process on the pipeline's own workers, or on an
+// EpochBackend, which is always remote: the one dispatch core of sched.go
+// behind a transport — Coordinator.Backend() (TCP, long-running, elastic
+// fleet), TCPBackend (the same coordinator for one run over a fixed fleet)
+// and NetsimBackend (the same core on a simulated network's virtual
+// clock). Every epoch, wherever it replays, opens through openEpoch, so
+// verdicts are byte-identical to a serial replay of the same epochs and
+// the audit's conclusion never depends on where the replay ran.
 
 // EpochJob is one self-contained epoch replay job: the slice of the log
 // between two snapshot entries, plus the authenticated identity of its
-// starting state. Remote backends ship jobs whole; the in-process pool
-// leaves Start nil and materializes on the worker goroutine.
+// starting state. A backend receives jobs whole, their start states
+// materialized and verified by the coordinator.
 type EpochJob struct {
 	Index int
 	// Boot marks the first epoch, replayed from the reference image.
@@ -37,10 +36,10 @@ type EpochJob struct {
 	StartSnap uint32
 	StartRoot [32]byte
 	StartSeq  uint64
-	// Start is the materialized starting state. Nil jobs are materialized
-	// by the worker from its local snapshot source; wire-shipped jobs carry
-	// the state (the coordinator verifies it against StartRoot before
-	// dispatch, the worker re-verifies while seeding its live tree).
+	// Start is the materialized starting state of a non-boot job handed to
+	// a backend (the coordinator verifies it against StartRoot before
+	// dispatch, the worker re-verifies while seeding its live tree). An
+	// in-process epoch leaves it nil and materializes on its worker.
 	Start *snapshot.Restored
 	// Entries is the epoch's entry run. Epochs that end at a snapshot
 	// include that snapshot entry, so the boundary root is verified by the
@@ -48,7 +47,7 @@ type EpochJob struct {
 	Entries []tevlog.Entry
 	// Cost estimates the epoch's replay effort in instructions, derived
 	// from the landmark instruction counts consecutive snapshots commit.
-	// Remote backends weight their chain-affinity block splits by it so one
+	// Backends weight their chain-affinity block splits by it so one
 	// hot epoch does not serialize a fleet; 0 means unknown (weighted
 	// splits fall back to equal epoch counts).
 	Cost uint64
@@ -88,13 +87,13 @@ type EpochVerdict struct {
 	// router fails the audit when an errored epoch is needed for the merge.
 	Err error
 	// Worker names the backend worker that produced the verdict
-	// (diagnostics; "" for the in-process pool).
+	// (diagnostics).
 	Worker string
 	// Attempts counts dispatch attempts for this epoch, 1 for a first-try
 	// success. Retries and straggler re-dispatches raise it.
 	Attempts int
 	// WireBytes counts job+verdict payload bytes shipped for this epoch
-	// across all attempts (0 for the in-process pool).
+	// across all attempts.
 	WireBytes int
 	// WireBytesFull and WireBytesDelta split the job-frame bytes by
 	// encoding (full-state vs delta-shipped); verdict bytes count toward
@@ -108,13 +107,10 @@ type EpochVerdict struct {
 	DeltaFallbacks int
 }
 
-// EpochBackend executes epoch replay jobs on behalf of the router.
+// EpochBackend executes epoch replay jobs on behalf of the router, on
+// workers outside this process: every job carries its verified start
+// state.
 type EpochBackend interface {
-	// Remote reports whether jobs must carry materialized start states
-	// (wire-shipped backends). The router materializes and root-verifies
-	// starts before dispatch for remote backends; for local backends it
-	// hands out lazy jobs the pool materializes itself.
-	Remote() bool
 	// Run replays the jobs, calling emit exactly once per job that is not
 	// skipped (possibly from multiple goroutines). skip(i) reports that
 	// epoch i can no longer affect the merged verdict (the earliest-fault
@@ -145,7 +141,7 @@ func runEpochJob(sess Session, job *EpochJob, held *Replay, materialize func(sna
 // session's reference image. Other jobs replay on held, a replica rolled to
 // the job's opening snapshot, when there is one, and otherwise on a replica
 // booted from the start state — taken from the job, or from materialize
-// when the job travels lazily (materializeStart); either way the state is
+// for an in-process epoch (materializeStart); either way the state is
 // verified against the committed root before the first instruction
 // executes (startEpoch; the state is untrusted, §4.5). The verification
 // tree becomes the replay's live tree, so snapshot entries inside the epoch
@@ -218,38 +214,10 @@ func startEpoch(node sig.NodeID, held *Replay, restored *snapshot.Restored, root
 	return rp, nil
 }
 
-// PoolBackend replays epochs on a bounded in-process goroutine pool — the
-// engine the parallel audit has always used, behind the backend seam.
-type PoolBackend struct {
-	// Workers bounds concurrent epochs. <= 0 selects runtime.GOMAXPROCS(0).
-	Workers int
-	// Materialize supplies starting states for lazy (Start == nil) jobs.
-	Materialize func(snapIdx uint32) (*snapshot.Restored, error)
-}
+// --- wire conversions shared by the backends ---
 
-// Remote implements EpochBackend: pool jobs stay in-process and lazy.
-func (b *PoolBackend) Remote() bool { return false }
-
-// Run implements EpochBackend with the runPool index hand-out: jobs are
-// started in order, and a job the router's skip rules out when its turn
-// comes is dropped. Every job below the final cutoff gets a verdict, since
-// skip only rules out jobs above a fault.
-func (b *PoolBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
-	runPool(len(jobs), workersOrDefault(b.Workers), func(i int) {
-		job := jobs[i]
-		if skip(job.Index) {
-			return
-		}
-		r, _ := runEpochJob(sess, job, nil, b.Materialize)
-		emit(EpochVerdict{Index: job.Index, Stats: r.stats, Fault: r.fault, Attempts: 1})
-	})
-	return nil
-}
-
-// --- wire conversions shared by the remote backends ---
-
-// jobToWire converts an epoch job to its wire form. Remote jobs must carry
-// a materialized start state (or be boot jobs).
+// jobToWire converts an epoch job to its wire form. Jobs must carry a
+// materialized start state (or be boot jobs).
 func jobToWire(job *EpochJob) *wire.AuditJob {
 	w := &wire.AuditJob{
 		Index: uint64(job.Index), Boot: job.Boot,

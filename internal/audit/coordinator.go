@@ -328,9 +328,6 @@ func (c *Coordinator) Stats() FleetStats {
 // coordinatorBackend adapts the coordinator to the router's backend seam.
 type coordinatorBackend struct{ c *Coordinator }
 
-// Remote implements EpochBackend: jobs ship whole, starts pre-verified.
-func (b coordinatorBackend) Remote() bool { return true }
-
 // Run implements EpochBackend by enqueueing the jobs and blocking until
 // every one settles.
 func (b coordinatorBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {
@@ -619,9 +616,6 @@ type TCPBackend struct {
 	// Config tunes the run's coordinator; DisableLocalFallback is forced on.
 	Config CoordinatorConfig
 }
-
-// Remote implements EpochBackend: jobs ship whole.
-func (b *TCPBackend) Remote() bool { return true }
 
 // Run implements EpochBackend over the worker fleet.
 func (b *TCPBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool, emit func(EpochVerdict)) error {

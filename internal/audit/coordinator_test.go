@@ -12,6 +12,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/avmm"
 	"repro/internal/game"
+	"repro/internal/netsim"
 )
 
 // Chaos-equivalence suite for the coordinator service: the full cheat
@@ -465,13 +466,16 @@ type tapBackend struct {
 	runErr error
 }
 
-func (b *tapBackend) Remote() bool { return b.inner.Remote() }
-
 func (b *tapBackend) Run(sess audit.Session, jobs []*audit.EpochJob, skip func(int) bool, emit func(audit.EpochVerdict)) error {
 	if err := b.inner.Run(sess, jobs, skip, func(v audit.EpochVerdict) { emit(b.tap(v)) }); err != nil {
 		return err
 	}
 	return b.runErr
+}
+
+// reliableNetsim is a simulated fleet of two workers on a loss-free link.
+func reliableNetsim() *audit.NetsimBackend {
+	return &audit.NetsimBackend{Net: netsim.New(netsim.Config{BaseLatencyNs: 96_000, Seed: 5}), Workers: 2, MaxAttempts: 10}
 }
 
 // TestDistLateTransportFailureIgnored: transport failures past the
@@ -491,7 +495,7 @@ func TestDistLateTransportFailureIgnored(t *testing.T) {
 	var mu sync.Mutex
 	faultEpoch := -1
 	probe, _, err := s.AuditNodeDist("player1", audit.DistOptions{
-		Backend: &tapBackend{inner: &audit.PoolBackend{Workers: 2}, tap: func(v audit.EpochVerdict) audit.EpochVerdict {
+		Backend: &tapBackend{inner: reliableNetsim(), tap: func(v audit.EpochVerdict) audit.EpochVerdict {
 			if v.Fault != nil {
 				mu.Lock()
 				if faultEpoch < 0 || v.Index < faultEpoch {
@@ -512,7 +516,7 @@ func TestDistLateTransportFailureIgnored(t *testing.T) {
 	// itself errors after the dust settles.
 	res, _, err := s.AuditNodeDist("player1", audit.DistOptions{
 		Backend: &tapBackend{
-			inner: &audit.PoolBackend{Workers: 2},
+			inner: reliableNetsim(),
 			tap: func(v audit.EpochVerdict) audit.EpochVerdict {
 				if v.Index > faultEpoch {
 					return audit.EpochVerdict{Index: v.Index, Err: errors.New("transport lost after the fault")}

@@ -10,15 +10,15 @@ import (
 
 	"repro/internal/sig"
 	"repro/internal/snapshot"
-	"repro/internal/tevlog"
 )
 
-// This file is the distributed audit router: the dist engine runs the
-// full audit pipeline with the semantic (replay) stage fanned out over an
-// EpochBackend — the in-process pool, simulated network workers, or real
-// TCP workers. Chain verification and the syntactic check stay on the
-// coordinator (they are cheap, sequential passes); only epoch replay, the
-// dominant cost, is shipped.
+// This file is the remote half of the epoch pipeline (stream.go): runJobs
+// takes the jobs routeStream cut and collected whole, once the chain and
+// syntactic checks have finished clean, and fans their replay, the
+// dominant cost, out over an EpochBackend — simulated network workers, or
+// real TCP workers behind a coordinator. Chain verification and the
+// syntactic check stay on the coordinator (they are cheap, sequential
+// passes).
 //
 // Trust model: workers are UNTRUSTED. The coordinator (a) materializes
 // every epoch's starting state from its own snapshot source and verifies
@@ -27,22 +27,23 @@ import (
 // of epochs locally and compares verdicts, so a worker that lies about an
 // outcome is caught with probability ≥ the spot fraction per lie; and
 // (c) merges verdicts under the same earliest-fault cutoff as the
-// in-process engine, so the conclusion is byte-identical to the serial
-// engine's whenever workers are honest — and equal to the coordinator's own replay
-// of every spot-rechecked epoch regardless.
+// in-process epochs (epochMerge), so the conclusion is byte-identical to
+// the serial engine's whenever workers are honest — and equal to the
+// coordinator's own replay of every spot-rechecked epoch regardless.
 
 // DistOptions configures the distributed full audit. The shared knobs
 // (Workers, Materialize, SpotRecheck*, DeltaJobs, DeltaSource) live in the
 // embedded EngineOptions; Backend selects where epochs replay.
 type DistOptions struct {
 	EngineOptions
-	// Backend executes epoch jobs. Nil selects the in-process pool.
+	// Backend executes epoch jobs. Nil replays the epochs in-process, on
+	// the epoch pipeline's own workers.
 	Backend EpochBackend
 }
 
 // DistStats reports how a distributed audit ran.
 type DistStats struct {
-	// Epochs is the number of replay epochs the log was partitioned into.
+	// Epochs is the number of replay epochs the router cut the log into.
 	Epochs int
 	// Dispatched counts epochs handed to the backend (epochs whose start
 	// state already failed coordinator-side verification never ship).
@@ -63,7 +64,7 @@ type DistStats struct {
 	// retry budget (ErrRetriesExhausted). Nonzero with a clean verdict
 	// means the exhausted epochs were past the earliest-fault cutoff.
 	RetriesExhausted int
-	// WireBytes is the total job+verdict payload shipped (0 for the pool).
+	// WireBytes is the total job+verdict payload shipped (0 in-process).
 	WireBytes int
 	// WireBytesFull and WireBytesDelta split the shipped job payload by
 	// encoding: full-state AuditJob frames vs delta-shipped AuditDeltaJob
@@ -81,38 +82,6 @@ type DistStats struct {
 	// MergeWallNs is coordinator time spent folding verdicts into the final
 	// result after the backend finished.
 	MergeWallNs int64
-}
-
-// auditDist checks an entire execution from boot like auditSerial — log
-// verification, syntactic check, semantic replay — with the replay stage
-// distributed over opts.Backend. The Result is byte-identical to the
-// serial engine's. A non-nil error means the audit could not be completed
-// (transport failure on an epoch the verdict needs) — distinct from a
-// fault, which is a completed audit's conclusion about the machine. It
-// backs Audit's EngineDist.
-func (a *Auditor) auditDist(node sig.NodeID, nodeIdx uint32, entries []tevlog.Entry, auths []tevlog.Authenticator, opts DistOptions) (*Result, DistStats, tevlog.SigStats, error) {
-	res := &Result{Node: node}
-	sigs, ok := a.verifyAndCheck(res, nodeIdx, tevlog.Hash{}, entries, auths, a.StrictAcks)
-	if !ok {
-		return res, DistStats{}, sigs, nil
-	}
-
-	be := opts.Backend
-	if be == nil {
-		be = &PoolBackend{Workers: opts.Workers, Materialize: opts.Materialize}
-	}
-	jobs := a.partition(entries, opts.EngineOptions)
-	replay, fault, dstats, err := a.runJobs(node, jobs, be, opts.EngineOptions)
-	if err != nil {
-		return nil, dstats, sigs, err
-	}
-	res.Replay = replay
-	if fault != nil {
-		res.Fault = fault
-		return res, dstats, sigs, nil
-	}
-	res.Passed = true
-	return res, dstats, sigs, nil
 }
 
 // splitmix64 is the deterministic spot-selection hash.
@@ -166,6 +135,21 @@ func sameEpochResult(local epochResult, v EpochVerdict) bool {
 		return true
 	}
 	return *local.fault == *v.Fault
+}
+
+// epochResult carries one epoch's outcome back to the merge step.
+type epochResult struct {
+	stats ReplayStats
+	fault *FaultReport
+}
+
+func addStats(dst *ReplayStats, s ReplayStats) {
+	dst.Instructions += s.Instructions
+	dst.EntriesConsumed += s.EntriesConsumed
+	dst.SendsMatched += s.SendsMatched
+	dst.NondetsConsumed += s.NondetsConsumed
+	dst.EventsInjected += s.EventsInjected
+	dst.SnapshotsVerified += s.SnapshotsVerified
 }
 
 // epochMerge is the earliest-fault merge every epoch engine shares. Epochs
@@ -246,11 +230,10 @@ func (m *epochMerge) verdict(n int) (stats ReplayStats, fault *FaultReport, miss
 	return stats, fault, -1, nil
 }
 
-// runJobs dispatches epoch jobs to a backend and merges verdicts under the
-// earliest-fault cutoff (epochMerge) — the deterministic heart of every
-// audit engine. The merged (stats, fault) pair is identical to a serial
-// replay of the same epochs whenever verdicts are honest; spot-rechecked
-// epochs are guaranteed it regardless.
+// runJobs dispatches epoch jobs to a remote backend and merges verdicts
+// under the earliest-fault cutoff (epochMerge). The merged (stats, fault)
+// pair is identical to a serial replay of the same epochs whenever
+// verdicts are honest; spot-rechecked epochs are guaranteed it regardless.
 func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, opts EngineOptions) (ReplayStats, *FaultReport, DistStats, error) {
 	sess := a.session(node)
 	dstats := DistStats{Epochs: len(jobs)}
@@ -261,28 +244,25 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 
 	merge := newEpochMerge()
 
-	// Remote backends get self-contained jobs: materialize and root-verify
-	// every start on the coordinator, concurrently. Failures are verdicts.
-	dispatch := jobs
-	if be.Remote() {
-		prepStart := time.Now()
-		faults := make([]*FaultReport, len(jobs))
-		runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) {
-			if !jobs[i].Boot {
-				faults[i] = prepareStart(node, jobs[i], opts.Materialize)
-			}
-		})
-		dispatch = dispatch[:0:0]
-		for i, job := range jobs {
-			if faults[i] != nil {
-				dstats.CoordinatorFaults++
-				merge.record(i, epochResult{fault: faults[i]})
-				continue
-			}
-			dispatch = append(dispatch, job)
+	// Jobs ship self-contained: materialize and root-verify every start on
+	// the coordinator, concurrently. Failures are verdicts.
+	prepStart := time.Now()
+	faults := make([]*FaultReport, len(jobs))
+	runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) {
+		if !jobs[i].Boot {
+			faults[i] = prepareStart(node, jobs[i], opts.Materialize)
 		}
-		dstats.PrepWallNs = time.Since(prepStart).Nanoseconds()
+	})
+	var dispatch []*EpochJob
+	for i, job := range jobs {
+		if faults[i] != nil {
+			dstats.CoordinatorFaults++
+			merge.record(i, epochResult{fault: faults[i]})
+			continue
+		}
+		dispatch = append(dispatch, job)
 	}
+	dstats.PrepWallNs = time.Since(prepStart).Nanoseconds()
 	dstats.Dispatched = len(dispatch)
 
 	jobByIndex := make(map[int]*EpochJob, len(jobs))
@@ -308,12 +288,10 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 			merge.fail(v.Index, v.Err)
 			return
 		}
-		if be.Remote() && opts.spotSelected(v.Index) {
+		if opts.spotSelected(v.Index) {
 			// Re-replay locally before trusting the worker: the local
 			// verdict is authoritative, so a lie can never steer the cutoff
-			// or the merged result for a rechecked epoch. Remote backends
-			// only — the in-process pool is this process, and rechecking it
-			// would replay the epoch twice for nothing.
+			// or the merged result for a rechecked epoch.
 			local, _ := runEpochJob(sess, jobByIndex[v.Index], nil, opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++
@@ -353,4 +331,24 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	default:
 		return ReplayStats{}, nil, dstats, fmt.Errorf("audit: backend returned no verdict for epoch %d", missing)
 	}
+}
+
+// runPool runs fn(0..n-1) on up to workers goroutines, handing out
+// indices in order, and returns when every call has.
+func runPool(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

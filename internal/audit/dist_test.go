@@ -18,8 +18,8 @@ import (
 )
 
 // Equivalence harness for the distributed audit fan-out: whatever the
-// serial auditor concludes, every EpochBackend — in-process pool, lossy
-// simulated network, real TCP workers — must conclude, byte for byte,
+// serial auditor concludes, the dist engine — in-process, over a lossy
+// simulated network, on real TCP workers — must conclude, byte for byte,
 // including when workers crash mid-epoch, straggle, lie, or the transport
 // drops and reorders frames.
 
@@ -231,8 +231,6 @@ func TestDistNetsimDeterministic(t *testing.T) {
 type lyingBackend struct {
 	inner audit.EpochBackend
 }
-
-func (b *lyingBackend) Remote() bool { return b.inner.Remote() }
 
 func (b *lyingBackend) Run(sess audit.Session, jobs []*audit.EpochJob, skip func(int) bool, emit func(audit.EpochVerdict)) error {
 	return b.inner.Run(sess, jobs, skip, func(v audit.EpochVerdict) {

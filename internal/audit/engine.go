@@ -17,22 +17,26 @@ import (
 // Engine selects the replay engine an Audit request runs on. Every engine
 // produces byte-identical verdicts; they differ in memory footprint,
 // parallelism and where the replay work happens. The epoch engines
-// (parallel, stream, dist) open every epoch's replica through openEpoch
-// and merge epoch outcomes under one earliest-fault rule (epochMerge).
+// (parallel, stream, dist) run one pipeline (auditEpochs): one router cuts
+// the log into epochs (routeStream), every epoch's replica opens through
+// openEpoch, and epoch outcomes merge under one earliest-fault rule
+// (epochMerge).
 type Engine string
 
 const (
 	// EngineSerial is the single-replica from-boot replay.
 	EngineSerial Engine = "serial"
-	// EngineParallel partitions the log at snapshot boundaries and replays
-	// epochs concurrently in-process. It is EngineDist on the in-process
-	// pool (Backend is ignored), one code path under two names.
+	// EngineParallel cuts the log at snapshot boundaries and replays the
+	// epochs concurrently in-process while the chain and syntactic checks
+	// go on. It is EngineDist with no Backend (Backend is ignored), one
+	// code path under two names.
 	EngineParallel Engine = "parallel"
 	// EngineStream decodes, chain-verifies and replays straight from the
-	// compressed log container in bounded memory (set Compressed).
+	// compressed log container in bounded memory (set Compressed, or
+	// Source).
 	EngineStream Engine = "stream"
 	// EngineDist distributes epoch replay over an EpochBackend (set
-	// Backend; nil selects the in-process pool).
+	// Backend; nil replays in-process, as EngineParallel).
 	EngineDist Engine = "dist"
 	// EngineChunk spot-checks a single chunk starting from an
 	// authenticated snapshot (set Chunk).
@@ -43,12 +47,14 @@ const (
 // is always valid: serial fallbacks, one worker per P, default window, no
 // spot rechecks, full-state job shipping.
 type EngineOptions struct {
-	// Workers bounds replay (and remote-prep) concurrency. <= 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the serial path on the parallel
-	// engine.
+	// Workers bounds in-process replay (and remote-prep) concurrency: the
+	// number of epochs replaying at once. <= 0 selects
+	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Window caps resident decoded entries on the stream engine. <= 0
-	// selects DefaultStreamWindow.
+	// Window caps resident decoded entries when the entries come from a
+	// container or a Source. <= 0 selects DefaultStreamWindow. A log passed
+	// as Entries is in memory already and runs with the window at its
+	// length.
 	Window int
 	// SpotRecheckFraction is the fraction of remotely-replayed epochs the
 	// coordinator re-replays locally to catch lying workers (0 disables, 1
@@ -99,21 +105,23 @@ type AuditRequest struct {
 	Engine Engine
 	// Options are the shared engine knobs.
 	Options EngineOptions
-	// Backend executes epoch jobs on the dist engine. Nil selects the
-	// in-process pool.
+	// Backend executes epoch jobs on the dist engine: the router's jobs
+	// are collected whole and dispatched once the chain and syntactic
+	// checks have passed. Nil replays the epochs in-process, as the
+	// parallel engine does.
 	Backend EpochBackend
 
-	// Entries and Auths are the decoded log (every engine except stream
-	// and chunk).
+	// Entries and Auths are the decoded log (serial, parallel and dist
+	// engines, unless Source is set).
 	Entries []tevlog.Entry
 	Auths   []tevlog.Authenticator
 	// Compressed is the compressed log container (stream engine).
 	Compressed []byte
-	// Source streams the log's entries for the stream engine in place of
-	// Compressed — e.g. an archive.EntrySource reading epoch segments
-	// straight from disk. When both are set, Source wins. A source error
-	// mid-stream is reported as a CheckLog fault, exactly like a corrupt
-	// container.
+	// Source streams the log's entries for the epoch engines (stream,
+	// parallel, dist) in place of Compressed or Entries — e.g. an
+	// archive.EntrySource reading epoch segments straight from disk. When
+	// both are set, Source wins. A source error mid-stream is reported as a
+	// CheckLog fault, exactly like a corrupt container.
 	Source logcomp.EntrySource
 	// Chunk is the spot-check request (chunk engine).
 	Chunk *ChunkRequest
@@ -121,10 +129,11 @@ type AuditRequest struct {
 
 // AuditStats reports how the selected engine ran. Engine is always set;
 // the engine-specific struct of the engine that ran is filled, the others
-// are zero: Stream for EngineStream, Dist for EngineDist and for
-// EngineParallel (the dist engine on the in-process pool). Sigs is filled
-// by every engine: how the audit's one signature-verification stage ran
-// (what avmm.DaemonStats is to a recording).
+// are zero: Stream for EngineStream, Dist for EngineDist and
+// EngineParallel once the audit reaches replay (in-process epochs fill
+// only Dist.Epochs, a remote backend all of it). Sigs is
+// filled by every engine: how the audit's one signature-verification
+// stage ran (what avmm.DaemonStats is to a recording).
 type AuditStats struct {
 	Engine Engine
 	Stream StreamStats
@@ -152,12 +161,8 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 	switch engine {
 	case EngineSerial:
 		res, stats.Sigs = a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths)
-	case EngineParallel:
-		res, stats.Dist, stats.Sigs, err = a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options})
-	case EngineStream:
-		res, stats.Stream, stats.Sigs = a.auditStreamFrom(req.Node, req.NodeIdx, req.Compressed, req.Source, req.Auths, req.Options)
-	case EngineDist:
-		res, stats.Dist, stats.Sigs, err = a.auditDist(req.Node, req.NodeIdx, req.Entries, req.Auths, DistOptions{EngineOptions: req.Options, Backend: req.Backend})
+	case EngineParallel, EngineStream, EngineDist:
+		res, err = a.auditEpochs(req, &stats)
 	case EngineChunk:
 		if req.Chunk == nil {
 			return nil, stats, fmt.Errorf("audit: chunk engine requires a ChunkRequest")

@@ -32,11 +32,21 @@ func (a *Auditor) SpotCheckResults(src SegmentSource, policy SpotPolicy, workers
 	return out, results, err
 }
 
-// WorkerJobs partitions node's log into the epoch jobs the dist engine
-// ships, their start states materialized, and returns them with the session
-// a worker replays them under.
+// cutJobs is the router's cut of entries as a backend receives it: the
+// epoch jobs with their entries collected, start states not yet
+// materialized. Only a chain fault stops the cut, so a log the syntactic
+// check rejects is still cut whole.
+func (a *Auditor) cutJobs(node sig.NodeID, entries []tevlog.Entry, materialize func(uint32) (*snapshot.Restored, error)) []*EpochJob {
+	jobs, _, _ := a.runPipeline(node, 0, nil, &sliceSource{entries: entries}, nil,
+		EngineOptions{Materialize: materialize}, max(len(entries), 1), collected)
+	return jobs
+}
+
+// WorkerJobs cuts node's log into the epoch jobs the dist engine ships,
+// their start states materialized, and returns them with the session a
+// worker replays them under.
 func (a *Auditor) WorkerJobs(node sig.NodeID, entries []tevlog.Entry, materialize func(uint32) (*snapshot.Restored, error)) (Session, []*EpochJob, error) {
-	jobs := a.partition(entries, EngineOptions{Materialize: materialize})
+	jobs := a.cutJobs(node, entries, materialize)
 	for _, j := range jobs {
 		if j.Boot {
 			continue
@@ -48,6 +58,9 @@ func (a *Auditor) WorkerJobs(node sig.NodeID, entries []tevlog.Entry, materializ
 	}
 	return a.session(node), jobs, nil
 }
+
+// RunKey is the journal's identity of a run of jobs under sess.
+func RunKey(sess Session, jobs []*EpochJob) [32]byte { return runKeyFor(sess, jobs) }
 
 // ReplayFromScratch is the verdict of an epoch replayed on a replica booted
 // for it alone (runEpochJob).

@@ -25,8 +25,8 @@ import (
 // compaction at open and what a failed write means are internal/wal's; this
 // file owns what the records mean. Recovery never trusts the journal for
 // audit *inputs* — a restarted coordinator reconstructs its runs from the
-// same recording (snapshots + log) it always reads, derives the same epoch
-// partition, and therefore the same run key; the journal only tells it
+// same recording (snapshots + log) it always reads, the router cuts the
+// same epochs (routeStream), and therefore the run has the same key; the journal only tells it
 // which of those epochs already have durable verdicts, which are re-emitted
 // as stored instead of re-dispatched. Stored verdicts still flow through
 // the router's spot recheck, so a journal tampered with between runs is
@@ -290,10 +290,10 @@ func InspectJournal(dir string) (runs, verdicts int, err error) {
 }
 
 // runKeyFor derives the stable identity of an audit run: a digest over the
-// audited node, the session parameters that shape replay, and the epoch
-// partition (index, start identity, entry count per job). A restarted
+// audited node, the session parameters that shape replay, and the router's
+// cut (index, start identity, entry count and cost per job). A restarted
 // coordinator re-deriving jobs from the same recording computes the same
-// key; any change to the recording or the partition changes it, which is
+// key; any change to the recording or the cut changes it, which is
 // what keeps stale journal state from leaking into a different audit.
 func runKeyFor(sess Session, jobs []*EpochJob) [32]byte {
 	h := sha256.New()

@@ -54,10 +54,6 @@ type NetsimBackend struct {
 	MaxAttempts int
 }
 
-// Remote implements EpochBackend: jobs ship whole and round-trip the wire
-// codec.
-func (b *NetsimBackend) Remote() bool { return true }
-
 // simWorker is one simulated worker node: the scheduler's entry for it and
 // the worker side of its current connection generation (conn is nil once
 // the worker rejected a frame and hung up).

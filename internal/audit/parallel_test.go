@@ -93,9 +93,8 @@ func auditBothWays(t *testing.T, s *game.Scenario, node string, label string) *a
 				label, workers, sstats.PeakResidentEntries, sstats.Window)
 		}
 	}
-	// The distributed backends must reach the same verdict as well: the
-	// in-process pool behind the router seam, a lossy simulated network,
-	// and real loopback TCP workers.
+	// The dist engine must reach the same verdict as well: in-process, on
+	// a lossy simulated network, and on real loopback TCP workers.
 	distBothWays(t, s, node, label, serial)
 	return serial
 }
@@ -331,7 +330,7 @@ func TestParallelAuditEquivalenceCheats(t *testing.T) {
 
 // TestMaterializeFaultEveryEngine: a start state the snapshot source cannot
 // hand over is the epoch's verdict, and every epoch engine reaches the same
-// one — the in-process pool (parallel and dist), the stream engine with a
+// one — in-process epochs (parallel and dist), the stream engine with a
 // small window, and a simulated network's coordinator, which materializes
 // before dispatch. The fault is snapshot k's CheckSnapshot at the snapshot
 // entry's seq, whether k alone fails or k and k+2 do, and the Results are

@@ -12,17 +12,19 @@ import (
 	"repro/internal/wire"
 )
 
-// This file implements the streaming audit pipeline: decode ∥ chain hash +
-// syntactic check ∥ signature verification ∥ replay. The materializing
-// auditor (the serial and parallel engines over a decompressed slice) pays
-// the whole decode as dead time before the first instruction replays, and
-// holds every entry of the log in memory at once. The stream engine instead
-// wires logcomp.EntryReader → tevlog.ChainVerifier + SyntacticChecker →
-// epoch replay workers as bounded-channel stages: epochs are emitted at
-// snapshot entries and handed to workers while later segments of the
-// container are still decoding, and the number of decoded entries resident
-// across the whole pipeline is capped by a configurable window rather than
-// the log length.
+// This file is the one epoch pipeline of the parallel, stream and dist
+// engines: decode ∥ chain hash + syntactic check ∥ signature verification
+// ∥ replay, as bounded-channel stages. Each snapshot entry commits a state
+// root, so the log between two snapshots is an epoch that can be checked
+// on its own (§3.5, §4.4): replay it from the earlier snapshot's state,
+// verified against the root committed there, and re-derive the later root.
+// routeStream is the one place that cuts the epochs, as entries stream past
+// the chain and syntactic checks, from a logcomp.EntrySource: the
+// compressed container, an archive reading epoch segments from disk, or a
+// slice in memory. It hands each epoch over (epochHandoff) to an in-process
+// replay worker, or collects the jobs whole for runJobs to ship to a remote
+// backend once the front checks have passed. Decoded entries resident
+// across the pipeline are capped by a window, not the log length.
 //
 // The router goroutine hashes the chain and parses entries but verifies no
 // signature. The chain verifier and the syntactic checker share one
@@ -34,14 +36,17 @@ import (
 // of results in flight and the verifier one per authenticator, so memory
 // stays bounded by the window and the authenticator set.
 //
-// The verdict is identical to the materializing auditor's. Stage faults
-// are merged with the serial pipeline's precedence — decode, then chain
-// (over the whole log), then syntactic, then the earliest faulting epoch's
-// replay fault — and each stage runs to completion before a lower-
-// precedence fault is allowed to win, exactly as if the stages had run one
-// after another over a materialized slice. Within a stage the first bad
-// signature in entry order wins, as if each had been verified before the
-// next entry was looked at (see ChainVerifier and SyntacticChecker).
+// The verdict is identical to the serial auditor's over the decoded slice.
+// Stage faults are merged with the serial pipeline's precedence — decode,
+// then chain (over the whole log), then syntactic, then the earliest
+// faulting epoch's replay fault (epochMerge) — and each stage runs to
+// completion before a lower-precedence fault is allowed to win, exactly as
+// if the stages had run one after another over a materialized slice.
+// Within a stage the first bad signature in entry order wins, as if each
+// had been verified before the next entry was looked at (see ChainVerifier
+// and SyntacticChecker). If every epoch passes, the serial replay would
+// have; if the execution diverged anywhere, the earliest affected epoch
+// faults with the check, entry and landmark the serial replay reports.
 
 // DefaultStreamWindow bounds resident decoded entries when EngineOptions
 // leaves Window zero.
@@ -55,7 +60,7 @@ const streamBatch = 64
 type StreamStats struct {
 	// Entries is the number of entries decoded from the container.
 	Entries int
-	// Epochs is the number of replay epochs the log was partitioned into.
+	// Epochs is the number of replay epochs the router cut the log into.
 	Epochs int
 	// Window is the resident-entry cap the run used.
 	Window int
@@ -106,8 +111,23 @@ func (w *entryWindow) release(n int) {
 	w.cond.Broadcast()
 }
 
-// streamEpoch is one independently replayable log slice in flight: the
-// epoch's job, whose entries arrive on ch instead of in job.Entries.
+// epochHandoff is how the router hands over the epochs it cuts.
+type epochHandoff int
+
+const (
+	// streamed hands each epoch to an in-process worker as it opens; its
+	// entries follow over a channel, so memory stays within the window.
+	streamed epochHandoff = iota
+	// whole hands each epoch to an in-process worker once it closes, its
+	// entries collected into the job: for a log already in memory, where a
+	// channel would only pace routing to the replay of the open epoch.
+	whole
+	// collected returns the jobs, entries collected, for a remote backend.
+	collected
+)
+
+// streamEpoch is one in-process epoch in flight: the epoch's job, whose
+// entries arrive on ch instead of in job.Entries when it is streamed.
 type streamEpoch struct {
 	job EpochJob
 	ch  chan tevlog.Entry
@@ -123,34 +143,89 @@ type streamVerdict struct {
 	merge     *epochMerge
 }
 
-// auditStreamFrom checks an entire execution from boot, like auditSerial,
-// but straight from the compressed log container: entries are decoded,
-// chain-verified and replayed concurrently in bounded memory. The verdict —
-// pass/fail, fault, and stats — is identical to the serial engine's (and
-// therefore the parallel engine's) over the decompressed slice; a container
-// that fails to decode reports a CheckLog fault carrying the decoder's
-// error. The returned StreamStats describe the pipeline run itself. A
-// non-nil source feeds the decode stage instead of the in-memory container
-// — the archive-backed path, where epoch segments are read, hash-verified
-// and decoded from disk one at a time. Source errors land in the same
-// decode-fault slot a corrupt container's do, so the merged verdict treats
-// a tampered archive exactly like a tampered log. The SigStats say how the
-// signature stage ran.
-func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions) (*Result, StreamStats, tevlog.SigStats) {
-	workers := workersOrDefault(opts.Workers)
-	window := opts.Window
+// sliceSource is the EntrySource over a log already in memory.
+type sliceSource struct{ entries []tevlog.Entry }
+
+func (s *sliceSource) Next() (tevlog.Entry, error) {
+	if len(s.entries) == 0 {
+		return tevlog.Entry{}, io.EOF
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return e, nil
+}
+
+func (s *sliceSource) Close() error { return nil }
+
+// auditEpochs checks an entire execution from boot, like auditSerial, on
+// the epoch pipeline; it backs EngineParallel, EngineStream and EngineDist
+// (stats.Engine) and fills stats as AuditStats documents. The entries come
+// from req.Source when it is set, else from req.Compressed on the stream
+// engine — a container that fails to decode is a CheckLog fault carrying
+// the decoder's error, and so is a source error mid-stream, so a tampered
+// archive is treated exactly like a tampered log — and from req.Entries on
+// the others. A non-nil error means a remote backend could not complete
+// the audit (runJobs).
+func (a *Auditor) auditEpochs(req AuditRequest, stats *AuditStats) (*Result, error) {
+	source, window, handoff := req.Source, req.Options.Window, streamed
+	if source == nil && stats.Engine != EngineStream {
+		// The log is in memory already: a window below its length would
+		// only throttle fan-out.
+		source, window, handoff = &sliceSource{entries: req.Entries}, max(len(req.Entries), 1), whole
+	}
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
-	win := newEntryWindow(window)
-	chanCap := window / 4
-	if chanCap < 1 {
-		chanCap = 1
+	var be EpochBackend
+	if stats.Engine == EngineDist && req.Backend != nil {
+		be, handoff = req.Backend, collected
 	}
-	if chanCap > 128 {
-		chanCap = 128
+	jobs, verdict, stream := a.runPipeline(req.Node, req.NodeIdx, req.Compressed, source, req.Auths, req.Options, window, handoff)
+	stats.Sigs = verdict.sigStats
+	if stats.Engine == EngineStream {
+		stats.Stream = stream
 	}
+	// The serial pipeline's precedence: a decode, a chain, then a syntactic
+	// fault is the verdict; with none, replay decides.
+	res := &Result{Node: req.Node}
+	switch {
+	case verdict.decodeErr != nil:
+		res.Fault = &FaultReport{Node: req.Node, Check: CheckLog,
+			Detail: "decoding log container: " + verdict.decodeErr.Error()}
+	case a.TamperEvident && verdict.chainErr != nil:
+		res.Fault = &FaultReport{Node: req.Node, Check: CheckLog, Detail: verdict.chainErr.Error()}
+	default:
+		res.Syntactic, res.Fault = verdict.synStats, verdict.synFault
+	}
+	if res.Fault != nil {
+		return res, nil
+	}
+	if be == nil {
+		// Every epoch at or below the cutoff ran (only epochs above it are
+		// skipped), so none is missing.
+		res.Replay, res.Fault, _, _ = verdict.merge.verdict(len(jobs))
+		if stats.Engine != EngineStream {
+			stats.Dist = DistStats{Epochs: len(jobs)}
+		}
+	} else {
+		var err error
+		if res.Replay, res.Fault, stats.Dist, err = a.runJobs(req.Node, jobs, be, req.Options); err != nil {
+			return nil, err
+		}
+	}
+	res.Passed = res.Fault == nil
+	return res, nil
+}
 
+// runPipeline runs the decode and route stages over source (over the
+// compressed container when source is nil) within a window of resident
+// entries and, unless the jobs are collected for a remote backend, the
+// in-process replay workers the router hands epochs to. It returns the
+// jobs the router cut, with their entries unless they were streamed, the
+// stage outcomes, and how the pipeline ran.
+func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions, window int, handoff epochHandoff) ([]*EpochJob, *streamVerdict, StreamStats) {
+	win := newEntryWindow(window)
+	chanCap := min(max(window/4, 1), 128)
 	verdict := &streamVerdict{merge: newEpochMerge()}
 
 	// Stage 1: decode. Entries acquire a window slot before they exist.
@@ -185,53 +260,68 @@ func (a *Auditor) auditStreamFrom(node sig.NodeID, nodeIdx uint32, compressed []
 		}
 	}()
 
-	// Stage 3: replay workers, pulling epochs as the router emits them.
-	epochQueue := make(chan *streamEpoch, workers)
-	sess := a.session(node)
+	// Stage 3: in-process replay workers, pulling epochs as the router
+	// emits them.
+	var epochQueue chan *streamEpoch
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ep := range epochQueue {
-				if verdict.merge.skip(ep.job.Index) {
-					// A lower epoch already faulted; this epoch cannot
-					// affect the verdict.
-					drainEpoch(ep, win)
-					continue
+	if handoff != collected {
+		workers := workersOrDefault(opts.Workers)
+		epochQueue = make(chan *streamEpoch, workers)
+		sess := a.session(node)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ep := range epochQueue {
+					switch {
+					case verdict.merge.skip(ep.job.Index):
+						// A lower epoch already faulted; this epoch cannot
+						// affect the verdict.
+						drainEpoch(ep, win)
+					case ep.ch == nil:
+						r, _ := runEpochJob(sess, &ep.job, nil, opts.Materialize)
+						verdict.merge.record(ep.job.Index, r)
+					default:
+						verdict.merge.record(ep.job.Index, runStreamEpoch(sess, ep, opts.Materialize, win))
+					}
 				}
-				verdict.merge.record(ep.job.Index, runStreamEpoch(sess, ep, opts.Materialize, win))
-			}
-		}()
+			}()
+		}
 	}
 
 	// Stage 2: chain verification, syntactic checking and epoch routing.
-	epochs := a.routeStream(node, nodeIdx, decoded, auths, opts, win, epochQueue, verdict)
-	close(epochQueue)
-	wg.Wait()
-
-	stream := StreamStats{
-		Entries: int(entryCount.Load()),
-		Epochs:  epochs,
-		Window:  window,
+	jobs := a.routeStream(node, nodeIdx, decoded, auths, opts, win, handoff, epochQueue, verdict)
+	if epochQueue != nil {
+		close(epochQueue)
+		wg.Wait()
 	}
+
+	stream := StreamStats{Entries: int(entryCount.Load()), Epochs: len(jobs), Window: window}
 	win.mu.Lock()
 	stream.PeakResidentEntries = win.peak
 	win.mu.Unlock()
-
-	return a.mergeStream(node, verdict, epochs), stream, verdict.sigStats
+	return jobs, verdict, stream
 }
 
 // routeStream consumes decoded entries, feeds the chain verifier and the
-// syntactic checker, and slices the stream into epochs at snapshot entries
-// (mirroring the epoch-parallel engine's partition rules). It returns the
-// number of epochs emitted. Both submit their signatures to one stage (see
-// the file comment). A chain fault ends chain verification, syntactic
-// checking and routing — in the batch pipeline neither the syntactic check
-// nor replay would have run at all — but the stream is still drained to the
-// end, because a decode error anywhere outranks the chain fault (the batch
-// pipeline fails in DecompressEntries before verifying anything).
-func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions, win *entryWindow, epochQueue chan<- *streamEpoch, verdict *streamVerdict) int {
+// syntactic checker, and cuts the stream into epoch jobs. It returns the
+// jobs in index order. An epoch ends at each snapshot entry when start
+// states can be materialized (opts.Materialize), so the epoch that derives
+// a snapshot's root verifies it, and the next epoch starts from that
+// snapshot's state. A job's Cost is its landmark instruction span: the
+// difference between the instruction counts the snapshots that bound it
+// commit, or for a tail no snapshot closes, its entry count at the log's
+// instructions-per-entry rate up to the last snapshot. A streamed epoch is
+// queued for the in-process workers as it opens and its entries follow
+// over its channel; otherwise they are appended to the job, freeing their
+// window slots, and a whole epoch is queued as it closes. Both checks
+// submit their signatures to one stage (see the file comment). A chain
+// fault ends chain verification, syntactic checking and routing — in the
+// batch pipeline neither the syntactic check nor replay would have run at
+// all — but the stream is still drained to the end, because a decode error
+// anywhere outranks the chain fault (the batch pipeline fails in
+// DecompressEntries before verifying anything).
+func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions, win *entryWindow, handoff epochHandoff, epochQueue chan<- *streamEpoch, verdict *streamVerdict) []*EpochJob {
 	sigs := tevlog.NewSigStage(a.Keys)
 	defer sigs.Close()
 	var chain *tevlog.ChainVerifier
@@ -244,24 +334,35 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		StrictAcks:       a.StrictAcks,
 	}, sigs)
 
-	var current *streamEpoch
-	// next describes the epoch the next routed entry belongs to; epochs are
-	// created lazily so a log ending exactly at a snapshot emits no empty
-	// trailing epoch (the parallel engine's partition does the same).
+	var jobs []*EpochJob
+	// current is the epoch being routed and ch its channel when streamed.
+	// Epochs open lazily, so a log ending exactly at a snapshot has no empty
+	// trailing epoch; next is the one the next routed entry opens.
+	var current *EpochJob
+	var ch chan tevlog.Entry
 	next := EpochJob{Boot: true}
-	epochs := 0
-	newEpoch := func(capacity int) {
-		current = &streamEpoch{job: next, ch: make(chan tevlog.Entry, capacity)}
-		current.job.Index = epochs
-		epochs++
-		epochQueue <- current
-	}
-
-	emit := func(e tevlog.Entry) {
-		if current == nil {
-			newEpoch(streamBatch)
+	// routed counts the entries routed so far, cutICount and cutEntries
+	// are the landmark instruction count and routed count at the last cut.
+	var routed, cutEntries int
+	var cutICount uint64
+	open := func(capacity int) {
+		job := next
+		job.Index = len(jobs)
+		current = &job
+		jobs = append(jobs, current)
+		if handoff == streamed {
+			ch = make(chan tevlog.Entry, capacity)
+			epochQueue <- &streamEpoch{job: *current, ch: ch}
 		}
-		current.ch <- e
+	}
+	end := func() {
+		if ch != nil {
+			close(ch)
+			ch = nil
+		} else if current != nil && handoff == whole {
+			epochQueue <- &streamEpoch{job: *current}
+		}
+		current = nil
 	}
 
 	for e := range decoded {
@@ -275,27 +376,36 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		if verdict.chainErr != nil {
 			// The chain fault owns the verdict unless decoding fails later;
 			// syntactic checking and replay are moot. Consume and drop.
-			if current != nil {
-				close(current.ch)
-				current = nil
-			}
+			end()
 			win.release(1)
 			continue
 		}
 		syn.Add(&e)
-		emit(e)
+		if current == nil {
+			open(streamBatch)
+		}
+		routed++
+		if ch != nil {
+			ch <- e
+		} else {
+			current.Entries = append(current.Entries, e)
+			win.release(1)
+		}
 		if e.Type == tevlog.TypeSnapshot && opts.Materialize != nil {
+			// An unparseable snapshot entry cuts nothing: the syntactic check
+			// faults on it, and replay inside the current epoch would too.
 			if ev, err := wire.ParseEvent(e.Content); err == nil {
-				// Epoch boundary: the snapshot entry closes the epoch that
-				// derives its root; the next epoch starts from its state.
-				close(current.ch)
-				current = nil
+				current.Cost = ev.Landmark.ICount - cutICount
+				end()
+				cutICount, cutEntries = ev.Landmark.ICount, routed
 				next = EpochJob{StartSnap: ev.SnapIdx, StartRoot: ev.Root, StartSeq: e.Seq}
 			}
-			// An unparseable snapshot entry splits nothing: replay will
-			// fault on it inside the current epoch, matching the parallel
-			// engine's fallback for malformed snapshot scans.
 		}
+	}
+	if current != nil && cutEntries > 0 {
+		// No snapshot closes the tail, so its landmark span is unknown;
+		// estimate it from the log's instructions-per-entry rate so far.
+		current.Cost = cutICount / uint64(cutEntries) * uint64(routed-cutEntries)
 	}
 
 	// A decode or chain fault owns the verdict: reading back the signatures
@@ -308,18 +418,20 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 	}
 	verdict.sigStats = sigs.Stats()
 
-	if epochs == 0 && verdict.decodeErr == nil && verdict.chainErr == nil {
+	if len(jobs) == 0 && verdict.decodeErr == nil && verdict.chainErr == nil {
 		// Empty log: still run the boot replay, as the batch auditor does.
-		newEpoch(0)
+		open(0)
 	}
-	if current != nil {
-		close(current.ch)
-	}
-	return epochs
+	end()
+	return jobs
 }
 
-// drainEpoch discards an epoch's entries, returning their window slots.
+// drainEpoch discards a streamed epoch's entries, returning their window
+// slots.
 func drainEpoch(ep *streamEpoch, win *entryWindow) {
+	if ep.ch == nil {
+		return
+	}
 	for range ep.ch {
 		win.release(1)
 	}
@@ -400,30 +512,4 @@ func runStreamEpoch(sess Session, ep *streamEpoch, materialize func(snapIdx uint
 		win.release(fed - released)
 	}
 	return epochResult{stats: rp.Stats, fault: rp.Fault()}
-}
-
-// mergeStream folds the stage outcomes into the batch pipeline's verdict,
-// applying its precedence: decode, chain, syntactic, then the earliest
-// faulting epoch's replay fault.
-func (a *Auditor) mergeStream(node sig.NodeID, verdict *streamVerdict, epochs int) *Result {
-	res := &Result{Node: node}
-	if verdict.decodeErr != nil {
-		res.Fault = &FaultReport{Node: node, Check: CheckLog,
-			Detail: "decoding log container: " + verdict.decodeErr.Error()}
-		return res
-	}
-	if a.TamperEvident && verdict.chainErr != nil {
-		res.Fault = &FaultReport{Node: node, Check: CheckLog, Detail: verdict.chainErr.Error()}
-		return res
-	}
-	res.Syntactic = verdict.synStats
-	if verdict.synFault != nil {
-		res.Fault = verdict.synFault
-		return res
-	}
-	// Every epoch at or below the cutoff ran (only epochs above it are
-	// skipped), so none is missing.
-	res.Replay, res.Fault, _, _ = verdict.merge.verdict(epochs)
-	res.Passed = res.Fault == nil
-	return res
 }

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -455,35 +456,93 @@ func TestFindSnapshots(t *testing.T) {
 	}
 }
 
-// stubMaterialize satisfies partition's "a state source exists" check; the
-// partition itself never materializes anything.
+// stubMaterialize satisfies the router's "a state source exists" check;
+// the cut itself never materializes anything.
 func stubMaterialize(uint32) (*snapshot.Restored, error) {
 	return nil, errNoState
 }
 
 var errNoState = errors.New("no state")
 
-func TestPartitionEpochCosts(t *testing.T) {
-	a := &Auditor{}
-	log := synthLog(
-		nondetEntry(vm.PortClockLo, 1),
-		eventEntry(&wire.EventContent{Kind: wire.EventSnapshot, SnapIdx: 0, Landmark: vm.Landmark{ICount: 40}}),
-		nondetEntry(vm.PortClockLo, 2),
-		eventEntry(&wire.EventContent{Kind: wire.EventSnapshot, SnapIdx: 1, Landmark: vm.Landmark{ICount: 100}}),
-		nondetEntry(vm.PortClockLo, 3),
-		nondetEntry(vm.PortClockLo, 4),
-	)
-	jobs := a.partition(log, EngineOptions{Materialize: stubMaterialize})
-	if len(jobs) != 3 {
-		t.Fatalf("jobs = %d, want 3", len(jobs))
+// TestRouterCut pins the one cut rule every epoch engine's jobs come from:
+// an epoch ends at each snapshot entry when start states can be
+// materialized, costs its landmark instruction span, and a tail no snapshot
+// closes is costed at the log's instructions-per-entry rate so far.
+func TestRouterCut(t *testing.T) {
+	snap := func(idx uint32, icount uint64) tevlog.Entry {
+		return eventEntry(&wire.EventContent{Kind: wire.EventSnapshot, SnapIdx: idx, Landmark: vm.Landmark{ICount: icount}})
 	}
-	if jobs[0].Cost != 40 || jobs[1].Cost != 60 {
-		t.Fatalf("epoch costs = %d, %d, want 40, 60", jobs[0].Cost, jobs[1].Cost)
+	nondet := func(v uint64) tevlog.Entry { return nondetEntry(vm.PortClockLo, v) }
+	type job struct {
+		boot    bool
+		snap    uint32
+		entries int
+		cost    uint64
 	}
-	// The tail has no closing snapshot; its cost is estimated from the
-	// log-wide rate so far: 100 instructions / 4 entries * 2 tail entries.
-	if jobs[2].Cost != 50 {
-		t.Fatalf("tail cost = %d, want 50", jobs[2].Cost)
+	for _, tc := range []struct {
+		name        string
+		log         []tevlog.Entry
+		materialize func(uint32) (*snapshot.Restored, error)
+		want        []job
+	}{
+		{
+			// The tail's cost: 100 instructions / 4 entries * 2 tail entries.
+			name:        "tail",
+			log:         []tevlog.Entry{nondet(1), snap(0, 40), nondet(2), snap(1, 100), nondet(3), nondet(4)},
+			materialize: stubMaterialize,
+			want:        []job{{true, 0, 2, 40}, {false, 0, 2, 60}, {false, 1, 2, 50}},
+		},
+		{
+			name:        "ends exactly at a snapshot",
+			log:         []tevlog.Entry{nondet(1), snap(0, 40), nondet(2), snap(1, 100)},
+			materialize: stubMaterialize,
+			want:        []job{{true, 0, 2, 40}, {false, 0, 2, 60}},
+		},
+		{
+			name: "no Materialize",
+			log:  []tevlog.Entry{nondet(1), snap(0, 40), nondet(2), snap(1, 100), nondet(3), nondet(4)},
+			want: []job{{true, 0, 6, 0}},
+		},
+		{
+			name:        "no snapshots",
+			log:         []tevlog.Entry{nondet(1), nondet(2), nondet(3)},
+			materialize: stubMaterialize,
+			want:        []job{{true, 0, 3, 0}},
+		},
+		{
+			name:        "empty log",
+			materialize: stubMaterialize,
+			want:        []job{{true, 0, 0, 0}},
+		},
+		{
+			// The syntactic check faults on the malformed entry; the cut
+			// goes on past it: 40 instructions / 2 entries * 3 tail entries.
+			name: "an unparseable snapshot entry cuts nothing",
+			log: []tevlog.Entry{nondet(1), snap(0, 40), nondet(2),
+				{Type: tevlog.TypeSnapshot, Content: []byte{0xFF}}, nondet(3)},
+			materialize: stubMaterialize,
+			want:        []job{{true, 0, 2, 40}, {false, 0, 3, 60}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := synthLog(tc.log...)
+			jobs := (&Auditor{}).cutJobs("m", log, tc.materialize)
+			var got []job
+			at := 0
+			for i, j := range jobs {
+				if j.Index != i {
+					t.Fatalf("job %d has index %d", i, j.Index)
+				}
+				if !j.Boot && j.StartSeq != log[at-1].Seq {
+					t.Fatalf("job %d starts at seq %d, want the snapshot entry's %d", i, j.StartSeq, log[at-1].Seq)
+				}
+				at += len(j.Entries)
+				got = append(got, job{j.Boot, j.StartSnap, len(j.Entries), j.Cost})
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("jobs = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 

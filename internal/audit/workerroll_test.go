@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,6 +46,29 @@ func newRollRun(t *testing.T) *rollRun {
 		r.scratch = append(r.scratch, audit.WorkerAnswer{Stats: stats, Fault: fault})
 	}
 	return r
+}
+
+// TestRunKeyPinned: a coordinator's journal keys a run by its jobs
+// (runKeyFor: index, start identity, entry count and cost of each), so the
+// router must cut a recording into exactly the jobs earlier builds cut it
+// into, or a journal an earlier binary wrote would not resume. The constant
+// is the key of deltaScenario's player1 run (ten jobs, the last a tail)
+// computed before the cut moved into the stream router.
+func TestRunKeyPinned(t *testing.T) {
+	const want = "2df81291fed0a6be8dfcd5af3822a1df4d2608a7c21a73da7520165e4be5a572"
+	s := deltaScenario(t, "")
+	target, _, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialize := func(k uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(k)) }
+	sess, jobs, err := a.WorkerJobs("player1", target.Log.Entries(), materialize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := audit.RunKey(sess, jobs); hex.EncodeToString(key[:]) != want {
+		t.Fatalf("run key %x over %d jobs, want %s", key, len(jobs), want)
+	}
 }
 
 // end is the snapshot job i closes at, where its replica rests: the start of

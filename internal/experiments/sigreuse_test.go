@@ -63,8 +63,8 @@ func counted(a *audit.Auditor, sets ...*verifiedSet) *audit.Auditor {
 
 func newVerifiedSet() *verifiedSet { return &verifiedSet{seen: make(map[[32]byte]int)} }
 
-// auditCounted audits one monitor's log from boot on the dist engine's
-// in-process pool and fails the test unless it passes.
+// auditCounted audits one monitor's log from boot on the dist engine with
+// in-process epochs and fails the test unless it passes.
 func auditCounted(t *testing.T, a *audit.Auditor, mon *avmm.Monitor, auths []tevlog.Authenticator) {
 	t.Helper()
 	res, _, err := a.Audit(audit.AuditRequest{

@@ -265,7 +265,7 @@ func (s *Scenario) AuditNode(node sig.NodeID) (*audit.Result, error) {
 }
 
 // AuditNodeParallel is AuditNode on the epoch-parallel engine: the node's
-// log is partitioned at its snapshot entries and the epochs are replayed
+// log is cut at its snapshot entries and the epochs are replayed
 // concurrently on up to workers goroutines, with each epoch's starting
 // state pulled from the node's snapshot store and verified against the
 // root committed in the log. The verdict is identical to AuditNode's.
@@ -315,10 +315,10 @@ func (s *Scenario) AuditInputs(node sig.NodeID) (*avmm.Monitor, []tevlog.Authent
 }
 
 // AuditNodeDist is AuditNode with the replay stage fanned out over an
-// epoch backend — the in-process pool when opts.Backend is nil, simulated
-// network workers, or real TCP workers. The node's snapshot store supplies
-// epoch starting states (root-verified by the coordinator before
-// dispatch); the verdict is byte-identical to AuditNode's.
+// epoch backend — simulated network workers or real TCP workers, or
+// in-process replay workers when opts.Backend is nil. The node's snapshot
+// store supplies epoch starting states (root-verified by the coordinator
+// before dispatch); the verdict is byte-identical to AuditNode's.
 func (s *Scenario) AuditNodeDist(node sig.NodeID, opts audit.DistOptions) (*audit.Result, audit.DistStats, error) {
 	target, auths, a, err := s.auditorFor(node)
 	if err != nil {

@@ -208,14 +208,16 @@ func (j *AuditDeltaJob) Marshal() []byte {
 	return w.b
 }
 
-// ParseAuditDeltaJob decodes a delta job frame body.
+// ParseAuditDeltaJob decodes a delta job frame body. It accepts only the
+// bytes Marshal writes for the job it returns: minimal varints, 32-bit
+// fields in range, nothing trailing.
 func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
-	r := &reader{b: b}
+	r := &reader{b: b, canonical: true}
 	j := &AuditDeltaJob{Index: r.uvarint()}
-	j.StartSnap = uint32(r.uvarint())
+	j.StartSnap = r.u32()
 	j.StartSeq = r.uvarint()
 	j.StartRoot = r.hash()
-	j.BaseSnap = uint32(r.uvarint())
+	j.BaseSnap = r.u32()
 	j.BaseRoot = r.hash()
 	nsteps := r.uvarint()
 	if r.err != nil {
@@ -227,12 +229,12 @@ func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
 	j.Steps = make([]DeltaStep, 0, nsteps)
 	for i := uint64(0); i < nsteps; i++ {
 		var s DeltaStep
-		s.FromIndex = uint32(r.uvarint())
+		s.FromIndex = r.u32()
 		s.FromRoot = r.hash()
 		s.ToRoot = r.hash()
 		s.FromMemRoot = r.hash()
 		s.ToMemRoot = r.hash()
-		s.ProofLeaves = uint32(r.uvarint())
+		s.ProofLeaves = r.u32()
 		npages := r.uvarint()
 		if r.err != nil {
 			return nil, fmt.Errorf("parsing audit delta job step %d: %w", i, r.err)
@@ -244,7 +246,7 @@ func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
 		s.PageData = make([][]byte, npages)
 		s.OldHashes = make([][32]byte, npages)
 		for k := uint64(0); k < npages; k++ {
-			s.PageIndices[k] = uint32(r.uvarint())
+			s.PageIndices[k] = r.u32()
 			s.PageData[k] = r.bytes()
 			s.OldHashes[k] = r.hash()
 		}

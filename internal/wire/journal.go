@@ -8,10 +8,10 @@ package wire
 // the network frames.
 //
 // A run is identified by RunKey — a digest the coordinator derives
-// deterministically from the audited node and the epoch partition — so a
-// restarted process that re-derives the same jobs from the same recording
-// computes the same key and can match durable verdicts to re-enqueued
-// epochs.
+// deterministically from the audited node and the epochs the audit's
+// router cut — so a restarted process that re-derives the same jobs from
+// the same recording computes the same key and can match durable verdicts
+// to re-enqueued epochs.
 
 import "fmt"
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/sig"
 	"repro/internal/tevlog"
@@ -32,6 +33,9 @@ func (w *writer) landmark(l vm.Landmark) {
 type reader struct {
 	b   []byte
 	err error
+	// canonical rejects a uvarint longer than its value needs, for a
+	// parser that accepts only the one encoding its writer produces.
+	canonical bool
 }
 
 func (r *reader) uvarint() uint64 {
@@ -43,8 +47,22 @@ func (r *reader) uvarint() uint64 {
 		r.err = errors.New("wire: truncated varint")
 		return 0
 	}
+	if r.canonical && n > 1 && r.b[n-1] == 0 {
+		r.err = errors.New("wire: non-minimal varint")
+		return 0
+	}
 	r.b = r.b[n:]
 	return v
+}
+
+// u32 reads a uvarint that must fit in 32 bits.
+func (r *reader) u32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.err = fmt.Errorf("wire: varint %d overflows 32 bits", v)
+		return 0
+	}
+	return uint32(v)
 }
 
 func (r *reader) bytes() []byte {
