@@ -230,10 +230,11 @@ func (m *epochMerge) verdict(n int) (stats ReplayStats, fault *FaultReport, miss
 	return stats, fault, -1, nil
 }
 
-// runJobs dispatches epoch jobs to a remote backend and merges verdicts
-// under the earliest-fault cutoff (epochMerge). The merged (stats, fault)
-// pair is identical to a serial replay of the same epochs whenever
-// verdicts are honest; spot-rechecked epochs are guaranteed it regardless.
+// runJobs dispatches the router's epoch jobs (jobs[i].Index == i) to a
+// remote backend and merges verdicts under the earliest-fault cutoff
+// (epochMerge). The merged (stats, fault) pair is identical to a serial
+// replay of the same epochs whenever verdicts are honest; spot-rechecked
+// epochs are guaranteed it regardless.
 func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, opts EngineOptions) (ReplayStats, *FaultReport, DistStats, error) {
 	sess := a.session(node)
 	dstats := DistStats{Epochs: len(jobs)}
@@ -245,14 +246,23 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	merge := newEpochMerge()
 
 	// Jobs ship self-contained: materialize and root-verify every start on
-	// the coordinator, concurrently. Failures are verdicts.
+	// the coordinator, Workers at a time. Failures are verdicts.
 	prepStart := time.Now()
 	faults := make([]*FaultReport, len(jobs))
-	runPool(len(jobs), workersOrDefault(opts.Workers), func(i int) {
-		if !jobs[i].Boot {
-			faults[i] = prepareStart(node, jobs[i], opts.Materialize)
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, workersOrDefault(opts.Workers))
+	for i, job := range jobs {
+		if job.Boot {
+			continue
 		}
-	})
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			faults[i] = prepareStart(node, job, opts.Materialize)
+		}()
+	}
+	wg.Wait()
 	var dispatch []*EpochJob
 	for i, job := range jobs {
 		if faults[i] != nil {
@@ -265,10 +275,6 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	dstats.PrepWallNs = time.Since(prepStart).Nanoseconds()
 	dstats.Dispatched = len(dispatch)
 
-	jobByIndex := make(map[int]*EpochJob, len(jobs))
-	for _, j := range jobs {
-		jobByIndex[j.Index] = j
-	}
 	var mu sync.Mutex // guards dstats while the backend runs
 	emit := func(v EpochVerdict) {
 		mu.Lock()
@@ -292,7 +298,7 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 			// Re-replay locally before trusting the worker: the local
 			// verdict is authoritative, so a lie can never steer the cutoff
 			// or the merged result for a rechecked epoch.
-			local, _ := runEpochJob(sess, jobByIndex[v.Index], nil, opts.Materialize)
+			local, _ := runEpochJob(sess, jobs[v.Index], nil, opts.Materialize)
 			mu.Lock()
 			dstats.SpotRechecked++
 			if !sameEpochResult(local, v) {
@@ -331,24 +337,4 @@ func (a *Auditor) runJobs(node sig.NodeID, jobs []*EpochJob, be EpochBackend, op
 	default:
 		return ReplayStats{}, nil, dstats, fmt.Errorf("audit: backend returned no verdict for epoch %d", missing)
 	}
-}
-
-// runPool runs fn(0..n-1) on up to workers goroutines, handing out
-// indices in order, and returns when every call has.
-func runPool(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -131,9 +131,9 @@ type AuditRequest struct {
 // the engine-specific struct of the engine that ran is filled, the others
 // are zero: Stream for EngineStream, Dist for EngineDist and
 // EngineParallel once the audit reaches replay (in-process epochs fill
-// only Dist.Epochs, a remote backend all of it). Sigs is
-// filled by every engine: how the audit's one signature-verification
-// stage ran (what avmm.DaemonStats is to a recording).
+// only Dist.Epochs, a remote backend all of it). Sigs is filled by every
+// engine: how the audit's one signature-verification stage ran (what
+// avmm.DaemonStats is to a recording).
 type AuditStats struct {
 	Engine Engine
 	Stream StreamStats

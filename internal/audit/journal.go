@@ -26,7 +26,7 @@ import (
 // file owns what the records mean. Recovery never trusts the journal for
 // audit *inputs* — a restarted coordinator reconstructs its runs from the
 // same recording (snapshots + log) it always reads, the router cuts the
-// same epochs (routeStream), and therefore the run has the same key; the journal only tells it
+// same epochs, and so the run has the same key; the journal only tells it
 // which of those epochs already have durable verdicts, which are re-emitted
 // as stored instead of re-dispatched. Stored verdicts still flow through
 // the router's spot recheck, so a journal tampered with between runs is

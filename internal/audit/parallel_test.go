@@ -431,3 +431,74 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeSkippedPastChainFault: a log with an entry missing from
+// an epoch's middle breaks its chain there, a log fault on every engine.
+// The in-process engines over a log in memory replay the epochs that
+// closed before the break, but never open the epoch it cuts short; a
+// remote backend is sent no job at all.
+func TestMaterializeSkippedPastChainFault(t *testing.T) {
+	s, err := game.NewScenario(game.ScenarioConfig{
+		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
+		Seed: 7, SnapshotEveryNs: eqSnapNs, FakeSignatures: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * eqMatchNs)
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := target.Log.Entries()
+	points, err := audit.FindSnapshots(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs 1..m start at snapshot entries 0..m-1 and close before the
+	// gap; epoch m+1, from snapshot entry m, holds it.
+	const m = 2
+	if len(points) < m+2 {
+		t.Fatalf("%d snapshots: need %d", len(points), m+2)
+	}
+	gap := (points[m].EntryIndex + points[m+1].EntryIndex) / 2
+	if gap <= points[m].EntryIndex+1 {
+		t.Fatalf("epoch %d has no middle entry", m+1)
+	}
+	broken := slices.Delete(slices.Clone(entries), gap, gap+1)
+	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: broken, Auths: auths})
+	if serial.Passed || serial.Fault.Check != audit.CheckLog {
+		t.Fatalf("serial audit of a log with a gap: passed=%v fault %+v, want a log fault", serial.Passed, serial.Fault)
+	}
+
+	var calls atomic.Int64
+	materialize := func(idx uint32) (*snapshot.Restored, error) {
+		calls.Add(1)
+		return target.Snaps.Materialize(int(idx))
+	}
+	legs := []struct {
+		name  string
+		req   audit.AuditRequest
+		calls int64
+	}{
+		{"parallel/1", audit.AuditRequest{Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 1}}, m},
+		{"parallel/4", audit.AuditRequest{Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 4}}, m},
+		{"dist/in-process", audit.AuditRequest{Engine: audit.EngineDist, Options: audit.EngineOptions{Workers: 4}}, m},
+		{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist,
+			Backend: &audit.NetsimBackend{Net: lossyNet(13), Workers: 3, MaxAttempts: 10}}, 0},
+	}
+	for _, leg := range legs {
+		req := leg.req
+		req.Node, req.NodeIdx, req.Entries, req.Auths = target.Node(), uint32(target.Index()), broken, auths
+		req.Options.Materialize = materialize
+		calls.Store(0)
+		res, _ := mustAudit(t, a, req)
+		compareVerdicts(t, leg.name, serial, res)
+		if res.Fault != nil && res.Fault.Detail != serial.Fault.Detail {
+			t.Errorf("%s: fault detail %q, serial %q", leg.name, res.Fault.Detail, serial.Fault.Detail)
+		}
+		if n := calls.Load(); n != leg.calls {
+			t.Errorf("%s: %d Materialize calls, want %d", leg.name, n, leg.calls)
+		}
+	}
+}

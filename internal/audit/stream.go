@@ -228,6 +228,13 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 	chanCap := min(max(window/4, 1), 128)
 	verdict := &streamVerdict{merge: newEpochMerge()}
 
+	// Over a log in memory the router cuts jobs as subslices of it, before
+	// the decode stage advances the source.
+	var backing []tevlog.Entry
+	if s, ok := source.(*sliceSource); ok {
+		backing = s.entries
+	}
+
 	// Stage 1: decode. Entries acquire a window slot before they exist.
 	decoded := make(chan tevlog.Entry, chanCap)
 	var entryCount atomic.Int64
@@ -246,13 +253,11 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 		for {
 			win.acquire()
 			e, err := r.Next()
-			if err == io.EOF {
-				win.release(1)
-				return
-			}
 			if err != nil {
 				win.release(1)
-				verdict.decodeErr = err
+				if err != io.EOF {
+					verdict.decodeErr = err
+				}
 				return
 			}
 			entryCount.Add(1)
@@ -290,7 +295,7 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 	}
 
 	// Stage 2: chain verification, syntactic checking and epoch routing.
-	jobs := a.routeStream(node, nodeIdx, decoded, auths, opts, win, handoff, epochQueue, verdict)
+	jobs := a.routeStream(node, nodeIdx, decoded, backing, auths, opts, win, handoff, epochQueue, verdict)
 	if epochQueue != nil {
 		close(epochQueue)
 		wg.Wait()
@@ -313,15 +318,17 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 // commit, or for a tail no snapshot closes, its entry count at the log's
 // instructions-per-entry rate up to the last snapshot. A streamed epoch is
 // queued for the in-process workers as it opens and its entries follow
-// over its channel; otherwise they are appended to the job, freeing their
-// window slots, and a whole epoch is queued as it closes. Both checks
-// submit their signatures to one stage (see the file comment). A chain
-// fault ends chain verification, syntactic checking and routing — in the
-// batch pipeline neither the syntactic check nor replay would have run at
-// all — but the stream is still drained to the end, because a decode error
-// anywhere outranks the chain fault (the batch pipeline fails in
-// DecompressEntries before verifying anything).
-func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions, win *entryWindow, handoff epochHandoff, epochQueue chan<- *streamEpoch, verdict *streamVerdict) []*EpochJob {
+// over its channel; otherwise they are collected into the job, freeing
+// their window slots — as a subslice of backing, the log in memory the
+// entries are decoded from, when it is set — and a whole epoch is queued as
+// it closes. Both checks submit their signatures to one stage (see the file
+// comment). A chain fault ends chain verification, syntactic checking and
+// routing, and drops the epoch it cuts short — in the batch pipeline
+// neither the syntactic check nor replay would have run at all — but the
+// stream is still drained to the end, because a decode error anywhere
+// outranks the chain fault (the batch pipeline fails in DecompressEntries
+// before verifying anything).
+func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan tevlog.Entry, backing []tevlog.Entry, auths []tevlog.Authenticator, opts EngineOptions, win *entryWindow, handoff epochHandoff, epochQueue chan<- *streamEpoch, verdict *streamVerdict) []*EpochJob {
 	sigs := tevlog.NewSigStage(a.Keys)
 	defer sigs.Close()
 	var chain *tevlog.ChainVerifier
@@ -355,12 +362,19 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 			epochQueue <- &streamEpoch{job: *current, ch: ch}
 		}
 	}
-	end := func() {
+	// end closes the current epoch: a streamed one's channel closes, a
+	// whole one is queued unless it is dropped (cut short by a chain fault).
+	end := func(drop bool) {
 		if ch != nil {
 			close(ch)
 			ch = nil
-		} else if current != nil && handoff == whole {
-			epochQueue <- &streamEpoch{job: *current}
+		} else if current != nil && !drop {
+			if backing != nil {
+				current.Entries = backing[cutEntries:routed]
+			}
+			if handoff == whole {
+				epochQueue <- &streamEpoch{job: *current}
+			}
 		}
 		current = nil
 	}
@@ -376,7 +390,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		if verdict.chainErr != nil {
 			// The chain fault owns the verdict unless decoding fails later;
 			// syntactic checking and replay are moot. Consume and drop.
-			end()
+			end(true)
 			win.release(1)
 			continue
 		}
@@ -385,9 +399,12 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 			open(streamBatch)
 		}
 		routed++
-		if ch != nil {
+		switch {
+		case ch != nil:
 			ch <- e
-		} else {
+		case backing != nil:
+			win.release(1)
+		default:
 			current.Entries = append(current.Entries, e)
 			win.release(1)
 		}
@@ -396,7 +413,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 			// faults on it, and replay inside the current epoch would too.
 			if ev, err := wire.ParseEvent(e.Content); err == nil {
 				current.Cost = ev.Landmark.ICount - cutICount
-				end()
+				end(false)
 				cutICount, cutEntries = ev.Landmark.ICount, routed
 				next = EpochJob{StartSnap: ev.SnapIdx, StartRoot: ev.Root, StartSeq: e.Seq}
 			}
@@ -422,7 +439,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		// Empty log: still run the boot replay, as the batch auditor does.
 		open(0)
 	}
-	end()
+	end(false)
 	return jobs
 }
 

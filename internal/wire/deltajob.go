@@ -209,10 +209,9 @@ func (j *AuditDeltaJob) Marshal() []byte {
 }
 
 // ParseAuditDeltaJob decodes a delta job frame body. It accepts only the
-// bytes Marshal writes for the job it returns: minimal varints, 32-bit
-// fields in range, nothing trailing.
+// bytes Marshal writes for the job it returns.
 func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
-	r := &reader{b: b, canonical: true}
+	r := &reader{b: b}
 	j := &AuditDeltaJob{Index: r.uvarint()}
 	j.StartSnap = r.u32()
 	j.StartSeq = r.uvarint()

@@ -180,8 +180,8 @@ func ParseAuditSession(b []byte) (*AuditSession, error) {
 	s := &AuditSession{Node: r.str(), RNGSeed: r.uvarint(), DisablePredecode: r.uvarint() != 0, DisableFusion: r.uvarint() != 0}
 	s.ImageName = r.str()
 	s.Code = r.bytes()
-	s.TextSize = uint32(r.uvarint())
-	s.Entry = uint32(r.uvarint())
+	s.TextSize = r.u32()
+	s.Entry = r.u32()
 	n := r.uvarint()
 	if r.err == nil && n > uint64(len(r.b)) {
 		r.err = fmt.Errorf("wire: session claims %d vectors, %d bytes remain", n, len(r.b))
@@ -189,7 +189,7 @@ func ParseAuditSession(b []byte) (*AuditSession, error) {
 	if r.err == nil {
 		s.Vectors = make([]uint32, n)
 		for i := range s.Vectors {
-			s.Vectors[i] = uint32(r.uvarint())
+			s.Vectors[i] = r.u32()
 		}
 	}
 	s.MemSize = r.uvarint()
@@ -248,7 +248,7 @@ func (j *AuditJob) Marshal() []byte {
 func ParseAuditJob(b []byte) (*AuditJob, error) {
 	r := &reader{b: b}
 	j := &AuditJob{Index: r.uvarint(), Boot: r.uvarint() != 0}
-	j.StartSnap = uint32(r.uvarint())
+	j.StartSnap = r.u32()
 	j.StartSeq = r.uvarint()
 	j.StartRoot = r.hash()
 	j.Mem = r.bytes()

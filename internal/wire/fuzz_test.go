@@ -14,9 +14,9 @@ import (
 // fuzzRoundTrip is the property every frame parser an adversary can reach
 // must hold: arbitrary bytes never panic it, and what it accepts survives a
 // re-encode cycle — the re-encoding parses back to the same value and
-// encodes to the same bytes again. (The reader accepts non-minimal uvarints
-// and any nonzero byte for true, so the first re-encode may canonicalize;
-// after that the bytes are a fixed point.)
+// encodes to the same bytes again. (The reader takes any nonzero byte for
+// true, so the first re-encode may canonicalize; after that the bytes are a
+// fixed point.)
 func fuzzRoundTrip[T any](t *testing.T, b []byte, parse func([]byte) (T, error), marshal func(T) []byte) {
 	t.Helper()
 	v, err := parse(b)

@@ -33,11 +33,9 @@ func (w *writer) landmark(l vm.Landmark) {
 type reader struct {
 	b   []byte
 	err error
-	// canonical rejects a uvarint longer than its value needs, for a
-	// parser that accepts only the one encoding its writer produces.
-	canonical bool
 }
 
+// uvarint reads a minimal uvarint, the only encoding the writer produces.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -47,7 +45,7 @@ func (r *reader) uvarint() uint64 {
 		r.err = errors.New("wire: truncated varint")
 		return 0
 	}
-	if r.canonical && n > 1 && r.b[n-1] == 0 {
+	if n > 1 && r.b[n-1] == 0 {
 		r.err = errors.New("wire: non-minimal varint")
 		return 0
 	}
@@ -97,7 +95,7 @@ func (r *reader) hash() [32]byte {
 }
 
 func (r *reader) landmark() vm.Landmark {
-	return vm.Landmark{ICount: r.uvarint(), Branches: r.uvarint(), PC: uint32(r.uvarint())}
+	return vm.Landmark{ICount: r.uvarint(), Branches: r.uvarint(), PC: r.u32()}
 }
 
 func (r *reader) done() error {
@@ -132,7 +130,7 @@ func (c *SendContent) Marshal() []byte {
 // ParseSend decodes a SEND entry content.
 func ParseSend(b []byte) (*SendContent, error) {
 	r := &reader{b: b}
-	c := &SendContent{MsgID: r.uvarint(), Dest: uint32(r.uvarint()), Payload: r.bytes()}
+	c := &SendContent{MsgID: r.uvarint(), Dest: r.u32(), Payload: r.bytes()}
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("parsing SEND: %w", err)
 	}
@@ -171,7 +169,7 @@ func (c *RecvContent) Marshal() []byte {
 func ParseRecv(b []byte) (*RecvContent, error) {
 	r := &reader{b: b}
 	c := &RecvContent{
-		MsgID: r.uvarint(), SrcNode: r.str(), SrcIdx: uint32(r.uvarint()),
+		MsgID: r.uvarint(), SrcNode: r.str(), SrcIdx: r.u32(),
 		Payload: r.bytes(),
 	}
 	c.SenderSeq = r.uvarint()
@@ -236,7 +234,7 @@ func (c *NondetContent) Marshal() []byte {
 // ParseNondet decodes a NONDET entry content.
 func ParseNondet(b []byte) (*NondetContent, error) {
 	r := &reader{b: b}
-	c := &NondetContent{Port: uint32(r.uvarint()), Value: r.uvarint()}
+	c := &NondetContent{Port: r.u32(), Value: r.uvarint()}
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("parsing NONDET: %w", err)
 	}
@@ -306,15 +304,15 @@ func ParseEvent(b []byte) (*EventContent, error) {
 	c.Landmark = r.landmark()
 	switch c.Kind {
 	case EventIRQ:
-		c.IRQ = uint32(r.uvarint())
+		c.IRQ = r.u32()
 	case EventInjectPacket:
 		c.RecvSeq = r.uvarint()
-		c.SrcIdx = uint32(r.uvarint())
+		c.SrcIdx = r.u32()
 		c.Payload = r.bytes()
 	case EventInjectInput:
-		c.Input = uint32(r.uvarint())
+		c.Input = r.u32()
 	case EventSnapshot:
-		c.SnapIdx = uint32(r.uvarint())
+		c.SnapIdx = r.u32()
 		c.Root = r.hash()
 	default:
 		return nil, fmt.Errorf("wire: unknown event kind %d", c.Kind)

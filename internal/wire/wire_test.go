@@ -130,6 +130,22 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestAlternateVarintsRejected: every parser reads only the encoding the
+// writer produces — a minimal uvarint, and a 32-bit field within 32 bits.
+func TestAlternateVarintsRejected(t *testing.T) {
+	// MsgID 1 as 0x81 0x00, then Dest 0 and an empty payload.
+	if _, err := ParseSend([]byte{0x81, 0x00, 0x00, 0x00}); err == nil {
+		t.Error("non-minimal varint accepted")
+	}
+	// Dest 1<<32.
+	if _, err := ParseSend([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}); err == nil {
+		t.Error("32-bit field out of range accepted")
+	}
+	if _, err := ParseSend([]byte{0x01, 0x00, 0x00}); err != nil {
+		t.Errorf("minimal encoding rejected: %v", err)
+	}
+}
+
 // TestPropertyFrameRoundTrip fuzzes frame fields through marshal/parse.
 func TestPropertyFrameRoundTrip(t *testing.T) {
 	f := func(kind uint8, node string, msgID uint64, payload []byte, seq uint64, sig []byte) bool {
