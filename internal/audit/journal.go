@@ -243,7 +243,7 @@ func (j *Journal) runCompleted(key [32]byte) {
 // resume returns the durable verdicts of a pending run with this key, or
 // nil when the key is unknown, completed, or recorded with a different
 // epoch count (a recording that changed under the journal — nothing it
-// stored can be trusted for the new partition).
+// stored can be trusted for the new cut).
 func (j *Journal) resume(key [32]byte, epochs int) map[int][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
