@@ -12,6 +12,36 @@
 // Key generation draws from a seeded stream for reproducibility of the
 // surrounding experiments; the protocols never rely on regenerating a key —
 // verifiers travel through the KeyStore and certificates.
+//
+// # The RSA-1024 signing kernel
+//
+// RSASigner signs with a key of DefaultKeyBits — two 512-bit primes — on a
+// CRT kernel of its own (crt.go, mont.go) and with every other key through
+// rsa.SignPKCS1v15; the signature bytes are the same either way (PKCS#1
+// v1.5 is deterministic). The fork is by modulus size, as crypto/rsa's own
+// Montgomery code forks: it has unrolled assembly for 1024-, 1536- and
+// 2048-bit moduli, so a 2048-bit key's 1024-bit primes are served well,
+// but RSA-1024's two half-exponentiations run on 512-bit primes and fall
+// through to its generic word loop. The kernel works on eight fixed 64-bit
+// limbs instead and signs in half to two thirds of the time; with more
+// than one P it computes the mod-q half on another goroutine while the
+// caller computes the mod-p half.
+//
+// What a change to the kernel must keep, as a review checklist:
+//   - No branch, memory index, loop bound or early exit depends on a
+//     secret (the primes, the CRT exponents, q⁻¹, any intermediate value).
+//     A choice between two values — the final subtraction of every
+//     Montgomery product, a modular addition or subtraction — is a mask.
+//   - Every 4-bit window of the exponentiation reads the whole 16-entry
+//     table (lookup) and keeps the entry it wants by mask.
+//   - The exponent is used at its full fixed width: 64 bytes, 128 windows,
+//     4 squarings and 1 multiplication each, whatever its leading zeros.
+//   - Variable time is allowed only in setting up a key (newCRTKey, once
+//     per key in GenerateRSA): R² mod p, −p⁻¹ mod 2⁶⁴, q⁻¹·R mod p and
+//     the exponents are computed there with math/big.
+//   - The signature is verified under the public key before it is
+//     returned, as crypto/rsa does; if it does not verify, Sign panics
+//     instead (the output of a faulty CRT half reveals a prime).
 package sig
 
 import (
@@ -104,6 +134,7 @@ type RSASigner struct {
 	id   NodeID
 	key  *rsa.PrivateKey
 	bits int
+	crt  *crtKey // nil unless the key is one the CRT kernel signs for
 }
 
 // GenerateRSA generates an RSA keypair for id from a seeded random stream.
@@ -120,7 +151,7 @@ func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sig: generating %d-bit key for %q: %w", bits, id, err)
 	}
-	return &RSASigner{id: id, key: key, bits: bits}, nil
+	return &RSASigner{id: id, key: key, bits: bits, crt: newCRTKey(key)}, nil
 }
 
 // MustGenerateRSA is GenerateRSA but panics on error; key generation with
@@ -160,12 +191,22 @@ func MustGenerateRSAAll(ids []NodeID, bits int, seed string) []*RSASigner {
 // ID returns the principal this signer signs for.
 func (s *RSASigner) ID() NodeID { return s.id }
 
-// Sign returns an RSA PKCS#1 v1.5 signature over the SHA-256 digest of msg.
+// Sign returns an RSA PKCS#1 v1.5 signature over the SHA-256 digest of msg:
+// the bytes rsa.SignPKCS1v15 returns, computed on the package's CRT kernel
+// when the key is a two-prime 1024-bit one. It is safe to call from several
+// goroutines at once.
 func (s *RSASigner) Sign(msg []byte) []byte {
 	digest := sha256.Sum256(msg)
-	signature, err := rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest[:])
+	var signature []byte
+	var err error
+	if s.crt != nil {
+		signature, err = s.crt.sign(&digest)
+	} else {
+		signature, err = rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest[:])
+	}
 	if err != nil {
-		// Signing with a valid key and digest cannot fail.
+		// Signing with a valid key and digest fails only when the result
+		// does not verify: a fault, whose output must not leave.
 		panic(fmt.Sprintf("sig: RSA signing failed: %v", err))
 	}
 	return signature
