@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
-	"runtime"
 )
 
 // crtKeyBits is the one modulus size the CRT kernel signs for: a two-prime
@@ -112,20 +111,10 @@ func (k *crtKey) sign(digest *[32]byte) ([]byte, error) {
 		c[i] = binary.BigEndian.Uint64(em[len(em)-8*(i+1):])
 	}
 
-	// m₁ = c^dP mod p and m₂ = c^dQ mod q: at once when there is a second P.
+	// m₁ = c^dP mod p and m₂ = c^dQ mod q.
 	var m1, m2 nat
-	if runtime.GOMAXPROCS(0) > 1 {
-		done := make(chan struct{})
-		go func() {
-			k.q.crtHalf(&m2, &c)
-			close(done)
-		}()
-		k.p.crtHalf(&m1, &c)
-		<-done
-	} else {
-		k.p.crtHalf(&m1, &c)
-		k.q.crtHalf(&m2, &c)
-	}
+	k.p.crtHalf(&m1, &c)
+	k.q.crtHalf(&m2, &c)
 
 	// h = (m₁ − m₂)·q⁻¹ mod p; m₂ < q < 2p, so one subtraction reduces it.
 	var m2p, h nat

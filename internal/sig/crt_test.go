@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -72,9 +71,8 @@ func requireStdlibSignature(t testing.TB, s *RSASigner, msg []byte) {
 }
 
 // TestRSASignMatchesStdlib: the kernel signs every 1024-bit key, with the
-// primes in either order, byte for byte as crypto/rsa does, with its two
-// halves in turn (one P) and at once (four Ps); other key sizes are signed
-// by crypto/rsa itself.
+// primes in either order, byte for byte as crypto/rsa does; other key sizes
+// are signed by crypto/rsa itself.
 func TestRSASignMatchesStdlib(t *testing.T) {
 	ids := make([]NodeID, 20)
 	for i := range ids {
@@ -83,12 +81,10 @@ func TestRSASignMatchesStdlib(t *testing.T) {
 	signers := MustGenerateRSAAll(ids, DefaultKeyBits, "stdlib")
 	signers = append(signers, fixedKey(t, "fixed-p>q", false), fixedKey(t, "fixed-p<q", true))
 	rng := rand.New(rand.NewSource(1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for i, s := range signers {
+	for _, s := range signers {
 		if s.crt == nil {
 			t.Fatalf("%s: a 1024-bit key is not signed by the kernel", s.id)
 		}
-		runtime.GOMAXPROCS(1 + 3*(i%2))
 		requireStdlibSignature(t, s, nil)
 		for j := 0; j < 50; j++ {
 			msg := make([]byte, rng.Intn(100))
@@ -141,39 +137,34 @@ func TestRSASignFaultCheck(t *testing.T) {
 		{"dQ", func(k *crtKey) { k.q.exp[0] ^= 1 }},
 		{"q", func(k *crtKey) { k.qNat[1] ^= 1 << 63 }},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, c := range corruptions {
-			k := *good.crt
-			c.flip(&k)
-			bad := *good
-			bad.crt = &k
-			msg := []byte(c.name)
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Errorf("P=%d, %s corrupted: Sign returned", procs, c.name)
-					} else if m := fmt.Sprint(r); !strings.HasPrefix(m, "sig: RSA signing failed") {
-						t.Errorf("P=%d, %s corrupted: panic %q", procs, c.name, m)
-					}
-				}()
-				signature := bad.Sign(msg)
-				if !good.Public().Verify(msg, signature) {
-					t.Errorf("P=%d, %s corrupted: Sign returned a signature that does not verify", procs, c.name)
+	for _, c := range corruptions {
+		k := *good.crt
+		c.flip(&k)
+		bad := *good
+		bad.crt = &k
+		msg := []byte(c.name)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s corrupted: Sign returned", c.name)
+				} else if m := fmt.Sprint(r); !strings.HasPrefix(m, "sig: RSA signing failed") {
+					t.Errorf("%s corrupted: panic %q", c.name, m)
 				}
 			}()
-		}
+			signature := bad.Sign(msg)
+			if !good.Public().Verify(msg, signature) {
+				t.Errorf("%s corrupted: Sign returned a signature that does not verify", c.name)
+			}
+		}()
 	}
 	requireStdlibSignature(t, good, []byte("the key itself is untouched"))
 }
 
 // TestRSASignConcurrent: one signer used from several goroutines at once,
-// each signature with its own half on another goroutine, signs every
-// message as crypto/rsa does.
+// as the logging daemon's workers use it, signs every message as crypto/rsa
+// does.
 func TestRSASignConcurrent(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := fixedKey(t, "concurrent", false)
 	want := make([][]byte, 16)
 	for i := range want {

@@ -73,12 +73,11 @@ func SignInto(s Signer, msg, slot []byte) {
 // enough that running it on another goroutine pays for the handoff, and
 // known to be safe to call from several goroutines at once. That is
 // RSASigner. An RSA-1024 signature on the package's CRT kernel costs about
-// 200–270 µs of CPU on a 2-vCPU Xeon VM, where crypto/rsa took 310–630 µs:
-// two half-exponentiations of about 90–120 µs, which run at once when there
-// is a second P (the other one on a goroutine of its own), and a 10–20 µs
-// verification. The digest stand-ins (NullSigner, SizedSigner) cost less
-// than a handoff, and an implementation this package does not know is not
-// assumed to be concurrency-safe.
+// 225–270 µs of CPU on a 2-vCPU Xeon VM, where crypto/rsa took 345–630 µs:
+// two half-exponentiations of about 100–125 µs, one after the other, and a
+// 10–20 µs verification. The digest stand-ins (NullSigner, SizedSigner)
+// cost less than a handoff, and an implementation this package does not
+// know is not assumed to be concurrency-safe.
 func Offloads(s Signer) bool {
 	_, ok := s.(*RSASigner)
 	return ok

@@ -23,9 +23,10 @@
 // 2048-bit moduli, so a 2048-bit key's 1024-bit primes are served well,
 // but RSA-1024's two half-exponentiations run on 512-bit primes and fall
 // through to its generic word loop. The kernel works on eight fixed 64-bit
-// limbs instead and signs in half to two thirds of the time; with more
-// than one P it computes the mod-q half on another goroutine while the
-// caller computes the mod-p half.
+// limbs instead and signs in half to two thirds of the time. It computes
+// the two halves in turn: the mod-q half on a goroutine of its own, beside
+// the caller's mod-p half, was measured and did not shorten recording by
+// more than the benchmark's noise.
 //
 // What a change to the kernel must keep, as a review checklist:
 //   - No branch, memory index, loop bound or early exit depends on a
