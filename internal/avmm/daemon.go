@@ -16,10 +16,12 @@ import (
 // signature holds every later delivery, which bounds what more workers can
 // win.
 type DaemonStats struct {
-	// Signatures is the number of authenticator signatures requested.
+	// Signatures is the number of authenticator signatures requested: the
+	// frames' and the snapshot entries'.
 	Signatures int
 	// Waits is the number of times a frame was due — for delivery, or for
-	// the link filter — before its signature was in place.
+	// the link filter — or snapshot authenticators were asked for before
+	// their signature was in place.
 	Waits int
 	// WaitNs is the host time the simulation thread spent getting those
 	// signatures: blocked on a worker, or computing one no worker had

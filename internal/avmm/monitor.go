@@ -121,6 +121,7 @@ type Monitor struct {
 	recvSeen  map[string]bool      // node/msgID → already received
 	PeerAuths map[sig.NodeID][]tevlog.Authenticator
 	snapAuths []tevlog.Authenticator
+	snapSigs  []*sig.Pending // the daemon's handles on snapAuths' signatures not yet waited for
 
 	classBytes        [numClasses]int
 	lastClockNs       uint64
@@ -702,10 +703,14 @@ func (mon *Monitor) TakeSnapshot() (*snapshot.Snapshot, error) {
 	// spot-check chunks that end at a snapshot without depending on a peer
 	// authenticator landing on exactly that entry (§4.5: the auditor
 	// challenges M to produce the segment connecting two authenticators).
-	auth, err := mon.Log.Authenticator(e.Seq)
+	// The signature is the logging daemon's, like every other; nothing
+	// reads it before SnapshotAuths.
+	auth, body, err := mon.Log.Commitment(e.Seq)
 	if err != nil {
 		return nil, fmt.Errorf("avmm: snapshot authenticator: %w", err)
 	}
+	auth.Sig = make([]byte, mon.cfg.Signer.SigLen())
+	mon.snapSigs = append(mon.snapSigs, mon.daemon.sign(mon.cfg.Signer, body, auth.Sig))
 	if mon.cfg.Mode.Signs() {
 		mon.daemonCharge(mon.cfg.Cost.SignNs)
 	}
@@ -717,8 +722,13 @@ func (mon *Monitor) TakeSnapshot() (*snapshot.Snapshot, error) {
 }
 
 // SnapshotAuths returns the machine's self-signed authenticators for its
-// snapshot entries, in snapshot order.
+// snapshot entries, in snapshot order, once their signatures are done. Like
+// every wait on the logging daemon, it belongs to the simulation thread.
 func (mon *Monitor) SnapshotAuths() []tevlog.Authenticator {
+	for _, p := range mon.snapSigs {
+		p.Wait()
+	}
+	mon.snapSigs = nil
 	out := make([]tevlog.Authenticator, len(mon.snapAuths))
 	copy(out, mon.snapAuths)
 	return out

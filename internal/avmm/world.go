@@ -81,9 +81,9 @@ func (w *World) DaemonStats() DaemonStats { return w.daemon.stats }
 
 // Run advances the world until virtual time untilNs, scheduling every
 // machine, delivering frames, and running housekeeping each slice. Before
-// it returns it waits for the signatures still being computed for frames
-// in flight, so once Run is back no goroutine of the daemon exists and
-// everything the monitors hold is final.
+// it waits for the signatures still being computed for frames in flight
+// and for snapshot authenticators, so once Run is back no goroutine of the
+// daemon exists and everything the monitors hold is final.
 func (w *World) Run(untilNs uint64) {
 	defer w.daemon.drain()
 	for w.nowNs < untilNs {

@@ -70,9 +70,37 @@ func requireStdlibSignature(t testing.TB, s *RSASigner, msg []byte) {
 	}
 }
 
+// adxAvailable is whether this machine runs the assembly products: useADX
+// as the package chose it, before any test flips it.
+var adxAvailable = useADX
+
+// kernelPaths are the two implementations of the Montgomery products.
+var kernelPaths = []struct {
+	name string
+	adx  bool
+}{{"go", false}, {"adx", true}}
+
+// onEachPath runs f as a subtest once per implementation of mul and sqr:
+// the Go limb code, and the MULX/ADX assembly where the CPU has it. It
+// selects the implementation through useADX, so no test of this package
+// may run in parallel with it.
+func onEachPath(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { useADX = v }(useADX)
+	for _, p := range kernelPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.adx && !adxAvailable {
+				t.Skip("the CPU has no MULX/ADX: the assembly products are not tested on this machine")
+			}
+			useADX = p.adx
+			f(t)
+		})
+	}
+}
+
 // TestRSASignMatchesStdlib: the kernel signs every 1024-bit key, with the
-// primes in either order, byte for byte as crypto/rsa does; other key sizes
-// are signed by crypto/rsa itself.
+// primes in either order, byte for byte as crypto/rsa does, on both
+// implementations of its products; other key sizes are signed by
+// crypto/rsa itself.
 func TestRSASignMatchesStdlib(t *testing.T) {
 	ids := make([]NodeID, 20)
 	for i := range ids {
@@ -80,18 +108,20 @@ func TestRSASignMatchesStdlib(t *testing.T) {
 	}
 	signers := MustGenerateRSAAll(ids, DefaultKeyBits, "stdlib")
 	signers = append(signers, fixedKey(t, "fixed-p>q", false), fixedKey(t, "fixed-p<q", true))
-	rng := rand.New(rand.NewSource(1))
-	for _, s := range signers {
-		if s.crt == nil {
-			t.Fatalf("%s: a 1024-bit key is not signed by the kernel", s.id)
+	onEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, s := range signers {
+			if s.crt == nil {
+				t.Fatalf("%s: a 1024-bit key is not signed by the kernel", s.id)
+			}
+			requireStdlibSignature(t, s, nil)
+			for j := 0; j < 50; j++ {
+				msg := make([]byte, rng.Intn(100))
+				rng.Read(msg)
+				requireStdlibSignature(t, s, msg)
+			}
 		}
-		requireStdlibSignature(t, s, nil)
-		for j := 0; j < 50; j++ {
-			msg := make([]byte, rng.Intn(100))
-			rng.Read(msg)
-			requireStdlibSignature(t, s, msg)
-		}
-	}
+	})
 
 	other := MustGenerateRSA("wide", crtKeyBits+8, "stdlib")
 	if other.crt != nil {
@@ -106,24 +136,40 @@ var fuzzKeys struct {
 }
 
 // FuzzRSASign: whatever the message, the kernel's signature under each of
-// a few fixed keys is crypto/rsa's.
+// a few fixed keys is crypto/rsa's, on both implementations of its
+// products.
 func FuzzRSASign(f *testing.F) {
 	for _, seed := range []string{"", "m", "\x00\x01\xff", strings.Repeat("authenticator", 10)} {
 		f.Add([]byte(seed))
 	}
+	if !adxAvailable {
+		f.Log("the CPU has no MULX/ADX: only the Go products are fuzzed")
+	}
+	defer func(v bool) { useADX = v }(useADX)
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		fuzzKeys.once.Do(func() {
 			fuzzKeys.keys = []*RSASigner{fixedKey(t, "fuzz-0", false), fixedKey(t, "fuzz-1", true), fixedKey(t, "fuzz-2", false)}
 		})
-		for _, s := range fuzzKeys.keys {
-			requireStdlibSignature(t, s, msg)
+		for _, p := range kernelPaths {
+			if p.adx && !adxAvailable {
+				continue
+			}
+			useADX = p.adx
+			for _, s := range fuzzKeys.keys {
+				requireStdlibSignature(t, s, msg)
+			}
 		}
 	})
 }
 
 // TestRSASignFaultCheck: a kernel with one constant wrong computes a wrong
-// signature, and Sign panics rather than return it.
+// signature, and Sign panics rather than return it, on both implementations
+// of its products.
 func TestRSASignFaultCheck(t *testing.T) {
+	onEachPath(t, testRSASignFaultCheck)
+}
+
+func testRSASignFaultCheck(t *testing.T) {
 	good := fixedKey(t, "fault", false)
 	corruptions := []struct {
 		name string
@@ -190,14 +236,19 @@ func TestRSASignConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMontArithmeticMatchesBig holds mul, sqr and the modular helpers to
-// math/big, on random operands and the edges of their ranges.
+// TestMontArithmeticMatchesBig holds mul and sqr — the Go limb code and,
+// where the CPU has MULX/ADX, the assembly — and the modular helpers to
+// math/big, on random operands and the edges of their ranges, modulo both
+// primes of a generated key and of a seed-built one.
 func TestMontArithmeticMatchesBig(t *testing.T) {
-	s := fixedKey(t, "arith", false)
+	if !adxAvailable {
+		t.Log("the CPU has no MULX/ADX: the assembly products are not tested on this machine")
+	}
+	generated := MustGenerateRSA("arith-gen", DefaultKeyBits, "arith")
+	built := fixedKey(t, "arith", false)
 	rng := rand.New(rand.NewSource(2))
-	for _, mm := range []*montModulus{&s.crt.p, &s.crt.q} {
+	for _, mm := range []*montModulus{&generated.crt.p, &generated.crt.q, &built.crt.p, &built.crt.q} {
 		m := toBig(&mm.m)
-		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), crtPrimeBits), m)
 		below := func(bound *big.Int) nat {
 			return natOf(new(big.Int).Rand(rng, bound))
 		}
@@ -208,30 +259,22 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 		if want := new(big.Int).Sub(toBig(&rMinus1), m); toBig(&z).Cmp(want) != 0 {
 			t.Fatalf("condSub(R−1) = %x, want %x", z, want)
 		}
-		xs := []nat{{}, {1}, mMinus1, mm.one, mm.rr}
+		edges := []nat{{}, {1}, mMinus1, mm.one, mm.rr}
+		xs := append([]nat(nil), edges...)
 		for i := 0; i < 500; i++ {
 			xs = append(xs, below(m))
 		}
+		for _, x := range append(edges, rMinus1) {
+			for _, y := range edges {
+				checkProducts(t, mm, &x, &y)
+			}
+		}
 		for i, x := range xs {
 			y := xs[(i*7+3)%len(xs)]
-			want := new(big.Int).Mul(toBig(&x), toBig(&y))
-			want.Mul(want, rInv).Mod(want, m)
-			mm.mul(&z, &x, &y)
-			if toBig(&z).Cmp(want) != 0 {
-				t.Fatalf("mul(%x, %x) = %x, want %x", x, y, z, want)
-			}
-			wantSq := new(big.Int).Mul(toBig(&x), toBig(&x))
-			wantSq.Mul(wantSq, rInv).Mod(wantSq, m)
-			mm.sqr(&z, &x)
-			if toBig(&z).Cmp(wantSq) != 0 {
-				t.Fatalf("sqr(%x) = %x, want %x", x, z, wantSq)
-			}
+			checkProducts(t, mm, &x, &y)
 			// mul takes any x < R.
-			mm.mul(&z, &rMinus1, &y)
-			want.Mul(toBig(&rMinus1), toBig(&y)).Mul(want, rInv).Mod(want, m)
-			if toBig(&z).Cmp(want) != 0 {
-				t.Fatalf("mul(R−1, %x) = %x, want %x", y, z, want)
-			}
+			checkProducts(t, mm, &rMinus1, &y)
+			want := new(big.Int)
 			addMod(&z, &x, &y, &mm.m)
 			if want.Add(toBig(&x), toBig(&y)).Mod(want, m); toBig(&z).Cmp(want) != 0 {
 				t.Fatalf("addMod(%x, %x) = %x, want %x", x, y, z, want)
@@ -254,6 +297,89 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkProducts holds x·y·R⁻¹ mod m from mulGeneric and mulADX, and, when
+// x < m, x·x·R⁻¹ mod m from sqrGeneric and sqrADX, to math/big, each also
+// with its result written over an operand. x must be below R and y below
+// m. The assembly is skipped where the CPU cannot run it.
+func checkProducts(t testing.TB, mm *montModulus, x, y *nat) {
+	t.Helper()
+	m := toBig(&mm.m)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), crtPrimeBits), m)
+	want := new(big.Int).Mul(toBig(x), toBig(y))
+	want.Mul(want, rInv).Mod(want, m)
+	wantSq := new(big.Int).Mul(toBig(x), toBig(x))
+	wantSq.Mul(wantSq, rInv).Mod(wantSq, m)
+	square := toBig(x).Cmp(m) < 0
+	type product struct {
+		name string
+		adx  bool
+		mul  func(z, x, y *nat)
+		sqr  func(z, x *nat)
+	}
+	products := []product{
+		{"mulGeneric/sqrGeneric", false, mm.mulGeneric, mm.sqrGeneric},
+		{"mulADX/sqrADX", true,
+			func(z, x, y *nat) { mulADX(z, x, y, &mm.m, mm.m0inv) },
+			func(z, x *nat) { sqrADX(z, x, &mm.m, mm.m0inv) }},
+	}
+	for _, p := range products {
+		if p.adx && !adxAvailable {
+			continue
+		}
+		var z nat
+		p.mul(&z, x, y)
+		if toBig(&z).Cmp(want) != 0 {
+			t.Fatalf("%s: mul(%x, %x) = %x, want %x", p.name, *x, *y, z, want)
+		}
+		zx, zy := *x, *y
+		p.mul(&zx, &zx, y)
+		p.mul(&zy, x, &zy)
+		if zx != z || zy != z {
+			t.Fatalf("%s: mul(%x, %x) over x = %x, over y = %x, want %x", p.name, *x, *y, zx, zy, z)
+		}
+		if !square {
+			continue
+		}
+		p.sqr(&z, x)
+		if toBig(&z).Cmp(wantSq) != 0 {
+			t.Fatalf("%s: sqr(%x) = %x, want %x", p.name, *x, z, wantSq)
+		}
+		zx = *x
+		p.sqr(&zx, &zx)
+		if zx != z {
+			t.Fatalf("%s: sqr(%x) over x = %x, want %x", p.name, *x, zx, z)
+		}
+	}
+}
+
+var fuzzModulus struct {
+	once sync.Once
+	mm   *montModulus
+}
+
+// FuzzMontMul: for any x < R and y < m — the fuzzer's bytes, y reduced
+// mod m — the assembly products, the Go products and math/big agree
+// modulo a seed-built prime.
+func FuzzMontMul(f *testing.F) {
+	f.Add(make([]byte, 128))
+	f.Add(bytes.Repeat([]byte{0xff}, 128))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 64), make([]byte, 64)...))
+	if !adxAvailable {
+		f.Log("the CPU has no MULX/ADX: only the Go products are fuzzed against math/big")
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzModulus.once.Do(func() { fuzzModulus.mm = &fixedKey(t, "fuzz-mont", false).crt.p })
+		mm := fuzzModulus.mm
+		var in [128]byte
+		copy(in[:], b)
+		x := natOf(new(big.Int).SetBytes(in[:64]))
+		y := natOf(new(big.Int).Mod(new(big.Int).SetBytes(in[64:]), toBig(&mm.m)))
+		checkProducts(t, mm, &x, &y)
+		xm := natOf(new(big.Int).Mod(toBig(&x), toBig(&mm.m)))
+		checkProducts(t, mm, &xm, &y)
+	})
 }
 
 func toBig(x *nat) *big.Int {

@@ -6,9 +6,10 @@ import "math/bits"
 // indexes by or stops early on a value: every function runs the same
 // instructions whatever its operands (bits.Mul64, Add64 and Sub64 compile
 // to multiply and add-with-carry instructions, without branches, on amd64
-// and arm64), and a choice between two results is made with a mask. mul
-// and sqr are written out limb by limb because the compiler keeps the limbs
-// in registers then: the same rounds as loops over arrays ran 25–40 %
+// and arm64), and a choice between two results is made with a mask; mul
+// and sqr branch only on useADX, a property of the CPU. mulGeneric and
+// sqrGeneric are written out limb by limb because the compiler keeps the
+// limbs in registers then: the same rounds as loops over arrays ran 25–40 %
 // slower.
 
 // lookup sets z = table[w], reading every entry.
@@ -95,10 +96,31 @@ func mulWide(z *wide, x, y *nat) {
 }
 
 // mul sets z = x·y·R⁻¹ mod m, for x < R and y < m; z may alias x or y.
+// It runs mulADX (mont_amd64.s) where the CPU has MULX and ADX, and
+// mulGeneric everywhere else.
+func (mm *montModulus) mul(z, x, y *nat) {
+	if useADX {
+		mulADX(z, x, y, &mm.m, mm.m0inv)
+		return
+	}
+	mm.mulGeneric(z, x, y)
+}
+
+// sqr sets z = x·x·R⁻¹ mod m, for x < m; z may alias x. Like mul, it runs
+// sqrADX where the CPU has MULX and ADX.
+func (mm *montModulus) sqr(z, x *nat) {
+	if useADX {
+		sqrADX(z, x, &mm.m, mm.m0inv)
+		return
+	}
+	mm.sqrGeneric(z, x)
+}
+
+// mulGeneric is mul in Go, the reference the assembly is tested against.
 // Each of the eight rounds adds x·y[i] and u·m, u chosen to clear the low
 // limb, and shifts one limb down (finely integrated operand scanning).
 // The result is below 2m before the masked final subtraction.
-func (mm *montModulus) mul(z, x, y *nat) {
+func (mm *montModulus) mulGeneric(z, x, y *nat) {
 	m := &mm.m
 	var t0, t1, t2, t3, t4, t5, t6, t7, t8 uint64
 	var hi, lo, hi2, lo2, c, c1, c2 uint64
@@ -207,12 +229,12 @@ func (mm *montModulus) mul(z, x, y *nat) {
 	z[7] = t7&keep | d[7]&^keep
 }
 
-// sqr sets z = x·x·R⁻¹ mod m, for x < m; z may alias x. The square is
-// formed first, each cross product once and doubled, then reduced a limb
-// at a time: 100 limb products where mul takes 128. With sqr for the
-// exponentiation's squarings instead of mul, minisql recorded 14 % faster
-// (9 of 10 interleaved benchmark pairs on a 2-vCPU Xeon VM).
-func (mm *montModulus) sqr(z, x *nat) {
+// sqrGeneric is sqr in Go. The square is formed first, each cross product
+// once and doubled, then reduced a limb at a time: 100 limb products where
+// mul takes 128. With sqr for the exponentiation's squarings instead of
+// mul, minisql recorded 14 % faster (9 of 10 interleaved benchmark pairs on
+// a 2-vCPU Xeon VM).
+func (mm *montModulus) sqrGeneric(z, x *nat) {
 	m := &mm.m
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	var r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 uint64

@@ -72,9 +72,10 @@ func SignInto(s Signer, msg, slot []byte) {
 // Offloads reports whether s.Sign is real public-key cryptography: costly
 // enough that running it on another goroutine pays for the handoff, and
 // known to be safe to call from several goroutines at once. That is
-// RSASigner. An RSA-1024 signature on the package's CRT kernel costs about
-// 225–270 µs of CPU on a 2-vCPU Xeon VM, where crypto/rsa took 345–630 µs:
-// two half-exponentiations of about 100–125 µs, one after the other, and a
+// RSASigner. An RSA-1024 signature on the package's CRT kernel with its
+// MULX/ADX products costs about 115–170 µs of CPU on a 2-vCPU Xeon VM (the
+// Go products: 195–350 µs), where crypto/rsa took 370–620 µs: two
+// half-exponentiations of about 55–70 µs, one after the other, and a
 // 10–20 µs verification. The digest stand-ins (NullSigner, SizedSigner)
 // cost less than a handoff, and an implementation this package does not
 // know is not assumed to be concurrency-safe.

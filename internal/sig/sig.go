@@ -23,10 +23,18 @@
 // 2048-bit moduli, so a 2048-bit key's 1024-bit primes are served well,
 // but RSA-1024's two half-exponentiations run on 512-bit primes and fall
 // through to its generic word loop. The kernel works on eight fixed 64-bit
-// limbs instead and signs in half to two thirds of the time. It computes
-// the two halves in turn: the mod-q half on a goroutine of its own, beside
-// the caller's mod-p half, was measured and did not shorten recording by
-// more than the benchmark's noise.
+// limbs instead. Its two Montgomery products, mul and sqr, have two
+// implementations: MULX/ADCX/ADOX assembly (mont_amd64.s, written by
+// mont_amd64_gen.go) on amd64 CPUs with BMI2 and ADX — two independent
+// carry chains, which bits.Mul64/Add64 chains cannot be compiled to — and
+// the Go limb code (mont.go) everywhere else, which is also the reference
+// the assembly is tested against. The window, the table lookup, the CRT
+// recombination and the verification are Go on every path. With the
+// assembly a signature takes about a third of crypto/rsa's time, with the
+// Go products half to two thirds. The kernel computes the two halves in
+// turn: the mod-q half on a goroutine of its own, beside the caller's
+// mod-p half, was measured and did not shorten recording by more than the
+// benchmark's noise.
 //
 // What a change to the kernel must keep, as a review checklist:
 //   - No branch, memory index, loop bound or early exit depends on a
@@ -37,6 +45,13 @@
 //     table (lookup) and keeps the entry it wants by mask.
 //   - The exponent is used at its full fixed width: 64 bytes, 128 windows,
 //     4 squarings and 1 multiplication each, whatever its leading zeros.
+//   - The assembly uses MULX, ADCX, ADOX, ADD, ADC, SUB, SBB, IMUL, MOV,
+//     CMOV and XOR (to clear the flags) only: no branch, and every address
+//     is an operand's pointer or the frame plus a constant. Its final
+//     subtraction keeps t or t − m by CMOV on the borrow.
+//   - Which implementation runs (useADX) is decided once, at package init,
+//     by a CPUID check: it depends on the CPU, never on a key or an
+//     operand, and both implementations compute the same numbers.
 //   - Variable time is allowed only in setting up a key (newCRTKey, once
 //     per key in GenerateRSA): R² mod p, −p⁻¹ mod 2⁶⁴, q⁻¹·R mod p and
 //     the exponents are computed there with math/big.

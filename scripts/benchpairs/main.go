@@ -5,6 +5,7 @@
 //
 //	go run ./scripts/benchpairs -parent ../parent -change . -pairs 3
 //	go run ./scripts/benchpairs -parent ../parent -workload kvstate
+//	go run ./scripts/benchpairs -parent ../parent -workload minisql -seed 7
 //
 // Metric names, directions, bounds, workloads, the command and the run
 // length all come from the change's BENCHMARK.json. A pair runs one workload
@@ -18,7 +19,9 @@
 // every run's value is listed, by side, in pair order. -workload
 // (repeatable, or names separated by commas) restricts the pairs to some of
 // the workloads BENCHMARK.json declares — a ten-pair claim on one workload is
-// a quarter of the machine time of one on all four; CI runs them all.
+// a quarter of the machine time of one on all four; CI runs them all. -seed
+// runs both sides on another workload seed, to see that a gain is not one
+// seed's.
 //
 // Exit status: 0 no regression, 1 a regression or an incorrect run, 2 the
 // benchmark could not be run or read.
@@ -193,12 +196,16 @@ func compare(bf benchmarkFile, parent, change map[string][]result) (rows []row, 
 	return rows, bad, nil
 }
 
-// runOnce runs one workload of the benchmark in dir. The benchmark exits 1
-// when an operation failed and still prints its result line, so the exit
-// status matters only when there is no result line to read.
-func runOnce(bf benchmarkFile, dir, workload string) (result, error) {
+// runOnce runs one workload of the benchmark in dir, with the workload seed
+// seed unless it is 0. The benchmark exits 1 when an operation failed and
+// still prints its result line, so the exit status matters only when there
+// is no result line to read.
+func runOnce(bf benchmarkFile, dir, workload string, seed uint64) (result, error) {
 	args := append(slices.Clone(bf.Command[1:]),
 		"--workload", workload, "--seconds", strconv.FormatFloat(bf.RunSeconds, 'g', -1, 64), "--trace", "0")
+	if seed != 0 {
+		args = append(args, "--seed", strconv.FormatUint(seed, 10))
+	}
 	cmd := exec.Command(bf.Command[0], args...)
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
 	out, runErr := cmd.Output()
@@ -240,6 +247,7 @@ func main() {
 	parentDir := flag.String("parent", "", "checkout of the parent commit")
 	changeDir := flag.String("change", ".", "checkout of the change; its BENCHMARK.json is the one read")
 	pairs := flag.Int("pairs", 10, "pairs of runs per workload")
+	seed := flag.Uint64("seed", 0, "workload seed given to the benchmark as --seed (0: the benchmark's own default)")
 	var only []string
 	flag.Func("workload", "run only this workload (repeatable, or comma-separated; default all)", func(v string) error {
 		only = append(only, v)
@@ -278,7 +286,7 @@ func main() {
 			for j := range 2 {
 				k := (i + j) % 2 // the side that goes first flips each pair
 				start := time.Now()
-				r, err := runOnce(bf, dirs[k], w.Name)
+				r, err := runOnce(bf, dirs[k], w.Name, *seed)
 				if err != nil {
 					fail(err)
 				}
