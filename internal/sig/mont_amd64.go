@@ -23,8 +23,3 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //
 //go:noescape
 func mulADX(z, x, y, m *nat, m0inv uint64)
-
-// sqrADX sets z = x·x·R⁻¹ mod m; see montModulus.sqr.
-//
-//go:noescape
-func sqrADX(z, x, m *nat, m0inv uint64)

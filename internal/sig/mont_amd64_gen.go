@@ -1,19 +1,18 @@
 //go:build ignore
 
-// This program writes mont_amd64.s, the MULX/ADCX/ADOX Montgomery products
-// of the RSA-1024 kernel and the CPUID stub that selects them:
+// This program writes mont_amd64.s, the MULX/ADCX/ADOX Montgomery product
+// of the RSA-1024 kernel and the CPUID stub that selects it:
 //
 //	go generate ./internal/sig
 //
-// Both products form the full 1024-bit product in the frame (mul: 64 limb
-// products; sqr: 28 cross products doubled plus 8 squares). Its low half
-// alone is then reduced, eight rounds each adding the u·m that clears the
-// lowest limb: (lo + U·m)/R + hi is the Montgomery product, below 2m, so
-// the high half is added afterwards and t or t − m kept by CMOV on the
-// borrow. ADOX and ADCX keep the two carry chains of a row apart — the low
+// mulADX forms the full 1024-bit product in the frame (64 limb products).
+// Its low half alone is then reduced, eight rounds each adding the u·m that
+// clears the lowest limb: (lo + U·m)/R + hi is the Montgomery product,
+// below 2m, so the high half is added afterwards and t or t − m kept by
+// CMOV on the borrow. ADOX and ADCX keep the two carry chains of a row apart — the low
 // and the high halves of its limb products — so a row adds them without
 // the compiler's materialized carry words. Every instruction is emitted
-// unconditionally: there is no branch in either product.
+// unconditionally: there is no branch.
 package main
 
 import (
@@ -59,19 +58,18 @@ func (g *gen) comment(format string, args ...any) {
 	fmt.Fprintf(g, "\n\t// "+format+"\n", args...)
 }
 
-// mulRow adds DX times the limbs of x at byte offsets off (from SI) into
-// w, the window's limbs at the row's positions, and leaves the carry-out
-// limb in top: ADOX adds each low half, ADCX each high half one limb up.
-func (g *gen) mulRow(off []int, w []string, top string) {
-	n := len(off)
+// mulRow adds DX times the eight limbs of x (from SI) into w, the window's
+// limbs at the row's positions, and leaves the carry-out limb in top: ADOX
+// adds each low half, ADCX each high half one limb up.
+func (g *gen) mulRow(w []string, top string) {
 	g.op("XORQ %s, %s", lo, lo)
-	for j := 0; j < n-1; j++ {
-		g.op("MULXQ %d(SI), %s, %s", off[j], lo, hi)
+	for j := 0; j < 7; j++ {
+		g.op("MULXQ %d(SI), %s, %s", 8*j, lo, hi)
 		g.op("ADOXQ %s, %s", lo, w[j])
 		g.op("ADCXQ %s, %s", hi, w[j+1])
 	}
-	g.op("MULXQ %d(SI), %s, %s", off[n-1], lo, top)
-	g.op("ADOXQ %s, %s", lo, w[n-1])
+	g.op("MULXQ 56(SI), %s, %s", lo, top)
+	g.op("ADOXQ %s, %s", lo, w[7])
 	g.op("MOVQ $0, %s", lo)
 	g.op("ADCXQ %s, %s", lo, top)
 	g.op("ADOXQ %s, %s", lo, top)
@@ -144,7 +142,6 @@ TEXT ·mulADX(SB), NOSPLIT, $128-40
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
 `)
-	off := []int{0, 8, 16, 24, 32, 40, 48, 56}
 	w := append([]string(nil), pool...)
 	g.comment("Row 0: x·y[0], one carry chain.")
 	g.op("MOVQ 0(DI), DX")
@@ -163,7 +160,7 @@ TEXT ·mulADX(SB), NOSPLIT, $128-40
 	for i := 1; i < 8; i++ {
 		g.comment("Row %d: add x·y[%d] to limbs %d–%d; limb %d is final.", i, i, i, i+8, i)
 		g.op("MOVQ %d(DI), DX", 8*i)
-		g.mulRow(off, w[:8], w[8])
+		g.mulRow(w[:8], w[8])
 		g.op("MOVQ %s, %d(SP)", w[0], 8*i)
 		w = append(w[1:], w[0])
 	}
@@ -179,98 +176,10 @@ TEXT ·mulADX(SB), NOSPLIT, $128-40
 	g.reduce(w[:8], w[8], "z+0(FP)")
 }
 
-func (g *gen) sqr() {
-	g.WriteString(`
-// func sqrADX(z, x, m *nat, m0inv uint64)
-TEXT ·sqrADX(SB), NOSPLIT, $128-32
-	MOVQ x+8(FP), SI
-`)
-	// at maps a limb position of the square to the register holding it.
-	at := map[int]string{}
-	free := append([]string(nil), pool...)
-	take := func(pos int) string {
-		r := free[0]
-		free = free[1:]
-		at[pos] = r
-		return r
-	}
-	park := func(pos int) {
-		g.op("MOVQ %s, %d(SP)", at[pos], 8*pos)
-		free = append(free, at[pos])
-		delete(at, pos)
-	}
-
-	g.comment("Row 0: x[0]·x[1..7] into limbs 1–8, one carry chain.")
-	g.op("MOVQ 0(SI), DX")
-	g.op("MULXQ 8(SI), %s, %s", take(1), take(2))
-	for j := 2; j < 8; j++ {
-		ins := "ADCQ"
-		if j == 2 {
-			ins = "ADDQ"
-		}
-		g.op("MULXQ %d(SI), %s, %s", 8*j, lo, take(j+1))
-		g.op("%s %s, %s", ins, lo, at[j])
-	}
-	g.op("ADCQ $0, %s", at[8])
-	park(1)
-	park(2)
-	for i := 1; i < 7; i++ {
-		g.comment("Row %d: add x[%d]·x[%d..7] to limbs %d–%d; limbs %d and %d are final.", i, i, i+1, 2*i+1, i+8, 2*i+1, 2*i+2)
-		var off []int
-		var w []string
-		for j := i + 1; j < 8; j++ {
-			off = append(off, 8*j)
-			w = append(w, at[i+j])
-		}
-		g.op("MOVQ %d(SI), DX", 8*i)
-		g.mulRow(off, w, take(i+8))
-		park(2*i + 1)
-		park(2*i + 2)
-	}
-
-	// Double the cross products (ADCX adds a limb to itself, the carry
-	// chain shifting the whole number left by one) while ADOX adds the
-	// squares x[k]², limbs 2k and 2k+1. Limbs 0–7 stay in registers for
-	// the reduction, limbs 8–15 go back to the frame.
-	g.comment("Double the cross products and add the squares.")
-	w := append([]string(nil), free[:8]...)
-	t := free[8]
-	g.op("XORQ %s, %s", lo, lo)
-	for k := 0; k < 8; k++ {
-		g.op("MOVQ %d(SI), DX", 8*k)
-		g.op("MULXQ DX, %s, %s", lo, hi)
-		for h, half := range []string{lo, hi} {
-			pos := 2*k + h
-			r := t
-			if pos < 8 {
-				r = w[pos]
-			}
-			switch pos {
-			case 0:
-				g.op("MOVQ %s, %s", half, r)
-				continue
-			case 15:
-				g.op("MOVQ $0, %s", r)
-			default:
-				g.op("MOVQ %d(SP), %s", 8*pos, r)
-			}
-			g.op("ADCXQ %s, %s", r, r)
-			g.op("ADOXQ %s, %s", half, r)
-			if pos >= 8 {
-				g.op("MOVQ %s, %d(SP)", r, 8*pos)
-			}
-		}
-	}
-	g.op("MOVQ m+16(FP), SI")
-	g.op("MOVQ m0inv+24(FP), DI")
-	g.reduce(w, t, "z+0(FP)")
-}
-
 func main() {
 	var g gen
 	g.WriteString(header)
 	g.mul()
-	g.sqr()
 	if err := os.WriteFile("mont_amd64.s", g.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}

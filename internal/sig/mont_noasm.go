@@ -6,5 +6,3 @@ package sig
 var useADX = false
 
 func mulADX(z, x, y, m *nat, m0inv uint64) { panic("sig: no assembly Montgomery product") }
-
-func sqrADX(z, x, m *nat, m0inv uint64) { panic("sig: no assembly Montgomery product") }

@@ -73,9 +73,9 @@ func SignInto(s Signer, msg, slot []byte) {
 // enough that running it on another goroutine pays for the handoff, and
 // known to be safe to call from several goroutines at once. That is
 // RSASigner. An RSA-1024 signature on the package's CRT kernel with its
-// MULX/ADX products costs about 115–170 µs of CPU on a 2-vCPU Xeon VM (the
-// Go products: 195–350 µs), where crypto/rsa took 370–620 µs: two
-// half-exponentiations of about 55–70 µs, one after the other, and a
+// MULX/ADX product costs about 145–205 µs of CPU on a 2-vCPU Xeon VM (the
+// Go products: 215–390 µs), where crypto/rsa took 340–710 µs: two
+// half-exponentiations of about 65–90 µs, one after the other, and a
 // 10–20 µs verification. The digest stand-ins (NullSigner, SizedSigner)
 // cost less than a handoff, and an implementation this package does not
 // know is not assumed to be concurrency-safe.

@@ -24,11 +24,12 @@
 // but RSA-1024's two half-exponentiations run on 512-bit primes and fall
 // through to its generic word loop. The kernel works on eight fixed 64-bit
 // limbs instead. Its two Montgomery products, mul and sqr, have two
-// implementations: MULX/ADCX/ADOX assembly (mont_amd64.s, written by
-// mont_amd64_gen.go) on amd64 CPUs with BMI2 and ADX — two independent
-// carry chains, which bits.Mul64/Add64 chains cannot be compiled to — and
-// the Go limb code (mont.go) everywhere else, which is also the reference
-// the assembly is tested against. The window, the table lookup, the CRT
+// implementations: on amd64 CPUs with BMI2 and ADX both are one
+// MULX/ADCX/ADOX assembly product (mulADX in mont_amd64.s, written by
+// mont_amd64_gen.go) — two independent carry chains, which
+// bits.Mul64/Add64 chains cannot be compiled to — and everywhere else the
+// Go limb code (mont.go), which is also the reference the assembly is
+// tested against. The window, the table lookup, the CRT
 // recombination and the verification are Go on every path. With the
 // assembly a signature takes about a third of crypto/rsa's time, with the
 // Go products half to two thirds. The kernel computes the two halves in
