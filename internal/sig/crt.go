@@ -1,7 +1,6 @@
 package sig
 
 import (
-	"crypto"
 	"crypto/rsa"
 	"encoding/binary"
 	"errors"
@@ -36,9 +35,9 @@ type montModulus struct {
 // crtKey signs for a 1024-bit two-prime key on the 8-limb kernel.
 type crtKey struct {
 	p, q  montModulus
-	qInvR nat // q⁻¹·R mod p
-	qNat  nat // q itself, for s = h·q + m₂
-	pub   *rsa.PublicKey
+	qInvR nat         // q⁻¹·R mod p
+	qNat  nat         // q itself, for s = h·q + m₂
+	pub   *montPublic // the public key, which every signature is verified under
 }
 
 // errSignatureFault is what the kernel returns when its result does not
@@ -46,18 +45,19 @@ type crtKey struct {
 // leave the signer (the result of a faulty CRT half factors the modulus).
 var errSignatureFault = errors.New("signature does not verify under the public key")
 
-// newCRTKey returns the kernel for key, or nil when key is not a two-prime
-// key of crtKeyBits with two crtPrimeBits primes: those keep crypto/rsa.
+// newCRTKey returns the kernel for key, whose public key's Montgomery
+// context is pub, or nil when key is not a two-prime key of crtKeyBits with
+// two crtPrimeBits primes and a context (e = 65537): those keep crypto/rsa.
 // key must carry its precomputed CRT values, as rsa.GenerateKey's keys do.
 // Everything here runs once per key and may take variable time.
-func newCRTKey(key *rsa.PrivateKey) *crtKey {
-	if key.N.BitLen() != crtKeyBits || len(key.Primes) != 2 ||
+func newCRTKey(key *rsa.PrivateKey, pub *montPublic) *crtKey {
+	if pub == nil || len(key.Primes) != 2 ||
 		key.Primes[0].BitLen() != crtPrimeBits || key.Primes[1].BitLen() != crtPrimeBits {
 		return nil
 	}
 	p, q := key.Primes[0], key.Primes[1]
 	pre := &key.Precomputed
-	k := &crtKey{pub: &key.PublicKey, qNat: natOf(q)}
+	k := &crtKey{pub: pub, qNat: natOf(q)}
 	k.p.init(p, pre.Dp)
 	k.q.init(q, pre.Dq)
 	k.qInvR = natOf(new(big.Int).Mod(new(big.Int).Lsh(pre.Qinv, crtPrimeBits), p))
@@ -66,17 +66,22 @@ func newCRTKey(key *rsa.PrivateKey) *crtKey {
 
 func (mm *montModulus) init(m, d *big.Int) {
 	mm.m = natOf(m)
-	// Newton's iteration doubles the correct low bits of an inverse mod
-	// 2⁶⁴; an odd m is its own inverse to three bits.
-	inv := mm.m[0]
-	for i := 0; i < 5; i++ {
-		inv *= 2 - mm.m[0]*inv
-	}
-	mm.m0inv = -inv
+	mm.m0inv = negInv(mm.m[0])
 	r := new(big.Int).Lsh(big.NewInt(1), crtPrimeBits)
 	mm.one = natOf(new(big.Int).Mod(r, m))
 	mm.rr = natOf(new(big.Int).Mod(new(big.Int).Mul(r, r), m))
 	d.FillBytes(mm.exp[:])
+}
+
+// negInv returns −m⁻¹ mod 2⁶⁴ for an odd m. Newton's iteration doubles the
+// correct low bits of an inverse mod 2⁶⁴; an odd m is its own inverse to
+// three bits.
+func negInv(m uint64) uint64 {
+	inv := m
+	for i := 0; i < 5; i++ {
+		inv *= 2 - m*inv
+	}
+	return -inv
 }
 
 // natOf converts x, which must be below R.
@@ -94,10 +99,10 @@ func natOf(x *big.Int) nat {
 // digest (RFC 8017 §9.2, note 1).
 var sha256DigestInfo = [...]byte{0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20}
 
-// sign returns the PKCS#1 v1.5 signature over a SHA-256 digest, the same
-// bytes rsa.SignPKCS1v15 returns, or errSignatureFault.
-func (k *crtKey) sign(digest *[32]byte) ([]byte, error) {
-	// EM = 0x00 ‖ 0x01 ‖ 0xff… ‖ 0x00 ‖ DigestInfo ‖ digest, as a number c.
+// encodeEM returns the PKCS#1 v1.5 encoding of a SHA-256 digest for a
+// 1024-bit modulus, EM = 0x00 ‖ 0x01 ‖ 0xff… ‖ 0x00 ‖ DigestInfo ‖ digest,
+// as a number: what a signature is the e-th root of.
+func encodeEM(digest *[32]byte) wide {
 	var em [crtKeyBits / 8]byte
 	em[1] = 1
 	t := len(em) - len(digest) - len(sha256DigestInfo)
@@ -106,10 +111,22 @@ func (k *crtKey) sign(digest *[32]byte) ([]byte, error) {
 	}
 	copy(em[t:], sha256DigestInfo[:])
 	copy(em[len(em)-len(digest):], digest[:])
-	var c wide
-	for i := range c {
-		c[i] = binary.BigEndian.Uint64(em[len(em)-8*(i+1):])
+	return wideOf(&em)
+}
+
+// wideOf reads a 128-byte big-endian number.
+func wideOf(b *[crtKeyBits / 8]byte) wide {
+	var z wide
+	for i := range z {
+		z[i] = binary.BigEndian.Uint64(b[len(b)-8*(i+1):])
 	}
+	return z
+}
+
+// sign returns the PKCS#1 v1.5 signature over a SHA-256 digest, the same
+// bytes rsa.SignPKCS1v15 returns, or errSignatureFault.
+func (k *crtKey) sign(digest *[32]byte) ([]byte, error) {
+	c := encodeEM(digest)
 
 	// m₁ = c^dP mod p and m₂ = c^dQ mod q.
 	var m1, m2 nat
@@ -138,7 +155,7 @@ func (k *crtKey) sign(digest *[32]byte) ([]byte, error) {
 	}
 
 	// The check crypto/rsa makes before it returns a signature.
-	if rsa.VerifyPKCS1v15(k.pub, crypto.SHA256, digest[:], signature) != nil {
+	if !k.pub.verify(digest, signature) {
 		return nil, errSignatureFault
 	}
 	return signature, nil

@@ -13,15 +13,22 @@ import (
 	"testing"
 )
 
-// fixedKey builds a 1024-bit signer from seed alone: unlike GenerateRSA,
-// whose keys crypto/rsa randomizes, the same seed gives the same key on
-// every run, so a fuzz input that fails keeps failing. With swap the
-// smaller prime is Primes[0], the order in which m₂ ≥ p can happen.
+// fixedKey builds a 1024-bit signer from seed alone, set up as GenerateRSA
+// sets up its keys: unlike GenerateRSA, whose keys crypto/rsa randomizes,
+// the same seed gives the same key on every run, so a fuzz input that fails
+// keeps failing. With swap the smaller prime is Primes[0], the order in
+// which m₂ ≥ p can happen.
 func fixedKey(t testing.TB, seed string, swap bool) *RSASigner {
+	t.Helper()
+	return newRSASigner(NodeID(seed), fixedPrivateKey(t, seed, swap, verifyExponent))
+}
+
+// fixedPrivateKey is fixedKey's private key, with public exponent e.
+func fixedPrivateKey(t testing.TB, seed string, swap bool, e64 int64) *rsa.PrivateKey {
 	t.Helper()
 	r := newDetReader(seed)
 	one := big.NewInt(1)
-	e := big.NewInt(65537)
+	e := big.NewInt(e64)
 	prime := func() *big.Int {
 		b := make([]byte, crtPrimeBits/8)
 		for {
@@ -49,7 +56,7 @@ func fixedKey(t testing.TB, seed string, swap bool) *RSASigner {
 	if err := key.Validate(); err != nil {
 		t.Fatalf("fixed key %q: %v", seed, err)
 	}
-	return &RSASigner{id: NodeID(seed), key: key, bits: crtKeyBits, crt: newCRTKey(key)}
+	return key
 }
 
 // requireStdlibSignature fails unless s signs msg with exactly the bytes
@@ -182,6 +189,11 @@ func testRSASignFaultCheck(t *testing.T) {
 		{"dP", func(k *crtKey) { k.p.exp[63] ^= 2 }},
 		{"dQ", func(k *crtKey) { k.q.exp[0] ^= 1 }},
 		{"q", func(k *crtKey) { k.qNat[1] ^= 1 << 63 }},
+		{"R² mod N", func(k *crtKey) {
+			pub := *k.pub
+			pub.rr[0] ^= 1
+			k.pub = &pub
+		}},
 	}
 	for _, c := range corruptions {
 		k := *good.crt
@@ -239,11 +251,36 @@ func TestRSASignConcurrent(t *testing.T) {
 // TestMontArithmeticMatchesBig holds mul and sqr — the Go limb code and,
 // where the CPU has MULX/ADX, the assembly — and the modular helpers to
 // math/big, on random operands and the edges of their ranges, modulo both
-// primes of a generated key and of a seed-built one.
+// primes of a generated key and of a seed-built one; and the verify's row
+// addMulRow16, both implementations, likewise.
 func TestMontArithmeticMatchesBig(t *testing.T) {
 	if !adxAvailable {
 		t.Log("the CPU has no MULX/ADX: the assembly products are not tested on this machine")
 	}
+	var zero, ones wide
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	rowRNG := rand.New(rand.NewSource(4))
+	randomWide := func() wide {
+		var w wide
+		for i := range w {
+			w[i] = rowRNG.Uint64()
+		}
+		return w
+	}
+	for _, z := range []wide{zero, ones} {
+		for _, x := range []wide{zero, ones} {
+			for _, y := range []uint64{0, 1, ^uint64(0)} {
+				checkRow(t, &z, &x, y)
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		z, x := randomWide(), randomWide()
+		checkRow(t, &z, &x, rowRNG.Uint64())
+	}
+
 	generated := MustGenerateRSA("arith-gen", DefaultKeyBits, "arith")
 	built := fixedKey(t, "arith", false)
 	rng := rand.New(rand.NewSource(2))
@@ -382,12 +419,39 @@ func FuzzMontMul(f *testing.F) {
 	})
 }
 
-func toBig(x *nat) *big.Int {
+func toBig(x *nat) *big.Int { return limbsBig(x[:]) }
+
+// limbsBig is the number whose limbs, least significant first, are x.
+func limbsBig(x []uint64) *big.Int {
 	z := new(big.Int)
 	for i := len(x) - 1; i >= 0; i-- {
 		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(x[i]))
 	}
 	return z
+}
+
+// checkRow holds z + x·y from addMulRow16Generic and, where the CPU has
+// MULX/ADX, addMulRow16ADX to math/big: the sixteen limbs written over z
+// and the carry-out limb above them.
+func checkRow(t testing.TB, z, x *wide, y uint64) {
+	t.Helper()
+	want := new(big.Int).Mul(limbsBig(x[:]), new(big.Int).SetUint64(y))
+	want.Add(want, limbsBig(z[:]))
+	rows := []struct {
+		name string
+		adx  bool
+		row  func(z, x *wide, y uint64) uint64
+	}{{"addMulRow16Generic", false, addMulRow16Generic}, {"addMulRow16ADX", true, addMulRow16ADX}}
+	for _, r := range rows {
+		if r.adx && !adxAvailable {
+			continue
+		}
+		got := *z
+		carry := r.row(&got, x, y)
+		if sum := limbsBig(append(got[:], carry)); sum.Cmp(want) != 0 {
+			t.Fatalf("%s(%x, %x, %x) = %x carry %x, want %x", r.name, *z, *x, y, got, carry, want)
+		}
+	}
 }
 
 func BenchmarkRSASign(b *testing.B) {

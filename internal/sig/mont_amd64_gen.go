@@ -1,7 +1,8 @@
 //go:build ignore
 
 // This program writes mont_amd64.s, the MULX/ADCX/ADOX Montgomery product
-// of the RSA-1024 kernel and the CPUID stub that selects it:
+// of the RSA-1024 kernel, the row of the RSA-1024 verify and the CPUID stub
+// that selects them:
 //
 //	go generate ./internal/sig
 //
@@ -11,8 +12,16 @@
 // below 2m, so the high half is added afterwards and t or t − m kept by
 // CMOV on the borrow. ADOX and ADCX keep the two carry chains of a row apart — the low
 // and the high halves of its limb products — so a row adds them without
-// the compiler's materialized carry words. Every instruction is emitted
-// unconditionally: there is no branch.
+// the compiler's materialized carry words.
+//
+// addMulRow16ADX adds x·y, sixteen limbs times one, into sixteen limbs of z
+// and returns the carry-out limb: crypto/internal/fips140/bigmod's
+// addMulVVW1024 pattern, where ADCX carries each limb product's high half
+// into the next limb's low half and ADOX adds z's limb, two chains that one
+// XOR starts clear and two instructions at the end fold into the carry-out.
+//
+// Every instruction of either function is emitted unconditionally: there is
+// no branch.
 package main
 
 import (
@@ -176,10 +185,38 @@ TEXT ·mulADX(SB), NOSPLIT, $128-40
 	g.reduce(w[:8], w[8], "z+0(FP)")
 }
 
+func (g *gen) row() {
+	g.WriteString(`
+// func addMulRow16ADX(z, x *wide, y uint64) (carry uint64)
+TEXT ·addMulRow16ADX(SB), NOSPLIT, $0-32
+	MOVQ z+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+`)
+	// A limb's high half is carried into the next limb, so the two carry
+	// registers take turns: one is read while the next MULX writes the other.
+	carry := [2]string{"BX", "CX"}
+	g.op("XORQ BX, BX")
+	for j := 0; j < 16; j++ {
+		g.comment("Limb %d.", j)
+		g.op("MULXQ %d(SI), %s, %s", 8*j, lo, carry[(j+1)%2])
+		g.op("ADCXQ %s, %s", carry[j%2], lo)
+		g.op("ADOXQ %d(DI), %s", 8*j, lo)
+		g.op("MOVQ %s, %d(DI)", lo, 8*j)
+	}
+	g.comment("The carry-out: the last high half plus both chains' carries.")
+	g.op("MOVQ $0, %s", lo)
+	g.op("ADCXQ %s, %s", lo, carry[0])
+	g.op("ADOXQ %s, %s", lo, carry[0])
+	g.op("MOVQ %s, carry+24(FP)", carry[0])
+	g.op("RET")
+}
+
 func main() {
 	var g gen
 	g.WriteString(header)
 	g.mul()
+	g.row()
 	if err := os.WriteFile("mont_amd64.s", g.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}

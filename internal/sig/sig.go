@@ -29,13 +29,13 @@
 // mont_amd64_gen.go) — two independent carry chains, which
 // bits.Mul64/Add64 chains cannot be compiled to — and everywhere else the
 // Go limb code (mont.go), which is also the reference the assembly is
-// tested against. The window, the table lookup, the CRT
-// recombination and the verification are Go on every path. With the
-// assembly a signature takes about a third of crypto/rsa's time, with the
-// Go products half to two thirds. The kernel computes the two halves in
-// turn: the mod-q half on a goroutine of its own, beside the caller's
-// mod-p half, was measured and did not shorten recording by more than the
-// benchmark's noise.
+// tested against. The window, the table lookup and the CRT recombination
+// are Go on every path, and the verification is the package's own (below).
+// With the assembly a signature takes about a third of crypto/rsa's time,
+// with the Go products half to two thirds. The kernel computes the two
+// halves in turn: the mod-q half on a goroutine of its own, beside the
+// caller's mod-p half, was measured and did not shorten recording by more
+// than the benchmark's noise.
 //
 // What a change to the kernel must keep, as a review checklist:
 //   - No branch, memory index, loop bound or early exit depends on a
@@ -49,7 +49,9 @@
 //   - The assembly uses MULX, ADCX, ADOX, ADD, ADC, SUB, SBB, IMUL, MOV,
 //     CMOV and XOR (to clear the flags) only: no branch, and every address
 //     is an operand's pointer or the frame plus a constant. Its final
-//     subtraction keeps t or t − m by CMOV on the borrow.
+//     subtraction keeps t or t − m by CMOV on the borrow. This holds for
+//     the verify's row as well, and TestAssemblyChecklist checks it: it
+//     reads this list.
 //   - Which implementation runs (useADX) is decided once, at package init,
 //     by a CPUID check: it depends on the CPU, never on a key or an
 //     operand, and both implementations compute the same numbers.
@@ -59,6 +61,31 @@
 //   - The signature is verified under the public key before it is
 //     returned, as crypto/rsa does; if it does not verify, Sign panics
 //     instead (the output of a faulty CRT half reveals a prime).
+//
+// # RSA-1024 verification
+//
+// RSAVerifier verifies a signature under a 1024-bit key with e = 65537 —
+// every key GenerateRSA makes — itself (verify.go), and under any other key
+// through rsa.VerifyPKCS1v15. It accepts exactly what crypto/rsa accepts: a
+// signature of the modulus's length, below N, whose 65537th power mod N is
+// the PKCS#1 v1.5 encoding of the SHA-256 digest. (Under GODEBUG
+// fips140=only, where crypto/rsa refuses keys below 2048 bits, it does not
+// follow; that mode is not one this package supports.) crypto/rsa builds
+// its Montgomery modulus, R² mod N included, on every call, about a quarter
+// of a verification; here that context is built once per key, with
+// math/big, when the verifier is made (GenerateRSA, ParseRSAVerifier), and
+// the signer's verify before it returns shares it. The exponentiation is
+// eighteen Montgomery products of sixteen limbs, each 32 rows of one
+// primitive, addMulRow16 (z += x·y, carry out): a MULX/ADCX/ADOX row in
+// mont_amd64.s where the CPU has them, written out in Go elsewhere. Every
+// input is public — the key, the message, the signature — so the verify may
+// take variable time, and it does stop at a wrong length or s ≥ N. Past
+// those checks it still runs the same instructions whatever the signature
+// (rows without a branch, a masked final subtraction, a comparison that
+// reads every limb), because the signer verifies its own result, which is
+// below N by construction, and of a faulty one nothing but the panic may
+// leave. With the assembly row a verification takes about
+// half of crypto/rsa's time; with the Go row about as long as crypto/rsa.
 package sig
 
 import (
@@ -151,6 +178,7 @@ type RSASigner struct {
 	id   NodeID
 	key  *rsa.PrivateKey
 	bits int
+	pub  *RSAVerifier
 	crt  *crtKey // nil unless the key is one the CRT kernel signs for
 }
 
@@ -168,7 +196,15 @@ func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sig: generating %d-bit key for %q: %w", bits, id, err)
 	}
-	return &RSASigner{id: id, key: key, bits: bits, crt: newCRTKey(key)}, nil
+	return newRSASigner(id, key), nil
+}
+
+// newRSASigner sets up everything a signer computes once per key: its
+// verifier, with the verify's Montgomery context where the key has one, and
+// the CRT kernel where the key is one it signs for.
+func newRSASigner(id NodeID, key *rsa.PrivateKey) *RSASigner {
+	pub := newRSAVerifier(id, &key.PublicKey)
+	return &RSASigner{id: id, key: key, bits: key.N.BitLen(), pub: pub, crt: newCRTKey(key, pub.mont)}
 }
 
 // MustGenerateRSA is GenerateRSA but panics on error; key generation with
@@ -232,23 +268,35 @@ func (s *RSASigner) Sign(msg []byte) []byte {
 // SigLen returns the modulus size in bytes.
 func (s *RSASigner) SigLen() int { return (s.bits + 7) / 8 }
 
-// Public returns the verifier for this signer's public key.
-func (s *RSASigner) Public() Verifier {
-	return &RSAVerifier{id: s.id, key: &s.key.PublicKey}
+// Public returns the verifier for this signer's public key: the one the
+// signer was set up with, shared by every caller.
+func (s *RSASigner) Public() Verifier { return s.pub }
+
+// RSAVerifier verifies RSA PKCS#1 v1.5 / SHA-256 signatures. It is safe to
+// use from several goroutines at once.
+type RSAVerifier struct {
+	id   NodeID
+	key  *rsa.PublicKey
+	mont *montPublic // nil unless the package verifies for the key itself
 }
 
-// RSAVerifier verifies RSA PKCS#1 v1.5 / SHA-256 signatures.
-type RSAVerifier struct {
-	id  NodeID
-	key *rsa.PublicKey
+// newRSAVerifier returns the verifier for key, with the Montgomery context
+// of an RSA-1024, e = 65537 key computed here, once.
+func newRSAVerifier(id NodeID, key *rsa.PublicKey) *RSAVerifier {
+	return &RSAVerifier{id: id, key: key, mont: newMontPublic(key)}
 }
 
 // ID returns the principal whose signatures this verifier checks.
 func (v *RSAVerifier) ID() NodeID { return v.id }
 
-// Verify reports whether signature is valid over msg.
+// Verify reports whether signature is valid over msg: what
+// rsa.VerifyPKCS1v15 reports, computed on the key's Montgomery context when
+// it has one.
 func (v *RSAVerifier) Verify(msg, signature []byte) bool {
 	digest := sha256.Sum256(msg)
+	if v.mont != nil {
+		return v.mont.verify(&digest, signature)
+	}
 	return rsa.VerifyPKCS1v15(v.key, crypto.SHA256, digest[:], signature) == nil
 }
 
@@ -263,7 +311,7 @@ func ParseRSAVerifier(id NodeID, der []byte) (*RSAVerifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sig: parsing public key for %q: %w", id, err)
 	}
-	return &RSAVerifier{id: id, key: key}, nil
+	return newRSAVerifier(id, key), nil
 }
 
 // NullSigner implements the avmm-nosig configuration: it emits empty

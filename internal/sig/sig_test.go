@@ -1,6 +1,9 @@
 package sig
 
 import (
+	"crypto"
+	"crypto/rsa"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +71,41 @@ func TestVerifierMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseRSAVerifier("alice", []byte("junk")); err == nil {
 		t.Fatal("junk key parsed")
+	}
+	if v.mont == nil {
+		t.Fatal("a parsed RSA-1024, e = 65537 key has no Montgomery context")
+	}
+
+	// Keys of any other shape round-trip too, and verify through crypto/rsa:
+	// a 1032-bit key, and a 1024-bit one with e = 3.
+	wider := MustGenerateRSA("wide", crtKeyBits+8, "t")
+	e3key := fixedPrivateKey(t, "e = 3", false, 3)
+	e3 := newRSASigner("e = 3", e3key)
+	if e3.crt != nil {
+		t.Fatal("a key with e = 3 is signed by the kernel")
+	}
+	digest := sha256.Sum256(msg)
+	e3sig, err := rsa.SignPKCS1v15(nil, e3key, crypto.SHA256, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s         *RSASigner
+		signature []byte
+	}{{wider, wider.Sign(msg)}, {e3, e3sig}} {
+		v, err := ParseRSAVerifier(c.s.id, c.s.Public().Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.mont != nil || c.s.pub.mont != nil {
+			t.Fatalf("%s: a key of %d bits with e = %d has a Montgomery context", c.s.id, v.key.N.BitLen(), v.key.E)
+		}
+		if !v.Verify(msg, c.signature) || !c.s.Public().Verify(msg, c.signature) {
+			t.Fatalf("%s: genuine signature rejected", c.s.id)
+		}
+		if v.Verify([]byte("other"), c.signature) {
+			t.Fatalf("%s: signature accepted over the wrong message", c.s.id)
+		}
 	}
 }
 
