@@ -175,11 +175,10 @@ func (r *detReader) Read(p []byte) (int, error) {
 
 // RSASigner signs with an RSA private key using PKCS#1 v1.5 over SHA-256.
 type RSASigner struct {
-	id   NodeID
-	key  *rsa.PrivateKey
-	bits int
-	pub  *RSAVerifier
-	crt  *crtKey // nil unless the key is one the CRT kernel signs for
+	id  NodeID
+	key *rsa.PrivateKey
+	pub *RSAVerifier
+	crt *crtKey // nil unless the key is one the CRT kernel signs for
 }
 
 // GenerateRSA generates an RSA keypair for id from a seeded random stream.
@@ -204,7 +203,7 @@ func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 // the CRT kernel where the key is one it signs for.
 func newRSASigner(id NodeID, key *rsa.PrivateKey) *RSASigner {
 	pub := newRSAVerifier(id, &key.PublicKey)
-	return &RSASigner{id: id, key: key, bits: key.N.BitLen(), pub: pub, crt: newCRTKey(key, pub.mont)}
+	return &RSASigner{id: id, key: key, pub: pub, crt: newCRTKey(key, pub.mont)}
 }
 
 // MustGenerateRSA is GenerateRSA but panics on error; key generation with
@@ -266,7 +265,7 @@ func (s *RSASigner) Sign(msg []byte) []byte {
 }
 
 // SigLen returns the modulus size in bytes.
-func (s *RSASigner) SigLen() int { return (s.bits + 7) / 8 }
+func (s *RSASigner) SigLen() int { return s.key.Size() }
 
 // Public returns the verifier for this signer's public key: the one the
 // signer was set up with, shared by every caller.

@@ -26,10 +26,12 @@ func newMontPublic(pub *rsa.PublicKey) *montPublic {
 		return nil
 	}
 	var b [crtKeyBits / 8]byte
-	k := &montPublic{n: wideOf((*[crtKeyBits / 8]byte)(pub.N.FillBytes(b[:])))}
+	pub.N.FillBytes(b[:])
+	k := &montPublic{n: wideOf(&b)}
 	k.n0inv = negInv(k.n[0])
 	rr := new(big.Int).Lsh(big.NewInt(1), 2*crtKeyBits)
-	k.rr = wideOf((*[crtKeyBits / 8]byte)(rr.Mod(rr, pub.N).FillBytes(b[:])))
+	rr.Mod(rr, pub.N).FillBytes(b[:])
+	k.rr = wideOf(&b)
 	return k
 }
 
