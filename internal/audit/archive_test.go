@@ -483,7 +483,7 @@ func TestArchiveSpotCheckSource(t *testing.T) {
 	mem := &audit.MonitorSource{
 		Node: sig.NodeID(node), NodeIdx: uint32(target.Index()),
 		Entries: target.Log.All(), Auths: auths,
-		Materialize: func(k int) (*snapshot.Restored, error) { return target.Snaps.Materialize(k) },
+		Increments: target.Snaps,
 	}
 	disk := &audit.ArchiveSource{
 		Arc: arc, Node: sig.NodeID(node), NodeIdx: uint32(target.Index()), Auths: auths,

@@ -15,8 +15,8 @@ import (
 // k-epoch window from disk — seek to a snapshot point, read k segments —
 // so an auditor spot-checks a log it could never materialize. Every read
 // is verified: segment payloads against the manifest hashes, the window's
-// re-derived chain against the archived linkage, and the starting state
-// against the log-committed root (by the chunk engine itself).
+// re-derived chain against the archived linkage, and the starting state,
+// however it is come by, against the log-committed root before the replay.
 type ArchiveSource struct {
 	// Arc is the open archive; Node/NodeIdx the audited machine.
 	Arc     *archive.Archive
@@ -30,14 +30,6 @@ type ArchiveSource struct {
 	points []SnapshotPoint
 	incs   snapshot.IncrementSource
 	iniErr error
-
-	// states memoizes materialized starting states per snapshot index, as
-	// MonitorSource does: overlapping policies, repeated passes and
-	// concurrent first requests share one fold. A spot check asks for no
-	// state: each worker boots its first replica from the increments and
-	// rolls from there (RollSource). Every Chunk call fills the memo. A
-	// Restored is never mutated by audits.
-	states flight[*snapshot.Restored]
 }
 
 // init resolves the archive metadata once: snapshot points from the
@@ -61,16 +53,6 @@ func (s *ArchiveSource) init() error {
 	return s.iniErr
 }
 
-// pointsFor returns the snapshot points once checkSegments has passed the
-// request for segments [from, from+k).
-func (s *ArchiveSource) pointsFor(from, k, minK int) ([]SnapshotPoint, error) {
-	err := s.init()
-	if err == nil {
-		err = checkSegments(from, k, minK, len(s.points))
-	}
-	return s.points, err
-}
-
 // Segments implements SegmentSource.
 func (s *ArchiveSource) Segments() ([]SnapshotPoint, error) {
 	if err := s.init(); err != nil {
@@ -79,29 +61,13 @@ func (s *ArchiveSource) Segments() ([]SnapshotPoint, error) {
 	return s.points, nil
 }
 
-// Chunk implements SegmentSource: the window's entries stream from disk
-// (chain-verified against the archived linkage) and the starting state is
-// folded from archived increments. The chunk engine then verifies that
-// state against the root committed in the log before replaying, so a
-// tampered archive faults exactly where a tampered download would.
-func (s *ArchiveSource) Chunk(from, k int) (ChunkRequest, error) {
-	req, err := s.Window(from, k)
-	if err != nil {
-		return ChunkRequest{}, err
-	}
-	if req.Start, err = s.StartState(from); err != nil {
-		return ChunkRequest{}, err
-	}
-	return req, nil
-}
-
-// CanRoll implements RollSource: an archive always holds the increments.
-func (s *ArchiveSource) CanRoll() bool { return true }
-
-// Window implements RollSource: the chain-verified window and nothing of
+// Window implements SegmentSource: the chain-verified window and nothing of
 // the state.
 func (s *ArchiveSource) Window(from, k int) (ChunkRequest, error) {
-	pts, err := s.pointsFor(from, k, 1)
+	err := s.init()
+	if err == nil {
+		err = checkSegments(from, k, len(s.points))
+	}
 	if err != nil {
 		return ChunkRequest{}, err
 	}
@@ -109,7 +75,7 @@ func (s *ArchiveSource) Window(from, k int) (ChunkRequest, error) {
 	if err != nil {
 		return ChunkRequest{}, err
 	}
-	start := pts[from]
+	start := s.points[from]
 	return ChunkRequest{
 		Node: s.Node, NodeIdx: s.NodeIdx,
 		StartRoot: start.Root, PrevHash: start.EntryHash,
@@ -118,39 +84,31 @@ func (s *ArchiveSource) Window(from, k int) (ChunkRequest, error) {
 	}, nil
 }
 
-// ReplicaStart implements RollSource: the archive's increments and the
-// snapshot at point from, which the boot folds into its replica itself.
-func (s *ArchiveSource) ReplicaStart(from int) (ReplicaStart, error) {
-	pts, err := s.pointsFor(from, 0, 0)
-	if err != nil {
-		return ReplicaStart{}, err
+// IncrementSource implements SegmentSource: the archive's increments, each
+// read verified against the manifest. (A request for increment k is notice
+// that k-1 comes next; when both are large the source may read it ahead on
+// its own goroutine.) It is nil if the archive cannot be read.
+func (s *ArchiveSource) IncrementSource() snapshot.IncrementSource {
+	if s.init() != nil {
+		return nil
 	}
-	return ReplicaStart{Incs: s.incs, Index: int(pts[from].SnapIdx)}, nil
+	return s.incs
 }
 
-// StartState returns the state at point from, the Start of Chunk(from, k),
-// folded out of the increments from that snapshot down to the newest
-// capture of every page — to increment 0, a full capture, unless later ones
-// cover it.
-func (s *ArchiveSource) StartState(from int) (*snapshot.Restored, error) {
-	pts, err := s.pointsFor(from, 0, 0)
+// Chunk is Window with the state at point from as its Start, folded out of
+// the increments from that snapshot down to the newest capture of every
+// page — to increment 0, a full capture, unless later ones cover it. The
+// chunk engine then verifies that state against the root committed in the
+// log before replaying, so a tampered archive faults exactly where a
+// tampered download would. A spot check asks for no chunk: it boots and
+// rolls its replicas on the increments.
+func (s *ArchiveSource) Chunk(from, k int) (ChunkRequest, error) {
+	req, err := s.Window(from, k)
 	if err != nil {
-		return nil, err
+		return ChunkRequest{}, err
 	}
-	at := int(pts[from].SnapIdx)
-	return s.states.do(at, func() (*snapshot.Restored, error) { return snapshot.MaterializeFrom(s.incs, at) })
-}
-
-// IncrementRange implements RollSource: the increments between two points,
-// each read once and verified against the manifest like any other, and no
-// increment at or below the first point. (The archive's source takes a
-// request for increment k as notice that k-1 comes next; when both are large
-// it may read the increment at the first point ahead on its own goroutine.
-// Nothing here asks for it or sees what that read found.)
-func (s *ArchiveSource) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
-	pts, err := s.pointsFor(after, upTo-after, 0)
-	if err != nil {
-		return nil, err
+	if req.Start, err = snapshot.MaterializeFrom(s.incs, int(s.points[from].SnapIdx)); err != nil {
+		return ChunkRequest{}, err
 	}
-	return snapshot.IncrementRange(s.incs, int(pts[after].SnapIdx), int(pts[upTo].SnapIdx))
+	return req, nil
 }

@@ -123,10 +123,9 @@ func NewReplayFromSnapshot(node sig.NodeID, restored *snapshot.Restored, rngSeed
 	return r, nil
 }
 
-// ReplicaStart is the state a replica is booted at, as a source hands it
-// over: the increments it is the fold of — the state at snapshot Index of
-// Incs — or, from a source that materializes states some other way, the
-// full State.
+// ReplicaStart is the state a replica is booted at: the increments it is
+// the fold of — the state at snapshot Index of Incs, as a spot check boots
+// it — or the full State an epoch or a chunk request carries.
 type ReplicaStart struct {
 	Incs  snapshot.IncrementSource
 	Index int

@@ -21,52 +21,33 @@ import (
 // experiments).
 
 // SegmentSource lets a policy enumerate and audit a machine's segments
-// without binding to a particular monitor implementation.
+// without binding to a particular monitor implementation: the snapshot
+// points that delimit them, the window of log a pick replays, and the
+// snapshot increments whose fold is the state a pick starts from. A spot
+// check boots a worker's replica from the increments and rolls it forward by
+// the increments between its picks (SpotCheckParallel). All three methods
+// must tolerate concurrent calls.
 type SegmentSource interface {
 	// Segments returns the snapshot points delimiting segments.
 	Segments() ([]SnapshotPoint, error)
-	// Chunk assembles the audit request for segments [from, from+k).
-	Chunk(from, k int) (ChunkRequest, error)
-}
-
-// RollSource is a SegmentSource that hands out the parts of a chunk one by
-// one, which is what lets a spot check keep a replica between picks: a
-// worker whose replica rests at snapshot point a audits a pick that starts
-// at point b >= a from the pick's window and the increments (a, b], and
-// boots a new replica (ReplicaStart) only for its first pick or one that
-// starts before a. Chunk(from, k) is Window(from, k) with the state at point
-// from as its Start.
-//
-// The pass asks ahead of the audit for what it expects a worker to need and
-// the worker asks again for what it does need, so what ReplicaStart and
-// IncrementRange read should be remembered (MonitorSource and ArchiveSource
-// do, and the archive's increment source does). Like Chunk, all three must
-// tolerate concurrent calls, and all three answer a request outside the
-// snapshot points with the error Chunk answers it with.
-type RollSource interface {
-	SegmentSource
-	// CanRoll reports whether IncrementRange has increments to hand out; a
-	// source that says no is audited through Chunk alone.
-	CanRoll() bool
-	// Window is Chunk without the start state: Start is nil.
+	// Window assembles the audit request for segments [from, from+k)
+	// without its start state: Start is nil. A request outside the snapshot
+	// points is an error.
 	Window(from, k int) (ChunkRequest, error)
-	// ReplicaStart returns the state at snapshot point from as a replica
-	// is booted from it: where the state is a fold of the source's
-	// increments, the increments and the snapshot index, read and folded
-	// by the boot itself straight into the replica's memory; otherwise the
-	// full state.
-	ReplicaStart(from int) (ReplicaStart, error)
-	// IncrementRange returns the snapshot increments after point after, up
-	// to and including point upTo, oldest first; none when the two are equal.
-	IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error)
+	// IncrementSource returns the machine's snapshot increments: the state
+	// at point i of Segments is their fold up to snapshot index SnapIdx. A
+	// spot check reads ahead of its workers what it expects them to need
+	// and they read again what they do need, so a source whose reads are
+	// costly should remember them, as the archive's does. A source without
+	// increments returns nil, and no spot check runs over it.
+	IncrementSource() snapshot.IncrementSource
 }
 
-// checkSegments is what every source method says about a request for
-// segments [from, from+k) of a log with the given number of snapshot points:
-// an error unless from is a point, k is at least minK and point from+k
-// exists.
-func checkSegments(from, k, minK, points int) error {
-	if from < 0 || k < minK || from > points-1 || k > points-1-from {
+// checkSegments is what Window says about a request for segments
+// [from, from+k) of a log with the given number of snapshot points: an
+// error unless from is a point, k is at least 1 and point from+k exists.
+func checkSegments(from, k, points int) error {
+	if from < 0 || k < 1 || from > points-1 || k > points-1-from {
 		return fmt.Errorf("audit: segments [%d,%d+%d) outside the %d snapshot points of the log", from, from, k, points)
 	}
 	return nil
@@ -79,28 +60,11 @@ type MonitorSource struct {
 	NodeIdx uint32
 	Entries []tevlog.Entry
 	Auths   []tevlog.Authenticator
-	// Materialize returns the machine state at snapshot index k. It may be
-	// nil when Increments is set: states are then folded from the increments.
-	Materialize func(k int) (*snapshot.Restored, error)
-	// Increments, when set, hands out the machine's snapshot increments one
-	// at a time, and a spot check then rolls its replicas forward between
-	// picks (RollSource) instead of asking Materialize for every pick's
-	// state.
+	// Increments hands out the machine's snapshot increments one at a time
+	// (a *snapshot.Store is such a source).
 	Increments snapshot.IncrementSource
 
 	points []SnapshotPoint
-
-	// states memoizes Materialize per snapshot index. Folding a full state
-	// out of the increment chain costs O(state) per call, and chunks that
-	// share a starting snapshot — overlapping policies, repeated passes over
-	// the same source, serial-then-parallel sweeps, two workers' first
-	// picks — would otherwise each pay it from scratch. A spot check over
-	// Increments alone folds no state here: each worker boots its first
-	// replica from the increments and rolls from there. Every Chunk call,
-	// and ReplicaStart with Materialize set, fills the memo. Audits never
-	// mutate a Restored (replicas copy the memory at boot), so sharing one
-	// per index is safe under concurrent calls.
-	states flight[*snapshot.Restored]
 }
 
 // Segments implements SegmentSource.
@@ -115,34 +79,12 @@ func (m *MonitorSource) Segments() ([]SnapshotPoint, error) {
 	return m.points, nil
 }
 
-// Chunk implements SegmentSource.
-func (m *MonitorSource) Chunk(from, k int) (ChunkRequest, error) {
-	req, err := m.Window(from, k)
-	if err != nil {
-		return ChunkRequest{}, err
-	}
-	if req.Start, err = m.StartState(from); err != nil {
-		return ChunkRequest{}, err
-	}
-	return req, nil
-}
-
-// CanRoll implements RollSource.
-func (m *MonitorSource) CanRoll() bool { return m.Increments != nil }
-
-// pointsFor returns the snapshot points once checkSegments has passed the
-// request for segments [from, from+k).
-func (m *MonitorSource) pointsFor(from, k, minK int) ([]SnapshotPoint, error) {
+// Window implements SegmentSource.
+func (m *MonitorSource) Window(from, k int) (ChunkRequest, error) {
 	pts, err := m.Segments()
 	if err == nil {
-		err = checkSegments(from, k, minK, len(pts))
+		err = checkSegments(from, k, len(pts))
 	}
-	return pts, err
-}
-
-// Window implements RollSource.
-func (m *MonitorSource) Window(from, k int) (ChunkRequest, error) {
-	pts, err := m.pointsFor(from, k, 1)
 	if err != nil {
 		return ChunkRequest{}, err
 	}
@@ -155,47 +97,8 @@ func (m *MonitorSource) Window(from, k int) (ChunkRequest, error) {
 	}, nil
 }
 
-// ReplicaStart implements RollSource: the increments when Materialize is
-// nil, the memoized state Materialize returns otherwise.
-func (m *MonitorSource) ReplicaStart(from int) (ReplicaStart, error) {
-	if m.Materialize == nil && m.Increments != nil {
-		pts, err := m.pointsFor(from, 0, 0)
-		if err != nil {
-			return ReplicaStart{}, err
-		}
-		return ReplicaStart{Incs: m.Increments, Index: int(pts[from].SnapIdx)}, nil
-	}
-	st, err := m.StartState(from)
-	return ReplicaStart{State: st}, err
-}
-
-// StartState returns the full machine state at snapshot point from, the
-// Start of Chunk(from, k).
-func (m *MonitorSource) StartState(from int) (*snapshot.Restored, error) {
-	pts, err := m.pointsFor(from, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	at := int(pts[from].SnapIdx)
-	return m.states.do(at, func() (*snapshot.Restored, error) {
-		if m.Materialize == nil && m.Increments != nil {
-			return snapshot.MaterializeFrom(m.Increments, at)
-		}
-		return m.Materialize(at)
-	})
-}
-
-// IncrementRange implements RollSource.
-func (m *MonitorSource) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
-	pts, err := m.pointsFor(after, upTo-after, 0)
-	if err == nil && m.Increments == nil {
-		err = fmt.Errorf("audit: %s: no increment source", m.Node)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.IncrementRange(m.Increments, int(pts[after].SnapIdx), int(pts[upTo].SnapIdx))
-}
+// IncrementSource implements SegmentSource: Increments.
+func (m *MonitorSource) IncrementSource() snapshot.IncrementSource { return m.Increments }
 
 // SpotPolicy selects which segments to inspect out of n available.
 type SpotPolicy interface {
@@ -234,9 +137,9 @@ type RecentFirst struct{ K int }
 
 // Pick implements SpotPolicy.
 func (p RecentFirst) Pick(n int) []int {
-	k := p.K
-	if k > n {
-		k = n
+	k := min(p.K, n)
+	if k <= 0 {
+		return nil
 	}
 	out := make([]int, 0, k)
 	for i := n - k; i < n; i++ {
@@ -276,17 +179,12 @@ type SpotCheckOutcome struct {
 	FirstFault      *FaultReport
 }
 
-// SpotCheck applies a policy: it audits each selected 1-segment chunk and
-// stops at the first fault. Accuracy is unconditional — an honest machine
-// passes any subset; completeness holds only if a faulty segment is among
-// the inspected ones (§4.7).
-func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOutcome, error) {
-	return a.SpotCheckParallel(src, policy, 1)
-}
-
-// SpotCheckParallel is SpotCheck with the selected chunks audited
-// concurrently on up to workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)).
-// Every chunk starts from a snapshot verified against the root the log
+// SpotCheckParallel applies a policy: it audits each selected 1-segment
+// chunk and stops at the first fault. Accuracy is unconditional — an honest
+// machine passes any subset; completeness holds only if a faulty segment is
+// among the inspected ones (§4.7). The chunks are audited concurrently on up
+// to workers goroutines (<= 0 selects runtime.GOMAXPROCS(0); 1 is the serial
+// pass). Every chunk starts from a snapshot verified against the root the log
 // committed there and is checked for itself, so the outcome is deterministic
 // and identical to the serial pass: the first fault in policy order is
 // reported, and SegmentsChecked counts the chunks the serial pass would have
@@ -294,17 +192,14 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // pass would have reached it.
 //
 // What differs between picks is how a worker comes by that verified start.
-// Its first pick, a pick that starts before the snapshot its replica rests
-// at, and every pick of a source that is no RollSource (or cannot roll) is
-// audited from scratch, on a new replica booted in one pass over the start
-// state (bootReplay): where the state is a fold of the source's increments,
-// they are read newest first and folded straight into the replica's memory,
-// each page copied once and its leaf hashed as soon as no older increment
-// can overwrite it, and the tree's interior is folded once at the end; a
-// full state a source materialized is copied and hashed the same way. After
-// that the worker holds a replica resting at the closing snapshot a of the
-// pick it just passed — a state the replay itself verified against the
-// committed root —
+// Its first pick, and a pick that starts before the snapshot its replica
+// rests at, is audited on a new replica booted in one pass over the
+// source's increments (bootReplay): they are read newest first and folded
+// straight into the replica's memory, each page copied once and its leaf
+// hashed as soon as no older increment can overwrite it, and the tree's
+// interior is folded once at the end. After that the worker holds a replica
+// resting at the closing snapshot a of the pick it just passed — a state the
+// replay itself verified against the committed root —
 // and for a pick starting at b >= a it reads the increments (a, b], writes
 // their pages over the replica, folds exactly those pages into the tree it
 // holds and compares the digest with the root committed at b
@@ -317,17 +212,16 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // reported by the picks that start below it — the first pick of each worker
 // folds down to increment 0 — and not by this one.
 //
-// Assembling a pick — reading its window and whatever its start needs — is
-// a stage of its own: while the workers audit, one more goroutine assembles
-// the picks that follow, in pick order, so that a worker finds its next
-// window decoded and its increments read and verified. For the first pick of
-// each worker it reads increment 0, the full capture and the largest read of
-// any fold that reaches it, before the window, while the worker reads the
-// newer increments and folds them into its replica (or, from a source that
-// materializes states, it has the state materialized); it folds no state
-// itself. It cannot know which worker will take a pick: it reads ahead for
-// the one that rests at the end of the pick workers before, which is exact
-// with one worker, and a worker that rests
+// Assembling a pick — reading its window and the increments its start needs
+// — is a stage of its own: while the workers audit, one more goroutine
+// assembles the picks that follow, in pick order, so that a worker finds its
+// next window decoded and its increments read and verified. For the first
+// pick of each worker it reads increment 0, the full capture and the largest
+// read of any fold that reaches it, before the window, while the worker
+// reads the newer increments and folds them into its replica; it folds no
+// state itself. It cannot know which worker will take a pick: it reads ahead
+// for the one that rests at the end of the pick workers before, which is
+// exact with one worker, and a worker that rests
 // elsewhere asks the source itself for the increments after its own
 // position, never applying an older page over a newer one. No pick more than
 // workers past the last one of the audited-and-passed prefix is assembled,
@@ -335,7 +229,9 @@ func (a *Auditor) SpotCheck(src SegmentSource, policy SpotPolicy) (*SpotCheckOut
 // past a fault, to workers+1. With one P there is nobody to hand anything to:
 // no goroutine is started and picks are assembled and audited in turn. The
 // segment source must tolerate concurrent calls (MonitorSource and
-// ArchiveSource do: audits run against a quiesced log and snapshot store).
+// ArchiveSource do: audits run against a quiesced log and snapshot store),
+// and must hand out increments: over a source without them the pass returns
+// an error.
 func (a *Auditor) SpotCheckParallel(src SegmentSource, policy SpotPolicy, workers int) (*SpotCheckOutcome, error) {
 	return a.spotCheck(src, policy, workers, nil)
 }
@@ -346,6 +242,10 @@ func (a *Auditor) spotCheck(src SegmentSource, policy SpotPolicy, workers int, o
 	pts, err := src.Segments()
 	if err != nil {
 		return nil, err
+	}
+	incs := src.IncrementSource()
+	if incs == nil {
+		return nil, errors.New("audit: the segment source hands out no snapshot increments")
 	}
 	nSegments := len(pts) - 1
 	if nSegments < 0 {
@@ -363,11 +263,9 @@ func (a *Auditor) spotCheck(src SegmentSource, policy SpotPolicy, workers int, o
 		workers = len(picks)
 	}
 	st := &spotStage{
-		a: a, src: src, pts: pts, picks: picks, workers: workers, observe: observe,
+		a: a, src: src, incs: incs, pts: pts, picks: picks, workers: workers, observe: observe,
+		chunks: make([]assembledChunk, len(picks)),
 		passed: make([]bool, len(picks)), cutoff: len(picks),
-	}
-	if roll, ok := src.(RollSource); ok && roll.CanRoll() {
-		st.roll = roll
 	}
 	st.cond.L = &st.mu
 	var wg sync.WaitGroup
@@ -402,22 +300,20 @@ func (a *Auditor) spotCheck(src SegmentSource, policy SpotPolicy, workers int, o
 }
 
 // spotStage is the state of one SpotCheckParallel: who audits which pick,
-// which chunks are assembled, and where the pass stops. Picks are named by
+// which windows are read, and where the pass stops. Picks are named by
 // their position in picks throughout.
 type spotStage struct {
-	a   *Auditor
-	src SegmentSource
-	// roll is src when it hands out increments: workers then keep their
-	// replicas between picks, and a pick's assembly is its window alone.
-	roll    RollSource
+	a       *Auditor
+	src     SegmentSource
+	incs    snapshot.IncrementSource // src's: every replica boots and rolls on them
 	pts     []SnapshotPoint
 	picks   []int
 	workers int
 	observe func(i int, res *Result)
 
-	// chunks holds every pick's one assembly, whoever asked for it first:
+	// chunks[i] is pick i's one window, read by whoever asked for it first:
 	// the goroutine running ahead, or the worker that got there before it.
-	chunks flight[*assembledChunk]
+	chunks []assembledChunk
 	// next is the next pick no worker has taken.
 	next atomic.Int64
 
@@ -436,26 +332,27 @@ type spotStage struct {
 	err    error
 }
 
-// assembledChunk is what the source returned for one pick: its Chunk, or
-// from a source that rolls its Window.
+// assembledChunk is what the source returned for one pick's Window, asked
+// once: whoever comes second waits in once.Do for the first.
 type assembledChunk struct {
-	req ChunkRequest
-	err error
+	once sync.Once
+	req  ChunkRequest
+	err  error
 }
 
-// chunk assembles pick i, or waits for whoever already is. The source's
-// error is part of the memoized value: a flight forgets a failure, and the
-// pass must report what the source said the one time it was asked.
+// chunk reads pick i's window, or waits for whoever already is. The
+// source's error is kept with the window: the pass must report what the
+// source said the one time it was asked.
 func (st *spotStage) chunk(i int) *assembledChunk {
-	c, _ := st.chunks.do(i, func() (*assembledChunk, error) {
-		assemble := st.src.Chunk
-		if st.roll != nil {
-			assemble = st.roll.Window
-		}
-		req, err := assemble(st.picks[i], 1)
-		return &assembledChunk{req: req, err: err}, nil
-	})
+	c := &st.chunks[i]
+	c.once.Do(func() { c.req, c.err = st.src.Window(st.picks[i], 1) })
 	return c
+}
+
+// increments reads the source's increments after snapshot point a, up to
+// and including point b, oldest first; none when the two are equal.
+func (st *spotStage) increments(a, b int) ([]*snapshot.Snapshot, error) {
+	return snapshot.IncrementRange(st.incs, int(st.pts[a].SnapIdx), int(st.pts[b].SnapIdx))
 }
 
 // admit waits until pick i is at most ahead picks past the passed prefix
@@ -493,9 +390,9 @@ func (st *spotStage) stop(i int, fault *FaultReport, err error) {
 
 // work audits picks, taking the next untaken one each time, until none is
 // left or wanted. The workers of a pass hold picks committed .. committed +
-// workers - 1 at most. Over a source that rolls, the worker keeps the
-// replica of the pick it last passed and moves it to the next pick's start
-// when that lies at or after the point it rests at.
+// workers - 1 at most. The worker keeps the replica of the pick it last
+// passed and moves it to the next pick's start when that lies at or after
+// the point it rests at.
 func (st *spotStage) work() {
 	var rp *Replay // resting at snapshot point at
 	var at int
@@ -511,7 +408,7 @@ func (st *spotStage) work() {
 		}
 		req, pick := c.req, st.picks[i]
 		// This worker was the request's only reader: let go of the decoded
-		// window (the source keeps the states and increments, not the pass).
+		// window (the increment source keeps what it read, not the pass).
 		c.req = ChunkRequest{}
 		var err error
 		rp, err = st.startOn(rp, at, pick, &req)
@@ -528,13 +425,11 @@ func (st *spotStage) work() {
 			st.stop(i, res.Fault, nil)
 			return
 		}
+		// The window the source cut ends at point pick+1; keep the replica
+		// only if that is the snapshot it verified last.
 		rp = nil
-		if st.roll != nil {
-			// The window the source cut ends at point pick+1; keep the
-			// replica only if that is the snapshot it verified last.
-			if snap, ok := held.restingAt(); ok && snap == st.pts[pick+1].SnapIdx {
-				rp, at = held, pick+1
-			}
+		if snap, ok := held.restingAt(); ok && snap == st.pts[pick+1].SnapIdx {
+			rp, at = held, pick+1
 		}
 		st.pass(i)
 	}
@@ -543,24 +438,20 @@ func (st *spotStage) work() {
 // startOn brings a replica to the start of pick, the pick req was cut for,
 // and checks it against req.StartRoot: rp, resting at point at, is rolled
 // there by the increments in between when it can be (Replay.Advance);
-// otherwise a new replica is booted from the source's start state. A failed
+// otherwise a new replica is booted from the source's increments. A failed
 // check is the returned error, and so is a source that could not hand over
 // what the move needs, as a sourceError.
 func (st *spotStage) startOn(rp *Replay, at, pick int, req *ChunkRequest) (*Replay, error) {
-	start := ReplicaStart{State: req.Start}
 	var incs []*snapshot.Snapshot
-	if st.roll != nil {
+	if rp != nil && at <= pick {
 		var err error
-		if rp != nil && at <= pick {
-			incs, err = st.roll.IncrementRange(at, pick)
-		} else {
-			rp = nil
-			start, err = st.roll.ReplicaStart(pick)
-		}
-		if err != nil {
+		if incs, err = st.increments(at, pick); err != nil {
 			return nil, sourceError{err}
 		}
+	} else {
+		rp = nil
 	}
+	start := ReplicaStart{Incs: st.incs, Index: int(st.pts[pick].SnapIdx)}
 	return startReplica(req.Node, rp, incs, start, req.StartRoot, st.a.RNGSeed)
 }
 
@@ -568,18 +459,17 @@ func (st *spotStage) startOn(rp *Replay, at, pick int, req *ChunkRequest) (*Repl
 // the workers can hold, and stops at the first that cannot be assembled: the
 // serial pass would not look beyond it either. A pick a worker is already
 // assembling is waited for, not assembled again and not overtaken, so with
-// one worker Chunk is never called twice at once — this goroutine assembles
-// pick i+1 while the worker audits pick i, and a source that was written for
-// the serial pass sees calls that follow one another as they always did. (A
-// RollSource is asked for a pick's parts by this goroutine and by the worker
+// one worker Window is never called twice at once — this goroutine
+// assembles pick i+1 while the worker audits pick i. (The increment source
+// is asked for a pick's increments by this goroutine and by the worker
 // both, and has said it tolerates that.)
 func (st *spotStage) assembleAhead() {
 	for j := 0; j < len(st.picks) && st.admit(j, st.workers); j++ {
 		// The start first: a worker's first pick waits on the read of
 		// increment 0 longest, and needs its window only after its boot.
-		if st.roll != nil && st.readAhead(j) != nil {
+		if st.readAhead(j) != nil {
 			// The worker that takes pick j asks again and reports what it is
-			// told; past an unreadable state there is nothing to prepare.
+			// told; past an unreadable increment there is nothing to prepare.
 			return
 		}
 		if c := st.chunk(j); c.err != nil {
@@ -589,13 +479,11 @@ func (st *spotStage) assembleAhead() {
 	}
 }
 
-// readAhead has the source read, verify and remember what the worker that
-// takes pick j will ask it for, so that no state is folded that nobody
-// boots from: the increments since the end of the pick workers before it if
-// that worker is expected to hold a replica resting at or before pick j's
-// start; otherwise, for a boot from increments, increment 0, which the
-// worker's fold reaches last, and for a source that materializes states, the
-// state.
+// readAhead has the increment source read, verify and remember what the
+// worker that takes pick j will ask it for, so that no state is folded that
+// nobody boots from: the increments since the end of the pick workers before
+// it if that worker is expected to hold a replica resting at or before pick
+// j's start; otherwise increment 0, which a boot's fold reaches last.
 //
 // Increment 0 is read without knowing whether the fold will reach it: that
 // takes reading the newer increments first, and then its read would no
@@ -608,13 +496,10 @@ func (st *spotStage) readAhead(j int) error {
 	pick := st.picks[j]
 	if j >= st.workers {
 		if at := st.picks[j-st.workers] + 1; at <= pick {
-			_, err := st.roll.IncrementRange(at, pick)
+			_, err := st.increments(at, pick)
 			return err
 		}
 	}
-	start, err := st.roll.ReplicaStart(pick)
-	if err == nil && start.Incs != nil {
-		_, _ = start.Incs.Increment(0)
-	}
-	return err
+	_, _ = st.incs.Increment(0)
+	return nil
 }

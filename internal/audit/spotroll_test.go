@@ -30,13 +30,48 @@ import (
 // does nothing of the kind: every pick through Chunk, a full start state, a
 // new replica.
 
+// chunkSource is what the from-scratch pass asks a source for: its snapshot
+// points and whole chunks, start state included.
+type chunkSource interface {
+	Segments() ([]audit.SnapshotPoint, error)
+	Chunk(from, k int) (audit.ChunkRequest, error)
+}
+
+// chunked is src as the from-scratch pass asks it: an ArchiveSource through
+// its own Chunk, any other source through its Window with the state its
+// increments fold to at the window's start.
+func chunked(src audit.SegmentSource) chunkSource {
+	if c, ok := src.(chunkSource); ok {
+		return c
+	}
+	return windowChunks{src}
+}
+
+// windowChunks is Chunk for a source that has only Window and increments.
+type windowChunks struct{ audit.SegmentSource }
+
+func (w windowChunks) Chunk(from, k int) (audit.ChunkRequest, error) {
+	req, err := w.Window(from, k)
+	if err != nil {
+		return audit.ChunkRequest{}, err
+	}
+	pts, err := w.Segments()
+	if err == nil {
+		req.Start, err = snapshot.MaterializeFrom(w.IncrementSource(), int(pts[from].SnapIdx))
+	}
+	if err != nil {
+		return audit.ChunkRequest{}, err
+	}
+	return req, nil
+}
+
 // scratchSpotCheck pins the spot check as it was before replicas were kept
 // (commit 68fb5eb) and before chunks were assembled ahead (commit 8fa6660):
 // every pick is assembled through Chunk and audited from scratch by the chunk
 // engine, in turn, stopping at the first source error or fault. It returns
 // the outcome and the Result of every pick it audited. It is a copy, not a
 // caller, of the production loop, so a change there cannot move the oracle.
-func scratchSpotCheck(a *audit.Auditor, src audit.SegmentSource, policy audit.SpotPolicy) (*audit.SpotCheckOutcome, []*audit.Result, error) {
+func scratchSpotCheck(a *audit.Auditor, src chunkSource, policy audit.SpotPolicy) (*audit.SpotCheckOutcome, []*audit.Result, error) {
 	pts, err := src.Segments()
 	if err != nil {
 		return nil, nil, err
@@ -71,10 +106,6 @@ func scratchSpotCheck(a *audit.Auditor, src audit.SegmentSource, policy audit.Sp
 	return out, results, nil
 }
 
-// chunkOnly hides everything of a source but Segments and Chunk, so that a
-// pass over it cannot roll.
-type chunkOnly struct{ audit.SegmentSource }
-
 // fixedPicks is a policy that returns the picks it was given.
 type fixedPicks []int
 
@@ -90,60 +121,77 @@ func (p reversed) Pick(n int) []int {
 	return picks
 }
 
-// rollProbe wraps a RollSource the way probeSource wraps a SegmentSource:
-// it records what the pass asks for, fails the windows in fail with an error
-// and flips the start root of the windows in fault.
-type rollProbe struct {
-	audit.RollSource
-	fail, fault map[int]bool
+// spoiler spoils what a probe hands out: segments in fail return an error
+// instead of a chunk or window, segments in fault come back with a start
+// root that is not the state's, which the chunk audit reports as a snapshot
+// fault.
+type spoiler struct{ fail, fault map[int]bool }
 
-	mu         sync.Mutex
-	windows    []int    // Window calls, in call order
-	states     []int    // ReplicaStart calls
-	ranges     [][2]int // IncrementRange calls
-	chunks     int      // Chunk calls: a pass that rolls makes none
-	goroutines int
-}
-
-func (p *rollProbe) note(fn func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fn()
-	p.goroutines = max(p.goroutines, runtime.NumGoroutine())
-}
-
-func (p *rollProbe) Chunk(from, k int) (audit.ChunkRequest, error) {
-	p.note(func() { p.chunks++ })
-	return p.RollSource.Chunk(from, k)
-}
-
-func (p *rollProbe) Window(from, k int) (audit.ChunkRequest, error) {
-	p.note(func() { p.windows = append(p.windows, from) })
-	if p.fail[from] {
+func (s spoiler) spoil(from int, read func() (audit.ChunkRequest, error)) (audit.ChunkRequest, error) {
+	if s.fail[from] {
 		return audit.ChunkRequest{}, fmt.Errorf("probe: segment %d is unreadable", from)
 	}
-	req, err := p.RollSource.Window(from, k)
-	if err == nil && p.fault[from] {
+	req, err := read()
+	if err == nil && s.fault[from] {
 		req.StartRoot[0] ^= 0x80
 	}
 	return req, err
 }
 
-func (p *rollProbe) ReplicaStart(from int) (audit.ReplicaStart, error) {
-	p.note(func() { p.states = append(p.states, from) })
-	return p.RollSource.ReplicaStart(from)
+// probeSource spoils the chunks of the source under it for the from-scratch
+// pass, as rollProbe spoils the windows of the pass that rolls, and counts
+// the chunks asked for.
+type probeSource struct {
+	chunkSource
+	spoiler
+	calls int
 }
 
-func (p *rollProbe) IncrementRange(after, upTo int) ([]*snapshot.Snapshot, error) {
-	p.note(func() { p.ranges = append(p.ranges, [2]int{after, upTo}) })
-	return p.RollSource.IncrementRange(after, upTo)
+func (p *probeSource) Chunk(from, k int) (audit.ChunkRequest, error) {
+	p.calls++
+	return p.spoil(from, func() (audit.ChunkRequest, error) { return p.chunkSource.Chunk(from, k) })
 }
+
+// rollProbe spoils the windows of the source under it and records what the
+// pass asks of it: windows, and the increments read from the increment
+// source it hands out.
+type rollProbe struct {
+	audit.SegmentSource
+	spoiler
+	incs countingIncrements // the source's increments, as the pass reads them
+
+	mu         sync.Mutex
+	windows    []int // Window calls, in call order
+	goroutines int   // the highest runtime.NumGoroutine seen inside Window
+}
+
+func newRollProbe(src audit.SegmentSource, s spoiler) *rollProbe {
+	p := &rollProbe{SegmentSource: src, spoiler: s}
+	p.incs.IncrementSource = src.IncrementSource()
+	return p
+}
+
+func (p *rollProbe) Window(from, k int) (audit.ChunkRequest, error) {
+	p.mu.Lock()
+	p.windows = append(p.windows, from)
+	p.goroutines = max(p.goroutines, runtime.NumGoroutine())
+	p.mu.Unlock()
+	return p.spoil(from, func() (audit.ChunkRequest, error) { return p.SegmentSource.Window(from, k) })
+}
+
+func (p *rollProbe) IncrementSource() snapshot.IncrementSource { return &p.incs }
 
 // asked is the number of calls the probe has seen.
 func (p *rollProbe) asked() int {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.windows) + len(p.states) + len(p.ranges) + p.chunks
+	n := len(p.windows)
+	p.mu.Unlock()
+	p.incs.mu.Lock()
+	defer p.incs.mu.Unlock()
+	for _, reads := range p.incs.asked {
+		n += reads
+	}
+	return n
 }
 
 // countingIncrements counts the increments a source is asked for.
@@ -233,11 +281,11 @@ func (r *spotRecording) archiveRecording(t *testing.T) {
 	r.arc = arc
 }
 
-// monitor is a fresh MonitorSource that rolls.
+// monitor is a fresh MonitorSource.
 func (r *spotRecording) monitor() *audit.MonitorSource {
 	return &audit.MonitorSource{
 		Node: r.node, NodeIdx: r.nodeIdx, Entries: r.entries, Auths: r.auths,
-		Materialize: r.snaps.Materialize, Increments: r.snaps,
+		Increments: r.snaps,
 	}
 }
 
@@ -247,10 +295,10 @@ func (r *spotRecording) archived() *audit.ArchiveSource {
 }
 
 // sources are the two, by name.
-func (r *spotRecording) sources() map[string]func() audit.RollSource {
-	return map[string]func() audit.RollSource{
-		"monitor": func() audit.RollSource { return r.monitor() },
-		"archive": func() audit.RollSource { return r.archived() },
+func (r *spotRecording) sources() map[string]func() audit.SegmentSource {
+	return map[string]func() audit.SegmentSource{
+		"monitor": func() audit.SegmentSource { return r.monitor() },
+		"archive": func() audit.SegmentSource { return r.archived() },
 	}
 }
 
@@ -356,7 +404,7 @@ func TestSpotRollMatchesFromScratch(t *testing.T) {
 	for _, rec := range recs {
 		for srcName, newSource := range rec.sources() {
 			for polName, policy := range policies {
-				want, wantRes, wantErr := scratchSpotCheck(rec.a, chunkOnly{newSource()}, policy)
+				want, wantRes, wantErr := scratchSpotCheck(rec.a, chunked(newSource()), policy)
 				if wantErr != nil || want.FaultFound || want.SegmentsChecked < 4 {
 					t.Fatalf("%s/%s/%s: the from-scratch pass over an honest log: %+v, %v", rec.name, srcName, polName, want, wantErr)
 				}
@@ -374,69 +422,81 @@ func TestSpotRollMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestSpotRollFoldsOnceUnderFullCoverage counts what a rolled pass reads,
-// the way TestSpotCheckMemoizesMaterialization counts folds: with one worker
-// a pass over every segment folds one start state — the first pick's — and,
-// every pick starting where the one before ended, asks for no increment at
-// all; a pass over every third segment asks for exactly the increments
-// between its picks, each once.
+// TestSpotRollFoldsOnceUnderFullCoverage counts the increments a pass
+// reads: with one worker it boots one replica, for its first pick, and folds
+// that pick's start out of the increments at or below it, each read once;
+// past that start it reads exactly the increments between one pick's end
+// and the next pick's start, each once — under full coverage, every pick
+// starting where the one before ended, none at all. (With a second P the
+// assembler reads increment 0 and the increments of a roll ahead of the
+// worker, which reads them again.)
 func TestSpotRollFoldsOnceUnderFullCoverage(t *testing.T) {
 	rec := dbappRecording(t)
-	for _, procs := range []int{1, 4} {
-		atProcs(procs, func() {
-			folds := make(map[int]int)
-			var mu sync.Mutex
-			incs := &countingIncrements{IncrementSource: rec.snaps}
-			src := rec.monitor()
-			src.Increments = incs
-			src.Materialize = func(k int) (*snapshot.Restored, error) {
-				mu.Lock()
-				folds[k]++
-				mu.Unlock()
-				return rec.snaps.Materialize(k)
+	pts, err := rec.monitor().Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(p int) int { return int(pts[p].SnapIdx) }
+	for _, tc := range []struct {
+		name   string
+		policy audit.SpotPolicy
+	}{
+		{"full coverage", audit.RecentFirst{K: 1 << 30}},
+		{"every third", fixedPicks{2, 5, 8}},
+	} {
+		picks := tc.policy.Pick(len(pts) - 1)
+		// The rolls: increments (end of pick i-1, start of pick i].
+		rolled := make(map[int]int)
+		for i := 1; i < len(picks); i++ {
+			for k := snap(picks[i-1]+1) + 1; k <= snap(picks[i]); k++ {
+				rolled[k]++
 			}
-			out, err := rec.a.SpotCheckParallel(src, audit.RecentFirst{K: 1 << 30}, 1)
-			if err != nil || out.FaultFound || out.SegmentsChecked < 10 {
-				t.Fatalf("P%d: full coverage: %+v, %v", procs, out, err)
-			}
-			if !reflect.DeepEqual(folds, map[int]int{0: 1}) {
-				t.Fatalf("P%d: full coverage folded start states %v, want snapshot 0 once", procs, folds)
-			}
-			if len(incs.asked) != 0 {
-				t.Fatalf("P%d: full coverage asked for increments %v, want none", procs, incs.asked)
-			}
-
-			// Picks 2, 5, 8: the first folds snapshot 2, the replica then rests
-			// at 3, 6: increments 4, 5 and 7, 8 are read, nothing else.
-			clear(folds)
-			incs.asked = nil
-			out, err = rec.a.SpotCheckParallel(src, fixedPicks{2, 5, 8}, 1)
-			if err != nil || out.FaultFound || out.SegmentsChecked != 3 {
-				t.Fatalf("P%d: every third: %+v, %v", procs, out, err)
-			}
-			if !reflect.DeepEqual(folds, map[int]int{2: 1}) {
-				t.Fatalf("P%d: every third folded start states %v, want snapshot 2 once", procs, folds)
-			}
-			if !reflect.DeepEqual(incs.asked, map[int]int{4: 1, 5: 1, 7: 1, 8: 1}) && procs == 1 {
-				t.Fatalf("P%d: every third asked for increments %v, want 4, 5, 7, 8 once each", procs, incs.asked)
-			}
-			for k := range incs.asked {
-				if k != 4 && k != 5 && k != 7 && k != 8 {
-					t.Fatalf("P%d: every third asked for increment %d (all: %v)", procs, k, incs.asked)
+		}
+		first := snap(picks[0])
+		for _, procs := range []int{1, 4} {
+			atProcs(procs, func() {
+				incs := &countingIncrements{IncrementSource: rec.snaps}
+				src := rec.monitor()
+				src.Increments = incs
+				out, err := rec.a.SpotCheckParallel(src, tc.policy, 1)
+				if err != nil || out.FaultFound || out.SegmentsChecked != len(picks) || len(picks) < 3 {
+					t.Fatalf("%s/P%d: %+v, %v", tc.name, procs, out, err)
 				}
-			}
-		})
+				if incs.asked[first] == 0 {
+					t.Fatalf("%s/P%d: the first pick's boot did not read increment %d (read: %v)", tc.name, procs, first, incs.asked)
+				}
+				past := make(map[int]int)
+				for k, n := range incs.asked {
+					switch {
+					case k > first:
+						past[k] = n
+					case procs == 1 && n != 1:
+						t.Fatalf("%s/P%d: the boot read increment %d %d times (read: %v)", tc.name, procs, k, n, incs.asked)
+					}
+				}
+				if procs == 1 && !reflect.DeepEqual(past, rolled) {
+					t.Fatalf("%s/P%d: read increments %v past the first start, the rolls need %v", tc.name, procs, past, rolled)
+				}
+				for k := range past {
+					if rolled[k] == 0 {
+						t.Fatalf("%s/P%d: read increment %d, which no roll needs (read: %v)", tc.name, procs, k, incs.asked)
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestSpotRollStageBounds is TestSpotCheckStageMatchesSerialPass for a
-// source that rolls: a flipped start root at a rolled pick, at a worker's
-// first pick and at the last pick, source errors before and after a fault —
+// TestSpotRollStageBounds: reading windows and increments ahead of the
+// audit changes who asks the source and when, never what the spot check
+// reports. Over an honest log, a flipped start root at a rolled pick, at a
+// worker's first pick and at the last pick, and source errors before and
+// after a fault, on both sources, with 1, 2 and 4 workers at 1 and 4 Ps:
 // outcome, error and Results are the from-scratch pass's; no window more
 // than workers past the pick that stops the pass is asked for, none twice,
-// Chunk never; with one P every call is made in pick order on the caller's
-// goroutine; nothing is asked of the source once the pass has returned and
-// no goroutine outlives it.
+// and no increment past that window's start is read; with one P every call
+// is made in pick order on the caller's goroutine; nothing is asked of the
+// source once the pass has returned and no goroutine outlives it.
 func TestSpotRollStageBounds(t *testing.T) {
 	rec := dbappRecording(t)
 	policy := audit.RecentFirst{K: 1 << 30}
@@ -464,30 +524,29 @@ func TestSpotRollStageBounds(t *testing.T) {
 		{"flipped root at pick 0", nil, set(0), 0},
 		{"flipped root at pick 3", nil, set(3), 3},
 		{"flipped root at the last pick", nil, set(nPicks - 1), nPicks - 1},
+		{"source error at pick 0", set(0), set(4), 0},
 		{"source error at pick 2, flipped root at pick 5", set(2), set(5), 2},
+		{"flipped root at pick 2, source error at pick 4", set(4), set(2), 2},
 		{"flipped root at pick 6, source errors at picks 7 and 9", set(7, 9), set(6), 6},
 	}
 	for srcName, newSource := range rec.sources() {
 		for _, tc := range cases {
 			// The oracle sees the same spoilt windows through Chunk alone.
-			oracle := &probeSource{SegmentSource: chunkOnly{newSource()}, fail: tc.fail, fault: tc.fault}
+			oracle := &probeSource{chunkSource: chunked(newSource()), spoiler: spoiler{tc.fail, tc.fault}}
 			want, wantRes, wantErr := scratchSpotCheck(rec.a, oracle, policy)
-			if got := len(oracle.called()); got != tc.cutoff+1 {
+			if got := oracle.calls; got != tc.cutoff+1 {
 				t.Fatalf("%s/%s: the from-scratch pass asked for %d chunks, the case says it stops at pick %d", srcName, tc.name, got, tc.cutoff)
 			}
 			for _, procs := range []int{1, 4} {
 				for _, workers := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s/%s/P%d/workers%d", srcName, tc.name, procs, workers), func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						src := &rollProbe{RollSource: newSource(), fail: tc.fail, fault: tc.fault}
+						src := newRollProbe(newSource(), spoiler{tc.fail, tc.fault})
 						before := runtime.NumGoroutine()
 						got, gotRes, gotErr := rec.a.SpotCheckResults(src, policy, workers)
 						asked := src.asked()
 						sameSpotCheck(t, "rolled", got, gotRes, gotErr, want, wantRes, wantErr)
 
-						if src.chunks != 0 {
-							t.Fatalf("a pass that rolls called Chunk %d times", src.chunks)
-						}
 						seen := make(map[int]bool)
 						for _, from := range src.windows {
 							if seen[from] {
@@ -504,28 +563,18 @@ func TestSpotRollStageBounds(t *testing.T) {
 								t.Fatalf("pick %d, at or before the one that stops the pass, was never assembled (calls %v)", i, src.windows)
 							}
 						}
-						for _, from := range src.states {
-							if from > tc.cutoff+workers {
-								t.Fatalf("start state %d folded past the bound (calls %v)", from, src.states)
-							}
-						}
-						for _, r := range src.ranges {
-							if r[0] > r[1] || r[1] > tc.cutoff+workers {
-								t.Fatalf("increments (%d,%d] asked for; pick %d stops the pass (calls %v)", r[0], r[1], tc.cutoff, src.ranges)
-							}
-						}
+						// A boot folds the increments up to its pick's start, a
+						// roll those up to the next pick's: none past the start
+						// of the last window that may be assembled.
+						last := pts[min(tc.cutoff+workers, nPicks)].SnapIdx
 						if workers == 1 {
-							// One replica: one full state for pick 0, and every
-							// later pick starts where the one before ended.
-							for _, from := range src.states {
-								if from != 0 {
-									t.Fatalf("one worker folded the start state of pick %d (calls %v)", from, src.states)
-								}
-							}
-							for _, r := range src.ranges {
-								if r[0] != r[1] {
-									t.Fatalf("adjacent picks asked for increments (%d,%d]", r[0], r[1])
-								}
+							// One replica, booted for pick 0, and every later
+							// pick starts where the one before ended.
+							last = pts[0].SnapIdx
+						}
+						for k := range src.incs.asked {
+							if k > int(last) {
+								t.Fatalf("increment %d read; pick %d stops the pass, and no start is past snapshot %d (reads %v)", k, tc.cutoff, last, src.incs.asked)
 							}
 						}
 						if procs == 1 {
@@ -603,20 +652,19 @@ func TestSpotRollCorruptIncrements(t *testing.T) {
 			for _, procs := range []int{1, 4} {
 				atProcs(procs, func() {
 					label := fmt.Sprintf("%s/P%d/workers%d", tc.name, procs, workers)
-					spoilt := func() audit.RollSource {
+					spoilt := func() audit.SegmentSource {
 						src := rec.monitor()
-						src.Materialize = nil
 						src.Increments = spoiltIncrements{IncrementSource: rec.snaps, bad: map[int]bool{tc.bad: true}}
 						return src
 					}
-					for name, newSource := range map[string]func() audit.RollSource{
+					for name, newSource := range map[string]func() audit.SegmentSource{
 						"monitor": spoilt,
-						"archive": func() audit.RollSource { return rec.archived() },
+						"archive": func() audit.SegmentSource { return rec.archived() },
 					} {
 						if name == "archive" {
 							flip(tc.bad)
 						}
-						_, _, wantErr := scratchSpotCheck(rec.a, chunkOnly{newSource()}, policy)
+						_, _, wantErr := scratchSpotCheck(rec.a, chunked(newSource()), policy)
 						out, err := rec.a.SpotCheckParallel(newSource(), policy, workers)
 						if name == "archive" {
 							flip(tc.bad) // back
@@ -663,7 +711,6 @@ func TestSpotRollTamperedStorePage(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			atProcs(procs, func() {
 				src := rec.monitor()
-				src.Materialize = nil
 				page[0] ^= 0x01
 				out, err := rec.a.SpotCheckParallel(src, fixedPicks{1, 5}, 1)
 				page[0] ^= 0x01
@@ -719,18 +766,17 @@ func TestSpotRollFirstPickCoveredAboveIncrement0(t *testing.T) {
 	if full == 0 {
 		t.Fatal("pick 1 starts at snapshot 0: the case needs a newer one")
 	}
-	mk := func() (audit.RollSource, *countingIncrements) {
+	mk := func() (audit.SegmentSource, *countingIncrements) {
 		incs := &countingIncrements{IncrementSource: spoiltIncrements{
 			IncrementSource: coveringIncrements{IncrementSource: rec.snaps, full: full},
 			bad:             map[int]bool{0: true},
 		}}
 		src := rec.monitor()
-		src.Materialize = nil
 		src.Increments = incs
 		return src, incs
 	}
 	oracle, _ := mk()
-	want, wantRes, wantErr := scratchSpotCheck(rec.a, chunkOnly{oracle}, policy)
+	want, wantRes, wantErr := scratchSpotCheck(rec.a, chunked(oracle), policy)
 	if wantErr != nil || want.FaultFound || want.SegmentsChecked != 2 {
 		t.Fatalf("the from-scratch pass: %+v, %v", want, wantErr)
 	}
@@ -761,13 +807,12 @@ func TestSpotRollShortPages(t *testing.T) {
 		short[k] = true
 	}
 	policy := fixedPicks{0, 3, 4, 9}
-	mk := func() audit.RollSource {
+	mk := func() audit.SegmentSource {
 		src := rec.monitor()
-		src.Materialize = nil
 		src.Increments = spoiltIncrements{IncrementSource: rec.snaps, short: short}
 		return src
 	}
-	want, wantRes, wantErr := scratchSpotCheck(rec.a, chunkOnly{mk()}, policy)
+	want, wantRes, wantErr := scratchSpotCheck(rec.a, chunked(mk()), policy)
 	if wantErr != nil || want.FaultFound {
 		t.Fatalf("from scratch over short pages: %+v, %v", want, wantErr)
 	}
@@ -797,14 +842,14 @@ func TestSpotRollCheats(t *testing.T) {
 			}, eqMatchNs), "player1")
 			for _, tc := range []struct {
 				name      string
-				newSource func() audit.RollSource
+				newSource func() audit.SegmentSource
 				policy    audit.SpotPolicy
 				workers   []int
 			}{
 				{"monitor/adjacent", rec.sources()["monitor"], audit.RecentFirst{K: 1 << 30}, []int{1, 2}},
 				{"archive/apart", rec.sources()["archive"], fixedPicks{0, 2, 3, 5}, []int{1}},
 			} {
-				want, wantRes, wantErr := scratchSpotCheck(rec.a, chunkOnly{tc.newSource()}, tc.policy)
+				want, wantRes, wantErr := scratchSpotCheck(rec.a, chunked(tc.newSource()), tc.policy)
 				if wantErr != nil {
 					t.Fatal(wantErr)
 				}
@@ -828,14 +873,14 @@ func TestSpotRollReplayFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() audit.RollSource {
+	mk := func() audit.SegmentSource {
 		return &audit.MonitorSource{
 			Node: "db-server", Entries: s.Server.Log.All(), Auths: auths, Increments: s.Server.Snaps,
 		}
 	}
 	a := s.Auditor()
 	policy := audit.RecentFirst{K: 1 << 30}
-	want, wantRes, wantErr := scratchSpotCheck(a, chunkOnly{mk()}, policy)
+	want, wantRes, wantErr := scratchSpotCheck(a, chunked(mk()), policy)
 	if wantErr != nil || !want.FaultFound || want.SegmentsChecked < 3 || want.FirstFault.Check != audit.CheckSemantic {
 		t.Fatalf("from scratch: %+v, %v; want a replay fault past the second pick", want, wantErr)
 	}
@@ -925,7 +970,7 @@ func TestSpotRollSelfModifyingCode(t *testing.T) {
 		"nopredecode": {Keys: keys, RefImage: img, RNGSeed: 5, TamperEvident: true, DisablePredecode: true},
 		"nofusion":    {Keys: keys, RefImage: img, RNGSeed: 5, TamperEvident: true, DisableFusion: true},
 	} {
-		want, wantRes, wantErr := scratchSpotCheck(a, chunkOnly{mk()}, picks)
+		want, wantRes, wantErr := scratchSpotCheck(a, chunked(mk()), picks)
 		if wantErr != nil || want.FaultFound || want.SegmentsChecked != len(picks) {
 			t.Fatalf("%s: from scratch: %+v, %v", name, want, wantErr)
 		}
@@ -935,12 +980,14 @@ func TestSpotRollSelfModifyingCode(t *testing.T) {
 }
 
 // TestSpotSourceRangeErrors: a request outside a source's snapshot points
-// is an error, the same one from every method of both sources, and never an
-// index panic or an empty chunk.
+// is an error, the same one from Window and Chunk of both sources, and never
+// an index panic or an empty chunk; a spot check over a source that hands
+// out no increments is an error too.
 func TestSpotSourceRangeErrors(t *testing.T) {
 	rec := dbappRecording(t)
 	for name, newSource := range rec.sources() {
 		src := newSource()
+		whole := chunked(src)
 		pts, err := src.Segments()
 		if err != nil {
 			t.Fatal(err)
@@ -953,7 +1000,7 @@ func TestSpotSourceRangeErrors(t *testing.T) {
 			{99, 1}, {-1, 1}, {0, 99}, {0, 0}, {0, -1}, {n - 1, 1}, {n, 1}, {3, n - 3}, {1, int(^uint(0) >> 1)},
 		} {
 			for method, call := range map[string]func() error{
-				"Chunk":  func() error { _, err := src.Chunk(tc.from, tc.k); return err },
+				"Chunk":  func() error { _, err := whole.Chunk(tc.from, tc.k); return err },
 				"Window": func() error { _, err := src.Window(tc.from, tc.k); return err },
 			} {
 				if err := call(); err == nil || err.Error() != text(tc.from, tc.k) {
@@ -961,49 +1008,17 @@ func TestSpotSourceRangeErrors(t *testing.T) {
 				}
 			}
 		}
-		states := src.(interface {
-			StartState(from int) (*snapshot.Restored, error)
-		})
-		for _, from := range []int{-1, n, 99} {
-			if _, err := states.StartState(from); err == nil || err.Error() != text(from, 0) {
-				t.Errorf("%s: StartState(%d): error %v, want %q", name, from, err, text(from, 0))
-			}
-			if _, err := src.ReplicaStart(from); err == nil || err.Error() != text(from, 0) {
-				t.Errorf("%s: ReplicaStart(%d): error %v, want %q", name, from, err, text(from, 0))
-			}
-		}
-		for _, tc := range []struct{ after, upTo int }{{-1, 2}, {3, 2}, {0, n}, {n, n}, {2, 99}} {
-			if _, err := src.IncrementRange(tc.after, tc.upTo); err == nil || err.Error() != text(tc.after, tc.upTo-tc.after) {
-				t.Errorf("%s: IncrementRange(%d, %d): error %v, want %q", name, tc.after, tc.upTo, err, text(tc.after, tc.upTo-tc.after))
-			}
-		}
 		// The edges that are requests for something.
-		if req, err := src.Chunk(n-2, 1); err != nil || req.Start == nil || len(req.Entries) == 0 {
+		if req, err := whole.Chunk(n-2, 1); err != nil || req.Start == nil || len(req.Entries) == 0 {
 			t.Errorf("%s: Chunk of the last segment: %v", name, err)
 		}
-		if req, err := src.Chunk(0, n-1); err != nil || len(req.Entries) == 0 {
+		if req, err := whole.Chunk(0, n-1); err != nil || len(req.Entries) == 0 {
 			t.Errorf("%s: Chunk of every segment: %v", name, err)
 		}
-		if st, err := states.StartState(n - 1); err != nil || st == nil {
-			t.Errorf("%s: StartState of the last point: %v", name, err)
-		}
-		if st, err := src.ReplicaStart(n - 1); err != nil || (st.State == nil && st.Incs == nil) {
-			t.Errorf("%s: ReplicaStart of the last point: %+v, %v", name, st, err)
-		}
-		if incs, err := src.IncrementRange(2, 2); err != nil || len(incs) != 0 {
-			t.Errorf("%s: IncrementRange over nothing: %d increments, %v", name, len(incs), err)
-		}
-		if incs, err := src.IncrementRange(0, n-1); err != nil || len(incs) != n-1 || incs[0].Index != int(pts[1].SnapIdx) {
-			t.Errorf("%s: IncrementRange over everything: %d increments, %v", name, len(incs), err)
-		}
 	}
-	// A monitor source without increments cannot roll and says so.
 	plain := rec.monitor()
 	plain.Increments = nil
-	if plain.CanRoll() {
-		t.Error("a MonitorSource without Increments says it can roll")
-	}
-	if _, err := plain.IncrementRange(0, 1); err == nil {
-		t.Error("a MonitorSource without Increments handed out an increment range")
+	if out, err := rec.a.SpotCheckParallel(plain, audit.RecentFirst{K: 1}, 1); err == nil {
+		t.Errorf("a spot check over a MonitorSource without Increments: %+v and no error", out)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // traffic with the given node index.
 func (mon *Monitor) Suspended(idx int) bool { return mon.suspended[idx] }
 
-// Unresponsive (test hook) makes the monitor ignore challenges, modelling a
-// machine that refuses to answer for its log.
+// SetUnresponsive (a test hook) makes the monitor ignore challenges when v
+// is true, modelling a machine that refuses to answer for its log.
 func (mon *Monitor) SetUnresponsive(v bool) { mon.unresponsive = v }
 
 // Challenge suspends communication with the accused node and transmits the

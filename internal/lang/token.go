@@ -54,6 +54,7 @@ type CompileError struct {
 	Msg  string
 }
 
+// Error formats the error as name:line: message.
 func (e *CompileError) Error() string {
 	return fmt.Sprintf("%s:%d: %s", e.Name, e.Line, e.Msg)
 }

@@ -41,6 +41,7 @@ var faultNames = [...]string{
 	FaultDivByZero:     "division by zero", FaultBadPort: "bad I/O port",
 }
 
+// String returns the fault's name, or FaultCode(n) for a code without one.
 func (c FaultCode) String() string {
 	if int(c) < len(faultNames) {
 		return faultNames[c]
@@ -56,6 +57,8 @@ type Fault struct {
 	Detail string
 }
 
+// Error describes the fault with its code, program counter and instruction
+// count.
 func (f *Fault) Error() string {
 	return fmt.Sprintf("vm: fault %v at pc=0x%x icount=%d: %s", f.Code, f.PC, f.ICount, f.Detail)
 }
@@ -71,6 +74,8 @@ type Landmark struct {
 	PC       uint32
 }
 
+// String formats the landmark as its instruction count, branch count and
+// program counter.
 func (l Landmark) String() string {
 	return fmt.Sprintf("icount=%d branches=%d pc=0x%x", l.ICount, l.Branches, l.PC)
 }
