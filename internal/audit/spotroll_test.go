@@ -491,15 +491,18 @@ func TestSpotRollFoldsOnceUnderFullCoverage(t *testing.T) {
 // audit changes who asks the source and when, never what the spot check
 // reports. Over an honest log, a flipped start root at a rolled pick, at a
 // worker's first pick and at the last pick, and source errors before and
-// after a fault, on both sources, with 1, 2 and 4 workers at 1 and 4 Ps:
-// outcome, error and Results are the from-scratch pass's; no window more
-// than workers past the pick that stops the pass is asked for, none twice,
-// and no increment past that window's start is read; with one P every call
-// is made in pick order on the caller's goroutine; nothing is asked of the
-// source once the pass has returned and no goroutine outlives it.
+// after a fault, on both sources, with 1, 2 and 4 workers at 1 and 4 Ps,
+// under full coverage (every pick adjacent to the one before) and with the
+// picks swapped in pairs (1, 0, 3, 2, ...: every other pick starts before
+// the one before it ended and boots, the rest roll over the increments of
+// the segment skipped in between): outcome, error and Results are the
+// from-scratch pass's; no window more than workers past the pick that stops
+// the pass is asked for, none twice, and no increment is read that no boot
+// or roll of an assembled pick needs; with one P every call is made in pick
+// order on the caller's goroutine; nothing is asked of the source once the
+// pass has returned and no goroutine outlives it.
 func TestSpotRollStageBounds(t *testing.T) {
 	rec := dbappRecording(t)
-	policy := audit.RecentFirst{K: 1 << 30}
 	pts, err := rec.monitor().Segments()
 	if err != nil {
 		t.Fatal(err)
@@ -508,6 +511,22 @@ func TestSpotRollStageBounds(t *testing.T) {
 	if nPicks < 10 {
 		t.Fatalf("%d segments; the cases below name picks up to 9", nPicks)
 	}
+	snap := func(p int) int { return int(pts[p].SnapIdx) }
+	swapped := make(fixedPicks, nPicks)
+	for p := range swapped {
+		swapped[p] = p ^ 1
+	}
+	if nPicks%2 == 1 {
+		swapped[nPicks-1] = nPicks - 1
+	}
+	// Full coverage's subtests carry no policy in their names.
+	policies := []struct {
+		label  string
+		policy audit.SpotPolicy
+	}{
+		{"", audit.RecentFirst{K: 1 << 30}},
+		{"swapped pairs/", swapped},
+	}
 	set := func(xs ...int) map[int]bool {
 		m := make(map[int]bool)
 		for _, x := range xs {
@@ -515,6 +534,7 @@ func TestSpotRollStageBounds(t *testing.T) {
 		}
 		return m
 	}
+	// The cases name picks by their place in the policy's order.
 	cases := []struct {
 		name        string
 		fail, fault map[int]bool
@@ -529,77 +549,101 @@ func TestSpotRollStageBounds(t *testing.T) {
 		{"flipped root at pick 2, source error at pick 4", set(4), set(2), 2},
 		{"flipped root at pick 6, source errors at picks 7 and 9", set(7, 9), set(6), 6},
 	}
-	for srcName, newSource := range rec.sources() {
-		for _, tc := range cases {
-			// The oracle sees the same spoilt windows through Chunk alone.
-			oracle := &probeSource{chunkSource: chunked(newSource()), spoiler: spoiler{tc.fail, tc.fault}}
-			want, wantRes, wantErr := scratchSpotCheck(rec.a, oracle, policy)
-			if got := oracle.calls; got != tc.cutoff+1 {
-				t.Fatalf("%s/%s: the from-scratch pass asked for %d chunks, the case says it stops at pick %d", srcName, tc.name, got, tc.cutoff)
+	for _, pol := range policies {
+		picks := pol.policy.Pick(nPicks)
+		if len(picks) != nPicks {
+			t.Fatalf("%s: %d picks of %d segments", pol.label, len(picks), nPicks)
+		}
+		place := make(map[int]int) // segment -> its pick
+		for i, p := range picks {
+			place[p] = i
+		}
+		segments := func(m map[int]bool) map[int]bool {
+			out := make(map[int]bool)
+			for i := range m {
+				out[picks[i]] = true
 			}
-			for _, procs := range []int{1, 4} {
-				for _, workers := range []int{1, 2, 4} {
-					t.Run(fmt.Sprintf("%s/%s/P%d/workers%d", srcName, tc.name, procs, workers), func(t *testing.T) {
-						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						src := newRollProbe(newSource(), spoiler{tc.fail, tc.fault})
-						before := runtime.NumGoroutine()
-						got, gotRes, gotErr := rec.a.SpotCheckResults(src, policy, workers)
-						asked := src.asked()
-						sameSpotCheck(t, "rolled", got, gotRes, gotErr, want, wantRes, wantErr)
+			return out
+		}
+		for srcName, newSource := range rec.sources() {
+			for _, tc := range cases {
+				spoilt := spoiler{segments(tc.fail), segments(tc.fault)}
+				// The oracle sees the same spoilt windows through Chunk alone.
+				oracle := &probeSource{chunkSource: chunked(newSource()), spoiler: spoilt}
+				want, wantRes, wantErr := scratchSpotCheck(rec.a, oracle, pol.policy)
+				if got := oracle.calls; got != tc.cutoff+1 {
+					t.Fatalf("%s%s/%s: the from-scratch pass asked for %d chunks, the case says it stops at pick %d", pol.label, srcName, tc.name, got, tc.cutoff)
+				}
+				for _, procs := range []int{1, 4} {
+					for _, workers := range []int{1, 2, 4} {
+						t.Run(fmt.Sprintf("%s%s/%s/P%d/workers%d", pol.label, srcName, tc.name, procs, workers), func(t *testing.T) {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+							src := newRollProbe(newSource(), spoilt)
+							before := runtime.NumGoroutine()
+							got, gotRes, gotErr := rec.a.SpotCheckResults(src, pol.policy, workers)
+							asked := src.asked()
+							sameSpotCheck(t, "rolled", got, gotRes, gotErr, want, wantRes, wantErr)
 
-						seen := make(map[int]bool)
-						for _, from := range src.windows {
-							if seen[from] {
-								t.Fatalf("window %d assembled twice (calls %v)", from, src.windows)
+							seen := make(map[int]bool)
+							for _, from := range src.windows {
+								if seen[from] {
+									t.Fatalf("window %d assembled twice (calls %v)", from, src.windows)
+								}
+								seen[from] = true
+								if place[from] > tc.cutoff+workers {
+									t.Fatalf("window %d (pick %d) assembled; pick %d stops the pass and %d workers may hold %d picks and one ahead (calls %v)",
+										from, place[from], tc.cutoff, workers, workers, src.windows)
+								}
 							}
-							seen[from] = true
-							if from > tc.cutoff+workers {
-								t.Fatalf("window %d assembled; pick %d stops the pass and %d workers may hold %d picks and one ahead (calls %v)",
-									from, tc.cutoff, workers, workers, src.windows)
+							for i := 0; i <= tc.cutoff; i++ {
+								if !seen[picks[i]] {
+									t.Fatalf("pick %d, at or before the one that stops the pass, was never assembled (calls %v)", i, src.windows)
+								}
 							}
-						}
-						for i := 0; i <= tc.cutoff; i++ {
-							if !seen[i] {
-								t.Fatalf("pick %d, at or before the one that stops the pass, was never assembled (calls %v)", i, src.windows)
+							// A boot folds the increments at or below its pick's
+							// start, a roll those after the end of the pick
+							// before, up to its start. With one worker only pick
+							// 0 and a pick that starts before the one before it
+							// ended boot (under full coverage, pick 0 alone);
+							// with more, any assembled pick may.
+							needed := func(k int) bool {
+								for j := 0; j <= min(tc.cutoff+workers, nPicks-1); j++ {
+									lo := -1
+									if workers == 1 && j > 0 && picks[j-1]+1 <= picks[j] {
+										lo = snap(picks[j-1] + 1)
+									}
+									if lo < k && k <= snap(picks[j]) {
+										return true
+									}
+								}
+								return false
 							}
-						}
-						// A boot folds the increments up to its pick's start, a
-						// roll those up to the next pick's: none past the start
-						// of the last window that may be assembled.
-						last := pts[min(tc.cutoff+workers, nPicks)].SnapIdx
-						if workers == 1 {
-							// One replica, booted for pick 0, and every later
-							// pick starts where the one before ended.
-							last = pts[0].SnapIdx
-						}
-						for k := range src.incs.asked {
-							if k > int(last) {
-								t.Fatalf("increment %d read; pick %d stops the pass, and no start is past snapshot %d (reads %v)", k, tc.cutoff, last, src.incs.asked)
+							for k := range src.incs.asked {
+								if !needed(k) {
+									t.Fatalf("increment %d read; pick %d stops the pass, and no boot or roll of a pick up to %d needs it (reads %v)", k, tc.cutoff, tc.cutoff+workers, src.incs.asked)
+								}
 							}
-						}
-						if procs == 1 {
-							want := make([]int, tc.cutoff+1)
-							for i := range want {
-								want[i] = i
+							if procs == 1 {
+								want := picks[:tc.cutoff+1]
+								if !reflect.DeepEqual(src.windows, want) {
+									t.Fatalf("with one P windows were read for %v, the serial pass reads %v", src.windows, want)
+								}
+								if src.goroutines > before {
+									t.Fatalf("with one P the pass ran with %d goroutines, %d before it", src.goroutines, before)
+								}
 							}
-							if !reflect.DeepEqual(src.windows, want) {
-								t.Fatalf("with one P windows were read for %v, the serial pass reads %v", src.windows, want)
+							deadline := time.Now().Add(2 * time.Second)
+							for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+								time.Sleep(time.Millisecond)
 							}
-							if src.goroutines > before {
-								t.Fatalf("with one P the pass ran with %d goroutines, %d before it", src.goroutines, before)
+							if n := runtime.NumGoroutine(); n > before {
+								t.Fatalf("%d goroutines after the pass, %d before it", n, before)
 							}
-						}
-						deadline := time.Now().Add(2 * time.Second)
-						for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-							time.Sleep(time.Millisecond)
-						}
-						if n := runtime.NumGoroutine(); n > before {
-							t.Fatalf("%d goroutines after the pass, %d before it", n, before)
-						}
-						if after := src.asked(); after != asked {
-							t.Fatalf("the source was asked %d more times after the pass returned", after-asked)
-						}
-					})
+							if after := src.asked(); after != asked {
+								t.Fatalf("the source was asked %d more times after the pass returned", after-asked)
+							}
+						})
+					}
 				}
 			}
 		}
