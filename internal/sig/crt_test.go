@@ -13,48 +13,54 @@ import (
 	"testing"
 )
 
-// fixedKey builds a 1024-bit signer from seed alone, set up as GenerateRSA
-// sets up its keys: unlike GenerateRSA, whose keys crypto/rsa randomizes,
-// the same seed gives the same key on every run, so a fuzz input that fails
-// keeps failing. With swap the smaller prime is Primes[0], the order in
-// which m₂ ≥ p can happen.
-func fixedKey(t testing.TB, seed string, swap bool) *RSASigner {
+// primeOrders are the six orders of a three-prime key's primes.
+var primeOrders = [][crtPrimes]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
+// fixedKey builds a 1024-bit signer from seed alone, as GenerateRSA builds
+// and sets up its keys, with the key's primes put in order (a permutation
+// of 0, 1, 2 over the order newKey drew them in: 342, 341, 341 bits). The
+// same seed gives the same key on every run, so a fuzz input that fails
+// keeps failing. The order matters to the recombination: a 342-bit prime
+// can be up to 2.7 times a 341-bit one, so a residue modulo one prime is
+// not always reduced modulo another by one subtraction.
+func fixedKey(t testing.TB, seed string, order [crtPrimes]int) *RSASigner {
 	t.Helper()
-	return newRSASigner(NodeID(seed), fixedPrivateKey(t, seed, swap, verifyExponent))
+	key := fixedPrivateKey(t, seed, order, verifyExponent)
+	return newRSASigner(NodeID(fmt.Sprintf("%s%v", seed, order)), key)
+}
+
+// fixedKeys is fixedKey with its primes in each of the six orders.
+func fixedKeys(t testing.TB, seed string) []*RSASigner {
+	t.Helper()
+	keys := make([]*RSASigner, len(primeOrders))
+	for i, order := range primeOrders {
+		keys[i] = fixedKey(t, seed, order)
+	}
+	return keys
 }
 
 // fixedPrivateKey is fixedKey's private key, with public exponent e.
-func fixedPrivateKey(t testing.TB, seed string, swap bool, e64 int64) *rsa.PrivateKey {
+func fixedPrivateKey(t testing.TB, seed string, order [crtPrimes]int, e int) *rsa.PrivateKey {
 	t.Helper()
-	r := newDetReader(seed)
-	one := big.NewInt(1)
-	e := big.NewInt(e64)
-	prime := func() *big.Int {
-		b := make([]byte, crtPrimeBits/8)
-		for {
-			r.Read(b)
-			b[0] |= 0xc0 // two top bits: p·q is a full 1024 bits
-			b[len(b)-1] |= 1
-			p := new(big.Int).SetBytes(b)
-			pm1 := new(big.Int).Sub(p, one)
-			if p.ProbablyPrime(20) && new(big.Int).GCD(nil, nil, e, pm1).Cmp(one) == 0 {
-				return p
-			}
-		}
-	}
-	p, q := prime(), prime()
-	if (p.Cmp(q) < 0) != swap {
-		p, q = q, p
-	}
-	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
-	key := &rsa.PrivateKey{
-		PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: int(e.Int64())},
-		D:         new(big.Int).ModInverse(e, phi),
-		Primes:    []*big.Int{p, q},
+	built := builtKey(t, seed, crtPrimeSizes, e)
+	key := &rsa.PrivateKey{PublicKey: built.PublicKey, D: built.D}
+	for _, i := range order {
+		key.Primes = append(key.Primes, built.Primes[i])
 	}
 	key.Precompute()
 	if err := key.Validate(); err != nil {
-		t.Fatalf("fixed key %q: %v", seed, err)
+		t.Fatalf("fixed key %q%v: %v", seed, order, err)
+	}
+	return key
+}
+
+// builtKey is newKey's key from seed's stream: primes of the given sizes,
+// public exponent e.
+func builtKey(t testing.TB, seed string, sizes []int, e int) *rsa.PrivateKey {
+	t.Helper()
+	key, err := newKey(newDetReader(seed), sizes, e)
+	if err != nil {
+		t.Fatalf("key %q of %v-bit primes: %v", seed, sizes, err)
 	}
 	return key
 }
@@ -63,11 +69,13 @@ func fixedPrivateKey(t testing.TB, seed string, swap bool, e64 int64) *rsa.Priva
 // rsa.SignPKCS1v15 produces, and they verify.
 func requireStdlibSignature(t testing.TB, s *RSASigner, msg []byte) {
 	t.Helper()
-	digest := sha256.Sum256(msg)
-	want, err := rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest[:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireSignature(t, s, msg, stdlibSignature(t, s, msg))
+}
+
+// requireSignature fails unless s signs msg with exactly the bytes want,
+// and they verify.
+func requireSignature(t testing.TB, s *RSASigner, msg, want []byte) {
+	t.Helper()
 	got := s.Sign(msg)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: signature over %x differs from crypto/rsa's\n got %x\nwant %x", s.id, msg, got, want)
@@ -104,37 +112,68 @@ func onEachPath(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestRSASignMatchesStdlib: the kernel signs every 1024-bit key, with the
-// primes in either order, byte for byte as crypto/rsa does, on both
-// implementations of its products; other key sizes are signed by
-// crypto/rsa itself.
+// TestRSASignMatchesStdlib: the kernel signs every 1024-bit key
+// GenerateRSA makes, and a seed-built one with its primes in each of the
+// six orders, byte for byte as crypto/rsa does, on both implementations of
+// its products; the keys it does not serve — a two-prime 1024-bit key, a
+// three-prime one with a prime wider than crtPrimeBits, another size — are
+// signed by crypto/rsa itself.
 func TestRSASignMatchesStdlib(t *testing.T) {
 	ids := make([]NodeID, 20)
 	for i := range ids {
 		ids[i] = NodeID(fmt.Sprintf("k%d", i))
 	}
 	signers := MustGenerateRSAAll(ids, DefaultKeyBits, "stdlib")
-	signers = append(signers, fixedKey(t, "fixed-p>q", false), fixedKey(t, "fixed-p<q", true))
+	signers = append(signers, fixedKeys(t, "fixed")...)
+	rng := rand.New(rand.NewSource(1))
+	msgs := [][]byte{nil}
+	for j := 0; j < 50; j++ {
+		msg := make([]byte, rng.Intn(100))
+		rng.Read(msg)
+		msgs = append(msgs, msg)
+	}
+	want := make([][][]byte, len(signers))
+	for i, s := range signers {
+		if s.crt == nil {
+			t.Fatalf("%s: a 1024-bit three-prime key is not signed by the kernel", s.id)
+		}
+		for _, msg := range msgs {
+			want[i] = append(want[i], stdlibSignature(t, s, msg))
+		}
+	}
 	onEachPath(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(1))
-		for _, s := range signers {
-			if s.crt == nil {
-				t.Fatalf("%s: a 1024-bit key is not signed by the kernel", s.id)
-			}
-			requireStdlibSignature(t, s, nil)
-			for j := 0; j < 50; j++ {
-				msg := make([]byte, rng.Intn(100))
-				rng.Read(msg)
-				requireStdlibSignature(t, s, msg)
+		for i, s := range signers {
+			for j, msg := range msgs {
+				requireSignature(t, s, msg, want[i][j])
 			}
 		}
 	})
 
-	other := MustGenerateRSA("wide", crtKeyBits+8, "stdlib")
-	if other.crt != nil {
-		t.Fatal("a 1032-bit key is signed by the 1024-bit kernel")
+	others := []*RSASigner{
+		newRSASigner("two-prime", builtKey(t, "two-prime", []int{512, 512}, verifyExponent)),
+		newRSASigner("wide-prime", builtKey(t, "wide-prime", []int{crtPrimeBits + 2, 339, 339}, verifyExponent)),
+		MustGenerateRSA("wide", crtKeyBits+8, "stdlib"),
 	}
-	requireStdlibSignature(t, other, []byte("m"))
+	for _, s := range others {
+		if s.crt != nil {
+			t.Fatalf("%s: signed by the kernel", s.id)
+		}
+		if s.pub.mont == nil && s.key.N.BitLen() == crtKeyBits {
+			t.Fatalf("%s: a 1024-bit key with e = 65537 has no Montgomery context", s.id)
+		}
+		onEachPath(t, func(t *testing.T) { requireStdlibSignature(t, s, []byte("m")) })
+	}
+}
+
+// stdlibSignature is rsa.SignPKCS1v15's signature over msg under s's key.
+func stdlibSignature(t testing.TB, s *RSASigner, msg []byte) []byte {
+	t.Helper()
+	digest := sha256.Sum256(msg)
+	want, err := rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 var fuzzKeys struct {
@@ -142,9 +181,9 @@ var fuzzKeys struct {
 	keys []*RSASigner
 }
 
-// FuzzRSASign: whatever the message, the kernel's signature under each of
-// a few fixed keys is crypto/rsa's, on both implementations of its
-// products.
+// FuzzRSASign: whatever the message, the kernel's signature under a fixed
+// key, with its primes in each of the six orders, and another fixed key is
+// crypto/rsa's, on both implementations of its products.
 func FuzzRSASign(f *testing.F) {
 	for _, seed := range []string{"", "m", "\x00\x01\xff", strings.Repeat("authenticator", 10)} {
 		f.Add([]byte(seed))
@@ -155,40 +194,51 @@ func FuzzRSASign(f *testing.F) {
 	defer func(v bool) { useADX = v }(useADX)
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		fuzzKeys.once.Do(func() {
-			fuzzKeys.keys = []*RSASigner{fixedKey(t, "fuzz-0", false), fixedKey(t, "fuzz-1", true), fixedKey(t, "fuzz-2", false)}
+			fuzzKeys.keys = append(fixedKeys(t, "fuzz-0"), fixedKey(t, "fuzz-1", primeOrders[0]))
 		})
-		for _, p := range kernelPaths {
-			if p.adx && !adxAvailable {
-				continue
-			}
-			useADX = p.adx
-			for _, s := range fuzzKeys.keys {
-				requireStdlibSignature(t, s, msg)
+		for _, s := range fuzzKeys.keys {
+			want := stdlibSignature(t, s, msg)
+			for _, p := range kernelPaths {
+				if p.adx && !adxAvailable {
+					continue
+				}
+				useADX = p.adx
+				requireSignature(t, s, msg, want)
 			}
 		}
 	})
 }
 
-// TestRSASignFaultCheck: a kernel with one constant wrong computes a wrong
-// signature, and Sign panics rather than return it, on both implementations
-// of its products.
+// TestRSASignFaultCheck: a kernel with one constant of one of its thirds,
+// or of the recombination, wrong computes a wrong signature, and Sign
+// panics rather than return it, with the key's primes in each of the six
+// orders and on both implementations of its products.
 func TestRSASignFaultCheck(t *testing.T) {
-	onEachPath(t, testRSASignFaultCheck)
+	keys := fixedKeys(t, "fault")
+	onEachPath(t, func(t *testing.T) {
+		for _, good := range keys {
+			testRSASignFaultCheck(t, good)
+		}
+	})
 }
 
-func testRSASignFaultCheck(t *testing.T) {
-	good := fixedKey(t, "fault", false)
+func testRSASignFaultCheck(t *testing.T, good *RSASigner) {
 	corruptions := []struct {
 		name string
 		flip func(k *crtKey)
 	}{
-		{"q⁻¹·R mod p", func(k *crtKey) { k.qInvR[3] ^= 1 << 17 }},
-		{"R² mod p", func(k *crtKey) { k.p.rr[0] ^= 1 }},
-		{"−q⁻¹ mod 2⁶⁴", func(k *crtKey) { k.q.m0inv ^= 1 << 40 }},
-		{"R mod q", func(k *crtKey) { k.q.one[7] ^= 1 << 5 }},
-		{"dP", func(k *crtKey) { k.p.exp[63] ^= 2 }},
-		{"dQ", func(k *crtKey) { k.q.exp[0] ^= 1 }},
-		{"q", func(k *crtKey) { k.qNat[1] ^= 1 << 63 }},
+		{"p₁⁻¹·R mod p₂", func(k *crtKey) { k.inv12[3] ^= 1 << 17 }},
+		{"p₁⁻¹·R mod p₃", func(k *crtKey) { k.inv13[0] ^= 1 }},
+		{"p₂⁻¹·R mod p₃", func(k *crtKey) { k.inv23[5] ^= 1 << 3 }},
+		{"R² mod p₁", func(k *crtKey) { k.thirds[0].rr[0] ^= 1 }},
+		{"R³ mod p₂", func(k *crtKey) { k.thirds[1].r3[2] ^= 1 << 9 }},
+		{"R⁴ mod p₃", func(k *crtKey) { k.thirds[2].r4[4] ^= 1 << 30 }},
+		{"−p₂⁻¹ mod 2⁶⁴", func(k *crtKey) { k.thirds[1].m0inv ^= 1 << 40 }},
+		{"R mod p₃", func(k *crtKey) { k.thirds[2].one[5] ^= 1 << 5 }},
+		{"d mod (p₁−1)", func(k *crtKey) { k.thirds[0].exp[42] ^= 2 }},
+		{"d mod (p₂−1)", func(k *crtKey) { k.thirds[1].exp[0] ^= 1 }},
+		{"d mod (p₃−1)", func(k *crtKey) { k.thirds[2].exp[20] ^= 1 << 6 }},
+		{"p₁", func(k *crtKey) { k.thirds[0].m[1] ^= 1 << 63 }},
 		{"R² mod N", func(k *crtKey) {
 			pub := *k.pub
 			pub.rr[0] ^= 1
@@ -205,14 +255,14 @@ func testRSASignFaultCheck(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Errorf("%s corrupted: Sign returned", c.name)
+					t.Errorf("%s: %s corrupted: Sign returned", good.id, c.name)
 				} else if m := fmt.Sprint(r); !strings.HasPrefix(m, "sig: RSA signing failed") {
-					t.Errorf("%s corrupted: panic %q", c.name, m)
+					t.Errorf("%s: %s corrupted: panic %q", good.id, c.name, m)
 				}
 			}()
 			signature := bad.Sign(msg)
 			if !good.Public().Verify(msg, signature) {
-				t.Errorf("%s corrupted: Sign returned a signature that does not verify", c.name)
+				t.Errorf("%s: %s corrupted: Sign returned a signature that does not verify", good.id, c.name)
 			}
 		}()
 	}
@@ -223,7 +273,7 @@ func testRSASignFaultCheck(t *testing.T) {
 // as the logging daemon's workers use it, signs every message as crypto/rsa
 // does.
 func TestRSASignConcurrent(t *testing.T) {
-	s := fixedKey(t, "concurrent", false)
+	s := fixedKey(t, "concurrent", primeOrders[0])
 	want := make([][]byte, 16)
 	for i := range want {
 		digest := sha256.Sum256([]byte{byte(i)})
@@ -282,21 +332,23 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 	}
 
 	generated := MustGenerateRSA("arith-gen", DefaultKeyBits, "arith")
-	built := fixedKey(t, "arith", false)
+	built := fixedKey(t, "arith", primeOrders[0])
+	var moduli []*montModulus
+	for _, s := range []*RSASigner{generated, built} {
+		for i := range s.crt.thirds {
+			moduli = append(moduli, &s.crt.thirds[i])
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
-	for _, mm := range []*montModulus{&generated.crt.p, &generated.crt.q, &built.crt.p, &built.crt.q} {
+	rBig := new(big.Int).Lsh(big.NewInt(1), natBits)
+	for _, mm := range moduli {
 		m := toBig(&mm.m)
 		below := func(bound *big.Int) nat {
 			return natOf(new(big.Int).Rand(rng, bound))
 		}
 		mMinus1 := natOf(new(big.Int).Sub(m, big.NewInt(1)))
-		rMinus1 := nat{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-		var z nat
-		condSub(&z, &rMinus1, &mm.m)
-		if want := new(big.Int).Sub(toBig(&rMinus1), m); toBig(&z).Cmp(want) != 0 {
-			t.Fatalf("condSub(R−1) = %x, want %x", z, want)
-		}
-		edges := []nat{{}, {1}, mMinus1, mm.one, mm.rr}
+		rMinus1 := natOf(new(big.Int).Sub(rBig, big.NewInt(1)))
+		edges := []nat{{}, {1}, mMinus1, mm.one, mm.rr, mm.r3, mm.r4}
 		xs := append([]nat(nil), edges...)
 		for i := 0; i < 500; i++ {
 			xs = append(xs, below(m))
@@ -306,11 +358,14 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 				checkProducts(t, mm, &x, &y)
 			}
 		}
+		var z nat
 		for i, x := range xs {
 			y := xs[(i*7+3)%len(xs)]
 			checkProducts(t, mm, &x, &y)
-			// mul takes any x < R.
+			// mul takes any x < R, however far above m.
 			checkProducts(t, mm, &rMinus1, &y)
+			xr := below(rBig)
+			checkProducts(t, mm, &xr, &y)
 			want := new(big.Int)
 			addMod(&z, &x, &y, &mm.m)
 			if want.Add(toBig(&x), toBig(&y)).Mod(want, m); toBig(&z).Cmp(want) != 0 {
@@ -320,18 +375,24 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 			if want.Sub(toBig(&x), toBig(&y)).Mod(want, m); toBig(&z).Cmp(want) != 0 {
 				t.Fatalf("subMod(%x, %x) = %x, want %x", x, y, z, want)
 			}
-			// condSub takes any x < 2m.
-			if sum := new(big.Int).Add(toBig(&x), m); sum.BitLen() <= crtPrimeBits {
-				x2 := natOf(sum)
-				condSub(&z, &x2, &mm.m)
-				if z != x {
-					t.Fatalf("condSub(%x + m) = %x, want %x", x, z, x)
-				}
-			}
-			condSub(&z, &x, &mm.m)
-			if z != x {
-				t.Fatalf("condSub(%x) = %x, want it unchanged", x, z)
-			}
+		}
+	}
+
+	// mulAddWide, the recombination's x·y + a, modulo 2¹⁰²⁴.
+	two1024 := new(big.Int).Lsh(big.NewInt(1), crtKeyBits)
+	for i := 0; i < 1000; i++ {
+		x, y, a := randomWide(), natOf(new(big.Int).Rand(rng, rBig)), natOf(new(big.Int).Rand(rng, rBig))
+		if i%2 == 0 {
+			x = wide{} // the recombination's first step: x below R
+			copy(x[:], y[:])
+			y = natOf(new(big.Int).Rand(rng, rBig))
+		}
+		want := new(big.Int).Mul(limbsBig(x[:]), toBig(&y))
+		want.Add(want, toBig(&a)).Mod(want, two1024)
+		z := x
+		mulAddWide(&z, &z, &y, &a)
+		if limbsBig(z[:]).Cmp(want) != 0 {
+			t.Fatalf("mulAddWide(%x, %x, %x) = %x, want %x", x, y, a, z, want)
 		}
 	}
 }
@@ -343,7 +404,7 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 func checkProducts(t testing.TB, mm *montModulus, x, y *nat) {
 	t.Helper()
 	m := toBig(&mm.m)
-	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), crtPrimeBits), m)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), natBits), m)
 	want := new(big.Int).Mul(toBig(x), toBig(y))
 	want.Mul(want, rInv).Mod(want, m)
 	wantSq := new(big.Int).Mul(toBig(x), toBig(x))
@@ -400,19 +461,21 @@ var fuzzModulus struct {
 // mod m — the assembly products, the Go products and math/big agree
 // modulo a seed-built prime.
 func FuzzMontMul(f *testing.F) {
-	f.Add(make([]byte, 128))
-	f.Add(bytes.Repeat([]byte{0xff}, 128))
-	f.Add(append(bytes.Repeat([]byte{0xff}, 64), make([]byte, 64)...))
+	const n = 8 * len(nat{})
+	f.Add(make([]byte, 2*n))
+	f.Add(bytes.Repeat([]byte{0xff}, 2*n))
+	f.Add(append(bytes.Repeat([]byte{0xff}, n), make([]byte, n)...))
 	if !adxAvailable {
 		f.Log("the CPU has no MULX/ADX: only the Go products are fuzzed against math/big")
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fuzzModulus.once.Do(func() { fuzzModulus.mm = &fixedKey(t, "fuzz-mont", false).crt.p })
+		fuzzModulus.once.Do(func() { fuzzModulus.mm = &fixedKey(t, "fuzz-mont", primeOrders[0]).crt.thirds[0] })
 		mm := fuzzModulus.mm
-		var in [128]byte
+		const n = 8 * len(nat{})
+		var in [2 * n]byte
 		copy(in[:], b)
-		x := natOf(new(big.Int).SetBytes(in[:64]))
-		y := natOf(new(big.Int).Mod(new(big.Int).SetBytes(in[64:]), toBig(&mm.m)))
+		x := natOf(new(big.Int).SetBytes(in[:n]))
+		y := natOf(new(big.Int).Mod(new(big.Int).SetBytes(in[n:]), toBig(&mm.m)))
 		checkProducts(t, mm, &x, &y)
 		xm := natOf(new(big.Int).Mod(toBig(&x), toBig(&mm.m)))
 		checkProducts(t, mm, &xm, &y)
@@ -454,18 +517,29 @@ func checkRow(t testing.TB, z, x *wide, y uint64) {
 	}
 }
 
+// BenchmarkRSASign times the kernel on a three-prime key, on each
+// implementation of its products, against crypto/rsa on a two-prime key
+// of the same size (crypto/rsa signs a three-prime key without CRT).
 func BenchmarkRSASign(b *testing.B) {
-	s := fixedKey(b, "bench", false)
+	s := fixedKey(b, "bench", primeOrders[0])
+	two := builtKey(b, "bench", []int{512, 512}, verifyExponent)
 	msg := make([]byte, 40) // an authenticator body: seq plus chain hash
-	b.Run("kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.Sign(msg)
+	defer func(v bool) { useADX = v }(useADX)
+	for _, p := range kernelPaths {
+		if p.adx && !adxAvailable {
+			continue
 		}
-	})
+		b.Run("kernel/"+p.name, func(b *testing.B) {
+			useADX = p.adx
+			for i := 0; i < b.N; i++ {
+				s.Sign(msg)
+			}
+		})
+	}
 	b.Run("stdlib", func(b *testing.B) {
 		digest := sha256.Sum256(msg)
 		for i := 0; i < b.N; i++ {
-			rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest[:])
+			rsa.SignPKCS1v15(nil, two, crypto.SHA256, digest[:])
 		}
 	})
 }

@@ -2,7 +2,7 @@ package sig
 
 import "math/bits"
 
-// The 8-limb arithmetic of the CRT kernel. Nothing here branches on,
+// The 6-limb arithmetic of the CRT kernel. Nothing here branches on,
 // indexes by or stops early on a value: every function runs the same
 // instructions whatever its operands (bits.Mul64, Add64 and Sub64 compile
 // to multiply and add-with-carry instructions, without branches, on amd64
@@ -12,9 +12,24 @@ import "math/bits"
 // limbs in registers then: the same rounds as loops over arrays ran 25–40 %
 // slower.
 
+// kernelOp names an operation of the kernel for kernelTrace.
+type kernelOp uint8
+
+const (
+	opMul kernelOp = iota
+	opSqr
+	opLookup
+)
+
+// kernelTrace, when set, is called on every mul, sqr and lookup the kernel
+// makes, with the set of table entries a lookup read as a bit mask (0 for
+// a product). It is a test hook (trace_test.go), nil outside tests: the
+// sequence it sees must not depend on a key or a message.
+var kernelTrace func(op kernelOp, read uint64)
+
 // lookup sets z = table[w], reading every entry.
 func lookup(z *nat, table *[16]nat, w uint64) {
-	var v0, v1, v2, v3, v4, v5, v6, v7 uint64
+	var v0, v1, v2, v3, v4, v5, read uint64
 	for i := range table {
 		d := uint64(i) ^ w
 		mask := ((d | -d) >> 63) - 1 // all ones when d == 0
@@ -25,22 +40,11 @@ func lookup(z *nat, table *[16]nat, w uint64) {
 		v3 |= e[3] & mask
 		v4 |= e[4] & mask
 		v5 |= e[5] & mask
-		v6 |= e[6] & mask
-		v7 |= e[7] & mask
+		read |= 1 << i
 	}
-	*z = nat{v0, v1, v2, v3, v4, v5, v6, v7}
-}
-
-// condSub sets z = x − m if x ≥ m, else x; x must be below 2m.
-func condSub(z, x, m *nat) {
-	var d nat
-	var b uint64
-	for j := range d {
-		d[j], b = bits.Sub64(x[j], m[j], b)
-	}
-	keep := -b
-	for j := range z {
-		z[j] = x[j]&keep | d[j]&^keep
+	*z = nat{v0, v1, v2, v3, v4, v5}
+	if kernelTrace != nil {
+		kernelTrace(opLookup, read)
 	}
 }
 
@@ -77,28 +81,32 @@ func subMod(z, x, y, m *nat) {
 	}
 }
 
-// mulWide sets z = x·y.
-func mulWide(z *wide, x, y *nat) {
-	*z = wide{}
+// mulAddWide sets z = x·y + a mod 2¹⁰²⁴; z may alias x.
+func mulAddWide(z, x *wide, y, a *nat) {
+	var t wide
+	copy(t[:], a[:])
 	for i := range y {
 		var c uint64
-		for j := range x {
+		for j := 0; i+j < len(t); j++ {
 			hi, lo := bits.Mul64(x[j], y[i])
 			var cc uint64
-			lo, cc = bits.Add64(lo, z[i+j], 0)
+			lo, cc = bits.Add64(lo, t[i+j], 0)
 			hi += cc
 			lo, cc = bits.Add64(lo, c, 0)
 			hi += cc
-			z[i+j], c = lo, hi
+			t[i+j], c = lo, hi
 		}
-		z[i+8] = c
 	}
+	*z = t
 }
 
 // mul sets z = x·y·R⁻¹ mod m, for x < R and y < m; z may alias x or y.
 // It runs mulADX (mont_amd64.s) where the CPU has MULX and ADX, and
 // mulGeneric everywhere else.
 func (mm *montModulus) mul(z, x, y *nat) {
+	if kernelTrace != nil {
+		kernelTrace(opMul, 0)
+	}
 	if useADX {
 		mulADX(z, x, y, &mm.m, mm.m0inv)
 		return
@@ -107,11 +115,15 @@ func (mm *montModulus) mul(z, x, y *nat) {
 }
 
 // sqr sets z = x·x·R⁻¹ mod m, for x < m; z may alias x. Where the CPU has
-// MULX and ADX it is mulADX(x, x): an assembly squaring of its own (the
-// cross products once, doubled) signed 5–10 % faster but did not show end
-// to end (minisql record_s_per_vs 0.108 → 0.102, 7 of 8 interleaved
-// pairs, inside their spread), so there is one assembly product.
+// MULX and ADX it is mulADX(x, x): on the 8-limb kernel this replaced, an
+// assembly squaring of its own (the cross products once, doubled) signed
+// 5–10 % faster but did not show end to end (minisql record_s_per_vs 0.108
+// → 0.102, 7 of 8 interleaved pairs, inside their spread), so there is one
+// assembly product.
 func (mm *montModulus) sqr(z, x *nat) {
+	if kernelTrace != nil {
+		kernelTrace(opSqr, 0)
+	}
 	if useADX {
 		mulADX(z, x, x, &mm.m, mm.m0inv)
 		return
@@ -120,14 +132,14 @@ func (mm *montModulus) sqr(z, x *nat) {
 }
 
 // mulGeneric is mul in Go, the reference the assembly is tested against.
-// Each of the eight rounds adds x·y[i] and u·m, u chosen to clear the low
+// Each of the six rounds adds x·y[i] and u·m, u chosen to clear the low
 // limb, and shifts one limb down (finely integrated operand scanning).
 // The result is below 2m before the masked final subtraction.
 func (mm *montModulus) mulGeneric(z, x, y *nat) {
 	m := &mm.m
-	var t0, t1, t2, t3, t4, t5, t6, t7, t8 uint64
+	var t0, t1, t2, t3, t4, t5, t6 uint64
 	var hi, lo, hi2, lo2, c, c1, c2 uint64
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 6; i++ {
 		yi := y[i]
 		hi, lo = bits.Mul64(x[0], yi)
 		lo, c = bits.Add64(lo, t0, 0)
@@ -186,29 +198,9 @@ func (mm *montModulus) mulGeneric(z, x, y *nat) {
 		hi2 += c
 		t4, c = bits.Add64(lo2, c2, 0)
 		c2 = hi2 + c
-		hi, lo = bits.Mul64(x[6], yi)
-		lo, c = bits.Add64(lo, t6, 0)
-		hi += c
-		lo, c = bits.Add64(lo, c1, 0)
-		c1 = hi + c
-		hi2, lo2 = bits.Mul64(u, m[6])
-		lo2, c = bits.Add64(lo2, lo, 0)
-		hi2 += c
-		t5, c = bits.Add64(lo2, c2, 0)
-		c2 = hi2 + c
-		hi, lo = bits.Mul64(x[7], yi)
-		lo, c = bits.Add64(lo, t7, 0)
-		hi += c
-		lo, c = bits.Add64(lo, c1, 0)
-		c1 = hi + c
-		hi2, lo2 = bits.Mul64(u, m[7])
-		lo2, c = bits.Add64(lo2, lo, 0)
-		hi2 += c
-		t6, c = bits.Add64(lo2, c2, 0)
-		c2 = hi2 + c
-		t7, t8 = bits.Add64(t8, c1, 0)
-		t7, c = bits.Add64(t7, c2, 0)
-		t8 += c
+		t5, t6 = bits.Add64(t6, c1, 0)
+		t5, c = bits.Add64(t5, c2, 0)
+		t6 += c
 	}
 	var d nat
 	var b uint64
@@ -218,9 +210,7 @@ func (mm *montModulus) mulGeneric(z, x, y *nat) {
 	d[3], b = bits.Sub64(t3, m[3], b)
 	d[4], b = bits.Sub64(t4, m[4], b)
 	d[5], b = bits.Sub64(t5, m[5], b)
-	d[6], b = bits.Sub64(t6, m[6], b)
-	d[7], b = bits.Sub64(t7, m[7], b)
-	_, b = bits.Sub64(t8, 0, b)
+	_, b = bits.Sub64(t6, 0, b)
 	keep := -b // all ones when the result is already below m
 	z[0] = t0&keep | d[0]&^keep
 	z[1] = t1&keep | d[1]&^keep
@@ -228,19 +218,17 @@ func (mm *montModulus) mulGeneric(z, x, y *nat) {
 	z[3] = t3&keep | d[3]&^keep
 	z[4] = t4&keep | d[4]&^keep
 	z[5] = t5&keep | d[5]&^keep
-	z[6] = t6&keep | d[6]&^keep
-	z[7] = t7&keep | d[7]&^keep
 }
 
 // sqrGeneric is sqr in Go. The square is formed first, each cross product
-// once and doubled, then reduced a limb at a time: 100 limb products where
-// mul takes 128. With sqr for the exponentiation's squarings instead of
-// mul, minisql recorded 14 % faster (9 of 10 interleaved benchmark pairs on
-// a 2-vCPU Xeon VM).
+// once and doubled, then reduced a limb at a time: 57 limb products where
+// mul takes 72. With sqr for the exponentiation's squarings instead of
+// mul, minisql recorded 14 % faster on the 8-limb kernel this replaced (9
+// of 10 interleaved benchmark pairs on a 2-vCPU Xeon VM).
 func (mm *montModulus) sqrGeneric(z, x *nat) {
 	m := &mm.m
-	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
-	var r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 uint64
+	x0, x1, x2, x3, x4, x5 := x[0], x[1], x[2], x[3], x[4], x[5]
+	var r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11 uint64
 	var hi, lo, c, carry uint64
 
 	// The cross products x_i·x_j, i < j.
@@ -270,17 +258,7 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	hi += c
 	r5, c = bits.Add64(lo, carry, 0)
 	carry = hi + c
-	hi, lo = bits.Mul64(x0, x6)
-	lo, c = bits.Add64(lo, r6, 0)
-	hi += c
-	r6, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x0, x7)
-	lo, c = bits.Add64(lo, r7, 0)
-	hi += c
-	r7, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r8 = carry
+	r6 = carry
 	carry = 0
 	hi, lo = bits.Mul64(x1, x2)
 	lo, c = bits.Add64(lo, r3, 0)
@@ -302,17 +280,7 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	hi += c
 	r6, c = bits.Add64(lo, carry, 0)
 	carry = hi + c
-	hi, lo = bits.Mul64(x1, x6)
-	lo, c = bits.Add64(lo, r7, 0)
-	hi += c
-	r7, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x1, x7)
-	lo, c = bits.Add64(lo, r8, 0)
-	hi += c
-	r8, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r9 = carry
+	r7 = carry
 	carry = 0
 	hi, lo = bits.Mul64(x2, x3)
 	lo, c = bits.Add64(lo, r5, 0)
@@ -329,17 +297,7 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	hi += c
 	r7, c = bits.Add64(lo, carry, 0)
 	carry = hi + c
-	hi, lo = bits.Mul64(x2, x6)
-	lo, c = bits.Add64(lo, r8, 0)
-	hi += c
-	r8, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x2, x7)
-	lo, c = bits.Add64(lo, r9, 0)
-	hi += c
-	r9, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r10 = carry
+	r8 = carry
 	carry = 0
 	hi, lo = bits.Mul64(x3, x4)
 	lo, c = bits.Add64(lo, r7, 0)
@@ -351,60 +309,17 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	hi += c
 	r8, c = bits.Add64(lo, carry, 0)
 	carry = hi + c
-	hi, lo = bits.Mul64(x3, x6)
-	lo, c = bits.Add64(lo, r9, 0)
-	hi += c
-	r9, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x3, x7)
-	lo, c = bits.Add64(lo, r10, 0)
-	hi += c
-	r10, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r11 = carry
+	r9 = carry
 	carry = 0
 	hi, lo = bits.Mul64(x4, x5)
 	lo, c = bits.Add64(lo, r9, 0)
 	hi += c
 	r9, c = bits.Add64(lo, carry, 0)
 	carry = hi + c
-	hi, lo = bits.Mul64(x4, x6)
-	lo, c = bits.Add64(lo, r10, 0)
-	hi += c
-	r10, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x4, x7)
-	lo, c = bits.Add64(lo, r11, 0)
-	hi += c
-	r11, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r12 = carry
-	carry = 0
-	hi, lo = bits.Mul64(x5, x6)
-	lo, c = bits.Add64(lo, r11, 0)
-	hi += c
-	r11, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x5, x7)
-	lo, c = bits.Add64(lo, r12, 0)
-	hi += c
-	r12, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r13 = carry
-	carry = 0
-	hi, lo = bits.Mul64(x6, x7)
-	lo, c = bits.Add64(lo, r13, 0)
-	hi += c
-	r13, c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	r14 = carry
+	r10 = carry
 
 	// Doubled, plus the squares x_i·x_i.
-	r15 = r14 >> 63
-	r14 = r14<<1 | r13>>63
-	r13 = r13<<1 | r12>>63
-	r12 = r12<<1 | r11>>63
-	r11 = r11<<1 | r10>>63
+	r11 = r10 >> 63
 	r10 = r10<<1 | r9>>63
 	r9 = r9<<1 | r8>>63
 	r8 = r8<<1 | r7>>63
@@ -434,18 +349,12 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	hi, lo = bits.Mul64(x5, x5)
 	r10, c = bits.Add64(r10, lo, c)
 	r11, c = bits.Add64(r11, hi, c)
-	hi, lo = bits.Mul64(x6, x6)
-	r12, c = bits.Add64(r12, lo, c)
-	r13, c = bits.Add64(r13, hi, c)
-	hi, lo = bits.Mul64(x7, x7)
-	r14, c = bits.Add64(r14, lo, c)
-	r15, c = bits.Add64(r15, hi, c)
 
-	// Montgomery reduction, eight rounds: add u·m with u clearing r0, and
-	// shift everything one limb down. top is the carry out of r7, which
-	// belongs to the limb r8 becomes next round.
+	// Montgomery reduction, six rounds: add u·m with u clearing r0, and
+	// shift everything one limb down. top is the carry out of r5, which
+	// belongs to the limb r6 becomes next round.
 	var top uint64
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 6; i++ {
 		u := r0 * mm.m0inv
 		hi, lo = bits.Mul64(u, m[0])
 		_, c = bits.Add64(lo, r0, 0)
@@ -475,18 +384,8 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 		hi += c
 		r4, c = bits.Add64(lo, carry, 0)
 		carry = hi + c
-		hi, lo = bits.Mul64(u, m[6])
-		lo, c = bits.Add64(lo, r6, 0)
-		hi += c
-		r5, c = bits.Add64(lo, carry, 0)
-		carry = hi + c
-		hi, lo = bits.Mul64(u, m[7])
-		lo, c = bits.Add64(lo, r7, 0)
-		hi += c
-		r6, c = bits.Add64(lo, carry, 0)
-		carry = hi + c
-		r7, top = bits.Add64(r8, carry, top)
-		r8, r9, r10, r11, r12, r13, r14, r15 = r9, r10, r11, r12, r13, r14, r15, 0
+		r5, top = bits.Add64(r6, carry, top)
+		r6, r7, r8, r9, r10, r11 = r7, r8, r9, r10, r11, 0
 	}
 	var d nat
 	var b uint64
@@ -496,8 +395,6 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	d[3], b = bits.Sub64(r3, m[3], b)
 	d[4], b = bits.Sub64(r4, m[4], b)
 	d[5], b = bits.Sub64(r5, m[5], b)
-	d[6], b = bits.Sub64(r6, m[6], b)
-	d[7], b = bits.Sub64(r7, m[7], b)
 	_, b = bits.Sub64(top, 0, b)
 	keep := -b // all ones when the result is already below m
 	z[0] = r0&keep | d[0]&^keep
@@ -506,6 +403,4 @@ func (mm *montModulus) sqrGeneric(z, x *nat) {
 	z[3] = r3&keep | d[3]&^keep
 	z[4] = r4&keep | d[4]&^keep
 	z[5] = r5&keep | d[5]&^keep
-	z[6] = r6&keep | d[6]&^keep
-	z[7] = r7&keep | d[7]&^keep
 }

@@ -72,14 +72,14 @@ func SignInto(s Signer, msg, slot []byte) {
 // Offloads reports whether s.Sign is real public-key cryptography: costly
 // enough that running it on another goroutine pays for the handoff, and
 // known to be safe to call from several goroutines at once. That is
-// RSASigner. An RSA-1024 signature on the package's CRT kernel with its
-// MULX/ADX product costs about 145–205 µs of CPU on a 2-vCPU Xeon VM (the
-// Go products: 215–390 µs), where crypto/rsa took 340–710 µs: two
-// half-exponentiations of about 65–90 µs, one after the other, and a
-// 10–12 µs verification on the package's own verify (crypto/rsa's took
-// 17–23 µs). The digest stand-ins (NullSigner, SizedSigner) cost less than
-// a handoff, and an implementation this package does not know is not
-// assumed to be concurrency-safe.
+// RSASigner. An RSA-1024 signature on the package's three-prime CRT kernel
+// with its MULX/ADX product costs about 95–135 µs of CPU on a 2-vCPU Xeon
+// VM (the Go products: 155–220 µs), where crypto/rsa takes 480–620 µs for
+// a two-prime key: three exponentiations of about 27–40 µs, one after the
+// other, and an 11–12 µs verification on the package's own verify. The
+// digest stand-ins (NullSigner, SizedSigner) cost less than a handoff, and
+// an implementation this package does not know is not assumed to be
+// concurrency-safe.
 func Offloads(s Signer) bool {
 	_, ok := s.(*RSASigner)
 	return ok

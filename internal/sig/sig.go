@@ -9,43 +9,61 @@
 // which the tamper-evident machinery runs but no cryptographic signatures
 // are produced.
 //
-// Key generation draws from a seeded stream for reproducibility of the
-// surrounding experiments; the protocols never rely on regenerating a key —
-// verifiers travel through the KeyStore and certificates.
+// Key generation draws from a seeded stream. A key of DefaultKeyBits is
+// built in this package from that stream alone, so it is a function of the
+// seed and the principal: the same key on every run. A key of any other
+// size comes from rsa.GenerateKey, which mixes extra randomness in, so the
+// same seed does not reproduce it. The protocols never rely on
+// regenerating a key — verifiers travel through the KeyStore and
+// certificates.
 //
 // # The RSA-1024 signing kernel
 //
-// RSASigner signs with a key of DefaultKeyBits — two 512-bit primes — on a
-// CRT kernel of its own (crt.go, mont.go) and with every other key through
-// rsa.SignPKCS1v15; the signature bytes are the same either way (PKCS#1
-// v1.5 is deterministic). The fork is by modulus size, as crypto/rsa's own
-// Montgomery code forks: it has unrolled assembly for 1024-, 1536- and
-// 2048-bit moduli, so a 2048-bit key's 1024-bit primes are served well,
-// but RSA-1024's two half-exponentiations run on 512-bit primes and fall
-// through to its generic word loop. The kernel works on eight fixed 64-bit
-// limbs instead. Its two Montgomery products, mul and sqr, have two
-// implementations: on amd64 CPUs with BMI2 and ADX both are one
-// MULX/ADCX/ADOX assembly product (mulADX in mont_amd64.s, written by
-// mont_amd64_gen.go) — two independent carry chains, which
-// bits.Mul64/Add64 chains cannot be compiled to — and everywhere else the
-// Go limb code (mont.go), which is also the reference the assembly is
-// tested against. The window, the table lookup and the CRT recombination
-// are Go on every path, and the verification is the package's own (below).
-// With the assembly a signature takes about a third of crypto/rsa's time,
-// with the Go products half to two thirds. The kernel computes the two
-// halves in turn: the mod-q half on a goroutine of its own, beside the
-// caller's mod-p half, was measured and did not shorten recording by more
-// than the benchmark's noise.
+// GenerateRSA builds every key of DefaultKeyBits from three primes of 342,
+// 341 and 341 bits (multi-prime RSA, RFC 8017 §3; Boneh and Shacham, "Fast
+// Variants of RSA", 2002). For a 1024-bit modulus three is the most primes
+// that keep it as hard to factor as a two-prime one (Hinek, "On the
+// security of multi-prime RSA", 2008): 341-bit factors are far beyond what
+// ECM finds. The public key, the signature bytes and their verification
+// are those of any RSA-1024 key; only the signer's arithmetic changes, to
+// three exponentiations modulo 342-bit primes instead of two modulo 512-bit
+// ones. RSASigner signs such a key on a CRT kernel of its own (crt.go,
+// mont.go) and every other key through rsa.SignPKCS1v15 — a two-prime
+// 1024-bit key, which this package no longer generates, among them; the
+// signature bytes are the same either way (PKCS#1 v1.5 is deterministic).
+// crypto/rsa signs a key of more than two primes without CRT, and its
+// Montgomery code has unrolled assembly only for 1024-, 1536- and
+// 2048-bit moduli, so neither a 342-bit nor a 512-bit prime is served
+// well there. The kernel works on six fixed 64-bit limbs instead. Its two
+// Montgomery products, mul and sqr, have two implementations: on amd64
+// CPUs with BMI2 and ADX both are one MULX/ADCX/ADOX assembly product
+// (mulADX in mont_amd64.s, written by mont_amd64_gen.go) — two
+// independent carry chains, which bits.Mul64/Add64 chains cannot be
+// compiled to — and everywhere else the Go limb code (mont.go), which is
+// also the reference the assembly is tested against. The window, the table
+// lookup and the CRT recombination are Go on every path, and the
+// verification is the package's own (below). With the assembly a
+// signature takes about a fifth of crypto/rsa's time on a two-prime key,
+// with the Go products about a third. The kernel computes the three thirds
+// in turn: on the two-prime kernel this one replaced, the second half on a
+// goroutine of its own, beside the caller's first, was measured and did
+// not shorten recording by more than the benchmark's noise.
 //
 // What a change to the kernel must keep, as a review checklist:
 //   - No branch, memory index, loop bound or early exit depends on a
-//     secret (the primes, the CRT exponents, q⁻¹, any intermediate value).
-//     A choice between two values — the final subtraction of every
-//     Montgomery product, a modular addition or subtraction — is a mask.
+//     secret (the primes, the CRT exponents, the Garner constants, any
+//     intermediate value). A choice between two values — the final
+//     subtraction of every Montgomery product, a modular addition or
+//     subtraction — is a mask.
 //   - Every 4-bit window of the exponentiation reads the whole 16-entry
 //     table (lookup) and keeps the entry it wants by mask.
-//   - The exponent is used at its full fixed width: 64 bytes, 128 windows,
-//     4 squarings and 1 multiplication each, whatever its leading zeros.
+//   - The exponent is used at its full fixed width in each of the three
+//     thirds: 43 bytes (344 bits), 86 windows, 4 squarings and 1
+//     multiplication each, whatever its leading zeros.
+//   - The recombination is two Garner steps made of Montgomery products
+//     with the constants pᵢ⁻¹·R mod pⱼ and masked modular subtractions: a
+//     residue modulo one prime is never reduced modulo another by a
+//     comparison or a conditional subtraction, whichever prime is larger.
 //   - The assembly uses MULX, ADCX, ADOX, ADD, ADC, SUB, SBB, IMUL, MOV,
 //     CMOV and XOR (to clear the flags) only: no branch, and every address
 //     is an operand's pointer or the frame plus a constant. Its final
@@ -55,12 +73,19 @@
 //   - Which implementation runs (useADX) is decided once, at package init,
 //     by a CPUID check: it depends on the CPU, never on a key or an
 //     operand, and both implementations compute the same numbers.
-//   - Variable time is allowed only in setting up a key (newCRTKey, once
-//     per key in GenerateRSA): R² mod p, −p⁻¹ mod 2⁶⁴, q⁻¹·R mod p and
-//     the exponents are computed there with math/big.
+//   - Variable time is allowed only in making a key (newKey) and setting
+//     it up (newCRTKey, once per key in GenerateRSA): Rᵏ mod pᵢ for k = 1
+//     to 4, −pᵢ⁻¹ mod 2⁶⁴, the Garner constants and the exponents
+//     d mod (pᵢ−1) are computed there with math/big.
 //   - The signature is verified under the public key before it is
 //     returned, as crypto/rsa does; if it does not verify, Sign panics
-//     instead (the output of a faulty CRT half reveals a prime).
+//     instead (the output of a faulty CRT third reveals a prime).
+//
+// TestKernelTraceIndependentOfSecrets holds the first three points to a
+// test: the sequence of products and lookups a signature makes, and the
+// entries each lookup reads, is the same for every key, message and
+// exponent. TestSignTiming reports Welch's t over sign timings and is not
+// a gate.
 //
 // # RSA-1024 verification
 //
@@ -96,6 +121,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/big"
 	"sort"
 	"sync"
 )
@@ -144,7 +171,10 @@ type Verifier interface {
 }
 
 // detReader is a deterministic stream of pseudo-random bytes derived from a
-// seed with SHA-256 in counter mode. It lets key generation be reproducible.
+// seed with SHA-256 in counter mode. It makes a key of crtKeyBits (1024)
+// reproducible, since newKey reads nothing else; rsa.GenerateKey, which
+// makes every other size, reads an extra byte from it at random, so those
+// keys are not.
 type detReader struct {
 	seed    [32]byte
 	counter uint64
@@ -182,20 +212,106 @@ type RSASigner struct {
 }
 
 // GenerateRSA generates an RSA keypair for id from a seeded random stream.
-// Note that crypto/rsa deliberately injects extra randomness during key
-// generation, so the same seed is NOT guaranteed to reproduce the same key;
-// the protocols in this repository never rely on regenerating a key — all
-// verifiers are distributed explicitly through the KeyStore or via
-// certificates.
+// A key of crtKeyBits (DefaultKeyBits, 1024) is built here from three
+// primes of crtPrimeSizes bits and is a function of (seed, id): the same
+// seed and id give the same key on every run. A key of any other size comes
+// from rsa.GenerateKey, which mixes extra randomness into key generation
+// (it reads an extra byte from the stream at random), so the same seed
+// does NOT reproduce it. The protocols in this repository never rely on
+// regenerating a key — all verifiers are distributed explicitly through
+// the KeyStore or via certificates.
 func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 	if bits < 1024 {
 		return nil, fmt.Errorf("sig: key size %d too small (crypto/rsa requires at least 1024 bits; use SizedSigner for paper-scale wire accounting)", bits)
 	}
-	key, err := rsa.GenerateKey(newDetReader(seed+"/"+string(id)), bits)
+	r := newDetReader(seed + "/" + string(id))
+	var key *rsa.PrivateKey
+	var err error
+	if bits == crtKeyBits {
+		key, err = newKey(r, crtPrimeSizes, verifyExponent)
+	} else {
+		key, err = rsa.GenerateKey(r, bits)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sig: generating %d-bit key for %q: %w", bits, id, err)
 	}
 	return newRSASigner(id, key), nil
+}
+
+// newKey builds an RSA key with public exponent e from distinct primes of
+// the given bit lengths, each with its two top bits set and gcd(e, p−1) = 1,
+// drawing all of them again until their product has exactly the sum of
+// those lengths in bits. It reads nothing but r, so the same stream gives
+// the same key.
+func newKey(r io.Reader, sizes []int, e int) (*rsa.PrivateKey, error) {
+	bits := 0
+	for _, size := range sizes {
+		bits += size
+	}
+	primes := make([]*big.Int, len(sizes))
+	n := new(big.Int)
+	for n.BitLen() != bits || !distinct(primes) {
+		n.SetInt64(1)
+		for i, size := range sizes {
+			p, err := drawPrime(r, size, e)
+			if err != nil {
+				return nil, err
+			}
+			primes[i] = p
+			n.Mul(n, p)
+		}
+	}
+	one := big.NewInt(1)
+	phi := big.NewInt(1)
+	for _, p := range primes {
+		phi.Mul(phi, new(big.Int).Sub(p, one))
+	}
+	key := &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: n, E: e},
+		D:         new(big.Int).ModInverse(big.NewInt(int64(e)), phi),
+		Primes:    primes,
+	}
+	key.Precompute()
+	if err := key.Validate(); err != nil {
+		return nil, err
+	}
+	return key, nil
+}
+
+// drawPrime returns the first prime read from r, as bits-bit numbers with
+// the two top bits and the low bit set, for which gcd(e, p−1) = 1.
+func drawPrime(r io.Reader, bits, e int) (*big.Int, error) {
+	b := make([]byte, (bits+7)/8)
+	one := big.NewInt(1)
+	eBig := big.NewInt(int64(e))
+	for {
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		p := new(big.Int).SetBytes(b)
+		for i := bits; i < 8*len(b); i++ {
+			p.SetBit(p, i, 0)
+		}
+		p.SetBit(p, bits-1, 1)
+		p.SetBit(p, bits-2, 1)
+		p.SetBit(p, 0, 1)
+		pm1 := new(big.Int).Sub(p, one)
+		if p.ProbablyPrime(20) && new(big.Int).GCD(nil, nil, eBig, pm1).Cmp(one) == 0 {
+			return p, nil
+		}
+	}
+}
+
+// distinct reports whether no two of primes are equal.
+func distinct(primes []*big.Int) bool {
+	for i, p := range primes {
+		for _, q := range primes[:i] {
+			if p.Cmp(q) == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // newRSASigner sets up everything a signer computes once per key: its
@@ -245,7 +361,7 @@ func (s *RSASigner) ID() NodeID { return s.id }
 
 // Sign returns an RSA PKCS#1 v1.5 signature over the SHA-256 digest of msg:
 // the bytes rsa.SignPKCS1v15 returns, computed on the package's CRT kernel
-// when the key is a two-prime 1024-bit one. It is safe to call from several
+// when the key is a three-prime 1024-bit one, as GenerateRSA makes them. It is safe to call from several
 // goroutines at once.
 func (s *RSASigner) Sign(msg []byte) []byte {
 	digest := sha256.Sum256(msg)

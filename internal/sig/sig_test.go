@@ -29,9 +29,8 @@ func TestRSASignVerify(t *testing.T) {
 }
 
 func TestKeyGenerationDistinctness(t *testing.T) {
-	// crypto/rsa injects extra randomness, so identical seeds need not
-	// reproduce identical keys; what matters is that distinct principals
-	// and seeds never collide.
+	// Distinct principals and seeds never collide (a 1024-bit key is a
+	// function of seed and id: TestGenerateRSAReproducible).
 	a := MustGenerateRSA("alice", DefaultKeyBits, "seed1")
 	b := MustGenerateRSA("alice", DefaultKeyBits, "seed2")
 	c := MustGenerateRSA("bob", DefaultKeyBits, "seed1")
@@ -40,6 +39,28 @@ func TestKeyGenerationDistinctness(t *testing.T) {
 	}
 	if string(a.Public().Marshal()) == string(c.Public().Marshal()) {
 		t.Fatal("different ids produced same key")
+	}
+}
+
+// TestGenerateRSAReproducible: a 1024-bit key is a function of the seed and
+// the id — the same modulus on every call — with three primes of 342, 341
+// and 341 bits, which the kernel signs for.
+func TestGenerateRSAReproducible(t *testing.T) {
+	a := MustGenerateRSA("alice", DefaultKeyBits, "seed1")
+	b := MustGenerateRSA("alice", DefaultKeyBits, "seed1")
+	if a.key.N.Cmp(b.key.N) != 0 {
+		t.Fatalf("the same seed and id gave two moduli:\n%x\n%x", a.key.N, b.key.N)
+	}
+	if a.key.N.BitLen() != DefaultKeyBits || len(a.key.Primes) != len(crtPrimeSizes) {
+		t.Fatalf("a %d-bit key of %d primes", a.key.N.BitLen(), len(a.key.Primes))
+	}
+	for i, p := range a.key.Primes {
+		if p.BitLen() != crtPrimeSizes[i] {
+			t.Fatalf("prime %d has %d bits, want %d", i, p.BitLen(), crtPrimeSizes[i])
+		}
+	}
+	if a.crt == nil {
+		t.Fatal("a generated 1024-bit key is not signed by the kernel")
 	}
 }
 
@@ -79,7 +100,7 @@ func TestVerifierMarshalRoundTrip(t *testing.T) {
 	// Keys of any other shape round-trip too, and verify through crypto/rsa:
 	// a 1032-bit key, and a 1024-bit one with e = 3.
 	wider := MustGenerateRSA("wide", crtKeyBits+8, "t")
-	e3key := fixedPrivateKey(t, "e = 3", false, 3)
+	e3key := fixedPrivateKey(t, "e = 3", primeOrders[0], 3)
 	e3 := newRSASigner("e = 3", e3key)
 	if e3.crt != nil {
 		t.Fatal("a key with e = 3 is signed by the kernel")

@@ -38,7 +38,7 @@ func bytesOf(x *big.Int) []byte {
 // range, wrong lengths, the wrong message and another key's signature.
 func TestRSAVerifyMatchesStdlib(t *testing.T) {
 	signers := MustGenerateRSAAll([]NodeID{"v0", "v1"}, DefaultKeyBits, "verify")
-	signers = append(signers, fixedKey(t, "verify-p>q", false), fixedKey(t, "verify-p<q", true))
+	signers = append(signers, fixedKey(t, "verify-0", primeOrders[0]), fixedKey(t, "verify-1", primeOrders[5]))
 	onEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i, s := range signers {
@@ -107,7 +107,7 @@ var fuzzVerifyKeys struct {
 // mutations start from the accepting side too.
 func FuzzRSAVerify(f *testing.F) {
 	fuzzVerifyKeys.once.Do(func() {
-		fuzzVerifyKeys.keys = []*RSASigner{fixedKey(f, "fuzz-verify-0", false), fixedKey(f, "fuzz-verify-1", true)}
+		fuzzVerifyKeys.keys = []*RSASigner{fixedKey(f, "fuzz-verify-0", primeOrders[0]), fixedKey(f, "fuzz-verify-1", primeOrders[5])}
 	})
 	for _, s := range fuzzVerifyKeys.keys {
 		for _, msg := range []string{"", "m", "an authenticator"} {
@@ -134,7 +134,7 @@ func FuzzRSAVerify(f *testing.F) {
 }
 
 func BenchmarkRSAVerify(b *testing.B) {
-	s := fixedKey(b, "bench", false)
+	s := fixedKey(b, "bench", primeOrders[0])
 	msg := make([]byte, 40) // an authenticator body: seq plus chain hash
 	signature := s.Sign(msg)
 	defer func(v bool) { useADX = v }(useADX)
