@@ -161,7 +161,7 @@ func TestRSASignMatchesStdlib(t *testing.T) {
 		if s.pub.mont == nil && s.key.N.BitLen() == crtKeyBits {
 			t.Fatalf("%s: a 1024-bit key with e = 65537 has no Montgomery context", s.id)
 		}
-		onEachPath(t, func(t *testing.T) { requireStdlibSignature(t, s, []byte("m")) })
+		requireStdlibSignature(t, s, []byte("m"))
 	}
 }
 
@@ -383,9 +383,7 @@ func TestMontArithmeticMatchesBig(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		x, y, a := randomWide(), natOf(new(big.Int).Rand(rng, rBig)), natOf(new(big.Int).Rand(rng, rBig))
 		if i%2 == 0 {
-			x = wide{} // the recombination's first step: x below R
-			copy(x[:], y[:])
-			y = natOf(new(big.Int).Rand(rng, rBig))
+			clear(x[len(nat{}):]) // as in the recombination's first step: x below R
 		}
 		want := new(big.Int).Mul(limbsBig(x[:]), toBig(&y))
 		want.Add(want, toBig(&a)).Mod(want, two1024)
