@@ -259,7 +259,8 @@ const maxSnapshotPages = 1 << 22
 // segment payload (layout in docs/ARCHIVE_FORMAT.md). Pages are written in
 // ascending index order so the encoding is deterministic.
 func marshalSnapshotPayload(s *snapshot.Snapshot) []byte {
-	b := []byte{SnapshotPayloadVersion}
+	b := make([]byte, 0, snapshotPayloadBound(s))
+	b = append(b, SnapshotPayloadVersion)
 	b = binary.AppendUvarint(b, uint64(s.Index))
 	b = binary.AppendUvarint(b, s.Landmark.ICount)
 	b = binary.AppendUvarint(b, s.Landmark.Branches)
@@ -296,6 +297,24 @@ func marshalSnapshotPayload(s *snapshot.Snapshot) []byte {
 	b = append(b, s.Root[:]...)
 	b = append(b, s.MemRoot[:]...)
 	return b
+}
+
+// snapshotPayloadBound is at least the length of s's payload: every
+// uvarint counted at its widest. marshalSnapshotPayload allocates it once,
+// where growing by appends copied a payload of up to 16 MiB several times.
+func snapshotPayloadBound(s *snapshot.Snapshot) int {
+	const v = binary.MaxVarintLen64
+	n := 1 + 6*v // the version and the header
+	for _, blob := range [][]byte{s.Machine, s.Device, s.AuthDevice} {
+		n += v + len(blob)
+	}
+	n += v
+	for _, page := range s.MemPages {
+		n += 2*v + len(page)
+	}
+	n += 3*v + v*len(s.Proof.Indices)
+	n += len(merkle.Hash{}) * (len(s.Proof.Old) + len(s.Proof.Siblings) + 2)
+	return n
 }
 
 // payloadScan is what a scan of a snapshot payload finds before anything

@@ -208,6 +208,9 @@ func FuzzSnapshotPayload(f *testing.F) {
 		// Overwrite the buffer the first decode owns. That snapshot is now
 		// garbage, by the ownership rule; the second must not have moved.
 		encoded := marshalSnapshotPayload(fromCopy)
+		if bound := snapshotPayloadBound(fromCopy); cap(encoded) != bound {
+			t.Fatalf("a %d-byte payload grew its buffer: capacity %d, bound %d", len(encoded), cap(encoded), bound)
+		}
 		for i := range owned {
 			owned[i] = ^owned[i]
 		}

@@ -60,7 +60,9 @@ var magic = [4]byte{'A', 'V', 'L', '1'}
 
 // CompressEntries applies the VMM-specific columnar transform to a segment
 // and then flate-compresses each column. The result decodes back to the
-// identical entry sequence (chain hashes excluded; they are recomputable).
+// identical entry sequence (chain hashes excluded; they are recomputable),
+// numbered from 1: a segment that starts later keeps its gaps, and its
+// reader adds the offset back, as the archive does.
 // It is a thin wrapper over EntryWriter, which streams the same encoding;
 // the two produce bit-identical containers. Like Flate, it writes only to
 // memory, where compression cannot fail (the invariant documented there).

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/tevlog"
 )
@@ -57,10 +58,25 @@ type EntryWriter struct {
 	err     error
 }
 
+// compressors and decompressors keep flate state between containers: a
+// BestCompression writer holds about 1 MB of tables, and an archive writes
+// a container of four columns per epoch. Reset makes a pooled writer the
+// one NewWriter would return at the same level, so the bytes do not
+// change, and a pooled reader the one NewReader would return.
+var (
+	compressors   sync.Pool // *flate.Writer at BestCompression
+	decompressors sync.Pool // io.ReadCloser that is a flate.Resetter
+)
+
 // NewEntryWriter returns an empty writer.
 func NewEntryWriter() *EntryWriter {
 	w := &EntryWriter{}
 	for i := range w.comps {
+		if fw, ok := compressors.Get().(*flate.Writer); ok {
+			fw.Reset(&w.bufs[i])
+			w.comps[i] = fw
+			continue
+		}
 		fw, err := flate.NewWriter(&w.bufs[i], flate.BestCompression)
 		if err != nil {
 			panic(fmt.Sprintf("logcomp: flate writer: %v", err)) // level is constant and valid
@@ -111,6 +127,7 @@ func (w *EntryWriter) Bytes() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
+	defer w.release()
 	if w.count == 0 {
 		return append(magic[:], 0, 0, 0, 0), nil
 	}
@@ -127,6 +144,14 @@ func (w *EntryWriter) Bytes() ([]byte, error) {
 		out = append(out, w.bufs[i].Bytes()...)
 	}
 	return out, nil
+}
+
+// release hands the column compressors back for another writer.
+func (w *EntryWriter) release() {
+	for i, fw := range w.comps {
+		compressors.Put(fw)
+		w.comps[i] = nil
+	}
 }
 
 // EntryReader incrementally decodes a columnar container, yielding entries
@@ -159,8 +184,14 @@ func NewEntryReader(data []byte) (*EntryReader, error) {
 			return nil, fmt.Errorf("logcomp: truncated %s column: header claims %d compressed bytes, %d remain",
 				columnNames[i], n, max(len(data)-used, 0))
 		}
-		fr := flate.NewReader(bytes.NewReader(data[used : used+int(n)]))
-		r.closers[i] = fr.(io.ReadCloser)
+		src := bytes.NewReader(data[used : used+int(n)])
+		fr, ok := decompressors.Get().(io.ReadCloser)
+		if ok {
+			fr.(flate.Resetter).Reset(src, nil) // never fails: there is no dictionary
+		} else {
+			fr = flate.NewReader(src)
+		}
+		r.closers[i] = fr
 		r.cols[i] = bufio.NewReaderSize(fr, 512)
 		data = data[used+int(n):]
 	}
@@ -190,6 +221,11 @@ func (r *EntryReader) Next() (tevlog.Entry, error) {
 	d, err := binary.ReadUvarint(r.cols[0])
 	if err != nil {
 		return tevlog.Entry{}, colErr(0, err)
+	}
+	if r.remaining == r.total && d != 1 {
+		// The writer numbers a container's entries from 1; any other first
+		// delta would decode to sequence numbers a re-encode cannot keep.
+		return tevlog.Entry{}, fmt.Errorf("logcomp: first sequence delta %d, want 1", d)
 	}
 	typ, err := r.cols[1].ReadByte()
 	if err != nil {
@@ -226,12 +262,16 @@ func (r *EntryReader) checkExhausted() error {
 	return nil
 }
 
-// Close releases the column decompressors. It is safe to call at any point;
-// entries already returned remain valid.
+// Close hands the column decompressors back for another reader. It is safe
+// to call at any point, and more than once; entries already returned remain
+// valid, and Next must not be called afterwards.
 func (r *EntryReader) Close() error {
-	for _, c := range r.closers {
+	for i, c := range r.closers {
 		if c != nil {
 			c.Close() // flate.Reader.Close only reports already-seen errors
+			decompressors.Put(c)
+			r.closers[i] = nil
+			r.cols[i] = nil
 		}
 	}
 	return nil

@@ -176,3 +176,56 @@ func TestEntryReaderIncremental(t *testing.T) {
 		t.Fatalf("after last entry: err=%v, want io.EOF", err)
 	}
 }
+
+// TestPooledFlateStateIsFresh: compressors and decompressors handed back by
+// one container — after a clean end, a corrupt column, an empty writer or a
+// second Close — serve the next exactly as new ones: the same bytes as the
+// legacy encoder, the same entries, and no decompressor shared by two live
+// readers.
+func TestPooledFlateStateIsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a, b := randomEntries(rng, 40), randomEntries(rng, 70)
+	for round := 0; round < 4; round++ {
+		if _, err := NewEntryWriter().Bytes(); err != nil {
+			t.Fatal(err)
+		}
+		dataA, dataB := CompressEntries(a), CompressEntries(b)
+		if !bytes.Equal(dataA, legacyCompress(a)) || !bytes.Equal(dataB, legacyCompress(b)) {
+			t.Fatalf("round %d: a container from pooled compressors differs from a fresh one", round)
+		}
+		if _, err := DecompressEntries(dataA[:len(dataA)-5]); err == nil {
+			t.Fatalf("round %d: a truncated container decoded", round)
+		}
+		closedTwice, err := NewEntryReader(dataA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closedTwice.Close()
+		closedTwice.Close()
+
+		ra, err := NewEntryReader(dataA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := NewEntryReader(dataB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b {
+			for _, c := range []struct {
+				r    *EntryReader
+				want []tevlog.Entry
+			}{{ra, a}, {rb, b}} {
+				if i >= len(c.want) {
+					continue
+				}
+				e, err := c.r.Next()
+				if err != nil || !entriesEqual([]tevlog.Entry{e}, c.want[i:i+1]) {
+					t.Fatalf("round %d, entry %d: %v, or the entry differs", round, i, err)
+				}
+			}
+		}
+		ra.Close()
+		rb.Close()
+	}
+}

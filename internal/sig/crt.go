@@ -61,8 +61,9 @@ var errSignatureFault = errors.New("signature does not verify under the public k
 
 // newCRTKey returns the kernel for key, whose public key's Montgomery
 // context is pub, or nil — the key then keeps crypto/rsa — unless pub is
-// set (a 1024-bit N, e = 65537) and key has three distinct primes, each at
-// most crtPrimeBits long. Everything here runs once per key, with
+// set (a 1024-bit N, e = 2ᵏ + 1: 3, or 65537 for keys made before
+// GenerateRSA took 3) and key has three distinct primes, each at most
+// crtPrimeBits long. Everything here runs once per key, with
 // math/big, and may take variable time.
 func newCRTKey(key *rsa.PrivateKey, pub *montPublic) *crtKey {
 	if pub == nil || len(key.Primes) != crtPrimes {

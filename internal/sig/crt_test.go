@@ -17,24 +17,37 @@ import (
 var primeOrders = [][crtPrimes]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 
 // fixedKey builds a 1024-bit signer from seed alone, as GenerateRSA builds
-// and sets up its keys, with the key's primes put in order (a permutation
-// of 0, 1, 2 over the order newKey drew them in: 342, 341, 341 bits). The
-// same seed gives the same key on every run, so a fuzz input that fails
-// keeps failing. The order matters to the recombination: a 342-bit prime
-// can be up to 2.7 times a 341-bit one, so a residue modulo one prime is
-// not always reduced modulo another by one subtraction.
+// and sets up its keys (e = 3), with the key's primes put in order (a
+// permutation of 0, 1, 2 over the order newKey drew them in: 342, 341, 341
+// bits). The same seed gives the same key on every run, so a fuzz input
+// that fails keeps failing. The order matters to the recombination: a
+// 342-bit prime can be up to 2.7 times a 341-bit one, so a residue modulo
+// one prime is not always reduced modulo another by one subtraction.
 func fixedKey(t testing.TB, seed string, order [crtPrimes]int) *RSASigner {
 	t.Helper()
-	key := fixedPrivateKey(t, seed, order, verifyExponent)
-	return newRSASigner(NodeID(fmt.Sprintf("%s%v", seed, order)), key)
+	return fixedKeyE(t, seed, order, keyExponent)
 }
 
-// fixedKeys is fixedKey with its primes in each of the six orders.
-func fixedKeys(t testing.TB, seed string) []*RSASigner {
+// fixedKeyE is fixedKey with public exponent e.
+func fixedKeyE(t testing.TB, seed string, order [crtPrimes]int, e int) *RSASigner {
+	t.Helper()
+	key := fixedPrivateKey(t, seed, order, e)
+	return newRSASigner(NodeID(fmt.Sprintf("%s%v,e=%d", seed, order, e)), key)
+}
+
+// oldExponent is the public exponent of the keys GenerateRSA made before it
+// took e = 3; the package still signs and verifies for them itself.
+const oldExponent = 65537
+
+// keyExponents are the exponents of the keys the package serves itself.
+var keyExponents = []int{keyExponent, oldExponent}
+
+// fixedKeys is fixedKeyE with its primes in each of the six orders.
+func fixedKeys(t testing.TB, seed string, e int) []*RSASigner {
 	t.Helper()
 	keys := make([]*RSASigner, len(primeOrders))
 	for i, order := range primeOrders {
-		keys[i] = fixedKey(t, seed, order)
+		keys[i] = fixedKeyE(t, seed, order, e)
 	}
 	return keys
 }
@@ -113,18 +126,20 @@ func onEachPath(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestRSASignMatchesStdlib: the kernel signs every 1024-bit key
-// GenerateRSA makes, and a seed-built one with its primes in each of the
-// six orders, byte for byte as crypto/rsa does, on both implementations of
-// its products; the keys it does not serve — a two-prime 1024-bit key, a
-// three-prime one with a prime wider than crtPrimeBits, another size — are
-// signed by crypto/rsa itself.
+// GenerateRSA makes, and seed-built ones with e = 3 and e = 65537 with
+// their primes in each of the six orders, byte for byte as crypto/rsa
+// does, on both implementations of its products; the keys it does not
+// serve — a two-prime 1024-bit key, a three-prime one with a prime wider
+// than crtPrimeBits, another size — are signed by crypto/rsa itself.
 func TestRSASignMatchesStdlib(t *testing.T) {
 	ids := make([]NodeID, 20)
 	for i := range ids {
 		ids[i] = NodeID(fmt.Sprintf("k%d", i))
 	}
 	signers := MustGenerateRSAAll(ids, DefaultKeyBits, "stdlib")
-	signers = append(signers, fixedKeys(t, "fixed")...)
+	for _, e := range keyExponents {
+		signers = append(signers, fixedKeys(t, "fixed", e)...)
+	}
 	rng := rand.New(rand.NewSource(1))
 	msgs := [][]byte{nil}
 	for j := 0; j < 50; j++ {
@@ -150,8 +165,8 @@ func TestRSASignMatchesStdlib(t *testing.T) {
 	})
 
 	others := []*RSASigner{
-		newRSASigner("two-prime", builtKey(t, "two-prime", []int{512, 512}, verifyExponent)),
-		newRSASigner("wide-prime", builtKey(t, "wide-prime", []int{crtPrimeBits + 2, 339, 339}, verifyExponent)),
+		newRSASigner("two-prime", builtKey(t, "two-prime", []int{512, 512}, keyExponent)),
+		newRSASigner("wide-prime", builtKey(t, "wide-prime", []int{crtPrimeBits + 2, 339, 339}, keyExponent)),
 		MustGenerateRSA("wide", crtKeyBits+8, "stdlib"),
 	}
 	for _, s := range others {
@@ -159,7 +174,7 @@ func TestRSASignMatchesStdlib(t *testing.T) {
 			t.Fatalf("%s: signed by the kernel", s.id)
 		}
 		if s.pub.mont == nil && s.key.N.BitLen() == crtKeyBits {
-			t.Fatalf("%s: a 1024-bit key with e = 65537 has no Montgomery context", s.id)
+			t.Fatalf("%s: a 1024-bit key with e = 3 has no Montgomery context", s.id)
 		}
 		requireStdlibSignature(t, s, []byte("m"))
 	}
@@ -182,8 +197,9 @@ var fuzzKeys struct {
 }
 
 // FuzzRSASign: whatever the message, the kernel's signature under a fixed
-// key, with its primes in each of the six orders, and another fixed key is
-// crypto/rsa's, on both implementations of its products.
+// key, with its primes in each of the six orders, and two more fixed keys,
+// e = 3 and e = 65537, is crypto/rsa's, on both implementations of its
+// products.
 func FuzzRSASign(f *testing.F) {
 	for _, seed := range []string{"", "m", "\x00\x01\xff", strings.Repeat("authenticator", 10)} {
 		f.Add([]byte(seed))
@@ -194,7 +210,7 @@ func FuzzRSASign(f *testing.F) {
 	defer func(v bool) { useADX = v }(useADX)
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		fuzzKeys.once.Do(func() {
-			fuzzKeys.keys = append(fixedKeys(t, "fuzz-0"), fixedKey(t, "fuzz-1", primeOrders[0]))
+			fuzzKeys.keys = append(fixedKeys(t, "fuzz-0", keyExponent), fixedKey(t, "fuzz-1", primeOrders[0]), fixedKeyE(t, "fuzz-2", primeOrders[0], oldExponent))
 		})
 		for _, s := range fuzzKeys.keys {
 			want := stdlibSignature(t, s, msg)
@@ -211,10 +227,14 @@ func FuzzRSASign(f *testing.F) {
 
 // TestRSASignFaultCheck: a kernel with one constant of one of its thirds,
 // or of the recombination, wrong computes a wrong signature, and Sign
-// panics rather than return it, with the key's primes in each of the six
-// orders and on both implementations of its products.
+// panics rather than return it; so does one whose verify context is wrong.
+// With e = 3 and e = 65537, the key's primes in each of the six orders and
+// on both implementations of its products.
 func TestRSASignFaultCheck(t *testing.T) {
-	keys := fixedKeys(t, "fault")
+	var keys []*RSASigner
+	for _, e := range keyExponents {
+		keys = append(keys, fixedKeys(t, "fault", e)...)
+	}
 	onEachPath(t, func(t *testing.T) {
 		for _, good := range keys {
 			testRSASignFaultCheck(t, good)
@@ -242,6 +262,11 @@ func testRSASignFaultCheck(t *testing.T, good *RSASigner) {
 		{"R² mod N", func(k *crtKey) {
 			pub := *k.pub
 			pub.rr[0] ^= 1
+			k.pub = &pub
+		}},
+		{"k of e = 2ᵏ + 1", func(k *crtKey) {
+			pub := *k.pub
+			pub.squarings++
 			k.pub = &pub
 		}},
 	}
@@ -520,7 +545,7 @@ func checkRow(t testing.TB, z, x *wide, y uint64) {
 // of the same size (crypto/rsa signs a three-prime key without CRT).
 func BenchmarkRSASign(b *testing.B) {
 	s := fixedKey(b, "bench", primeOrders[0])
-	two := builtKey(b, "bench", []int{512, 512}, verifyExponent)
+	two := builtKey(b, "bench", []int{512, 512}, keyExponent)
 	msg := make([]byte, 40) // an authenticator body: seq plus chain hash
 	defer func(v bool) { useADX = v }(useADX)
 	for _, p := range kernelPaths {

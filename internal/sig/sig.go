@@ -17,6 +17,22 @@
 // regenerating a key — verifiers travel through the KeyStore and
 // certificates.
 //
+// A key of DefaultKeyBits has public exponent e = 3, so a verification
+// is three Montgomery products where e = 65537 takes eighteen, and the
+// audit, which is mostly verification, is that much cheaper. Such a key is
+// still RSA-1024 with PKCS#1 v1.5 and SHA-256, which crypto/rsa and
+// OpenSSL accept. A small exponent is safe for signatures under a verifier
+// that re-encodes the expected block and compares every byte of it (RFC
+// 8017 §8.2.2), as both rsa.VerifyPKCS1v15 and this package's verify do:
+// Bleichenbacher's 2006 forgery for e = 3 needs a verifier that parses the
+// padding and ignores what follows the hash, and the low-exponent attacks
+// Boneh surveys ("Twenty Years of Attacks on the RSA Cryptosystem", 1999)
+// are against encryption, not signatures. FIPS 186-5 requires e > 2¹⁶,
+// but a 1024-bit key is outside FIPS already (see below on fips140=only).
+// Every prime is drawn ≡ 5 (mod 6), so 3 never divides p−1 and cubing is a
+// bijection modulo it. A key with e = 65537, as this package made them
+// before, signs and verifies exactly as it did.
+//
 // # The RSA-1024 signing kernel
 //
 // GenerateRSA builds every key of DefaultKeyBits from three primes of 342,
@@ -89,28 +105,33 @@
 //
 // # RSA-1024 verification
 //
-// RSAVerifier verifies a signature under a 1024-bit key with e = 65537 —
-// every key GenerateRSA makes — itself (verify.go), and under any other key
-// through rsa.VerifyPKCS1v15. It accepts exactly what crypto/rsa accepts: a
-// signature of the modulus's length, below N, whose 65537th power mod N is
-// the PKCS#1 v1.5 encoding of the SHA-256 digest. (Under GODEBUG
+// RSAVerifier verifies a signature under a 1024-bit key with e = 2ᵏ + 1 —
+// e = 3 for every key GenerateRSA makes, e = 65537 for keys made before —
+// itself (verify.go), and under any other key through rsa.VerifyPKCS1v15.
+// It accepts exactly what crypto/rsa accepts: a signature of the modulus's
+// length, below N, whose e-th power mod N is the PKCS#1 v1.5 encoding of
+// the SHA-256 digest, byte for byte. (Under GODEBUG
 // fips140=only, where crypto/rsa refuses keys below 2048 bits, it does not
 // follow; that mode is not one this package supports.) crypto/rsa builds
 // its Montgomery modulus, R² mod N included, on every call, about a quarter
 // of a verification; here that context is built once per key, with
 // math/big, when the verifier is made (GenerateRSA, ParseRSAVerifier), and
 // the signer's verify before it returns shares it. The exponentiation is
-// eighteen Montgomery products of sixteen limbs, each 32 rows of one
-// primitive, addMulRow16 (z += x·y, carry out): a MULX/ADCX/ADOX row in
-// mont_amd64.s where the CPU has them, written out in Go elsewhere. Every
-// input is public — the key, the message, the signature — so the verify may
-// take variable time, and it does stop at a wrong length or s ≥ N. Past
-// those checks it still runs the same instructions whatever the signature
-// (rows without a branch, a masked final subtraction, a comparison that
-// reads every limb), because the signer verifies its own result, which is
-// below N by construction, and of a faulty one nothing but the panic may
-// leave. With the assembly row a verification takes about
-// half of crypto/rsa's time; with the Go row about as long as crypto/rsa.
+// one loop for every such key, k read from the key: s·R², k squarings, ×s —
+// three Montgomery products of sixteen limbs for e = 3, eighteen for
+// e = 65537 — each 32 rows of one primitive, addMulRow16 (z += x·y, carry
+// out): a MULX/ADCX/ADOX row in mont_amd64.s where the CPU has them,
+// written out in Go elsewhere. Every input is public — the key, the
+// message, the signature — so the verify may take variable time, and it
+// does stop at a wrong length or s ≥ N. Past those checks it still runs
+// the same instructions whatever the signature (rows without a branch, a
+// masked final subtraction, a comparison that reads every limb), because
+// the signer verifies its own result, which is below N by construction,
+// and of a faulty one nothing but the panic may leave. Under an e = 3 key a
+// verification takes about 1–2 µs with the assembly row, a fifth of
+// crypto/rsa's time under the same key, and about 2–3 µs with the Go row;
+// under an e = 65537 key, about half of crypto/rsa's time with the
+// assembly row and about as long as crypto/rsa with the Go row.
 package sig
 
 import (
@@ -228,7 +249,7 @@ func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 	var key *rsa.PrivateKey
 	var err error
 	if bits == crtKeyBits {
-		key, err = newKey(r, crtPrimeSizes, verifyExponent)
+		key, err = newKey(r, crtPrimeSizes, keyExponent)
 	} else {
 		key, err = rsa.GenerateKey(r, bits)
 	}
@@ -238,11 +259,14 @@ func GenerateRSA(id NodeID, bits int, seed string) (*RSASigner, error) {
 	return newRSASigner(id, key), nil
 }
 
+// keyExponent is the public exponent of every key GenerateRSA builds
+// itself (the package comment says why 3).
+const keyExponent = 3
+
 // newKey builds an RSA key with public exponent e from distinct primes of
-// the given bit lengths, each with its two top bits set and gcd(e, p−1) = 1,
-// drawing all of them again until their product has exactly the sum of
-// those lengths in bits. It reads nothing but r, so the same stream gives
-// the same key.
+// the given bit lengths, each drawn by drawPrime, drawing all of them again
+// until their product has exactly the sum of those lengths in bits. It
+// reads nothing but r, so the same stream gives the same key.
 func newKey(r io.Reader, sizes []int, e int) (*rsa.PrivateKey, error) {
 	bits := 0
 	for _, size := range sizes {
@@ -279,11 +303,15 @@ func newKey(r io.Reader, sizes []int, e int) (*rsa.PrivateKey, error) {
 }
 
 // drawPrime returns the first prime read from r, as bits-bit numbers with
-// the two top bits and the low bit set, for which gcd(e, p−1) = 1.
+// the two top bits set, lowered to the next number ≡ 5 (mod 6) at or below
+// them, for which gcd(e, p−1) = 1. A candidate ≡ 5 (mod 6) is odd and has
+// p−1 ≡ 1 (mod 3), so for e = 3 no prime is drawn only to fail the gcd.
 func drawPrime(r io.Reader, bits, e int) (*big.Int, error) {
 	b := make([]byte, (bits+7)/8)
 	one := big.NewInt(1)
+	six := big.NewInt(6)
 	eBig := big.NewInt(int64(e))
+	rem := new(big.Int)
 	for {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
@@ -294,7 +322,10 @@ func drawPrime(r io.Reader, bits, e int) (*big.Int, error) {
 		}
 		p.SetBit(p, bits-1, 1)
 		p.SetBit(p, bits-2, 1)
-		p.SetBit(p, 0, 1)
+		p.Sub(p, rem.Mod(rem.Add(p, one), six))
+		if p.Bit(bits-2) == 0 {
+			continue // lowered past the second top bit
+		}
 		pm1 := new(big.Int).Sub(p, one)
 		if p.ProbablyPrime(20) && new(big.Int).GCD(nil, nil, eBig, pm1).Cmp(one) == 0 {
 			return p, nil
@@ -396,7 +427,8 @@ type RSAVerifier struct {
 }
 
 // newRSAVerifier returns the verifier for key, with the Montgomery context
-// of an RSA-1024, e = 65537 key computed here, once.
+// of an RSA-1024 key with e = 2ᵏ + 1 — e = 3, as GenerateRSA makes them, or
+// e = 65537, as keys made before have it — computed here, once.
 func newRSAVerifier(id NodeID, key *rsa.PublicKey) *RSAVerifier {
 	return &RSAVerifier{id: id, key: key, mont: newMontPublic(key)}
 }

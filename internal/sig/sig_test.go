@@ -4,6 +4,8 @@ import (
 	"crypto"
 	"crypto/rsa"
 	"crypto/sha256"
+	"fmt"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -44,7 +46,7 @@ func TestKeyGenerationDistinctness(t *testing.T) {
 
 // TestGenerateRSAReproducible: a 1024-bit key is a function of the seed and
 // the id — the same modulus on every call — with three primes of 342, 341
-// and 341 bits, which the kernel signs for.
+// and 341 bits, which the kernel signs for, and e = 3.
 func TestGenerateRSAReproducible(t *testing.T) {
 	a := MustGenerateRSA("alice", DefaultKeyBits, "seed1")
 	b := MustGenerateRSA("alice", DefaultKeyBits, "seed1")
@@ -61,6 +63,32 @@ func TestGenerateRSAReproducible(t *testing.T) {
 	}
 	if a.crt == nil {
 		t.Fatal("a generated 1024-bit key is not signed by the kernel")
+	}
+	if a.key.E != 3 || a.pub.mont == nil || a.pub.mont.squarings != 1 {
+		t.Fatalf("a generated 1024-bit key has e = %d", a.key.E)
+	}
+}
+
+// TestGenerateRSAExponent: every 1024-bit key GenerateRSA makes has e = 3
+// and three primes ≡ 2 (mod 3), so that 3 is prime to each p−1.
+func TestGenerateRSAExponent(t *testing.T) {
+	ids := make([]NodeID, 12)
+	for i := range ids {
+		ids[i] = NodeID(fmt.Sprintf("e%d", i))
+	}
+	three := big.NewInt(3)
+	for _, s := range MustGenerateRSAAll(ids, DefaultKeyBits, "exponent") {
+		if s.key.E != 3 {
+			t.Fatalf("%s: e = %d", s.id, s.key.E)
+		}
+		if len(s.key.Primes) != crtPrimes {
+			t.Fatalf("%s: %d primes", s.id, len(s.key.Primes))
+		}
+		for i, p := range s.key.Primes {
+			if r := new(big.Int).Mod(p, three); r.Int64() != 2 {
+				t.Fatalf("%s: prime %d is %d (mod 3)", s.id, i, r)
+			}
+		}
 	}
 }
 
@@ -93,27 +121,35 @@ func TestVerifierMarshalRoundTrip(t *testing.T) {
 	if _, err := ParseRSAVerifier("alice", []byte("junk")); err == nil {
 		t.Fatal("junk key parsed")
 	}
-	if v.mont == nil {
-		t.Fatal("a parsed RSA-1024, e = 65537 key has no Montgomery context")
+	if v.mont == nil || v.mont.squarings != 1 {
+		t.Fatal("a parsed RSA-1024, e = 3 key has no Montgomery context of one squaring")
+	}
+	old := fixedKeyE(t, "e = 65537", primeOrders[0], oldExponent)
+	if v, err := ParseRSAVerifier(old.id, old.Public().Marshal()); err != nil || v.mont == nil || v.mont.squarings != 16 || !v.Verify(msg, old.Sign(msg)) {
+		t.Fatalf("a parsed RSA-1024, e = 65537 key: %v, no Montgomery context of sixteen squarings, or a genuine signature rejected", err)
 	}
 
 	// Keys of any other shape round-trip too, and verify through crypto/rsa:
-	// a 1032-bit key, and a 1024-bit one with e = 3.
+	// a 1032-bit key, and a 1024-bit one with e = 7, neither 3 nor 65537
+	// nor any 2ᵏ + 1.
 	wider := MustGenerateRSA("wide", crtKeyBits+8, "t")
-	e3key := fixedPrivateKey(t, "e = 3", primeOrders[0], 3)
-	e3 := newRSASigner("e = 3", e3key)
-	if e3.crt != nil {
-		t.Fatal("a key with e = 3 is signed by the kernel")
+	e7key := fixedPrivateKey(t, "e = 7", primeOrders[0], 7)
+	e7 := newRSASigner("e = 7", e7key)
+	if e := e7key.E; e == keyExponent || e == oldExponent {
+		t.Fatalf("the key not served has e = %d, one the package serves", e)
+	}
+	if e7.crt != nil {
+		t.Fatal("a key with e = 7 is signed by the kernel")
 	}
 	digest := sha256.Sum256(msg)
-	e3sig, err := rsa.SignPKCS1v15(nil, e3key, crypto.SHA256, digest[:])
+	e7sig, err := rsa.SignPKCS1v15(nil, e7key, crypto.SHA256, digest[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		s         *RSASigner
 		signature []byte
-	}{{wider, wider.Sign(msg)}, {e3, e3sig}} {
+	}{{wider, wider.Sign(msg)}, {e7, e7sig}} {
 		v, err := ParseRSAVerifier(c.s.id, c.s.Public().Marshal())
 		if err != nil {
 			t.Fatal(err)
@@ -257,5 +293,13 @@ func TestDetReaderIsDeterministicStream(t *testing.T) {
 	}
 	if string(a) == string(c) {
 		t.Fatal("different seeds produced same stream")
+	}
+}
+
+// BenchmarkGenerateRSA times building one 1024-bit key, as every scenario's
+// set-up does for each principal: each iteration draws a key for another id.
+func BenchmarkGenerateRSA(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		MustGenerateRSA(NodeID(fmt.Sprintf("k%d", i)), DefaultKeyBits, "bench")
 	}
 }

@@ -6,28 +6,28 @@ import (
 	"math/bits"
 )
 
-// verifyExponent is the one public exponent the package verifies with
-// itself: the one rsa.GenerateKey gives every key.
-const verifyExponent = 65537
-
 // montPublic is a 1024-bit public modulus N with everything Montgomery
-// multiplication modulo it needs. R is 2¹⁰²⁴ here.
+// multiplication modulo it needs, and the public exponent as the k of
+// e = 2ᵏ + 1. R is 2¹⁰²⁴ here.
 type montPublic struct {
-	n     wide
-	n0inv uint64 // −N⁻¹ mod 2⁶⁴
-	rr    wide   // R² mod N
+	n         wide
+	n0inv     uint64 // −N⁻¹ mod 2⁶⁴
+	rr        wide   // R² mod N
+	squarings int    // k: 1 for e = 3, 16 for e = 65537
 }
 
 // newMontPublic returns the Montgomery context of pub, or nil when pub is
-// not an odd 1024-bit modulus with e = 65537: those keys verify through
-// crypto/rsa. It runs once per key, with math/big.
+// not an odd 1024-bit modulus with e = 2ᵏ + 1 below 2³¹ (e = 3 and e = 65537
+// among them): those keys verify through crypto/rsa. It runs once per key,
+// with math/big.
 func newMontPublic(pub *rsa.PublicKey) *montPublic {
-	if pub.E != verifyExponent || pub.N.BitLen() != crtKeyBits || pub.N.Bit(0) == 0 {
+	e := pub.E
+	if e < 3 || e > 1<<31-1 || (e-1)&(e-2) != 0 || pub.N.BitLen() != crtKeyBits || pub.N.Bit(0) == 0 {
 		return nil
 	}
 	var b [crtKeyBits / 8]byte
 	pub.N.FillBytes(b[:])
-	k := &montPublic{n: wideOf(&b)}
+	k := &montPublic{n: wideOf(&b), squarings: bits.TrailingZeros(uint(e - 1))}
 	k.n0inv = negInv(k.n[0])
 	rr := new(big.Int).Lsh(big.NewInt(1), 2*crtKeyBits)
 	rr.Mod(rr, pub.N).FillBytes(b[:])
@@ -38,8 +38,9 @@ func newMontPublic(pub *rsa.PublicKey) *montPublic {
 // verify reports whether signature is the PKCS#1 v1.5 signature over a
 // SHA-256 digest under the key: exactly when rsa.VerifyPKCS1v15 accepts it.
 // Like crypto/rsa it rejects a signature of any length but the modulus's
-// and any s ≥ N, and compares s^e mod N with the expected encoding. Past
-// those two checks it takes the same time whatever the signature.
+// and any s ≥ N, and compares s^e mod N with the expected encoding, every
+// byte of it. Past those two checks it takes the same time whatever the
+// signature.
 func (k *montPublic) verify(digest *[32]byte, signature []byte) bool {
 	if len(signature) != crtKeyBits/8 {
 		return false
@@ -48,12 +49,12 @@ func (k *montPublic) verify(digest *[32]byte, signature []byte) bool {
 	if !less(&s, &k.n) {
 		return false
 	}
-	// s^65537 = s^(2¹⁶)·s: s·R² puts s into Montgomery form, sixteen
-	// squarings raise it, and the product with s itself takes the result
-	// out of the form again.
+	// s^(2ᵏ+1) = s^(2ᵏ)·s: s·R² puts s into Montgomery form, k squarings
+	// raise it, and the product with s itself takes the result out of the
+	// form again — three products for e = 3, eighteen for e = 65537.
 	var x wide
 	k.mul(&x, &s, &k.rr)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < k.squarings; i++ {
 		k.mul(&x, &x, &x)
 	}
 	k.mul(&x, &x, &s)

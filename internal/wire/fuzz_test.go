@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/rsa"
+	"crypto/x509"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -278,9 +280,16 @@ func FuzzUnmarshalSegment(f *testing.F) {
 	})
 }
 
+// FuzzParseRSAVerifier is seeded with a key as GenerateRSA makes them
+// (e = 3) and the same modulus with e = 65537, as older key files hold it.
 func FuzzParseRSAVerifier(f *testing.F) {
 	key := sig.MustGenerateRSA("player1", sig.DefaultKeyBits, "fuzz").Public().Marshal()
-	fuzzSeeds(f, key, key[:len(key)-3])
+	pub, err := x509.ParsePKCS1PublicKey(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	old := x509.MarshalPKCS1PublicKey(&rsa.PublicKey{N: pub.N, E: 65537})
+	fuzzSeeds(f, key, key[:len(key)-3], old, old[:len(old)-3])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fuzzRoundTrip(t, b,
 			func(b []byte) (*sig.RSAVerifier, error) { return sig.ParseRSAVerifier("player1", b) },
