@@ -1,44 +1,47 @@
-// Command avm-audit checks a recording produced by avm-run: it rebuilds the
-// reference image for the named node, decompresses the log, verifies it
-// against the collected authenticators, runs the syntactic check, and
-// replays the execution — the full audit pipeline of §4.5.
+// Command avm-audit checks a recording produced by avm-run: it reads the
+// named node's log and snapshot increments from the recording's disk
+// archive (<dir>/archive), re-verifying every segment against the
+// archive's manifest, rebuilds the reference image, verifies the log
+// against the collected authenticators (<dir>/<node>.auths), runs the
+// syntactic check, and replays the execution — the full audit pipeline of
+// §4.5.
 //
 //	avm-audit -dir /tmp/match1 -node player2
 //	avm-audit -dir /tmp/match1            # audit every node
 //	avm-audit -dir /tmp/match1 -stream    # streaming pipeline, bounded memory
 //
-// With -stream the log is audited straight from the compressed container:
-// decoding, chain verification and replay run as overlapped stages, and at
-// most -window decoded entries are resident at once — the mode to use for
-// multi-hour logs. The verdict is identical to the materializing pipeline.
+// With -stream the log is audited epoch segment by epoch segment straight
+// from the archive: decoding, chain verification and replay run as
+// overlapped stages, and at most -window decoded entries are resident at
+// once — the mode to use for multi-hour logs. The verdict is identical to
+// the materializing pipeline.
 //
 // # Distributed auditing
 //
 // The replay stage can be fanned out over remote workers:
 //
 //	avm-audit -serve -listen 127.0.0.1:9100          # scenario-agnostic worker
-//	avm-audit -dir /tmp/match1 -dispatch 127.0.0.1:9100,127.0.0.1:9101
+//	avm-audit -dir /tmp/match1 -coordinate 127.0.0.1:9100,127.0.0.1:9101
 //
 // A worker holds no recording, no keys and no guest sources — the
 // coordinator ships the reference configuration and self-contained epoch
 // jobs (verified start state + entry run) and merges the verdicts, which
 // are byte-identical to a local audit. Workers are untrusted: the
 // coordinator root-verifies every start state before dispatch and
-// re-replays a -spot fraction of epochs locally. Recordings that carry
-// snapshots (avm-run writes <node>.snaps) dispatch one job per
-// inter-snapshot epoch; without them the log ships as a single boot epoch.
+// re-replays a -spot fraction of epochs locally. A log with snapshots
+// dispatches one job per inter-snapshot epoch, and after a connection's
+// first full state each job ships as a delta chain from the state the
+// worker already holds; without snapshots the log ships as a single boot
+// epoch.
 //
 // # Continuous auditing
 //
-// -dispatch and -coordinate drive the same coordinator: every node's log
-// is audited concurrently through one shared epoch queue and one
-// multiplexed connection per worker, with heartbeat liveness, pipelined
-// jobs, retry with exponential backoff and straggler hedging. They differ
-// in what an unreachable fleet means. -coordinate degrades gracefully to
-// local replay (disable with -local-fallback=false to fail instead, exit
-// 2); -dispatch A,B is shorthand for -coordinate A,B -local-fallback=false:
-//
-//	avm-audit -dir /tmp/match1 -coordinate 127.0.0.1:9100,127.0.0.1:9101
+// -coordinate audits every node's log concurrently through one shared
+// epoch queue and one multiplexed connection per worker, with heartbeat
+// liveness, pipelined jobs, retry with exponential backoff and straggler
+// hedging. An unreachable fleet degrades gracefully to local replay;
+// -local-fallback=false makes it a failure instead (exit 2 after
+// -job-timeout).
 //
 // Workers may come and go mid-audit; a worker that received SIGINT or
 // SIGTERM drains gracefully — it finishes in-flight epochs, refuses new
@@ -85,7 +88,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/dbapp"
 	"repro/internal/game"
-	"repro/internal/logcomp"
 	"repro/internal/sig"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
@@ -144,90 +146,14 @@ func rebuildKeys(meta *Meta) *sig.KeyStore {
 	return keys
 }
 
-// openArchive resolves the -archive flag: "auto" opens <dir>/archive when
-// avm-run wrote one (nil otherwise), "off" disables the archive path, and
-// anything else is an explicit archive directory.
-func openArchive(dir, flagVal string) (*archive.Archive, error) {
-	switch flagVal {
-	case "off":
-		return nil, nil
-	case "auto":
-		p := filepath.Join(dir, "archive")
-		if _, err := os.Stat(filepath.Join(p, archive.ManifestName)); err != nil {
-			return nil, nil
-		}
-		return archive.Open(p)
-	default:
-		return archive.Open(flagVal)
+// openArchive opens the recording's disk archive, <dir>/archive. A
+// directory without a manifest there is not a recording avm-run wrote.
+func openArchive(dir string) (*archive.Archive, error) {
+	p := filepath.Join(dir, "archive")
+	if _, err := os.Stat(filepath.Join(p, archive.ManifestName)); err != nil {
+		return nil, fmt.Errorf("no recording archive at %s: %w", p, err)
 	}
-}
-
-// archiveSnapshots returns Materialize and DeltaSource closures folding
-// states out of the archive's verified snapshot segments, or nils when
-// the node was archived without snapshots.
-func archiveSnapshots(arc *archive.Archive, node string) (func(snapIdx uint32) (*snapshot.Restored, error), func(k uint32) (*snapshot.Delta, error), error) {
-	n, err := arc.Snapshots(node)
-	if err != nil || n == 0 {
-		return nil, nil, err
-	}
-	src, err := arc.IncrementSource(node)
-	if err != nil {
-		return nil, nil, err
-	}
-	return func(snapIdx uint32) (*snapshot.Restored, error) {
-			return snapshot.MaterializeFrom(src, int(snapIdx))
-		}, func(k uint32) (*snapshot.Delta, error) {
-			return snapshot.DeltaFrom(src, int(k))
-		}, nil
-}
-
-// loadSnapshots returns Materialize and DeltaSource closures over the
-// node's persisted snapshot store (avm-run writes one per node when
-// snapshots were taken), or nils when the recording carries none.
-func loadSnapshots(dir, node string) (func(snapIdx uint32) (*snapshot.Restored, error), func(k uint32) (*snapshot.Delta, error), error) {
-	f, err := os.Open(filepath.Join(dir, node+".snaps"))
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	var sf snapshot.StoreFile
-	if err := gob.NewDecoder(f).Decode(&sf); err != nil {
-		return nil, nil, fmt.Errorf("decoding %s snapshots: %w", node, err)
-	}
-	st := sf.Restore()
-	return func(snapIdx uint32) (*snapshot.Restored, error) {
-			return st.Materialize(int(snapIdx))
-		}, func(k uint32) (*snapshot.Delta, error) {
-			return st.Delta(int(k))
-		}, nil
-}
-
-// loadEntriesAndSnapshots loads a node's chain-verified entry slice and
-// snapshot closures for the materializing engines: from the archive's
-// verified segments when one is open (compressed is then ignored),
-// otherwise by decompressing the flat container and opening the gob
-// snapshot store.
-func loadEntriesAndSnapshots(arc *archive.Archive, dir, node string, compressed []byte) ([]tevlog.Entry, func(snapIdx uint32) (*snapshot.Restored, error), func(k uint32) (*snapshot.Delta, error), error) {
-	if arc != nil {
-		entries, err := arc.ReadLog(node)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		materialize, deltaSrc, err := archiveSnapshots(arc, node)
-		return entries, materialize, deltaSrc, err
-	}
-	entries, err := logcomp.DecompressEntries(compressed)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("decompressing %s log: %w", node, err)
-	}
-	if err := tevlog.Rechain(tevlog.Hash{}, entries); err != nil {
-		return nil, nil, nil, fmt.Errorf("rechaining %s log: %w", node, err)
-	}
-	materialize, deltaSrc, err := loadSnapshots(dir, node)
-	return entries, materialize, deltaSrc, err
+	return archive.Open(p)
 }
 
 // fail reports an audit-infrastructure failure (exit code 2).
@@ -241,25 +167,21 @@ func main() { os.Exit(run()) }
 func run() int {
 	dir := flag.String("dir", "avm-run-out", "directory written by avm-run")
 	nodeFlag := flag.String("node", "", "node to audit (default: all)")
-	stream := flag.Bool("stream", false, "audit straight from the compressed log (decode ∥ chain-verify ∥ replay, bounded memory)")
+	stream := flag.Bool("stream", false, "audit epoch segment by epoch segment from the archive (decode ∥ chain-verify ∥ replay, bounded memory)")
 	window := flag.Int("window", audit.DefaultStreamWindow, "streaming mode: max decoded entries resident at once")
 	serve := flag.Bool("serve", false, "run as a replay worker instead of auditing: accept epoch jobs from a coordinator")
 	listen := flag.String("listen", "127.0.0.1:0", "worker mode: address to listen on")
-	dispatch := flag.String("dispatch", "", "comma-separated worker addresses; fan the replay stage out over them (shorthand for -coordinate <addrs> -local-fallback=false)")
 	coordinate := flag.String("coordinate", "", "comma-separated worker addresses; audit every node concurrently through the coordinator service")
-	spot := flag.Float64("spot", 0.1, "dispatch mode: fraction of epochs the coordinator re-replays locally to catch lying workers")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "dispatch mode: straggler deadline before an epoch is re-dispatched")
+	spot := flag.Float64("spot", 0.1, "coordinate mode: fraction of epochs the coordinator re-replays locally to catch lying workers")
+	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "coordinate mode: straggler deadline before an epoch is re-dispatched")
 	pipeline := flag.Int("pipeline", 0, "coordinate mode: epoch jobs kept in flight per worker connection (0 = default)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "coordinate mode: straggler hedge delay (0 = job-timeout/4, negative disables hedging)")
 	localFallback := flag.Bool("local-fallback", true, "coordinate mode: replay locally when no workers are live instead of failing")
-	delta := flag.Bool("delta", false, "dispatch/coordinate mode: ship epoch jobs as proof-carrying dirty-page deltas after the first full state per worker connection")
-	nofusion := flag.Bool("nofusion", false, "disable superinstruction fusion in the replay interpreter (ablation; verdicts are unaffected)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "worker mode: max time to finish in-flight epochs after SIGINT/SIGTERM")
 	journalDir := flag.String("journal", "", "coordinate mode: directory for the write-ahead epoch journal; a restarted coordinator resumes from it instead of re-auditing durable epochs")
 	registerListen := flag.String("register-listen", "", "coordinate mode: address to accept worker self-registrations on (workers run -serve -register <this addr>)")
 	register := flag.String("register", "", "worker mode: coordinator registration address to announce this worker to (redials with backoff if the coordinator restarts)")
 	chaosHang := flag.Bool("chaos-hang", false, "worker mode: accept every job and never reply (fault-injection for drain and timeout testing)")
-	archiveFlag := flag.String("archive", "auto", `disk archive to audit from: "auto" uses <dir>/archive when avm-run wrote one, "off" forces the flat files, anything else is an archive directory`)
 	flag.Parse()
 
 	if *serve {
@@ -276,17 +198,14 @@ func run() int {
 	}
 	keys := rebuildKeys(&meta)
 
-	// Segments, snapshots and epoch jobs are read from the disk archive
-	// when one is available: entry runs and increments come back verified
-	// against the archived hashes, and the stream engine never
+	// Entry runs and snapshot increments come back from the archive
+	// verified against the archived hashes; the stream engine never
 	// materializes the log at all.
-	arc, err := openArchive(*dir, *archiveFlag)
+	arc, err := openArchive(*dir)
 	if err != nil {
 		return fail("%v", err)
 	}
-	if arc != nil {
-		defer arc.Close()
-	}
+	defer arc.Close()
 
 	var nodes []string
 	if *nodeFlag != "" {
@@ -297,13 +216,15 @@ func run() int {
 		}
 		sort.Strings(nodes)
 	}
-
-	if *dispatch != "" {
-		if *coordinate != "" {
-			return fail("-dispatch and -coordinate name the same fleet; give one of them")
+	recs := make([]*nodeRecording, 0, len(nodes))
+	for _, node := range nodes {
+		rec, err := loadNodeRecording(arc, *dir, &meta, keys, node)
+		if err != nil {
+			return fail("%v", err)
 		}
-		*coordinate, *localFallback = *dispatch, false
+		recs = append(recs, rec)
 	}
+
 	if *coordinate != "" || *registerListen != "" {
 		var addrs []string
 		for _, a := range strings.Split(*coordinate, ",") {
@@ -311,95 +232,44 @@ func run() int {
 				addrs = append(addrs, a)
 			}
 		}
-		return runCoordinated(arc, *dir, &meta, keys, nodes, addrs, *journalDir, *registerListen,
-			*pipeline, *spot, *jobTimeout, *hedgeAfter, *localFallback, *delta, *nofusion)
+		return runCoordinated(arc, recs, meta.Seed, addrs, *journalDir, *registerListen,
+			*pipeline, *spot, *jobTimeout, *hedgeAfter, *localFallback)
 	}
 
 	faults := 0
-	for _, node := range nodes {
-		var compressed []byte
-		if arc == nil {
-			var err error
-			compressed, err = os.ReadFile(filepath.Join(*dir, node+".log"))
-			if err != nil {
-				return fail("%v", err)
-			}
-		}
-		var auths []tevlog.Authenticator
-		authFile, err := os.Open(filepath.Join(*dir, node+".auths"))
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := gob.NewDecoder(authFile).Decode(&auths); err != nil {
-			return fail("decoding %s authenticators: %v", node, err)
-		}
-		if err := authFile.Close(); err != nil {
-			return fail("%v", err)
-		}
-		ref, err := referenceImage(&meta, node)
-		if err != nil {
-			return fail("%v", err)
-		}
-		a := &audit.Auditor{
-			Keys: keys, RefImage: ref, RNGSeed: meta.RNGSeeds[node],
-			TamperEvident: true, VerifySignatures: true,
-			DisableFusion: *nofusion,
-		}
+	for _, rec := range recs {
 		// Every mode routes through the unified Audit entry point: the
 		// flags select an Engine and fill one AuditRequest.
-		req := audit.AuditRequest{Node: sig.NodeID(node), NodeIdx: uint32(meta.Nodes[node])}
+		req := audit.AuditRequest{Node: sig.NodeID(rec.node), NodeIdx: rec.idx, Auths: rec.auths}
 		start := time.Now()
-		entryCount := 0
-		switch {
-		case *stream:
-			// Streaming straight from the container — or, with an
-			// archive, epoch segments verified and decoded from disk one
-			// at a time; with persisted snapshots the stream router splits
-			// epochs, otherwise it replays a single boot epoch — decode,
-			// chain verification and replay still overlap, with at most
-			// -window entries resident.
-			var materialize func(snapIdx uint32) (*snapshot.Restored, error)
-			var err error
-			if arc != nil {
-				req.Source, err = arc.EntrySource(node)
-				if err != nil {
-					return fail("%v", err)
-				}
-				materialize, _, err = archiveSnapshots(arc, node)
-			} else {
-				req.Compressed = compressed
-				materialize, _, err = loadSnapshots(*dir, node)
-			}
-			if err != nil {
+		if *stream {
+			// Epoch segments verified and decoded from disk one at a time;
+			// with snapshots the stream router splits epochs, otherwise it
+			// replays a single boot epoch.
+			if req.Source, err = arc.EntrySource(rec.node); err != nil {
 				return fail("%v", err)
 			}
 			req.Engine = audit.EngineStream
-			req.Auths = auths
-			req.Options = audit.EngineOptions{Window: *window, Materialize: materialize}
-		default:
-			entries, _, _, err := loadEntriesAndSnapshots(arc, *dir, node, compressed)
-			if err != nil {
-				return fail("%v", err)
-			}
-			entryCount = len(entries)
-			req.Engine = audit.EngineSerial
-			req.Entries, req.Auths = entries, auths
+			req.Options = audit.EngineOptions{Window: *window, Materialize: rec.materialize}
+		} else if req.Entries, err = arc.ReadLog(rec.node); err != nil {
+			return fail("%v", err)
 		}
-		res, astats, err := a.Audit(req)
+		res, astats, err := rec.auditor.Audit(req)
 		if err != nil {
-			return fail("auditing %s: %v", node, err)
+			return fail("auditing %s: %v", rec.node, err)
 		}
-		if req.Engine == audit.EngineStream {
+		entryCount := len(req.Entries)
+		if *stream {
 			entryCount = astats.Stream.Entries
 		}
 		wall := time.Since(start).Round(time.Millisecond)
 		if res.Passed {
 			fmt.Printf("%-10s PASSED in %-8v (%d entries, %d instructions replayed, %d sends matched)\n",
-				node, wall, entryCount, res.Replay.Instructions, res.Replay.SendsMatched)
+				rec.node, wall, entryCount, res.Replay.Instructions, res.Replay.SendsMatched)
 		} else {
 			faults++
 			fmt.Printf("%-10s FAULT  in %-8v — %s (%s check, entry %d)\n",
-				node, wall, res.Fault.Detail, res.Fault.Check, res.Fault.EntrySeq)
+				rec.node, wall, res.Fault.Detail, res.Fault.Check, res.Fault.EntrySeq)
 		}
 	}
 	if faults > 0 {
@@ -408,58 +278,57 @@ func run() int {
 	return exitClean
 }
 
-// nodeRecording is one node's loaded, chain-verified recording plus the
-// auditor configured for it — everything the coordinator needs.
+// nodeRecording is what an audit of one node needs besides its log: the
+// authenticators the other parties hold for it, the auditor configured for
+// it, and start states folded from the archive's snapshot increments
+// (nil when the node was recorded without snapshots).
 type nodeRecording struct {
 	node        string
 	idx         uint32
-	entries     []tevlog.Entry
 	auths       []tevlog.Authenticator
 	auditor     *audit.Auditor
 	materialize func(snapIdx uint32) (*snapshot.Restored, error)
 	deltaSource func(k uint32) (*snapshot.Delta, error)
 }
 
-// loadNodeRecording reads and verifies one node's log, authenticators and
-// snapshot store — epoch segments and increments from the archive when
-// one is open, flat files otherwise.
+// loadNodeRecording reads one node's authenticators, rebuilds its
+// reference image and opens its snapshot increments in the archive.
 func loadNodeRecording(arc *archive.Archive, dir string, meta *Meta, keys *sig.KeyStore, node string) (*nodeRecording, error) {
-	var compressed []byte
-	if arc == nil {
-		var err error
-		compressed, err = os.ReadFile(filepath.Join(dir, node+".log"))
-		if err != nil {
-			return nil, err
-		}
-	}
-	entries, materialize, deltaSrc, err := loadEntriesAndSnapshots(arc, dir, node, compressed)
-	if err != nil {
-		return nil, err
-	}
 	var auths []tevlog.Authenticator
 	authFile, err := os.Open(filepath.Join(dir, node+".auths"))
 	if err != nil {
 		return nil, err
 	}
-	if err := gob.NewDecoder(authFile).Decode(&auths); err != nil {
-		authFile.Close()
+	err = gob.NewDecoder(authFile).Decode(&auths)
+	authFile.Close()
+	if err != nil {
 		return nil, fmt.Errorf("decoding %s authenticators: %w", node, err)
-	}
-	if err := authFile.Close(); err != nil {
-		return nil, err
 	}
 	ref, err := referenceImage(meta, node)
 	if err != nil {
 		return nil, err
 	}
-	return &nodeRecording{
-		node: node, idx: uint32(meta.Nodes[node]),
-		entries: entries, auths: auths, materialize: materialize, deltaSource: deltaSrc,
+	rec := &nodeRecording{
+		node: node, idx: uint32(meta.Nodes[node]), auths: auths,
 		auditor: &audit.Auditor{
 			Keys: keys, RefImage: ref, RNGSeed: meta.RNGSeeds[node],
 			TamperEvident: true, VerifySignatures: true,
 		},
-	}, nil
+	}
+	if n, err := arc.Snapshots(node); err != nil || n == 0 {
+		return rec, err
+	}
+	src, err := arc.IncrementSource(node)
+	if err != nil {
+		return nil, err
+	}
+	rec.materialize = func(snapIdx uint32) (*snapshot.Restored, error) {
+		return snapshot.MaterializeFrom(src, int(snapIdx))
+	}
+	rec.deltaSource = func(k uint32) (*snapshot.Delta, error) {
+		return snapshot.DeltaFrom(src, int(k))
+	}
+	return rec, nil
 }
 
 // runCoordinated audits every node concurrently through one long-running
@@ -467,16 +336,14 @@ func loadNodeRecording(arc *archive.Archive, dir string, meta *Meta, keys *sig.K
 // worker, heartbeat liveness, pipelined dispatch, retry with backoff and
 // straggler hedging. Workers may join, leave or crash mid-audit; with
 // -local-fallback (the default) an empty fleet degrades to local replay.
-func runCoordinated(arc *archive.Archive, dir string, meta *Meta, keys *sig.KeyStore, nodes, addrs []string, journalDir, registerListen string,
-	pipeline int, spot float64, jobTimeout, hedgeAfter time.Duration, localFallback, delta, nofusion bool) int {
-	recs := make([]*nodeRecording, 0, len(nodes))
-	for _, node := range nodes {
-		rec, err := loadNodeRecording(arc, dir, meta, keys, node)
-		if err != nil {
+func runCoordinated(arc *archive.Archive, recs []*nodeRecording, seed uint64, addrs []string, journalDir, registerListen string,
+	pipeline int, spot float64, jobTimeout, hedgeAfter time.Duration, localFallback bool) int {
+	logs := make([][]tevlog.Entry, len(recs))
+	for i, rec := range recs {
+		var err error
+		if logs[i], err = arc.ReadLog(rec.node); err != nil {
 			return fail("%v", err)
 		}
-		rec.auditor.DisableFusion = nofusion
-		recs = append(recs, rec)
 	}
 
 	var journal *audit.Journal
@@ -524,13 +391,13 @@ func runCoordinated(arc *archive.Archive, dir string, meta *Meta, keys *sig.KeyS
 		go func(i int, rec *nodeRecording) {
 			defer wg.Done()
 			t0 := time.Now()
-			res, dstats, err := coord.Audit(rec.auditor, sig.NodeID(rec.node), rec.idx, rec.entries, rec.auths,
+			res, dstats, err := coord.Audit(rec.auditor, sig.NodeID(rec.node), rec.idx, logs[i], rec.auths,
 				audit.DistOptions{EngineOptions: audit.EngineOptions{
 					Materialize:         rec.materialize,
 					DeltaSource:         rec.deltaSource,
-					DeltaJobs:           delta,
+					DeltaJobs:           rec.deltaSource != nil,
 					SpotRecheckFraction: spot,
-					SpotRecheckSeed:     meta.Seed,
+					SpotRecheckSeed:     seed,
 				}})
 			outs[i] = outcome{res: res, dstats: dstats, wall: time.Since(t0).Round(time.Millisecond), err: err}
 		}(i, rec)
@@ -551,7 +418,7 @@ func runCoordinated(arc *archive.Archive, dir string, meta *Meta, keys *sig.KeyS
 			out.dstats.WireBytesFull, out.dstats.WireBytesDelta, out.dstats.DeltaJobsShipped, out.dstats.DeltaFallbacks)
 		if out.res.Passed {
 			fmt.Printf("%-10s PASSED in %-8v (%d entries, %d instructions replayed, %d sends matched%s)\n",
-				rec.node, out.wall, len(rec.entries), out.res.Replay.Instructions, out.res.Replay.SendsMatched, extra)
+				rec.node, out.wall, len(logs[i]), out.res.Replay.Instructions, out.res.Replay.SendsMatched, extra)
 		} else {
 			faults++
 			fmt.Printf("%-10s FAULT  in %-8v — %s (%s check, entry %d%s)\n",

@@ -1,8 +1,11 @@
 // Command avm-run records an accountable execution of one of the built-in
-// scenarios and writes each machine's tamper-evident log, authenticators
-// and snapshots to a directory that avm-audit can check later — the
+// scenarios into a directory that avm-audit can check later — the
 // offline-audit workflow of §6.4 ("the log can be transferred to other
-// players and replayed there ... after the game has finished").
+// players and replayed there ... after the game has finished"). The
+// directory holds meta.json (the reference configuration), one
+// <node>.auths per machine (the authenticators the other parties hold for
+// it) and archive/, the disk archive of every machine's tamper-evident log
+// and snapshot increments.
 //
 //	avm-run -scenario game -seconds 20 -out /tmp/match1
 //	avm-run -scenario game -cheat unlimited-ammo -out /tmp/match2
@@ -22,7 +25,6 @@ import (
 	"repro/internal/avmm"
 	"repro/internal/dbapp"
 	"repro/internal/game"
-	"repro/internal/logcomp"
 	"repro/internal/sig"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
@@ -47,7 +49,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic scenario seed")
 	cheat := flag.String("cheat", "", "cheat for player 2 (game scenario only)")
 	out := flag.String("out", "avm-run-out", "output directory")
-	noArchive := flag.Bool("noarchive", false, "skip writing the disk archive (out/archive); auditors then read the flat files")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -132,28 +133,19 @@ func main() {
 		log.Fatalf("unknown scenario %q (want game or db)", *scenario)
 	}
 
-	// The disk archive is written alongside the flat files as the run's
-	// segments become available: every snapshot increment and every epoch's
-	// entry run lands as an authenticated, crc-indexed, fsync-batched
-	// segment that avm-audit streams back without materializing the log.
-	var arc *archive.Archive
-	if !*noArchive {
-		var err error
-		if arc, err = archive.Open(filepath.Join(*out, "archive")); err != nil {
-			log.Fatal(err)
-		}
+	// Each node's recording goes into the disk archive: every snapshot
+	// increment and every epoch's entry run lands as an authenticated,
+	// crc-indexed, fsync-batched segment that avm-audit reads back and
+	// re-verifies without trusting the recorder.
+	arcDir := filepath.Join(*out, "archive")
+	arc, err := archive.Open(arcDir)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	for _, mon := range monitors {
 		node := string(mon.Node())
 		meta.Nodes[node] = mon.Index()
-		logPath := filepath.Join(*out, node+".log")
-		compressed := logcomp.CompressEntries(mon.Log.All())
-		if err := os.WriteFile(logPath, compressed, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		authPath := filepath.Join(*out, node+".auths")
-		f, err := os.Create(authPath)
+		f, err := os.Create(filepath.Join(*out, node+".auths"))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -163,44 +155,22 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
+		var sf *snapshot.StoreFile
 		if mon.Snaps != nil && mon.Snaps.Count() > 0 {
-			// Persist the snapshot store so a dispatching auditor
-			// (avm-audit -dispatch) can materialize epoch starting states
-			// and fan the replay out; without it the log audits as a
-			// single boot epoch.
-			snapPath := filepath.Join(*out, node+".snaps")
-			sf, err := os.Create(snapPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := gob.NewEncoder(sf).Encode(mon.Snaps.File()); err != nil {
-				log.Fatal(err)
-			}
-			if err := sf.Close(); err != nil {
-				log.Fatal(err)
-			}
+			file := mon.Snaps.File()
+			sf = &file
 		}
-		if arc != nil {
-			var sf *snapshot.StoreFile
-			if mon.Snaps != nil && mon.Snaps.Count() > 0 {
-				f := mon.Snaps.File()
-				sf = &f
-			}
-			if err := arc.WriteRecording(node, mon.Log.All(), sf); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Printf("  %-10s %6d entries → %8d bytes compressed (%s)\n",
-			node, mon.Log.Len(), len(compressed), logPath)
-	}
-	if arc != nil {
-		bytes := arc.Bytes()
-		if err := arc.Close(); err != nil {
+		before := arc.Bytes()
+		if err := arc.WriteRecording(node, mon.Log.All(), sf); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  archive    %8d bytes authenticated segments (%s)\n",
-			bytes, filepath.Join(*out, "archive"))
+		fmt.Printf("  %-10s %6d entries → %8d bytes archived\n", node, mon.Log.Len(), arc.Bytes()-before)
 	}
+	total := arc.Bytes()
+	if err := arc.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  archive    %8d bytes authenticated segments (%s)\n", total, arcDir)
 	metaBytes, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		log.Fatal(err)

@@ -157,27 +157,10 @@ func TestArchiveAuditEquivalenceCheats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("26 matches; skipped in -short")
 	}
-	for _, cheat := range game.Catalog() {
-		cheat := cheat
+	for i, cheat := range game.Catalog() {
 		t.Run(cheat.Name, func(t *testing.T) {
-			s, err := game.NewScenario(game.ScenarioConfig{
-				Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
-				Seed: 2024, CheatPlayer: 1, Cheat: cheat,
-				SnapshotEveryNs: eqMatchNs / 3, FakeSignatures: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Run(eqMatchNs)
-			serial, err := s.AuditNode("player1")
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, serial, honest := recordedCatalog(t, i)
 			auditViaArchive(t, s, "player1", "cheater/"+cheat.Name, serial)
-			honest, err := s.AuditNode("player2")
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !honest.Passed {
 				t.Errorf("honest player failed audit during %q match: %v", cheat.Name, honest.Fault)
 			}

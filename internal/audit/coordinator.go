@@ -451,7 +451,8 @@ func (w *coordWorker) loop() {
 }
 
 // serveConn drives one live connection: this goroutine is the sender — it
-// asks the scheduler what to ship next and writes sessions, jobs and pings
+// asks the scheduler what to ship next and writes sessions, jobs, session
+// ends and pings
 // — and a reader goroutine delivers verdicts and pongs. Returns whether the
 // connection ever carried a frame back — the redial loop's backoff signal.
 func (w *coordWorker) serveConn(conn net.Conn) bool {
@@ -482,6 +483,7 @@ func (w *coordWorker) serveConn(conn net.Conn) bool {
 			break
 		}
 		sh, wakeAt, failed := c.sched.next(w.sw, now)
+		ends := c.sched.sessionEnds(w.sw)
 		reaped := !w.sw.live // the scan found this connection hung
 		if reaped {
 			w.conn = nil
@@ -491,6 +493,13 @@ func (w *coordWorker) serveConn(conn net.Conn) bool {
 		deliverAll(failed)
 		if reaped {
 			break
+		}
+
+		if ends != nil {
+			conn.SetWriteDeadline(now.Add(c.cfg.JobTimeout))
+			if writeDistFrames(conn, ends...) != nil {
+				break
+			}
 		}
 
 		if sh != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/avmm"
 	"repro/internal/game"
 	"repro/internal/netsim"
+	"repro/internal/sig"
 )
 
 // Chaos-equivalence suite for the coordinator service: the full cheat
@@ -46,6 +47,46 @@ func coordScenario(t *testing.T, cheat string) *game.Scenario {
 	}
 	s.Run(3_000_000_000)
 	return s
+}
+
+// TestCoordinatorEndsSessions: a worker outlives every audit it serves, so
+// each run a coordinator finishes must leave nothing behind on it. After
+// three delta-shipped audits through one coordinator and one long-lived
+// worker, the worker holds no session and no replica.
+func TestCoordinatorEndsSessions(t *testing.T) {
+	s := deltaScenario(t, "")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &audit.EpochWorker{}
+	go func() { _ = w.Serve(l) }()
+	t.Cleanup(func() { w.Drain(time.Second) })
+	coord := audit.NewCoordinator(audit.CoordinatorConfig{
+		JobTimeout: time.Minute, HedgeAfter: -1, DisableLocalFallback: true,
+	})
+	defer coord.Close()
+	coord.AddWorker(l.Addr().String())
+	for _, node := range []sig.NodeID{"player1", "player2", "player1"} {
+		_, dstats, err := s.AuditNodeDist(node, audit.DistOptions{Backend: coord.Backend(), EngineOptions: deltaOn()})
+		if err != nil {
+			t.Fatalf("%s: %v", node, err)
+		}
+		if dstats.Dispatched == 0 || dstats.DeltaJobsShipped == 0 {
+			t.Fatalf("%s: %d jobs dispatched, %d of them delta: the worker held nothing to leak", node, dstats.Dispatched, dstats.DeltaJobsShipped)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sessions, replicas := w.Holding()
+		if sessions == 0 && replicas == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after three finished runs the worker holds %d sessions and %d replicas", sessions, replicas)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // testCoordinator builds a coordinator with timeouts shrunk for tests:

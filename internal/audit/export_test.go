@@ -93,6 +93,20 @@ type WorkerAnswer struct {
 	Fault     *FaultReport
 }
 
+// Holding counts the sessions registered and the replicas held on the
+// worker's live connections.
+func (w *EpochWorker) Holding() (sessions, replicas int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, c := range w.conns {
+		c.mu.Lock()
+		sessions += len(c.sessions)
+		replicas += len(c.held)
+		c.mu.Unlock()
+	}
+	return sessions, replicas
+}
+
 // Held is the number of replicas the connection holds.
 func (w *TestWorker) Held() int { return len(w.c.held) }
 

@@ -161,8 +161,12 @@ func (b *NetsimBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool,
 			}
 			if work != nil {
 				// Replays are idempotent, so a re-dispatched job just
-				// produces a duplicate verdict the scheduler drops.
-				vf, _ := w.conn.execute(work, replayHonestly)
+				// produces a duplicate verdict the scheduler drops. A
+				// session end is not answered.
+				vf, ok := w.conn.execute(work, replayHonestly)
+				if !ok {
+					continue
+				}
 				reply = &vf
 			}
 			send(f.To, 0, gen, *reply)
@@ -213,5 +217,17 @@ func (b *NetsimBackend) Run(sess Session, jobs []*EpochJob, skip func(int) bool,
 		}
 		net.AdvanceTo(next)
 	}
-	return s.removeRun(run)
+	err := s.removeRun(run)
+	// End the run's sessions on the simulated workers, and let everything
+	// still in flight land while this run's Deliver is installed.
+	for i, w := range sims[1:] {
+		if ends := s.sessionEnds(w.sw); ends != nil {
+			send(0, i+1, w.sw.gen, ends...)
+		}
+	}
+	for net.Pending() > 0 {
+		at, _ := net.NextDelivery()
+		net.AdvanceTo(at)
+	}
+	return err
 }

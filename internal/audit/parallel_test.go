@@ -76,6 +76,14 @@ func auditBothWays(t *testing.T, s *game.Scenario, node string, label string) *a
 	if err != nil {
 		t.Fatalf("%s: serial audit: %v", label, err)
 	}
+	auditAgainst(t, s, node, label, serial)
+	return serial
+}
+
+// auditAgainst runs the epoch-parallel, streaming and dist audits of node
+// and fails the test on any divergence from serial, its serial verdict.
+func auditAgainst(t *testing.T, s *game.Scenario, node, label string, serial *audit.Result) {
+	t.Helper()
 	for _, workers := range eqWorkerCounts {
 		par, err := s.AuditNodeParallel(sig.NodeID(node), workers)
 		if err != nil {
@@ -96,7 +104,6 @@ func auditBothWays(t *testing.T, s *game.Scenario, node string, label string) *a
 	// The dist engine must reach the same verdict as well: in-process, on
 	// a lossy simulated network, and on real loopback TCP workers.
 	distBothWays(t, s, node, label, serial)
-	return serial
 }
 
 func TestParallelAuditEquivalenceClean(t *testing.T) {
@@ -307,20 +314,11 @@ func TestParallelAuditEquivalenceCheats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("26 matches; skipped in -short")
 	}
-	for _, cheat := range game.Catalog() {
-		cheat := cheat
+	for i, cheat := range game.Catalog() {
 		t.Run(cheat.Name, func(t *testing.T) {
-			s, err := game.NewScenario(game.ScenarioConfig{
-				Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
-				Seed: 2024, CheatPlayer: 1, Cheat: cheat,
-				SnapshotEveryNs: eqMatchNs / 3, FakeSignatures: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Run(eqMatchNs)
-			auditBothWays(t, s, "player1", "cheater/"+cheat.Name)
-			honest := auditBothWays(t, s, "player2", "honest/"+cheat.Name)
+			s, cheater, honest := recordedCatalog(t, i)
+			auditAgainst(t, s, "player1", "cheater/"+cheat.Name, cheater)
+			auditAgainst(t, s, "player2", "honest/"+cheat.Name, honest)
 			if !honest.Passed {
 				t.Errorf("honest player failed audit during %q match: %v", cheat.Name, honest.Fault)
 			}

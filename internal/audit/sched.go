@@ -210,6 +210,9 @@ type schedWorker struct {
 	sentRuns map[uint64]struct{}
 	trackers map[uint64]*deltaTracker
 	timeouts int
+	// ended are the removed runs whose sessions this connection was sent
+	// and not yet told the end of (sessionEnds).
+	ended []uint64
 
 	activeSince time.Time
 	busy        time.Duration
@@ -362,6 +365,7 @@ func (s *scheduler) attach(w *schedWorker, now time.Time) {
 	w.inflight, w.shipped = nil, 0
 	w.sentRuns = make(map[uint64]struct{})
 	w.trackers = make(map[uint64]*deltaTracker)
+	w.ended = nil
 	w.timeouts = 0
 	s.liveConns++
 	s.reg.Gauge("workers_live").Add(1)
@@ -464,15 +468,32 @@ func (s *scheduler) addRun(run *schedRun, jobs []*EpochJob, resumed map[int][]by
 }
 
 // removeRun forgets a finished run, on every connection too, and returns
-// its error.
+// its error. Each live connection that was sent the run's session owes
+// the worker a session end, which its sender picks up (sessionEnds).
 func (s *scheduler) removeRun(run *schedRun) error {
 	delete(s.runs, run.id)
 	for _, w := range s.fleet {
+		if _, sent := w.sentRuns[run.id]; sent && w.live {
+			w.ended = append(w.ended, run.id)
+			s.wake()
+		}
 		delete(w.sentRuns, run.id)
 		delete(w.trackers, run.id)
 	}
 	s.order = slices.DeleteFunc(s.order, func(r *schedRun) bool { return r == run })
 	return run.err
+}
+
+// sessionEnds returns the session-end frames due on w's connection, one
+// per run removed since the last call whose session the connection holds,
+// and forgets them.
+func (s *scheduler) sessionEnds(w *schedWorker) []distFrame {
+	var fs []distFrame
+	for _, id := range w.ended {
+		fs = append(fs, distFrame{wire.DistFrameMuxSessionEnd, wire.AppendMuxID(id, nil)})
+	}
+	w.ended = nil
+	return fs
 }
 
 // shutdown fails every pending epoch's run with cause and drops every

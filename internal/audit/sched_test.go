@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -597,5 +598,33 @@ func TestSchedForgetsFinishedRuns(t *testing.T) {
 	if len(ws[0].sentRuns) != 0 || len(ws[0].trackers) != 0 {
 		t.Fatalf("after 5 finished runs the connection still holds %d sent sessions and %d delta trackers",
 			len(ws[0].sentRuns), len(ws[0].trackers))
+	}
+}
+
+// TestSchedSessionEnds: removing a run owes a session end, once, to each
+// live connection that was sent the run's session — not to one whose
+// connection died holding it, and not to one that never saw it.
+func TestSchedSessionEnds(t *testing.T) {
+	s := testScheduler(CoordinatorConfig{Pipeline: 4})
+	ws := schedWorkers(s, map[string]bool{"sent": true, "dropped": true}, "sent", "dropped", "idle")
+	run := addTestRun(t, s, 6, false)
+	for _, w := range ws[:2] {
+		if shipped := shipAll(t, s, w, schedEpoch); len(shipped) == 0 {
+			t.Fatalf("%s shipped nothing", w.addr)
+		}
+	}
+	s.detach(ws[1], schedEpoch)
+	s.attach(ws[2], schedEpoch)
+	if err := s.removeRun(run.schedRun); err != nil {
+		t.Fatal(err)
+	}
+	want := []distFrame{{wire.DistFrameMuxSessionEnd, wire.AppendMuxID(run.id, nil)}}
+	if got := s.sessionEnds(ws[0]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("session ends owed to the connection that holds the session: %+v, want %+v", got, want)
+	}
+	for _, w := range ws {
+		if got := s.sessionEnds(w); got != nil {
+			t.Errorf("%s: session ends %+v owed after the first call", w.addr, got)
+		}
 	}
 }

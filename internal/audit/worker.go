@@ -77,14 +77,16 @@ func readDistFrame(r io.Reader) (wire.DistFrameKind, []byte, error) {
 
 // connection state ----------------------------------------------------------
 
-// muxWork is one accepted job awaiting execution. Exactly one of job /
-// deltaJob is set; delta jobs are rolled in execute, which owns the
-// connection's replicas.
+// muxWork is one accepted frame awaiting execution: a job (exactly one of
+// job / deltaJob is set; delta jobs are rolled in execute, which owns the
+// connection's replicas) or, with end set, a session end, which drops the
+// session's replica behind its queued jobs.
 type muxWork struct {
 	sessID   uint64
 	sess     Session
 	job      *EpochJob
 	deltaJob *wire.AuditDeltaJob
+	end      bool
 }
 
 // workerConn is the worker side of one coordinator connection, free of
@@ -94,6 +96,9 @@ type muxWork struct {
 // goroutines (EpochWorker's read loop and executor) or on one (the
 // simulated worker).
 type workerConn struct {
+	// mu guards sessions and held for a reader on neither of the driver's
+	// goroutines, which counts what a long-lived worker holds.
+	mu       sync.Mutex
 	sessions map[uint64]Session
 	// held are the replicas kept for the sessions' next jobs, least
 	// recently used first, at most heldReplicas of them.
@@ -117,6 +122,8 @@ func newWorkerConn() *workerConn {
 // take removes the replica held for session id and returns it, or nil when
 // none is held for sess's registration.
 func (c *workerConn) take(id uint64, sess Session) *Replay {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, h := range c.held {
 		if h.sessID == id {
 			c.held = slices.Delete(c.held, i, i+1)
@@ -132,6 +139,8 @@ func (c *workerConn) take(id uint64, sess Session) *Replay {
 // keep holds rp for session id's next job, evicting the least recently used
 // replica when heldReplicas are already held.
 func (c *workerConn) keep(id uint64, sess Session, rp *Replay) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.held) == heldReplicas {
 		c.held = slices.Delete(c.held, 0, 1)
 	}
@@ -140,10 +149,14 @@ func (c *workerConn) keep(id uint64, sess Session, rp *Replay) {
 
 // accept handles one frame from the coordinator: a session registration or
 // ping is answered directly (reply), a job frame decodes into work for
-// execute. An error is a protocol violation — malformed bodies, a job for
-// an unregistered session, a kind a worker never receives, or a frame of
-// the retired one-shot session protocol — and ends the connection.
+// execute, and a session end unregisters the session at once and becomes
+// work too, so that its replica is dropped behind the session's queued
+// jobs. An error is a protocol violation — malformed bodies, a job or end
+// for an unregistered session, a kind a worker never receives, or a frame
+// of the retired one-shot session protocol — and ends the connection.
 func (c *workerConn) accept(kind wire.DistFrameKind, body []byte) (reply *distFrame, work *muxWork, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch kind {
 	case wire.DistFrameMuxSession:
 		id, rest, err := wire.SplitMuxID(body)
@@ -182,6 +195,19 @@ func (c *workerConn) accept(kind wire.DistFrameKind, body []byte) (reply *distFr
 			wk.job = jobFromWire(wj)
 		}
 		return nil, wk, nil
+	case wire.DistFrameMuxSessionEnd:
+		id, rest, err := wire.SplitMuxID(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(rest) > 0 {
+			return nil, nil, fmt.Errorf("audit: session end for %d carries %d trailing bytes", id, len(rest))
+		}
+		if _, ok := c.sessions[id]; !ok {
+			return nil, nil, fmt.Errorf("audit: session end for unregistered session %d", id)
+		}
+		delete(c.sessions, id)
+		return nil, &muxWork{sessID: id, end: true}, nil
 	case wire.DistFramePing:
 		return &distFrame{wire.DistFramePong, body}, nil, nil
 	}
@@ -204,8 +230,14 @@ func replayHonestly(run func() epochResult) (epochResult, bool) { return run(), 
 // replica the job ends on is kept for the session's next job if it rests at
 // a verified snapshot; a faulted or tail epoch leaves none. replay runs the
 // epoch, run, and may decline to answer at all (a chaos plan's hang or
-// crash).
+// crash). A session end drops the session's replica and is not answered.
 func (c *workerConn) execute(wk *muxWork, replay func(run func() epochResult) (epochResult, bool)) (distFrame, bool) {
+	if wk.end {
+		c.mu.Lock()
+		c.held = slices.DeleteFunc(c.held, func(h heldReplica) bool { return h.sessID == wk.sessID })
+		c.mu.Unlock()
+		return distFrame{}, false
+	}
 	job, held := wk.job, c.take(wk.sessID, wk.sess)
 	if dj := wk.deltaJob; dj != nil {
 		if at, ok := held.restingAt(); !ok || at != dj.BaseSnap {
@@ -260,7 +292,7 @@ type EpochWorker struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[net.Conn]*workerConn
 	draining  bool
 
 	inflight sync.WaitGroup // accepted jobs not yet answered
@@ -274,7 +306,7 @@ func (w *EpochWorker) Serve(l net.Listener) error {
 	w.mu.Lock()
 	if w.listeners == nil {
 		w.listeners = make(map[net.Listener]struct{})
-		w.conns = make(map[net.Conn]struct{})
+		w.conns = make(map[net.Conn]*workerConn)
 	}
 	draining := w.draining
 	w.listeners[l] = struct{}{}
@@ -308,7 +340,8 @@ func (w *EpochWorker) Serve(l net.Listener) error {
 			conn.Close()
 			continue
 		}
-		w.conns[conn] = struct{}{}
+		wc := newWorkerConn()
+		w.conns[conn] = wc
 		w.mu.Unlock()
 		go func() {
 			defer func() {
@@ -317,7 +350,7 @@ func (w *EpochWorker) Serve(l net.Listener) error {
 				w.mu.Unlock()
 				conn.Close()
 			}()
-			if err := w.serveConn(conn); err != nil && !errors.Is(err, io.EOF) {
+			if err := w.serveConn(conn, wc); err != nil && !errors.Is(err, io.EOF) {
 				// Report protocol errors while the connection still works; a
 				// broken pipe just ends the session — the coordinator's
 				// retry owns recovery.
@@ -371,11 +404,12 @@ func (w *EpochWorker) admit() bool {
 	return !w.draining
 }
 
-// serveConn runs one coordinator connection: this goroutine is the read
-// loop (it answers pings immediately, even mid-replay — liveness probes
-// measure the worker, not the current epoch), and a per-connection
-// executor goroutine replays accepted jobs in arrival order.
-func (w *EpochWorker) serveConn(conn net.Conn) error {
+// serveConn runs one coordinator connection, wc: this goroutine is the
+// read loop (it answers pings immediately, even mid-replay — liveness
+// probes measure the worker, not the current epoch), and a per-connection
+// executor goroutine replays accepted jobs and ends sessions in arrival
+// order.
+func (w *EpochWorker) serveConn(conn net.Conn, wc *workerConn) error {
 	var wmu sync.Mutex
 	write := func(f distFrame) error {
 		wmu.Lock()
@@ -384,7 +418,6 @@ func (w *EpochWorker) serveConn(conn net.Conn) error {
 		return writeDistFrames(conn, f)
 	}
 
-	wc := newWorkerConn()
 	connDead := make(chan struct{})
 	// The coordinator keeps at most its Pipeline jobs outstanding, so the
 	// buffer only has to keep the read loop answering pings while the
@@ -407,7 +440,9 @@ func (w *EpochWorker) serveConn(conn net.Conn) error {
 					_ = write(f)
 				}
 			}
-			w.inflight.Done()
+			if !wk.end {
+				w.inflight.Done()
+			}
 		}
 	}()
 	defer func() {
@@ -435,9 +470,13 @@ func (w *EpochWorker) serveConn(conn net.Conn) error {
 			return err
 		}
 		switch {
-		case work != nil && !w.admit():
+		case work == nil:
+		case work.end:
+			// Not a job: a draining worker ends sessions too.
+			jobs <- work
+		case !w.admit():
 			reply = &distFrame{kind: wire.DistFrameDrain}
-		case work != nil:
+		default:
 			jobs <- work
 		}
 		if reply != nil {

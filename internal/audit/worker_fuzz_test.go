@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -15,7 +16,9 @@ import (
 // connection handler EpochWorker and the simulated netsim worker share.
 // Whatever arrives, the handler answers with a reply or ends the connection
 // with an error; it never panics, and it never answers — verdict or
-// need-state — for a session that was not registered on the connection.
+// need-state — for a session that was not registered on the connection. A
+// session end is never answered, and once it has run the connection holds
+// neither the session nor a replica for it.
 // Every input starts on a connection that holds a replica for session 7,
 // resting at snapshot 1 (heldBase), so delta jobs chain on it: a delta job
 // rolled on that replica passes only if its chain leads from the replica's
@@ -42,6 +45,11 @@ func FuzzWorkerConn(f *testing.F) {
 	f.Add(frames(distFrame{wire.DistFrameMuxJob, wire.AppendMuxID(7, boot)}))          // no session
 	f.Add(frames(session, distFrame{wire.DistFrameMuxJob, wire.AppendMuxID(8, boot)})) // wrong session
 	f.Add(frames(distFrame{wire.DistFrameSession, nil}))                               // retired protocol
+	end := distFrame{wire.DistFrameMuxSessionEnd, wire.AppendMuxID(7, nil)}
+	f.Add(frames(end, distFrame{wire.DistFrameMuxJob, wire.AppendMuxID(7, boot)}))                // a job after the end
+	f.Add(frames(end, end))                                                                       // ended twice
+	f.Add(frames(end, session, distFrame{wire.DistFrameMuxDeltaJob, wire.AppendMuxID(7, delta)})) // re-registered: no replica
+	f.Add(frames(distFrame{wire.DistFrameMuxSessionEnd, wire.AppendMuxID(7, []byte{0})}))         // trailing bytes
 	f.Add([]byte{0, 0, 0, 0})
 	// Chains on the held replica: honest, empty, and with a doctored page.
 	base := newHeldBase()
@@ -83,6 +91,19 @@ func FuzzWorkerConn(f *testing.F) {
 				id, _, _ := wire.SplitMuxID(body)
 				registered[id] = true
 			}
+			if work != nil && work.end {
+				if !registered[work.sessID] {
+					t.Fatalf("session end accepted for unregistered session %d", work.sessID)
+				}
+				delete(registered, work.sessID)
+				if _, ok := wc.execute(work, stub); ok {
+					t.Fatal("a session end was answered")
+				}
+				if _, ok := wc.sessions[work.sessID]; ok || slices.ContainsFunc(wc.held, func(h heldReplica) bool { return h.sessID == work.sessID }) {
+					t.Fatalf("session %d ended, but the connection still holds it or its replica", work.sessID)
+				}
+				continue
+			}
 			if work != nil {
 				if !registered[work.sessID] {
 					t.Fatalf("job accepted for unregistered session %d", work.sessID)
@@ -113,6 +134,56 @@ func FuzzWorkerConn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWorkerConnSessionEnd: a session end unregisters the session at once,
+// but drops its replica only when it runs, behind the jobs accepted before
+// it, and leaves other sessions' replicas alone. A job or a second end for
+// the id afterwards is a protocol error.
+func TestWorkerConnSessionEnd(t *testing.T) {
+	img := &vm.Image{Name: "end", Code: []byte{0, 0, 0, 0}, TextSize: 4, MemSize: 1 << 12}
+	sessionFrame := wire.SessionFromImage("node", img, 1, false, false).Marshal()
+	base := newHeldBase()
+	wc := newWorkerConn()
+	for _, id := range []uint64{7, 8} {
+		if _, _, err := wc.accept(wire.DistFrameMuxSession, wire.AppendMuxID(id, sessionFrame)); err != nil {
+			t.Fatal(err)
+		}
+		wc.keep(id, wc.sessions[id], base.replica(t, wc.sessions[id]))
+	}
+	accept := func(kind wire.DistFrameKind, body []byte) *muxWork {
+		t.Helper()
+		reply, work, err := wc.accept(kind, body)
+		if err != nil || reply != nil || work == nil {
+			t.Fatalf("frame kind %d: reply %v, work %v, err %v", kind, reply, work, err)
+		}
+		return work
+	}
+	job := accept(wire.DistFrameMuxDeltaJob, wire.AppendMuxID(7, base.chain(false).Marshal()))
+	end := accept(wire.DistFrameMuxSessionEnd, wire.AppendMuxID(7, nil))
+	if _, ok := wc.sessions[7]; ok {
+		t.Fatal("session 7 is still registered after its end was accepted")
+	}
+	stub := func(func() epochResult) (epochResult, bool) { return epochResult{}, true }
+	if out, _ := wc.execute(job, stub); out.kind != wire.DistFrameMuxVerdict {
+		t.Fatalf("the job accepted before the end answered kind %d: its replica was dropped ahead of it", out.kind)
+	}
+	wc.keep(7, job.sess, base.replica(t, job.sess)) // as if the job had rested
+	if _, ok := wc.execute(end, stub); ok {
+		t.Fatal("a session end was answered")
+	}
+	if len(wc.held) != 1 || wc.held[0].sessID != 8 {
+		t.Fatalf("after ending session 7 the connection holds %+v, want session 8's replica alone", wc.held)
+	}
+	for _, kind := range []wire.DistFrameKind{wire.DistFrameMuxJob, wire.DistFrameMuxSessionEnd} {
+		body := wire.AppendMuxID(7, nil)
+		if kind == wire.DistFrameMuxJob {
+			body = wire.AppendMuxID(7, jobToWire(&EpochJob{Index: 0, Boot: true}).Marshal())
+		}
+		if _, _, err := wc.accept(kind, body); err == nil || !strings.Contains(err.Error(), "unregistered session 7") {
+			t.Fatalf("frame kind %d for the ended session: err %v, want the unregistered-session error", kind, err)
+		}
+	}
 }
 
 // heldBase is the state the fuzzed connection's held replica rests at:

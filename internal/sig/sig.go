@@ -100,8 +100,11 @@
 // TestKernelTraceIndependentOfSecrets holds the first three points to a
 // test: the sequence of products and lookups a signature makes, and the
 // entries each lookup reads, is the same for every key, message and
-// exponent. TestSignTiming reports Welch's t over sign timings and is not
-// a gate.
+// exponent. TestKernelBranches reads the compiler's amd64 listing of the
+// Go kernel and fails on a conditional jump that is not a stack check, a
+// bounds check, a fixed-count loop, a copy's same-address test or the
+// kernelTrace and useADX guards. TestSignTiming reports Welch's t over
+// sign timings and is not a gate.
 //
 // # RSA-1024 verification
 //

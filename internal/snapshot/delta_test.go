@@ -2,9 +2,9 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
+	"repro/internal/merkle"
 	"repro/internal/vm"
 )
 
@@ -119,31 +119,26 @@ func TestDeltaDetectsTampering(t *testing.T) {
 	}
 }
 
-func TestDeltaOnRestoredStoreRebuildsProof(t *testing.T) {
+// TestDeltaRebuildsStrippedProof: increments recorded before proof capture
+// carry no fold proof, and DeltaFrom rebuilds it by materializing the base
+// state; the rebuilt delta applies and reproduces the materialized state.
+func TestDeltaRebuildsStrippedProof(t *testing.T) {
 	st, _ := takeSequence(t, 3)
-	// Round-trip the persisted form with proofs stripped, simulating a
-	// recording that predates proof capture.
-	var buf bytes.Buffer
-	file := st.File()
-	for _, s := range file.Snaps {
-		s.Proof.Leaves = 0
-		s.Proof.Indices = nil
-		s.Proof.Old = nil
-		s.Proof.Siblings = nil
+	src := incs{mem: st.MemSize()}
+	for k := range st.Count() {
+		s, err := st.Snapshot(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripped := *s
+		stripped.Proof = merkle.BatchProof{}
+		src.snaps = append(src.snaps, &stripped)
 	}
-	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
-		t.Fatal(err)
-	}
-	var decoded StoreFile
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	restored := decoded.Restore()
-	base, err := restored.Materialize(1)
+	base, err := MaterializeFrom(src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := restored.Delta(2)
+	d, err := DeltaFrom(src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +146,7 @@ func TestDeltaOnRestoredStoreRebuildsProof(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuilt-proof delta rejected: %v", err)
 	}
-	want, err := restored.Materialize(2)
+	want, err := MaterializeFrom(src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

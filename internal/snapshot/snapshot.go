@@ -133,10 +133,10 @@ func NewStore(memSize int) *Store {
 // Count returns the number of snapshots taken.
 func (st *Store) Count() int { return len(st.snaps) }
 
-// StoreFile is the persisted form of a snapshot store — what avm-run gob-
-// encodes into a recording's <node>.snaps and avm-audit decodes to
-// materialize epoch starting states. Defining it here (not in each CLI)
-// keeps the writers' and readers' formats from drifting.
+// StoreFile is a snapshot store's sequence of increments, handed to
+// archive.WriteRecording, which writes each increment as an authenticated
+// archive segment; auditors read the increments back through the
+// archive's IncrementSource.
 type StoreFile struct {
 	MemSize int
 	Snaps   []*Snapshot
@@ -146,17 +146,6 @@ type StoreFile struct {
 // are shared, not copied; callers must not mutate them.
 func (st *Store) File() StoreFile {
 	return StoreFile{MemSize: st.memSize, Snaps: st.snaps}
-}
-
-// Restore rebuilds a store around a persisted snapshot sequence, for
-// audit-side materialization: Materialize, Snapshot, Count and
-// TransferBytes work as on the original store. The internal hash tree is
-// not reconstructed, so Take must not be called on a restored store —
-// auditors only read.
-func (f StoreFile) Restore() *Store {
-	st := NewStore(f.MemSize)
-	st.snaps = f.Snaps
-	return st
 }
 
 // Snapshot returns snapshot k.

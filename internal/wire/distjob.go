@@ -75,6 +75,13 @@ const (
 	DistFrameDrain
 )
 
+// DistFrameMuxSessionEnd ends a session on a multiplexed connection:
+// uvarint session id. The coordinator sends it once a run is settled, on
+// every connection it registered the run's session on; the worker drops
+// the session, and the replica it holds for it once the session's queued
+// jobs have run. A later job for the id is a protocol error.
+const DistFrameMuxSessionEnd = DistFrameWelcome + 1
+
 // Retired reports whether k is a reserved number of the retired one-shot
 // session protocol, which no peer sends any more.
 func (k DistFrameKind) Retired() bool {

@@ -182,7 +182,7 @@ func TestDistFrameKindNumbers(t *testing.T) {
 		5: DistFrameError, 6: DistFrameMuxSession, 7: DistFrameMuxSessionOK, 8: DistFrameMuxJob,
 		9: DistFrameMuxVerdict, 10: DistFramePing, 11: DistFramePong, 12: DistFrameDrain,
 		13: DistFrameDeltaJob, 14: DistFrameMuxDeltaJob, 15: DistFrameNeedState,
-		16: DistFrameMuxNeedState, 17: DistFrameHello, 18: DistFrameWelcome,
+		16: DistFrameMuxNeedState, 17: DistFrameHello, 18: DistFrameWelcome, 19: DistFrameMuxSessionEnd,
 	} {
 		if uint8(kind) != want {
 			t.Errorf("frame kind %d moved to %d", want, kind)

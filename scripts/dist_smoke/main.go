@@ -4,10 +4,10 @@
 // coordinator (audit.TCPBackend: a fresh coordinator per audit, fixed
 // fleet, no local fallback), and fails unless every distributed Result is
 // byte-identical to the serial engine's. It then exercises the avm-run →
-// avm-audit -dispatch offline workflow end to end — -dispatch is the
-// one-shot spelling of -coordinate -local-fallback=false — and asserts the
-// documented exit codes (0 clean, 1 fault detected, 2 audit/transport
-// failure).
+// avm-audit -coordinate offline workflow end to end over the recording's
+// archive, requires the dispatched audits to ship delta jobs, and asserts
+// the documented exit codes (0 clean, 1 fault detected, 2 audit/transport
+// failure — a recording without its archive among them).
 //
 // The chaos phase re-runs the catalog through the long-running
 // coordinator service while the fleet churns: one worker process is
@@ -38,6 +38,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -278,6 +279,45 @@ func runCapture(bin string, args ...string) ([]string, int) {
 	return strings.Split(strings.TrimRight(buf.String(), "\n"), "\n"), code
 }
 
+// runStderr runs a command, returning its stderr and exit code; stdout
+// passes through, and stderr too.
+func runStderr(bin string, args ...string) (string, int) {
+	cmd := exec.Command(bin, args...)
+	var buf bytes.Buffer
+	cmd.Stdout = os.Stdout
+	cmd.Stderr = io.MultiWriter(&buf, os.Stderr)
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return buf.String(), ee.ExitCode()
+	} else if err != nil {
+		return buf.String(), -1
+	}
+	return buf.String(), 0
+}
+
+// deltaJobsRe reads the delta jobs a coordinated audit reports for a node.
+var deltaJobsRe = regexp.MustCompile(`\((\d+) delta jobs, \d+ fallbacks\)`)
+
+// expectDeltaJobs runs a coordinated audit, checks its exit code and
+// requires it to report delta jobs shipped.
+func expectDeltaJobs(want int, bin string, args ...string) {
+	lines, got := runCapture(bin, args...)
+	fmt.Println(strings.Join(lines, "\n"))
+	if got != want {
+		failf("%s %s: exit %d, want %d", bin, strings.Join(args, " "), got, want)
+	}
+	shipped := 0
+	for _, ln := range lines {
+		if m := deltaJobsRe.FindStringSubmatch(ln); m != nil {
+			n, _ := strconv.Atoi(m[1])
+			shipped += n
+		}
+	}
+	if shipped == 0 {
+		failf("%s %s: no delta jobs shipped", bin, strings.Join(args, " "))
+	}
+}
+
 // expectExit runs a command and checks its exit code.
 func expectExit(want int, bin string, args ...string) {
 	cmd := exec.Command(bin, args...)
@@ -411,19 +451,30 @@ func main() {
 	defer os.RemoveAll(tmp)
 	cleanDir := filepath.Join(tmp, "clean")
 	cheatDir := filepath.Join(tmp, "cheat")
-	expectExit(0, *runBin, "-scenario", "game", "-seconds", "6", "-seed", "3", "-out", cleanDir)
-	expectExit(0, *runBin, "-scenario", "game", "-seconds", "6", "-seed", "3", "-cheat", "aimbot", "-out", cheatDir)
-	dispatchArg := strings.Join(addrs, ",")
-	expectExit(0, *auditBin, "-dir", cleanDir, "-dispatch", dispatchArg)                         // clean ⇒ 0
-	expectExit(1, *auditBin, "-dir", cheatDir, "-dispatch", dispatchArg, "-spot", "1")           // fault ⇒ 1
-	expectExit(1, *auditBin, "-dir", cheatDir)                                                   // serial agrees ⇒ 1
-	expectExit(2, *auditBin, "-dir", cleanDir, "-dispatch", "127.0.0.1:1", "-job-timeout", "2s") // dead worker ⇒ 2
-	expectExit(2, *auditBin, "-dir", filepath.Join(tmp, "missing"))                              // bad recording ⇒ 2
+	// 30 virtual seconds hold six snapshots: enough epochs per node that a
+	// worker gets consecutive ones, which ship as delta jobs.
+	expectExit(0, *runBin, "-scenario", "game", "-seconds", "30", "-seed", "3", "-out", cleanDir)
+	expectExit(0, *runBin, "-scenario", "game", "-seconds", "30", "-seed", "3", "-cheat", "aimbot", "-out", cheatDir)
+	fleetArg := strings.Join(addrs, ",")
+	expectDeltaJobs(0, *auditBin, "-dir", cleanDir, "-coordinate", fleetArg, "-local-fallback=false")               // clean ⇒ 0
+	expectDeltaJobs(1, *auditBin, "-dir", cheatDir, "-coordinate", fleetArg, "-local-fallback=false", "-spot", "1") // fault ⇒ 1
+	expectExit(0, *auditBin, "-dir", cleanDir, "-coordinate", fleetArg)                                             // with fallback ⇒ 0
+	expectExit(1, *auditBin, "-dir", cheatDir, "-coordinate", fleetArg, "-spot", "1")                               // with fallback ⇒ 1
+	expectExit(1, *auditBin, "-dir", cheatDir)                                                                      // serial agrees ⇒ 1
+	expectExit(2, *auditBin, "-dir", filepath.Join(tmp, "missing"))                                                 // bad recording ⇒ 2
 
-	// The -coordinate mode honors the same contract: a dead fleet only
-	// fails the audit when local fallback is off.
-	expectExit(0, *auditBin, "-dir", cleanDir, "-coordinate", dispatchArg)               // clean ⇒ 0
-	expectExit(1, *auditBin, "-dir", cheatDir, "-coordinate", dispatchArg, "-spot", "1") // fault ⇒ 1
+	// The archive is the recording: without it the audit cannot start, and
+	// the error names where the archive should have been.
+	noArchiveDir := filepath.Join(tmp, "no-archive")
+	expectExit(0, *runBin, "-scenario", "game", "-seconds", "6", "-seed", "3", "-out", noArchiveDir)
+	if err := os.RemoveAll(filepath.Join(noArchiveDir, "archive")); err != nil {
+		failf("removing the archive: %v", err)
+	}
+	if stderr, code := runStderr(*auditBin, "-dir", noArchiveDir); code != 2 || !strings.Contains(stderr, filepath.Join(noArchiveDir, "archive")) {
+		failf("audit of a recording without its archive: exit %d, stderr %q; want exit 2 naming the archive", code, stderr)
+	}
+
+	// A dead fleet only fails the audit when local fallback is off.
 	expectExit(0, *auditBin, "-dir", cleanDir, "-coordinate", "127.0.0.1:1",
 		"-job-timeout", "2s") // dead fleet, local fallback ⇒ 0
 	expectExit(2, *auditBin, "-dir", cleanDir, "-coordinate", "127.0.0.1:1",
@@ -538,7 +589,7 @@ func main() {
 		} else {
 			hangAddr := strings.TrimSpace(banner[strings.LastIndex(banner, " on ")+len(" on "):])
 			// Feed it a job it will hang on, then give the dispatch time to land.
-			feeder := exec.Command(*auditBin, "-dir", cleanDir, "-dispatch", hangAddr, "-job-timeout", "300s")
+			feeder := exec.Command(*auditBin, "-dir", cleanDir, "-coordinate", hangAddr, "-local-fallback=false", "-job-timeout", "300s")
 			feeder.Stdout, feeder.Stderr = io.Discard, io.Discard
 			if err := feeder.Start(); err != nil {
 				failf("starting feeder dispatch: %v", err)
