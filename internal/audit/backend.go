@@ -138,14 +138,22 @@ func runEpochJob(sess Session, job *EpochJob, held *Replay, materialize func(sna
 // openEpoch is how every epoch engine opens an epoch: it makes the replica
 // the job's entries replay on, armed with the session's ablations, or
 // returns the fault that is the epoch's verdict. Boot jobs replay from the
-// session's reference image. Other jobs replay on held, a replica rolled to
-// the job's opening snapshot, when there is one, and otherwise on a replica
-// booted from the start state — taken from the job, or from materialize
-// for an in-process epoch (materializeStart); either way the state is
-// verified against the committed root before the first instruction
-// executes (startEpoch; the state is untrusted, §4.5). The verification
-// tree becomes the replay's live tree, so snapshot entries inside the epoch
-// verify incrementally.
+// session's reference image. Every other job's start state is taken from
+// the job, or fetched from materialize for an in-process epoch
+// (materializeStart, one call per epoch, its failure the epoch's fault),
+// and verified against the committed root before the first instruction
+// executes (startEpoch; the state is untrusted, §4.5). held is a replica
+// the caller kept from an earlier epoch, or nil. When it rests at the job's
+// opening snapshot (restingAt) and the state there is its own memory, the
+// epoch rolls onto it: its tree and the state's blobs are checked against
+// the root and the state's registers and devices restored, with no new
+// machine, no copy, no full rehash and the predecode cache kept warm
+// (startReplica); any other held replica is passed over and the epoch
+// boots, so a held replica never changes a verdict. A held replica with no
+// state to fetch was moved to the opening snapshot by its holder — a
+// worker rolled it through a delta chain (rollDelta) — and is the start.
+// The verification tree becomes the replay's live tree, so snapshot
+// entries inside the epoch verify incrementally.
 func openEpoch(sess Session, job *EpochJob, held *Replay, materialize func(snapIdx uint32) (*snapshot.Restored, error)) (*Replay, *FaultReport) {
 	var rp *Replay
 	if job.Boot {
@@ -155,11 +163,14 @@ func openEpoch(sess Session, job *EpochJob, held *Replay, materialize func(snapI
 		}
 	} else {
 		restored := job.Start
-		if restored == nil && held == nil {
+		if restored == nil && (held == nil || materialize != nil) {
 			var fault *FaultReport
 			if restored, fault = materializeStart(sess.Node, job, materialize); fault != nil {
 				return nil, fault
 			}
+		}
+		if at, ok := held.restingAt(); restored != nil && (!ok || at != job.StartSnap) {
+			held = nil
 		}
 		var fault *FaultReport
 		if rp, fault = startEpoch(sess.Node, held, restored, job.StartRoot, job.StartSeq, sess.RNGSeed); fault != nil {
@@ -197,12 +208,13 @@ func (s Session) arm(rp *Replay) {
 }
 
 // startEpoch makes the replica an epoch starts from (startReplica): held,
-// if not nil, already at the epoch's opening snapshot, or a new one booted
-// from restored, the state there; either way checked against root, the
-// root the log committed there, with its registers and devices restored
-// (Restart). It returns the fault every epoch engine reports otherwise: a
-// state that does not hash to root is CheckSnapshot at the snapshot entry
-// seq, one the replica cannot take CheckSemantic.
+// if not nil, already at the epoch's opening snapshot and rolled onto
+// restored when that is its memory, or a new one booted from restored, the
+// state there; either way checked against root, the root the log committed
+// there, with its registers and devices restored (Restart). It returns the
+// fault every epoch engine reports otherwise: a state that does not hash to
+// root is CheckSnapshot at the snapshot entry seq, one the replica cannot
+// take CheckSemantic.
 func startEpoch(node sig.NodeID, held *Replay, restored *snapshot.Restored, root [32]byte, seq uint64, rngSeed uint64) (*Replay, *FaultReport) {
 	rp, err := startReplica(node, held, nil, ReplicaStart{State: restored}, root, rngSeed)
 	if err != nil {

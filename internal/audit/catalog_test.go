@@ -54,3 +54,42 @@ func recordedCatalog(t *testing.T, i int) (s *game.Scenario, cheater, honest *au
 	}
 	return m.s, m.cheater, m.honest
 }
+
+// sharedScenario is one recording that every test asking for its
+// configuration is handed.
+type sharedScenario struct {
+	once sync.Once
+	s    *game.Scenario
+	err  error
+}
+
+// sharedScenarios holds the recordings recordShared made, by configuration.
+var sharedScenarios sync.Map
+
+// recordShared records cfg for runNs of virtual time once per test binary,
+// on first use, and hands every later caller with the same configuration
+// the same scenario. Like the catalog's matches (recordedCatalog), a shared
+// recording is only read: audits take the log as a read-only view and the
+// snapshot store through Materialize, Delta and File. A test that changes
+// its scenario — runs it further, edits its log or its store — records its
+// own with game.NewScenario.
+func recordShared(t *testing.T, cfg game.ScenarioConfig, runNs uint64) *game.Scenario {
+	t.Helper()
+	cheat := ""
+	if cfg.Cheat != nil {
+		cheat = cfg.Cheat.Name
+	}
+	key := fmt.Sprintf("%d players, mode %v, seed %d, cheat %q on player %d, snapshot every %d ns, fake signatures %v, %d ns",
+		cfg.Players, cfg.Mode, cfg.Seed, cheat, cfg.CheatPlayer, cfg.SnapshotEveryNs, cfg.FakeSignatures, runNs)
+	v, _ := sharedScenarios.LoadOrStore(key, &sharedScenario{})
+	sh := v.(*sharedScenario)
+	sh.once.Do(func() {
+		if sh.s, sh.err = game.NewScenario(cfg); sh.err == nil {
+			sh.s.Run(runNs)
+		}
+	})
+	if sh.err != nil {
+		t.Fatal(sh.err)
+	}
+	return sh.s
+}

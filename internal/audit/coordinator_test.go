@@ -24,8 +24,9 @@ import (
 // coverage for worker hangs (satellite of the crash tests), mid-audit
 // join/leave, graceful drain, and local fallback.
 
-// coordScenario records a short two-player match (snapshots every 1s of
-// virtual time, ~3 replay epochs) for coordinator tests; cheaper than
+// coordScenario is a short two-player match (snapshots every 1s of
+// virtual time, ~3 replay epochs) for coordinator tests, recorded once per
+// test binary (recordShared): callers only read it. Cheaper than
 // distScenario so the plan×cheat product stays affordable.
 func coordScenario(t *testing.T, cheat string) *game.Scenario {
 	t.Helper()
@@ -41,12 +42,7 @@ func coordScenario(t *testing.T, cheat string) *game.Scenario {
 		cfg.CheatPlayer = 1
 		cfg.Cheat = c
 	}
-	s, err := game.NewScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(3_000_000_000)
-	return s
+	return recordShared(t, cfg, 3_000_000_000)
 }
 
 // TestCoordinatorEndsSessions: a worker outlives every audit it serves, so

@@ -322,8 +322,9 @@ func TestDistStatsAccounting(t *testing.T) {
 	}
 }
 
-// distScenario records a short two-player match with periodic snapshots,
-// optionally with player1 running a catalog cheat.
+// distScenario is a short two-player match with periodic snapshots,
+// optionally with player1 running a catalog cheat, recorded once per test
+// binary (recordShared): callers only read it.
 func distScenario(t *testing.T, cheat string) *game.Scenario {
 	t.Helper()
 	cfg := game.ScenarioConfig{
@@ -338,12 +339,7 @@ func distScenario(t *testing.T, cheat string) *game.Scenario {
 		cfg.CheatPlayer = 1
 		cfg.Cheat = c
 	}
-	s, err := game.NewScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(6_000_000_000)
-	return s
+	return recordShared(t, cfg, 6_000_000_000)
 }
 
 // startCrashingWorker starts a TCP worker that acknowledges the session,

@@ -327,13 +327,21 @@ func TestParallelAuditEquivalenceCheats(t *testing.T) {
 }
 
 // TestMaterializeFaultEveryEngine: a start state the snapshot source cannot
-// hand over is the epoch's verdict, and every epoch engine reaches the same
-// one — in-process epochs (parallel and dist), the stream engine with a
-// small window, and a simulated network's coordinator, which materializes
-// before dispatch. The fault is snapshot k's CheckSnapshot at the snapshot
-// entry's seq, whether k alone fails or k and k+2 do, and the Results are
-// equal to the byte. At one worker the pool and the stream engine open
-// epochs in order and stop at the fault: they ask for no snapshot past k.
+// hand over, or hands over wrong, is the epoch's verdict, and every epoch
+// engine reaches the same one — in-process epochs (parallel and dist), the
+// stream engine with a small window, and a simulated network's coordinator,
+// which materializes before dispatch. An in-process worker whose previous
+// epoch ended at snapshot k holds a replica there and rolls onto the state
+// it fetches when that state's memory is its own; the doctored states cover
+// both ways out of the roll (a memory that differs boots, and the boot
+// refuses it; blobs that differ are refused by the roll's root check) and
+// the one blob the root does not cover, which the replica restores from the
+// fetched state, whether rolled or booted. A fetch that fails is snapshot
+// k's CheckSnapshot at the snapshot entry's seq, whether k alone fails or k
+// and k+2 do; a state that does not hash to the committed root is the same
+// check at the same seq; and the Results are equal to the byte. At one
+// worker the pool and the stream engine open epochs in order and stop at
+// the fault: they ask for no snapshot past k.
 func TestMaterializeFaultEveryEngine(t *testing.T) {
 	s, err := game.NewScenario(game.ScenarioConfig{
 		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
@@ -368,14 +376,60 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: target.Node(), NodeIdx: uint32(target.Index()), Entries: entries, Auths: auths})
 	compressed := logcomp.CompressEntries(entries)
 
-	for _, failing := range [][]uint32{{k}, {k, k + 2}} {
+	// flip returns a copy of b with one bit of byte i flipped.
+	flip := func(b []byte, i int) []byte {
+		b = slices.Clone(b)
+		b[i] ^= 0x10
+		return b
+	}
+	const notCommitted = "does not match committed root"
+	doctored := []struct {
+		name    string
+		failing []uint32
+		doctor  func(st *snapshot.Restored) (*snapshot.Restored, error)
+		// check and detail are the verdict's check and what its detail
+		// starts with (the fetch error) or contains (the others).
+		check  audit.Check
+		detail string
+	}{
+		{"unreadable k", []uint32{k}, nil, audit.CheckSnapshot, fmt.Sprintf("materializing snapshot %d: ", k)},
+		{"unreadable k and k+2", []uint32{k, k + 2}, nil, audit.CheckSnapshot, fmt.Sprintf("materializing snapshot %d: ", k)},
+		{"memory byte flipped", []uint32{k}, func(st *snapshot.Restored) (*snapshot.Restored, error) {
+			st.Mem = flip(st.Mem, len(st.Mem)/3)
+			return st, nil
+		}, audit.CheckSnapshot, notCommitted},
+		{"machine blob changed", []uint32{k}, func(st *snapshot.Restored) (*snapshot.Restored, error) {
+			st.Machine = flip(st.Machine, 0)
+			return st, nil
+		}, audit.CheckSnapshot, notCommitted},
+		{"auth-device blob changed", []uint32{k}, func(st *snapshot.Restored) (*snapshot.Restored, error) {
+			st.AuthDevice = flip(st.AuthDevice, 0)
+			return st, nil
+		}, audit.CheckSnapshot, notCommitted},
+		{"device blob cut short", []uint32{k}, func(st *snapshot.Restored) (*snapshot.Restored, error) {
+			// The root covers AuthDevice, not Device: only restoring the
+			// device state from it can notice.
+			st.Device = st.Device[:len(st.Device)-1]
+			return st, nil
+		}, audit.CheckSemantic, "restoring device state"},
+		{"memory a page short", []uint32{k}, func(st *snapshot.Restored) (*snapshot.Restored, error) {
+			st.Mem = st.Mem[:len(st.Mem)-vm.PageSize]
+			return st, nil
+		}, audit.CheckSnapshot, notCommitted},
+	}
+	for _, dc := range doctored {
 		var calls atomic.Int64
 		materialize := func(idx uint32) (*snapshot.Restored, error) {
 			calls.Add(1)
-			if slices.Contains(failing, idx) {
+			st, err := target.Snaps.Materialize(int(idx))
+			if err != nil || !slices.Contains(dc.failing, idx) {
+				return st, err
+			}
+			if dc.doctor == nil {
 				return nil, fmt.Errorf("snapshot %d is not in the store", idx)
 			}
-			return target.Snaps.Materialize(int(idx))
+			cp := *st
+			return dc.doctor(&cp)
 		}
 		legs := []struct {
 			name string
@@ -399,7 +453,7 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 		}
 		var first *audit.Result
 		for _, leg := range legs {
-			label := fmt.Sprintf("snapshots %v fail: %s", failing, leg.name)
+			label := fmt.Sprintf("%s: %s", dc.name, leg.name)
 			req := leg.req
 			req.Node, req.NodeIdx, req.Auths = target.Node(), uint32(target.Index()), auths
 			req.Options.Materialize = materialize
@@ -410,11 +464,15 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 				f := res.Fault
 				switch {
 				case res.Passed || f == nil:
-					t.Fatalf("%s: passed with an unmaterializable start", label)
-				case f.Check != audit.CheckSnapshot || f.EntrySeq != points[kAt].Seq:
-					t.Errorf("%s: fault (%s, seq %d), want (%s, seq %d)", label, f.Check, f.EntrySeq, audit.CheckSnapshot, points[kAt].Seq)
-				case !strings.HasPrefix(f.Detail, fmt.Sprintf("materializing snapshot %d: ", k)):
+					t.Fatalf("%s: passed with a start state that is not snapshot %d's", label, k)
+				case f.Check != dc.check:
+					t.Errorf("%s: fault (%s, seq %d: %s), want %s", label, f.Check, f.EntrySeq, f.Detail, dc.check)
+				case f.Check == audit.CheckSnapshot && f.EntrySeq != points[kAt].Seq:
+					t.Errorf("%s: fault at seq %d, want snapshot %d's entry, seq %d", label, f.EntrySeq, k, points[kAt].Seq)
+				case dc.doctor == nil && !strings.HasPrefix(f.Detail, dc.detail):
 					t.Errorf("%s: fault detail %q names another snapshot", label, f.Detail)
+				case dc.doctor != nil && !strings.Contains(f.Detail, dc.detail):
+					t.Errorf("%s: fault detail %q, want it to say %q", label, f.Detail, dc.detail)
 				}
 				if res.Syntactic != serial.Syntactic {
 					t.Errorf("%s: syntactic stats %+v, serial %+v", label, res.Syntactic, serial.Syntactic)

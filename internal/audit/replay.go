@@ -192,7 +192,24 @@ func bootReplay(node sig.NodeID, start ReplicaStart, wantRoot [32]byte, rngSeed 
 // (bootReplay). The replica is left for Restart. A failed check is the
 // error, and the replica is spent; a source that could not hand over the
 // boot's state is a sourceError.
+//
+// A held replica given a full start.State (and no increments) rests at the
+// opening snapshot itself, and the state was fetched for it anyway: when
+// the state's memory is the replica's, byte for byte, the replica takes the
+// state's register and device blobs and Advance over no increments checks
+// the digest of its tree and those blobs against wantRoot — the digest
+// bootReplay would compare, at the cost of one memory compare instead of a
+// new machine, a copy and a full rehash. Memory that differs, in any byte
+// or in length, is booted from as if nothing were held, so a wrong state
+// is refused exactly as a boot refuses it.
 func startReplica(node sig.NodeID, held *Replay, incs []*snapshot.Snapshot, start ReplicaStart, wantRoot [32]byte, rngSeed uint64) (*Replay, error) {
+	if st := start.State; held != nil && st != nil {
+		if !bytes.Equal(held.mach.Mem, st.Mem) {
+			held = nil
+		} else {
+			held.next = &snapshot.Snapshot{Machine: st.Machine, Device: st.Device, AuthDevice: st.AuthDevice}
+		}
+	}
 	if held != nil {
 		return held, held.Advance(incs, wantRoot)
 	}
@@ -250,13 +267,13 @@ func (r *Replay) stateRoot() ([32]byte, error) {
 }
 
 // restingAt reports the snapshot the replica rests at: the replay finished
-// fault-free and its final entry was a snapshot whose root verified against
+// (Done) and its final entry was a snapshot whose root verified against
 // the replica, so memory, registers, device state and the live tree are
 // exactly that snapshot's and no instruction has run since. Every interior
 // epoch job and every passed spot-check chunk ends this way. A nil replica
 // rests nowhere.
 func (r *Replay) restingAt() (uint32, bool) {
-	if r == nil || !r.endRootValid || r.fault != nil || len(r.entries) == 0 {
+	if r == nil || !r.endRootValid || !r.Done() || len(r.entries) == 0 {
 		return 0, false
 	}
 	if last := &r.entries[len(r.entries)-1]; last.Type != tevlog.TypeSnapshot || last.Seq != r.endSeq {
@@ -299,7 +316,7 @@ var zeroPage [vm.PageSize]byte
 // snapshot the first moved to, and one over no increments compares the
 // state the first verified, its blobs included, with wantRoot.
 func (r *Replay) Advance(incs []*snapshot.Snapshot, wantRoot [32]byte) error {
-	if _, ok := r.restingAt(); !ok || !r.done {
+	if _, ok := r.restingAt(); !ok {
 		return fmt.Errorf("audit: replica does not rest at a verified snapshot")
 	}
 	for _, inc := range incs {

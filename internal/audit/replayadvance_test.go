@@ -528,6 +528,76 @@ func checkBoot(t *testing.T, seed uint64) {
 			}
 			_, err = bootReplay("n", ReplicaStart{Incs: long, Index: k}, root, 1)
 			sameSourceError(t, fmt.Sprintf("%s, page %d over-long", label, p), err, want)
+
+			if pages == advancePages {
+				checkHeldOpen(t, label, chain, k, st, root, wrong, &rng)
+			}
+		}
+	}
+}
+
+// checkHeldOpen holds an epoch's open on a held replica to the boot (over
+// the small image only: the open adds no page-parallel pass of its own): a
+// replica that rests at snapshot k of chain, handed a full state the way
+// openEpoch hands it one (startReplica, then Restart), must end where
+// bootReplay + Restart from that state ends — the boot's error text, or the
+// boot's memory, registers, devices, live tree and arming — whatever the
+// state: snapshot k's (st, committed as root), the same with a flipped
+// memory byte, register blob or authenticated device blob, a device blob cut
+// short (which the root does not cover), memory a page short, a root the log
+// did not commit (wrong), or another snapshot's state and root.
+func checkHeldOpen(t *testing.T, label string, chain wideIncrements, k int, st *snapshot.Restored, root, wrong [32]byte, rng *advanceRNG) {
+	t.Helper()
+	flip := func(b []byte) []byte {
+		b = bytes.Clone(b)
+		b[int(rng.next()%uint64(len(b)))] ^= 1 << (rng.next() % 8)
+		return b
+	}
+	with := func(change func(c *snapshot.Restored)) *snapshot.Restored {
+		c := *st
+		change(&c)
+		return &c
+	}
+	j := (k + 1) % len(chain.sliceIncrements)
+	other, err := snapshot.MaterializeFrom(chain, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		state *snapshot.Restored
+		root  [32]byte
+	}{
+		{"its own state", st, root},
+		{"a memory byte flipped", with(func(c *snapshot.Restored) { c.Mem = flip(c.Mem) }), root},
+		{"the register blob flipped", with(func(c *snapshot.Restored) { c.Machine = flip(c.Machine) }), root},
+		{"the authenticated device blob flipped", with(func(c *snapshot.Restored) { c.AuthDevice = flip(c.AuthDevice) }), root},
+		{"the device blob cut short", with(func(c *snapshot.Restored) { c.Device = c.Device[:len(c.Device)-1] }), root},
+		{"memory a page short", with(func(c *snapshot.Restored) { c.Mem = c.Mem[:len(c.Mem)-vm.PageSize] }), root},
+		{"a root not committed", st, wrong},
+		{fmt.Sprintf("snapshot %d's state", j), other, snapshot.RootOfState(other.Mem, other.Machine, other.AuthDevice)},
+	}
+	for _, c := range cases {
+		how := fmt.Sprintf("%s, held there, handed %s", label, c.name)
+		booted, bootErr := bootReplay("n", ReplicaStart{State: c.state}, c.root, 1)
+		if bootErr == nil {
+			bootErr = booted.Restart()
+		}
+		held, heldRoot := scratchReplica(t, chain, k)
+		restAt(t, held, k, heldRoot)
+		opened, err := startReplica("n", held, nil, ReplicaStart{State: c.state}, c.root, 1)
+		if err == nil {
+			err = opened.Restart()
+		}
+		switch {
+		case bootErr != nil:
+			if err == nil || err.Error() != bootErr.Error() {
+				t.Fatalf("%s: error %v, the boot's is %v", how, err, bootErr)
+			}
+		case err != nil:
+			t.Fatalf("%s: error %v where the boot opens", how, err)
+		default:
+			sameReplica(t, how, opened, booted, c.root)
 		}
 	}
 }

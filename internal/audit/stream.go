@@ -24,7 +24,20 @@ import (
 // slice in memory. It hands each epoch over (epochHandoff) to an in-process
 // replay worker, or collects the jobs whole for runJobs to ship to a remote
 // backend once the front checks have passed. Decoded entries resident
-// across the pipeline are capped by a window, not the log length.
+// across the pipeline are capped by a window, not the log length; within
+// it, a streamed epoch's entries are routed ahead of its replay, up to
+// streamRunAhead of them, so the router is not paced by the replica.
+//
+// An in-process replay worker keeps the replica its last epoch ended on
+// while that replica rests at the verified snapshot the epoch closed with.
+// The next epoch it is handed still fetches its start state, once, as a
+// worker that holds nothing does; when the epoch starts at that snapshot
+// and the fetched memory is the replica's, the epoch opens on the replica
+// (openEpoch): one compare of the memory and one root check over its live
+// tree and the fetched blobs, where a boot makes a new machine, copies the
+// state in, rehashes every page and predecodes the code again. With one
+// worker over a passing log every epoch after the boot epoch opens so
+// (StreamStats.Rolled).
 //
 // The router goroutine hashes the chain and parses entries but verifies no
 // signature. The chain verifier and the syntactic checker share one
@@ -56,19 +69,34 @@ const DefaultStreamWindow = 4096
 // its epoch channel has a backlog.
 const streamBatch = 64
 
+// streamRunAhead caps how many entries a streamed epoch's channel holds,
+// so how far the router runs ahead of the epoch's replay; the window caps
+// it too. Measured on the minisql benchmark's stream audit (one worker,
+// default window, two cores, three interleaved pairs each): 256 and 4096
+// read within 2 % of 1024, and 64, the size of a replay batch, which tied
+// chain and syntactic checking to replay, was 7 % slower. A channel's
+// buffer is allocated whole as its epoch opens, which is why the cap is
+// not simply the window.
+const streamRunAhead = 1024
+
 // StreamStats reports how the pipeline ran.
 type StreamStats struct {
 	// Entries is the number of entries decoded from the container.
 	Entries int
 	// Epochs is the number of replay epochs the router cut the log into.
 	Epochs int
+	// Rolled is the number of epochs that opened on the replica their
+	// worker's previous epoch ended on instead of a new one (openEpoch):
+	// with one worker, every epoch but the boot epoch of a log that passes.
+	Rolled int
 	// Window is the resident-entry cap the run used.
 	Window int
 	// PeakResidentEntries is the high-water mark of decoded entries alive
-	// across the pipeline; always <= Window. Entries handed off to a
-	// budget-stalled replica (a pathological log whose async-free stretch
-	// exceeds the replay budget) leave the window early and are accounted
-	// to the replica instead, bounded by one epoch.
+	// across the pipeline; always <= Window. Entries routed ahead of their
+	// epoch's replay count until the replay consumes them. Entries handed
+	// off to a budget-stalled replica (a pathological log whose async-free
+	// stretch exceeds the replay budget) leave the window early and are
+	// accounted to the replica instead, bounded by one epoch.
 	PeakResidentEntries int
 }
 
@@ -269,6 +297,7 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 	// emits them.
 	var epochQueue chan *streamEpoch
 	var wg sync.WaitGroup
+	var rolled atomic.Int64
 	if handoff != collected {
 		workers := workersOrDefault(opts.Workers)
 		epochQueue = make(chan *streamEpoch, workers)
@@ -277,17 +306,32 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				// held is the replica this worker's last epoch ended on,
+				// while it rests at a verified snapshot.
+				var held *Replay
 				for ep := range epochQueue {
-					switch {
-					case verdict.merge.skip(ep.job.Index):
+					if verdict.merge.skip(ep.job.Index) {
 						// A lower epoch already faulted; this epoch cannot
 						// affect the verdict.
 						drainEpoch(ep, win)
-					case ep.ch == nil:
-						r, _ := runEpochJob(sess, &ep.job, nil, opts.Materialize)
-						verdict.merge.record(ep.job.Index, r)
-					default:
-						verdict.merge.record(ep.job.Index, runStreamEpoch(sess, ep, opts.Materialize, win))
+						continue
+					}
+					var r epochResult
+					var rp *Replay
+					if ep.ch == nil {
+						r, rp = runEpochJob(sess, &ep.job, held, opts.Materialize)
+					} else {
+						r, rp = runStreamEpoch(sess, ep, held, opts.Materialize, win)
+					}
+					verdict.merge.record(ep.job.Index, r)
+					if rp != nil && rp == held {
+						rolled.Add(1)
+					}
+					// Keep the replica for an epoch that starts where this
+					// one ended.
+					held = nil
+					if _, ok := rp.restingAt(); ok {
+						held = rp
 					}
 				}
 			}()
@@ -301,7 +345,7 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 		wg.Wait()
 	}
 
-	stream := StreamStats{Entries: int(entryCount.Load()), Epochs: len(jobs), Window: window}
+	stream := StreamStats{Entries: int(entryCount.Load()), Epochs: len(jobs), Window: window, Rolled: int(rolled.Load())}
 	win.mu.Lock()
 	stream.PeakResidentEntries = win.peak
 	win.mu.Unlock()
@@ -396,7 +440,7 @@ func (a *Auditor) routeStream(node sig.NodeID, nodeIdx uint32, decoded <-chan te
 		}
 		syn.Add(&e)
 		if current == nil {
-			open(streamBatch)
+			open(min(win.limit, streamRunAhead))
 		}
 		routed++
 		switch {
@@ -455,15 +499,17 @@ func drainEpoch(ep *streamEpoch, win *entryWindow) {
 }
 
 // runStreamEpoch is runEpochJob's streaming twin: it opens the epoch
-// (openEpoch), then feeds the replica from the epoch channel in batches,
-// returning window slots as entries are consumed. Faults and stats are
-// identical to a one-shot replay of the same slice — the replay stops at
-// deterministic points regardless of batching.
-func runStreamEpoch(sess Session, ep *streamEpoch, materialize func(snapIdx uint32) (*snapshot.Restored, error), win *entryWindow) epochResult {
-	rp, fault := openEpoch(sess, &ep.job, nil, materialize)
+// (openEpoch, on held when the epoch starts where held rests), then feeds
+// the replica from the epoch channel in batches, returning window slots as
+// entries are consumed. It returns the outcome and the replica the epoch
+// ran on (nil when it could not start). Faults and stats are identical to a
+// one-shot replay of the same slice — the replay stops at deterministic
+// points regardless of batching.
+func runStreamEpoch(sess Session, ep *streamEpoch, held *Replay, materialize func(snapIdx uint32) (*snapshot.Restored, error), win *entryWindow) (epochResult, *Replay) {
+	rp, fault := openEpoch(sess, &ep.job, held, materialize)
 	if fault != nil {
 		drainEpoch(ep, win)
-		return epochResult{fault: fault}
+		return epochResult{fault: fault}, nil
 	}
 
 	batch := make([]tevlog.Entry, 0, streamBatch)
@@ -528,5 +574,5 @@ func runStreamEpoch(sess Session, ep *streamEpoch, materialize func(snapIdx uint
 	if fed > released {
 		win.release(fed - released)
 	}
-	return epochResult{stats: rp.Stats, fault: rp.Fault()}
+	return epochResult{stats: rp.Stats, fault: rp.Fault()}, rp
 }

@@ -1,8 +1,11 @@
 package audit_test
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/avmm"
@@ -28,7 +31,11 @@ func streamScenario(t *testing.T) *game.Scenario {
 
 // TestAuditStreamBoundedWindow: with a window far smaller than the log, the
 // streaming audit still passes with the serial verdict, partitions into
-// multiple epochs, and never holds more decoded entries than the window.
+// multiple epochs, and never holds more decoded entries than the window —
+// at 16 and 64 entries, and at 4096, which the log fits in. Bounded the
+// other way: a streamed epoch runs ahead of its replay as far as the window
+// lets it, so one replay worker at the default window holds more entries
+// than the 64 a replay batch takes.
 func TestAuditStreamBoundedWindow(t *testing.T) {
 	s := streamScenario(t)
 	serial, err := s.AuditNode("player1")
@@ -42,27 +49,158 @@ func TestAuditStreamBoundedWindow(t *testing.T) {
 	if target.Log.Len() < 500 {
 		t.Fatalf("log too short (%d entries) to exercise the window", target.Log.Len())
 	}
-	const window = 64
-	res, stream, err := s.AuditNodeStream("player1", 4, window)
+	for _, run := range []struct{ workers, window int }{{4, 16}, {4, 64}, {4, 4096}, {1, 0}} {
+		res, stream, err := s.AuditNodeStream("player1", run.workers, run.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d workers, window %d", run.workers, stream.Window)
+		if !res.Passed {
+			t.Fatalf("%s: stream audit failed: %v", label, res.Fault)
+		}
+		if res.Replay != serial.Replay || res.Syntactic != serial.Syntactic {
+			t.Errorf("%s: stream stats diverge: replay %+v vs %+v, syntactic %+v vs %+v",
+				label, res.Replay, serial.Replay, res.Syntactic, serial.Syntactic)
+		}
+		if stream.Entries != target.Log.Len() {
+			t.Errorf("%s: stream decoded %d entries, log has %d", label, stream.Entries, target.Log.Len())
+		}
+		if stream.Epochs < 2 {
+			t.Errorf("%s: stream used %d epochs; snapshots were not exploited", label, stream.Epochs)
+		}
+		if stream.PeakResidentEntries > stream.Window {
+			t.Errorf("%s: peak resident entries %d exceeds the window (log %d entries)",
+				label, stream.PeakResidentEntries, target.Log.Len())
+		}
+		if run.window == 0 && stream.PeakResidentEntries <= 64 {
+			t.Errorf("%s: peak resident entries %d: the router did not run ahead of replay", label, stream.PeakResidentEntries)
+		}
+		t.Logf("%s: %d epochs, peak %d resident entries of %d", label, stream.Epochs, stream.PeakResidentEntries, stream.Entries)
+	}
+}
+
+// TestMaterializeHeldReplicaRolls: a replay worker keeps the replica its
+// epoch ended on and opens the next epoch on it when the epoch starts
+// there. With one worker over a log that passes, every epoch starts where
+// the last one ended: the audit boots once and rolls every other epoch,
+// and still fetches every epoch's start state once, as a worker that boots
+// does. With four workers some epochs roll and the verdict is the same.
+func TestMaterializeHeldReplicaRolls(t *testing.T) {
+	s := streamScenario(t)
+	serial, err := s.AuditNode("player1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed := logcomp.CompressEntries(target.Log.Entries())
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		res, astats := mustAudit(t, a, audit.AuditRequest{
+			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+			Compressed: compressed, Auths: auths, Options: audit.EngineOptions{
+				Workers: workers,
+				Materialize: func(k uint32) (*snapshot.Restored, error) {
+					calls.Add(1)
+					return target.Snaps.Materialize(int(k))
+				},
+			}})
+		label := fmt.Sprintf("%d workers", workers)
+		compareVerdicts(t, label, serial, res)
+		st := astats.Stream
+		if st.Epochs < 3 {
+			t.Fatalf("%s: %d epochs; the roll needs two after the boot epoch", label, st.Epochs)
+		}
+		if n := calls.Load(); n != int64(st.Epochs-1) {
+			t.Errorf("%s: %d Materialize calls for %d epochs, want one per non-boot epoch", label, n, st.Epochs)
+		}
+		if workers == 1 && st.Rolled != st.Epochs-1 {
+			t.Errorf("%s: %d of %d epochs rolled, want all but the boot epoch", label, st.Rolled, st.Epochs)
+		}
+		if st.Rolled > st.Epochs-1 {
+			t.Errorf("%s: %d of %d epochs rolled; the boot epoch cannot", label, st.Rolled, st.Epochs)
+		}
+	}
+}
+
+// countingSource is an EntrySource that closes reached once it has handed
+// out entries 0..at. Next is called from one goroutine, the decoder.
+type countingSource struct {
+	logcomp.EntrySource
+	n       int
+	at      int
+	reached chan struct{}
+}
+
+func (c *countingSource) Next() (tevlog.Entry, error) {
+	e, err := c.EntrySource.Next()
+	if err == nil {
+		if c.n == c.at {
+			close(c.reached)
+		}
+		c.n++
+	}
+	return e, err
+}
+
+// TestAuditStreamRunsAhead: a streamed epoch's entries are routed — chain
+// and syntactic checks, signatures submitted — while its replay is not yet
+// running, as far as the window lets them. The one replay worker is held at
+// the start of epoch 1, in its Materialize call, until the source has
+// handed out every entry of epoch 1 (or five seconds pass); a router tied
+// to replay by a short channel stalls after a batch of them. The whole of
+// epoch 1 is then resident at once, far above 64 entries and within the
+// window.
+func TestAuditStreamRunsAhead(t *testing.T) {
+	s := streamScenario(t)
+	target, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := target.Log.Entries()
+	points, err := audit.FindSnapshots(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) < 2 {
+		t.Fatalf("%d snapshots: need an epoch between two", len(points))
+	}
+	epoch1 := points[1].EntryIndex - points[0].EntryIndex
+	if epoch1 <= 256 {
+		t.Fatalf("epoch 1 has %d entries; a short channel could hold it", epoch1)
+	}
+	reader, err := logcomp.NewEntryReader(logcomp.CompressEntries(entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{EntrySource: reader, at: points[1].EntryIndex, reached: make(chan struct{})}
+	var ranAhead atomic.Bool
+	res, astats := mustAudit(t, a, audit.AuditRequest{
+		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+		Source: src, Auths: auths, Options: audit.EngineOptions{
+			Workers: 1,
+			Materialize: func(k uint32) (*snapshot.Restored, error) {
+				if k == points[0].SnapIdx {
+					select {
+					case <-src.reached:
+						ranAhead.Store(true)
+					case <-time.After(5 * time.Second):
+					}
+				}
+				return target.Snaps.Materialize(int(k))
+			},
+		}})
 	if !res.Passed {
 		t.Fatalf("stream audit failed: %v", res.Fault)
 	}
-	if res.Replay != serial.Replay || res.Syntactic != serial.Syntactic {
-		t.Errorf("stream stats diverge: replay %+v vs %+v, syntactic %+v vs %+v",
-			res.Replay, serial.Replay, res.Syntactic, serial.Syntactic)
+	st := astats.Stream
+	if !ranAhead.Load() {
+		t.Errorf("replay held at the start of epoch 1: the router did not route its %d entries", epoch1)
 	}
-	if stream.Entries != target.Log.Len() {
-		t.Errorf("stream decoded %d entries, log has %d", stream.Entries, target.Log.Len())
-	}
-	if stream.Epochs < 2 {
-		t.Errorf("stream used %d epochs; snapshots were not exploited", stream.Epochs)
-	}
-	if stream.PeakResidentEntries > window {
-		t.Errorf("peak resident entries %d exceeds window %d (log %d entries)",
-			stream.PeakResidentEntries, window, target.Log.Len())
+	if st.PeakResidentEntries < epoch1 || st.PeakResidentEntries > st.Window {
+		t.Errorf("peak resident entries %d, want epoch 1's %d or more and at most the window %d", st.PeakResidentEntries, epoch1, st.Window)
 	}
 }
 
