@@ -7,14 +7,14 @@
 // §4.5.
 //
 //	avm-audit -dir /tmp/match1 -node player2
-//	avm-audit -dir /tmp/match1            # audit every node
-//	avm-audit -dir /tmp/match1 -stream    # streaming pipeline, bounded memory
+//	avm-audit -dir /tmp/match1               # audit every node
+//	avm-audit -dir /tmp/match1 -window 512   # tighter memory cap
 //
-// With -stream the log is audited epoch segment by epoch segment straight
-// from the archive: decoding, chain verification and replay run as
-// overlapped stages, and at most -window decoded entries are resident at
-// once — the mode to use for multi-hour logs. The verdict is identical to
-// the materializing pipeline.
+// The log is audited epoch segment by epoch segment straight from the
+// archive: decoding, chain verification and replay run as overlapped
+// stages, and at most -window decoded entries are resident at once, so a
+// multi-hour log audits in bounded memory. The verdict is identical to the
+// serial replay's.
 //
 // # Distributed auditing
 //
@@ -167,8 +167,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	dir := flag.String("dir", "avm-run-out", "directory written by avm-run")
 	nodeFlag := flag.String("node", "", "node to audit (default: all)")
-	stream := flag.Bool("stream", false, "audit epoch segment by epoch segment from the archive (decode ∥ chain-verify ∥ replay, bounded memory)")
-	window := flag.Int("window", audit.DefaultStreamWindow, "streaming mode: max decoded entries resident at once")
+	window := flag.Int("window", audit.DefaultStreamWindow, "local audit: max decoded entries resident at once")
 	serve := flag.Bool("serve", false, "run as a replay worker instead of auditing: accept epoch jobs from a coordinator")
 	listen := flag.String("listen", "127.0.0.1:0", "worker mode: address to listen on")
 	coordinate := flag.String("coordinate", "", "comma-separated worker addresses; audit every node concurrently through the coordinator service")
@@ -199,7 +198,7 @@ func run() int {
 	keys := rebuildKeys(&meta)
 
 	// Entry runs and snapshot increments come back from the archive
-	// verified against the archived hashes; the stream engine never
+	// verified against the archived hashes; a local audit never
 	// materializes the log at all.
 	arc, err := openArchive(*dir)
 	if err != nil {
@@ -238,34 +237,26 @@ func run() int {
 
 	faults := 0
 	for _, rec := range recs {
-		// Every mode routes through the unified Audit entry point: the
-		// flags select an Engine and fill one AuditRequest.
-		req := audit.AuditRequest{Node: sig.NodeID(rec.node), NodeIdx: rec.idx, Auths: rec.auths}
+		// Epoch segments verified and decoded from disk one at a time; with
+		// snapshots the router splits epochs, otherwise it replays a single
+		// boot epoch.
 		start := time.Now()
-		if *stream {
-			// Epoch segments verified and decoded from disk one at a time;
-			// with snapshots the stream router splits epochs, otherwise it
-			// replays a single boot epoch.
-			if req.Source, err = arc.EntrySource(rec.node); err != nil {
-				return fail("%v", err)
-			}
-			req.Engine = audit.EngineStream
-			req.Options = audit.EngineOptions{Window: *window, Materialize: rec.materialize}
-		} else if req.Entries, err = arc.ReadLog(rec.node); err != nil {
+		src, err := arc.EntrySource(rec.node)
+		if err != nil {
 			return fail("%v", err)
 		}
-		res, astats, err := rec.auditor.Audit(req)
+		res, astats, err := rec.auditor.Audit(audit.AuditRequest{
+			Node: sig.NodeID(rec.node), NodeIdx: rec.idx, Engine: audit.EngineDist,
+			Source: src, Auths: rec.auths,
+			Options: audit.EngineOptions{Window: *window, Materialize: rec.materialize},
+		})
 		if err != nil {
 			return fail("auditing %s: %v", rec.node, err)
-		}
-		entryCount := len(req.Entries)
-		if *stream {
-			entryCount = astats.Stream.Entries
 		}
 		wall := time.Since(start).Round(time.Millisecond)
 		if res.Passed {
 			fmt.Printf("%-10s PASSED in %-8v (%d entries, %d instructions replayed, %d sends matched)\n",
-				rec.node, wall, entryCount, res.Replay.Instructions, res.Replay.SendsMatched)
+				rec.node, wall, astats.Stream.Entries, res.Replay.Instructions, res.Replay.SendsMatched)
 		} else {
 			faults++
 			fmt.Printf("%-10s FAULT  in %-8v — %s (%s check, entry %d)\n",

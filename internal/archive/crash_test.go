@@ -26,7 +26,7 @@ import (
 // filesystem operations, or a failure of any of them, leaves behind must
 // reopen with the production code to a valid prefix: every surviving node's
 // segments are a prefix of what was written for it, audit through the
-// stream engine straight off the disk to the verdict the serial engine
+// dist engine straight off the disk to the verdict the serial engine
 // reaches on that prefix, contain everything a returned WriteRecording
 // acknowledged, and archiving the recordings again appends exactly the
 // rest, after which every node audits clean.
@@ -105,7 +105,7 @@ func (n *crashNode) streamVerdict(t *testing.T, what string, arc *archive.Archiv
 		t.Fatalf("%s: %v", what, err)
 	}
 	res, _, err := n.auditor.Audit(audit.AuditRequest{
-		Node: sig.NodeID(n.name), NodeIdx: n.idx, Engine: audit.EngineStream, Source: src, Auths: n.auths,
+		Node: sig.NodeID(n.name), NodeIdx: n.idx, Engine: audit.EngineDist, Source: src, Auths: n.auths,
 		Options: audit.EngineOptions{Workers: 2, Materialize: func(k uint32) (*snapshot.Restored, error) {
 			return snapshot.MaterializeFrom(incs, int(k))
 		}},

@@ -236,10 +236,10 @@ type entrySource struct {
 }
 
 // EntrySource returns a logcomp.EntrySource streaming the node's log
-// straight from disk — the stream engine's archive-backed input. Reads
+// straight from disk — the epoch engine's archive-backed input. Reads
 // are verified segment by segment; a corrupt segment surfaces as the
-// source error, which the stream engine reports as a CheckLog fault
-// exactly like a corrupt container.
+// source error, which the audit reports as a CheckLog fault exactly like
+// a corrupt container.
 func (a *Archive) EntrySource(node string) (logcomp.EntrySource, error) {
 	n, err := a.Epochs(node)
 	if err != nil {

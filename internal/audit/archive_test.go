@@ -113,7 +113,7 @@ func auditViaArchive(t *testing.T, s *game.Scenario, node, label string, serial 
 	}
 	res, _, err = a.Audit(audit.AuditRequest{
 		Node: sig.NodeID(node), NodeIdx: nodeIdx,
-		Engine: audit.EngineStream, Source: src, Auths: auths,
+		Engine: audit.EngineDist, Source: src, Auths: auths,
 		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
 	})
 	if err != nil {
@@ -169,11 +169,12 @@ func TestArchiveAuditEquivalenceCheats(t *testing.T) {
 	}
 }
 
-// TestArchiveDistSource: the dist engine reads an archive's EntrySource as
-// the stream engine does, cutting the stream into the jobs it ships to a
-// (simulated) fleet. A clean recording and a cheat reach the serial
-// verdict; a byte flipped in an archived entry segment is the CheckLog
-// fault the stream engine reports over that source, text and all.
+// TestArchiveDistSource: the dist engine reads an archive's EntrySource
+// with a backend as it does in-process, cutting the stream into the jobs
+// it ships to a (simulated) fleet. A clean recording and a cheat reach the
+// serial verdict; a byte flipped in an archived entry segment is the
+// CheckLog fault the in-process audit reports over that source, text and
+// all.
 func TestArchiveDistSource(t *testing.T) {
 	aimbot, err := game.CatalogByName("aimbot")
 	if err != nil {
@@ -208,7 +209,9 @@ func TestArchiveDistSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(arc *archive.Archive, engine audit.Engine) (*audit.Result, audit.AuditStats) {
+			// run audits the archive's Source on the dist engine, on backend
+			// or, when it is nil, in-process.
+			run := func(arc *archive.Archive, backend audit.EpochBackend) (*audit.Result, audit.AuditStats) {
 				t.Helper()
 				src, err := arc.EntrySource(node)
 				if err != nil {
@@ -217,21 +220,18 @@ func TestArchiveDistSource(t *testing.T) {
 				materialize, _ := archiveClosures(t, arc, node)
 				req := audit.AuditRequest{
 					Node: sig.NodeID(node), NodeIdx: uint32(target.Index()),
-					Engine: engine, Source: src, Auths: auths,
+					Engine: audit.EngineDist, Source: src, Auths: auths, Backend: backend,
 					Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
-				}
-				if engine == audit.EngineDist {
-					req.Backend = reliableNetsim()
 				}
 				res, stats, err := a.Audit(req)
 				if err != nil {
-					t.Fatalf("%s over the archive: %v", engine, err)
+					t.Fatalf("dist over the archive, backend %T: %v", backend, err)
 				}
 				return res, stats
 			}
 
 			dir, arc := writeNodeArchive(t, s, node)
-			dist, stats := run(arc, audit.EngineDist)
+			dist, stats := run(arc, reliableNetsim())
 			if !reflect.DeepEqual(dist, serial) {
 				t.Fatalf("dist over the archive: %+v (fault %v), serial %+v (fault %v)", dist, dist.Fault, serial, serial.Fault)
 			}
@@ -255,8 +255,8 @@ func TestArchiveDistSource(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer corrupt.Close()
-			stream, _ := run(corrupt, audit.EngineStream)
-			dist, _ = run(corrupt, audit.EngineDist)
+			stream, _ := run(corrupt, nil)
+			dist, _ = run(corrupt, reliableNetsim())
 			if stream.Passed || stream.Fault.Check != audit.CheckLog {
 				t.Fatalf("stream over a corrupt entry segment: passed %v, fault %+v; want a %s fault", stream.Passed, stream.Fault, audit.CheckLog)
 			}
@@ -349,13 +349,13 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Snapshot increments precede epoch segments in the tile: increment 0
-	// is its first payload. A bit flipped in any part of increment 0's
-	// layout — the version byte turned from 2 to 1 included — is the
-	// version-1 read error, a payload hash mismatch. The stream engine and
-	// the dist engine over a NetsimBackend, whose starts are materialized
-	// through it, report a CheckSnapshot fault; the spot check returns the
-	// error of the source that could not hand over a start state.
+	// Snapshot increments precede epoch segments in the tile: increment 0 is
+	// its first payload. A bit flipped in any part of increment 0's layout —
+	// the version byte turned from 2 to 1 included — is the version-1 read
+	// error, a payload hash mismatch. The dist engine in-process over the
+	// Source and over a NetsimBackend, whose starts are materialized through
+	// it, report a CheckSnapshot fault; the spot check returns the error of
+	// the source that could not hand over a start state.
 	want := "archive: " + node + " snapshot 0 payload hash mismatch (corrupt or tampered segment)"
 	for what, at := range increment0Spots(t, raw) {
 		corrupt := append([]byte(nil), raw...)
@@ -381,7 +381,7 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 		}
 		stream, _, err := a.Audit(audit.AuditRequest{
 			Node: sig.NodeID(node), NodeIdx: nodeIdx,
-			Engine: audit.EngineStream, Source: src, Auths: auths,
+			Engine: audit.EngineDist, Source: src, Auths: auths,
 			Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
 		})
 		if err != nil {
@@ -430,7 +430,7 @@ func TestArchiveCorruptionSurfacesAsFault(t *testing.T) {
 	}
 	res, _, err := a.Audit(audit.AuditRequest{
 		Node: sig.NodeID(node), NodeIdx: nodeIdx,
-		Engine: audit.EngineStream, Source: src, Auths: auths,
+		Engine: audit.EngineDist, Source: src, Auths: auths,
 		Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
 	})
 	if err != nil {
@@ -547,8 +547,8 @@ func TestArchiveSpotCheckSource(t *testing.T) {
 // cbc8a72, before the move to internal/wal) and testdata/golden_archive_v2
 // with version 2, the version every writer writes now. An archive of the
 // same recording written now must be the v2 golden's bytes; the v1 golden
-// stays readable — the same tile but for each increment's version byte,
-// the same log root, the serial verdict through the stream engine, and
+// stays readable — the same tile but for each increment's version byte, the
+// same log root, the serial verdict through the dist engine's Source, and
 // every snapshot's committed root from a replica's boot.
 func TestArchiveGoldenFormat(t *testing.T) {
 	s := coordScenario(t, "")
@@ -638,7 +638,7 @@ func TestArchiveGoldenFormat(t *testing.T) {
 		}
 		res, _, err := a.Audit(audit.AuditRequest{
 			Node: "player1", NodeIdx: uint32(target.Index()),
-			Engine: audit.EngineStream, Source: src, Auths: auths,
+			Engine: audit.EngineDist, Source: src, Auths: auths,
 			Options: audit.EngineOptions{Workers: 2, Materialize: materialize},
 		})
 		if err != nil {

@@ -33,13 +33,15 @@ type Auditor struct {
 	StrictAcks bool
 	// DisablePredecode forces every replica this auditor boots onto the
 	// careful Step path instead of the predecoded sprint loop. Verdicts are
-	// identical either way; the audit benchmark flips it to measure the
-	// predecode ablation.
+	// identical either way, which the tests hold by setting it
+	// (TestGameReplayInterpreterAblations, selfmod_test.go,
+	// spotroll_test.go); the wire session (wire.AuditSession) carries it to
+	// a remote worker's replicas.
 	DisablePredecode bool
 	// DisableFusion keeps the predecoded sprint loop but skips the
 	// superinstruction fusion pass, so every cached instruction retires with
-	// its own dispatch. Verdicts are identical either way; the audit
-	// benchmark flips it to measure the fusion ablation.
+	// its own dispatch. Verdicts are identical either way; it is set and
+	// carried as DisablePredecode is.
 	DisableFusion bool
 }
 

@@ -32,7 +32,7 @@ type EpochJob struct {
 	// Boot marks the first epoch, replayed from the reference image.
 	Boot bool
 	// StartSnap/StartRoot/StartSeq identify and authenticate the starting
-	// state of a non-boot epoch, exactly as in the epoch-parallel engine.
+	// state of a non-boot epoch, exactly as in the in-process epochs.
 	StartSnap uint32
 	StartRoot [32]byte
 	StartSeq  uint64

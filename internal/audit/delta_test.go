@@ -400,12 +400,12 @@ func TestAuditEngineEquivalenceCatalog(t *testing.T) {
 				compareVerdicts(t, label+"/"+cheat.Name, serial, res)
 			}
 
-			run("engine-parallel", audit.AuditRequest{
-				Engine: audit.EngineParallel, Entries: entries,
+			run("engine-dist-entries", audit.AuditRequest{
+				Engine: audit.EngineDist, Entries: entries,
 				Options: audit.EngineOptions{Workers: 4, Materialize: materialize},
 			})
-			run("engine-stream", audit.AuditRequest{
-				Engine: audit.EngineStream, Compressed: logcomp.CompressEntries(entries),
+			run("engine-dist-source", audit.AuditRequest{
+				Engine: audit.EngineDist, Source: audit.ContainerSource(logcomp.CompressEntries(entries)),
 				Options: audit.EngineOptions{Workers: 4, Materialize: materialize},
 			})
 			deltaOpts := audit.EngineOptions{

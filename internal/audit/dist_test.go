@@ -64,19 +64,10 @@ func lossyNet(seed uint64) *netsim.Network {
 	})
 }
 
-// distBothWays runs the three epoch backends over node's log and fails the
-// test on any divergence from the serial verdict.
+// distBothWays runs the two remote epoch backends over node's log and
+// fails the test on any divergence from the serial verdict.
 func distBothWays(t *testing.T, s *game.Scenario, node string, label string, serial *audit.Result) {
 	t.Helper()
-
-	pool, dstats, err := s.AuditNodeDist(sig.NodeID(node), audit.DistOptions{})
-	if err != nil {
-		t.Fatalf("%s: pool dist audit: %v", label, err)
-	}
-	compareVerdicts(t, label+": dist pool", serial, pool)
-	if dstats.Epochs == 0 {
-		t.Errorf("%s: pool dist audit reports zero epochs", label)
-	}
 
 	tcp, dstats, err := s.AuditNodeDist(sig.NodeID(node), audit.DistOptions{
 		Backend: oneShot(sharedFleet(t), audit.CoordinatorConfig{}),
@@ -454,14 +445,14 @@ func TestDistCoordinatorVerifiesRoots(t *testing.T) {
 	}
 	req := audit.AuditRequest{
 		Node: "player1", NodeIdx: uint32(target.Index()), Entries: target.Log.Entries(), Auths: auths,
-		Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 4, Materialize: corrupt},
+		Engine: audit.EngineDist, Options: audit.EngineOptions{Workers: 4, Materialize: corrupt},
 	}
 	serial, _, err := a.Audit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Passed || serial.Fault.Check != audit.CheckSnapshot {
-		t.Fatalf("parallel engine fault = %+v, want snapshot check", serial.Fault)
+		t.Fatalf("in-process fault = %+v, want snapshot check", serial.Fault)
 	}
 	req.Engine, req.Backend = audit.EngineDist, oneShot(sharedFleet(t), audit.CoordinatorConfig{})
 	req.Options = audit.EngineOptions{Materialize: corrupt}

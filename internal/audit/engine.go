@@ -16,28 +16,32 @@ import (
 
 // Engine selects the replay engine an Audit request runs on. Every engine
 // produces byte-identical verdicts; they differ in memory footprint,
-// parallelism and where the replay work happens. The epoch engines
-// (parallel, stream, dist) run one pipeline (auditEpochs): one router cuts
-// the log into epochs (routeStream), every epoch's replica opens through
-// openEpoch, and epoch outcomes merge under one earliest-fault rule
-// (epochMerge).
+// parallelism and where the replay work happens. There are three: the
+// serial replay, the dist epoch engine, and the chunk spot check.
 type Engine string
 
 const (
 	// EngineSerial is the single-replica from-boot replay.
 	EngineSerial Engine = "serial"
-	// EngineParallel cuts the log at snapshot boundaries and replays the
-	// epochs concurrently in-process while the chain and syntactic checks
-	// go on. It is EngineDist with no Backend (Backend is ignored), one
-	// code path under two names.
-	EngineParallel Engine = "parallel"
-	// EngineStream decodes, chain-verifies and replays straight from the
-	// compressed log container in bounded memory (set Compressed, or
-	// Source).
-	EngineStream Engine = "stream"
-	// EngineDist distributes epoch replay over an EpochBackend (set
-	// Backend; nil replays in-process, as EngineParallel).
+	// EngineDist is the epoch engine, one pipeline (auditEpochs): one
+	// router cuts the log into epochs at its snapshot entries
+	// (routeStream) while the chain and syntactic checks go on, every
+	// epoch's replica opens through openEpoch, and epoch outcomes merge
+	// under one earliest-fault rule (epochMerge). The request's input
+	// picks how epochs are handed over: with Backend set they are
+	// collected and dispatched to it once the front checks pass; with
+	// Source set they replay in-process as they stream in, within
+	// Options.Window resident entries; otherwise Entries, a log in
+	// memory, is cut into whole epochs that replay in-process.
 	EngineDist Engine = "dist"
+	// EngineParallel is EngineDist.
+	//
+	// Deprecated: use EngineDist.
+	EngineParallel = EngineDist
+	// EngineStream is EngineDist.
+	//
+	// Deprecated: use EngineDist with Source set.
+	EngineStream = EngineDist
 	// EngineChunk spot-checks a single chunk starting from an
 	// authenticated snapshot (set Chunk).
 	EngineChunk Engine = "chunk"
@@ -52,9 +56,8 @@ type EngineOptions struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Window caps resident decoded entries when the entries come from a
-	// container or a Source. <= 0 selects DefaultStreamWindow. A log passed
-	// as Entries is in memory already and runs with the window at its
-	// length.
+	// Source. <= 0 selects DefaultStreamWindow. A log passed as Entries is
+	// in memory already and runs with the window at its length.
 	Window int
 	// SpotRecheckFraction is the fraction of remotely-replayed epochs the
 	// coordinator re-replays locally to catch lying workers (0 disables, 1
@@ -105,35 +108,31 @@ type AuditRequest struct {
 	Engine Engine
 	// Options are the shared engine knobs.
 	Options EngineOptions
-	// Backend executes epoch jobs on the dist engine: the router's jobs
-	// are collected whole and dispatched once the chain and syntactic
-	// checks have passed. Nil replays the epochs in-process, as the
-	// parallel engine does.
+	// Backend executes the dist engine's epoch jobs remotely: the router's
+	// jobs are collected whole and dispatched once the chain and syntactic
+	// checks have passed. Nil replays the epochs in-process.
 	Backend EpochBackend
 
-	// Entries and Auths are the decoded log (serial, parallel and dist
-	// engines, unless Source is set).
+	// Entries and Auths are the decoded log (serial and dist engines,
+	// unless Source is set).
 	Entries []tevlog.Entry
 	Auths   []tevlog.Authenticator
-	// Compressed is the compressed log container (stream engine).
-	Compressed []byte
-	// Source streams the log's entries for the epoch engines (stream,
-	// parallel, dist) in place of Compressed or Entries — e.g. an
-	// archive.EntrySource reading epoch segments straight from disk. When
-	// both are set, Source wins. A source error mid-stream is reported as a
-	// CheckLog fault, exactly like a corrupt container.
+	// Source streams the log's entries for the dist engine in place of
+	// Entries — e.g. an archive.EntrySource reading epoch segments
+	// straight from disk, or a logcomp.EntryReader over a compressed log
+	// container. When both are set, Source wins. A source error is
+	// reported as a CheckLog fault carrying the error.
 	Source logcomp.EntrySource
 	// Chunk is the spot-check request (chunk engine).
 	Chunk *ChunkRequest
 }
 
-// AuditStats reports how the selected engine ran. Engine is always set;
-// the engine-specific struct of the engine that ran is filled, the others
-// are zero: Stream for EngineStream, Dist for EngineDist and
-// EngineParallel once the audit reaches replay (in-process epochs fill
-// only Dist.Epochs, a remote backend all of it). Sigs is filled by every
-// engine: how the audit's one signature-verification stage ran (what
-// avmm.DaemonStats is to a recording).
+// AuditStats reports how the selected engine ran. Engine is always set.
+// Every dist audit fills Stream, how the pipeline ran, and Dist once the
+// audit reaches replay (in-process epochs fill only Dist.Epochs, a remote
+// backend all of it). Sigs is filled by every engine: how the audit's one
+// signature-verification stage ran (what avmm.DaemonStats is to a
+// recording).
 type AuditStats struct {
 	Engine Engine
 	Stream StreamStats
@@ -161,7 +160,7 @@ func (a *Auditor) Audit(req AuditRequest) (*Result, AuditStats, error) {
 	switch engine {
 	case EngineSerial:
 		res, stats.Sigs = a.auditSerial(req.Node, req.NodeIdx, req.Entries, req.Auths)
-	case EngineParallel, EngineStream, EngineDist:
+	case EngineDist:
 		res, err = a.auditEpochs(req, &stats)
 	case EngineChunk:
 		if req.Chunk == nil {

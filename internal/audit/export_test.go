@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/logcomp"
 	"repro/internal/sig"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
@@ -13,6 +14,24 @@ import (
 // OpenJournalFS is OpenJournal over a caller-chosen filesystem, for the
 // external tests that put a waltest.FS under a coordinator's journal.
 var OpenJournalFS = openJournal
+
+// ContainerSource feeds a compressed log container to an audit as its
+// Source. A header the reader refuses is the source's first error, so the
+// audit reports it as the CheckLog fault it reports for a container cut
+// mid-column.
+func ContainerSource(compressed []byte) logcomp.EntrySource {
+	r, err := logcomp.NewEntryReader(compressed)
+	if err != nil {
+		return errSource{err}
+	}
+	return r
+}
+
+// errSource is an EntrySource that fails at once.
+type errSource struct{ err error }
+
+func (s errSource) Next() (tevlog.Entry, error) { return tevlog.Entry{}, s.err }
+func (s errSource) Close() error                { return nil }
 
 // SpotCheckResults is SpotCheckParallel that also returns the Result of
 // every pick it audited, by position in the policy's picks (nil: not
@@ -37,7 +56,7 @@ func (a *Auditor) SpotCheckResults(src SegmentSource, policy SpotPolicy, workers
 // materialized. Only a chain fault stops the cut, so a log the syntactic
 // check rejects is still cut whole.
 func (a *Auditor) cutJobs(node sig.NodeID, entries []tevlog.Entry, materialize func(uint32) (*snapshot.Restored, error)) []*EpochJob {
-	jobs, _, _ := a.runPipeline(node, 0, nil, &sliceSource{entries: entries}, nil,
+	jobs, _, _ := a.runPipeline(node, 0, &sliceSource{entries: entries}, nil,
 		EngineOptions{Materialize: materialize}, max(len(entries), 1), collected)
 	return jobs
 }

@@ -17,9 +17,10 @@ import (
 	"repro/internal/vm"
 )
 
-// Equivalence harness for the epoch-parallel audit engine: whatever the
+// Equivalence harness for the dist engine's in-process epochs: whatever the
 // serial auditor concludes — pass, or a fault with a specific check and
-// entry seq — the parallel engine must conclude at every worker count.
+// entry seq — the dist engine must conclude at every worker count, over a
+// log in memory and over a streamed Source.
 
 const (
 	eqMatchNs = 6_000_000_000
@@ -67,9 +68,8 @@ func compareVerdicts(t *testing.T, label string, serial, got *audit.Result) {
 	}
 }
 
-// auditBothWays runs the serial, epoch-parallel and streaming audits of
-// node and fails the test on any verdict divergence. It returns the serial
-// result.
+// auditBothWays runs the serial audit of node, then auditAgainst, and fails
+// the test on any verdict divergence. It returns the serial result.
 func auditBothWays(t *testing.T, s *game.Scenario, node string, label string) *audit.Result {
 	t.Helper()
 	serial, err := s.AuditNode(sig.NodeID(node))
@@ -80,29 +80,31 @@ func auditBothWays(t *testing.T, s *game.Scenario, node string, label string) *a
 	return serial
 }
 
-// auditAgainst runs the epoch-parallel, streaming and dist audits of node
-// and fails the test on any divergence from serial, its serial verdict.
+// auditAgainst runs the dist engine's audits of node — in-process over its
+// entries and over its log container streamed as a Source, at every worker
+// count, then remote — and fails the test on any divergence from serial,
+// its serial verdict.
 func auditAgainst(t *testing.T, s *game.Scenario, node, label string, serial *audit.Result) {
 	t.Helper()
 	for _, workers := range eqWorkerCounts {
-		par, err := s.AuditNodeParallel(sig.NodeID(node), workers)
+		par, dstats, err := s.AuditNodeDist(sig.NodeID(node), audit.DistOptions{EngineOptions: audit.EngineOptions{Workers: workers}})
 		if err != nil {
-			t.Fatalf("%s: parallel audit (%d workers): %v", label, workers, err)
+			t.Fatalf("%s: in-process audit (%d workers): %v", label, workers, err)
 		}
 		compareVerdicts(t, fmt.Sprintf("%s: %d workers", label, workers), serial, par)
-
-		stream, sstats, err := s.AuditNodeStream(sig.NodeID(node), workers, 0)
-		if err != nil {
-			t.Fatalf("%s: stream audit (%d workers): %v", label, workers, err)
+		if dstats.Epochs == 0 {
+			t.Errorf("%s: in-process audit (%d workers) reports zero epochs", label, workers)
 		}
+
+		stream, sstats := streamAudit(t, s, node, workers, 0)
 		compareVerdicts(t, fmt.Sprintf("%s: stream %d workers", label, workers), serial, stream)
 		if sstats.PeakResidentEntries > sstats.Window {
 			t.Errorf("%s: stream %d workers: %d resident entries exceed window %d",
 				label, workers, sstats.PeakResidentEntries, sstats.Window)
 		}
 	}
-	// The dist engine must reach the same verdict as well: in-process, on
-	// a lossy simulated network, and on real loopback TCP workers.
+	// The remote backends must reach the same verdict as well: on a lossy
+	// simulated network, and on real loopback TCP workers.
 	distBothWays(t, s, node, label, serial)
 }
 
@@ -129,11 +131,12 @@ func TestParallelAuditEquivalenceClean(t *testing.T) {
 // TestGameReplayInterpreterAblations pins, on the honest game recording,
 // what the interpreter's two fast paths may and may not change. Neither may
 // change a verdict: the audit with fusion off and the audit on the Step
-// path conclude what the fused sprint concludes, on the serial, parallel,
-// stream and dist (simulated network) engines. And fusion must engage:
-// replaying the recording retires fewer than 0.9 dispatches per
-// instruction — each fused pair saves one dispatch and each quad one more —
-// and not one fused op with fusion off. The counts are exact for a seed.
+// path conclude what the fused sprint concludes, on the serial engine and
+// on the dist engine over entries, over a Source and on a simulated
+// network. And fusion must engage: replaying the recording retires fewer
+// than 0.9 dispatches per instruction — each fused pair saves one dispatch
+// and each quad one more — and not one fused op with fusion off. The counts
+// are exact for a seed.
 func TestGameReplayInterpreterAblations(t *testing.T) {
 	s, err := game.NewScenario(game.ScenarioConfig{
 		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
@@ -153,9 +156,9 @@ func TestGameReplayInterpreterAblations(t *testing.T) {
 	if !serial.Passed {
 		t.Fatalf("honest recording faulted: %v", serial.Fault)
 	}
-	// The ablations are Auditor fields; every epoch engine must carry them
-	// to the replicas it opens — the dist engine's remote workers through
-	// the wire session.
+	// The ablations are Auditor fields; the dist engine must carry them to
+	// every replica it opens, whatever its input — its remote workers'
+	// through the wire session.
 	compressed := logcomp.CompressEntries(entries)
 	for label, ablate := range map[string]func(*audit.Auditor){
 		"nofusion":    func(ab *audit.Auditor) { ab.DisableFusion = true },
@@ -168,11 +171,11 @@ func TestGameReplayInterpreterAblations(t *testing.T) {
 			req  audit.AuditRequest
 		}{
 			{"serial", audit.AuditRequest{Entries: entries}},
-			{"parallel", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+			{"entries", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
 				Options: audit.EngineOptions{Workers: 4, Materialize: materialize}}},
-			{"stream/1", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+			{"source/1", audit.AuditRequest{Engine: audit.EngineDist, Source: audit.ContainerSource(compressed),
 				Options: audit.EngineOptions{Workers: 1, Materialize: materialize}}},
-			{"stream/4", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+			{"source/4", audit.AuditRequest{Engine: audit.EngineDist, Source: audit.ContainerSource(compressed),
 				Options: audit.EngineOptions{Workers: 4, Materialize: materialize}}},
 			{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
 				Backend: &audit.NetsimBackend{Net: lossyNet(91), Workers: 3, MaxAttempts: 10},
@@ -220,9 +223,10 @@ func TestGameReplayInterpreterAblations(t *testing.T) {
 // tree keeps that page's hash from its verified seed and never refreshes it
 // (the page is never re-dirtied) — derives the honest root. The audit must
 // flag the first snapshot committed after the corruption, identically on
-// the serial, epoch-parallel and streaming engines. This is the scenario a
-// buggy incremental verifier would miss: the corruption lives entirely in
-// leaves outside every dirty set the replay ever folds.
+// the serial engine and on the dist engine over entries and over a Source.
+// This is the scenario a buggy incremental verifier would miss: the
+// corruption lives entirely in leaves outside every dirty set the replay
+// ever folds.
 func TestAuditEquivalenceStaleCorruptedPage(t *testing.T) {
 	cfg := game.ScenarioConfig{
 		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
@@ -327,21 +331,22 @@ func TestParallelAuditEquivalenceCheats(t *testing.T) {
 }
 
 // TestMaterializeFaultEveryEngine: a start state the snapshot source cannot
-// hand over, or hands over wrong, is the epoch's verdict, and every epoch
-// engine reaches the same one — in-process epochs (parallel and dist), the
-// stream engine with a small window, and a simulated network's coordinator,
-// which materializes before dispatch. An in-process worker whose previous
-// epoch ended at snapshot k holds a replica there and rolls onto the state
-// it fetches when that state's memory is its own; the doctored states cover
-// both ways out of the roll (a memory that differs boots, and the boot
-// refuses it; blobs that differ are refused by the roll's root check) and
-// the one blob the root does not cover, which the replica restores from the
-// fetched state, whether rolled or booted. A fetch that fails is snapshot
-// k's CheckSnapshot at the snapshot entry's seq, whether k alone fails or k
-// and k+2 do; a state that does not hash to the committed root is the same
-// check at the same seq; and the Results are equal to the byte. At one
-// worker the pool and the stream engine open epochs in order and stop at
-// the fault: they ask for no snapshot past k.
+// hand over, or hands over wrong, is the epoch's verdict, and the dist
+// engine reaches the same one whatever its input — in-process epochs over
+// entries, over a Source with a small window, and a simulated network's
+// coordinator, which materializes before dispatch. An in-process worker
+// whose previous epoch ended at snapshot k holds a replica there and rolls
+// onto the state it fetches when that state's memory is its own; the
+// doctored states cover both ways out of the roll (a memory that differs
+// boots, and the boot refuses it; blobs that differ are refused by the
+// roll's root check) and the one blob the root does not cover, which the
+// replica restores from the fetched state, whether rolled or booted. A
+// fetch that fails is snapshot k's CheckSnapshot at the snapshot entry's
+// seq, whether k alone fails or k and k+2 do; a state that does not hash to
+// the committed root is the same check at the same seq; and the Results are
+// equal to the byte. At one worker the in-process epochs open in order,
+// from entries or a Source, and stop at the fault: they ask for no snapshot
+// past k.
 func TestMaterializeFaultEveryEngine(t *testing.T) {
 	s, err := game.NewScenario(game.ScenarioConfig{
 		Players: 2, Mode: avmm.ModeAVMMRSA, Cost: avmm.DefaultCostModel(),
@@ -438,17 +443,15 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 			// fault stops every later Materialize call.
 			inOrder bool
 		}{
-			{"parallel/1", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+			{"entries/1", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
 				Options: audit.EngineOptions{Workers: 1}}, true},
-			{"parallel/4", audit.AuditRequest{Engine: audit.EngineParallel, Entries: entries,
+			{"entries/4", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
 				Options: audit.EngineOptions{Workers: 4}}, false},
-			{"stream/1", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+			{"source/1", audit.AuditRequest{Engine: audit.EngineDist, Source: audit.ContainerSource(compressed),
 				Options: audit.EngineOptions{Workers: 1, Window: 16}}, true},
-			{"stream/4", audit.AuditRequest{Engine: audit.EngineStream, Compressed: compressed,
+			{"source/4", audit.AuditRequest{Engine: audit.EngineDist, Source: audit.ContainerSource(compressed),
 				Options: audit.EngineOptions{Workers: 4, Window: 16}}, false},
-			{"dist/pool", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
-				Options: audit.EngineOptions{Workers: 1}}, true},
-			{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
+			{"netsim", audit.AuditRequest{Engine: audit.EngineDist, Entries: entries,
 				Backend: &audit.NetsimBackend{Net: lossyNet(13), Workers: 3, MaxAttempts: 10}}, false},
 		}
 		var first *audit.Result
@@ -490,7 +493,7 @@ func TestMaterializeFaultEveryEngine(t *testing.T) {
 
 // TestMaterializeSkippedPastChainFault: a log with an entry missing from
 // an epoch's middle breaks its chain there, a log fault on every engine.
-// The in-process engines over a log in memory replay the epochs that
+// The in-process epochs over a log in memory replay the epochs that
 // closed before the break, but never open the epoch it cuts short; a
 // remote backend is sent no job at all.
 func TestMaterializeSkippedPastChainFault(t *testing.T) {
@@ -537,10 +540,9 @@ func TestMaterializeSkippedPastChainFault(t *testing.T) {
 		req   audit.AuditRequest
 		calls int64
 	}{
-		{"parallel/1", audit.AuditRequest{Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 1}}, m},
-		{"parallel/4", audit.AuditRequest{Engine: audit.EngineParallel, Options: audit.EngineOptions{Workers: 4}}, m},
-		{"dist/in-process", audit.AuditRequest{Engine: audit.EngineDist, Options: audit.EngineOptions{Workers: 4}}, m},
-		{"dist/netsim", audit.AuditRequest{Engine: audit.EngineDist,
+		{"entries/1", audit.AuditRequest{Engine: audit.EngineDist, Options: audit.EngineOptions{Workers: 1}}, m},
+		{"entries/4", audit.AuditRequest{Engine: audit.EngineDist, Options: audit.EngineOptions{Workers: 4}}, m},
+		{"netsim", audit.AuditRequest{Engine: audit.EngineDist,
 			Backend: &audit.NetsimBackend{Net: lossyNet(13), Workers: 3, MaxAttempts: 10}}, 0},
 	}
 	for _, leg := range legs {

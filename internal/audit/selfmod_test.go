@@ -109,14 +109,14 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 	}
 
 	// One request per engine over the same log; each audit fills in its
-	// engine and options.
+	// engine and options. streamed is the dist engine over the log's
+	// container, fed as a Source.
 	req := func(engine audit.Engine, opts audit.EngineOptions) audit.AuditRequest {
-		r := audit.AuditRequest{Node: "selfmod", Engine: engine, Auths: auths, Options: opts}
-		if engine == audit.EngineStream {
-			r.Compressed = logcomp.CompressEntries(entries)
-		} else {
-			r.Entries = entries
-		}
+		return audit.AuditRequest{Node: "selfmod", Engine: engine, Entries: entries, Auths: auths, Options: opts}
+	}
+	streamed := func(opts audit.EngineOptions) audit.AuditRequest {
+		r := req(audit.EngineDist, opts)
+		r.Entries, r.Source = nil, audit.ContainerSource(logcomp.CompressEntries(entries))
 		return r
 	}
 	serial, _ := mustAudit(t, a, req(audit.EngineSerial, audit.EngineOptions{}))
@@ -128,10 +128,10 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		opts := audit.EngineOptions{Workers: workers, Materialize: materialize}
-		par, _ := mustAudit(t, a, req(audit.EngineParallel, opts))
+		par, _ := mustAudit(t, a, req(audit.EngineDist, opts))
 		compareVerdicts(t, "selfmod parallel", serial, par)
 
-		stream, astats := mustAudit(t, a, req(audit.EngineStream, opts))
+		stream, astats := mustAudit(t, a, streamed(opts))
 		compareVerdicts(t, "selfmod stream", serial, stream)
 		if sstats := astats.Stream; sstats.PeakResidentEntries > sstats.Window {
 			t.Errorf("stream audit held %d entries, window %d", sstats.PeakResidentEntries, sstats.Window)
@@ -148,7 +148,7 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 	streamOpts := audit.EngineOptions{Workers: 2, Materialize: materialize}
 	noPre, _ := mustAudit(t, abl, req(audit.EngineSerial, audit.EngineOptions{}))
 	compareVerdicts(t, "selfmod nopredecode", serial, noPre)
-	noPreStream, _ := mustAudit(t, abl, req(audit.EngineStream, streamOpts))
+	noPreStream, _ := mustAudit(t, abl, streamed(streamOpts))
 	compareVerdicts(t, "selfmod nopredecode stream", serial, noPreStream)
 
 	// And the fusion ablation: self-modifying stores are exactly the case
@@ -160,6 +160,6 @@ func TestAuditEquivalenceSelfModifyingCode(t *testing.T) {
 	}
 	noFus, _ := mustAudit(t, fusAbl, req(audit.EngineSerial, audit.EngineOptions{}))
 	compareVerdicts(t, "selfmod nofusion", serial, noFus)
-	noFusStream, _ := mustAudit(t, fusAbl, req(audit.EngineStream, streamOpts))
+	noFusStream, _ := mustAudit(t, fusAbl, streamed(streamOpts))
 	compareVerdicts(t, "selfmod nofusion stream", serial, noFusStream)
 }

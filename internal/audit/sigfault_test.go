@@ -277,6 +277,10 @@ func sigAuditor(w *sigWorld) *Auditor {
 }
 
 func TestSignatureFaultTable(t *testing.T) {
+	// The deprecated engine names dispatch as the dist engine below does.
+	if EngineParallel != EngineDist || EngineStream != EngineDist {
+		t.Fatalf("deprecated engine names %q, %q are not %q", EngineParallel, EngineStream, EngineDist)
+	}
 	w := getSigWorld(t)
 	a := sigAuditor(w)
 	for _, tc := range sigFaultCases {
@@ -331,14 +335,14 @@ func TestSignatureFaultTable(t *testing.T) {
 					if stats.Sigs.Submitted == 0 {
 						t.Fatalf("%s, procs=%d: no signature reached the stage", path, procs)
 					}
-					if req.Engine == EngineStream && stats.Stream.PeakResidentEntries > 128 {
+					if req.Source != nil && stats.Stream.PeakResidentEntries > 128 {
 						t.Fatalf("%s: %d entries resident in a window of 128", path, stats.Stream.PeakResidentEntries)
 					}
 				}
 				atProcs(procs, func() {
 					check("serial", AuditRequest{Engine: EngineSerial, Entries: entries, Auths: auths}, want)
-					check("parallel", AuditRequest{Engine: EngineParallel, Entries: entries, Auths: auths}, want)
-					check("stream", AuditRequest{Engine: EngineStream, Compressed: compressed, Auths: auths,
+					check("dist/entries", AuditRequest{Engine: EngineDist, Entries: entries, Auths: auths}, want)
+					check("dist/source", AuditRequest{Engine: EngineDist, Source: ContainerSource(compressed), Auths: auths,
 						Options: EngineOptions{Workers: 2, Window: 128}}, want)
 					check("chunk", AuditRequest{Chunk: &chunk}, wantChunk)
 

@@ -12,20 +12,22 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the one epoch pipeline of the parallel, stream and dist
-// engines: decode ∥ chain hash + syntactic check ∥ signature verification
-// ∥ replay, as bounded-channel stages. Each snapshot entry commits a state
-// root, so the log between two snapshots is an epoch that can be checked
-// on its own (§3.5, §4.4): replay it from the earlier snapshot's state,
-// verified against the root committed there, and re-derive the later root.
-// routeStream is the one place that cuts the epochs, as entries stream past
-// the chain and syntactic checks, from a logcomp.EntrySource: the
-// compressed container, an archive reading epoch segments from disk, or a
-// slice in memory. It hands each epoch over (epochHandoff) to an in-process
-// replay worker, or collects the jobs whole for runJobs to ship to a remote
-// backend once the front checks have passed. Decoded entries resident
-// across the pipeline are capped by a window, not the log length; within
-// it, a streamed epoch's entries are routed ahead of its replay, up to
+// This file is the one epoch pipeline, the dist engine's: decode ∥ chain
+// hash + syntactic check ∥ signature verification ∥ replay, as
+// bounded-channel stages. Each snapshot entry commits a state root, so the
+// log between two snapshots is an epoch that can be checked on its own
+// (§3.5, §4.4): replay it from the earlier snapshot's state, verified
+// against the root committed there, and re-derive the later root.
+// routeStream is the one place that cuts the epochs, as entries stream
+// past the chain and syntactic checks, from a logcomp.EntrySource: an
+// archive reading epoch segments from disk, a compressed log container, or
+// a slice in memory. The request's input picks how it hands each epoch
+// over (epochHandoff): a Source's epochs stream to in-process replay
+// workers as they open, a slice's go to them whole as they close, and with
+// a remote backend the jobs are collected whole for runJobs to ship once
+// the front checks have passed. Decoded entries resident across the
+// pipeline are capped by a window, not the log length; within it, a
+// streamed epoch's entries are routed ahead of its replay, up to
 // streamRunAhead of them, so the router is not paced by the replica.
 //
 // An in-process replay worker keeps the replica its last epoch ended on
@@ -81,7 +83,7 @@ const streamRunAhead = 1024
 
 // StreamStats reports how the pipeline ran.
 type StreamStats struct {
-	// Entries is the number of entries decoded from the container.
+	// Entries is the number of entries read from the source.
 	Entries int
 	// Epochs is the number of replay epochs the router cut the log into.
 	Epochs int
@@ -186,17 +188,16 @@ func (s *sliceSource) Next() (tevlog.Entry, error) {
 func (s *sliceSource) Close() error { return nil }
 
 // auditEpochs checks an entire execution from boot, like auditSerial, on
-// the epoch pipeline; it backs EngineParallel, EngineStream and EngineDist
-// (stats.Engine) and fills stats as AuditStats documents. The entries come
-// from req.Source when it is set, else from req.Compressed on the stream
-// engine — a container that fails to decode is a CheckLog fault carrying
-// the decoder's error, and so is a source error mid-stream, so a tampered
-// archive is treated exactly like a tampered log — and from req.Entries on
-// the others. A non-nil error means a remote backend could not complete
-// the audit (runJobs).
+// the epoch pipeline; it backs EngineDist and fills stats as AuditStats
+// documents. The request's input picks the handoff: a Backend collects the
+// jobs for it, a Source streams them within req.Options.Window, and
+// otherwise req.Entries, a log in memory, is handed over in whole epochs.
+// A source error is a CheckLog fault carrying it, so a tampered archive or
+// container is treated exactly like a tampered log. A non-nil error means
+// a remote backend could not complete the audit (runJobs).
 func (a *Auditor) auditEpochs(req AuditRequest, stats *AuditStats) (*Result, error) {
 	source, window, handoff := req.Source, req.Options.Window, streamed
-	if source == nil && stats.Engine != EngineStream {
+	if source == nil {
 		// The log is in memory already: a window below its length would
 		// only throttle fan-out.
 		source, window, handoff = &sliceSource{entries: req.Entries}, max(len(req.Entries), 1), whole
@@ -204,15 +205,11 @@ func (a *Auditor) auditEpochs(req AuditRequest, stats *AuditStats) (*Result, err
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
-	var be EpochBackend
-	if stats.Engine == EngineDist && req.Backend != nil {
-		be, handoff = req.Backend, collected
+	if req.Backend != nil {
+		handoff = collected
 	}
-	jobs, verdict, stream := a.runPipeline(req.Node, req.NodeIdx, req.Compressed, source, req.Auths, req.Options, window, handoff)
-	stats.Sigs = verdict.sigStats
-	if stats.Engine == EngineStream {
-		stats.Stream = stream
-	}
+	jobs, verdict, stream := a.runPipeline(req.Node, req.NodeIdx, source, req.Auths, req.Options, window, handoff)
+	stats.Sigs, stats.Stream = verdict.sigStats, stream
 	// The serial pipeline's precedence: a decode, a chain, then a syntactic
 	// fault is the verdict; with none, replay decides.
 	res := &Result{Node: req.Node}
@@ -228,16 +225,14 @@ func (a *Auditor) auditEpochs(req AuditRequest, stats *AuditStats) (*Result, err
 	if res.Fault != nil {
 		return res, nil
 	}
-	if be == nil {
+	if handoff != collected {
 		// Every epoch at or below the cutoff ran (only epochs above it are
 		// skipped), so none is missing.
 		res.Replay, res.Fault, _, _ = verdict.merge.verdict(len(jobs))
-		if stats.Engine != EngineStream {
-			stats.Dist = DistStats{Epochs: len(jobs)}
-		}
+		stats.Dist = DistStats{Epochs: len(jobs)}
 	} else {
 		var err error
-		if res.Replay, res.Fault, stats.Dist, err = a.runJobs(req.Node, jobs, be, req.Options); err != nil {
+		if res.Replay, res.Fault, stats.Dist, err = a.runJobs(req.Node, jobs, req.Backend, req.Options); err != nil {
 			return nil, err
 		}
 	}
@@ -245,13 +240,12 @@ func (a *Auditor) auditEpochs(req AuditRequest, stats *AuditStats) (*Result, err
 	return res, nil
 }
 
-// runPipeline runs the decode and route stages over source (over the
-// compressed container when source is nil) within a window of resident
-// entries and, unless the jobs are collected for a remote backend, the
-// in-process replay workers the router hands epochs to. It returns the
-// jobs the router cut, with their entries unless they were streamed, the
-// stage outcomes, and how the pipeline ran.
-func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions, window int, handoff epochHandoff) ([]*EpochJob, *streamVerdict, StreamStats) {
+// runPipeline runs the decode and route stages over source within a
+// window of resident entries and, unless the jobs are collected for a
+// remote backend, the in-process replay workers the router hands epochs
+// to. It returns the jobs the router cut, with their entries unless they
+// were streamed, the stage outcomes, and how the pipeline ran.
+func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, source logcomp.EntrySource, auths []tevlog.Authenticator, opts EngineOptions, window int, handoff epochHandoff) ([]*EpochJob, *streamVerdict, StreamStats) {
 	win := newEntryWindow(window)
 	chanCap := min(max(window/4, 1), 128)
 	verdict := &streamVerdict{merge: newEpochMerge()}
@@ -268,19 +262,10 @@ func (a *Auditor) runPipeline(node sig.NodeID, nodeIdx uint32, compressed []byte
 	var entryCount atomic.Int64
 	go func() {
 		defer close(decoded)
-		r := source
-		if r == nil {
-			er, err := logcomp.NewEntryReader(compressed)
-			if err != nil {
-				verdict.decodeErr = err
-				return
-			}
-			r = er
-		}
-		defer r.Close()
+		defer source.Close()
 		for {
 			win.acquire()
-			e, err := r.Next()
+			e, err := source.Next()
 			if err != nil {
 				win.release(1)
 				if err != io.EOF {

@@ -2,7 +2,7 @@ package audit_test
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/avmm"
 	"repro/internal/game"
 	"repro/internal/logcomp"
+	"repro/internal/sig"
 	"repro/internal/snapshot"
 	"repro/internal/tevlog"
 )
@@ -29,13 +30,35 @@ func streamScenario(t *testing.T) *game.Scenario {
 	return s
 }
 
+// streamAudit audits node on the dist engine from its log's container, fed
+// as a Source, with workers replay workers within window resident entries
+// (0: the default), start states from the node's snapshot store.
+func streamAudit(t *testing.T, s *game.Scenario, node string, workers, window int) (*audit.Result, audit.StreamStats) {
+	t.Helper()
+	target, auths, a, err := s.AuditInputs(sig.NodeID(node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats := mustAudit(t, a, audit.AuditRequest{
+		Node: target.Node(), NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
+		Source: audit.ContainerSource(logcomp.CompressEntries(target.Log.Entries())), Auths: auths,
+		Options: audit.EngineOptions{
+			Workers: workers, Window: window,
+			Materialize: func(k uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(k)) },
+		},
+	})
+	return res, stats.Stream
+}
+
 // TestAuditStreamBoundedWindow: with a window far smaller than the log, the
 // streaming audit still passes with the serial verdict, partitions into
 // multiple epochs, and never holds more decoded entries than the window —
 // at 16 and 64 entries, and at 4096, which the log fits in. Bounded the
 // other way: a streamed epoch runs ahead of its replay as far as the window
 // lets it, so one replay worker at the default window holds more entries
-// than the 64 a replay batch takes.
+// than the 64 a replay batch takes. And the input picks the handoff: on one
+// worker, a Source streams within its window and Entries runs with the
+// window at the log's length, both with the serial Result.
 func TestAuditStreamBoundedWindow(t *testing.T) {
 	s := streamScenario(t)
 	serial, err := s.AuditNode("player1")
@@ -50,10 +73,7 @@ func TestAuditStreamBoundedWindow(t *testing.T) {
 		t.Fatalf("log too short (%d entries) to exercise the window", target.Log.Len())
 	}
 	for _, run := range []struct{ workers, window int }{{4, 16}, {4, 64}, {4, 4096}, {1, 0}} {
-		res, stream, err := s.AuditNodeStream("player1", run.workers, run.window)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, stream := streamAudit(t, s, "player1", run.workers, run.window)
 		label := fmt.Sprintf("%d workers, window %d", run.workers, stream.Window)
 		if !res.Passed {
 			t.Fatalf("%s: stream audit failed: %v", label, res.Fault)
@@ -77,6 +97,43 @@ func TestAuditStreamBoundedWindow(t *testing.T) {
 		}
 		t.Logf("%s: %d epochs, peak %d resident entries of %d", label, stream.Epochs, stream.PeakResidentEntries, stream.Entries)
 	}
+
+	_, auths, a, err := s.AuditInputs("player1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := target.Log.Entries()
+	compressed := logcomp.CompressEntries(entries)
+	for _, input := range []string{"source", "entries"} {
+		req := audit.AuditRequest{
+			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist, Auths: auths,
+			Options: audit.EngineOptions{
+				Workers: 1, Window: 64,
+				Materialize: func(k uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(k)) },
+			},
+		}
+		if input == "source" {
+			req.Source = audit.ContainerSource(compressed)
+		} else {
+			req.Entries = entries
+		}
+		res, st := mustAudit(t, a, req)
+		if !reflect.DeepEqual(res, serial) {
+			t.Errorf("%s: Result %+v (fault %+v), serial %+v", input, res, res.Fault, serial)
+		}
+		if st.Engine != audit.EngineDist {
+			t.Errorf("%s: ran as engine %q", input, st.Engine)
+		}
+		if st.Dist.Epochs != st.Stream.Epochs || st.Stream.Epochs < 2 {
+			t.Errorf("%s: %d epochs in Dist, %d in Stream; want equal and at least 2", input, st.Dist.Epochs, st.Stream.Epochs)
+		}
+		if input == "source" && (st.Stream.Window != 64 || st.Stream.PeakResidentEntries > 64) {
+			t.Errorf("%s: window %d, peak %d resident entries; want both within 64", input, st.Stream.Window, st.Stream.PeakResidentEntries)
+		}
+		if input == "entries" && st.Stream.Window != len(entries) {
+			t.Errorf("%s: window %d, want the log's length %d", input, st.Stream.Window, len(entries))
+		}
+	}
 }
 
 // TestMaterializeHeldReplicaRolls: a replay worker keeps the replica its
@@ -99,8 +156,8 @@ func TestMaterializeHeldReplicaRolls(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int64
 		res, astats := mustAudit(t, a, audit.AuditRequest{
-			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
-			Compressed: compressed, Auths: auths, Options: audit.EngineOptions{
+			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
+			Source: audit.ContainerSource(compressed), Auths: auths, Options: audit.EngineOptions{
 				Workers: workers,
 				Materialize: func(k uint32) (*snapshot.Restored, error) {
 					calls.Add(1)
@@ -178,7 +235,7 @@ func TestAuditStreamRunsAhead(t *testing.T) {
 	src := &countingSource{EntrySource: reader, at: points[1].EntryIndex, reached: make(chan struct{})}
 	var ranAhead atomic.Bool
 	res, astats := mustAudit(t, a, audit.AuditRequest{
-		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
+		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
 		Source: src, Auths: auths, Options: audit.EngineOptions{
 			Workers: 1,
 			Materialize: func(k uint32) (*snapshot.Restored, error) {
@@ -219,8 +276,8 @@ func TestAuditStreamNoMaterializer(t *testing.T) {
 	}
 	compressed := logcomp.CompressEntries(target.Log.Entries())
 	res, astats := mustAudit(t, a, audit.AuditRequest{
-		Node: "player2", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
-		Compressed: compressed, Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
+		Node: "player2", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
+		Source: audit.ContainerSource(compressed), Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
 	stream := astats.Stream
 	compareVerdicts(t, "no-materializer stream", serial, res)
 	if stream.Epochs != 1 {
@@ -264,8 +321,8 @@ func TestAuditStreamCorruptedEntry(t *testing.T) {
 	}
 
 	res, _ := mustAudit(t, a, audit.AuditRequest{
-		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
-		Compressed: compressed, Auths: auths,
+		Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
+		Source: audit.ContainerSource(compressed), Auths: auths,
 		Options: audit.EngineOptions{
 			Workers: 4, Window: 256,
 			Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
@@ -281,9 +338,10 @@ func TestAuditStreamCorruptedEntry(t *testing.T) {
 	}
 }
 
-// TestAuditStreamCorruptedContainer: a container truncated mid-column is
-// reported as a log-check fault carrying the decoder's error, at any
-// truncation severity.
+// TestAuditStreamCorruptedContainer: a container truncated mid-column, or
+// inside its magic, fed as a Source is reported as a log-check fault
+// carrying the decoder's error, at any truncation severity — also where
+// the reader refuses the container's header before yielding an entry.
 func TestAuditStreamCorruptedContainer(t *testing.T) {
 	s := streamScenario(t)
 	target, auths, a, err := s.AuditInputs("player1")
@@ -291,15 +349,19 @@ func TestAuditStreamCorruptedContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	compressed := logcomp.CompressEntries(target.Log.Entries())
-	for _, cut := range []int{len(compressed) / 3, len(compressed) - 1} {
+	for _, cut := range []int{3, len(compressed) / 3, len(compressed) - 1} {
+		_, decodeErr := logcomp.DecompressEntries(compressed[:cut])
+		if decodeErr == nil {
+			t.Fatalf("cut %d: the decoder accepts the truncated container", cut)
+		}
 		res, _ := mustAudit(t, a, audit.AuditRequest{
-			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
-			Compressed: compressed[:cut], Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
+			Node: "player1", NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
+			Source: audit.ContainerSource(compressed[:cut]), Auths: auths, Options: audit.EngineOptions{Workers: 2, Window: 128}})
 		if res.Passed {
 			t.Fatalf("cut %d: truncated container passed", cut)
 		}
-		if res.Fault.Check != audit.CheckLog || !strings.Contains(res.Fault.Detail, "decoding log container") {
-			t.Errorf("cut %d: fault = (%s) %s; want decode failure", cut, res.Fault.Check, res.Fault.Detail)
+		if want := "decoding log container: " + decodeErr.Error(); res.Fault.Check != audit.CheckLog || res.Fault.Detail != want {
+			t.Errorf("cut %d: fault = (%s) %s; want (log) %s", cut, res.Fault.Check, res.Fault.Detail, want)
 		}
 	}
 }
@@ -314,8 +376,8 @@ func TestAuditStreamEmptyLog(t *testing.T) {
 	}
 	serial, _ := mustAudit(t, a, audit.AuditRequest{Node: "player1", NodeIdx: 1, Auths: auths})
 	res, _ := mustAudit(t, a, audit.AuditRequest{
-		Node: "player1", NodeIdx: 1, Engine: audit.EngineStream,
-		Compressed: logcomp.CompressEntries(nil), Auths: auths, Options: audit.EngineOptions{Workers: 2}})
+		Node: "player1", NodeIdx: 1, Engine: audit.EngineDist,
+		Source: audit.ContainerSource(logcomp.CompressEntries(nil)), Auths: auths, Options: audit.EngineOptions{Workers: 2}})
 	if res.Passed != serial.Passed {
 		t.Fatalf("empty log: stream passed=%v, serial passed=%v", res.Passed, serial.Passed)
 	}
@@ -346,10 +408,7 @@ func TestAuditStreamDetectsCheatWithTinyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stream, err := s.AuditNodeStream("player1", 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stream := streamAudit(t, s, "player1", 4, 32)
 	compareVerdicts(t, "tiny-window cheat", serial, res)
 	if stream.PeakResidentEntries > 32 {
 		t.Errorf("peak resident entries %d exceeds window 32", stream.PeakResidentEntries)

@@ -31,7 +31,7 @@ type Sec66Result struct {
 	ReplayedInstr  uint64
 	Passed         bool
 	// AuditParallel is the whole audit — chain, syntactic check and replay
-	// — on the epoch-parallel engine with ParallelWorkers replay workers;
+	// — on the dist engine with ParallelWorkers in-process replay workers;
 	// ParallelSpeedup is the serial stages' sum, Syntactic plus Semantic,
 	// divided by AuditParallel.
 	AuditParallel   time.Duration
@@ -43,7 +43,7 @@ type Sec66Result struct {
 // RunSec66 records a match, then times the audit pipeline on the server's
 // log (the paper audits the machine hosting the game). The machine takes
 // periodic snapshots, so the whole audit can also run on the
-// epoch-parallel engine for comparison.
+// dist engine's in-process epochs for comparison.
 func RunSec66(scale Scale) (*Sec66Result, error) {
 	s, err := runGame(avmm.ModeAVMMRSA, scale, func(cfg *game.ScenarioConfig) {
 		cfg.SnapshotEveryNs = scale.GameNs / 8
@@ -115,7 +115,7 @@ func RunSec66(scale Scale) (*Sec66Result, error) {
 	res.ReplayedInstr = rep.Stats.Instructions
 	res.Snapshots = rep.Stats.SnapshotsVerified
 
-	// The same audit on the epoch-parallel engine, pulling epoch start
+	// The same audit on the dist engine in-process, pulling epoch start
 	// states from the machine's snapshot store: its chain and syntactic
 	// checks overlap the replay of the epochs they have passed. Report the
 	// fan-out actually used: at most one worker per epoch has work, and the
@@ -127,7 +127,7 @@ func RunSec66(scale Scale) (*Sec66Result, error) {
 	var pres *audit.Result
 	res.AuditParallel = stopwatch(func() {
 		pres, _, err = a.Audit(audit.AuditRequest{
-			Node: target.Node(), NodeIdx: uint32(target.Index()), Engine: audit.EngineParallel,
+			Node: target.Node(), NodeIdx: uint32(target.Index()), Engine: audit.EngineDist,
 			Entries: decompressed, Auths: auths,
 			Options: audit.EngineOptions{
 				Workers:     res.ParallelWorkers,
@@ -156,7 +156,7 @@ func (r *Sec66Result) Table() *metrics.Table {
 	t.Row("decompress", r.Decompress.String(), "")
 	t.Row("syntactic check", r.Syntactic.String(), fmt.Sprintf("%d entries", r.LogEntries))
 	t.Row("semantic check (replay)", r.Semantic.String(), fmt.Sprintf("%d instructions, %d snapshots", r.ReplayedInstr, r.Snapshots))
-	t.Row("full audit (parallel engine)", r.AuditParallel.String(),
+	t.Row("full audit (dist engine)", r.AuditParallel.String(),
 		fmt.Sprintf("%d workers, %.2fx syntactic + semantic", r.ParallelWorkers, r.ParallelSpeedup))
 	t.Row("recorded play (virtual)", time.Duration(r.RecordedNs).String(), "")
 	return t

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/avmm"
-	"repro/internal/logcomp"
 	"repro/internal/netsim"
 	"repro/internal/sig"
 	"repro/internal/snapshot"
@@ -228,7 +227,7 @@ func (s *Scenario) CollectAuths(node sig.NodeID) ([]tevlog.Authenticator, error)
 }
 
 // auditorFor locates the node's monitor and assembles the auditor and
-// authenticator set shared by the serial and parallel audit entry points.
+// authenticator set shared by the audit entry points.
 func (s *Scenario) auditorFor(node sig.NodeID) (*avmm.Monitor, []tevlog.Authenticator, *audit.Auditor, error) {
 	all := append([]*avmm.Monitor{s.Server}, s.Players...)
 	var target *avmm.Monitor
@@ -264,48 +263,6 @@ func (s *Scenario) AuditNode(node sig.NodeID) (*audit.Result, error) {
 	return res, err
 }
 
-// AuditNodeParallel is AuditNode on the epoch-parallel engine: the node's
-// log is cut at its snapshot entries and the epochs are replayed
-// concurrently on up to workers goroutines, with each epoch's starting
-// state pulled from the node's snapshot store and verified against the
-// root committed in the log. The verdict is identical to AuditNode's.
-func (s *Scenario) AuditNodeParallel(node sig.NodeID, workers int) (*audit.Result, error) {
-	target, auths, a, err := s.auditorFor(node)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := a.Audit(audit.AuditRequest{
-		Node: node, NodeIdx: uint32(target.Index()), Engine: audit.EngineParallel,
-		Entries: target.Log.Entries(), Auths: auths,
-		Options: audit.EngineOptions{
-			Workers:     workers,
-			Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
-		},
-	})
-	return res, err
-}
-
-// AuditNodeStream is AuditNode on the streaming pipeline: the node's log is
-// compressed into the columnar container and audited straight from it —
-// decode, chain verification and epoch replay overlapped in bounded memory.
-// The verdict is identical to AuditNode's.
-func (s *Scenario) AuditNodeStream(node sig.NodeID, workers, window int) (*audit.Result, audit.StreamStats, error) {
-	target, auths, a, err := s.auditorFor(node)
-	if err != nil {
-		return nil, audit.StreamStats{}, err
-	}
-	compressed := logcomp.CompressEntries(target.Log.Entries())
-	res, stats, err := a.Audit(audit.AuditRequest{
-		Node: node, NodeIdx: uint32(target.Index()), Engine: audit.EngineStream,
-		Compressed: compressed, Auths: auths,
-		Options: audit.EngineOptions{
-			Workers: workers, Window: window,
-			Materialize: func(snapIdx uint32) (*snapshot.Restored, error) { return target.Snaps.Materialize(int(snapIdx)) },
-		},
-	})
-	return res, stats.Stream, err
-}
-
 // AuditInputs exposes the raw materials of an audit of node — the target
 // monitor, the collected authenticators, and a configured auditor — for
 // callers that drive the pipeline in nonstandard ways (streaming-mode
@@ -314,11 +271,12 @@ func (s *Scenario) AuditInputs(node sig.NodeID) (*avmm.Monitor, []tevlog.Authent
 	return s.auditorFor(node)
 }
 
-// AuditNodeDist is AuditNode with the replay stage fanned out over an
-// epoch backend — simulated network workers or real TCP workers, or
-// in-process replay workers when opts.Backend is nil. The node's snapshot
-// store supplies epoch starting states (root-verified by the coordinator
-// before dispatch); the verdict is byte-identical to AuditNode's.
+// AuditNodeDist is AuditNode on the dist engine, with the replay stage
+// fanned out over an epoch backend — simulated network workers or real TCP
+// workers, or opts.Workers in-process replay workers when opts.Backend is
+// nil. The node's snapshot store supplies epoch starting states
+// (root-verified before replay); the verdict is byte-identical to
+// AuditNode's.
 func (s *Scenario) AuditNodeDist(node sig.NodeID, opts audit.DistOptions) (*audit.Result, audit.DistStats, error) {
 	target, auths, a, err := s.auditorFor(node)
 	if err != nil {

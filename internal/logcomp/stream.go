@@ -33,8 +33,8 @@ var columnNames = [4]string{"seq", "type", "len", "content"}
 // underlying encoding is corrupt or truncated, and the consumer treats it
 // exactly as a failed container decode. EntryReader implements it over an
 // in-memory container; the disk archive implements it over epoch
-// segments, which is how the stream engine audits a log that never fits
-// in memory.
+// segments, which is how the audit streams a log that never fits in
+// memory.
 type EntrySource interface {
 	// Next returns the next entry, io.EOF at the end, or a decode error.
 	Next() (tevlog.Entry, error)

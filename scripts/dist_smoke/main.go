@@ -13,11 +13,12 @@
 // coordinator service while the fleet churns: one worker process is
 // SIGKILLed a third of the way through and a replacement hot-joins two
 // thirds through, and every verdict must still match the serial engine's.
-// Finally it asserts the -coordinate exit-code contract, that a
-// SIGKILLed journaled coordinator restarted over the same -journal (with
-// a -register self-joined worker) resumes to byte-identical verdicts,
-// that a second signal cuts a stalled worker drain short (still exit 0),
-// and that a SIGTERMed worker drains gracefully (exit 0).
+// Finally it asserts the -coordinate exit-code contract, that a local
+// audit and a SIGKILLed journaled coordinator restarted over the same
+// -journal (with a -register self-joined worker) both reach the serial
+// engine's verdicts on the recording, that a second signal cuts a
+// stalled worker drain short (still exit 0), and that a SIGTERMed worker
+// drains gracefully (exit 0).
 //
 //	go build -o bin/ ./cmd/avm-audit ./cmd/avm-run
 //	go run ./scripts/dist_smoke -audit-bin bin/avm-audit -run-bin bin/avm-run
@@ -29,6 +30,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,10 +47,13 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/audit"
 	"repro/internal/avmm"
 	"repro/internal/game"
 	"repro/internal/sig"
+	"repro/internal/tevlog"
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -243,7 +249,7 @@ func startEpochZeroSilentProxy(workerAddr string) (string, error) {
 	return addr, err
 }
 
-// Timing-independent cores of the avm-audit verdict lines, so serial and
+// Timing-independent cores of the avm-audit verdict lines, so local and
 // resumed-coordinator output can be compared byte for byte.
 var (
 	passedRe = regexp.MustCompile(`^(\S+)\s+PASSED\s+in\s+\S+\s+\((\d+ entries, \d+ instructions replayed, \d+ sends matched)`)
@@ -261,6 +267,74 @@ func verdictSummaries(lines []string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// serialVerdictLines audits every node of an avm-run game recording
+// in-process on the serial engine, over the whole log read from the
+// recording's archive, and returns avm-audit's verdict lines for it: a
+// reference independent of the epoch pipeline that both the CLI's local
+// and coordinated audits run.
+func serialVerdictLines(dir string) ([]string, error) {
+	var meta struct {
+		Nodes    map[string]int    `json:"nodes"`
+		RNGSeeds map[string]uint64 `json:"rng_seeds"`
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(b, &meta); err != nil {
+		return nil, err
+	}
+	keys := sig.NewKeyStore()
+	for node := range meta.Nodes {
+		keys.Add(sig.SizedSigner{Node: sig.NodeID(node), Size: sig.PaperSigBytes}.Public())
+	}
+	arc, err := archive.Open(filepath.Join(dir, "archive"))
+	if err != nil {
+		return nil, err
+	}
+	defer arc.Close()
+	var lines []string
+	for node, idx := range meta.Nodes {
+		var auths []tevlog.Authenticator
+		f, err := os.Open(filepath.Join(dir, node+".auths"))
+		if err != nil {
+			return nil, err
+		}
+		err = gob.NewDecoder(f).Decode(&auths)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("decoding %s authenticators: %w", node, err)
+		}
+		var ref *vm.Image
+		if node == "server" {
+			ref, err = game.BuildServer()
+		} else {
+			ref, err = game.BuildClient(idx, game.BuildOptions{})
+		}
+		if err != nil {
+			return nil, err
+		}
+		entries, err := arc.ReadLog(node)
+		if err != nil {
+			return nil, err
+		}
+		a := &audit.Auditor{Keys: keys, RefImage: ref, RNGSeed: meta.RNGSeeds[node], TamperEvident: true, VerifySignatures: true}
+		res, _, err := a.Audit(audit.AuditRequest{
+			Node: sig.NodeID(node), NodeIdx: uint32(idx), Engine: audit.EngineSerial, Entries: entries, Auths: auths})
+		if err != nil {
+			return nil, err
+		}
+		if res.Passed {
+			lines = append(lines, fmt.Sprintf("%s PASSED in 0s (%d entries, %d instructions replayed, %d sends matched)",
+				node, len(entries), res.Replay.Instructions, res.Replay.SendsMatched))
+		} else {
+			lines = append(lines, fmt.Sprintf("%s FAULT  in 0s — %s (%s check, entry %d)",
+				node, res.Fault.Detail, res.Fault.Check, res.Fault.EntrySeq))
+		}
+	}
+	return lines, nil
 }
 
 // runCapture runs a command, returning its stdout lines and exit code.
@@ -460,7 +534,7 @@ func main() {
 	expectDeltaJobs(1, *auditBin, "-dir", cheatDir, "-coordinate", fleetArg, "-local-fallback=false", "-spot", "1") // fault ⇒ 1
 	expectExit(0, *auditBin, "-dir", cleanDir, "-coordinate", fleetArg)                                             // with fallback ⇒ 0
 	expectExit(1, *auditBin, "-dir", cheatDir, "-coordinate", fleetArg, "-spot", "1")                               // with fallback ⇒ 1
-	expectExit(1, *auditBin, "-dir", cheatDir)                                                                      // serial agrees ⇒ 1
+	expectExit(1, *auditBin, "-dir", cheatDir)                                                                      // local audit agrees ⇒ 1
 	expectExit(2, *auditBin, "-dir", filepath.Join(tmp, "missing"))                                                 // bad recording ⇒ 2
 
 	// The archive is the recording: without it the audit cannot start, and
@@ -485,11 +559,20 @@ func main() {
 	// journal with a worker that joins via -register, and require the
 	// resumed verdicts identical to the serial engine's (timing aside),
 	// the journal counters reported, exit code 1 (the recording cheats),
-	// and an empty journal once the resumed audit settles.
+	// and an empty journal once the resumed audit settles. The local
+	// audit, on the epoch pipeline the coordinator runs too, must agree
+	// with the serial engine as well.
 	fmt.Println("dist_smoke: crash-resume phase")
-	serialLines, serialCode := runCapture(*auditBin, "-dir", cheatDir)
-	if serialCode != 1 {
-		failf("serial audit of the cheat recording: exit %d, want 1", serialCode)
+	serialLines, err := serialVerdictLines(cheatDir)
+	if err != nil {
+		failf("serial audit of the cheat recording: %v", err)
+	}
+	localLines, localCode := runCapture(*auditBin, "-dir", cheatDir)
+	if localCode != 1 {
+		failf("local audit of the cheat recording: exit %d, want 1", localCode)
+	}
+	if got, want := verdictSummaries(localLines), verdictSummaries(serialLines); !reflect.DeepEqual(got, want) {
+		failf("local audit verdict divergence:\n  local:  %v\n  serial: %v", got, want)
 	}
 	crashWorker := mustWorker()
 	defer crashWorker.kill()
